@@ -42,12 +42,11 @@ func main() {
 	gobench := flag.String("gobench", "", "run `go test -bench` with this regexp and emit a JSON artifact instead of the experiments")
 	benchtime := flag.String("benchtime", "", "-benchtime passed through to go test (e.g. 3x, 1s)")
 	jsonPath := flag.String("json", "BENCH.json", "artifact path for -gobench results")
-	benchDir := flag.String("benchdir", ".", "comma-separated directories containing the benchmarked packages; results merge into one artifact")
 	maxAllocs := flag.String("maxallocs", "", "comma-separated Benchmark=ceiling pairs; with -gobench, fail if a listed benchmark is missing or its allocs/op exceeds the ceiling")
 	flag.Parse()
 
 	if *gobench != "" {
-		runGoBench(*benchDir, *gobench, *benchtime, *jsonPath, *maxAllocs)
+		runGoBench(*gobench, *benchtime, *jsonPath, *maxAllocs)
 		return
 	}
 	if *chaos {
@@ -96,27 +95,14 @@ func main() {
 	}
 }
 
-// runGoBench executes the Go benchmark suites — one `go test -bench`
-// run per -benchdir entry, merged into a single artifact — and writes
-// the committed perf artifact. The raw `go test` output streams to
-// stdout so failures stay diagnosable in CI logs.
-func runGoBench(dirs, bench, benchtime, jsonPath, maxAllocs string) {
-	var results []benchart.Result
-	for _, dir := range strings.Split(dirs, ",") {
-		dir = strings.TrimSpace(dir)
-		if dir == "" {
-			continue
-		}
-		res, raw, err := benchart.RunGo(dir, bench, benchtime)
-		fmt.Print(raw)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "optiflow-bench: %s: %v\n", dir, err)
-			os.Exit(1)
-		}
-		results = append(results, res...)
-	}
-	if len(results) == 0 {
-		fmt.Fprintf(os.Stderr, "optiflow-bench: no benchmark results from %q\n", dirs)
+// runGoBench executes the Go benchmark suite and writes the committed
+// perf artifact. The raw `go test` output streams to stdout so failures
+// stay diagnosable in CI logs.
+func runGoBench(bench, benchtime, jsonPath, maxAllocs string) {
+	results, raw, err := benchart.RunGo(".", bench, benchtime)
+	fmt.Print(raw)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "optiflow-bench: %v\n", err)
 		os.Exit(1)
 	}
 	art := benchart.Artifact{
@@ -188,40 +174,10 @@ func derivedRatios(results []benchart.Result) map[string]float64 {
 			"BenchmarkTwitter_CC_Boxed", "BenchmarkTwitter_CC"},
 		"columnar_speedup_pagerank": {
 			"BenchmarkTwitter_PR_Boxed", "BenchmarkTwitter_PR"},
-		// PR 10: raw columnar wire vs the gob fallback, micro (state and
-		// adjacency payload encode/decode) and end-to-end (proc-mode CC
-		// and PageRank with a per-superstep checkpoint).
-		"wire_state_encode_speedup": {
-			"BenchmarkWireEncodeState_Gob", "BenchmarkWireEncodeState_Raw"},
-		"wire_state_decode_speedup": {
-			"BenchmarkWireDecodeState_Gob", "BenchmarkWireDecodeState_Raw"},
-		"wire_adj_encode_speedup": {
-			"BenchmarkWireEncodeAdj_Gob", "BenchmarkWireEncodeAdj_Raw"},
-		"wire_adj_decode_speedup": {
-			"BenchmarkWireDecodeAdj_Gob", "BenchmarkWireDecodeAdj_Raw"},
-		"proc_e2e_speedup_cc": {
-			"BenchmarkProcCC_Gob", "BenchmarkProcCC_Raw"},
-		"proc_e2e_speedup_pagerank": {
-			"BenchmarkProcPageRank_Gob", "BenchmarkProcPageRank_Raw"},
-	}
-	allocPairs := map[string][2]string{
-		"wire_state_encode_allocs_ratio": {
-			"BenchmarkWireEncodeState_Gob", "BenchmarkWireEncodeState_Raw"},
-		"wire_state_decode_allocs_ratio": {
-			"BenchmarkWireDecodeState_Gob", "BenchmarkWireDecodeState_Raw"},
-		"wire_adj_encode_allocs_ratio": {
-			"BenchmarkWireEncodeAdj_Gob", "BenchmarkWireEncodeAdj_Raw"},
-		"wire_adj_decode_allocs_ratio": {
-			"BenchmarkWireDecodeAdj_Gob", "BenchmarkWireDecodeAdj_Raw"},
 	}
 	derived := make(map[string]float64)
 	for name, p := range pairs {
 		if r, ok := benchart.Ratio(results, p[0], p[1]); ok {
-			derived[name] = r
-		}
-	}
-	for name, p := range allocPairs {
-		if r, ok := benchart.AllocRatio(results, p[0], p[1]); ok {
 			derived[name] = r
 		}
 	}

@@ -86,7 +86,7 @@ func NewColumnar(g *graph.Graph, parallelism int) *CC {
 	if parallelism < 1 {
 		parallelism = 1
 	}
-	return &CC{g: g, par: parallelism, col: newColCC(g, parallelism)}
+	return &CC{g: g, par: parallelism, col: newColCC(g, parallelism, nil)}
 }
 
 // Columnar reports whether the job runs on the columnar engine.

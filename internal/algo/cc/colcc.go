@@ -24,6 +24,9 @@ import (
 type colCC struct {
 	d  *graph.Dense
 	pt *graph.Partitioning
+	// parts lists the partitions this process computes: all in-process,
+	// the hosted subset in a worker (see Hosted).
+	parts []int
 
 	engine *exec.ColEngine[uint64]
 	step   *exec.ColStep[uint64] // built once, reused every superstep
@@ -43,12 +46,20 @@ type colCC struct {
 	updates []int64
 }
 
-func newColCC(g *graph.Graph, parallelism int) *colCC {
+// newColCC builds the columnar job over the listed partitions of g
+// (nil means all of them) and seeds their superstep-zero state.
+func newColCC(g *graph.Graph, parallelism int, parts []int) *colCC {
 	d := g.Dense()
 	pt := d.Partitioning(parallelism)
+	if parts == nil {
+		for p := 0; p < parallelism; p++ {
+			parts = append(parts, p)
+		}
+	}
 	c := &colCC{
 		d:          d,
 		pt:         pt,
+		parts:      parts,
 		engine:     &exec.ColEngine[uint64]{Parallelism: parallelism},
 		labels:     state.NewDenseStore[uint64]("labels", d, pt),
 		workset:    state.NewColWorkset[uint64]("workset", parallelism),
@@ -69,13 +80,29 @@ func newColCC(g *graph.Graph, parallelism int) *colCC {
 	return c
 }
 
-func (c *colCC) seedInitial() {
+func (c *colCC) seedInitial() { c.seed(c.parts) }
+
+// seed puts the listed partitions into superstep-zero state.
+func (c *colCC) seed(parts []int) {
 	ids := c.d.IDs()
-	for p, owned := range c.pt.Owned {
-		for slot, idx := range owned {
+	for _, p := range parts {
+		for slot, idx := range c.pt.Owned[p] {
 			label := uint64(ids[idx])
 			c.labels.SetSlot(p, int32(slot), label)
 			c.workset.Add(p, idx, label)
+		}
+	}
+}
+
+// reactivate makes every vertex of this process's partitions active
+// with its current label: the exchange restarts from state alone.
+func (c *colCC) reactivate() {
+	for _, p := range c.parts {
+		c.workset.ClearPartition(p)
+		for slot, idx := range c.pt.Owned[p] {
+			if l, ok := c.labels.GetSlot(p, int32(slot)); ok {
+				c.workset.Add(p, idx, l)
+			}
 		}
 	}
 }
@@ -117,22 +144,25 @@ func (c *colCC) apply(part int, dst exec.KeyCol, val exec.ValCol[uint64]) error 
 // runStep executes one columnar superstep and returns (messages,
 // updates) for the step stats.
 func (c *colCC) runStep(fault *exec.FaultInjection) (int64, int64, error) {
-	for p := range c.updates {
-		c.updates[p] = 0
-	}
 	stats, err := c.engine.Run(c.step, fault)
 	if err != nil {
 		c.abortAttempt()
 		return 0, 0, fmt.Errorf("cc: superstep: %w", err)
 	}
-	c.clearPending()
-	c.workset.Swap(c.next)
-	c.next.ClearAll()
+	return stats.Messages, c.advance(), nil
+}
+
+// advance commits a completed fold: the vertices it lowered become the
+// workset the next expansion streams. It returns the update count.
+func (c *colCC) advance() int64 {
 	var updates int64
 	for _, n := range c.updates {
 		updates += n
 	}
-	return stats.Messages, updates, nil
+	c.clearPending()
+	c.workset.Swap(c.next)
+	c.next.ClearAll()
+	return updates
 }
 
 func (c *colCC) abortAttempt() {
@@ -146,10 +176,12 @@ func (c *colCC) abortAttempt() {
 	c.next.ClearAll()
 }
 
+// clearPending forgets the attempt's write log and update counts.
 func (c *colCC) clearPending() {
 	for p := range c.pendingIdx {
 		c.pendingIdx[p] = nil
 		c.pendingVal[p] = nil
+		c.updates[p] = 0
 	}
 }
 
@@ -210,14 +242,7 @@ func (c *colCC) compensate(lost []int) error {
 	for _, p := range lost {
 		lostSet[p] = true
 	}
-	ids := c.d.IDs()
-	for _, p := range lost {
-		for slot, idx := range c.pt.Owned[p] {
-			label := uint64(ids[idx])
-			c.labels.SetSlot(p, int32(slot), label)
-			c.workset.Add(p, idx, label)
-		}
-	}
+	c.seed(lost)
 	seeded := make([]bool, c.d.NumVertices())
 	offsets, targets := c.d.Offsets, c.d.Targets
 	for _, p := range lost {

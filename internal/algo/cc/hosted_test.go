@@ -1,0 +1,120 @@
+package cc
+
+import (
+	"reflect"
+	"testing"
+
+	"optiflow/internal/algo/ref"
+	"optiflow/internal/exec"
+	"optiflow/internal/graph"
+	"optiflow/internal/graph/gen"
+)
+
+// hostedPair splits g's 4 partitions over two Hosted jobs, each built —
+// like a worker process — from the vertex IDs plus only its own
+// partitions' adjacency.
+func hostedPair(t *testing.T, g *graph.Graph) (hosts [2]*Hosted, owner []int) {
+	t.Helper()
+	const nparts = 4
+	d := g.Dense()
+	pt := d.Partitioning(nparts)
+	owner = []int{0, 1, 0, 1}
+	for w := range hosts {
+		var parts []int
+		for p, o := range owner {
+			if o == w {
+				parts = append(parts, p)
+			}
+		}
+		offsets, targets, weights := d.Restrict(pt, parts)
+		pg, err := graph.FromCSR(g.Vertices(), offsets, targets, weights)
+		if err != nil {
+			t.Fatalf("FromCSR: %v", err)
+		}
+		hosts[w] = NewHosted(pg, nparts, parts)
+	}
+	return hosts, owner
+}
+
+// exchange routes one step's remote columns to the hosts owning their
+// destinations, copying them as a wire would.
+func exchange(outs [2]exec.HostedOut, owner []int) (ins [2][]exec.HostedCols) {
+	for _, out := range outs {
+		for _, rc := range out.Remote {
+			rc.Cols = append([]byte(nil), rc.Cols...)
+			ins[owner[rc.Dst]] = append(ins[owner[rc.Dst]], rc)
+		}
+	}
+	return ins
+}
+
+// TestHostedMatchesInProcess runs CC as two hosted halves exchanging
+// byte columns — with one attempt aborted and replayed on the way — and
+// demands the labels, the message total and the superstep count (up to
+// the priming step) of the in-process columnar job.
+func TestHostedMatchesInProcess(t *testing.T) {
+	for name, g := range map[string]*graph.Graph{"twitter": gen.Twitter(300, 7), "grid": gen.Grid(8, 8)} {
+		t.Run(name, func(t *testing.T) {
+			inproc := NewColumnar(g, 4)
+			var wantMsgs int64
+			wantSteps := 0
+			for inproc.WorksetLen() > 0 {
+				st, err := inproc.Step(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantMsgs += st.Messages
+				wantSteps++
+			}
+
+			hosts, owner := hostedPair(t, g)
+			var ins [2][]exec.HostedCols
+			var msgs int64
+			steps := 0
+			for prime, pending := true, int64(1); pending > 0; prime = false {
+				var outs [2]exec.HostedOut
+				attempt := func() {
+					for w, h := range hosts {
+						out, err := h.Step(prime, 0, ins[w])
+						if err != nil {
+							t.Fatalf("step %d host %d: %v", steps, w, err)
+						}
+						outs[w] = out
+					}
+				}
+				attempt()
+				if steps == 2 {
+					// A torn attempt: host 0 is told to drop it, host 1 never
+					// hears (its next Step must drop it itself), then replay.
+					hosts[0].Abort()
+					attempt()
+				}
+				for _, h := range hosts {
+					h.Commit()
+				}
+				ins = exchange(outs, owner)
+				pending = outs[0].Messages + outs[1].Messages
+				msgs += pending
+				steps++
+			}
+			if steps != wantSteps+1 {
+				t.Errorf("hosted run took %d steps, in-process %d (+1 priming)", steps, wantSteps)
+			}
+			if msgs != wantMsgs {
+				t.Errorf("hosted run sent %d messages, in-process %d", msgs, wantMsgs)
+			}
+			got := hosts[0].Components()
+			for v, l := range hosts[1].Components() {
+				got[v] = l
+			}
+			// Label propagation along out-edges only finds the weakly
+			// connected components of an undirected graph.
+			if want := ref.ConnectedComponents(g); !g.Directed() && !reflect.DeepEqual(got, want) {
+				t.Fatalf("hosted components diverged from ground truth")
+			}
+			if !reflect.DeepEqual(got, inproc.Components()) {
+				t.Fatalf("hosted components diverged from the in-process job")
+			}
+		})
+	}
+}

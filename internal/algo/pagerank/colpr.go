@@ -25,6 +25,9 @@ import (
 type colPR struct {
 	d  *graph.Dense
 	pt *graph.Partitioning
+	// parts lists the partitions this process computes: all in-process,
+	// the hosted subset in a worker (see Hosted).
+	parts []int
 
 	engine *exec.ColEngine[float64]
 	step   *exec.ColStep[float64] // built once, reused every superstep
@@ -36,15 +39,27 @@ type colPR struct {
 	sums   [][]float64
 	sumSet [][]bool
 
-	danglingIdx []int32 // dense indices of vertices with no out-edges
+	danglingIdx []int32 // this process's vertices with no out-edges, ascending
 }
 
-func newColPR(g *graph.Graph, parallelism int) *colPR {
+// newColPR builds the columnar job over the listed partitions of g (nil
+// means all of them).
+func newColPR(g *graph.Graph, parallelism int, parts []int) *colPR {
 	d := g.Dense()
 	pt := d.Partitioning(parallelism)
+	if parts == nil {
+		for p := 0; p < parallelism; p++ {
+			parts = append(parts, p)
+		}
+	}
+	mine := make([]bool, parallelism)
+	for _, p := range parts {
+		mine[p] = true
+	}
 	c := &colPR{
 		d:      d,
 		pt:     pt,
+		parts:  parts,
 		engine: &exec.ColEngine[float64]{Parallelism: parallelism},
 		ranks:  state.NewDenseStore[float64]("ranks", d, pt),
 		sums:   make([][]float64, parallelism),
@@ -63,7 +78,9 @@ func newColPR(g *graph.Graph, parallelism int) *colPR {
 	for i := 0; i < nv; i++ {
 		lo, hi := offsets[i], offsets[i+1]
 		if lo == hi {
-			c.danglingIdx = append(c.danglingIdx, int32(i))
+			if mine[pt.PartOf[i]] {
+				c.danglingIdx = append(c.danglingIdx, int32(i))
+			}
 			continue
 		}
 		if weights == nil {
@@ -98,10 +115,13 @@ func newColPR(g *graph.Graph, parallelism int) *colPR {
 	return c
 }
 
-func (c *colPR) seedInitial() {
+func (c *colPR) seedInitial() { c.seed(c.parts) }
+
+// seed puts the listed partitions into superstep-zero state.
+func (c *colPR) seed(parts []int) {
 	n := float64(c.d.NumVertices())
-	for p, owned := range c.pt.Owned {
-		for slot := range owned {
+	for _, p := range parts {
+		for slot := range c.pt.Owned[p] {
 			c.ranks.SetSlot(p, int32(slot), 1/n)
 		}
 	}
@@ -139,36 +159,49 @@ func (c *colPR) apply(part int, dst exec.KeyCol, val exec.ValCol[float64]) error
 // mirroring PR.Step: dangling mass first, then the exchange, then
 // base + d*sum + share per vertex with the L1 delta.
 func (c *colPR) runStep(pr *PR, fault *exec.FaultInjection) (messages, shuffled int64, l1, danglingMass float64, err error) {
-	n := float64(c.d.NumVertices())
-	base := (1 - pr.d) / n
-	for _, idx := range c.danglingIdx {
-		if r, ok := c.ranks.At(idx); ok {
-			danglingMass += r
-		}
-	}
-	share := pr.d * danglingMass / n
-
-	// Clear the sums scratch (the boxed path's sums.ClearAll): an
-	// aborted attempt may have written some of it.
-	for p := range c.sumSet {
-		set := c.sumSet[p]
-		for i := range set {
-			set[i] = false
-		}
-	}
-
+	danglingMass = c.danglingMass()
+	c.clearSums()
 	c.step.LocalFold = pr.combine
 	stats, runErr := c.engine.Run(c.step, fault)
 	if runErr != nil {
 		return 0, 0, 0, 0, fmt.Errorf("pagerank: superstep: %w", runErr)
 	}
+	return stats.Messages, stats.Shuffled, c.foldRanks(pr.d, danglingMass), danglingMass, nil
+}
 
-	for p := range c.sums {
+// danglingMass sums the rank of this process's sink vertices: all the
+// dangling mass in-process, one host's share of it in a worker.
+func (c *colPR) danglingMass() float64 {
+	mass := 0.0
+	for _, idx := range c.danglingIdx {
+		if r, ok := c.ranks.At(idx); ok {
+			mass += r
+		}
+	}
+	return mass
+}
+
+// clearSums resets the sums scratch (the boxed path's sums.ClearAll):
+// an aborted attempt may have written some of it.
+func (c *colPR) clearSums() {
+	for _, p := range c.parts {
+		clear(c.sumSet[p])
+	}
+}
+
+// foldRanks is the driver fold over this process's partitions: new
+// rank = teleport base + damped contribution sum + share of the global
+// dangling mass. It returns the L1 delta against the previous ranks.
+func (c *colPR) foldRanks(damping, danglingMass float64) (l1 float64) {
+	n := float64(c.d.NumVertices())
+	base := (1 - damping) / n
+	share := damping * danglingMass / n
+	for _, p := range c.parts {
 		sums, set := c.sums[p], c.sumSet[p]
 		for slot := range sums {
 			nv := base
 			if set[slot] {
-				nv = base + pr.d*sums[slot]
+				nv = base + damping*sums[slot]
 			}
 			nv += share
 			old, _ := c.ranks.GetSlot(p, int32(slot))
@@ -176,7 +209,7 @@ func (c *colPR) runStep(pr *PR, fault *exec.FaultInjection) (messages, shuffled 
 			c.ranks.SetSlot(p, int32(slot), nv)
 		}
 	}
-	return stats.Messages, stats.Shuffled, l1, danglingMass, nil
+	return l1
 }
 
 func (c *colPR) rankVector() map[graph.VertexID]float64 {

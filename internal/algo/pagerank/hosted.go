@@ -1,0 +1,89 @@
+package pagerank
+
+import (
+	"fmt"
+
+	"optiflow/internal/colbytes"
+	"optiflow/internal/exec"
+	"optiflow/internal/graph"
+)
+
+// Hosted is the PageRank job as a worker process hosts it: the columnar
+// job of NewColumnar — same ColStep and scale column, same rank store,
+// same driver fold — restricted to the partitions the process owns,
+// with the superstep cut at the exchange (exec.ColHosted, whose Commit
+// and Abort end an attempt). A hosted step folds the contributions the
+// previous step's expansion produced into new ranks, then expands
+// those; a priming step only expands. The scalars the in-process fold
+// computes globally are partial sums here: a step reports its
+// partitions' dangling mass and L1 delta, and is told the combined
+// dangling mass of the ranks its incoming contributions were expanded
+// from.
+type Hosted struct {
+	*exec.ColHosted[float64]
+	c       *colPR
+	damping float64
+}
+
+// NewHosted builds the job over g — the full graph, or one restricted
+// to the hosted partitions' out-edges (graph.FromCSR) — for the listed
+// partitions out of nparts.
+func NewHosted(g *graph.Graph, nparts int, damping float64, parts []int) *Hosted {
+	if damping <= 0 || damping >= 1 {
+		damping = DefaultDamping
+	}
+	c := newColPR(g, nparts, append([]int{}, parts...))
+	c.step.LocalFold = true
+	c.seedInitial()
+	return &Hosted{ColHosted: exec.NewColHosted(c.engine, c.step, c.parts), c: c, damping: damping}
+}
+
+// Step runs one hosted step attempt, held uncommitted by a
+// copy-on-write capture of the ranks; dangling is the combined dangling
+// mass the previous step's hosts reported.
+func (h *Hosted) Step(prime bool, dangling float64, remote []exec.HostedCols) (out exec.HostedOut, err error) {
+	c := h.c
+	h.Abort() // capture committed state, not an abandoned attempt's
+	ranks := c.ranks.SnapshotShared()
+	h.Begin(func() { c.ranks = ranks })
+	if !prime {
+		c.clearSums()
+		if err = h.Fold(remote); err == nil {
+			out.L1, out.Folded = c.foldRanks(h.damping, dangling), true
+			out.Updates = int64(c.ranks.Len())
+		}
+	}
+	if err == nil {
+		out.Dangling = c.danglingMass()
+		err = h.Expand(&out)
+	}
+	if err != nil {
+		h.Abort()
+		return out, fmt.Errorf("pagerank: superstep: %w", err)
+	}
+	return out, nil
+}
+
+// Reinit puts the listed partitions back into superstep-zero state.
+func (h *Hosted) Reinit(parts []int) {
+	h.Abort()
+	h.c.seed(parts)
+}
+
+// AppendPartition appends partition p's committed ranks to dst as a
+// DenseStore partition view (an attempt still in flight was abandoned).
+func (h *Hosted) AppendPartition(dst []byte, p int) []byte {
+	h.Abort()
+	return h.c.ranks.AppendPartitionBytes(dst, p, colbytes.AppendF64)
+}
+
+// RestorePartition replaces partition p's ranks from a view written by
+// AppendPartition.
+func (h *Hosted) RestorePartition(p int, view []byte) error {
+	h.Abort()
+	return h.c.ranks.RestorePartitionView(p, view, (*colbytes.Reader).F64)
+}
+
+// RankVector returns the rank of every vertex of the partitions this
+// job holds state for.
+func (h *Hosted) RankVector() map[graph.VertexID]float64 { return h.c.rankVector() }

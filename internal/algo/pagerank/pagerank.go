@@ -127,7 +127,7 @@ func NewColumnar(g *graph.Graph, parallelism int, damping float64, comp Compensa
 		owned:        graph.PartitionVertices(g, parallelism),
 		compensation: comp,
 		lastL1:       math.Inf(1),
-		col:          newColPR(g, parallelism),
+		col:          newColPR(g, parallelism, nil),
 	}
 	for _, v := range g.Vertices() {
 		if g.OutDegree(v) == 0 {

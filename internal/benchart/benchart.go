@@ -60,25 +60,6 @@ func Ratio(results []Result, num, den string) (float64, bool) {
 	return n.NsPerOp / d.NsPerOp, true
 }
 
-// AllocRatio returns AllocsPerOp(num) / AllocsPerOp(den), matching
-// benchmark names like Ratio. A denominator of zero allocs/op (a
-// perfectly pooled hot path) is floored to one, so the reported
-// reduction is a conservative lower bound rather than a division by
-// zero. ok is false when either side is missing or did not report
-// allocations (-benchmem absent).
-func AllocRatio(results []Result, num, den string) (float64, bool) {
-	n, okN := Find(results, num)
-	d, okD := Find(results, den)
-	if !okN || !okD || n.AllocsPerOp < 0 || d.AllocsPerOp < 0 {
-		return 0, false
-	}
-	da := d.AllocsPerOp
-	if da == 0 {
-		da = 1
-	}
-	return float64(n.AllocsPerOp) / float64(da), true
-}
-
 // Find returns the result named base, matching with or without the -N
 // GOMAXPROCS suffix, so callers can look up "BenchmarkTwitter_CC" and
 // hit "BenchmarkTwitter_CC-8".

@@ -128,33 +128,3 @@ func TestRatio(t *testing.T) {
 		t.Fatal("zero denominator should not resolve")
 	}
 }
-
-func TestAllocRatio(t *testing.T) {
-	results := []Result{
-		{Name: "BenchmarkWireEncodeState_Gob-8", AllocsPerOp: 280},
-		{Name: "BenchmarkWireDecodeState_Raw-8", AllocsPerOp: 7},
-		{Name: "BenchmarkWireEncodeState_Raw-8", AllocsPerOp: 0},
-		{Name: "BenchmarkNoMem", AllocsPerOp: -1},
-	}
-	r, ok := AllocRatio(results, "BenchmarkWireEncodeState_Gob", "BenchmarkWireDecodeState_Raw")
-	if !ok || r != 40 {
-		t.Fatalf("alloc ratio = %v, %v, want 40", r, ok)
-	}
-	// A zero-alloc denominator is floored to one alloc/op, reporting a
-	// conservative lower bound instead of dividing by zero.
-	r, ok = AllocRatio(results, "BenchmarkWireEncodeState_Gob", "BenchmarkWireEncodeState_Raw")
-	if !ok || r != 280 {
-		t.Fatalf("floored alloc ratio = %v, %v, want 280", r, ok)
-	}
-	if _, ok := AllocRatio(results, "BenchmarkMissing", "BenchmarkWireDecodeState_Raw"); ok {
-		t.Fatal("missing numerator should not resolve")
-	}
-	// Benchmarks run without -benchmem carry AllocsPerOp -1 and must not
-	// resolve as a ratio of garbage.
-	if _, ok := AllocRatio(results, "BenchmarkNoMem", "BenchmarkWireDecodeState_Raw"); ok {
-		t.Fatal("numerator without alloc figures should not resolve")
-	}
-	if _, ok := AllocRatio(results, "BenchmarkWireEncodeState_Gob", "BenchmarkNoMem"); ok {
-		t.Fatal("denominator without alloc figures should not resolve")
-	}
-}

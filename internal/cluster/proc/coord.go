@@ -73,20 +73,15 @@ type Config struct {
 	// for chunked state transfer (2 if zero; negative disables the data
 	// plane — bulk state then moves over monolithic ctrl RPCs).
 	DataConns int
-	// ChunkVertices bounds one data-plane chunk (4096 vertices if
-	// zero): the pipelining grain of a state stream.
+	// ChunkVertices bounds one data-plane chunk to the state view bytes
+	// of that many vertices (4096 if zero): the pipelining grain of a
+	// state stream.
 	ChunkVertices int
 	// MaxFrameBytes caps any frame payload on both the encode and
 	// decode path (netfault.MaxFrame if zero; values above the hard
 	// ceiling clamp to it). Oversized frames fail with a typed
 	// *wire.SizeError instead of an unbounded allocation.
 	MaxFrameBytes int
-	// GobPayloads forces the listed payload kinds ("step", "state",
-	// "load", "snapshot") onto the gob fallback codec instead of the
-	// raw columnar encoding — the comparison and escape hatch;
-	// everything raw-capable defaults to raw. "state" also routes bulk
-	// state over the legacy ctrl path instead of the data plane.
-	GobPayloads []string
 	// NetFault, when set, routes every worker connection through the
 	// fault-injecting network layer.
 	NetFault *netfault.Network
@@ -429,10 +424,6 @@ func Start(cfg Config) (*Coordinator, error) {
 	if cfg.Partitions < 1 {
 		return nil, fmt.Errorf("proc: need at least one partition, got %d", cfg.Partitions)
 	}
-	gobKinds, err := parseGobPayloads(cfg.GobPayloads)
-	if err != nil {
-		return nil, err
-	}
 	tok := make([]byte, 16)
 	if _, err := rand.Read(tok); err != nil {
 		return nil, fmt.Errorf("proc: token: %v", err)
@@ -446,7 +437,7 @@ func Start(cfg Config) (*Coordinator, error) {
 		ln:       ln,
 		addr:     ln.Addr().String(),
 		token:    hex.EncodeToString(tok),
-		wc:       &wireCfg{maxFrame: cfg.MaxFrameBytes, gobKinds: gobKinds},
+		wc:       &wireCfg{maxFrame: cfg.MaxFrameBytes},
 		alive:    make(map[int]bool),
 		released: make(map[int]bool),
 		owner:    make([]int, cfg.Partitions),
@@ -974,12 +965,10 @@ func (c *Coordinator) Fail(w int) []int {
 	p := c.procs[w]
 	if p != nil {
 		// Fence before any teardown: a redial from this worker must be
-		// rejected even if the process outlives us.
-		p.condemned = true
-		p.markGoneLocked()
-		if c.cfg.LeaveZombies {
-			p.closeConns()
-		} else {
+		// rejected even if the process outlives us. Already condemned by
+		// the ladder or the reaper, it is not counted again.
+		c.condemnLocked(p, "failed by the driver")
+		if !c.cfg.LeaveZombies {
 			p.kill()
 		}
 	}
@@ -1171,13 +1160,13 @@ func (c *Coordinator) Release(w int) error {
 	// Migrate state off the leaving worker before it goes away — over
 	// the chunked data plane when enabled, so a big migration streams
 	// and pipelines instead of marshalling one monolithic RPC blob.
-	var fetched map[int]PartState
+	var fetched map[int]PartBlob
 	if hook != nil && len(moved) > 0 && p != nil {
 		parts, err := c.fetchState(w, moved)
 		if err != nil {
 			return &cluster.ReleaseError{Worker: w, Reason: fmt.Errorf("migrating state: %v", err)}
 		}
-		fetched = make(map[int]PartState, len(parts))
+		fetched = make(map[int]PartBlob, len(parts))
 		for _, ps := range parts {
 			fetched[ps.Part] = ps
 		}
@@ -1218,7 +1207,7 @@ func (c *Coordinator) Release(w int) error {
 					errs[i] = fmt.Errorf("proc: releasing worker %d: loading partitions onto %d: %v", w, o, err)
 					return
 				}
-				restore := make([]PartState, 0, len(parts))
+				restore := make([]PartBlob, 0, len(parts))
 				for _, part := range parts {
 					restore = append(restore, fetched[part])
 				}
@@ -1340,22 +1329,32 @@ func (c *Coordinator) setAssignHook(fn func(worker int, parts []int) error) {
 	c.assign = fn
 }
 
-// call performs one ctrl RPC against worker w. The rpcConn absorbs
-// transient faults (timeouts retry with the same idempotence token,
-// broken connections wait for the worker's redial); only when the
-// whole retry budget is exhausted does the failure reach here, and the
-// worker is condemned. An application-level ErrResp proves the worker
+// onProc runs one operation — a ctrl RPC, a data-plane transfer —
+// against worker w's process. The transports absorb transient faults
+// (timeouts retry with the same idempotence token, broken connections
+// wait for the worker's redial); only when a whole retry budget is
+// exhausted does the failure reach here as a transport error, and the
+// worker is condemned. An application-level rejection proves the worker
 // alive and is passed through untouched.
-func (c *Coordinator) call(w int, req any) (any, error) {
+func (c *Coordinator) onProc(w int, what string, op func(p *workerProc) error) error {
 	c.mu.Lock()
 	p := c.procs[w]
 	c.mu.Unlock()
 	if p == nil {
-		return nil, fmt.Errorf("proc: no process for worker %d", w)
+		return fmt.Errorf("proc: no process for worker %d", w)
 	}
-	resp, err := p.ctrl.call(req)
+	err := op(p)
 	if err != nil && isTransportError(err) {
-		c.condemn(w, fmt.Sprintf("rpc failed: %v", err))
+		c.condemn(w, fmt.Sprintf("%s failed: %v", what, err))
 	}
+	return err
+}
+
+// call performs one ctrl RPC against worker w.
+func (c *Coordinator) call(w int, req any) (resp any, err error) {
+	err = c.onProc(w, "rpc", func(p *workerProc) error {
+		resp, err = p.ctrl.call(req)
+		return err
+	})
 	return resp, err
 }

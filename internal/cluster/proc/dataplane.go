@@ -5,12 +5,10 @@ package proc
 // (Config.DataConns) alongside its ctrl and beat conns; bulk state —
 // Release migration, checkpoint SnapshotTo fetches, recovery
 // RestoreFrom pushes — streams over them as bounded DataChunk frames
-// instead of one monolithic RPC blob. Chunking pipelines the transfer:
-// while one chunk is in flight the sender encodes the next and the
-// receiver decodes the previous, so serialization, network and
-// deserialization overlap; and because each chunk is a bounded frame,
-// the netfault layer (and its fault injection) sees the transfer at
-// the same frame granularity as everything else.
+// instead of one monolithic RPC blob, off the serialized ctrl path. Each
+// chunk is a bounded frame, so the frame cap holds however large the
+// state, and the netfault layer (and its fault injection) sees the
+// transfer at the same frame granularity as everything else.
 //
 // Failure model: a transfer that breaks mid-stream abandons its
 // connection (closed, never reused — the worker's end unblocks and
@@ -30,7 +28,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"optiflow/internal/cluster/proc/wire"
+	"optiflow/internal/colbytes"
 )
 
 // dataPlane is one worker's pool of data connections on the
@@ -153,13 +151,10 @@ type dataAppError struct{ msg string }
 
 func (e *dataAppError) Error() string { return e.msg }
 
-// dataEnabled reports whether bulk state moves over the data plane:
-// pools exist and the state payload kind is not on the gob fallback
-// (the fallback selects the legacy monolithic ctrl-RPC path wholesale,
-// which is what a gob-vs-raw comparison wants to measure).
-func (c *Coordinator) dataEnabled() bool {
-	return c.cfg.DataConns > 0 && !c.wc.forceGob(wire.KFetchResp)
-}
+// viewBytesPerVertex converts Config.ChunkVertices into the data plane's
+// chunk budget: a vertex costs a presence byte and an 8-byte value in a
+// partition view.
+const viewBytesPerVertex = 9
 
 // dataTransfer runs fn against the worker's data plane with whole-
 // transfer retries inside the suspicion-grace budget, mirroring
@@ -210,14 +205,15 @@ func (c *Coordinator) dataTransfer(p *workerProc, fn func(nc net.Conn) error) er
 
 // dataFetch streams the listed partitions' committed state off worker
 // p over its data plane.
-func (c *Coordinator) dataFetch(p *workerProc, parts []int) ([]PartState, error) {
-	var out []PartState
+func (c *Coordinator) dataFetch(p *workerProc, parts []int) ([]PartBlob, error) {
+	var out []PartBlob
+	var buf []byte
 	err := c.dataTransfer(p, func(nc net.Conn) error {
-		out = out[:0]
+		buf = buf[:0]
 		stream := streamSeq.Add(1)
 		seq := uint32(0)
 		nc.SetDeadline(time.Now().Add(c.cfg.CallTimeout))
-		req := DataFetchReq{Stream: stream, ChunkVerts: c.cfg.ChunkVertices, Parts: parts}
+		req := DataFetchReq{Stream: stream, ChunkBytes: viewBytesPerVertex * c.cfg.ChunkVertices, Parts: parts}
 		if err := writeFrameCfg(nc, 0, req, c.wc); err != nil {
 			return err
 		}
@@ -242,10 +238,11 @@ func (c *Coordinator) dataFetch(p *workerProc, parts []int) ([]PartState, error)
 					return fmt.Errorf("proc: data fetch: chunk seq %d, want %d", ch.Seq, seq)
 				}
 				seq++
-				out = appendFragments(out, ch.Parts)
+				buf = append(buf, ch.Data...)
 				if ch.Done {
 					nc.SetDeadline(time.Time{})
-					return nil
+					out, err = readChunked(buf)
+					return err
 				}
 			case DataErr:
 				return &dataAppError{msg: ch.Msg}
@@ -260,37 +257,44 @@ func (c *Coordinator) dataFetch(p *workerProc, parts []int) ([]PartState, error)
 	return out, nil
 }
 
-// appendFragments merges a chunk's fragments into the accumulated
-// state. The worker streams partitions in order, splitting large ones
-// across consecutive chunks, so a fragment either extends the last
-// partition or starts the next.
-func appendFragments(acc []PartState, frags []PartState) []PartState {
-	for _, f := range frags {
-		if n := len(acc); n > 0 && acc[n-1].Part == f.Part {
-			acc[n-1].Vertices = append(acc[n-1].Vertices, f.Vertices...)
-			continue
+// sendChunks streams partition views as one byte section cut into
+// DataChunk frames of at most maxBytes each, the last marked Done (an
+// empty input still sends one, so every stream terminates explicitly).
+func sendChunks(parts []PartBlob, maxBytes int, stream uint64, write func(DataChunk) error) error {
+	data := blobSection.append(nil, parts)
+	for seq := uint32(0); ; seq++ {
+		n := min(len(data), max(maxBytes, 1))
+		if err := write(DataChunk{Stream: stream, Seq: seq, Done: n == len(data), Data: data[:n]}); err != nil {
+			return err
 		}
-		acc = append(acc, f)
+		if data = data[n:]; len(data) == 0 {
+			return nil
+		}
 	}
-	return acc
+}
+
+// readChunked decodes the reassembled bytes of a chunk stream.
+func readChunked(buf []byte) ([]PartBlob, error) {
+	r := colbytes.NewReader(buf)
+	parts := blobSection.read(r)
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("proc: reassembled state stream: %w", err)
+	}
+	return parts, nil
 }
 
 // dataRestore streams partition state onto worker p over its data
-// plane. Chunks are written back-to-back — the connection pipelines
-// them while the worker applies each as it arrives — and the worker
-// acks once after the Done chunk.
-func (c *Coordinator) dataRestore(p *workerProc, parts []PartState) error {
+// plane. Chunks are written back-to-back; the worker reassembles them,
+// applies the views after the Done chunk and acks once.
+func (c *Coordinator) dataRestore(p *workerProc, parts []PartBlob) error {
 	return c.dataTransfer(p, func(nc net.Conn) error {
 		stream := streamSeq.Add(1)
 		nc.SetDeadline(time.Now().Add(c.cfg.CallTimeout))
 		if err := writeFrameCfg(nc, 0, DataRestoreReq{Stream: stream}, c.wc); err != nil {
 			return err
 		}
-		seq := uint32(0)
-		err := chunkStates(parts, c.cfg.ChunkVertices, func(frag []PartState, done bool) error {
+		err := sendChunks(parts, viewBytesPerVertex*c.cfg.ChunkVertices, stream, func(ch DataChunk) error {
 			nc.SetDeadline(time.Now().Add(c.cfg.CallTimeout))
-			ch := DataChunk{Stream: stream, Seq: seq, Done: done, Parts: frag}
-			seq++
 			return writeFrameCfg(nc, 0, ch, c.wc)
 		})
 		if err != nil {
@@ -316,86 +320,31 @@ func (c *Coordinator) dataRestore(p *workerProc, parts []PartState) error {
 	})
 }
 
-// chunkStates cuts partition states into fragments of at most
-// maxVerts vertices (at least one vertex per fragment makes progress
-// even with a silly budget) and feeds them to emit; the final call has
-// done=true. An empty input still emits one empty Done chunk, so every
-// stream terminates explicitly.
-func chunkStates(parts []PartState, maxVerts int, emit func(frag []PartState, done bool) error) error {
-	if maxVerts < 1 {
-		maxVerts = 1
-	}
-	var frag []PartState
-	budget := maxVerts
-	flush := func(done bool) error {
-		err := emit(frag, done)
-		frag = frag[:0]
-		budget = maxVerts
-		return err
-	}
-	for _, ps := range parts {
-		vs := ps.Vertices
-		for len(vs) > 0 {
-			take := len(vs)
-			if take > budget {
-				take = budget
-			}
-			frag = append(frag, PartState{Part: ps.Part, Vertices: vs[:take]})
-			vs = vs[take:]
-			budget -= take
-			if budget == 0 {
-				if err := flush(false); err != nil {
-					return err
-				}
-			}
+// fetchState reads the committed state views of parts from worker w —
+// over the data plane when it has one, else a monolithic ctrl RPC.
+func (c *Coordinator) fetchState(w int, parts []int) (out []PartBlob, err error) {
+	err = c.onProc(w, "state fetch", func(p *workerProc) (err error) {
+		if p.data != nil {
+			out, err = c.dataFetch(p, parts)
+			return err
 		}
-		if len(ps.Vertices) == 0 {
-			frag = append(frag, PartState{Part: ps.Part})
-		}
-	}
-	return flush(true)
-}
-
-// fetchState reads the committed state of parts from worker w — over
-// the data plane when enabled, else the legacy monolithic ctrl RPC. A
-// transport failure condemns the worker, like any exhausted ctrl RPC.
-func (c *Coordinator) fetchState(w int, parts []int) ([]PartState, error) {
-	c.mu.Lock()
-	p := c.procs[w]
-	c.mu.Unlock()
-	if p == nil {
-		return nil, fmt.Errorf("proc: no process for worker %d", w)
-	}
-	if c.dataEnabled() && p.data != nil {
-		out, err := c.dataFetch(p, parts)
-		if err != nil && isTransportError(err) {
-			c.condemn(w, fmt.Sprintf("data fetch failed: %v", err))
-		}
-		return out, err
-	}
-	resp, err := c.call(w, FetchReq{Parts: parts})
-	if err != nil {
-		return nil, err
-	}
-	return resp.(FetchResp).Parts, nil
-}
-
-// restoreState overwrites partition state on worker w — data plane
-// when enabled, ctrl RPC otherwise.
-func (c *Coordinator) restoreState(w int, parts []PartState) error {
-	c.mu.Lock()
-	p := c.procs[w]
-	c.mu.Unlock()
-	if p == nil {
-		return fmt.Errorf("proc: no process for worker %d", w)
-	}
-	if c.dataEnabled() && p.data != nil {
-		err := c.dataRestore(p, parts)
-		if err != nil && isTransportError(err) {
-			c.condemn(w, fmt.Sprintf("data restore failed: %v", err))
+		resp, err := p.ctrl.call(FetchReq{Parts: parts})
+		if err == nil {
+			out = resp.(FetchResp).Parts
 		}
 		return err
-	}
-	_, err := c.call(w, RestoreReq{Parts: parts})
-	return err
+	})
+	return out, err
+}
+
+// restoreState overwrites partition state on worker w — data plane when
+// it has one, ctrl RPC otherwise.
+func (c *Coordinator) restoreState(w int, parts []PartBlob) error {
+	return c.onProc(w, "state restore", func(p *workerProc) error {
+		if p.data != nil {
+			return c.dataRestore(p, parts)
+		}
+		_, err := p.ctrl.call(RestoreReq{Parts: parts})
+		return err
+	})
 }

@@ -9,6 +9,7 @@ package proc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"sort"
@@ -25,7 +26,7 @@ import (
 
 // fetchViaCtrl reads partition state over the legacy monolithic ctrl
 // RPC — the reference the chunked path must reproduce byte for byte.
-func fetchViaCtrl(t *testing.T, co *Coordinator, w int, parts []int) []PartState {
+func fetchViaCtrl(t *testing.T, co *Coordinator, w int, parts []int) []PartBlob {
 	t.Helper()
 	resp, err := co.call(w, FetchReq{Parts: parts})
 	if err != nil {
@@ -36,7 +37,7 @@ func fetchViaCtrl(t *testing.T, co *Coordinator, w int, parts []int) []PartState
 
 // TestDataPlaneChunkedReassembly pins partial-delivery reassembly: with
 // a 2-vertex chunk budget every fetch spans many DataChunk frames, and
-// the reassembled state must equal the monolithic ctrl-RPC fetch
+// the reassembled state views must equal the monolithic ctrl-RPC fetch
 // exactly. The restore direction then writes mutated state back in
 // chunks and reads it again.
 func TestDataPlaneChunkedReassembly(t *testing.T) {
@@ -47,7 +48,7 @@ func TestDataPlaneChunkedReassembly(t *testing.T) {
 	if _, err := NewJob(co, Spec{Name: "cc-reassembly", Kind: KindCC, Graph: g}); err != nil {
 		t.Fatalf("NewJob: %v", err)
 	}
-	if !co.dataEnabled() {
+	if co.cfg.DataConns < 1 {
 		t.Fatal("data plane not enabled under the default config")
 	}
 	for _, w := range co.Workers() {
@@ -61,10 +62,14 @@ func TestDataPlaneChunkedReassembly(t *testing.T) {
 			t.Fatalf("chunked fetch diverged from monolithic fetch for worker %d:\n got %v\nwant %v", w, got, want)
 		}
 
-		// Mutate every label, push it back chunked, and read it again.
+		// Mutate every label (the low byte of each value, past the slot
+		// count and presence bytes of the view), push it back chunked,
+		// and read it again.
 		for i := range got {
-			for j := range got[i].Vertices {
-				got[i].Vertices[j].Label += 100
+			view := got[i].Data
+			slots := int(binary.LittleEndian.Uint32(view))
+			for at := 4 + slots; at < len(view); at += 8 {
+				view[at] += 100
 			}
 		}
 		if err := co.restoreState(w, got); err != nil {

@@ -14,14 +14,25 @@ import (
 	"optiflow/internal/cluster/proc/wire"
 )
 
-// bigFetchResp builds a raw-encodable payload big enough that any
-// per-element allocation would dominate the counters.
+// encodeFrame renders one frame as a self-contained byte block under
+// the default policy.
+func encodeFrame(id uint64, m any) ([]byte, error) {
+	return appendFrame(nil, id, m, defaultWire)
+}
+
+// bigFetchResp builds a raw-encodable payload — four partition views
+// covering n vertices — big enough that any per-element allocation
+// would dominate the counters.
 func bigFetchResp(n int) FetchResp {
-	vs := make([]VertexVal, n)
-	for i := range vs {
-		vs[i] = VertexVal{ID: uint64(i), Label: uint64(i % 7), Rank: 1 / float64(i+1)}
+	var resp FetchResp
+	for p := 0; p < 4; p++ {
+		view := make([]byte, 4+9*n/4)
+		for i := range view {
+			view[i] = byte(i * (p + 3))
+		}
+		resp.Parts = append(resp.Parts, PartBlob{Part: p, Data: view})
 	}
-	return FetchResp{Parts: []PartState{{Part: 0, Vertices: vs}}}
+	return resp
 }
 
 // TestFrameEncodeAllocs pins the regression the pooled assembly buffer

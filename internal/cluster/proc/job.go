@@ -1,14 +1,25 @@
 package proc
 
+// job.go is the driver half of a worker-hosted job, and it is transport
+// and protocol only: ship each worker the adjacency of its partitions,
+// drive the two-phase superstep, relay the exchange columns one worker
+// expanded for partitions another hosts, add up the workers' partial
+// scalars, move partition state views for checkpoints and results. The
+// superstep itself — expand, fold, apply, what a label or a rank is —
+// is the columnar job of package cc or pagerank running on
+// exec.ColEngine inside each worker (worker.go), the same definitions
+// the in-process path runs; the bytes relayed here are opaque.
+
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
-	"optiflow/internal/cluster/proc/wire"
+	"optiflow/internal/algo/cc"
+	"optiflow/internal/algo/pagerank"
 	"optiflow/internal/exec"
 	"optiflow/internal/graph"
 	"optiflow/internal/iterate"
@@ -25,72 +36,75 @@ type Spec struct {
 	Kind string
 	// Graph is the input graph.
 	Graph *graph.Graph
-	// Damping is PageRank's damping factor (0.85 if zero).
+	// Damping is PageRank's damping factor (pagerank.DefaultDamping if
+	// zero).
 	Damping float64
 }
 
 // Job runs an iterative algorithm with its state hosted ON the worker
 // processes — unlike the in-process jobs (cc.CC, pagerank.PR), whose
 // state lives in the driver and which use the cluster only for
-// membership. The driver keeps the partition adjacency (to re-load
-// partitions onto replacement workers), the between-superstep message
-// state, and the two-phase superstep protocol: compute on every
-// worker, then commit everywhere or abort everywhere, so an attempt
-// torn by a SIGKILL leaves worker state untouched and replayable.
+// membership. Supersteps are two-phase: compute on every worker, then
+// commit everywhere or abort everywhere, so an attempt torn by a SIGKILL
+// leaves worker state untouched and replayable.
+//
+// Because the exchange crosses the driver, one superstep of the
+// in-process job spans two steps here: a step folds what the previous
+// step's expansion sent, applies it, and expands the result. A priming
+// step (rescatter) folds nothing and re-announces all committed state —
+// the first step of a job and the first after any recovery or change of
+// placement, when the columns in flight no longer match the state.
 //
 // Job implements recovery.Job, so every recovery policy works
 // unchanged: Compensate is the paper's optimistic path (reinitialised
-// lost partitions plus a global rescatter), SnapshotTo/RestoreFrom
-// fetch and push the distributed state for checkpoint rollback, and
-// ResetToInitial serves the restart baseline.
+// lost partitions plus a global priming step), SnapshotTo/RestoreFrom
+// fetch and push the partitions' state views for checkpoint rollback,
+// and ResetToInitial serves the restart baseline.
 type Job struct {
 	co   *Coordinator
 	spec Spec
 
 	numParts int
-	totalN   int
-	adj      map[int][]VertexAdj
+	dense    *graph.Dense
+	pt       *graph.Partitioning
 
-	inbox     map[int][]Msg
+	// inbox holds, per destination partition, the exchange columns the
+	// last committed step produced on other workers, placement the
+	// ownership they (and the columns workers kept) were produced under,
+	// pending the message count they stand for.
+	inbox     map[int][]exec.HostedCols
+	placement []int
+	pending   int64
 	dangling  float64
 	rescatter bool
 	lastL1    float64
+
+	// replica is a driver-side hosted job hosting nothing: state views
+	// are checked and read through it, so their layout stays its
+	// business.
+	replica hostedJob
 }
 
-// NewJob partitions the graph, registers the partition-loading hook on
-// the coordinator and loads every worker's partitions.
+// NewJob registers the partition-loading hook on the coordinator and
+// loads every worker's partitions.
 func NewJob(co *Coordinator, spec Spec) (*Job, error) {
-	if spec.Kind != KindCC && spec.Kind != KindPageRank {
-		return nil, fmt.Errorf("proc: unknown job kind %q", spec.Kind)
+	replica, err := newHosted(spec.Kind, spec.Graph, co.NumPartitions(), spec.Damping, nil)
+	if err != nil {
+		return nil, fmt.Errorf("proc: %v", err)
 	}
-	if spec.Damping == 0 {
-		spec.Damping = 0.85
-	}
+	d := spec.Graph.Dense()
 	j := &Job{
 		co:        co,
 		spec:      spec,
 		numParts:  co.NumPartitions(),
-		totalN:    spec.Graph.NumVertices(),
-		adj:       make(map[int][]VertexAdj),
-		inbox:     make(map[int][]Msg),
+		dense:     d,
+		pt:        d.Partitioning(co.NumPartitions()),
+		replica:   replica,
 		rescatter: true,
 		lastL1:    math.MaxFloat64,
 	}
-	for _, v := range spec.Graph.Vertices() {
-		p := graph.Partition(v, j.numParts)
-		out := spec.Graph.OutNeighbors(v)
-		va := VertexAdj{ID: uint64(v), Out: make([]uint64, len(out))}
-		for i, dst := range out {
-			va.Out[i] = uint64(dst)
-		}
-		j.adj[p] = append(j.adj[p], va)
-	}
 	co.setAssignHook(j.loadPartitions)
-	for _, w := range co.Workers() {
-		parts := co.PartitionsOf(w)
-		if len(parts) == 0 {
-			continue
-		}
+	for w, parts := range j.ownersSnapshot() {
 		if err := j.loadPartitions(w, parts); err != nil {
 			return nil, err
 		}
@@ -98,20 +112,21 @@ func NewJob(co *Coordinator, spec Spec) (*Job, error) {
 	return j, nil
 }
 
-// loadPartitions ships the listed partitions' adjacency (with
-// superstep-zero state) to worker w — initial placement and every
-// adoption by a replacement or survivor.
+// loadPartitions makes worker w host every partition it owns, the
+// listed ones — initial placement, and every adoption by a replacement
+// or survivor — starting in superstep-zero state. The adjacency of all
+// of them goes along.
 func (j *Job) loadPartitions(w int, parts []int) error {
 	req := LoadReq{
 		Job:           j.spec.Name,
 		Kind:          j.spec.Kind,
 		NumPartitions: j.numParts,
-		TotalVertices: j.totalN,
 		Damping:       j.spec.Damping,
+		IDs:           j.dense.IDs(),
+		Hosted:        j.co.PartitionsOf(w),
+		Fresh:         parts,
 	}
-	for _, p := range parts {
-		req.Parts = append(req.Parts, PartitionData{Part: p, Vertices: j.adj[p]})
-	}
+	req.Offsets, req.Targets, req.Weights = j.dense.Restrict(j.pt, req.Hosted)
 	if _, err := j.co.call(w, req); err != nil {
 		return fmt.Errorf("proc: loading partitions %v onto worker %d: %v", parts, w, err)
 	}
@@ -143,22 +158,28 @@ type stepResult struct {
 // in-process engine, so iterate.Loop's recovery path is unchanged.
 func (j *Job) Step(ctx *iterate.Context) (iterate.StepStats, error) {
 	owners := j.ownersSnapshot()
+	placement := make([]int, j.numParts)
+	for p := range placement {
+		placement[p] = j.co.Owner(p)
+	}
+	if !slices.Equal(placement, j.placement) {
+		// Partitions moved since the columns in flight were produced:
+		// those workers kept are gone or misplaced, so start over.
+		j.rescatter = true
+	}
 	results := make(chan stepResult, len(owners))
 	for w, parts := range owners {
 		req := StepReq{Superstep: ctx.Superstep, Rescatter: j.rescatter, Dangling: j.dangling}
-		for _, p := range parts {
-			if msgs := j.inbox[p]; len(msgs) > 0 {
-				req.Inbox = append(req.Inbox, PartMsgs{Part: p, Msgs: msgs})
+		if !j.rescatter {
+			for _, p := range parts {
+				req.Inbox = append(req.Inbox, j.inbox[p]...)
 			}
 		}
-		go func(w int, req StepReq) {
+		go func() {
 			resp, err := j.co.call(w, req)
-			if err != nil {
-				results <- stepResult{worker: w, err: err}
-				return
-			}
-			results <- stepResult{worker: w, resp: resp.(StepResp)}
-		}(w, req)
+			out, _ := resp.(StepResp)
+			results <- stepResult{worker: w, resp: out, err: err}
+		}()
 	}
 
 	// The mid-superstep fault: SIGKILL the victims while their compute
@@ -208,7 +229,7 @@ func (j *Job) Step(ctx *iterate.Context) (iterate.StepStats, error) {
 				if _, done := ok[w]; done {
 					continue
 				}
-				if !answered(failed, w) {
+				if !slices.Contains(failed, w) {
 					j.co.condemn(w, fmt.Sprintf("straggling superstep %d beyond the majority deadline", ctx.Superstep))
 				}
 			}
@@ -218,9 +239,9 @@ func (j *Job) Step(ctx *iterate.Context) (iterate.StepStats, error) {
 		watchdog.Stop()
 	}
 	if len(failed) > 0 {
-		// Abort survivors: pending updates are dropped, committed state
-		// and the driver-side inbox stay as they were, so the attempt
-		// can be replayed after recovery.
+		// Abort survivors: their attempts are dropped, committed state
+		// and the exchange columns in flight stay as they were, so the
+		// attempt can be replayed after recovery.
 		for w := range ok {
 			j.co.call(w, AbortReq{})
 		}
@@ -234,19 +255,20 @@ func (j *Job) Step(ctx *iterate.Context) (iterate.StepStats, error) {
 		}
 	}
 	if len(commitFailed) > 0 {
-		// A partial commit is safe to abandon: both algorithms' folds
-		// are idempotent (CC: integer min; PR: ranks derived from the
-		// inbox, not the previous rank), and the dead workers' state is
-		// about to be cleared and recovered anyway.
+		// A partial commit is safe to abandon: every recovery path
+		// restarts the exchange from committed state, and the dead
+		// workers' state is about to be cleared and recovered anyway.
 		return iterate.StepStats{}, j.workerFailure(commitFailed, owners)
 	}
 
 	// Committed everywhere: the attempt's outboxes become the next
-	// superstep's inbox. Messages are merged in worker order and sorted
-	// so float folds downstream are deterministic.
+	// superstep's inbox. Partial scalars are added in worker order so
+	// float sums repeat from run to run.
 	stats := iterate.StepStats{Extra: map[string]float64{}}
-	newInbox := make(map[int][]Msg)
-	var dangling, l1 float64
+	j.inbox = make(map[int][]exec.HostedCols)
+	j.placement = placement
+	j.pending, j.dangling, j.rescatter = 0, 0, false
+	var l1 float64
 	folded := false
 	workers := make([]int, 0, len(ok))
 	for w := range ok {
@@ -255,45 +277,21 @@ func (j *Job) Step(ctx *iterate.Context) (iterate.StepStats, error) {
 	sort.Ints(workers)
 	for _, w := range workers {
 		resp := ok[w]
-		for _, pm := range resp.Outbox {
-			newInbox[pm.Part] = append(newInbox[pm.Part], pm.Msgs...)
+		for _, cols := range resp.Remote {
+			j.inbox[cols.Dst] = append(j.inbox[cols.Dst], cols)
 		}
-		dangling += resp.Dangling
+		j.dangling += resp.Dangling
 		l1 += resp.L1
 		folded = folded || resp.Folded
-		stats.Messages += resp.Messages
+		j.pending += resp.Messages
 		stats.Updates += resp.Updates
 	}
-	for p := range newInbox {
-		msgs := newInbox[p]
-		sort.Slice(msgs, func(a, b int) bool {
-			if msgs[a].Dst != msgs[b].Dst {
-				return msgs[a].Dst < msgs[b].Dst
-			}
-			if msgs[a].Label != msgs[b].Label {
-				return msgs[a].Label < msgs[b].Label
-			}
-			return msgs[a].Rank < msgs[b].Rank
-		})
-	}
-	j.inbox = newInbox
-	j.dangling = dangling
-	j.rescatter = false
+	stats.Messages = j.pending
 	if folded {
 		j.lastL1 = l1
 	}
 	stats.Extra["l1"] = j.lastL1
 	return stats, nil
-}
-
-// answered reports whether w already delivered a (failed) result.
-func answered(failed []int, w int) bool {
-	for _, f := range failed {
-		if f == w {
-			return true
-		}
-	}
-	return false
 }
 
 // workerFailure builds the typed mid-superstep failure error.
@@ -308,12 +306,9 @@ func (j *Job) workerFailure(workers []int, owners map[int][]int) error {
 }
 
 // WorksetLen reports pending work for delta-iteration termination:
-// messages awaiting a fold, plus one if a (re)scatter is due.
+// messages awaiting a fold, plus one if a priming step is due.
 func (j *Job) WorksetLen() int {
-	n := 0
-	for _, msgs := range j.inbox {
-		n += len(msgs)
-	}
+	n := int(j.pending)
 	if j.rescatter {
 		n++
 	}
@@ -327,94 +322,101 @@ func (j *Job) LastL1() float64 { return j.lastL1 }
 // Name implements recovery.Job.
 func (j *Job) Name() string { return j.spec.Name }
 
-// SnapshotTo implements recovery.Job: it fetches every partition's
-// committed state from its owner — over the chunked data plane when
-// enabled — and serialises it together with the driver-side message
-// state, raw columnar by default (gob via Config.GobPayloads
-// "snapshot"). Partitions and messages are sorted, so equal
-// distributed states snapshot to equal bytes.
-func (j *Job) SnapshotTo(w *bytes.Buffer) error {
-	snap := JobSnapshot{
-		Kind:      j.spec.Kind,
-		Dangling:  j.dangling,
-		Rescatter: j.rescatter,
-	}
-	for wk, parts := range j.ownersSnapshot() {
-		fetched, err := j.co.fetchState(wk, parts)
-		if err != nil {
-			if isTransportError(err) {
-				// The owner died (or was condemned) under the snapshot:
-				// surface it as a typed worker failure so the iteration
-				// loop enters recovery instead of aborting the run.
-				return fmt.Errorf("proc: snapshot: fetching from worker %d: %w",
-					wk, &exec.WorkerFailure{Workers: []int{wk}, Partitions: parts})
-			}
-			return fmt.Errorf("proc: snapshot: fetching from worker %d: %v", wk, err)
+// SnapshotError is the typed rejection of a checkpoint blob that cannot
+// be restored onto the job as it is placed now: a foreign or wrong-kind
+// blob, a partition the job owns but the blob lacks, or a state view
+// that does not fit its partition. It is raised before any worker state
+// is overwritten.
+type SnapshotError struct{ Reason string }
+
+func (e *SnapshotError) Error() string { return "proc: snapshot: " + e.Reason }
+
+// fetchEach fetches every partition's committed state view from its
+// owner and hands them to fn. An owner that died (or was condemned)
+// under the fetch surfaces as a typed worker failure, so the iteration
+// loop enters recovery instead of aborting the run.
+func (j *Job) fetchEach(fn func(PartBlob) error) error {
+	for w, parts := range j.ownersSnapshot() {
+		fetched, err := j.co.fetchState(w, parts)
+		if isTransportError(err) {
+			err = &exec.WorkerFailure{Workers: []int{w}, Partitions: parts}
 		}
-		snap.Parts = append(snap.Parts, fetched...)
+		for i := 0; err == nil && i < len(fetched); i++ {
+			err = fn(fetched[i])
+		}
+		if err != nil {
+			return fmt.Errorf("fetching from worker %d: %w", w, err)
+		}
+	}
+	return nil
+}
+
+// SnapshotTo implements recovery.Job: every partition's state view in
+// one blob, sorted, so equal distributed states snapshot to equal
+// bytes.
+func (j *Job) SnapshotTo(w *bytes.Buffer) error {
+	snap := JobSnapshot{Kind: j.spec.Kind}
+	err := j.fetchEach(func(pb PartBlob) error {
+		snap.Parts = append(snap.Parts, pb)
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("proc: snapshot: %w", err)
 	}
 	sort.Slice(snap.Parts, func(a, b int) bool { return snap.Parts[a].Part < snap.Parts[b].Part })
-	partIDs := make([]int, 0, len(j.inbox))
-	for p := range j.inbox {
-		partIDs = append(partIDs, p)
-	}
-	sort.Ints(partIDs)
-	for _, p := range partIDs {
-		if len(j.inbox[p]) > 0 {
-			snap.Inbox = append(snap.Inbox, PartMsgs{Part: p, Msgs: j.inbox[p]})
-		}
-	}
-	if j.co.wc.forceGob(wire.KSnapshot) {
-		if err := gob.NewEncoder(w).Encode(snap); err != nil {
-			return fmt.Errorf("proc: snapshot: encoding: %v", err)
-		}
-		return nil
-	}
 	w.Write(appendSnapshot(nil, snap))
 	return nil
 }
 
 // RestoreFrom implements recovery.Job: it pushes the snapshot's
 // partition state back to the partitions' current owners — over the
-// chunked data plane when enabled — and restores the driver-side
-// message state. The blob's codec is sniffed from its magic, so
-// checkpoints written by either codec restore under any policy.
+// chunked data plane when enabled — and schedules a priming step to
+// restart the exchange from it. The blob is checked in full against the
+// job first (kind, every owned partition present, every view fitting
+// its partition), so a bad blob returns a *SnapshotError with no worker
+// touched.
 func (j *Job) RestoreFrom(data []byte) error {
-	var snap JobSnapshot
-	if isRawSnapshot(data) {
-		var err error
-		if snap, err = decodeSnapshot(data); err != nil {
-			return fmt.Errorf("proc: restore: %v", err)
-		}
-	} else if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		return fmt.Errorf("proc: restore: decoding: %v", err)
+	snap, err := decodeSnapshot(data)
+	if err != nil {
+		return fmt.Errorf("proc: restore: %w", err)
 	}
-	byPart := make(map[int]PartState, len(snap.Parts))
-	for _, ps := range snap.Parts {
-		byPart[ps.Part] = ps
+	if snap.Kind != j.spec.Kind {
+		return &SnapshotError{fmt.Sprintf("blob is of a %q job, this one is %q", snap.Kind, j.spec.Kind)}
 	}
-	for w, parts := range j.ownersSnapshot() {
-		var push []PartState
+	byPart := make(map[int]PartBlob, len(snap.Parts))
+	for _, pb := range snap.Parts {
+		byPart[pb.Part] = pb
+	}
+	owners := j.ownersSnapshot()
+	push := make(map[int][]PartBlob, len(owners))
+	for w, parts := range owners {
 		for _, p := range parts {
-			if ps, ok := byPart[p]; ok {
-				push = append(push, ps)
+			pb, ok := byPart[p]
+			if !ok {
+				return &SnapshotError{fmt.Sprintf("partition %d is owned by the job but missing from the blob", p)}
 			}
+			if err := j.replica.RestorePartition(p, pb.Data); err != nil {
+				return &SnapshotError{err.Error()}
+			}
+			push[w] = append(push[w], pb)
 		}
-		if len(push) == 0 {
-			continue
-		}
-		if err := j.co.restoreState(w, push); err != nil {
+	}
+	for w, blobs := range push {
+		if err := j.co.restoreState(w, blobs); err != nil {
 			return fmt.Errorf("proc: restore: pushing to worker %d: %v", w, err)
 		}
 	}
-	j.inbox = make(map[int][]Msg)
-	for _, pm := range snap.Inbox {
-		j.inbox[pm.Part] = pm.Msgs
-	}
-	j.dangling = snap.Dangling
-	j.rescatter = snap.Rescatter
-	j.lastL1 = math.MaxFloat64
+	j.restartExchange()
 	return nil
+}
+
+// restartExchange drops the columns in flight and schedules a priming
+// step: the exchange starts over from whatever state the workers hold.
+func (j *Job) restartExchange() {
+	j.inbox = nil
+	j.pending, j.dangling = 0, 0
+	j.rescatter = true
+	j.lastL1 = math.MaxFloat64
 }
 
 // ClearPartitions implements recovery.Job: the listed partitions are
@@ -435,73 +437,55 @@ func (j *Job) ClearPartitions(parts []int) {
 
 // Compensate implements recovery.Job — the optimistic compensation
 // function. The lost partitions were already reinitialised by
-// ClearPartitions; dropping the in-flight messages and scheduling a
-// global rescatter transitions the whole computation to a consistent
+// ClearPartitions; dropping the columns in flight and scheduling a
+// global priming step transitions the whole computation to a consistent
 // state from which the fixpoint iteration re-converges (CC: every
 // vertex re-announces its label; PR: contributions are re-emitted from
 // current ranks and the rank mass contracts back to one).
 func (j *Job) Compensate([]int) error {
-	j.inbox = make(map[int][]Msg)
-	j.dangling = 0
-	j.rescatter = true
-	j.lastL1 = math.MaxFloat64
+	j.restartExchange()
 	return nil
 }
 
 // ResetToInitial implements recovery.Job (the restart baseline).
 func (j *Job) ResetToInitial() error {
-	for w := range j.ownersSnapshot() {
-		if _, err := j.co.call(w, ResetReq{}); err != nil {
+	for w, parts := range j.ownersSnapshot() {
+		if _, err := j.co.call(w, ClearReq{Parts: parts}); err != nil {
 			return fmt.Errorf("proc: reset: worker %d: %v", w, err)
 		}
 	}
-	j.inbox = make(map[int][]Msg)
-	j.dangling = 0
-	j.rescatter = true
-	j.lastL1 = math.MaxFloat64
+	j.restartExchange()
 	return nil
 }
 
-// fetchAll collects every partition's committed state, over the data
-// plane when enabled.
-func (j *Job) fetchAll() ([]PartState, error) {
-	var out []PartState
-	for w, parts := range j.ownersSnapshot() {
-		fetched, err := j.co.fetchState(w, parts)
-		if err != nil {
-			return nil, fmt.Errorf("proc: fetching results from worker %d: %v", w, err)
-		}
-		out = append(out, fetched...)
+// result collects every partition's committed state into the replica
+// and returns it as the hosted job type H that can report it.
+func result[H any](j *Job, what string) (h H, err error) {
+	h, ok := j.replica.(H)
+	if !ok {
+		return h, fmt.Errorf("proc: %s job has no %s", j.spec.Kind, what)
 	}
-	return out, nil
+	err = j.fetchEach(func(pb PartBlob) error { return j.replica.RestorePartition(pb.Part, pb.Data) })
+	if err != nil {
+		err = fmt.Errorf("proc: results: %w", err)
+	}
+	return h, err
 }
 
 // Components returns every vertex's component label (CC jobs).
 func (j *Job) Components() (map[graph.VertexID]graph.VertexID, error) {
-	parts, err := j.fetchAll()
+	h, err := result[*cc.Hosted](j, "components")
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[graph.VertexID]graph.VertexID, j.totalN)
-	for _, ps := range parts {
-		for _, v := range ps.Vertices {
-			out[graph.VertexID(v.ID)] = graph.VertexID(v.Label)
-		}
-	}
-	return out, nil
+	return h.Components(), nil
 }
 
 // Ranks returns every vertex's rank (PageRank jobs).
 func (j *Job) Ranks() (map[graph.VertexID]float64, error) {
-	parts, err := j.fetchAll()
+	h, err := result[*pagerank.Hosted](j, "ranks")
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[graph.VertexID]float64, j.totalN)
-	for _, ps := range parts {
-		for _, v := range ps.Vertices {
-			out[graph.VertexID(v.ID)] = v.Rank
-		}
-	}
-	return out, nil
+	return h.RankVector(), nil
 }

@@ -26,6 +26,11 @@ func startTestCluster(t *testing.T, workers, partitions int, mutate func(*Config
 	if mutate != nil {
 		mutate(&cfg)
 	}
+	if cfg.HandshakeTimeout == 0 {
+		// Tests shorten CallTimeout to time their faults; the handshake of
+		// a freshly spawned worker on a loaded machine is not one of them.
+		cfg.HandshakeTimeout = 5 * time.Second
+	}
 	co, err := Start(cfg)
 	if err != nil {
 		t.Fatalf("Start: %v", err)

@@ -1,25 +1,25 @@
 package proc
 
-// raw.go is the proc half of the columnar wire fast path: per-message
-// encoders and decoders composing the column segments of
-// internal/colbytes under the frame format of
-// internal/cluster/proc/wire. Hot-path payloads — superstep data,
-// partition state, the checkpoint snapshot blob and the data-plane
-// stream messages — encode as struct-of-arrays columns: one loop per
-// field over all elements of all partitions, so a StepReq's inbox hits
-// the wire as three flat little-endian arrays instead of a gob
-// reflection walk. Decoders allocate one exactly-sized arena per
-// section and sub-slice it per partition, so a frame decode costs O(1)
-// allocations regardless of partition count and nothing aliases the
-// (pooled) receive buffer.
+// raw.go is the codec of the hot-path payloads — the only one they
+// have: per-message encoders and decoders composing the column segments
+// of internal/colbytes under the frame format of
+// internal/cluster/proc/wire. What the payloads carry is already flat
+// (the engine's ColBatch views, DenseStore partition views, CSR
+// arrays), so a section is a count header followed by the bytes or
+// columns as they are. Decoders copy each section into one exactly-sized
+// arena — O(1) allocations per frame, nothing aliasing the (pooled)
+// receive buffer, every count checked against the bytes actually
+// remaining before anything is allocated.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"optiflow/internal/cluster/proc/wire"
 	"optiflow/internal/colbytes"
+	"optiflow/internal/exec"
+	"optiflow/internal/graph"
 )
 
 // rawKindOf maps a message to its raw payload kind. Messages without a
@@ -36,6 +36,8 @@ func rawKindOf(m any) (byte, bool) {
 		return wire.KRestoreReq, true
 	case LoadReq:
 		return wire.KLoadReq, true
+	case JobSnapshot:
+		return wire.KSnapshot, true
 	case DataFetchReq:
 		return wire.KDataFetch, true
 	case DataRestoreReq:
@@ -60,39 +62,47 @@ func appendRawPayload(dst []byte, kind byte, id uint64, m any) []byte {
 		dst = colbytes.AppendU32(dst, uint32(r.Superstep))
 		dst = colbytes.AppendBool(dst, r.Rescatter)
 		dst = colbytes.AppendF64(dst, r.Dangling)
-		dst = appendMsgSection(dst, r.Inbox)
+		dst = colsSection.append(dst, r.Inbox)
 	case StepResp:
-		dst = appendMsgSection(dst, r.Outbox)
+		dst = colsSection.append(dst, r.Remote)
 		dst = colbytes.AppendF64(dst, r.Dangling)
 		dst = colbytes.AppendF64(dst, r.L1)
 		dst = colbytes.AppendBool(dst, r.Folded)
 		dst = colbytes.AppendU64(dst, uint64(r.Messages))
 		dst = colbytes.AppendU64(dst, uint64(r.Updates))
 	case FetchResp:
-		dst = appendStateSection(dst, r.Parts)
+		dst = blobSection.append(dst, r.Parts)
 	case RestoreReq:
-		dst = appendStateSection(dst, r.Parts)
+		dst = blobSection.append(dst, r.Parts)
 	case LoadReq:
 		dst = colbytes.AppendString(dst, r.Job)
 		dst = colbytes.AppendString(dst, r.Kind)
 		dst = colbytes.AppendU32(dst, uint32(r.NumPartitions))
-		dst = colbytes.AppendU64(dst, uint64(r.TotalVertices))
 		dst = colbytes.AppendF64(dst, r.Damping)
-		dst = appendAdjSection(dst, r.Parts)
+		dst = colbytes.AppendU32(dst, uint32(len(r.IDs)))
+		for _, v := range r.IDs {
+			dst = colbytes.AppendU64(dst, uint64(v))
+		}
+		dst = appendInts(dst, r.Hosted)
+		dst = appendInts(dst, r.Fresh)
+		dst = colbytes.AppendI32s(dst, r.Offsets)
+		dst = colbytes.AppendI32s(dst, r.Targets)
+		dst = colbytes.AppendF64s(dst, r.Weights)
+	case JobSnapshot:
+		dst = colbytes.AppendString(dst, r.Kind)
+		dst = blobSection.append(dst, r.Parts)
 	case DataFetchReq:
 		dst = colbytes.AppendU64(dst, r.Stream)
-		dst = colbytes.AppendU32(dst, uint32(r.ChunkVerts))
-		dst = colbytes.AppendU32(dst, uint32(len(r.Parts)))
-		for _, p := range r.Parts {
-			dst = colbytes.AppendU32(dst, uint32(p))
-		}
+		dst = colbytes.AppendU32(dst, uint32(r.ChunkBytes))
+		dst = appendInts(dst, r.Parts)
 	case DataRestoreReq:
 		dst = colbytes.AppendU64(dst, r.Stream)
 	case DataChunk:
 		dst = colbytes.AppendU64(dst, r.Stream)
 		dst = colbytes.AppendU32(dst, r.Seq)
 		dst = colbytes.AppendBool(dst, r.Done)
-		dst = appendStateSection(dst, r.Parts)
+		dst = colbytes.AppendU32(dst, uint32(len(r.Data)))
+		dst = append(dst, r.Data...)
 	case DataAck:
 		dst = colbytes.AppendU64(dst, r.Stream)
 	case DataErr:
@@ -123,10 +133,10 @@ func decodeRawPayload(p []byte) (uint64, any, error) {
 			Rescatter: r.Bool(),
 			Dangling:  r.F64(),
 		}
-		v.Inbox = readMsgSection(r)
+		v.Inbox = colsSection.read(r)
 		m = v
 	case wire.KStepResp:
-		v := StepResp{Outbox: readMsgSection(r)}
+		v := StepResp{Remote: colsSection.read(r)}
 		v.Dangling = r.F64()
 		v.L1 = r.F64()
 		v.Folded = r.Bool()
@@ -134,362 +144,160 @@ func decodeRawPayload(p []byte) (uint64, any, error) {
 		v.Updates = int64(r.U64())
 		m = v
 	case wire.KFetchResp:
-		m = FetchResp{Parts: readStateSection(r)}
+		m = FetchResp{Parts: blobSection.read(r)}
 	case wire.KRestoreReq:
-		m = RestoreReq{Parts: readStateSection(r)}
+		m = RestoreReq{Parts: blobSection.read(r)}
 	case wire.KLoadReq:
-		v := LoadReq{
-			Job:           r.String(),
-			Kind:          r.String(),
-			NumPartitions: int(r.U32()),
-			TotalVertices: int(r.U64()),
-			Damping:       r.F64(),
-		}
-		v.Parts = readAdjSection(r)
-		m = v
+		m = readLoadReq(r)
+	case wire.KSnapshot:
+		m = JobSnapshot{Kind: r.String(), Parts: blobSection.read(r)}
 	case wire.KDataFetch:
-		v := DataFetchReq{Stream: r.U64(), ChunkVerts: int(r.U32())}
-		n := int(r.U32())
-		if r.Err() == nil && n*4 <= r.Remaining() {
-			v.Parts = make([]int, n)
-			for i := range v.Parts {
-				v.Parts[i] = int(r.U32())
-			}
-		} else if n > 0 {
-			return 0, nil, fmt.Errorf("proc: raw DataFetchReq parts: %w", colbytes.ErrTruncated)
-		}
-		m = v
+		m = DataFetchReq{Stream: r.U64(), ChunkBytes: int(r.U32()), Parts: readInts(r)}
 	case wire.KDataRestore:
 		m = DataRestoreReq{Stream: r.U64()}
 	case wire.KDataChunk:
 		v := DataChunk{Stream: r.U64(), Seq: r.U32(), Done: r.Bool()}
-		v.Parts = readStateSection(r)
+		v.Data = bytes.Clone(r.Raw(int(r.U32()), "chunk data"))
 		m = v
 	case wire.KDataAck:
 		m = DataAck{Stream: r.U64()}
 	case wire.KDataErr:
 		m = DataErr{Stream: r.U64(), Msg: r.String()}
 	default:
-		return 0, nil, fmt.Errorf("proc: raw frame with unknown kind %d", kind)
+		return 0, nil, fmt.Errorf("proc: raw frame with unknown kind %d: %w", kind, wire.ErrMalformed)
 	}
 	if err := r.Err(); err != nil {
-		return 0, nil, fmt.Errorf("proc: decoding raw %s frame: %w", kindName(kind), err)
+		return 0, nil, fmt.Errorf("proc: decoding raw frame of kind %d: %w", kind, err)
 	}
 	return id, m, nil
 }
 
-// kindName names a raw kind for diagnostics.
-func kindName(kind byte) string {
-	switch kind {
-	case wire.KStepReq:
-		return "StepReq"
-	case wire.KStepResp:
-		return "StepResp"
-	case wire.KFetchResp:
-		return "FetchResp"
-	case wire.KRestoreReq:
-		return "RestoreReq"
-	case wire.KLoadReq:
-		return "LoadReq"
-	case wire.KSnapshot:
-		return "JobSnapshot"
-	case wire.KDataFetch:
-		return "DataFetchReq"
-	case wire.KDataRestore:
-		return "DataRestoreReq"
-	case wire.KDataChunk:
-		return "DataChunk"
-	case wire.KDataAck:
-		return "DataAck"
-	case wire.KDataErr:
-		return "DataErr"
-	}
-	return fmt.Sprintf("kind(%d)", kind)
+// A byte section is how opaque views travel: a u32 entry count, one
+// (tag a, tag b, byte length) u32 triple per entry, then every entry's
+// bytes concatenated. A sectionCodec maps one entry type onto that
+// form.
+type sectionCodec[E any] struct {
+	split func(E) (a, b int, data []byte)
+	join  func(a, b int, data []byte) E
 }
 
-// appendMsgSection writes []PartMsgs fully columnar: a count header
-// (partition ID and message count per partition), then ONE column per
-// Msg field concatenated across all partitions — dst IDs, labels,
-// ranks. Nil/empty distinctions are not preserved; empty groups decode
-// as nil.
-func appendMsgSection(dst []byte, pms []PartMsgs) []byte {
-	dst = colbytes.AppendU32(dst, uint32(len(pms)))
-	for _, pm := range pms {
-		dst = colbytes.AppendU32(dst, uint32(pm.Part))
-		dst = colbytes.AppendU32(dst, uint32(len(pm.Msgs)))
+// Exchange columns are tagged (source, destination) partition,
+// partition views (partition, 0).
+var (
+	colsSection = sectionCodec[exec.HostedCols]{
+		split: func(c exec.HostedCols) (int, int, []byte) { return c.Src, c.Dst, c.Cols },
+		join:  func(a, b int, d []byte) exec.HostedCols { return exec.HostedCols{Src: a, Dst: b, Cols: d} },
 	}
-	for _, pm := range pms {
-		for _, m := range pm.Msgs {
-			dst = colbytes.AppendU64(dst, m.Dst)
-		}
+	blobSection = sectionCodec[PartBlob]{
+		split: func(b PartBlob) (int, int, []byte) { return b.Part, 0, b.Data },
+		join:  func(a, _ int, d []byte) PartBlob { return PartBlob{Part: a, Data: d} },
 	}
-	for _, pm := range pms {
-		for _, m := range pm.Msgs {
-			dst = colbytes.AppendU64(dst, m.Label)
-		}
+)
+
+func (c sectionCodec[E]) append(dst []byte, es []E) []byte {
+	dst = colbytes.AppendU32(dst, uint32(len(es)))
+	for _, e := range es {
+		a, b, data := c.split(e)
+		dst = colbytes.AppendU32(colbytes.AppendU32(colbytes.AppendU32(dst, uint32(a)), uint32(b)), uint32(len(data)))
 	}
-	for _, pm := range pms {
-		for _, m := range pm.Msgs {
-			dst = colbytes.AppendF64(dst, m.Rank)
-		}
+	for _, e := range es {
+		_, _, data := c.split(e)
+		dst = append(dst, data...)
 	}
 	return dst
 }
 
-// sectionCounts reads a section's count header: nparts (part, count)
-// pairs, validating each declared count against the bytes actually
-// remaining (elemBytes per element) so a corrupt header cannot drive
-// an unbounded arena allocation. Returns nil when the section is
-// empty or the reader has failed.
-func sectionCounts(r *colbytes.Reader, elemBytes int) (parts []int, counts []int, total int) {
-	nparts := int(r.U32())
-	if r.Err() != nil || nparts == 0 {
-		return nil, nil, 0
-	}
-	if nparts*8 > r.Remaining() {
-		// Each declared partition costs at least its 8-byte header entry.
-		r.Fail("section count header")
-		return nil, nil, 0
-	}
-	parts = make([]int, nparts)
-	counts = make([]int, nparts)
-	for i := 0; i < nparts; i++ {
-		parts[i] = int(r.U32())
-		counts[i] = int(r.U32())
-		total += counts[i]
-		if r.Err() != nil || total*elemBytes > r.Remaining() {
-			r.Fail("section element counts")
-			return nil, nil, 0
-		}
-	}
-	return parts, counts, total
-}
-
-// readMsgSection decodes a message section into one arena of Msgs
-// sub-sliced per partition: O(1) allocations however many partitions.
-func readMsgSection(r *colbytes.Reader) []PartMsgs {
-	parts, counts, total := sectionCounts(r, 24) // 3 columns x 8 bytes
-	if parts == nil {
+// read validates the declared lengths against the bytes actually
+// remaining before copying them into one arena, sub-sliced per entry
+// (an empty entry decodes as nil).
+func (c sectionCodec[E]) read(r *colbytes.Reader) []E {
+	n := int(r.U32())
+	if r.Err() != nil || n == 0 {
 		return nil
 	}
-	arena := make([]Msg, total)
-	if b := r.Raw(8*total, "msg dst column"); b != nil {
-		for i := range arena {
-			arena[i].Dst = binary.LittleEndian.Uint64(b[8*i:])
-		}
-	}
-	if b := r.Raw(8*total, "msg label column"); b != nil {
-		for i := range arena {
-			arena[i].Label = binary.LittleEndian.Uint64(b[8*i:])
-		}
-	}
-	if b := r.Raw(8*total, "msg rank column"); b != nil {
-		for i := range arena {
-			arena[i].Rank = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-		}
-	}
-	out := make([]PartMsgs, len(parts))
-	off := 0
-	for i := range out {
-		out[i].Part = parts[i]
-		if n := counts[i]; n > 0 {
-			out[i].Msgs = arena[off : off+n : off+n]
-			off += n
-		}
-	}
-	return out
-}
-
-// appendStateSection writes []PartState in the same fully-columnar
-// shape as appendMsgSection: count header, then the ID, label and rank
-// columns concatenated across partitions.
-func appendStateSection(dst []byte, pss []PartState) []byte {
-	dst = colbytes.AppendU32(dst, uint32(len(pss)))
-	for _, ps := range pss {
-		dst = colbytes.AppendU32(dst, uint32(ps.Part))
-		dst = colbytes.AppendU32(dst, uint32(len(ps.Vertices)))
-	}
-	for _, ps := range pss {
-		for _, v := range ps.Vertices {
-			dst = colbytes.AppendU64(dst, v.ID)
-		}
-	}
-	for _, ps := range pss {
-		for _, v := range ps.Vertices {
-			dst = colbytes.AppendU64(dst, v.Label)
-		}
-	}
-	for _, ps := range pss {
-		for _, v := range ps.Vertices {
-			dst = colbytes.AppendF64(dst, v.Rank)
-		}
-	}
-	return dst
-}
-
-// readStateSection decodes a partition-state section into one arena of
-// VertexVals sub-sliced per partition.
-func readStateSection(r *colbytes.Reader) []PartState {
-	parts, counts, total := sectionCounts(r, 24)
-	if parts == nil {
+	if n*12 > r.Remaining() {
+		r.Fail("byte section header")
 		return nil
 	}
-	arena := make([]VertexVal, total)
-	if b := r.Raw(8*total, "state id column"); b != nil {
-		for i := range arena {
-			arena[i].ID = binary.LittleEndian.Uint64(b[8*i:])
-		}
-	}
-	if b := r.Raw(8*total, "state label column"); b != nil {
-		for i := range arena {
-			arena[i].Label = binary.LittleEndian.Uint64(b[8*i:])
-		}
-	}
-	if b := r.Raw(8*total, "state rank column"); b != nil {
-		for i := range arena {
-			arena[i].Rank = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-		}
-	}
-	out := make([]PartState, len(parts))
-	off := 0
-	for i := range out {
-		out[i].Part = parts[i]
-		if n := counts[i]; n > 0 {
-			out[i].Vertices = arena[off : off+n : off+n]
-			off += n
-		}
-	}
-	return out
-}
-
-// appendAdjSection writes []PartitionData columnar: count header, the
-// vertex-ID column, the out-degree column, then every out-edge
-// flattened into one column (the degrees recover the per-vertex
-// sub-slices).
-func appendAdjSection(dst []byte, pds []PartitionData) []byte {
-	dst = colbytes.AppendU32(dst, uint32(len(pds)))
-	for _, pd := range pds {
-		dst = colbytes.AppendU32(dst, uint32(pd.Part))
-		dst = colbytes.AppendU32(dst, uint32(len(pd.Vertices)))
-	}
-	var edges uint64
-	for _, pd := range pds {
-		for _, va := range pd.Vertices {
-			dst = colbytes.AppendU64(dst, va.ID)
-			edges += uint64(len(va.Out))
-		}
-	}
-	for _, pd := range pds {
-		for _, va := range pd.Vertices {
-			dst = colbytes.AppendU32(dst, uint32(len(va.Out)))
-		}
-	}
-	dst = colbytes.AppendU64(dst, edges)
-	for _, pd := range pds {
-		for _, va := range pd.Vertices {
-			for _, o := range va.Out {
-				dst = colbytes.AppendU64(dst, o)
-			}
-		}
-	}
-	return dst
-}
-
-// snapshotMagic prefixes raw-encoded JobSnapshot checkpoint blobs. The
-// leading zero byte is the discriminator: a gob stream's first byte is
-// its first message's non-zero length prefix, so RestoreFrom can sniff
-// the blob's codec with no format negotiation and old gob checkpoints
-// stay restorable.
-var snapshotMagic = [4]byte{0x00, 'O', 'F', 'S'}
-
-// appendSnapshot appends the raw columnar encoding of a JobSnapshot:
-// magic, format version, then kind, the state and message sections and
-// the scalar tail.
-func appendSnapshot(dst []byte, s JobSnapshot) []byte {
-	dst = append(dst, snapshotMagic[:]...)
-	dst = append(dst, wire.Version)
-	dst = colbytes.AppendString(dst, s.Kind)
-	dst = appendStateSection(dst, s.Parts)
-	dst = appendMsgSection(dst, s.Inbox)
-	dst = colbytes.AppendF64(dst, s.Dangling)
-	dst = colbytes.AppendBool(dst, s.Rescatter)
-	return dst
-}
-
-// isRawSnapshot reports whether the blob carries the raw snapshot
-// magic.
-func isRawSnapshot(b []byte) bool {
-	return len(b) >= len(snapshotMagic) && string(b[:len(snapshotMagic)]) == string(snapshotMagic[:])
-}
-
-// decodeSnapshot decodes a raw snapshot blob (magic already verified
-// by isRawSnapshot).
-func decodeSnapshot(b []byte) (JobSnapshot, error) {
-	r := colbytes.NewReader(b[len(snapshotMagic):])
-	if ver := r.U8(); r.Err() == nil && ver != wire.Version {
-		return JobSnapshot{}, &wire.VersionError{Got: ver, Want: wire.Version}
-	}
-	s := JobSnapshot{Kind: r.String()}
-	s.Parts = readStateSection(r)
-	s.Inbox = readMsgSection(r)
-	s.Dangling = r.F64()
-	s.Rescatter = r.Bool()
-	if err := r.Err(); err != nil {
-		return JobSnapshot{}, fmt.Errorf("proc: decoding raw snapshot: %w", err)
-	}
-	return s, nil
-}
-
-// readAdjSection decodes an adjacency section. The flattened out-edge
-// column becomes one arena sub-sliced per vertex — the slices the
-// worker retains for the life of the job, exactly sized.
-func readAdjSection(r *colbytes.Reader) []PartitionData {
-	parts, counts, total := sectionCounts(r, 12) // id u64 + degree u32
-	if parts == nil {
-		return nil
-	}
-	verts := make([]VertexAdj, total)
-	if b := r.Raw(8*total, "adjacency id column"); b != nil {
-		for i := range verts {
-			verts[i].ID = binary.LittleEndian.Uint64(b[8*i:])
-		}
-	}
-	degs := make([]uint32, total)
-	if b := r.Raw(4*total, "adjacency degree column"); b != nil {
-		for i := range degs {
-			degs[i] = binary.LittleEndian.Uint32(b[4*i:])
-		}
-	}
-	edges := int(r.U64())
-	if r.Err() != nil || edges*8 > r.Remaining() {
-		r.Fail("adjacency edge column")
-		return nil
-	}
-	arena := make([]uint64, 0, edges)
-	arena = arena[:edges]
-	if b := r.Raw(8*edges, "adjacency edge column"); b != nil {
-		for i := range arena {
-			arena[i] = binary.LittleEndian.Uint64(b[8*i:])
-		}
-	}
-	off := 0
-	for i := range verts {
-		n := int(degs[i])
-		if off+n > edges {
-			r.Fail("adjacency degrees")
+	hdr := r.Raw(12*n, "byte section header")
+	total := 0
+	for i := 0; i < n; i++ {
+		total += int(binary.LittleEndian.Uint32(hdr[12*i+8:]))
+		if total > r.Remaining() {
+			r.Fail("byte section lengths")
 			return nil
 		}
-		verts[i].Out = arena[off : off+n : off+n]
-		off += n
 	}
-	out := make([]PartitionData, len(parts))
-	voff := 0
-	for i := range out {
-		out[i].Part = parts[i]
-		if n := counts[i]; n > 0 {
-			out[i].Vertices = verts[voff : voff+n : voff+n]
-			voff += n
+	arena := append(make([]byte, 0, total), r.Raw(total, "byte section data")...)
+	out := make([]E, n)
+	for i, off := 0, 0; i < n; i++ {
+		e := hdr[12*i:]
+		var data []byte
+		if l := int(binary.LittleEndian.Uint32(e[8:])); l > 0 {
+			data, off = arena[off:off+l:off+l], off+l
 		}
+		out[i] = c.join(int(binary.LittleEndian.Uint32(e)), int(binary.LittleEndian.Uint32(e[4:])), data)
 	}
 	return out
+}
+
+// readLoadReq decodes an adjacency load. The ID and CSR columns are the
+// slices the worker's graph retains for the life of the job; each
+// column's count is checked against the remaining bytes before it is
+// allocated.
+func readLoadReq(r *colbytes.Reader) LoadReq {
+	v := LoadReq{
+		Job:           r.String(),
+		Kind:          r.String(),
+		NumPartitions: int(r.U32()),
+		Damping:       r.F64(),
+	}
+	nids := int(r.U32())
+	if b := r.Raw(8*nids, "vertex ID column"); len(b) > 0 {
+		v.IDs = make([]graph.VertexID, nids)
+		for i := range v.IDs {
+			v.IDs[i] = graph.VertexID(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+	}
+	v.Hosted, v.Fresh = readInts(r), readInts(r)
+	v.Offsets, v.Targets, v.Weights = r.I32s(nil), r.I32s(nil), r.F64s(nil)
+	return v
+}
+
+// appendInts writes a partition-ID list as a u32 column.
+func appendInts(dst []byte, ps []int) []byte {
+	dst = colbytes.AppendU32(dst, uint32(len(ps)))
+	for _, p := range ps {
+		dst = colbytes.AppendU32(dst, uint32(p))
+	}
+	return dst
+}
+
+func readInts(r *colbytes.Reader) (ps []int) {
+	for _, p := range r.U32s(nil) {
+		ps = append(ps, int(p))
+	}
+	return ps
+}
+
+// appendSnapshot appends a JobSnapshot as a checkpoint blob: the raw
+// payload of a frame — codec tag, format version, kind — with no length
+// prefix and no token.
+func appendSnapshot(dst []byte, s JobSnapshot) []byte {
+	return appendRawPayload(dst, wire.KSnapshot, 0, s)
+}
+
+// decodeSnapshot decodes a checkpoint blob. Anything but a raw payload
+// of the snapshot kind (a gob stream, say) is a *SnapshotError, another
+// format version a *wire.VersionError.
+func decodeSnapshot(b []byte) (JobSnapshot, error) {
+	if len(b) == 0 || b[0] != wire.CodecRaw {
+		return JobSnapshot{}, &SnapshotError{"not a job snapshot blob"}
+	}
+	_, m, err := decodeRawPayload(b[1:])
+	snap, ok := m.(JobSnapshot)
+	if err == nil && !ok {
+		err = &SnapshotError{fmt.Sprintf("blob holds a %T", m)}
+	}
+	return snap, err
 }

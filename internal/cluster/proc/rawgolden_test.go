@@ -1,8 +1,10 @@
 package proc
 
 // rawgolden_test.go pins the raw columnar wire format byte for byte:
-// one golden fixture per raw payload kind (plus the raw snapshot
-// blob), committed as hex under testdata/. The fixtures catch silent
+// one golden fixture per raw payload kind (plus the snapshot blob),
+// committed as hex under testdata/, and feeds each fixture damaged —
+// truncated at every offset, every byte inverted in turn — to its
+// decoder. The fixtures catch silent
 // format drift — an encoder change that still round-trips locally but
 // breaks decoding against processes running the committed format fails
 // here — and the fixtures are additionally fed to a fresh subprocess
@@ -16,68 +18,70 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
+	"optiflow/internal/cluster/proc/netfault"
 	"optiflow/internal/cluster/proc/wire"
+	"optiflow/internal/colbytes"
+	"optiflow/internal/exec"
+	"optiflow/internal/graph"
 )
 
+// goldenCols builds one batch's column view the way the engine does.
+func goldenCols(dst []int32, val []uint64) []byte {
+	b := exec.ColBatch[uint64]{Dst: dst, Val: val}
+	return b.AppendColumns(nil)
+}
+
 // goldenRawCases returns one populated sample per raw payload kind, in
-// a fixed order. Values exercise multi-partition sections, empty
-// groups and non-trivial floats.
+// a fixed order. Values exercise multi-entry sections, empty entries
+// and non-trivial floats.
 func goldenRawCases() []struct {
 	name string
 	m    any
 } {
+	view := []byte{2, 0, 0, 0, 1, 0, 9, 0, 0, 0, 0, 0, 0, 0}
 	return []struct {
 		name string
 		m    any
 	}{
 		{"stepreq", StepReq{
 			Superstep: 7, Rescatter: true, Dangling: 0.375,
-			Inbox: []PartMsgs{
-				{Part: 0, Msgs: []Msg{{Dst: 3, Label: 1, Rank: 0.5}, {Dst: 4, Label: 2}}},
-				{Part: 2, Msgs: []Msg{{Dst: 9, Rank: 0.125}}},
+			Inbox: []exec.HostedCols{
+				{Src: 1, Dst: 0, Cols: goldenCols([]int32{3, 4}, []uint64{1, 2})},
+				{Src: 3, Dst: 2, Cols: goldenCols([]int32{9}, []uint64{7})},
 			},
 		}},
 		{"stepresp", StepResp{
-			Outbox:   []PartMsgs{{Part: 1, Msgs: []Msg{{Dst: 5, Label: 5, Rank: 0.25}}}},
+			Remote:   []exec.HostedCols{{Src: 0, Dst: 1, Cols: goldenCols([]int32{5}, []uint64{5})}},
 			Dangling: 0.0625, L1: 2.5, Folded: true, Messages: 42, Updates: 7,
 		}},
-		{"fetchresp", FetchResp{Parts: []PartState{
-			{Part: 0, Vertices: []VertexVal{{ID: 1, Label: 1, Rank: 0.1}, {ID: 2, Label: 1, Rank: 0.2}}},
-			{Part: 3},
-		}}},
-		{"restorereq", RestoreReq{Parts: []PartState{
-			{Part: 2, Vertices: []VertexVal{{ID: 8, Label: 2, Rank: 0.75}}},
-		}}},
+		{"fetchresp", FetchResp{Parts: []PartBlob{{Part: 0, Data: view}, {Part: 3}}}},
+		{"restorereq", RestoreReq{Parts: []PartBlob{{Part: 2, Data: view}}}},
 		{"loadreq", LoadReq{
-			Job: "golden", Kind: KindPageRank, NumPartitions: 4, TotalVertices: 5, Damping: 0.85,
-			Parts: []PartitionData{
-				{Part: 1, Vertices: []VertexAdj{{ID: 1, Out: []uint64{2, 3}}, {ID: 5, Out: []uint64{}}}},
-			},
+			Job: "golden", Kind: KindPageRank, NumPartitions: 4, Damping: 0.85,
+			IDs:    []graph.VertexID{1, 2, 3, 5, 8},
+			Hosted: []int{1, 2}, Fresh: []int{2},
+			Offsets: []int32{0, 2, 2, 3, 3, 3}, Targets: []int32{1, 2, 4}, Weights: []float64{0.5, 1.5, 1},
 		}},
-		{"datafetch", DataFetchReq{Stream: 9, ChunkVerts: 4096, Parts: []int{0, 2, 3}}},
+		{"datafetch", DataFetchReq{Stream: 9, ChunkBytes: 36864, Parts: []int{0, 2, 3}}},
 		{"datarestore", DataRestoreReq{Stream: 10}},
-		{"datachunk", DataChunk{
-			Stream: 10, Seq: 3, Done: true,
-			Parts: []PartState{{Part: 1, Vertices: []VertexVal{{ID: 4, Label: 4, Rank: 0.3}}}},
-		}},
+		{"datachunk", DataChunk{Stream: 10, Seq: 3, Done: true, Data: view[:5]}},
 		{"dataack", DataAck{Stream: 10}},
 		{"dataerr", DataErr{Stream: 11, Msg: "worker 2: partition 9 not hosted"}},
 	}
 }
 
-// goldenSnapshot is the raw snapshot blob fixture's source value.
+// goldenSnapshot is the snapshot blob fixture's source value.
 func goldenSnapshot() JobSnapshot {
 	return JobSnapshot{
-		Kind:      KindCC,
-		Parts:     []PartState{{Part: 0, Vertices: []VertexVal{{ID: 2, Label: 1, Rank: 0.5}}}},
-		Inbox:     []PartMsgs{{Part: 0, Msgs: []Msg{{Dst: 2, Label: 1}}}},
-		Dangling:  0.125,
-		Rescatter: true,
+		Kind:  KindCC,
+		Parts: []PartBlob{{Part: 0, Data: []byte{1, 0, 0, 0, 1, 2, 0, 0, 0, 0, 0, 0, 0}}, {Part: 1, Data: []byte{0, 0, 0, 0}}},
 	}
 }
 
@@ -135,15 +139,13 @@ func TestRawGoldenFrames(t *testing.T) {
 	}
 }
 
-// TestRawGoldenSnapshot pins the raw checkpoint blob format and its
-// round trip, including the magic-sniff dispatch against gob blobs.
+// TestRawGoldenSnapshot pins the checkpoint blob format and its round
+// trip, and that a blob that is not a raw payload (a gob stream, say)
+// is rejected by type instead of misparsed.
 func TestRawGoldenSnapshot(t *testing.T) {
 	snap := goldenSnapshot()
 	b := appendSnapshot(nil, snap)
 	checkGolden(t, "raw_snapshot", b)
-	if !isRawSnapshot(b) {
-		t.Fatal("raw snapshot blob not recognised by its magic")
-	}
 	got, err := decodeSnapshot(b)
 	if err != nil {
 		t.Fatal(err)
@@ -151,6 +153,90 @@ func TestRawGoldenSnapshot(t *testing.T) {
 	if fmt.Sprintf("%#v", got) != fmt.Sprintf("%#v", snap) {
 		t.Errorf("snapshot mutated:\n sent %#v\n got  %#v", snap, got)
 	}
+	var se *SnapshotError
+	if _, err := decodeSnapshot([]byte("\x0c\xff\x81\x03\x01\x01")); !errors.As(err, &se) {
+		t.Errorf("gob-looking blob: err = %v, want *SnapshotError", err)
+	}
+}
+
+// typedWireError reports whether err is one of the typed rejections a
+// decoder may answer hostile bytes with.
+func typedWireError(err error) bool {
+	var ve *wire.VersionError
+	var se *wire.SizeError
+	var ne *SnapshotError
+	return errors.Is(err, colbytes.ErrTruncated) || errors.Is(err, wire.ErrMalformed) ||
+		errors.Is(err, io.ErrUnexpectedEOF) || errors.As(err, &ve) || errors.As(err, &se) || errors.As(err, &ne)
+}
+
+// hostile runs decode over every strict prefix of good (from shortest
+// bytes up) and over good
+// with each single byte inverted, demanding that a prefix always fails,
+// that every failure is typed, that nothing panics, and that no decode
+// allocates more than a small multiple of the input — a count field
+// blown up to 2^32-ish by the inversion must be checked against the
+// bytes actually there before anything is sized by it.
+func hostile(t *testing.T, name string, good []byte, shortest int, decode func([]byte) error) {
+	t.Helper()
+	try := func(what string, b []byte, mustFail bool) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := func() (err error) {
+			defer func() {
+				if rec := recover(); rec != nil {
+					err = fmt.Errorf("panic: %v", rec)
+					t.Errorf("%s %s: decoder panicked: %v", name, what, rec)
+				}
+			}()
+			return decode(b)
+		}()
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s %s: decode allocated %d bytes for a %d-byte input", name, what, grew, len(b))
+		}
+		if mustFail && err == nil {
+			t.Errorf("%s %s: decoded without error", name, what)
+		}
+		if err != nil && !typedWireError(err) {
+			t.Errorf("%s %s: untyped error %v", name, what, err)
+		}
+	}
+	for n := shortest; n < len(good); n++ {
+		try(fmt.Sprintf("truncated to %d bytes", n), good[:n], true)
+	}
+	for i := range good {
+		b := bytes.Clone(good)
+		b[i] ^= 0xff
+		try(fmt.Sprintf("with byte %d inverted", i), b, false)
+	}
+}
+
+// TestRawHostileFrames feeds every golden frame's payload, damaged, to
+// the frame decoder — with the length prefix rewritten to match, so the
+// damage reaches the payload decoders rather than the frame reader.
+func TestRawHostileFrames(t *testing.T) {
+	for _, c := range goldenRawCases() {
+		frame, err := encodeFrame(77, c.m)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		// The frame reader refuses a zero-length frame before any decoder.
+		hostile(t, c.name, frame[netfault.HeaderLen:], 1, func(payload []byte) error {
+			b := make([]byte, netfault.HeaderLen, netfault.HeaderLen+len(payload))
+			netfault.PutHeader(b, len(payload))
+			_, _, err := readFrameCfg(bytes.NewReader(append(b, payload...)), defaultWire)
+			return err
+		})
+	}
+}
+
+// TestRawHostileSnapshot does the same to the checkpoint blob.
+func TestRawHostileSnapshot(t *testing.T) {
+	hostile(t, "snapshot", appendSnapshot(nil, goldenSnapshot()), 0, func(b []byte) error {
+		_, err := decodeSnapshot(b)
+		return err
+	})
 }
 
 // TestRawVersionMismatch pins the forward-compatibility guard: a raw
@@ -172,7 +258,7 @@ func TestRawVersionMismatch(t *testing.T) {
 	}
 
 	sb := appendSnapshot(nil, goldenSnapshot())
-	sb[len(snapshotMagic)]++ // version byte follows the magic
+	sb[1]++ // version byte follows the codec tag
 	if _, err := decodeSnapshot(sb); !errors.As(err, &ve) {
 		t.Fatalf("decode of future-version snapshot: err = %v, want *wire.VersionError", err)
 	}

@@ -2,10 +2,8 @@ package proc
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"strconv"
-	"strings"
 	"time"
 )
 
@@ -25,27 +23,14 @@ const (
 	envBackoffMS   = "OPTIFLOW_PROC_BACKOFF_MS"
 	envDataConns   = "OPTIFLOW_PROC_DATA_CONNS"
 	envMaxFrame    = "OPTIFLOW_PROC_MAX_FRAME"
-	envGobPayloads = "OPTIFLOW_PROC_GOB_PAYLOADS"
-
-	// envGobCheck switches the child into the wire-compatibility
-	// decoder used by the gob round-trip suite: frames in on stdin,
-	// one decoded-value digest per line on stdout.
-	envGobCheck = "OPTIFLOW_PROC_GOBCHECK"
 )
 
-// MaybeChildMode checks whether this process was spawned as a proc
-// child (worker daemon or gob-check decoder) and, if so, runs that
-// role and exits — it never returns in child mode. Entry points that
+// MaybeChildMode checks whether this process was spawned as a worker
+// daemon and, if so, runs it and exits — it never returns in child
+// mode. Entry points that
 // can host workers (cmd/optiflow-serve, TestMain of proc-mode test
 // packages) must call it first thing in main.
 func MaybeChildMode() {
-	if os.Getenv(envGobCheck) == "1" {
-		if err := runGobCheck(os.Stdin, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "optiflow gob-check:", err)
-			os.Exit(1)
-		}
-		os.Exit(0)
-	}
 	if os.Getenv(envWorker) != "1" {
 		return
 	}
@@ -94,9 +79,6 @@ func workerConfigFromEnv() (WorkerConfig, error) {
 		DataConns:        envInt(envDataConns),
 		MaxFrameBytes:    envInt(envMaxFrame),
 	}
-	if gp := os.Getenv(envGobPayloads); gp != "" {
-		cfg.GobPayloads = strings.Split(gp, ",")
-	}
 	if cfg.Addr == "" {
 		return WorkerConfig{}, fmt.Errorf("proc: %s not set", envAddr)
 	}
@@ -119,28 +101,5 @@ func workerEnv(addr string, id int, token string, cfg Config) []string {
 		envBackoffMS+"="+ms(cfg.RetryBackoff),
 		envDataConns+"="+strconv.Itoa(cfg.DataConns),
 		envMaxFrame+"="+strconv.Itoa(cfg.MaxFrameBytes),
-		envGobPayloads+"="+strings.Join(cfg.GobPayloads, ","),
 	)
-}
-
-// runGobCheck is the child half of the wire-compatibility suite: a
-// fresh process (fresh gob type registry, no state shared with the
-// encoder beyond this package's init) decodes length-prefixed frames
-// from stdin until EOF and prints one Go-syntax digest per decoded
-// message. The parent compares the digests against its own rendering
-// of what it encoded, proving that every wire type survives a
-// cross-process round trip.
-func runGobCheck(in io.Reader, out io.Writer) error {
-	for {
-		m, err := readFrame(in)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(out, "%#v\n", m); err != nil {
-			return err
-		}
-	}
 }

@@ -17,18 +17,20 @@
 // shared-codec gob state would (the PR 8 desync lesson), and a
 // reconnected connection resumes mid-job with no carried codec state.
 // Since protocol v3 the payload's first byte selects its codec (see
-// internal/cluster/proc/wire): low-rate control frames stay gob with a
-// fresh encoder/decoder pair per frame, while hot-path payloads —
-// superstep data, partition state, data-plane chunks — default to the
-// raw columnar encoding of raw.go, with gob selectable per payload
-// kind as a fallback (Config.GobPayloads). Frames carry an ID used as
-// an idempotence token on ctrl RPCs — responses echo their request's
-// ID, so the coordinator can discard stale responses after a retry and
-// the worker can answer a duplicate request from cache instead of
-// re-applying it. All message types are registered with gob in this
-// package's init, and the wire-compatibility test round-trips every
-// one of them — in both codecs — through a freshly started subprocess
-// decoder to pin cross-process decodability.
+// internal/cluster/proc/wire), and since protocol v4 every payload has
+// exactly one: control frames are gob with a fresh encoder/decoder pair
+// per frame, hot-path payloads — exchange columns, partition state
+// views, adjacency, data-plane chunks — the raw columnar encoding of
+// raw.go. What those carry is opaque here: exec.HostedCols are ColBatch
+// column views the engine writes and reads, partition views are
+// state.DenseStore partition bytes the hosted job writes and reads.
+// Frames carry an ID used as an idempotence token on ctrl RPCs —
+// responses echo their request's ID, so the coordinator can discard
+// stale responses after a retry and the worker can answer a duplicate
+// request from cache instead of re-applying it. All message types are
+// listed in wireMessages, and the wire-compatibility test round-trips
+// every one of them through a freshly started subprocess decoder to pin
+// cross-process decodability.
 package proc
 
 import (
@@ -45,6 +47,8 @@ import (
 	"optiflow/internal/checkpoint"
 	"optiflow/internal/cluster/proc/netfault"
 	"optiflow/internal/cluster/proc/wire"
+	"optiflow/internal/exec"
+	"optiflow/internal/graph"
 )
 
 // ProtoVersion is the wire protocol version. A Hello with a different
@@ -52,8 +56,10 @@ import (
 // cannot silently exchange frames with a newer coordinator. Version 2
 // introduced length-prefixed self-contained frames and idempotence
 // IDs; version 3 added the per-payload codec tag (gob or raw
-// columnar) and the data-plane connection role.
-const ProtoVersion = 3
+// columnar) and the data-plane connection role; version 4 replaced the
+// per-vertex message and state payloads with engine column views and
+// partition byte views.
+const ProtoVersion = 4
 
 // Frame is the unit of transmission: one gob value wrapping one
 // message. Wrapping in an interface-typed field keeps each frame
@@ -126,31 +132,26 @@ type ErrResp struct {
 // PingReq checks liveness over the ctrl connection.
 type PingReq struct{}
 
-// VertexAdj is one vertex's adjacency: its ID and out-neighbors.
-type VertexAdj struct {
-	ID  uint64
-	Out []uint64
-}
-
-// PartitionData is the adjacency payload of one state partition.
-type PartitionData struct {
-	Part     int
-	Vertices []VertexAdj
-}
-
-// LoadReq hands a worker the partitions it hosts: the job identity,
-// the algorithm kind, global graph facts and per-partition adjacency.
-// State is initialised to superstep zero (CC: own ID as label; PR:
-// uniform rank 1/N). LoadReq is also how a replacement worker adopts
-// orphaned partitions mid-job — the driver then Clears or Restores
-// them per the recovery policy.
+// LoadReq tells a worker which partitions it hosts from now on and hands
+// it their adjacency: the global sorted vertex-ID column every process
+// derives the same dense indices and partitioning from, and the CSR of
+// the graph restricted to the hosted partitions (graph.Restrict). The
+// worker rebuilds its job over it. Fresh partitions start in
+// superstep-zero state — all of them at initial placement and on a
+// replacement worker, the adopted ones on a survivor, whose other
+// partitions keep their state; the driver then Clears or Restores per
+// the recovery policy.
 type LoadReq struct {
 	Job           string
 	Kind          string
 	NumPartitions int
-	TotalVertices int
 	Damping       float64
-	Parts         []PartitionData
+	IDs           []graph.VertexID
+	Hosted        []int
+	Fresh         []int
+	Offsets       []int32
+	Targets       []int32
+	Weights       []float64
 }
 
 // Algorithm kinds named in LoadReq.Kind.
@@ -159,49 +160,25 @@ const (
 	KindPageRank = "pagerank"
 )
 
-// Msg is one dataflow record in flight between supersteps. CC uses
-// Label (a candidate component label), PageRank uses Rank (a rank
-// contribution); the unused field stays zero.
-type Msg struct {
-	Dst   uint64
-	Label uint64
-	Rank  float64
-}
-
-// PartMsgs groups the messages destined for one partition.
-type PartMsgs struct {
-	Part int
-	Msgs []Msg
-}
-
-// StepReq runs one superstep attempt over the worker's partitions.
-// Rescatter asks every vertex to re-send its current state to its
-// neighbors (superstep zero, and after an optimistic compensation);
-// Dangling is the dangling-rank mass collected in the previous
-// superstep (PageRank only). The worker computes but does not apply:
-// updates stay pending until CommitReq, and AbortReq drops them — the
-// two-phase protocol that lets an aborted attempt be replayed against
-// unchanged state.
+// StepReq runs one superstep attempt over the worker's partitions: fold
+// the exchange columns the previous attempt's expansion produced —
+// Inbox carries those of partitions hosted elsewhere, the worker holds
+// its own — then expand the new state. Rescatter makes it a priming
+// step: nothing is folded and every hosted vertex re-announces its
+// committed state. Dangling is the dangling-rank mass the previous
+// superstep's responses added up to (PageRank only). The attempt stays
+// uncommitted until CommitReq, and AbortReq drops it, so an aborted
+// attempt can be replayed against unchanged state.
 type StepReq struct {
 	Superstep int
 	Rescatter bool
 	Dangling  float64
-	Inbox     []PartMsgs
+	Inbox     []exec.HostedCols
 }
 
-// StepResp reports one superstep attempt's outputs: the outgoing
-// messages grouped by destination partition, the dangling mass and L1
-// rank delta (PageRank; Folded reports whether a fold happened, so a
-// pure rescatter step does not fake convergence), and the counters the
-// iteration driver samples.
-type StepResp struct {
-	Outbox   []PartMsgs
-	Dangling float64
-	L1       float64
-	Folded   bool
-	Messages int64
-	Updates  int64
-}
+// StepResp reports one superstep attempt's outputs: exchange columns
+// bound for partitions hosted elsewhere, partial scalars, counters.
+type StepResp = exec.HostedOut
 
 // CommitReq applies the pending updates of the superstep computed by
 // the previous StepReq.
@@ -213,18 +190,11 @@ type CommitReq struct {
 // state as it was before the attempt.
 type AbortReq struct{}
 
-// VertexVal is one vertex's iteration state.
-type VertexVal struct {
-	ID    uint64
-	Label uint64
-	Rank  float64
-}
-
-// PartState is the full committed state of one partition, vertices in
-// ascending ID order.
-type PartState struct {
-	Part     int
-	Vertices []VertexVal
+// PartBlob is the committed state of one partition as the hosted job's
+// partition byte view (a DenseStore column dump).
+type PartBlob struct {
+	Part int
+	Data []byte
 }
 
 // FetchReq reads the committed state of the listed partitions
@@ -235,23 +205,21 @@ type FetchReq struct {
 
 // FetchResp answers a FetchReq.
 type FetchResp struct {
-	Parts []PartState
+	Parts []PartBlob
 }
 
 // RestoreReq overwrites the listed partitions' state (checkpoint
 // rollback, release migration).
 type RestoreReq struct {
-	Parts []PartState
+	Parts []PartBlob
 }
 
 // ClearReq reinitialises the listed partitions to superstep-zero state
-// — the direct effect of their previous owner crashing.
+// — the direct effect of their previous owner crashing, and, for every
+// partition, the restart policy.
 type ClearReq struct {
 	Parts []int
 }
-
-// ResetReq reinitialises every hosted partition (restart policy).
-type ResetReq struct{}
 
 // ShutdownReq asks the worker to exit cleanly (cooperative Release —
 // unlike the SIGKILL of Fail).
@@ -270,45 +238,42 @@ type WorkerStats struct {
 	Replayed uint64
 }
 
-// JobSnapshot is the driver-side serialisation of a proc job's full
-// iteration state: every partition's vertex values plus the in-flight
-// message state the next superstep consumes. recovery.Job's SnapshotTo
-// gob-encodes one of these; RestoreFrom decodes it and pushes the
-// partitions back to their current owners.
+// JobSnapshot is a proc job's checkpoint: every partition's committed
+// state view. The exchange columns in flight are not part of it — a
+// restored job re-announces them with a priming step. SnapshotTo writes
+// one as a raw payload (raw.go); RestoreFrom decodes it and pushes the
+// partitions to their current owners.
 type JobSnapshot struct {
-	Kind      string
-	Parts     []PartState
-	Inbox     []PartMsgs
-	Dangling  float64
-	Rescatter bool
+	Kind  string
+	Parts []PartBlob
 }
 
 // DataFetchReq opens a fetch stream on a data-plane connection: the
 // worker answers with DataChunk frames carrying the listed partitions'
-// committed state, at most ChunkVerts vertices per chunk, the last
-// chunk marked Done. Stream tags the transfer so a late frame from an
+// committed state views, at most ChunkBytes view bytes per chunk, the
+// last chunk marked Done. Stream tags the transfer so a late frame from an
 // abandoned stream cannot be mistaken for the current one.
 type DataFetchReq struct {
 	Stream     uint64
-	ChunkVerts int
+	ChunkBytes int
 	Parts      []int
 }
 
 // DataRestoreReq opens a restore stream: the coordinator follows it
-// with DataChunk frames whose state fragments the worker applies as
-// they arrive, answering DataAck (or DataErr) after the Done chunk.
+// with DataChunk frames the worker reassembles, applying the views
+// after the Done chunk and answering DataAck (or DataErr).
 type DataRestoreReq struct {
 	Stream uint64
 }
 
-// DataChunk is one bounded fragment of a state stream. Parts carries
-// partition state fragments — a partition larger than the chunk budget
-// spans several chunks, each listing the vertices it covers.
+// DataChunk is one bounded fragment of a state stream: the next Data
+// bytes of the stream's partition views, encoded as one byte section
+// (raw.go) and cut wherever the chunk budget falls.
 type DataChunk struct {
 	Stream uint64
 	Seq    uint32
 	Done   bool
-	Parts  []PartState
+	Data   []byte
 }
 
 // DataAck completes a restore stream.
@@ -323,21 +288,20 @@ type DataErr struct {
 	Msg    string
 }
 
-// wireMessages lists every concrete type that may travel inside a
-// Frame, in a fixed order shared by gob registration and the
-// cross-process wire-compatibility check.
+// wireMessages lists every concrete type that travels gob-encoded
+// inside a Frame — the control frames — in a fixed order shared by gob
+// registration and the cross-process wire-compatibility check. Hot-path
+// payloads are not here: they have a raw kind (rawKindOf) and no gob
+// form, so a gob frame claiming to carry one fails to decode.
 func wireMessages() []any {
 	return []any{
 		Hello{}, HelloOK{}, Heartbeat{},
 		OKResp{}, ErrResp{}, PingReq{},
-		LoadReq{}, StepReq{}, StepResp{},
 		CommitReq{}, AbortReq{},
-		FetchReq{}, FetchResp{}, RestoreReq{}, ClearReq{}, ResetReq{},
+		FetchReq{}, ClearReq{},
 		ShutdownReq{},
 		StatsReq{}, WorkerStats{},
-		JobSnapshot{},
 		checkpoint.CommitRecord{},
-		DataFetchReq{}, DataRestoreReq{}, DataChunk{}, DataAck{}, DataErr{},
 	}
 }
 
@@ -347,18 +311,15 @@ func init() {
 	}
 }
 
-// wireCfg is the encoder-local wire policy: the (configurable) frame
-// size cap and the payload kinds forced onto the gob fallback. Decoders
-// accept both codecs regardless, so the policy needs no negotiation —
-// each end just encodes by its own.
+// wireCfg is the connection-local wire policy: the (configurable) frame
+// size cap.
 type wireCfg struct {
-	maxFrame int           // payload cap; 0 = netfault.MaxFrame
-	gobKinds map[byte]bool // raw-capable kinds forced to gob
+	maxFrame int // payload cap; 0 = netfault.MaxFrame
 }
 
 // defaultWire is the policy of plain writeFrame/readFrame callers
-// (handshakes, heartbeats, the gob-check child): everything raw-capable
-// goes raw, frames capped at the hard ceiling.
+// (handshakes, heartbeats, the gob-check child): frames capped at the
+// hard ceiling.
 var defaultWire = &wireCfg{}
 
 // max returns the effective payload cap.
@@ -367,44 +328,6 @@ func (wc *wireCfg) max() int {
 		return netfault.MaxFrame
 	}
 	return wc.maxFrame
-}
-
-// forceGob reports whether the kind is on the gob fallback list.
-func (wc *wireCfg) forceGob(kind byte) bool { return wc != nil && wc.gobKinds[kind] }
-
-// Payload-kind names accepted by Config.GobPayloads.
-const (
-	PayloadStep     = "step"     // StepReq / StepResp
-	PayloadState    = "state"    // FetchResp / RestoreReq (disables the data plane)
-	PayloadLoad     = "load"     // LoadReq
-	PayloadSnapshot = "snapshot" // the JobSnapshot checkpoint blob
-)
-
-// parseGobPayloads resolves payload-kind names to the raw kinds they
-// cover.
-func parseGobPayloads(names []string) (map[byte]bool, error) {
-	if len(names) == 0 {
-		return nil, nil
-	}
-	out := make(map[byte]bool)
-	for _, n := range names {
-		switch strings.TrimSpace(n) {
-		case "":
-		case PayloadStep:
-			out[wire.KStepReq] = true
-			out[wire.KStepResp] = true
-		case PayloadState:
-			out[wire.KFetchResp] = true
-			out[wire.KRestoreReq] = true
-		case PayloadLoad:
-			out[wire.KLoadReq] = true
-		case PayloadSnapshot:
-			out[wire.KSnapshot] = true
-		default:
-			return nil, fmt.Errorf("proc: unknown gob payload kind %q", n)
-		}
-	}
-	return out, nil
 }
 
 // sliceWriter adapts an append-grown []byte to io.Writer for the gob
@@ -418,12 +341,12 @@ func (sw *sliceWriter) Write(p []byte) (int, error) {
 }
 
 // appendFrame appends one complete length-prefixed frame for m to dst:
-// raw codec for hot-path payloads (unless the policy forces gob), gob
-// for everything else. The returned slice is dst possibly regrown.
+// raw codec for hot-path payloads, gob for control frames. The returned
+// slice is dst possibly regrown.
 func appendFrame(dst []byte, id uint64, m any, wc *wireCfg) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, make([]byte, netfault.HeaderLen)...)
-	if kind, ok := rawKindOf(m); ok && !wc.forceGob(kind) {
+	if kind, ok := rawKindOf(m); ok {
 		dst = appendRawPayload(dst, kind, id, m)
 	} else {
 		sw := sliceWriter{b: append(dst, wire.CodecGob)}
@@ -438,13 +361,6 @@ func appendFrame(dst []byte, id uint64, m any, wc *wireCfg) ([]byte, error) {
 	}
 	netfault.PutHeader(dst[start:], payload)
 	return dst, nil
-}
-
-// encodeFrame renders one frame as a self-contained byte block the
-// caller owns (tests, the compatibility suite). The hot path is
-// writeFrameCfg, which assembles into a pooled buffer instead.
-func encodeFrame(id uint64, m any) ([]byte, error) {
-	return appendFrame(nil, id, m, defaultWire)
 }
 
 // framePool recycles frame-assembly and frame-receive buffers across
@@ -472,15 +388,10 @@ func writeFrameCfg(w io.Writer, id uint64, m any, wc *wireCfg) error {
 	return nil
 }
 
-// writeFrameID writes one message under the default policy.
-func writeFrameID(w io.Writer, id uint64, m any) error {
-	return writeFrameCfg(w, id, m, defaultWire)
-}
-
-// writeFrame writes a message with no idempotence token (handshake,
-// heartbeat and push frames).
+// writeFrame writes a message under the default policy with no
+// idempotence token (handshake, heartbeat and push frames).
 func writeFrame(w io.Writer, m any) error {
-	return writeFrameID(w, 0, m)
+	return writeFrameCfg(w, 0, m, defaultWire)
 }
 
 // readFrameCfg reads the next complete frame under the given policy,
@@ -514,7 +425,7 @@ func readFrameCfg(r io.Reader, wc *wireCfg) (uint64, any, error) {
 		return 0, nil, fmt.Errorf("proc: reading frame body: %w", err)
 	}
 	if n == 0 {
-		return 0, nil, errors.New("proc: empty frame")
+		return 0, nil, fmt.Errorf("proc: empty frame: %w", wire.ErrMalformed)
 	}
 	switch payload[0] {
 	case wire.CodecRaw:
@@ -522,25 +433,21 @@ func readFrameCfg(r io.Reader, wc *wireCfg) (uint64, any, error) {
 	case wire.CodecGob:
 		var f Frame
 		if err := gob.NewDecoder(bytes.NewReader(payload[1:])).Decode(&f); err != nil {
-			return 0, nil, fmt.Errorf("proc: decoding frame: %v", err)
+			return 0, nil, fmt.Errorf("proc: decoding frame: %v: %w", err, wire.ErrMalformed)
 		}
 		if f.M == nil {
-			return 0, nil, errors.New("proc: empty frame")
+			return 0, nil, fmt.Errorf("proc: empty frame: %w", wire.ErrMalformed)
 		}
 		return f.ID, f.M, nil
 	default:
-		return 0, nil, fmt.Errorf("proc: unknown frame codec %#x", payload[0])
+		return 0, nil, fmt.Errorf("proc: unknown frame codec %#x: %w", payload[0], wire.ErrMalformed)
 	}
 }
 
-// readFrameID reads the next frame under the default policy.
-func readFrameID(r io.Reader) (uint64, any, error) {
-	return readFrameCfg(r, defaultWire)
-}
-
-// readFrame reads the next frame's message, discarding the token.
+// readFrame reads the next frame's message under the default policy,
+// discarding the token.
 func readFrame(r io.Reader) (any, error) {
-	_, m, err := readFrameID(r)
+	_, m, err := readFrameCfg(r, defaultWire)
 	return m, err
 }
 

@@ -7,16 +7,14 @@
 //	CodecRaw  payload = [0x01][version][kind][id: 8 bytes LE][body]
 //
 // The gob codec is the PR 8 protocol unchanged (fresh encoder per
-// frame, self-contained type descriptors) and remains the path for
-// low-rate control frames — handshakes, heartbeats, acks, membership
-// RPCs. The raw codec is the zero-copy columnar fast path for
-// hot-path payloads: the body is a sequence of little-endian column
-// segments (see package colbytes) written by loops over the job's
-// flat arrays, with no reflection, no type descriptors and no
-// per-frame codec state. Decoders accept both codecs unconditionally,
-// so codec selection is an encoder-local choice needing no
-// negotiation: a coordinator can force gob per payload kind (the
-// fallback knob) and the worker still understands it, and vice versa.
+// frame, self-contained type descriptors) and is the path for low-rate
+// control frames — handshakes, heartbeats, acks, membership RPCs. The
+// raw codec is the columnar path for hot-path payloads: the body is a
+// sequence of little-endian column segments and byte sections (see
+// package colbytes) written by loops over the job's flat arrays, with
+// no reflection, no type descriptors and no per-frame codec state.
+// Every payload has exactly one codec, fixed by its type — there is
+// nothing to select or negotiate.
 //
 // Versioning: the raw header carries Version. A decoder seeing a
 // different version fails the frame with *VersionError — the typed
@@ -33,6 +31,7 @@
 package wire
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -42,17 +41,13 @@ import (
 // Version is the raw-codec format version. Bump it whenever a body
 // encoding changes shape; the decoder rejects any other version with
 // *VersionError.
-const Version byte = 1
+const Version byte = 2
 
 // Codec tags — the first payload byte of every frame.
 const (
 	CodecGob byte = 0x00
 	CodecRaw byte = 0x01
 )
-
-// RawHeaderLen is the raw-codec header: codec tag, version, kind, and
-// the 8-byte little-endian idempotence token.
-const RawHeaderLen = 1 + 1 + 1 + 8
 
 // Raw payload kinds. The kind byte names the concrete message type of
 // a raw frame's body, playing the role gob's type descriptor plays on
@@ -100,6 +95,12 @@ func CheckSize(size, limit int) error {
 	}
 	return nil
 }
+
+// ErrMalformed marks a frame whose envelope makes no sense — an empty
+// payload, an unknown codec tag or raw kind, a gob body that does not
+// decode. Truncated or corrupt raw bodies fail with
+// colbytes.ErrTruncated instead.
+var ErrMalformed = errors.New("wire: malformed frame")
 
 // VersionError is the typed raw-format version rejection.
 type VersionError struct {

@@ -3,6 +3,7 @@ package proc
 import (
 	"bufio"
 	"bytes"
+	"encoding/gob"
 	"fmt"
 	"os"
 	oexec "os/exec"
@@ -10,12 +11,14 @@ import (
 	"testing"
 
 	"optiflow/internal/checkpoint"
+	"optiflow/internal/cluster/proc/netfault"
 )
 
-// sampleMessages returns one populated instance per wire type, in
-// wireMessages order. Every field is non-zero where possible so the
-// round trip exercises real payloads, not gob's zero-field elision.
-// Map-typed fields hold a single entry so the %#v digest is stable.
+// sampleMessages returns one populated instance per gob-carried wire
+// type, in wireMessages order. Every field is non-zero where possible
+// so the round trip exercises real payloads, not gob's zero-field
+// elision. Map-typed fields hold a single entry so the %#v digest is
+// stable.
 func sampleMessages() []any {
 	return []any{
 		Hello{Proto: ProtoVersion, Worker: 3, Token: "tok", Conn: ConnCtrl},
@@ -24,43 +27,14 @@ func sampleMessages() []any {
 		OKResp{},
 		ErrResp{Msg: "worker 3: boom"},
 		PingReq{},
-		LoadReq{
-			Job: "cc-demo", Kind: KindCC, NumPartitions: 4, TotalVertices: 9, Damping: 0.85,
-			Parts: []PartitionData{{Part: 2, Vertices: []VertexAdj{{ID: 7, Out: []uint64{1, 9}}}}},
-		},
-		StepReq{
-			Superstep: 5, Rescatter: true, Dangling: 0.125,
-			Inbox: []PartMsgs{{Part: 1, Msgs: []Msg{{Dst: 9, Label: 2, Rank: 0.5}}}},
-		},
-		StepResp{
-			Outbox:   []PartMsgs{{Part: 0, Msgs: []Msg{{Dst: 1, Label: 1, Rank: 0.25}}}},
-			Dangling: 0.0625, L1: 1.5, Folded: true, Messages: 12, Updates: 3,
-		},
 		CommitReq{Superstep: 5},
 		AbortReq{},
 		FetchReq{Parts: []int{0, 2}},
-		FetchResp{Parts: []PartState{{Part: 2, Vertices: []VertexVal{{ID: 7, Label: 1, Rank: 0.2}}}}},
-		RestoreReq{Parts: []PartState{{Part: 0, Vertices: []VertexVal{{ID: 1, Label: 1, Rank: 0.3}}}}},
 		ClearReq{Parts: []int{3}},
-		ResetReq{},
 		ShutdownReq{},
 		StatsReq{},
 		WorkerStats{Handled: 17, Replayed: 2},
-		JobSnapshot{
-			Kind:     KindPageRank,
-			Parts:    []PartState{{Part: 1, Vertices: []VertexVal{{ID: 4, Label: 4, Rank: 0.1}}}},
-			Inbox:    []PartMsgs{{Part: 1, Msgs: []Msg{{Dst: 4, Rank: 0.05}}}},
-			Dangling: 0.25, Rescatter: true,
-		},
 		checkpoint.CommitRecord{Epoch: 9, Superstep: 4, Parts: map[int]uint64{2: 9}, Compressed: true},
-		DataFetchReq{Stream: 11, ChunkVerts: 4096, Parts: []int{0, 3}},
-		DataRestoreReq{Stream: 12},
-		DataChunk{
-			Stream: 12, Seq: 2, Done: true,
-			Parts: []PartState{{Part: 3, Vertices: []VertexVal{{ID: 8, Label: 2, Rank: 0.4}}}},
-		},
-		DataAck{Stream: 12},
-		DataErr{Stream: 13, Msg: "worker 3: partition 9 not hosted"},
 	}
 }
 
@@ -96,14 +70,34 @@ func decodeInChild(t *testing.T, frames []byte) []string {
 	return got
 }
 
-// checkChildRoundTrip encodes every sample under the given wire policy
-// and compares the subprocess decoder's digests against the parent's
-// rendering of what it sent.
-func checkChildRoundTrip(t *testing.T, samples []any, wc *wireCfg) {
-	t.Helper()
+// TestGobWireCompatAcrossProcesses round-trips one populated sample of
+// every wire type through a fresh subprocess decoder — gob for the
+// control frames listed in wireMessages, raw columnar for the hot-path
+// kinds (the golden samples). A type gob cannot carry across processes,
+// a type missing from the registration list, a raw codec asymmetry, or
+// a type that has both codecs fails here instead of mid-superstep in
+// production.
+func TestGobWireCompatAcrossProcesses(t *testing.T) {
+	samples := sampleMessages()
+	wire := wireMessages()
+	if len(samples) != len(wire) {
+		t.Fatalf("sampleMessages has %d entries, wireMessages %d — keep the suites in lockstep",
+			len(samples), len(wire))
+	}
+	for i := range samples {
+		if got, want := reflect.TypeOf(samples[i]), reflect.TypeOf(wire[i]); got != want {
+			t.Fatalf("sample %d is %v, wireMessages lists %v", i, got, want)
+		}
+		if _, raw := rawKindOf(samples[i]); raw {
+			t.Fatalf("%T is gob-registered and has a raw kind: one codec per payload", samples[i])
+		}
+	}
+	for _, c := range goldenRawCases() {
+		samples = append(samples, c.m)
+	}
 	var frames bytes.Buffer
 	for _, m := range samples {
-		if err := writeFrameCfg(&frames, 0, m, wc); err != nil {
+		if err := writeFrame(&frames, m); err != nil {
 			t.Fatalf("encoding %T: %v", m, err)
 		}
 	}
@@ -119,35 +113,21 @@ func checkChildRoundTrip(t *testing.T, samples []any, wc *wireCfg) {
 	}
 }
 
-// TestGobWireCompatAcrossProcesses round-trips one populated sample of
-// every wire type through a fresh subprocess decoder under the default
-// policy — raw columnar for the hot-path kinds, gob for control frames.
-// A type gob cannot carry across processes, a type missing from the
-// registration list, or a raw codec asymmetry fails here instead of
-// mid-superstep in production.
-func TestGobWireCompatAcrossProcesses(t *testing.T) {
-	samples := sampleMessages()
-	wire := wireMessages()
-	if len(samples) != len(wire) {
-		t.Fatalf("sampleMessages has %d entries, wireMessages %d — keep the suites in lockstep",
-			len(samples), len(wire))
-	}
-	for i := range samples {
-		if got, want := reflect.TypeOf(samples[i]), reflect.TypeOf(wire[i]); got != want {
-			t.Fatalf("sample %d is %v, wireMessages lists %v", i, got, want)
+// TestHotPayloadHasNoGobForm pins the other half of "one codec per
+// payload": a gob frame claiming to carry a hot-path payload is
+// rejected, so no peer can reintroduce the fallback by just sending it.
+func TestHotPayloadHasNoGobForm(t *testing.T) {
+	for _, c := range goldenRawCases() {
+		var body bytes.Buffer
+		body.WriteByte(0x00) // wire.CodecGob
+		err := gob.NewEncoder(&body).Encode(Frame{ID: 1, M: c.m})
+		if err == nil {
+			frame := make([]byte, netfault.HeaderLen, netfault.HeaderLen+body.Len())
+			netfault.PutHeader(frame, body.Len())
+			_, _, err = readFrameCfg(bytes.NewReader(append(frame, body.Bytes()...)), defaultWire)
+		}
+		if err == nil {
+			t.Errorf("%s: a gob-encoded %T was accepted", c.name, c.m)
 		}
 	}
-	checkChildRoundTrip(t, samples, defaultWire)
-}
-
-// TestGobFallbackWireCompatAcrossProcesses repeats the round trip with
-// every payload kind forced onto the gob fallback, pinning that the
-// fallback selectable via Config.GobPayloads stays cross-process
-// decodable too.
-func TestGobFallbackWireCompatAcrossProcesses(t *testing.T) {
-	gobKinds, err := parseGobPayloads([]string{PayloadStep, PayloadState, PayloadLoad, PayloadSnapshot})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkChildRoundTrip(t, sampleMessages(), &wireCfg{gobKinds: gobKinds})
 }

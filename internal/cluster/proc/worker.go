@@ -3,13 +3,15 @@ package proc
 import (
 	"errors"
 	"fmt"
-	"math"
 	"net"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
+	"optiflow/internal/algo/cc"
+	"optiflow/internal/algo/pagerank"
+	"optiflow/internal/exec"
 	"optiflow/internal/graph"
 )
 
@@ -42,9 +44,6 @@ type WorkerConfig struct {
 	// MaxFrameBytes caps frame payloads, mirroring Config.MaxFrameBytes
 	// (0 = the netfault hard ceiling).
 	MaxFrameBytes int
-	// GobPayloads mirrors Config.GobPayloads: payload kinds encoded
-	// with the gob fallback instead of the raw columnar codec.
-	GobPayloads []string
 }
 
 func (cfg WorkerConfig) withDefaults() WorkerConfig {
@@ -81,11 +80,7 @@ var errFenced = errors.New("proc: fenced by coordinator")
 // without re-applying it.
 func RunWorker(cfg WorkerConfig) error {
 	cfg = cfg.withDefaults()
-	gobKinds, err := parseGobPayloads(cfg.GobPayloads)
-	if err != nil {
-		return err
-	}
-	wc := &wireCfg{maxFrame: cfg.MaxFrameBytes, gobKinds: gobKinds}
+	wc := &wireCfg{maxFrame: cfg.MaxFrameBytes}
 	ctrl, err := dialHandshake(cfg, ConnCtrl)
 	if err != nil {
 		return err
@@ -211,26 +206,24 @@ func (h *workerHost) serveFetchStream(cfg WorkerConfig, wc *wireCfg, nc net.Conn
 		nc.SetWriteDeadline(time.Time{})
 		return werr
 	}
-	seq := uint32(0)
-	err = chunkStates(resp.Parts, r.ChunkVerts, func(frag []PartState, done bool) error {
+	err = sendChunks(resp.Parts, r.ChunkBytes, r.Stream, func(ch DataChunk) error {
 		nc.SetWriteDeadline(time.Now().Add(cfg.ReconnectGrace))
-		ch := DataChunk{Stream: r.Stream, Seq: seq, Done: done, Parts: frag}
-		seq++
 		return writeFrameCfg(nc, 0, ch, wc)
 	})
 	nc.SetWriteDeadline(time.Time{})
 	return err
 }
 
-// serveRestoreStream consumes one restore stream: chunks are applied
-// under the host lock as they arrive (pipelining with the
-// coordinator's encode+send of the next chunk), and the ack goes out
-// after the Done chunk. An application error (unknown partition or
-// vertex) keeps draining the stream so the sender never blocks on a
-// full pipe, then answers DataErr. Each chunk read carries a deadline
-// so a silent half-open peer cannot park the slot forever.
+// serveRestoreStream consumes one restore stream: the chunks are
+// reassembled as they arrive and the views applied under the host lock
+// after the Done chunk, before the ack goes out. An application error
+// (unknown partition, a view that does not fit it) answers DataErr; the
+// stream has been drained by then, so the sender never blocks on a full
+// pipe. Each chunk read carries a deadline so a silent half-open peer
+// cannot park the slot forever.
 func (h *workerHost) serveRestoreStream(cfg WorkerConfig, wc *wireCfg, nc net.Conn, r DataRestoreReq) error {
 	var appErr error
+	var buf []byte
 	seq := uint32(0)
 	for {
 		nc.SetReadDeadline(time.Now().Add(cfg.ReconnectGrace))
@@ -254,13 +247,18 @@ func (h *workerHost) serveRestoreStream(cfg WorkerConfig, wc *wireCfg, nc net.Co
 		if ch.Stream != r.Stream && appErr == nil {
 			appErr = fmt.Errorf("chunk for stream %d, want %d", ch.Stream, r.Stream)
 		}
-		if appErr == nil {
-			h.mu.Lock()
-			appErr = h.restore(RestoreReq{Parts: ch.Parts})
-			h.mu.Unlock()
-		}
+		buf = append(buf, ch.Data...)
 		if !ch.Done {
 			continue
+		}
+		var parts []PartBlob
+		if appErr == nil {
+			parts, appErr = readChunked(buf)
+		}
+		if appErr == nil {
+			h.mu.Lock()
+			appErr = h.restore(RestoreReq{Parts: parts})
+			h.mu.Unlock()
 		}
 		nc.SetWriteDeadline(time.Now().Add(cfg.ReconnectGrace))
 		defer nc.SetWriteDeadline(time.Time{})
@@ -370,46 +368,63 @@ func pushHeartbeats(nc net.Conn, cfg WorkerConfig, done <-chan struct{}) {
 	}
 }
 
-// vertexState is one vertex's adjacency and committed iteration state.
-type vertexState struct {
-	out   []uint64
-	label uint64
-	rank  float64
+// hostedJob is what a worker hosts: the columnar job of package cc or
+// pagerank — the one the in-process path runs — restricted to the
+// partitions this worker owns. The worker moves its inputs and outputs
+// and sequences its attempts; what a label or a rank is stays behind
+// this interface.
+type hostedJob interface {
+	// Step runs one superstep attempt: fold the incoming exchange
+	// columns (unless prime), then expand the new state.
+	Step(prime bool, dangling float64, remote []exec.HostedCols) (exec.HostedOut, error)
+	// Commit makes the attempt in flight the committed state; Abort
+	// returns to the state before it. Both are no-ops without one.
+	Commit()
+	Abort()
+	// AppendPartition appends partition p's committed state view.
+	AppendPartition(dst []byte, p int) []byte
+	// RestorePartition replaces partition p's state from such a view,
+	// all of it or none.
+	RestorePartition(p int, view []byte) error
+	// Reinit puts the listed partitions into superstep-zero state.
+	Reinit(parts []int)
 }
 
-// partition holds one hosted state partition. order keeps vertex IDs
-// sorted so every scan is deterministic.
-type partition struct {
-	order []uint64
-	verts map[uint64]*vertexState
+// newHosted builds the hosted job of the given kind over g for the
+// listed partitions.
+func newHosted(kind string, g *graph.Graph, nparts int, damping float64, parts []int) (hostedJob, error) {
+	switch kind {
+	case KindCC:
+		return cc.NewHosted(g, nparts, parts), nil
+	case KindPageRank:
+		return pagerank.NewHosted(g, nparts, damping, parts), nil
+	}
+	return nil, fmt.Errorf("unknown algorithm kind %q", kind)
 }
 
-// workerHost is the daemon's state machine: hosted partitions plus the
-// pending (computed, uncommitted) updates of the last StepReq. Ctrl
-// RPCs are serialized, but data-plane streams run concurrently with
-// them (and with each other), so every state access takes mu; streams
-// hold it only while snapshotting or applying a bounded chunk, never
-// across network I/O.
+// workerHost is the daemon's state machine: the hosted job and the
+// idempotence cache. Ctrl RPCs are serialized, but data-plane streams
+// run concurrently with them (and with each other), so every state
+// access takes mu; streams hold it only while reading or applying whole
+// partition views, never across network I/O.
 type workerHost struct {
 	worker int
 
 	mu sync.Mutex
 
-	job      string
-	kind     string
-	numParts int
-	totalN   int
-	damping  float64
-
-	parts       map[int]*partition
-	pending     map[int]map[uint64]VertexVal
-	pendingStep int
+	// spec is the last LoadReq minus its columns: what the hosted job
+	// was built from, Hosted being its partitions.
+	spec LoadReq
+	job  hostedJob
+	// lastStep is the superstep of the last attempt run.
+	lastStep int
 
 	// Idempotence cache: the last applied request token and its
 	// response. Ctrl RPCs are serialized, so depth one is exact — a
 	// duplicate delivery (network dup, or a retry whose original did
 	// arrive) carries the current token and is answered from here
-	// without re-applying.
+	// without re-applying. A cached StepResp aliases the job's exchange
+	// buffers, untouched until the next applied request.
 	lastID   uint64
 	lastResp any
 	handled  uint64
@@ -446,14 +461,24 @@ func (h *workerHost) handle(req any) any {
 	case LoadReq:
 		err = h.load(r)
 	case StepReq:
-		var resp *StepResp
-		if resp, err = h.step(r); err == nil {
-			return *resp
+		// The attempt stays uncommitted until CommitReq names it.
+		if err = h.hosts("step", nil); err == nil {
+			var out exec.HostedOut
+			if out, err = h.job.Step(r.Rescatter, r.Dangling, r.Inbox); err == nil {
+				h.lastStep = r.Superstep
+				return out
+			}
 		}
 	case CommitReq:
-		err = h.commit(r)
+		if err = h.hosts("commit", nil); err == nil && h.lastStep != r.Superstep {
+			err = fmt.Errorf("commit for superstep %d, last attempt was for %d", r.Superstep, h.lastStep)
+		} else if err == nil {
+			h.job.Commit()
+		}
 	case AbortReq:
-		h.pending = nil
+		if h.job != nil {
+			h.job.Abort()
+		}
 	case FetchReq:
 		var resp *FetchResp
 		if resp, err = h.fetch(r); err == nil {
@@ -462,11 +487,8 @@ func (h *workerHost) handle(req any) any {
 	case RestoreReq:
 		err = h.restore(r)
 	case ClearReq:
-		err = h.clear(r.Parts)
-	case ResetReq:
-		h.pending = nil
-		for p := range h.parts {
-			h.clear([]int{p})
+		if err = h.hosts("clear", r.Parts); err == nil {
+			h.job.Reinit(r.Parts)
 		}
 	default:
 		err = fmt.Errorf("unexpected request %T", req)
@@ -477,280 +499,76 @@ func (h *workerHost) handle(req any) any {
 	return OKResp{}
 }
 
-// load installs (or re-installs) partitions with superstep-zero state.
+// load rebuilds the hosted job over the request's partitions and CSR.
+// Partitions not listed as fresh keep their committed state, so they
+// must already be hosted here by the same job.
 func (h *workerHost) load(r LoadReq) error {
-	if h.parts == nil {
-		h.job, h.kind = r.Job, r.Kind
-		h.numParts, h.totalN, h.damping = r.NumPartitions, r.TotalVertices, r.Damping
-		h.parts = make(map[int]*partition)
-	} else if h.job != r.Job || h.kind != r.Kind || h.numParts != r.NumPartitions {
-		return fmt.Errorf("load for job %s/%s/%d conflicts with hosted %s/%s/%d",
-			r.Job, r.Kind, r.NumPartitions, h.job, h.kind, h.numParts)
+	g, err := graph.FromCSR(r.IDs, r.Offsets, r.Targets, r.Weights)
+	if err != nil {
+		return err
 	}
-	for _, pd := range r.Parts {
-		part := &partition{verts: make(map[uint64]*vertexState, len(pd.Vertices))}
-		for _, va := range pd.Vertices {
-			part.order = append(part.order, va.ID)
-			part.verts[va.ID] = &vertexState{out: va.Out}
+	for _, p := range r.Hosted {
+		if p < 0 || p >= r.NumPartitions {
+			return fmt.Errorf("load of partition %d of %d", p, r.NumPartitions)
 		}
-		sort.Slice(part.order, func(i, j int) bool { return part.order[i] < part.order[j] })
-		h.parts[pd.Part] = part
-		h.initPartition(part)
+	}
+	job, err := newHosted(r.Kind, g, r.NumPartitions, r.Damping, r.Hosted)
+	if err != nil {
+		return err
+	}
+	same := h.job != nil && h.spec.Job == r.Job && h.spec.Kind == r.Kind && h.spec.NumPartitions == r.NumPartitions
+	for _, p := range r.Hosted {
+		if slices.Contains(r.Fresh, p) {
+			continue
+		}
+		if !same || !slices.Contains(h.spec.Hosted, p) {
+			return fmt.Errorf("load keeps the state of partition %d, which job %s/%s/%d does not host here",
+				p, r.Job, r.Kind, r.NumPartitions)
+		}
+		if err := job.RestorePartition(p, h.job.AppendPartition(nil, p)); err != nil {
+			return err
+		}
+	}
+	r.IDs, r.Offsets, r.Targets, r.Weights = nil, nil, nil, nil
+	h.spec, h.job = r, job
+	return nil
+}
+
+// hosts checks that a job is loaded and hosts every listed partition.
+func (h *workerHost) hosts(op string, parts []int) error {
+	if h.job == nil {
+		return fmt.Errorf("%s before load", op)
+	}
+	for _, p := range parts {
+		if !slices.Contains(h.spec.Hosted, p) {
+			return fmt.Errorf("%s of partition %d, which is not hosted here", op, p)
+		}
 	}
 	return nil
 }
 
-// initPartition sets superstep-zero state: CC labels each vertex with
-// its own ID, PageRank starts from the uniform distribution.
-func (h *workerHost) initPartition(part *partition) {
-	for id, v := range part.verts {
-		v.label = id
-		v.rank = 1 / float64(h.totalN)
-	}
-}
-
-// partIDs returns the hosted partition IDs in ascending order.
-func (h *workerHost) partIDs() []int {
-	ids := make([]int, 0, len(h.parts))
-	for p := range h.parts {
-		ids = append(ids, p)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
-// outbox accumulates outgoing messages grouped by destination
-// partition (the same hash routing the state partitioning uses).
-type outbox struct {
-	numParts int
-	byPart   map[int][]Msg
-}
-
-func (o *outbox) add(m Msg) {
-	p := graph.Partition(graph.VertexID(m.Dst), o.numParts)
-	o.byPart[p] = append(o.byPart[p], m)
-}
-
-func (o *outbox) grouped() []PartMsgs {
-	parts := make([]int, 0, len(o.byPart))
-	for p := range o.byPart {
-		parts = append(parts, p)
-	}
-	sort.Ints(parts)
-	out := make([]PartMsgs, 0, len(parts))
-	for _, p := range parts {
-		out = append(out, PartMsgs{Part: p, Msgs: o.byPart[p]})
-	}
-	return out
-}
-
-// step computes one superstep attempt without applying it: updates go
-// to h.pending, awaiting CommitReq or AbortReq.
-func (h *workerHost) step(r StepReq) (*StepResp, error) {
-	if h.parts == nil {
-		return nil, fmt.Errorf("step before load")
-	}
-	h.pending = make(map[int]map[uint64]VertexVal)
-	h.pendingStep = r.Superstep
-	out := &outbox{numParts: h.numParts, byPart: make(map[int][]Msg)}
-	resp := &StepResp{}
-	var err error
-	switch h.kind {
-	case KindCC:
-		err = h.stepCC(r, out, resp)
-	case KindPageRank:
-		err = h.stepPR(r, out, resp)
-	default:
-		err = fmt.Errorf("unknown algorithm kind %q", h.kind)
-	}
-	if err != nil {
-		h.pending = nil
+// fetch reads the committed state views of the listed partitions.
+func (h *workerHost) fetch(r FetchReq) (*FetchResp, error) {
+	if err := h.hosts("fetch", r.Parts); err != nil {
 		return nil, err
 	}
-	resp.Outbox = out.grouped()
-	return resp, nil
-}
-
-// inboxVertex resolves one inbox message's target vertex, enforcing
-// that routing and ownership agree.
-func (h *workerHost) inboxVertex(part int, dst uint64) (*vertexState, error) {
-	p := h.parts[part]
-	if p == nil {
-		return nil, fmt.Errorf("inbox for partition %d, which is not hosted here", part)
-	}
-	v := p.verts[dst]
-	if v == nil {
-		return nil, fmt.Errorf("inbox for vertex %d, which partition %d does not hold", dst, part)
-	}
-	return v, nil
-}
-
-// stepCC runs one Connected Components superstep: fold candidate
-// labels from the inbox (integer min — idempotent, so replaying a
-// committed attempt is harmless), optionally rescatter every current
-// label, and propagate improvements.
-func (h *workerHost) stepCC(r StepReq, out *outbox, resp *StepResp) error {
-	cand := make(map[uint64]uint64)
-	for _, pm := range r.Inbox {
-		for _, m := range pm.Msgs {
-			if _, err := h.inboxVertex(pm.Part, m.Dst); err != nil {
-				return err
-			}
-			if cur, ok := cand[m.Dst]; !ok || m.Label < cur {
-				cand[m.Dst] = m.Label
-			}
-		}
-	}
-	for _, p := range h.partIDs() {
-		part := h.parts[p]
-		for _, id := range part.order {
-			v := part.verts[id]
-			if r.Rescatter {
-				for _, dst := range v.out {
-					out.add(Msg{Dst: dst, Label: v.label})
-					resp.Messages++
-				}
-			}
-			if c, ok := cand[id]; ok && c < v.label {
-				h.setPending(p, VertexVal{ID: id, Label: c, Rank: v.rank})
-				resp.Updates++
-				for _, dst := range v.out {
-					out.add(Msg{Dst: dst, Label: c})
-					resp.Messages++
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// stepPR runs one PageRank superstep. A rescatter step only re-emits
-// contributions from current ranks (superstep zero, compensation); a
-// fold step computes every vertex's new rank from the inbox sums plus
-// the dangling share, then scatters the new contributions. The new
-// rank depends only on the inbox and global constants — not on the
-// vertex's own previous rank — so replaying a committed attempt with
-// the same inbox is idempotent.
-func (h *workerHost) stepPR(r StepReq, out *outbox, resp *StepResp) error {
-	n := float64(h.totalN)
-	if r.Rescatter {
-		for _, p := range h.partIDs() {
-			part := h.parts[p]
-			for _, id := range part.order {
-				v := part.verts[id]
-				h.scatterRank(v, v.rank, out, resp)
-			}
-		}
-		return nil
-	}
-	sum := make(map[uint64]float64)
-	for _, pm := range r.Inbox {
-		for _, m := range pm.Msgs {
-			if _, err := h.inboxVertex(pm.Part, m.Dst); err != nil {
-				return err
-			}
-			sum[m.Dst] += m.Rank
-		}
-	}
-	d := h.damping
-	for _, p := range h.partIDs() {
-		part := h.parts[p]
-		for _, id := range part.order {
-			v := part.verts[id]
-			nv := (1-d)/n + d*(sum[id]+r.Dangling/n)
-			resp.L1 += math.Abs(nv - v.rank)
-			h.setPending(p, VertexVal{ID: id, Label: v.label, Rank: nv})
-			resp.Updates++
-			h.scatterRank(v, nv, out, resp)
-		}
-	}
-	resp.Folded = true
-	return nil
-}
-
-// scatterRank emits rank/outdegree to every out-neighbor, or collects
-// the whole rank as dangling mass for sinks.
-func (h *workerHost) scatterRank(v *vertexState, rank float64, out *outbox, resp *StepResp) {
-	if len(v.out) == 0 {
-		resp.Dangling += rank
-		return
-	}
-	share := rank / float64(len(v.out))
-	for _, dst := range v.out {
-		out.add(Msg{Dst: dst, Rank: share})
-		resp.Messages++
-	}
-}
-
-func (h *workerHost) setPending(part int, val VertexVal) {
-	m := h.pending[part]
-	if m == nil {
-		m = make(map[uint64]VertexVal)
-		h.pending[part] = m
-	}
-	m[val.ID] = val
-}
-
-// commit applies the pending updates of the last StepReq.
-func (h *workerHost) commit(r CommitReq) error {
-	if h.pending != nil && h.pendingStep != r.Superstep {
-		return fmt.Errorf("commit for superstep %d, pending is for %d", r.Superstep, h.pendingStep)
-	}
-	for p, vals := range h.pending {
-		part := h.parts[p]
-		for id, val := range vals {
-			v := part.verts[id]
-			v.label, v.rank = val.Label, val.Rank
-		}
-	}
-	h.pending = nil
-	return nil
-}
-
-// fetch reads committed partition state, vertices in ascending order.
-func (h *workerHost) fetch(r FetchReq) (*FetchResp, error) {
 	resp := &FetchResp{}
 	for _, p := range r.Parts {
-		part := h.parts[p]
-		if part == nil {
-			return nil, fmt.Errorf("fetch of partition %d, which is not hosted here", p)
-		}
-		ps := PartState{Part: p, Vertices: make([]VertexVal, 0, len(part.order))}
-		for _, id := range part.order {
-			v := part.verts[id]
-			ps.Vertices = append(ps.Vertices, VertexVal{ID: id, Label: v.label, Rank: v.rank})
-		}
-		resp.Parts = append(resp.Parts, ps)
+		resp.Parts = append(resp.Parts, PartBlob{Part: p, Data: h.job.AppendPartition(nil, p)})
 	}
 	return resp, nil
 }
 
-// restore overwrites partition state from a snapshot or migration.
+// restore overwrites partition state from a snapshot or migration,
+// dropping any attempt in flight.
 func (h *workerHost) restore(r RestoreReq) error {
-	for _, ps := range r.Parts {
-		part := h.parts[ps.Part]
-		if part == nil {
-			return fmt.Errorf("restore of partition %d, which is not hosted here", ps.Part)
+	for _, pb := range r.Parts {
+		if err := h.hosts("restore", []int{pb.Part}); err != nil {
+			return err
 		}
-		for _, val := range ps.Vertices {
-			v := part.verts[val.ID]
-			if v == nil {
-				return fmt.Errorf("restore of vertex %d, which partition %d does not hold", val.ID, ps.Part)
-			}
-			v.label, v.rank = val.Label, val.Rank
+		if err := h.job.RestorePartition(pb.Part, pb.Data); err != nil {
+			return err
 		}
-	}
-	return nil
-}
-
-// clear reinitialises the listed hosted partitions.
-func (h *workerHost) clear(parts []int) error {
-	for _, p := range parts {
-		part := h.parts[p]
-		if part == nil {
-			return fmt.Errorf("clear of partition %d, which is not hosted here", p)
-		}
-		h.initPartition(part)
 	}
 	return nil
 }

@@ -238,7 +238,9 @@ func calleeObj(p *Package, call *ast.CallExpr) types.Object {
 	if !ok || fn.Pkg() != p.Types {
 		return nil
 	}
-	return fn
+	// A generic type's method called through an instantiation is a
+	// per-instance copy; bodies are indexed by the declared method.
+	return fn.Origin()
 }
 
 // summary computes (and caches) the blocking-op summary of one body.

@@ -314,6 +314,11 @@ func chanIdentity(info *types.Info, e ast.Expr) types.Object {
 		case *ast.StarExpr:
 			e = x.X
 		case *ast.SelectorExpr:
+			// A generic type's field is a distinct object per
+			// instantiation; the identity is the declared field.
+			if v, ok := info.Uses[x.Sel].(*types.Var); ok {
+				return v.Origin()
+			}
 			return info.Uses[x.Sel]
 		case *ast.Ident:
 			return identObj(info, x)

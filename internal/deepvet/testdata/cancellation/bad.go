@@ -84,3 +84,27 @@ func selectDefault(ch chan int) {
 func bareRecv(ch chan int) {
 	use(<-ch)
 }
+
+// genericRun is the columnar engine's shape: goroutines are methods of
+// a generic type spawned through an instantiation, channels its fields.
+// Both must resolve to their declarations: drain is clean because feed
+// closes the field it ranges over, the wedge receive is 1 finding.
+type genericRun[V any] struct {
+	chans []chan V
+	wedge chan V
+}
+
+func (r *genericRun[V]) feed() {
+	defer close(r.chans[0])
+	<-r.wedge // bare receive, nothing ever closes wedge
+}
+
+func (r *genericRun[V]) drain() {
+	for range r.chans[0] {
+	}
+}
+
+func spawnGeneric[V any](r *genericRun[V]) {
+	go r.feed()
+	go r.drain()
+}

@@ -72,3 +72,15 @@ func drainLoop(r *colRun, ch chan *ColBatch[uint64]) int {
 	}
 	return n
 }
+
+// lendThenRecycle is the hosted exchange's sink idiom. Clean.
+func lendThenRecycle(r *colRun, bp *ColBatch[uint64], sink func(*ColBatch[uint64])) {
+	sink(bp)
+	r.putColBatch(bp)
+}
+
+// recycleThenLend lends the callback a batch the pool already owns.
+func recycleThenLend(r *colRun, bp *ColBatch[uint64], sink func(*ColBatch[uint64])) {
+	r.putColBatch(bp)
+	sink(bp) // use after recycle
+}

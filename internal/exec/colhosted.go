@@ -1,0 +1,177 @@
+// Hosted columnar supersteps: the same ColStep, run by a process that
+// hosts only some of its partitions. The engine's halves execute
+// separately and the exchange between them is bytes instead of
+// channels: every flushed batch is written as ColBatch columns
+// (AppendColumns) into a per-(source, destination) buffer. Buffers
+// bound for hosted partitions stay here until the next fold, the others
+// leave the process and the peers' arrive, so a hosted step folds what
+// the previous one expanded, applies, then expands the new state.
+// Source, Apply, the expand kernels and the fold scratch are the
+// in-process code path.
+package exec
+
+import (
+	"fmt"
+
+	"optiflow/internal/colbytes"
+)
+
+// HostedCols is the exchange between one producing and one consuming
+// partition in byte form: the AppendColumns views of the batches Src
+// flushed to Dst, concatenated in production order.
+type HostedCols struct {
+	Src, Dst int
+	Cols     []byte
+}
+
+// HostedOut is what one hosted step reports to the driver combining
+// the hosts: the columns bound for partitions hosted elsewhere, the
+// step counters, and this host's partial sums of the job's global
+// scalars (PageRank's dangling mass and L1 delta; Folded is false for
+// a priming step, which folds nothing, so it cannot fake convergence).
+type HostedOut struct {
+	Remote   []HostedCols
+	Messages int64
+	Updates  int64
+	Dangling float64
+	L1       float64
+	Folded   bool
+}
+
+// ColHosted runs a ColStep's halves for the partitions one process
+// hosts and keeps the byte-form exchange between them. One goroutine
+// drives it, an attempt at a time: Begin, Fold (unless priming), Expand,
+// then Commit or Abort. An uncommitted attempt leaves the held columns
+// of the last committed one in place, so it can be replayed.
+type ColHosted[V ColValue] struct {
+	engine *ColEngine[V]
+	step   *ColStep[V]
+	parts  []int
+	hosted []bool
+
+	// held[src][dst] are the columns the last committed Expand produced,
+	// out[src][dst] those of the attempt in flight; Commit swaps them,
+	// so the steady state allocates nothing.
+	held, out [][][]byte
+	// remote[src][dst] are the peers' columns of the current Fold,
+	// borrowed from the caller for its duration.
+	remote [][][]byte
+	// revert undoes the state writes of the attempt in flight; nil when
+	// none is.
+	revert func()
+}
+
+// NewColHosted prepares the halves of step for the listed partitions.
+func NewColHosted[V ColValue](engine *ColEngine[V], step *ColStep[V], parts []int) *ColHosted[V] {
+	n := step.Parts.N
+	h := &ColHosted[V]{engine: engine, step: step, parts: parts, hosted: make([]bool, n)}
+	for _, p := range parts {
+		h.hosted[p] = true
+	}
+	for _, g := range []*[][][]byte{&h.held, &h.out, &h.remote} {
+		*g = make([][][]byte, n)
+		for i := range *g {
+			(*g)[i] = make([][]byte, n)
+		}
+	}
+	return h
+}
+
+// Fold runs the consuming half: every hosted partition folds the
+// columns bound for it — held ones from hosted sources, remote ones
+// from the peers — in ascending source order, then Apply sees the
+// result. Remote columns come off the network: a malformed view or a
+// row routed to the wrong partition is an error.
+func (h *ColHosted[V]) Fold(remote []HostedCols) error {
+	n := len(h.hosted)
+	for _, row := range h.remote {
+		clear(row)
+	}
+	for _, rc := range remote {
+		if rc.Src < 0 || rc.Src >= n || rc.Dst < 0 || rc.Dst >= n || h.hosted[rc.Src] || !h.hosted[rc.Dst] || h.remote[rc.Src][rc.Dst] != nil {
+			return fmt.Errorf("col: misrouted exchange columns %d -> %d", rc.Src, rc.Dst)
+		}
+		h.remote[rc.Src][rc.Dst] = rc.Cols
+	}
+	type cursor struct {
+		src int
+		r   *colbytes.Reader
+	}
+	cur := make([]cursor, n)
+	partOf := h.step.Parts.PartOf
+	return h.engine.foldHalf(h.step, h.parts, func(part int, b *ColBatch[V]) (bool, error) {
+		c := &cur[part]
+		for c.r == nil || c.r.Remaining() == 0 {
+			if c.src == n {
+				return false, nil
+			}
+			cols := h.remote[c.src][part]
+			if h.hosted[c.src] {
+				cols = h.held[c.src][part]
+			}
+			c.src++
+			c.r = colbytes.NewReader(cols)
+		}
+		b.ReadColumns(c.r)
+		if err := c.r.Err(); err != nil {
+			return false, fmt.Errorf("columns from partition %d: %w", c.src-1, err)
+		}
+		for _, d := range b.Dst {
+			if d < 0 || int(d) >= len(partOf) || int(partOf[d]) != part {
+				return false, fmt.Errorf("columns from partition %d: row for vertex index %d, which partition %d does not own", c.src-1, d, part)
+			}
+		}
+		return true, nil
+	})
+}
+
+// Expand runs the producing half over the hosted partitions' sources
+// and reports, in out, the messages sent and the columns bound for
+// partitions hosted elsewhere, which alias the attempt's buffers until
+// the Expand after the next Commit.
+func (h *ColHosted[V]) Expand(out *HostedOut) error {
+	for _, src := range h.parts {
+		for dst := range h.out[src] {
+			h.out[src][dst] = h.out[src][dst][:0]
+		}
+	}
+	stats, err := h.engine.expandHalf(h.step, h.parts, func(src, dst int, b *ColBatch[V]) {
+		h.out[src][dst] = b.AppendColumns(h.out[src][dst])
+	})
+	if err != nil {
+		return err
+	}
+	out.Messages = stats.Messages
+	for _, src := range h.parts {
+		for dst, cols := range h.out[src] {
+			if !h.hosted[dst] && len(cols) > 0 {
+				out.Remote = append(out.Remote, HostedCols{Src: src, Dst: dst, Cols: cols})
+			}
+		}
+	}
+	return nil
+}
+
+// Begin opens an attempt (Abort any earlier one first). revert is how
+// the job undoes the attempt's state writes should it be aborted —
+// typically by going back to a copy-on-write capture taken just now.
+func (h *ColHosted[V]) Begin(revert func()) { h.revert = revert }
+
+// Commit makes the attempt in flight the committed state: its Expand's
+// columns are what the next Fold consumes. A no-op without an attempt.
+func (h *ColHosted[V]) Commit() {
+	if h.revert == nil {
+		return
+	}
+	h.revert = nil
+	h.held, h.out = h.out, h.held
+}
+
+// Abort returns to the state before the attempt in flight. A no-op
+// without one.
+func (h *ColHosted[V]) Abort() {
+	if h.revert != nil {
+		h.revert()
+		h.revert = nil
+	}
+}

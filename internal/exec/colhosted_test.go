@@ -1,0 +1,103 @@
+package exec
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"optiflow/internal/colbytes"
+	"optiflow/internal/graph"
+)
+
+// hostedFixture hosts partition 0 of a two-partition path graph and
+// records what Apply sees. It also returns one vertex of each partition.
+func hostedFixture(t *testing.T) (h *ColHosted[uint64], applied map[int32]uint64, mine, theirs int32) {
+	t.Helper()
+	b := graph.NewBuilder(false)
+	for v := graph.VertexID(0); v < 7; v++ {
+		b.AddEdge(v, v+1)
+	}
+	d := b.Build().Dense()
+	pt := d.Partitioning(2)
+	if len(pt.Owned[0]) == 0 || len(pt.Owned[1]) == 0 {
+		t.Fatal("fixture graph does not span both partitions")
+	}
+	applied = map[int32]uint64{}
+	step := &ColStep[uint64]{
+		Adj: d, Parts: pt, Expand: ExpandCopy, Fold: FoldMin,
+		Source: func(int, func(int32, uint64) bool) error { return nil },
+		Apply: func(_ int, dst KeyCol, val ValCol[uint64]) error {
+			for i, d := range dst {
+				applied[d] = val[i]
+			}
+			return nil
+		},
+	}
+	return NewColHosted(&ColEngine[uint64]{Parallelism: 2}, step, []int{0}), applied, pt.Owned[0][0], pt.Owned[1][0]
+}
+
+// TestColHostedFoldsRemoteColumns folds two batches of remote columns
+// and checks Apply saw their minimum per vertex.
+func TestColHostedFoldsRemoteColumns(t *testing.T) {
+	h, applied, mine, _ := hostedFixture(t)
+	first := ColBatch[uint64]{Dst: KeyCol{mine}, Val: ValCol[uint64]{9}}
+	second := ColBatch[uint64]{Dst: KeyCol{mine}, Val: ValCol[uint64]{4}}
+	cols := second.AppendColumns(first.AppendColumns(nil))
+	if err := h.Fold([]HostedCols{{Src: 1, Dst: 0, Cols: cols}}); err != nil {
+		t.Fatal(err)
+	}
+	if want := map[int32]uint64{mine: 4}; !reflect.DeepEqual(applied, want) {
+		t.Fatalf("applied %v, want %v", applied, want)
+	}
+}
+
+// TestColHostedRejectsHostileColumns feeds Fold columns as a hostile
+// peer might send them: truncated at every offset, every byte inverted
+// in turn, rows for a vertex the partition does not own or outside the
+// graph, and misrouted entries. Each must fail — or, for an inversion
+// that happens to stay well-formed, fold — without a panic.
+func TestColHostedRejectsHostileColumns(t *testing.T) {
+	h, _, mine, theirs := hostedFixture(t)
+	batch := ColBatch[uint64]{Dst: KeyCol{mine, mine}, Val: ValCol[uint64]{7, 3}}
+	good := batch.AppendColumns(nil)
+	fold := func(what string, in []HostedCols, mustFail bool) {
+		t.Helper()
+		err := func() (err error) {
+			defer func() {
+				if rec := recover(); rec != nil {
+					t.Errorf("%s: Fold panicked: %v", what, rec)
+				}
+			}()
+			return h.Fold(in)
+		}()
+		if mustFail && err == nil {
+			t.Errorf("%s: folded without error", what)
+		}
+	}
+	for n := 1; n < len(good); n++ {
+		err := h.Fold([]HostedCols{{Src: 1, Dst: 0, Cols: good[:n]}})
+		if !errors.Is(err, colbytes.ErrTruncated) {
+			t.Errorf("columns truncated to %d bytes: err = %v, want ErrTruncated", n, err)
+		}
+	}
+	for i := range good {
+		bad := bytes.Clone(good)
+		bad[i] ^= 0xff
+		fold(fmt.Sprintf("byte %d inverted", i), []HostedCols{{Src: 1, Dst: 0, Cols: bad}}, false)
+	}
+	for what, dst := range map[string]int32{"foreign vertex": theirs, "negative index": -1, "index past the graph": 1 << 20} {
+		b := ColBatch[uint64]{Dst: KeyCol{dst}, Val: ValCol[uint64]{1}}
+		fold(what, []HostedCols{{Src: 1, Dst: 0, Cols: b.AppendColumns(nil)}}, true)
+	}
+	for what, rc := range map[string]HostedCols{
+		"from a hosted source":      {Src: 0, Dst: 0, Cols: good},
+		"to a partition not hosted": {Src: 0, Dst: 1, Cols: good},
+		"source out of range":       {Src: 2, Dst: 0, Cols: good},
+		"negative destination":      {Src: 1, Dst: -1, Cols: good},
+	} {
+		fold(what, []HostedCols{rc}, true)
+	}
+	fold("the same pair twice", []HostedCols{{Src: 1, Dst: 0, Cols: good}, {Src: 1, Dst: 0, Cols: good}}, true)
+}

@@ -129,6 +129,9 @@ type colRun[V ColValue] struct {
 	step  *ColStep[V]
 	batch int
 	chans []chan *ColBatch[V]
+	// sink, when set, replaces the channel exchange: flushed batches are
+	// lent to it instead of sent to a fold task (see expandHalf).
+	sink func(src, dst int, b *ColBatch[V])
 
 	senders sync.WaitGroup
 	folders sync.WaitGroup
@@ -179,10 +182,11 @@ func (r *colRun[V]) getBatch() *ColBatch[V] { return r.e.pool.get(r.batch) }
 // putColBatch recycles a batch; the caller must not touch it afterwards.
 func (r *colRun[V]) putColBatch(bp *ColBatch[V]) { r.e.pool.put(bp) }
 
-// flushTo hands a full batch to partition p's fold channel,
+// flushTo hands a full batch produced by partition src to partition p's
+// side of the exchange — its fold channel, or the run's sink —
 // transferring ownership. It returns false if the run is tearing down
 // (the batch is recycled, not sent).
-func (r *colRun[V]) flushTo(p int, bp *ColBatch[V]) bool {
+func (r *colRun[V]) flushTo(src, p int, bp *ColBatch[V]) bool {
 	n := bp.Len()
 	if n == 0 {
 		r.putColBatch(bp)
@@ -192,6 +196,11 @@ func (r *colRun[V]) flushTo(p int, bp *ColBatch[V]) bool {
 	if r.aborted.Load() {
 		r.putColBatch(bp)
 		return false
+	}
+	if r.sink != nil {
+		r.sink(src, p, bp)
+		r.putColBatch(bp)
+		return true
 	}
 	select {
 	case r.chans[p] <- bp:
@@ -232,23 +241,21 @@ func (e *ColEngine[V]) ensureScratch(p, nv int, local bool) {
 	}
 }
 
-// Run executes one columnar superstep, optionally with a scheduled
-// fault (nil for a clean run). A faulted run returns a *WorkerFailure
-// and no stats; in-flight batches are recycled and fold scratch is
-// reset, so the engine is reusable for the retry.
-func (e *ColEngine[V]) Run(step *ColStep[V], fi *FaultInjection) (ColStats, error) {
-	start := time.Now()
+// newRun validates the step against the engine and sizes the pooled
+// batches, fold scratch and channels — the set-up Run and the two
+// hosted halves share.
+func (e *ColEngine[V]) newRun(step *ColStep[V], fi *FaultInjection) (*colRun[V], error) {
 	if e.Parallelism < 1 {
 		e.Parallelism = 1
 	}
 	if step.Adj == nil || step.Parts == nil || step.Source == nil || step.Apply == nil {
-		return ColStats{}, fmt.Errorf("col: step needs Adj, Parts, Source and Apply")
+		return nil, fmt.Errorf("col: step needs Adj, Parts, Source and Apply")
 	}
 	if step.Parts.N != e.Parallelism {
-		return ColStats{}, fmt.Errorf("col: partitioning has %d partitions, engine parallelism is %d", step.Parts.N, e.Parallelism)
+		return nil, fmt.Errorf("col: partitioning has %d partitions, engine parallelism is %d", step.Parts.N, e.Parallelism)
 	}
 	if step.Expand == ExpandMulScale && len(step.Scale) != len(step.Adj.Targets) {
-		return ColStats{}, fmt.Errorf("col: Scale column has %d entries, adjacency has %d edges", len(step.Scale), len(step.Adj.Targets))
+		return nil, fmt.Errorf("col: Scale column has %d entries, adjacency has %d edges", len(step.Scale), len(step.Adj.Targets))
 	}
 	batch := e.BatchSize
 	if batch <= 0 {
@@ -258,22 +265,33 @@ func (e *ColEngine[V]) Run(step *ColStep[V], fi *FaultInjection) (ColStats, erro
 	if depth <= 0 {
 		depth = 16
 	}
-	p := e.Parallelism
 	e.pool.init(batch)
-	e.ensureScratch(p, step.Adj.NumVertices(), step.LocalFold)
-
+	e.ensureScratch(e.Parallelism, step.Adj.NumVertices(), step.LocalFold)
 	r := &colRun[V]{
 		e:     e,
 		step:  step,
 		batch: batch,
-		chans: make([]chan *ColBatch[V], p),
+		chans: make([]chan *ColBatch[V], e.Parallelism),
 		done:  make(chan struct{}),
 		fault: fi,
 	}
 	for i := range r.chans {
 		r.chans[i] = make(chan *ColBatch[V], depth)
 	}
+	return r, nil
+}
 
+// Run executes one columnar superstep, optionally with a scheduled
+// fault (nil for a clean run). A faulted run returns a *WorkerFailure
+// and no stats; in-flight batches are recycled and fold scratch is
+// reset, so the engine is reusable for the retry.
+func (e *ColEngine[V]) Run(step *ColStep[V], fi *FaultInjection) (ColStats, error) {
+	start := time.Now()
+	r, err := e.newRun(step, fi)
+	if err != nil {
+		return ColStats{}, err
+	}
+	p := e.Parallelism
 	r.senders.Add(p)
 	r.folders.Add(p)
 	for part := 0; part < p; part++ {
@@ -291,11 +309,76 @@ func (e *ColEngine[V]) Run(step *ColStep[V], fi *FaultInjection) (ColStats, erro
 	if r.err != nil {
 		return ColStats{}, r.err
 	}
+	return r.stats(start), nil
+}
+
+func (r *colRun[V]) stats(start time.Time) ColStats {
 	return ColStats{
 		Messages: r.messages.Load(),
 		Shuffled: r.shuffled.Load(),
 		Elapsed:  time.Since(start),
-	}, nil
+	}
+}
+
+// expandHalf runs only the producing half, for the listed partitions:
+// the exchange is sink, which is lent every flushed batch (after any
+// local fold) on the producing task's goroutine and must copy what it
+// keeps — the batch is recycled when sink returns.
+func (e *ColEngine[V]) expandHalf(step *ColStep[V], parts []int, sink func(src, dst int, b *ColBatch[V])) (ColStats, error) {
+	start := time.Now()
+	r, err := e.newRun(step, nil)
+	if err != nil {
+		return ColStats{}, err
+	}
+	r.sink = sink
+	r.senders.Add(len(parts))
+	for _, part := range parts {
+		go r.expand(part)
+	}
+	r.senders.Wait()
+	if r.err != nil {
+		return ColStats{}, r.err
+	}
+	return r.stats(start), nil
+}
+
+// foldHalf runs only the consuming half, for the listed partitions:
+// the exchange is next, which fills the pooled batch it is lent with
+// partition part's next incoming batch, or reports that there is none
+// left. Each partition's batches are folded in the order next yields
+// them, so a deterministic next gives bit-identical float sums.
+func (e *ColEngine[V]) foldHalf(step *ColStep[V], parts []int, next func(part int, b *ColBatch[V]) (bool, error)) error {
+	r, err := e.newRun(step, nil)
+	if err != nil {
+		return err
+	}
+	r.folders.Add(len(parts))
+	for _, part := range parts {
+		go r.feed(part, next)
+		go r.foldAndApply(part)
+	}
+	r.folders.Wait()
+	return r.err
+}
+
+// feed is foldHalf's producing side for partition part: it pulls
+// batches from next into the partition's fold channel and closes it.
+func (r *colRun[V]) feed(part int, next func(part int, b *ColBatch[V]) (bool, error)) {
+	defer close(r.chans[part])
+	for {
+		bp := r.getBatch()
+		more, err := next(part, bp)
+		if err != nil {
+			r.fail(fmt.Errorf("col: exchange into partition %d: %w", part, err))
+		}
+		if err != nil || !more {
+			r.putColBatch(bp)
+			return
+		}
+		if !r.flushTo(part, part, bp) {
+			return
+		}
+	}
 }
 
 // expand is the producing half of partition part: it pulls source rows,
@@ -338,7 +421,7 @@ func (r *colRun[V]) expand(part int) {
 		bp.push(dst, val)
 		shuffled++
 		if bp.full(r.batch) {
-			if !r.flushTo(int(dp), bp) {
+			if !r.flushTo(part, int(dp), bp) {
 				bufs[dp] = nil
 				return false
 			}
@@ -462,7 +545,7 @@ func (r *colRun[V]) expand(part int) {
 			continue
 		}
 		bufs[i] = nil
-		if !r.flushTo(i, bp) {
+		if !r.flushTo(part, i, bp) {
 			abort()
 			return
 		}

@@ -218,3 +218,67 @@ func TestString(t *testing.T) {
 		t.Fatalf("String = %q", got)
 	}
 }
+
+// TestRestrictFromCSRRoundTrip cuts some partitions' adjacency out of a
+// weighted graph and reassembles it: same vertices, same dense indices
+// and partitioning, the kept rows intact, the others empty.
+func TestRestrictFromCSRRoundTrip(t *testing.T) {
+	b := NewBuilder(true)
+	for v := VertexID(1); v <= 12; v++ {
+		b.AddWeightedEdge(v, v%12+1, float64(v)/2)
+		b.AddEdge(v*7, v)
+	}
+	g := b.Build()
+	d := g.Dense()
+	pt := d.Partitioning(3)
+	offsets, targets, weights := d.Restrict(pt, []int{0, 2})
+	part, err := FromCSR(g.Vertices(), offsets, targets, weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pd := part.Dense()
+	if !reflect.DeepEqual(pd.Partitioning(3), pt) {
+		t.Fatal("partitioning differs after the round trip")
+	}
+	for i, v := range g.Vertices() {
+		var want []VertexID
+		if pt.PartOf[i] != 1 {
+			want = g.OutNeighbors(v)
+		}
+		if got := part.OutNeighbors(v); len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("vertex %d: neighbors %v, want %v", v, got, want)
+		}
+		lo, hi := pd.Offsets[i], pd.Offsets[i+1]
+		if pt.PartOf[i] != 1 && !reflect.DeepEqual(pd.Weights[lo:hi], d.Weights[d.Offsets[i]:d.Offsets[i+1]]) {
+			t.Fatalf("vertex %d: weights differ", v)
+		}
+	}
+}
+
+// TestFromCSRRejectsMalformedArrays: arrays from another process are
+// validated, not trusted.
+func TestFromCSRRejectsMalformedArrays(t *testing.T) {
+	ids := []VertexID{1, 2, 3}
+	for what, c := range map[string]struct {
+		ids              []VertexID
+		offsets, targets []int32
+		weights          []float64
+	}{
+		"unsorted ids":        {[]VertexID{1, 3, 2}, []int32{0, 0, 0, 0}, nil, nil},
+		"duplicate ids":       {[]VertexID{1, 1, 2}, []int32{0, 0, 0, 0}, nil, nil},
+		"short offsets":       {ids, []int32{0, 1}, []int32{0}, nil},
+		"offsets not from 0":  {ids, []int32{1, 1, 1, 1}, []int32{0}, nil},
+		"offsets past end":    {ids, []int32{0, 1, 2, 3}, []int32{0}, nil},
+		"decreasing offsets":  {ids, []int32{0, 2, 1, 2}, []int32{0, 1}, nil},
+		"target out of range": {ids, []int32{0, 1, 1, 1}, []int32{3}, nil},
+		"negative target":     {ids, []int32{0, 1, 1, 1}, []int32{-1}, nil},
+		"weights mismatch":    {ids, []int32{0, 1, 1, 1}, []int32{0}, []float64{1, 2}},
+	} {
+		if _, err := FromCSR(c.ids, c.offsets, c.targets, c.weights); err == nil {
+			t.Errorf("%s: accepted", what)
+		}
+	}
+	if _, err := FromCSR(ids, []int32{0, 1, 1, 2}, []int32{2, 0}, nil); err != nil {
+		t.Errorf("well-formed arrays rejected: %v", err)
+	}
+}

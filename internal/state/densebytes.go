@@ -76,3 +76,16 @@ func (s *DenseStore[V]) RestorePartitionBytes(p int, r *colbytes.Reader, dec fun
 	s.markCleared(p)
 	return nil
 }
+
+// RestorePartitionView is RestorePartitionBytes over a view that must
+// hold exactly one partition: trailing bytes are an error too.
+func (s *DenseStore[V]) RestorePartitionView(p int, view []byte, dec func(*colbytes.Reader) V) error {
+	r := colbytes.NewReader(view)
+	if err := s.RestorePartitionBytes(p, r, dec); err != nil {
+		return err
+	}
+	if r.Remaining() != 0 {
+		return fmt.Errorf("state: restoring store %q partition %d: %d trailing bytes", s.name, p, r.Remaining())
+	}
+	return nil
+}
