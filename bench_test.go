@@ -100,7 +100,7 @@ func benchTwitterUndirected(b *testing.B) *optiflow.Graph {
 	return und.Build()
 }
 
-func benchTwitterCC(b *testing.B, boxed bool) {
+func BenchmarkTwitter_CC(b *testing.B) {
 	g := benchTwitterUndirected(b)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -108,7 +108,6 @@ func benchTwitterCC(b *testing.B, boxed bool) {
 		_, err := optiflow.ConnectedComponents(g, optiflow.CCOptions{
 			Parallelism: 4,
 			Injector:    optiflow.FailWorker(2, 1),
-			Boxed:       boxed,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -116,13 +115,7 @@ func benchTwitterCC(b *testing.B, boxed bool) {
 	}
 }
 
-func BenchmarkTwitter_CC(b *testing.B) { benchTwitterCC(b, false) }
-
-// BenchmarkTwitter_CC_Boxed pins the boxed []any record path so the
-// committed artifact records the columnar speedup as a ratio.
-func BenchmarkTwitter_CC_Boxed(b *testing.B) { benchTwitterCC(b, true) }
-
-func benchTwitterPR(b *testing.B, boxed bool) {
+func BenchmarkTwitter_PR(b *testing.B) {
 	g := benchTwitter(b)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -131,19 +124,12 @@ func benchTwitterPR(b *testing.B, boxed bool) {
 			Parallelism:   4,
 			MaxIterations: 10,
 			Injector:      optiflow.FailWorker(4, 2),
-			Boxed:         boxed,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-func BenchmarkTwitter_PR(b *testing.B) { benchTwitterPR(b, false) }
-
-// BenchmarkTwitter_PR_Boxed pins the boxed []any record path (the
-// denominator of the columnar speedup ratio).
-func BenchmarkTwitter_PR_Boxed(b *testing.B) { benchTwitterPR(b, true) }
 
 // benchOverhead measures failure-free PageRank under one policy — the
 // E6 rows.
@@ -378,7 +364,7 @@ func BenchmarkEngine_HashJoin(b *testing.B) {
 	}
 }
 
-// Checkpoint-pipeline benchmarks (BENCH_PR5.json): barrier stall per
+// Checkpoint-pipeline benchmarks: barrier stall per
 // policy. The op is exactly what the iteration barrier waits for —
 // AfterSuperstep on a populated job. For the async pipeline the
 // background write is drained outside the timer (Finish), so the
@@ -388,11 +374,11 @@ func BenchmarkEngine_HashJoin(b *testing.B) {
 func benchCCJob() *cc.CC {
 	und := optiflow.NewGraphBuilder(false)
 	gen.Twitter(benchGraphSize, 3).Edges(func(e graph.Edge) { und.AddEdge(e.Src, e.Dst) })
-	return cc.New(und.Build(), 8)
+	return cc.NewColumnar(und.Build(), 8)
 }
 
 func benchPRJob() *pagerank.PR {
-	return pagerank.New(gen.Twitter(benchGraphSize, 1), 8, 0.85, nil)
+	return pagerank.NewColumnar(gen.Twitter(benchGraphSize, 1), 8, 0.85, nil)
 }
 
 func benchCheckpointBarrier(b *testing.B, job recovery.IncrementalJob, pol optiflow.Policy, dirty func(i int)) {
@@ -504,7 +490,7 @@ func BenchmarkCheckpointCompress(b *testing.B) {
 
 func BenchmarkCheckpoint_SnapshotEncode(b *testing.B) {
 	g := gen.Twitter(benchGraphSize, 1)
-	pr := pagerank.New(g, 4, 0.85, nil)
+	pr := pagerank.NewColumnar(g, 4, 0.85, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -518,7 +504,7 @@ func BenchmarkCheckpoint_SnapshotEncode(b *testing.B) {
 
 func BenchmarkCheckpoint_RoundTrip(b *testing.B) {
 	g := gen.Grid(60, 60)
-	job := cc.New(g, 4)
+	job := cc.NewColumnar(g, 4)
 	var buf bytes.Buffer
 	if err := job.SnapshotTo(&buf); err != nil {
 		b.Fatal(err)
@@ -563,7 +549,7 @@ func BenchmarkSuperstep_CC(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		job := cc.New(g, 4)
+		job := cc.NewColumnar(g, 4)
 		b.StartTimer()
 		if _, err := job.Step(nil); err != nil {
 			b.Fatal(err)
@@ -575,7 +561,7 @@ func BenchmarkSuperstep_CC(b *testing.B) {
 // scale (guards the benches above against silently broken state).
 func BenchmarkRecoveryPolicySnapshot(b *testing.B) {
 	g := gen.Twitter(5000, 9)
-	job := pagerank.New(g, 4, 0.85, nil)
+	job := pagerank.NewColumnar(g, 4, 0.85, nil)
 	pol := recovery.NewCheckpoint(1, checkpoint.NewMemoryStore())
 	if err := pol.Setup(job); err != nil {
 		b.Fatal(err)

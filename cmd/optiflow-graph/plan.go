@@ -18,22 +18,16 @@ import (
 // planBuilders maps the names accepted by `optiflow-graph plan -name`
 // to constructors. Figure plans are the paper's Fig. 1 renderings with
 // in-plan compensation operators; step plans are the per-superstep
-// plans the algorithms actually execute, built on the demo graph (or a
-// small synthetic input) so they can be rendered without any data.
+// plans the exec.Engine jobs actually execute, built on the demo graph
+// (or a small synthetic input) so they can be rendered without any
+// data. Delta CC and PageRank run on exec.ColEngine, which has no plan
+// to render; their dataflow is the figure.
 var planBuilders = map[string]func(par int) *dataflow.Plan{
 	"cc-figure":       func(int) *dataflow.Plan { return cc.FigurePlan() },
 	"pagerank-figure": func(int) *dataflow.Plan { return pagerank.FigurePlan() },
-	"cc-step": func(par int) *dataflow.Plan {
-		g, _ := gen.Demo()
-		return cc.New(g, par).StepPlan()
-	},
 	"cc-bulk-step": func(par int) *dataflow.Plan {
 		g, _ := gen.Demo()
 		return cc.NewBulk(g, par).StepPlan()
-	},
-	"pagerank-step": func(par int) *dataflow.Plan {
-		g, _ := gen.DemoDirected()
-		return pagerank.New(g, par, 0.85, pagerank.UniformRedistribution).StepPlan()
 	},
 	"kmeans-step": func(par int) *dataflow.Plan {
 		data := []kmeans.Point{{0, 0}, {0, 1}, {1, 0}, {10, 10}, {10, 11}, {11, 10}}

@@ -25,7 +25,7 @@ func TestRenderPlanAllNamesAllFormats(t *testing.T) {
 func TestRenderPlanCarriesDiagnostics(t *testing.T) {
 	// Step plans declare external compensation; the Info diagnostic must
 	// surface in the rendered output so the tool is a lint viewer too.
-	out, err := renderPlan("pagerank-step", "explain", 2)
+	out, err := renderPlan("cc-bulk-step", "explain", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,8 +35,11 @@ func TestRenderPlanCarriesDiagnostics(t *testing.T) {
 }
 
 func TestRenderPlanErrors(t *testing.T) {
-	if _, err := renderPlan("no-such-plan", "explain", 2); err == nil {
-		t.Fatal("unknown plan name did not error")
+	// cc-step and pagerank-step left with the boxed runtime they rendered.
+	for _, name := range []string{"no-such-plan", "cc-step", "pagerank-step"} {
+		if _, err := renderPlan(name, "explain", 2); err == nil {
+			t.Fatalf("unknown plan name %q did not error", name)
+		}
 	}
 	if _, err := renderPlan("cc-figure", "svg", 2); err == nil {
 		t.Fatal("unknown format did not error")

@@ -13,6 +13,26 @@ import (
 	"optiflow/internal/state"
 )
 
+// Update is the record of the bulk iteration's dataflow: vertex V
+// carries (or changed its component label to) Label.
+type Update struct {
+	V     graph.VertexID
+	Label uint64
+}
+
+type adjacencyTable struct{ g *graph.Graph }
+
+// Get implements dataflow.Table: key -> neighbor list.
+func (a adjacencyTable) Get(key uint64) (any, bool) {
+	nbrs := a.g.OutNeighbors(graph.VertexID(key))
+	if nbrs == nil {
+		return nil, false
+	}
+	return nbrs, true
+}
+
+func byVertex(rec any) uint64 { return uint64(rec.(Update).V) }
+
 // BulkCC is Connected Components as a *bulk* iteration: every superstep
 // recomputes the label of every vertex, converged or not. It exists to
 // make the paper's §2.1 motivation measurable — "the system would waste
@@ -97,7 +117,9 @@ func (b *BulkCC) StepPlan() *dataflow.Plan {
 			}
 		})
 
-	// Same incremental min-fold as the delta iteration's step plan.
+	// Min is associative and commutative, so the candidate label folds
+	// incrementally: the engine keeps one *Update accumulator per
+	// vertex instead of materializing every message.
 	cands := msgs.ReduceByCombining("candidate-label", byVertex,
 		func(acc, rec any) any {
 			u := rec.(Update)

@@ -1,11 +1,18 @@
 // Package cc implements the Connected Components algorithm of the
 // demonstration (§2.2.1): diffusion of the minimum component label
-// [PEGASUS] expressed as a delta-iteration dataflow (Fig. 1a) —
-// label-to-neighbors join, candidate-label reduce, label-update join —
-// plus the fix-components compensation function that makes the
-// computation recoverable without checkpoints: lost vertices are reset
-// to their initial labels, and they and their neighbors re-enter the
-// workset to propagate labels again.
+// [PEGASUS] expressed as a delta iteration (Fig. 1a) — label-to-neighbors
+// join, candidate-label reduce, label-update join — plus the
+// fix-components compensation function that makes the computation
+// recoverable without checkpoints: lost vertices are reset to their
+// initial labels, and they and their neighbors re-enter the workset to
+// propagate labels again.
+//
+// There is one CC job. It runs on the typed columnar superstep engine:
+// labels live in a dense per-partition column store, the workset is two
+// parallel (index, label) columns, and the superstep is one exec.ColStep
+// — ExpandCopy over the CSR adjacency folded with min — so a converged
+// steady-state superstep allocates nothing. FigurePlan renders Fig. 1a;
+// BulkCC (bulk.go) is the §2.1 bulk-iteration baseline on exec.Engine.
 package cc
 
 import (
@@ -21,82 +28,102 @@ import (
 	"optiflow/internal/state"
 )
 
-// Update is both the workset item and the update record of the delta
-// iteration: vertex V changed its component label to Label.
-type Update struct {
-	V     graph.VertexID
-	Label uint64
-}
-
 // CC is a Connected Components delta iteration over a graph. It
 // implements recovery.Job.
 type CC struct {
-	g        *graph.Graph
-	par      int
-	engine   *exec.Engine
-	prepared *exec.Prepared // step plan, compiled once and reused
+	d  *graph.Dense
+	pt *graph.Partitioning
+	// parts lists the partitions this process computes: all in-process,
+	// the hosted subset in a worker (see Hosted).
+	parts []int
 
-	labels  *state.Store[uint64]   // the solution set
-	workset *state.Workset[Update] // current workset
-	next    *state.Workset[Update] // workset under construction
+	engine *exec.ColEngine[uint64]
+	step   *exec.ColStep[uint64] // built once, reused every superstep
 
-	// pending logs, per partition, the in-place label Puts of the
-	// attempt currently executing. If the attempt aborts mid-superstep,
-	// the lowered labels are already in the solution set but the update
-	// records that would re-propagate them died with the plan; merging
-	// the log back into the current workset re-activates those vertices
-	// so the retry converges. Labels are monotone component-minimum
-	// candidates, so replaying them is always safe.
-	pending [][]Update
+	labels  *state.DenseStore[uint64] // the solution set
+	workset *state.ColWorkset[uint64] // current workset
+	next    *state.ColWorkset[uint64] // workset under construction
 
-	owned [][]graph.VertexID // partition -> vertices, for compensation
+	// pending logs, per partition and as columns, the in-place label
+	// writes of the attempt currently executing. If the attempt aborts
+	// mid-superstep, the lowered labels are already in the solution set
+	// but the update records that would re-propagate them died with the
+	// step; merging the log back into the current workset re-activates
+	// those vertices so the retry converges. Labels are monotone
+	// component-minimum candidates, so replaying them is always safe.
+	pendingIdx [][]int32
+	pendingVal [][]uint64
 
-	// col, when non-nil, holds the columnar engine internals and every
-	// method below dispatches to it; the boxed fields above stay nil.
-	// The two paths compute identical labelings (see the equivalence
-	// tests); columnar is the default in Run, boxed remains the fully
-	// general fallback.
-	col *colCC
+	// updates counts label changes per partition for step stats; each
+	// fold task writes only its own slot.
+	updates []int64
 }
 
-// New prepares a Connected Components run on g with the given
+// NewColumnar prepares a Connected Components run on g with the given
 // parallelism: every vertex starts in its own component (label = own
 // ID) and the initial workset equals the labels input (§2.2.1).
-func New(g *graph.Graph, parallelism int) *CC {
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	c := &CC{
-		g:       g,
-		par:     parallelism,
-		engine:  &exec.Engine{Parallelism: parallelism},
-		labels:  state.NewStore[uint64]("labels", parallelism),
-		workset: state.NewWorkset[Update]("workset", parallelism),
-		next:    state.NewWorkset[Update]("next-workset", parallelism),
-		pending: make([][]Update, parallelism),
-		owned:   graph.PartitionVertices(g, parallelism),
-	}
-	c.seedInitial()
-	return c
-}
-
-// NewColumnar prepares a Connected Components run on the typed columnar
-// engine: same iteration, same recovery contract, no per-record boxing.
 func NewColumnar(g *graph.Graph, parallelism int) *CC {
 	if parallelism < 1 {
 		parallelism = 1
 	}
-	return &CC{g: g, par: parallelism, col: newColCC(g, parallelism, nil)}
+	return newCC(g, parallelism, nil)
 }
 
-// Columnar reports whether the job runs on the columnar engine.
-func (c *CC) Columnar() bool { return c.col != nil }
+// newCC builds the job over the listed partitions of g (nil means all
+// of them) and seeds their superstep-zero state.
+func newCC(g *graph.Graph, parallelism int, parts []int) *CC {
+	d := g.Dense()
+	pt := d.Partitioning(parallelism)
+	if parts == nil {
+		for p := 0; p < parallelism; p++ {
+			parts = append(parts, p)
+		}
+	}
+	c := &CC{
+		d:          d,
+		pt:         pt,
+		parts:      parts,
+		engine:     &exec.ColEngine[uint64]{Parallelism: parallelism},
+		labels:     state.NewDenseStore[uint64]("labels", d, pt),
+		workset:    state.NewColWorkset[uint64]("workset", parallelism),
+		next:       state.NewColWorkset[uint64]("next-workset", parallelism),
+		pendingIdx: make([][]int32, parallelism),
+		pendingVal: make([][]uint64, parallelism),
+		updates:    make([]int64, parallelism),
+	}
+	c.step = &exec.ColStep[uint64]{
+		Adj:    d,
+		Parts:  pt,
+		Expand: exec.ExpandCopy,
+		Fold:   exec.FoldMin,
+		Source: c.source,
+		Apply:  c.apply,
+	}
+	c.seed(c.parts)
+	return c
+}
 
-func (c *CC) seedInitial() {
-	for p, vs := range c.owned {
-		for _, v := range vs {
-			c.labels.Put(uint64(v), uint64(v))
-			c.workset.Add(p, Update{V: v, Label: uint64(v)})
+// seed puts the listed partitions into superstep-zero state.
+func (c *CC) seed(parts []int) {
+	ids := c.d.IDs()
+	for _, p := range parts {
+		for slot, idx := range c.pt.Owned[p] {
+			label := uint64(ids[idx])
+			c.labels.SetSlot(p, int32(slot), label)
+			c.workset.Add(p, idx, label)
+		}
+	}
+}
+
+// reactivate makes every vertex of this process's partitions active
+// with its current label: the exchange restarts from state alone.
+func (c *CC) reactivate() {
+	for _, p := range c.parts {
+		c.workset.ClearPartition(p)
+		for slot, idx := range c.pt.Owned[p] {
+			if l, ok := c.labels.GetSlot(p, int32(slot)); ok {
+				c.workset.Add(p, idx, l)
+			}
 		}
 	}
 }
@@ -104,26 +131,13 @@ func (c *CC) seedInitial() {
 // Name implements recovery.Job.
 func (c *CC) Name() string { return "connected-components" }
 
-// Labels returns the boxed solution set (current component label per
-// vertex); nil on the columnar path, whose labels live in a dense
-// column store — use Components for a representation-agnostic view.
-func (c *CC) Labels() *state.Store[uint64] { return c.labels }
-
 // WorksetLen returns the current workset size; the delta iteration
 // terminates when it reaches zero.
-func (c *CC) WorksetLen() int {
-	if c.col != nil {
-		return c.col.worksetLen()
-	}
-	return c.workset.Len()
-}
+func (c *CC) WorksetLen() int { return c.workset.Len() }
 
 // Components materialises the solution set as a map.
 func (c *CC) Components() map[graph.VertexID]graph.VertexID {
-	if c.col != nil {
-		return c.col.components()
-	}
-	out := make(map[graph.VertexID]graph.VertexID, c.g.NumVertices())
+	out := make(map[graph.VertexID]graph.VertexID, c.d.NumVertices())
 	c.labels.Range(func(k uint64, v uint64) bool {
 		out[graph.VertexID(k)] = graph.VertexID(v)
 		return true
@@ -134,9 +148,6 @@ func (c *CC) Components() map[graph.VertexID]graph.VertexID {
 // ConvergedCount counts vertices whose current label already equals the
 // precomputed true component label — the demo's bottom-left plot.
 func (c *CC) ConvergedCount(truth map[graph.VertexID]graph.VertexID) int {
-	if c.col != nil {
-		return c.col.convergedCount(truth)
-	}
 	n := 0
 	c.labels.Range(func(k uint64, v uint64) bool {
 		if truth[graph.VertexID(k)] == graph.VertexID(v) {
@@ -147,163 +158,96 @@ func (c *CC) ConvergedCount(truth map[graph.VertexID]graph.VertexID) int {
 	return n
 }
 
-type adjacencyTable struct{ g *graph.Graph }
-
-// Get implements dataflow.Table: key -> neighbor list.
-func (a adjacencyTable) Get(key uint64) (any, bool) {
-	nbrs := a.g.OutNeighbors(graph.VertexID(key))
-	if nbrs == nil {
-		return nil, false
+// source streams partition part's workset columns into the engine.
+func (c *CC) source(part int, emit func(src int32, val uint64) bool) error {
+	idx, val := c.workset.Cols(part)
+	for i, src := range idx {
+		if !emit(src, val[i]) {
+			return nil
+		}
 	}
-	return nbrs, true
+	return nil
 }
 
-func byVertex(rec any) uint64 { return uint64(rec.(Update).V) }
-
-// StepPlan builds the executable per-superstep dataflow: the loop body
-// of Fig. 1a with the workset cut as its entry point. Exported for the
-// plan tooling (optiflow-graph) and the planlint test sweep.
-func (c *CC) StepPlan() *dataflow.Plan {
-	plan := dataflow.NewPlan("connected-components-step")
-	adj := adjacencyTable{g: c.g}
-
-	ws := plan.Source("workset", func(part, _ int, emit dataflow.Emit) error {
-		for _, u := range c.workset.Items(part) {
-			emit(u)
+// apply is the label-update join of Fig. 1a on columns: compare each
+// folded candidate to the current label, lower it in place, log the
+// write to the pending column and activate the vertex in the next
+// workset. The engine routes updates to the partition owning them, so
+// the per-partition appends are race-free.
+func (c *CC) apply(part int, dst exec.KeyCol, val exec.ValCol[uint64]) error {
+	slot := c.pt.Slot
+	for i, d := range dst {
+		cand := val[i]
+		s := slot[d]
+		cur, ok := c.labels.GetSlot(part, s)
+		if ok && cur <= cand {
+			continue
 		}
-		return nil
-	})
-
-	// Candidate labels sent to neighbors — the demo's "messages".
-	msgs := ws.LookupJoin("label-to-neighbors", "graph", byVertex,
-		func(int, int) dataflow.Table { return adj },
-		func(rec any, table dataflow.Table, emit dataflow.Emit) {
-			u := rec.(Update)
-			nbrs, ok := table.Get(uint64(u.V))
-			if !ok {
-				return
-			}
-			for _, n := range nbrs.([]graph.VertexID) {
-				emit(Update{V: n, Label: u.Label})
-			}
-		})
-
-	// Min is associative and commutative, so the candidate label folds
-	// incrementally: the engine keeps one *Update accumulator per
-	// vertex instead of materializing every message.
-	cands := msgs.ReduceByCombining("candidate-label", byVertex,
-		func(acc, rec any) any {
-			u := rec.(Update)
-			if acc == nil {
-				return &u
-			}
-			a := acc.(*Update)
-			if u.Label < a.Label {
-				a.Label = u.Label
-			}
-			return a
-		},
-		func(key uint64, acc any, emit dataflow.Emit) {
-			emit(Update{V: graph.VertexID(key), Label: acc.(*Update).Label})
-		}).HintKeyCardinality(c.g.NumVertices()/c.par + 1)
-
-	// The solution-set index join: compare the candidate to the current
-	// label and update the solution set in place. Each task reads and
-	// writes only its own label partition (hash exchange aligns records
-	// with state partitioning), so the in-place Put is race-free.
-	updates := cands.LookupJoin("label-update", "labels", byVertex,
-		func(part, _ int) dataflow.Table { return c.labels.Table(part) },
-		func(rec any, table dataflow.Table, emit dataflow.Emit) {
-			u := rec.(Update)
-			cur, ok := table.Get(uint64(u.V))
-			if ok && cur.(uint64) <= u.Label {
-				return
-			}
-			c.labels.Put(uint64(u.V), u.Label)
-			// Hash exchange routes u to the task owning u.V's partition,
-			// so this per-partition append is race-free.
-			p := graph.Partition(u.V, c.par)
-			c.pending[p] = append(c.pending[p], u)
-			emit(u)
-		})
-
-	updates.Sink("collect-workset", func(part int, rec any) error {
-		c.next.Add(part, rec.(Update))
-		return nil
-	})
-	plan.MarkState("label-update")
-	plan.CompensateExternally("fix-components via recovery.Job.Compensate")
-	return plan
+		c.labels.SetSlot(part, s, cand)
+		c.pendingIdx[part] = append(c.pendingIdx[part], d)
+		c.pendingVal[part] = append(c.pendingVal[part], cand)
+		c.next.Add(part, d, cand)
+		c.updates[part]++
+	}
+	return nil
 }
 
 // Step implements the loop body for iterate.Loop: run one superstep of
-// the delta iteration and swap in the freshly built workset. The step
-// plan's operators read the workset and label state at run time, so the
-// prepared plan is built once and reused across supersteps.
+// the delta iteration and swap in the freshly built workset.
 func (c *CC) Step(ctx *iterate.Context) (iterate.StepStats, error) {
-	if c.col != nil {
-		var fault *exec.FaultInjection
-		if ctx != nil {
-			fault = ctx.Fault
-		}
-		messages, updates, err := c.col.runStep(fault)
-		if err != nil {
-			return iterate.StepStats{}, err
-		}
-		return iterate.StepStats{Messages: messages, Updates: updates}, nil
-	}
-	if c.prepared == nil {
-		p, err := c.engine.Prepare(c.StepPlan())
-		if err != nil {
-			return iterate.StepStats{}, fmt.Errorf("cc: superstep: %v", err)
-		}
-		c.prepared = p
-	}
 	var fault *exec.FaultInjection
 	if ctx != nil {
 		fault = ctx.Fault
 	}
-	stats, err := c.prepared.RunWithFault(fault)
+	stats, err := c.engine.Run(c.step, fault)
 	if err != nil {
 		c.abortAttempt()
 		// %w keeps *exec.WorkerFailure visible to the iteration driver.
 		return iterate.StepStats{}, fmt.Errorf("cc: superstep: %w", err)
 	}
-	clearPending(c.pending)
+	return iterate.StepStats{Messages: stats.Messages, Updates: c.advance()}, nil
+}
+
+// advance commits a completed fold: the vertices it lowered become the
+// workset the next expansion streams. It returns the update count.
+func (c *CC) advance() int64 {
+	var updates int64
+	for _, n := range c.updates {
+		updates += n
+	}
+	c.clearPending()
 	c.workset.Swap(c.next)
 	c.next.ClearAll()
-	return iterate.StepStats{
-		Messages: stats.Outputs("label-to-neighbors"),
-		Updates:  stats.Outputs("label-update"),
-	}, nil
+	return updates
 }
 
 // abortAttempt reconciles state after a mid-superstep abort: the partial
-// next-workset is discarded, and every label Put the aborted plan
+// next-workset is discarded, and every label write the aborted step
 // applied in place is merged back into the current workset so the
 // lowered labels re-propagate on retry (duplicates are harmless — the
-// candidate-label reduce folds them with min).
+// candidate-label fold takes their min).
 func (c *CC) abortAttempt() {
-	for p, ups := range c.pending {
-		for _, u := range ups {
-			c.workset.Add(p, u)
+	for p, idx := range c.pendingIdx {
+		vals := c.pendingVal[p]
+		for i, d := range idx {
+			c.workset.Add(p, d, vals[i])
 		}
 	}
-	clearPending(c.pending)
+	c.clearPending()
 	c.next.ClearAll()
 }
 
-func clearPending(pending [][]Update) {
-	for p := range pending {
-		pending[p] = nil
+// clearPending forgets the attempt's write log and update counts.
+func (c *CC) clearPending() {
+	for p := range c.pendingIdx {
+		c.pendingIdx[p] = nil
+		c.pendingVal[p] = nil
+		c.updates[p] = 0
 	}
 }
 
 // SnapshotTo implements recovery.Job: serialise solution set + workset.
 func (c *CC) SnapshotTo(buf *bytes.Buffer) error {
-	if c.col != nil {
-		return c.col.snapshotTo(buf)
-	}
 	enc := gob.NewEncoder(buf)
 	if err := c.labels.EncodeTo(enc); err != nil {
 		return err
@@ -313,9 +257,6 @@ func (c *CC) SnapshotTo(buf *bytes.Buffer) error {
 
 // RestoreFrom implements recovery.Job.
 func (c *CC) RestoreFrom(data []byte) error {
-	if c.col != nil {
-		return c.col.restoreFrom(data)
-	}
 	dec := gob.NewDecoder(bytes.NewReader(data))
 	if err := c.labels.DecodeFrom(dec); err != nil {
 		return err
@@ -330,10 +271,6 @@ func (c *CC) RestoreFrom(data []byte) error {
 // ClearPartitions implements recovery.Job: the direct damage of a
 // worker crash — its label and workset partitions vanish.
 func (c *CC) ClearPartitions(parts []int) {
-	if c.col != nil {
-		c.col.clearPartitions(parts)
-		return
-	}
 	for _, p := range parts {
 		c.labels.ClearPartition(p)
 		c.workset.ClearPartition(p)
@@ -343,36 +280,31 @@ func (c *CC) ClearPartitions(parts []int) {
 // Compensate implements recovery.Job — the fix-components compensation
 // function of Fig. 1a: re-initialise every lost vertex to its initial
 // label (which guarantees convergence to the correct solution [14]) and
-// put the restored vertices and their neighbors back into the workset
-// so labels propagate again (§3.2).
+// put the restored vertices and their surviving neighbors back into the
+// workset so labels propagate again (§3.2). Neighbors are walked as
+// contiguous CSR ranges.
 func (c *CC) Compensate(lost []int) error {
-	if c.col != nil {
-		return c.col.compensate(lost)
-	}
-	lostSet := make(map[int]bool, len(lost))
+	lostSet := make([]bool, c.pt.N)
 	for _, p := range lost {
 		lostSet[p] = true
 	}
 	// First restore the lost vertices themselves.
-	for _, p := range lost {
-		for _, v := range c.owned[p] {
-			c.labels.Put(uint64(v), uint64(v))
-			c.workset.Add(p, Update{V: v, Label: uint64(v)})
-		}
-	}
+	c.seed(lost)
 	// Then re-activate surviving neighbors so they re-send their labels
 	// into the restored partitions.
-	seeded := make(map[graph.VertexID]bool)
+	seeded := make([]bool, c.d.NumVertices())
+	offsets, targets := c.d.Offsets, c.d.Targets
 	for _, p := range lost {
-		for _, v := range c.owned[p] {
-			for _, n := range c.g.OutNeighbors(v) {
-				np := graph.Partition(n, c.par)
+		for _, idx := range c.pt.Owned[p] {
+			for j := offsets[idx]; j < offsets[idx+1]; j++ {
+				n := targets[j]
+				np := c.pt.PartOf[n]
 				if lostSet[np] || seeded[n] {
 					continue
 				}
 				seeded[n] = true
-				if l, ok := c.labels.Get(uint64(n)); ok {
-					c.workset.Add(np, Update{V: n, Label: l})
+				if l, ok := c.labels.GetSlot(int(np), c.pt.Slot[n]); ok {
+					c.workset.Add(int(np), n, l)
 				}
 			}
 		}
@@ -384,10 +316,7 @@ func (c *CC) Compensate(lost []int) error {
 // version moves whenever its labels or its workset slice change. Both
 // counters only increase, so their sum changes iff either does.
 func (c *CC) PartitionVersions() []uint64 {
-	if c.col != nil {
-		return c.col.partitionVersions()
-	}
-	out := make([]uint64, c.par)
+	out := make([]uint64, c.pt.N)
 	for p := range out {
 		out[p] = c.labels.Version(p) + c.workset.Version(p)
 	}
@@ -396,21 +325,19 @@ func (c *CC) PartitionVersions() []uint64 {
 
 // SnapshotPartition implements recovery.IncrementalJob.
 func (c *CC) SnapshotPartition(p int, buf *bytes.Buffer) error {
-	if c.col != nil {
-		return c.col.snapshotPartition(p, buf)
-	}
+	return encodePartition(c.labels, c.workset, p, buf)
+}
+
+func encodePartition(labels *state.DenseStore[uint64], workset *state.ColWorkset[uint64], p int, buf *bytes.Buffer) error {
 	enc := gob.NewEncoder(buf)
-	if err := c.labels.EncodePartition(p, enc); err != nil {
+	if err := labels.EncodePartition(p, enc); err != nil {
 		return err
 	}
-	return c.workset.EncodePartition(p, enc)
+	return workset.EncodePartition(p, enc)
 }
 
 // RestorePartition implements recovery.IncrementalJob.
 func (c *CC) RestorePartition(p int, data []byte) error {
-	if c.col != nil {
-		return c.col.restorePartition(p, data)
-	}
 	dec := gob.NewDecoder(bytes.NewReader(data))
 	if err := c.labels.DecodePartition(p, dec); err != nil {
 		return err
@@ -418,32 +345,25 @@ func (c *CC) RestorePartition(p int, data []byte) error {
 	return c.workset.DecodePartition(p, dec)
 }
 
-// CaptureSnapshot implements recovery.AsyncJob: an O(partitions)
-// copy-on-write view of the solution set plus a shared-slice view of
-// the workset, taken at the superstep barrier and safe to encode from
-// background goroutines while the next superstep mutates the live
-// state. Per-partition encoding matches SnapshotPartition byte for
-// byte, so RestorePartition round-trips either.
+// CaptureSnapshot implements recovery.AsyncJob: O(partitions)
+// copy-on-write views of the label columns plus shared slice views of
+// the workset columns, taken at the superstep barrier and safe to
+// encode from background goroutines while the next superstep mutates
+// the live state. Per-partition encoding matches SnapshotPartition byte
+// for byte, so RestorePartition round-trips either.
 func (c *CC) CaptureSnapshot() checkpoint.PartitionSnapshot {
-	if c.col != nil {
-		return c.col.captureSnapshot()
-	}
 	return ccCapture{labels: c.labels.SnapshotShared(), workset: c.workset.SnapshotShared()}
 }
 
 type ccCapture struct {
-	labels  *state.Store[uint64]
-	workset *state.Workset[Update]
+	labels  *state.DenseStore[uint64]
+	workset *state.ColWorkset[uint64]
 }
 
 func (s ccCapture) NumPartitions() int { return s.labels.NumPartitions() }
 
 func (s ccCapture) SnapshotPartition(p int, buf *bytes.Buffer) error {
-	enc := gob.NewEncoder(buf)
-	if err := s.labels.EncodePartition(p, enc); err != nil {
-		return err
-	}
-	return s.workset.EncodePartition(p, enc)
+	return encodePartition(s.labels, s.workset, p, buf)
 }
 
 // SnapshotDelta implements recovery.DeltaJob: the label changes since
@@ -451,9 +371,6 @@ func (s ccCapture) SnapshotPartition(p int, buf *bytes.Buffer) error {
 // wholesale every superstep and shrinks as the iteration converges —
 // exactly like the update stream itself).
 func (c *CC) SnapshotDelta(buf *bytes.Buffer) error {
-	if c.col != nil {
-		return c.col.snapshotDelta(buf)
-	}
 	enc := gob.NewEncoder(buf)
 	if err := c.labels.EncodeDelta(enc); err != nil {
 		return err
@@ -465,9 +382,6 @@ func (c *CC) SnapshotDelta(buf *bytes.Buffer) error {
 // snapshot and the ordered label deltas; the newest delta's workset
 // wins (it is a full copy, not a diff).
 func (c *CC) RestoreFromChain(base []byte, deltas [][]byte) error {
-	if c.col != nil {
-		return c.col.restoreFromChain(base, deltas)
-	}
 	dec := gob.NewDecoder(bytes.NewReader(base))
 	if err := c.labels.DecodeFrom(dec); err != nil {
 		return err
@@ -492,13 +406,10 @@ func (c *CC) RestoreFromChain(base []byte, deltas [][]byte) error {
 
 // ResetToInitial implements recovery.Job: back to superstep zero.
 func (c *CC) ResetToInitial() error {
-	if c.col != nil {
-		return c.col.resetToInitial()
-	}
 	c.labels.ClearAll()
 	c.workset.ClearAll()
 	c.next.ClearAll()
-	c.seedInitial()
+	c.seed(c.parts)
 	return nil
 }
 

@@ -12,33 +12,26 @@ import (
 	"optiflow/internal/recovery"
 )
 
-// Columnar ↔ boxed equivalence: the typed columnar superstep must
-// compute exactly the labels the boxed dataflow computes. CC's fixpoint
-// is unique — every vertex converges to the minimum label of its
-// component — so exact equality against the union-find ground truth
-// (and hence between the two paths) is the right notion of equivalence
-// even under failures and recovery.
+// Ground-truth suite: the columnar superstep must compute exactly the
+// labels internal/algo/ref computes. CC's fixpoint is unique — every
+// vertex converges to the minimum label of its component — so exact
+// equality against the union-find ground truth is the right notion of
+// correctness even under failures and recovery.
+//
+// The TestColumnarBoxedEquivalence* names are the suite's stable test
+// IDs from when a boxed twin ran beside this job; only the reference
+// comparison remains.
 
-// requireBothMatch runs the same computation on both record paths; the
-// options factory is invoked once per run so stateful policies and
-// injectors are never shared between them.
-func requireBothMatch(t *testing.T, g *graph.Graph, mkOpts func() Options) {
+// requireMatchesTruth runs the computation and holds its labels to
+// union-find; the options factory builds fresh stateful policies and
+// injectors for the run.
+func requireMatchesTruth(t *testing.T, g *graph.Graph, mkOpts func() Options) {
 	t.Helper()
-	truth := ref.ConnectedComponents(g)
-
-	boxedOpts := mkOpts()
-	boxedOpts.Boxed = true
-	boxed, err := Run(g, boxedOpts)
+	res, err := Run(g, mkOpts())
 	if err != nil {
-		t.Fatalf("boxed run: %v", err)
+		t.Fatalf("run: %v", err)
 	}
-	col, err := Run(g, mkOpts())
-	if err != nil {
-		t.Fatalf("columnar run: %v", err)
-	}
-	requireComponentsEqual(t, boxed.Components, truth)
-	requireComponentsEqual(t, col.Components, truth)
-	requireComponentsEqual(t, col.Components, boxed.Components)
+	requireComponentsEqual(t, res.Components, ref.ConnectedComponents(g))
 }
 
 func TestColumnarBoxedEquivalenceFailureFree(t *testing.T) {
@@ -50,15 +43,15 @@ func TestColumnarBoxedEquivalenceFailureFree(t *testing.T) {
 		gen.BarabasiAlbert(150, 3, 11, false),
 	}
 	for _, g := range graphs {
-		requireBothMatch(t, g, func() Options {
+		requireMatchesTruth(t, g, func() Options {
 			return Options{Parallelism: 4}
 		})
 	}
 }
 
 // The PR 3/PR 4 fault-injection matrix: barrier failures, mid-superstep
-// aborts and failures during recovery, across every recovery policy the
-// boxed path supports.
+// aborts and failures during recovery, across every synchronous
+// recovery policy.
 func TestColumnarBoxedEquivalenceFaultMatrix(t *testing.T) {
 	g := gen.ErdosRenyi(90, 0.05, 42, false)
 	policies := []func() recovery.Policy{
@@ -85,14 +78,14 @@ func TestColumnarBoxedEquivalenceFaultMatrix(t *testing.T) {
 				}
 			}
 			t.Logf("policy %d injector %d", pi, ii)
-			requireBothMatch(t, g, mk)
+			requireMatchesTruth(t, g, mk)
 		}
 	}
 }
 
 // Both asynchronous checkpoint policies — full captures and
-// incremental dirty-partition submission — must recover the columnar
-// job from background-written epochs exactly like the boxed one.
+// incremental dirty-partition submission — must recover the job from
+// background-written epochs to the ground truth.
 func TestColumnarBoxedEquivalenceAsyncCheckpoints(t *testing.T) {
 	g := gen.ErdosRenyi(90, 0.05, 17, false)
 	asyncs := []func() recovery.Policy{
@@ -112,7 +105,7 @@ func TestColumnarBoxedEquivalenceAsyncCheckpoints(t *testing.T) {
 	}
 	for _, mkPolicy := range asyncs {
 		for _, mkInj := range injectors {
-			requireBothMatch(t, g, func() Options {
+			requireMatchesTruth(t, g, func() Options {
 				return Options{
 					Parallelism: 4,
 					Policy:      mkPolicy(),
@@ -125,7 +118,7 @@ func TestColumnarBoxedEquivalenceAsyncCheckpoints(t *testing.T) {
 }
 
 // Property form: for ANY random graph and ANY random failure schedule,
-// the two record paths agree with union-find and with each other.
+// the job agrees with union-find.
 func TestColumnarBoxedEquivalenceProperty(t *testing.T) {
 	f := func(seed int64, nRaw, pRaw, probRaw uint8) bool {
 		n := int(nRaw%40) + 20
@@ -134,21 +127,16 @@ func TestColumnarBoxedEquivalenceProperty(t *testing.T) {
 		g := gen.ErdosRenyi(n, edgeProb, seed, false)
 		truth := ref.ConnectedComponents(g)
 
-		results := make([]map[graph.VertexID]graph.VertexID, 2)
-		for i, boxed := range []bool{true, false} {
-			res, err := Run(g, Options{
-				Parallelism: 4,
-				Boxed:       boxed,
-				Injector:    failure.NewRandom(failProb, seed, 3),
-				MaxTicks:    5000,
-			})
-			if err != nil {
-				return false
-			}
-			results[i] = res.Components
+		res, err := Run(g, Options{
+			Parallelism: 4,
+			Injector:    failure.NewRandom(failProb, seed, 3),
+			MaxTicks:    5000,
+		})
+		if err != nil {
+			return false
 		}
 		for v, want := range truth {
-			if results[0][v] != want || results[1][v] != want {
+			if res.Components[v] != want {
 				return false
 			}
 		}

@@ -19,14 +19,14 @@ import (
 // resumes after any recovery or migration.
 type Hosted struct {
 	*exec.ColHosted[uint64]
-	c *colCC
+	c *CC
 }
 
 // NewHosted builds the job over g — the full graph, or one restricted
 // to the hosted partitions' out-edges (graph.FromCSR) — for the listed
 // partitions out of nparts.
 func NewHosted(g *graph.Graph, nparts int, parts []int) *Hosted {
-	c := newColCC(g, nparts, append([]int{}, parts...))
+	c := newCC(g, nparts, append([]int{}, parts...))
 	c.step.LocalFold = true
 	return &Hosted{ColHosted: exec.NewColHosted(c.engine, c.step, c.parts), c: c}
 }
@@ -61,7 +61,7 @@ func (h *Hosted) Step(prime bool, _ float64, remote []exec.HostedCols) (out exec
 // Reinit puts the listed partitions back into superstep-zero state.
 func (h *Hosted) Reinit(parts []int) {
 	h.Abort()
-	h.c.clearPartitions(parts)
+	h.c.ClearPartitions(parts)
 	h.c.seed(parts)
 }
 
@@ -81,4 +81,4 @@ func (h *Hosted) RestorePartition(p int, view []byte) error {
 
 // Components returns the label of every vertex of the partitions this
 // job holds state for.
-func (h *Hosted) Components() map[graph.VertexID]graph.VertexID { return h.c.components() }
+func (h *Hosted) Components() map[graph.VertexID]graph.VertexID { return h.c.Components() }

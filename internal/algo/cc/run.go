@@ -28,10 +28,6 @@ type Options struct {
 	Probe func(job *CC, s iterate.Sample)
 	// MaxTicks bounds superstep attempts (iterate.DefaultMaxTicks if 0).
 	MaxTicks int
-	// Boxed forces the boxed []any record path. By default the job runs
-	// on the typed columnar engine, which computes identical results
-	// (see the equivalence tests) without per-record boxing.
-	Boxed bool
 	// Supervise, when non-nil, runs the loop under a recovery
 	// supervisor: the cluster gets a bounded spare pool, acquire hook
 	// and event cap per the config, and failures are handled with
@@ -72,12 +68,7 @@ type Result struct {
 // recovering from injected failures per the configured policy.
 func Run(g *graph.Graph, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
-	var job *CC
-	if opts.Boxed {
-		job = New(g, opts.Parallelism)
-	} else {
-		job = NewColumnar(g, opts.Parallelism)
-	}
+	job := NewColumnar(g, opts.Parallelism)
 	cl := opts.Cluster
 	if cl == nil {
 		var clOpts []cluster.Option

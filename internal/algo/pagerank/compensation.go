@@ -1,9 +1,5 @@
 package pagerank
 
-import (
-	"optiflow/internal/graph"
-)
-
 // Compensation restores a consistent rank state after the listed
 // partitions were lost and cleared. Consistent means: every vertex has
 // a rank and all ranks sum to one — from any such state the power
@@ -17,15 +13,15 @@ func UniformRedistribution(pr *PR, lost []int) error {
 	surviving := pr.RankSum() // lost partitions are already cleared
 	lostCount := 0
 	for _, p := range lost {
-		lostCount += len(pr.owned[p])
+		lostCount += len(pr.pt.Owned[p])
 	}
 	if lostCount == 0 {
 		return nil
 	}
 	share := (1 - surviving) / float64(lostCount)
 	for _, p := range lost {
-		for _, v := range pr.owned[p] {
-			pr.putRank(v, share)
+		for slot := range pr.pt.Owned[p] {
+			pr.ranks.SetSlot(p, int32(slot), share)
 		}
 	}
 	return nil
@@ -36,10 +32,7 @@ func UniformRedistribution(pr *PR, lost []int) error {
 // discards the survivors' converged ranks — the ablation E8 quantifies
 // how many extra iterations that costs.
 func ResetAllUniform(pr *PR, _ []int) error {
-	n := float64(pr.g.NumVertices())
-	for _, v := range pr.g.Vertices() {
-		pr.putRank(v, 1/n)
-	}
+	pr.seed(pr.parts)
 	return nil
 }
 
@@ -54,17 +47,16 @@ func ZeroFillRenormalize(pr *PR, lost []int) error {
 		return ResetAllUniform(pr, lost)
 	}
 	scale := 1 / surviving
-	updates := make(map[graph.VertexID]float64, pr.g.NumVertices())
-	pr.rangeRanks(func(k uint64, v float64) bool {
-		updates[graph.VertexID(k)] = v * scale
-		return true
-	})
-	for v, r := range updates {
-		pr.putRank(v, r)
+	for _, p := range pr.parts {
+		for slot := range pr.pt.Owned[p] {
+			if r, ok := pr.ranks.GetSlot(p, int32(slot)); ok {
+				pr.ranks.SetSlot(p, int32(slot), r*scale)
+			}
+		}
 	}
 	for _, p := range lost {
-		for _, v := range pr.owned[p] {
-			pr.putRank(v, 0)
+		for slot := range pr.pt.Owned[p] {
+			pr.ranks.SetSlot(p, int32(slot), 0)
 		}
 	}
 	return nil

@@ -12,38 +12,29 @@ import (
 	"optiflow/internal/recovery"
 )
 
-// Columnar ↔ boxed equivalence: both record paths run the same damped
-// power iteration, so both must land within the termination tolerance
-// of the reference power-iteration ranks — and hence within a small
-// multiple of it from each other. Exact bitwise equality is NOT the
-// contract: contribution sums fold in arrival order on both paths, so
-// either run is only reproducible up to floating-point association.
+// Ground-truth suite: the job runs the same damped power iteration as
+// internal/algo/ref, so it must land within the termination tolerance
+// of the reference ranks. Exact bitwise equality is NOT the contract:
+// contribution sums fold in arrival order, so a run is only
+// reproducible up to floating-point association.
+//
+// The TestColumnarBoxedEquivalence* names are the suite's stable test
+// IDs from when a boxed twin ran beside this job; only the reference
+// comparison remains.
 
-// requireBothConverge runs both paths and checks each against the
-// power-iteration ground truth, then against each other. The options
-// factory is invoked once per run so stateful policies and injectors
-// are never shared.
-func requireBothConverge(t *testing.T, g *graph.Graph, mkOpts func() Options, tol float64) {
+// requireConverges runs the job and checks it against the
+// power-iteration ground truth and for unit rank mass. The options
+// factory builds fresh stateful policies and injectors for the run.
+func requireConverges(t *testing.T, g *graph.Graph, mkOpts func() Options, tol float64) {
 	t.Helper()
 	truth, _ := ref.PageRank(g, ref.PageRankOptions{})
-
-	boxedOpts := mkOpts()
-	boxedOpts.Boxed = true
-	boxed, err := Run(g, boxedOpts)
+	res, err := Run(g, mkOpts())
 	if err != nil {
-		t.Fatalf("boxed run: %v", err)
+		t.Fatalf("run: %v", err)
 	}
-	col, err := Run(g, mkOpts())
-	if err != nil {
-		t.Fatalf("columnar run: %v", err)
-	}
-	requireClose(t, boxed.Ranks, truth, tol)
-	requireClose(t, col.Ranks, truth, tol)
-	requireClose(t, col.Ranks, boxed.Ranks, 2*tol)
-	for _, ranks := range []map[graph.VertexID]float64{boxed.Ranks, col.Ranks} {
-		if s := ref.Sum(ranks); math.Abs(s-1) > 1e-9 {
-			t.Fatalf("rank sum = %.12f, want 1", s)
-		}
+	requireClose(t, res.Ranks, truth, tol)
+	if s := ref.Sum(res.Ranks); math.Abs(s-1) > 1e-9 {
+		t.Fatalf("rank sum = %.12f, want 1", s)
 	}
 }
 
@@ -55,25 +46,25 @@ func TestColumnarBoxedEquivalenceFailureFree(t *testing.T) {
 		gen.ErdosRenyi(100, 0.05, 9, true),
 	}
 	for _, g := range graphs {
-		requireBothConverge(t, g, func() Options {
+		requireConverges(t, g, func() Options {
 			return Options{Parallelism: 4, MaxIterations: 200, Epsilon: 1e-12}
 		}, 1e-9)
 	}
 }
 
-// Local combining folds partial sums before the shuffle on both paths;
-// the result must stay within tolerance of the uncombined fixpoint.
+// Local combining folds partial sums before the shuffle; the result
+// must stay within tolerance of the uncombined fixpoint.
 func TestColumnarBoxedEquivalenceLocalCombine(t *testing.T) {
 	g := gen.BarabasiAlbert(120, 3, 21, true)
-	requireBothConverge(t, g, func() Options {
+	requireConverges(t, g, func() Options {
 		return Options{Parallelism: 4, MaxIterations: 200, Epsilon: 1e-12, LocalCombine: true}
 	}, 1e-9)
 }
 
-// The PR 3/PR 4 fault-injection matrix across the recovery policies
-// both paths support. Failure compensation perturbs the iterate — the
-// rank vector re-converges rather than replays — so the tolerance is
-// the looser 1e-8 the boxed recovery tests already use.
+// The PR 3/PR 4 fault-injection matrix across the synchronous recovery
+// policies. Failure compensation perturbs the iterate — the rank vector
+// re-converges rather than replays — so the tolerance is the looser
+// 1e-8 the recovery tests in pagerank_test.go already use.
 func TestColumnarBoxedEquivalenceFaultMatrix(t *testing.T) {
 	g := gen.BarabasiAlbert(100, 3, 33, true)
 	policies := []func() recovery.Policy{
@@ -91,7 +82,7 @@ func TestColumnarBoxedEquivalenceFaultMatrix(t *testing.T) {
 	for pi, mkPolicy := range policies {
 		for ii, mkInj := range injectors {
 			t.Logf("policy %d injector %d", pi, ii)
-			requireBothConverge(t, g, func() Options {
+			requireConverges(t, g, func() Options {
 				return Options{
 					Parallelism:   4,
 					MaxIterations: 500,
@@ -104,10 +95,9 @@ func TestColumnarBoxedEquivalenceFaultMatrix(t *testing.T) {
 	}
 }
 
-// Both asynchronous checkpoint policies: the columnar COW capture must
-// feed the background pipeline the same bytes the superstep state holds
-// at the barrier, so recovery lands on the same ranks as the boxed
-// path's capture.
+// Both asynchronous checkpoint policies: the COW capture must feed the
+// background pipeline the same bytes the superstep state holds at the
+// barrier, so recovery lands on the reference ranks.
 func TestColumnarBoxedEquivalenceAsyncCheckpoints(t *testing.T) {
 	g := gen.BarabasiAlbert(100, 3, 13, true)
 	asyncs := []func() recovery.Policy{
@@ -127,7 +117,7 @@ func TestColumnarBoxedEquivalenceAsyncCheckpoints(t *testing.T) {
 	}
 	for _, mkPolicy := range asyncs {
 		for _, mkInj := range injectors {
-			requireBothConverge(t, g, func() Options {
+			requireConverges(t, g, func() Options {
 				return Options{
 					Parallelism:   4,
 					MaxIterations: 500,
@@ -140,15 +130,14 @@ func TestColumnarBoxedEquivalenceAsyncCheckpoints(t *testing.T) {
 	}
 }
 
-// Every compensation variant must converge on both paths: the
-// compensation functions go through the mode-agnostic rank accessors,
-// so they repair the columnar DenseStore exactly like the boxed map.
+// Every compensation variant must repair the DenseStore into a
+// consistent state the iteration converges from.
 func TestColumnarBoxedEquivalenceCompensations(t *testing.T) {
 	g := gen.BarabasiAlbert(100, 3, 55, true)
 	comps := []Compensation{UniformRedistribution, ResetAllUniform, ZeroFillRenormalize}
 	for i, comp := range comps {
 		t.Logf("compensation %d", i)
-		requireBothConverge(t, g, func() Options {
+		requireConverges(t, g, func() Options {
 			return Options{
 				Parallelism:   4,
 				MaxIterations: 500,

@@ -21,21 +21,16 @@ import (
 // from.
 type Hosted struct {
 	*exec.ColHosted[float64]
-	c       *colPR
-	damping float64
+	c *PR
 }
 
 // NewHosted builds the job over g — the full graph, or one restricted
 // to the hosted partitions' out-edges (graph.FromCSR) — for the listed
 // partitions out of nparts.
 func NewHosted(g *graph.Graph, nparts int, damping float64, parts []int) *Hosted {
-	if damping <= 0 || damping >= 1 {
-		damping = DefaultDamping
-	}
-	c := newColPR(g, nparts, append([]int{}, parts...))
+	c := newPR(g, nparts, damping, append([]int{}, parts...))
 	c.step.LocalFold = true
-	c.seedInitial()
-	return &Hosted{ColHosted: exec.NewColHosted(c.engine, c.step, c.parts), c: c, damping: damping}
+	return &Hosted{ColHosted: exec.NewColHosted(c.engine, c.step, c.parts), c: c}
 }
 
 // Step runs one hosted step attempt, held uncommitted by a
@@ -49,7 +44,7 @@ func (h *Hosted) Step(prime bool, dangling float64, remote []exec.HostedCols) (o
 	if !prime {
 		c.clearSums()
 		if err = h.Fold(remote); err == nil {
-			out.L1, out.Folded = c.foldRanks(h.damping, dangling), true
+			out.L1, out.Folded = c.foldRanks(dangling), true
 			out.Updates = int64(c.ranks.Len())
 		}
 	}
@@ -86,4 +81,4 @@ func (h *Hosted) RestorePartition(p int, view []byte) error {
 
 // RankVector returns the rank of every vertex of the partitions this
 // job holds state for.
-func (h *Hosted) RankVector() map[graph.VertexID]float64 { return h.c.rankVector() }
+func (h *Hosted) RankVector() map[graph.VertexID]float64 { return h.c.RankVector() }

@@ -1,10 +1,17 @@
 // Package pagerank implements the PageRank algorithm of the
-// demonstration (§2.2.2) as a bulk-iteration dataflow (Fig. 1b):
-// find-neighbors join, recompute-ranks reduce, compare-to-old-rank join
-// — plus the fix-ranks compensation function: after a failure the lost
-// probability mass is redistributed uniformly over the vertices of the
-// failed partitions, so ranks keep summing to one and the power
-// iteration converges to the correct result without checkpoints.
+// demonstration (§2.2.2) as a bulk iteration (Fig. 1b): find-neighbors
+// join, recompute-ranks reduce, compare-to-old-rank join — plus the
+// fix-ranks compensation function: after a failure the lost probability
+// mass is redistributed uniformly over the vertices of the failed
+// partitions, so ranks keep summing to one and the power iteration
+// converges to the correct result without checkpoints.
+//
+// There is one PageRank job. It runs on the typed columnar superstep
+// engine: ranks live in a dense column store, rank contributions travel
+// as float64 columns expanded with a precomputed per-edge scale column
+// (weight / total outgoing weight, the find-neighbors join collapsed
+// into one multiply), and contribution sums fold into dense
+// per-partition scratch. FigurePlan renders Fig. 1b.
 package pagerank
 
 import (
@@ -22,45 +29,33 @@ import (
 	"optiflow/internal/state"
 )
 
-// RankRec carries a vertex's current rank through the dataflow.
-type RankRec struct {
-	V    graph.VertexID
-	Rank float64
-}
-
-// Contrib is a rank contribution sent to a neighbor — the "messages" of
-// the PageRank iteration.
-type Contrib struct {
-	Dst graph.VertexID
-	Val float64
-}
-
 // DefaultDamping is the damping factor used when none is configured.
 const DefaultDamping = 0.85
 
 // PR is a PageRank bulk iteration over a directed graph. It implements
 // recovery.Job.
 type PR struct {
-	g        *graph.Graph
-	par      int
-	engine   *exec.Engine
-	prepared *exec.Prepared // step plan, compiled once and reused
-	d        float64
+	d  *graph.Dense
+	pt *graph.Partitioning
+	// parts lists the partitions this process computes: all in-process,
+	// the hosted subset in a worker (see Hosted).
+	parts []int
 
-	ranks *state.Store[float64] // current rank vector
-	sums  *state.Store[float64] // per-superstep scratch: damped contribution sums
+	engine *exec.ColEngine[float64]
+	step   *exec.ColStep[float64] // built once, reused every superstep
 
-	owned    [][]graph.VertexID
-	dangling []graph.VertexID // vertices with no out-edges
+	damping float64
+	ranks   *state.DenseStore[float64] // current rank vector
+
+	// Per-superstep scratch, per partition, indexed by local slot: the
+	// damped contribution sums and which slots received any.
+	sums   [][]float64
+	sumSet [][]bool
+
+	danglingIdx []int32 // this process's vertices with no out-edges, ascending
 
 	compensation Compensation
-	combine      bool
 
-	// col, when non-nil, holds the columnar engine internals and the
-	// methods below dispatch to it; the boxed stores above stay nil.
-	// Compensation functions and probes go through the mode-agnostic
-	// rank accessors, so the public surface is identical either way.
-	col       *colPR
 	lastL1    float64
 	restoreMu sync.Mutex // serialises the lastL1 reset on parallel restores
 }
@@ -68,127 +63,117 @@ type PR struct {
 // SetLocalCombine toggles the pre-shuffle combiner: contributions to
 // the same target vertex are summed inside the producing partition
 // before crossing the exchange, trading a little CPU for much less
-// shuffle volume on skewed graphs. Toggling changes the plan shape, so
-// the cached prepared plan is invalidated.
-func (pr *PR) SetLocalCombine(on bool) {
-	if on != pr.combine {
-		pr.prepared = nil
-	}
-	pr.combine = on
-}
+// shuffle volume on skewed graphs.
+func (pr *PR) SetLocalCombine(on bool) { pr.step.LocalFold = on }
 
-// New prepares a PageRank run with uniform initial ranks 1/n.
-func New(g *graph.Graph, parallelism int, damping float64, comp Compensation) *PR {
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	if damping <= 0 || damping >= 1 {
-		damping = DefaultDamping
-	}
-	if comp == nil {
-		comp = UniformRedistribution
-	}
-	pr := &PR{
-		g:            g,
-		par:          parallelism,
-		engine:       &exec.Engine{Parallelism: parallelism},
-		d:            damping,
-		ranks:        state.NewStore[float64]("ranks", parallelism),
-		sums:         state.NewStore[float64]("rank-sums", parallelism),
-		owned:        graph.PartitionVertices(g, parallelism),
-		compensation: comp,
-		lastL1:       math.Inf(1),
-	}
-	for _, v := range g.Vertices() {
-		if g.OutDegree(v) == 0 {
-			pr.dangling = append(pr.dangling, v)
-		}
-	}
-	pr.seedInitial()
-	return pr
-}
-
-// NewColumnar prepares a PageRank run on the typed columnar engine:
-// same iteration, same compensation contract, no per-record boxing.
+// NewColumnar prepares a PageRank run with uniform initial ranks 1/n.
 func NewColumnar(g *graph.Graph, parallelism int, damping float64, comp Compensation) *PR {
 	if parallelism < 1 {
 		parallelism = 1
 	}
-	if damping <= 0 || damping >= 1 {
-		damping = DefaultDamping
-	}
 	if comp == nil {
 		comp = UniformRedistribution
 	}
-	pr := &PR{
-		g:            g,
-		par:          parallelism,
-		d:            damping,
-		owned:        graph.PartitionVertices(g, parallelism),
-		compensation: comp,
-		lastL1:       math.Inf(1),
-		col:          newColPR(g, parallelism, nil),
-	}
-	for _, v := range g.Vertices() {
-		if g.OutDegree(v) == 0 {
-			pr.dangling = append(pr.dangling, v)
-		}
-	}
-	pr.seedInitial()
+	pr := newPR(g, parallelism, damping, nil)
+	pr.compensation = comp
 	return pr
 }
 
-// Columnar reports whether the job runs on the columnar engine.
-func (pr *PR) Columnar() bool { return pr.col != nil }
-
-func (pr *PR) seedInitial() {
-	if pr.col != nil {
-		pr.col.seedInitial()
-		pr.lastL1 = math.Inf(1)
-		return
+// newPR builds the job over the listed partitions of g (nil means all
+// of them) and seeds their superstep-zero state.
+func newPR(g *graph.Graph, parallelism int, damping float64, parts []int) *PR {
+	if damping <= 0 || damping >= 1 {
+		damping = DefaultDamping
 	}
-	n := float64(pr.g.NumVertices())
-	for _, v := range pr.g.Vertices() {
-		pr.ranks.Put(uint64(v), 1/n)
+	d := g.Dense()
+	pt := d.Partitioning(parallelism)
+	if parts == nil {
+		for p := 0; p < parallelism; p++ {
+			parts = append(parts, p)
+		}
 	}
-	pr.lastL1 = math.Inf(1)
+	mine := make([]bool, parallelism)
+	for _, p := range parts {
+		mine[p] = true
+	}
+	pr := &PR{
+		d:       d,
+		pt:      pt,
+		parts:   parts,
+		engine:  &exec.ColEngine[float64]{Parallelism: parallelism},
+		damping: damping,
+		ranks:   state.NewDenseStore[float64]("ranks", d, pt),
+		sums:    make([][]float64, parallelism),
+		sumSet:  make([][]bool, parallelism),
+		lastL1:  math.Inf(1),
+	}
+	for p := range pr.sums {
+		n := len(pt.Owned[p])
+		pr.sums[p] = make([]float64, n)
+		pr.sumSet[p] = make([]bool, n)
+	}
+	nv := d.NumVertices()
+	offsets, weights := d.Offsets, d.Weights
+	// The per-edge scale column: contribution fraction per out-edge.
+	// Unweighted edges split rank uniformly over the out-degree.
+	scale := make([]float64, len(d.Targets))
+	for i := 0; i < nv; i++ {
+		lo, hi := offsets[i], offsets[i+1]
+		if lo == hi {
+			if mine[pt.PartOf[i]] {
+				pr.danglingIdx = append(pr.danglingIdx, int32(i))
+			}
+			continue
+		}
+		if weights == nil {
+			s := 1 / float64(hi-lo)
+			for j := lo; j < hi; j++ {
+				scale[j] = s
+			}
+			continue
+		}
+		total := 0.0
+		for j := lo; j < hi; j++ {
+			total += weights[j]
+		}
+		if total <= 0 {
+			// Degenerate weights: no mass flows; the zero scales leave
+			// such a vertex contributing nothing.
+			continue
+		}
+		for j := lo; j < hi; j++ {
+			scale[j] = weights[j] / total
+		}
+	}
+	pr.step = &exec.ColStep[float64]{
+		Adj:    d,
+		Parts:  pt,
+		Expand: exec.ExpandMulScale,
+		Scale:  scale,
+		Fold:   exec.FoldSum,
+		Source: pr.source,
+		Apply:  pr.apply,
+	}
+	pr.seed(pr.parts)
+	return pr
 }
 
-// putRank writes one vertex rank in whichever representation is live;
-// compensation functions use it so one implementation serves both
-// paths.
-func (pr *PR) putRank(v graph.VertexID, r float64) {
-	if pr.col != nil {
-		pr.col.ranks.Put(uint64(v), r)
-		return
+// seed puts the listed partitions into superstep-zero state.
+func (pr *PR) seed(parts []int) {
+	n := float64(pr.d.NumVertices())
+	for _, p := range parts {
+		for slot := range pr.pt.Owned[p] {
+			pr.ranks.SetSlot(p, int32(slot), 1/n)
+		}
 	}
-	pr.ranks.Put(uint64(v), r)
-}
-
-// rangeRanks iterates every (vertex, rank) pair in whichever
-// representation is live.
-func (pr *PR) rangeRanks(fn func(k uint64, v float64) bool) {
-	if pr.col != nil {
-		pr.col.ranks.Range(fn)
-		return
-	}
-	pr.ranks.Range(fn)
 }
 
 // Name implements recovery.Job.
 func (pr *PR) Name() string { return "pagerank" }
 
-// Ranks returns the boxed rank store; nil on the columnar path, whose
-// ranks live in a dense column store — use RankVector for a
-// representation-agnostic view.
-func (pr *PR) Ranks() *state.Store[float64] { return pr.ranks }
-
 // RankVector materialises the current ranks as a map.
 func (pr *PR) RankVector() map[graph.VertexID]float64 {
-	if pr.col != nil {
-		return pr.col.rankVector()
-	}
-	out := make(map[graph.VertexID]float64, pr.g.NumVertices())
+	out := make(map[graph.VertexID]float64, pr.d.NumVertices())
 	pr.ranks.Range(func(k uint64, v float64) bool {
 		out[graph.VertexID(k)] = v
 		return true
@@ -203,7 +188,7 @@ func (pr *PR) LastL1() float64 { return pr.lastL1 }
 // RankSum returns the total probability mass (1 in a consistent state).
 func (pr *PR) RankSum() float64 {
 	s := 0.0
-	pr.rangeRanks(func(_ uint64, v float64) bool { s += v; return true })
+	pr.ranks.Range(func(_ uint64, v float64) bool { s += v; return true })
 	return s
 }
 
@@ -211,7 +196,7 @@ func (pr *PR) RankSum() float64 {
 // precomputed true rank — the demo's bottom-left plot.
 func (pr *PR) ConvergedCount(truth map[graph.VertexID]float64, eps float64) int {
 	n := 0
-	pr.rangeRanks(func(k uint64, v float64) bool {
+	pr.ranks.Range(func(k uint64, v float64) bool {
 		if math.Abs(truth[graph.VertexID(k)]-v) < eps {
 			n++
 		}
@@ -220,191 +205,108 @@ func (pr *PR) ConvergedCount(truth map[graph.VertexID]float64, eps float64) int 
 	return n
 }
 
-type adjacencyTable struct{ g *graph.Graph }
-
-// Get implements dataflow.Table: key -> neighbor list.
-func (a adjacencyTable) Get(key uint64) (any, bool) {
-	nbrs := a.g.OutNeighbors(graph.VertexID(key))
-	if nbrs == nil {
-		return nil, false
+// source streams partition part's rank column into the expansion.
+func (pr *PR) source(part int, emit func(src int32, val float64) bool) error {
+	owned := pr.pt.Owned[part]
+	for slot, idx := range owned {
+		r, ok := pr.ranks.GetSlot(part, int32(slot))
+		if !ok {
+			continue
+		}
+		if !emit(idx, r) {
+			return nil
+		}
 	}
-	return nbrs, true
+	return nil
 }
 
-func byDst(rec any) uint64 { return uint64(rec.(Contrib).Dst) }
-func byV(rec any) uint64   { return uint64(rec.(RankRec).V) }
-
-// StepPlan builds the executable bulk-iteration body of Fig. 1b.
-// Exported for the plan tooling (optiflow-graph) and the planlint
-// test sweep.
-func (pr *PR) StepPlan() *dataflow.Plan {
-	plan := dataflow.NewPlan("pagerank-step")
-	adj := adjacencyTable{g: pr.g}
-	n := float64(pr.g.NumVertices())
-	base := (1 - pr.d) / n
-
-	ranks := plan.Source("ranks", func(part, _ int, emit dataflow.Emit) error {
-		pr.ranks.RangePartition(part, func(k uint64, v float64) bool {
-			emit(RankRec{V: graph.VertexID(k), Rank: v})
-			return true
-		})
-		return nil
-	})
-
-	// Every vertex propagates a fraction of its rank to its neighbors,
-	// proportionally to the out-edge weights (uniform when unweighted).
-	contribs := ranks.LookupJoin("find-neighbors", "links", byV,
-		func(int, int) dataflow.Table { return adj },
-		func(rec any, table dataflow.Table, emit dataflow.Emit) {
-			r := rec.(RankRec)
-			if _, ok := table.Get(uint64(r.V)); !ok {
-				return // dangling: mass redistributed by the driver
-			}
-			total := 0.0
-			pr.g.OutEdges(r.V, func(_ graph.VertexID, w float64) { total += w })
-			if total <= 0 {
-				return
-			}
-			pr.g.OutEdges(r.V, func(dst graph.VertexID, w float64) {
-				emit(Contrib{Dst: dst, Val: r.Rank * w / total})
-			})
-		})
-
-	// Contribution sums fold incrementally as records arrive: the
-	// engine keeps one accumulator per target vertex instead of
-	// materializing every contribution. The fold applies additions in
-	// the same arrival order the materializing reducer summed in, so
-	// results are unchanged.
-	if pr.combine {
-		contribs = contribs.LocalReduceByCombining("combine-contribs", byDst,
-			func(acc, rec any) any {
-				c := rec.(Contrib)
-				if acc == nil {
-					return &c
-				}
-				acc.(*Contrib).Val += c.Val
-				return acc
-			},
-			func(key uint64, acc any, emit dataflow.Emit) {
-				emit(Contrib{Dst: graph.VertexID(key), Val: acc.(*Contrib).Val})
-			}).HintKeyCardinality(pr.g.NumVertices()/pr.par + 1)
+// apply scatters the folded contribution sums into the partition's
+// scratch columns; foldRanks turns them into ranks.
+func (pr *PR) apply(part int, dst exec.KeyCol, val exec.ValCol[float64]) error {
+	slot := pr.pt.Slot
+	sums, set := pr.sums[part], pr.sumSet[part]
+	for i, d := range dst {
+		s := slot[d]
+		sums[s] = val[i]
+		set[s] = true
 	}
-
-	newRanks := contribs.ReduceByCombining("recompute-ranks", byDst,
-		func(acc, rec any) any {
-			c := rec.(Contrib)
-			if acc == nil {
-				return &c
-			}
-			acc.(*Contrib).Val += c.Val
-			return acc
-		},
-		func(key uint64, acc any, emit dataflow.Emit) {
-			emit(RankRec{V: graph.VertexID(key), Rank: base + pr.d*acc.(*Contrib).Val})
-		}).HintKeyCardinality(pr.g.NumVertices()/pr.par + 1)
-
-	// Compare against the previous rank; the dangling share is added by
-	// the driver, which owns the global aggregate.
-	compared := newRanks.LookupJoin("compare-to-old-rank", "ranks", byV,
-		func(part, _ int) dataflow.Table { return pr.ranks.Table(part) },
-		func(rec any, _ dataflow.Table, emit dataflow.Emit) {
-			emit(rec)
-		})
-
-	compared.Sink("collect-ranks", func(_ int, rec any) error {
-		r := rec.(RankRec)
-		pr.sums.Put(uint64(r.V), r.Rank)
-		return nil
-	})
-	plan.MarkState("collect-ranks")
-	plan.CompensateExternally("fix-ranks via recovery.Job.Compensate")
-	return plan
+	return nil
 }
 
 // Step implements the loop body for iterate.Loop: one PageRank
-// superstep — propagate contributions, recompute ranks, fold in the
-// dangling mass, and commit the new rank vector.
-// A mid-superstep abort needs no reconciliation here: the aborted plan
-// only wrote the sums scratch store, which is cleared at the start of
-// every attempt; the committed rank vector is untouched until the
-// post-run fold below.
+// superstep — dangling mass first, then the exchange that propagates
+// and sums contributions, then base + d*sum + share per vertex with the
+// L1 delta, committing the new rank vector.
+// A mid-superstep abort needs no reconciliation here: the aborted step
+// only wrote the sums scratch, which is cleared at the start of every
+// attempt; the committed rank vector is untouched until the fold.
 func (pr *PR) Step(ctx *iterate.Context) (iterate.StepStats, error) {
-	if pr.col != nil {
-		var fault *exec.FaultInjection
-		if ctx != nil {
-			fault = ctx.Fault
-		}
-		messages, shuffled, l1, danglingMass, err := pr.col.runStep(pr, fault)
-		if err != nil {
-			return iterate.StepStats{}, err
-		}
-		pr.lastL1 = l1
-		return iterate.StepStats{
-			Messages: messages,
-			Updates:  int64(pr.g.NumVertices()),
-			Extra:    map[string]float64{"l1": l1, "dangling": danglingMass, "shuffled": float64(shuffled)},
-		}, nil
-	}
-	n := float64(pr.g.NumVertices())
-	base := (1 - pr.d) / n
-	danglingMass := 0.0
-	for _, v := range pr.dangling {
-		if r, ok := pr.ranks.Get(uint64(v)); ok {
-			danglingMass += r
-		}
-	}
-	share := pr.d * danglingMass / n
-
-	pr.sums.ClearAll()
-	// The plan reads rank state at run time, so it is prepared once
-	// and reused every superstep (until SetLocalCombine reshapes it).
-	if pr.prepared == nil {
-		p, err := pr.engine.Prepare(pr.StepPlan())
-		if err != nil {
-			return iterate.StepStats{}, fmt.Errorf("pagerank: superstep: %v", err)
-		}
-		pr.prepared = p
-	}
 	var fault *exec.FaultInjection
 	if ctx != nil {
 		fault = ctx.Fault
 	}
-	stats, err := pr.prepared.RunWithFault(fault)
+	danglingMass := pr.danglingMass()
+	pr.clearSums()
+	stats, err := pr.engine.Run(pr.step, fault)
 	if err != nil {
 		// %w keeps *exec.WorkerFailure visible to the iteration driver.
 		return iterate.StepStats{}, fmt.Errorf("pagerank: superstep: %w", err)
 	}
-
-	l1 := 0.0
-	for _, v := range pr.g.Vertices() {
-		nv, ok := pr.sums.Get(uint64(v))
-		if !ok {
-			nv = base // no incoming contributions
-		}
-		nv += share
-		old, _ := pr.ranks.Get(uint64(v))
-		l1 += math.Abs(nv - old)
-		pr.ranks.Put(uint64(v), nv)
-	}
+	l1 := pr.foldRanks(danglingMass)
 	pr.lastL1 = l1
-
-	shuffled := stats.Outputs("find-neighbors")
-	if pr.combine {
-		shuffled = stats.Outputs("combine-contribs")
-	}
 	return iterate.StepStats{
-		Messages: stats.Outputs("find-neighbors"),
-		Updates:  int64(pr.g.NumVertices()),
-		Extra:    map[string]float64{"l1": l1, "dangling": danglingMass, "shuffled": float64(shuffled)},
+		Messages: stats.Messages,
+		Updates:  int64(pr.d.NumVertices()),
+		Extra:    map[string]float64{"l1": l1, "dangling": danglingMass, "shuffled": float64(stats.Shuffled)},
 	}, nil
+}
+
+// danglingMass sums the rank of this process's sink vertices: all the
+// dangling mass in-process, one host's share of it in a worker.
+func (pr *PR) danglingMass() float64 {
+	mass := 0.0
+	for _, idx := range pr.danglingIdx {
+		if r, ok := pr.ranks.At(idx); ok {
+			mass += r
+		}
+	}
+	return mass
+}
+
+// clearSums resets the sums scratch: an aborted attempt may have
+// written some of it.
+func (pr *PR) clearSums() {
+	for _, p := range pr.parts {
+		clear(pr.sumSet[p])
+	}
+}
+
+// foldRanks is the driver fold over this process's partitions: new
+// rank = teleport base + damped contribution sum + share of the global
+// dangling mass. It returns the L1 delta against the previous ranks.
+func (pr *PR) foldRanks(danglingMass float64) (l1 float64) {
+	n := float64(pr.d.NumVertices())
+	base := (1 - pr.damping) / n
+	share := pr.damping * danglingMass / n
+	for _, p := range pr.parts {
+		sums, set := pr.sums[p], pr.sumSet[p]
+		for slot := range sums {
+			nv := base
+			if set[slot] {
+				nv = base + pr.damping*sums[slot]
+			}
+			nv += share
+			old, _ := pr.ranks.GetSlot(p, int32(slot))
+			l1 += math.Abs(nv - old)
+			pr.ranks.SetSlot(p, int32(slot), nv)
+		}
+	}
+	return l1
 }
 
 // SnapshotTo implements recovery.Job: the rank vector plus the
 // convergence marker.
 func (pr *PR) SnapshotTo(buf *bytes.Buffer) error {
-	if pr.col != nil {
-		return pr.col.snapshotTo(pr, buf)
-	}
 	enc := gob.NewEncoder(buf)
 	if err := enc.Encode(pr.lastL1); err != nil {
 		return fmt.Errorf("pagerank: encoding snapshot: %v", err)
@@ -414,9 +316,6 @@ func (pr *PR) SnapshotTo(buf *bytes.Buffer) error {
 
 // RestoreFrom implements recovery.Job.
 func (pr *PR) RestoreFrom(data []byte) error {
-	if pr.col != nil {
-		return pr.col.restoreFrom(pr, data)
-	}
 	dec := gob.NewDecoder(bytes.NewReader(data))
 	if err := dec.Decode(&pr.lastL1); err != nil {
 		return fmt.Errorf("pagerank: decoding snapshot: %v", err)
@@ -427,10 +326,6 @@ func (pr *PR) RestoreFrom(data []byte) error {
 // ClearPartitions implements recovery.Job: the crash destroys the rank
 // partitions of the failed workers.
 func (pr *PR) ClearPartitions(parts []int) {
-	if pr.col != nil {
-		pr.col.clearPartitions(parts)
-		return
-	}
 	for _, p := range parts {
 		pr.ranks.ClearPartition(p)
 	}
@@ -448,10 +343,7 @@ func (pr *PR) Compensate(lost []int) error {
 // incremental checkpoints degenerate to full ones — experiment E6
 // quantifies exactly that contrast with the delta iteration.
 func (pr *PR) PartitionVersions() []uint64 {
-	if pr.col != nil {
-		return pr.col.partitionVersions()
-	}
-	out := make([]uint64, pr.par)
+	out := make([]uint64, pr.pt.N)
 	for p := range out {
 		out[p] = pr.ranks.Version(p)
 	}
@@ -460,9 +352,6 @@ func (pr *PR) PartitionVersions() []uint64 {
 
 // SnapshotPartition implements recovery.IncrementalJob.
 func (pr *PR) SnapshotPartition(p int, buf *bytes.Buffer) error {
-	if pr.col != nil {
-		return pr.col.ranks.EncodePartition(p, gob.NewEncoder(buf))
-	}
 	return pr.ranks.EncodePartition(p, gob.NewEncoder(buf))
 }
 
@@ -474,37 +363,27 @@ func (pr *PR) RestorePartition(p int, data []byte) error {
 	pr.restoreMu.Lock()
 	pr.lastL1 = math.Inf(1) // the convergence marker is global; be safe
 	pr.restoreMu.Unlock()
-	if pr.col != nil {
-		return pr.col.ranks.DecodePartition(p, gob.NewDecoder(bytes.NewReader(data)))
-	}
 	return pr.ranks.DecodePartition(p, gob.NewDecoder(bytes.NewReader(data)))
 }
 
 // ResetToInitial implements recovery.Job.
 func (pr *PR) ResetToInitial() error {
-	if pr.col != nil {
-		pr.col.ranks.ClearAll()
-		pr.seedInitial()
-		return nil
-	}
 	pr.ranks.ClearAll()
-	pr.seedInitial()
+	pr.seed(pr.parts)
+	pr.lastL1 = math.Inf(1)
 	return nil
 }
 
 // CaptureSnapshot implements recovery.AsyncJob: an O(partitions)
-// copy-on-write view of the rank vector, safe to encode on background
+// copy-on-write view of the rank columns, safe to encode on background
 // goroutines while the next superstep runs. Per-partition encoding
 // matches SnapshotPartition byte for byte.
 func (pr *PR) CaptureSnapshot() checkpoint.PartitionSnapshot {
-	if pr.col != nil {
-		return pr.col.captureSnapshot()
-	}
 	return prCapture{ranks: pr.ranks.SnapshotShared()}
 }
 
 type prCapture struct {
-	ranks *state.Store[float64]
+	ranks *state.DenseStore[float64]
 }
 
 func (s prCapture) NumPartitions() int { return s.ranks.NumPartitions() }

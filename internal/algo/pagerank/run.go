@@ -39,10 +39,6 @@ type Options struct {
 	Probe func(job *PR, s iterate.Sample)
 	// MaxTicks bounds superstep attempts (iterate.DefaultMaxTicks if 0).
 	MaxTicks int
-	// Boxed forces the boxed []any record path. By default the job runs
-	// on the typed columnar engine, which computes identical results
-	// (see the equivalence tests) without per-record boxing.
-	Boxed bool
 	// Supervise, when non-nil, runs the loop under a recovery
 	// supervisor (bounded spare pool, retry/backoff, degraded-mode
 	// repartitioning, policy escalation). See internal/supervise.
@@ -84,12 +80,7 @@ type Result struct {
 // failures per the configured policy.
 func Run(g *graph.Graph, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
-	var job *PR
-	if opts.Boxed {
-		job = New(g, opts.Parallelism, opts.Damping, opts.Compensation)
-	} else {
-		job = NewColumnar(g, opts.Parallelism, opts.Damping, opts.Compensation)
-	}
+	job := NewColumnar(g, opts.Parallelism, opts.Damping, opts.Compensation)
 	job.SetLocalCombine(opts.LocalCombine)
 	cl := opts.Cluster
 	if cl == nil {

@@ -13,32 +13,31 @@ import (
 	"optiflow/internal/vertexcentric"
 )
 
-// Columnar ↔ boxed equivalence: both paths relax the same hop-ordered
-// weight sums under the same min fold, so the shortest-path fixpoint is
-// identical (requireDistancesEqual's 1e-9 is slack for +Inf handling,
-// not for divergent arithmetic).
+// Columnar ↔ boxed equivalence: the columnar job and the vertex-centric
+// program (the runner confined recovery needs, see Run) relax the same
+// hop-ordered weight sums under the same min fold, so the shortest-path
+// fixpoint is identical (requireDistancesEqual's 1e-9 is slack for +Inf
+// handling, not for divergent arithmetic).
 
-// requireBothMatch runs the same SSSP computation on both record paths
-// and checks each against Dijkstra, then against the other. The options
-// factory is invoked once per run so stateful policies and injectors
-// are never shared.
+// requireBothMatch runs the same SSSP computation as the columnar job
+// and as the vertex-centric program and checks each against Dijkstra,
+// then against the other. The options factory is invoked once per run
+// so stateful policies and injectors are never shared.
 func requireBothMatch(t *testing.T, g *graph.Graph, source graph.VertexID, mkOpts func() vertexcentric.Options) {
 	t.Helper()
 	truth := ref.ShortestPaths(g, source)
 
-	boxedOpts := mkOpts()
-	boxedOpts.Boxed = true
-	boxed, _, err := Run(g, source, boxedOpts)
+	boxed, err := vertexcentric.Run(Program(g, source), g, mkOpts())
 	if err != nil {
-		t.Fatalf("boxed run: %v", err)
+		t.Fatalf("vertex-centric run: %v", err)
 	}
-	col, _, err := Run(g, source, mkOpts())
+	col, _, err := runColumnar(g, source, mkOpts())
 	if err != nil {
 		t.Fatalf("columnar run: %v", err)
 	}
-	requireDistancesEqual(t, boxed, truth)
+	requireDistancesEqual(t, boxed.States, truth)
 	requireDistancesEqual(t, col, truth)
-	requireDistancesEqual(t, col, boxed)
+	requireDistancesEqual(t, col, boxed.States)
 }
 
 func TestColumnarBoxedEquivalenceFailureFree(t *testing.T) {
@@ -63,9 +62,9 @@ func TestColumnarBoxedEquivalenceFailureFree(t *testing.T) {
 	}
 }
 
-// The fault-injection matrix over the policies both paths support
-// (confined recovery pins the boxed runner by design — see Run — so it
-// is exercised separately below).
+// The fault-injection matrix over the policies both engines support
+// (confined recovery pins the vertex-centric runner by design — see Run
+// — so it is exercised separately below).
 func TestColumnarBoxedEquivalenceFaultMatrix(t *testing.T) {
 	g := gen.BarabasiAlbert(90, 2, 47, false)
 	policies := []func() recovery.Policy{
@@ -94,20 +93,19 @@ func TestColumnarBoxedEquivalenceFaultMatrix(t *testing.T) {
 	}
 }
 
-// Runs that require the vertex-centric accumulator replicas fall back
-// to the boxed runner and must still match Dijkstra: the columnar
-// selection never changes which configurations are supported.
+// Runs that require the vertex-centric accumulator replicas are routed
+// to the boxed vertex-centric runner and must still match Dijkstra: the
+// engine selection never changes which configurations are supported.
 func TestColumnarIneligibleFallsBackToBoxed(t *testing.T) {
 	g := gen.Grid(8, 8)
 	truth := ref.ShortestPaths(g, 0)
 	cases := []vertexcentric.Options{
 		{Parallelism: 4, AccumulatorLog: true, Injector: failure.NewScripted(nil).At(2, 1)},
 		{Parallelism: 4, AccumulatorLog: true, Policy: recovery.Confined{}, Injector: failure.NewScripted(nil).At(2, 1)},
-		{Parallelism: 4, Boxed: true},
 	}
 	for i, opts := range cases {
 		if columnarEligible(opts) {
-			t.Fatalf("case %d: expected boxed fallback", i)
+			t.Fatalf("case %d: expected the vertex-centric runner", i)
 		}
 		got, _, err := Run(g, 0, opts)
 		if err != nil {

@@ -74,11 +74,13 @@ func Program(g *graph.Graph, source graph.VertexID) vertexcentric.Program[float6
 // Run computes shortest-path distances from source under the given
 // options. Unreached vertices map to +Inf.
 //
-// By default the iteration runs on the typed columnar engine, which
-// computes identical distances without boxing each relaxation. Confined
-// recovery depends on the vertex-centric runner's accumulator replicas,
-// so runs requesting AccumulatorLog (or Options.Boxed, or the Confined
-// policy itself) use the boxed vertex-centric program.
+// The iteration runs on the typed columnar engine (exec.ColEngine)
+// unless the run requests confined recovery — AccumulatorLog or the
+// recovery.Confined policy. Confined recovery's replica protocol exists
+// only in the vertex-centric runner, so those runs execute
+// vertexcentric.Run(Program(g, source), ...) on exec.Engine instead:
+// the engine is selected from the requested policy, there is no flag
+// for it, and both compute the same distances (equivalence_test.go).
 func Run(g *graph.Graph, source graph.VertexID, opts vertexcentric.Options) (map[graph.VertexID]float64, *vertexcentric.Result[float64, float64], error) {
 	if columnarEligible(opts) {
 		return runColumnar(g, source, opts)
@@ -91,7 +93,7 @@ func Run(g *graph.Graph, source graph.VertexID, opts vertexcentric.Options) (map
 }
 
 func columnarEligible(opts vertexcentric.Options) bool {
-	if opts.Boxed || opts.AccumulatorLog {
+	if opts.AccumulatorLog {
 		return false
 	}
 	if _, confined := opts.Policy.(recovery.Confined); confined {

@@ -9,7 +9,6 @@ import (
 	"optiflow/internal/algo/cc"
 	"optiflow/internal/algo/pagerank"
 	"optiflow/internal/dataflow"
-	"optiflow/internal/graph/gen"
 	"optiflow/internal/planlint"
 )
 
@@ -62,31 +61,4 @@ func checkGolden(t *testing.T, name, got string) {
 			t.Fatalf("%s drifted from golden.\n--- want\n%s\n--- got\n%s", name, want, got)
 		}
 	})
-}
-
-// TestStepPlanGoldens pins the Explain() rendering — plain and
-// lint-annotated — of the executable step plans the recovery policies
-// snapshot around, in the exact optimized form the engine prepares.
-// These are the plans that run under the PR 5 async checkpoint policies
-// (AsyncCheckpointRecovery / AsyncIncrementalCheckpointRecovery): the
-// copy-on-write barrier capture happens between executions of exactly
-// these dataflows, so structural drift here changes what every
-// checkpoint epoch contains and must be a conscious choice.
-// Regenerate with `go test ./internal/planlint -run Goldens -update`.
-func TestStepPlanGoldens(t *testing.T) {
-	g, _ := gen.Demo()
-	gd, _ := gen.DemoDirected()
-	cases := []struct {
-		name string
-		plan *dataflow.Plan
-	}{
-		{"cc-step", cc.New(g, 4).StepPlan()},
-		{"pagerank-step", pagerank.New(gd, 4, 0.85, pagerank.UniformRedistribution).StepPlan()},
-	}
-	for _, tc := range cases {
-		optimized := dataflow.Optimize(tc.plan)
-		checkGolden(t, tc.name+".explain", tc.plan.Explain())
-		checkGolden(t, tc.name+".lint-explain", planlint.Explain(tc.plan))
-		checkGolden(t, tc.name+"-optimized.lint-explain", planlint.Explain(optimized))
-	}
 }

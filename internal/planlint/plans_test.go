@@ -7,26 +7,22 @@ import (
 	"optiflow/internal/algo/cc"
 	"optiflow/internal/algo/kmeans"
 	"optiflow/internal/algo/pagerank"
-	"optiflow/internal/checkpoint"
 	"optiflow/internal/dataflow"
-	"optiflow/internal/failure"
 	"optiflow/internal/graph"
 	"optiflow/internal/graph/gen"
-	"optiflow/internal/iterate"
 	"optiflow/internal/planlint"
-	"optiflow/internal/recovery"
 	"optiflow/internal/vertexcentric"
 )
 
 // TestAllRepoPlansAreLintClean runs the semantic analyzer over every
-// plan the repository builds — the executable step plans of all
-// algorithms (the same plans examples/ run through the public API) and
+// plan the repository builds — the executable step plans of every
+// exec.Engine job (the same plans examples/ run through the public
+// API; delta CC and PageRank run on exec.ColEngine and have none) and
 // the Fig. 1 rendering plans — asserting none carries an
 // Error-severity diagnostic. exec.Run refuses Error plans, so an Error
 // here means an algorithm stopped being executable.
 func TestAllRepoPlansAreLintClean(t *testing.T) {
 	g, _ := gen.Demo()
-	gd, _ := gen.DemoDirected()
 
 	km, err := kmeans.New([]kmeans.Point{
 		{0, 0}, {0, 1}, {1, 0}, {10, 10}, {10, 11}, {11, 10}, {20, 0}, {21, 1},
@@ -51,10 +47,8 @@ func TestAllRepoPlansAreLintClean(t *testing.T) {
 		name string
 		plan *dataflow.Plan
 	}{
-		{"cc-step", cc.New(g, 4).StepPlan()},
 		{"cc-bulk-step", cc.NewBulk(g, 4).StepPlan()},
 		{"cc-figure", cc.FigurePlan()},
-		{"pagerank-step", pagerank.New(gd, 4, 0.85, pagerank.UniformRedistribution).StepPlan()},
 		{"pagerank-figure", pagerank.FigurePlan()},
 		{"kmeans-step", km.StepPlan()},
 		{"als-solve-users", alsJob.HalfStepPlan(true)},
@@ -72,68 +66,6 @@ func TestAllRepoPlansAreLintClean(t *testing.T) {
 				t.Fatalf("plan %q has Error diagnostics:\n%s", tc.name, planlint.Report(errs))
 			}
 			t.Logf("plan %q: %d diagnostic(s)\n%s", tc.name, len(diags), planlint.Report(diags))
-		})
-	}
-}
-
-// TestAsyncPolicyRunPlansAreLintClean runs Connected Components
-// end-to-end under the asynchronous checkpoint policies (full and
-// incremental), with a failure injected so the restore path executes,
-// and lints the step plan the engine actually ran under each policy —
-// in both its raw and optimizer-rewritten forms. The async pipeline
-// captures partition state at the superstep barrier, so the plans it
-// snapshots around must stay free of Error diagnostics or exec.Run
-// would refuse them mid-recovery.
-func TestAsyncPolicyRunPlansAreLintClean(t *testing.T) {
-	g, _ := gen.Demo()
-	policies := []struct {
-		name string
-		mk   func() recovery.Policy
-	}{
-		{"async-checkpoint", func() recovery.Policy {
-			return recovery.NewAsyncCheckpoint(1, checkpoint.NewMemoryStore(), 4)
-		}},
-		{"async-incremental-checkpoint", func() recovery.Policy {
-			c := recovery.NewAsyncCheckpoint(1, checkpoint.NewMemoryStore(), 4)
-			c.Incremental = true
-			return c
-		}},
-	}
-	for _, pc := range policies {
-		t.Run(pc.name, func(t *testing.T) {
-			var job *cc.CC
-			res, err := cc.Run(g, cc.Options{
-				Parallelism: 4,
-				Policy:      pc.mk(),
-				Injector:    failure.NewScripted(nil).At(2, 0),
-				Probe:       func(j *cc.CC, _ iterate.Sample) { job = j },
-			})
-			if err != nil {
-				t.Fatalf("cc under %s: %v", pc.name, err)
-			}
-			if job == nil {
-				t.Fatal("probe never observed the running job")
-			}
-			if res.Overhead.Checkpoints == 0 {
-				t.Fatalf("policy %s never checkpointed; the sweep would prove nothing", pc.name)
-			}
-			variants := []struct {
-				name string
-				plan *dataflow.Plan
-			}{
-				{"step", job.StepPlan()},
-				{"step-optimized", dataflow.Optimize(job.StepPlan())},
-			}
-			for _, v := range variants {
-				if err := v.plan.Validate(); err != nil {
-					t.Fatalf("%s/%s Validate: %v", pc.name, v.name, err)
-				}
-				diags := planlint.Lint(v.plan)
-				if errs := planlint.Errors(diags); len(errs) > 0 {
-					t.Fatalf("plan %s/%s has Error diagnostics:\n%s", pc.name, v.name, planlint.Report(errs))
-				}
-				t.Logf("plan %s/%s: %d diagnostic(s)", pc.name, v.name, len(diags))
-			}
 		})
 	}
 }

@@ -32,7 +32,7 @@ func snapshotBytes(t *testing.T, job recovery.Job) []byte {
 // though the async write raced two more supersteps of live mutation.
 func TestAsyncRestoreByteIdenticalToSync_CC(t *testing.T) {
 	g := gen.Grid(12, 12)
-	job := cc.New(g, 4)
+	job := cc.NewColumnar(g, 4)
 
 	syncPol := recovery.NewCheckpoint(1, checkpoint.NewMemoryStore())
 	asyncPol := recovery.NewAsyncCheckpoint(1, checkpoint.NewMemoryStore(), 4)
@@ -70,12 +70,12 @@ func TestAsyncRestoreByteIdenticalToSync_CC(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fromSync := cc.New(g, 4)
+	fromSync := cc.NewColumnar(g, 4)
 	resumeSync, err := syncPol.OnFailure(fromSync, recovery.Failure{Superstep: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromAsync := cc.New(g, 4)
+	fromAsync := cc.NewColumnar(g, 4)
 	resumeAsync, err := asyncPol.OnFailure(fromAsync, recovery.Failure{Superstep: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestAsyncRestoreByteIdenticalToSync_CC(t *testing.T) {
 
 func TestAsyncRestoreByteIdenticalToSync_PageRank(t *testing.T) {
 	g := gen.Twitter(800, 11)
-	job := pagerank.New(g, 4, 0.85, nil)
+	job := pagerank.NewColumnar(g, 4, 0.85, nil)
 
 	syncPol := recovery.NewCheckpoint(1, checkpoint.NewMemoryStore())
 	asyncPol := recovery.NewAsyncCheckpoint(1, checkpoint.NewMemoryStore(), 4)
@@ -125,11 +125,11 @@ func TestAsyncRestoreByteIdenticalToSync_PageRank(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fromSync := pagerank.New(g, 4, 0.85, nil)
+	fromSync := pagerank.NewColumnar(g, 4, 0.85, nil)
 	if _, err := syncPol.OnFailure(fromSync, recovery.Failure{Superstep: 3}); err != nil {
 		t.Fatal(err)
 	}
-	fromAsync := pagerank.New(g, 4, 0.85, nil)
+	fromAsync := pagerank.NewColumnar(g, 4, 0.85, nil)
 	if _, err := asyncPol.OnFailure(fromAsync, recovery.Failure{Superstep: 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func partitionBytes(t *testing.T, job recovery.IncrementalJob) [][]byte {
 // epochs; the reassembled restore must still be byte-identical.
 func TestAsyncIncrementalRestoreByteIdentical(t *testing.T) {
 	g := gen.Grid(10, 10)
-	job := cc.New(g, 4)
+	job := cc.NewColumnar(g, 4)
 	pol := recovery.NewAsyncCheckpoint(1, checkpoint.NewMemoryStore(), 4)
 	pol.Incremental = true
 	if err := pol.Setup(job); err != nil {
@@ -182,7 +182,7 @@ func TestAsyncIncrementalRestoreByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := snapshotBytes(t, job)
-	restored := cc.New(g, 4)
+	restored := cc.NewColumnar(g, 4)
 	if _, err := pol.OnFailure(restored, recovery.Failure{Superstep: 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestAsyncIncrementalRestoreByteIdentical(t *testing.T) {
 // holds a committed epoch for the final submitted superstep.
 func TestAsyncFinishDrainsInFlightEpochs(t *testing.T) {
 	g := gen.Grid(8, 8)
-	job := cc.New(g, 4)
+	job := cc.NewColumnar(g, 4)
 	store := checkpoint.NewMemoryStore()
 	pol := recovery.NewAsyncCheckpoint(1, store, 2)
 	if err := pol.Setup(job); err != nil {

@@ -320,11 +320,6 @@ type Options struct {
 	// EnableAccumulatorLog); requires the program to define Combine and
 	// is typically paired with Policy: recovery.Confined{}.
 	AccumulatorLog bool
-	// Boxed forces the boxed vertex-centric runner for callers (like
-	// sssp.Run) that otherwise select a typed columnar execution of the
-	// same program. The generic runner here is always boxed; the flag
-	// exists so the choice travels with the shared Options type.
-	Boxed bool
 }
 
 // Result bundles the loop outcome with the runner for state access.

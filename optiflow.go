@@ -129,8 +129,8 @@ type (
 // The typed columnar path (DESIGN.md §2.6): graph supersteps whose
 // payloads are numeric run as column batches over a CSR adjacency with
 // no per-record boxing. ConnectedComponents, PageRank and ShortestPaths
-// use it by default; these exports let custom jobs build their own
-// columnar supersteps.
+// run on it; these exports let custom jobs build their own columnar
+// supersteps.
 type (
 	// ColValue is the payload universe of the columnar path.
 	ColValue = exec.ColValue
@@ -459,8 +459,15 @@ func ALSFactorize(ratings *Ratings, opts ALSOptions) (*ALSResult, error) {
 type VertexProgramOptions = vertexcentric.Options
 
 // ShortestPaths computes single-source shortest path distances as a
-// vertex-centric delta iteration with compensation-based recovery.
-// Unreached vertices map to +Inf.
+// delta iteration with compensation-based recovery. Unreached vertices
+// map to +Inf.
+//
+// The iteration runs on the columnar engine unless opts requests
+// confined recovery (AccumulatorLog, or the Confined policy): confined
+// recovery's replica protocol exists only in the vertex-centric runner,
+// so those runs execute the same relaxations as a vertex program on
+// the general engine. The engine follows from the requested policy;
+// there is no option that picks it.
 func ShortestPaths(g *Graph, source VertexID, opts VertexProgramOptions) (map[VertexID]float64, error) {
 	dist, _, err := sssp.Run(g, source, opts)
 	return dist, err
