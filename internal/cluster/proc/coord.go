@@ -310,6 +310,7 @@ type workerProc struct {
 	reaped    bool          // process exited (observed by the reaper)
 	condemned bool          // the suspicion ladder's final verdict; sticky
 	suspectAt time.Time     // when the worker became suspect; zero = trusted
+	owed      Owed          // superstep decided committed, not yet told to the worker
 }
 
 // markGoneLocked closes the gone channel once, aborting any RPC waiting
@@ -1193,37 +1194,22 @@ func (c *Coordinator) Release(w int) error {
 		// Push the migrated state to each adopting survivor concurrently:
 		// every destination streams its own chunks over its own data
 		// plane, so a multi-survivor migration overlaps end to end.
-		var wg sync.WaitGroup
-		errs := make([]error, len(survivors))
-		for i, o := range survivors {
-			parts := perOwner[o]
-			if len(parts) == 0 {
-				continue
+		err := onOwners(perOwner, func(o int, parts []int) error {
+			if err := hook(o, parts); err != nil {
+				return fmt.Errorf("loading partitions: %v", err)
 			}
-			wg.Add(1)
-			go func(i, o int, parts []int) {
-				defer wg.Done()
-				if err := hook(o, parts); err != nil {
-					errs[i] = fmt.Errorf("proc: releasing worker %d: loading partitions onto %d: %v", w, o, err)
-					return
-				}
-				restore := make([]PartBlob, 0, len(parts))
-				for _, part := range parts {
-					restore = append(restore, fetched[part])
-				}
-				if err := c.restoreState(o, restore); err != nil {
-					errs[i] = fmt.Errorf("proc: releasing worker %d: restoring state onto %d: %v", w, o, err)
-				}
-			}(i, o, parts)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
+			restore := make([]PartBlob, 0, len(parts))
+			for _, part := range parts {
+				restore = append(restore, fetched[part])
 			}
+			return c.restoreState(o, restore)
+		})
+		if err != nil {
+			return fmt.Errorf("proc: releasing worker %d: moving state to %v", w, err)
 		}
 	}
 	if p != nil {
+		// Nothing is owed here: the migration fetch carried w's debt.
 		p.ctrl.call(ShutdownReq{})
 		c.mu.Lock()
 		p.markGoneLocked()
@@ -1330,29 +1316,65 @@ func (c *Coordinator) setAssignHook(fn func(worker int, parts []int) error) {
 }
 
 // onProc runs one operation — a ctrl RPC, a data-plane transfer —
-// against worker w's process. The transports absorb transient faults
-// (timeouts retry with the same idempotence token, broken connections
-// wait for the worker's redial); only when a whole retry budget is
-// exhausted does the failure reach here as a transport error, and the
-// worker is condemned. An application-level rejection proves the worker
-// alive and is passed through untouched.
-func (c *Coordinator) onProc(w int, what string, op func(p *workerProc) error) error {
+// against worker w's process, handing it the commit w is owed (see owe)
+// to carry or settle. The transports absorb transient faults (timeouts
+// retry with the same idempotence token, broken connections wait for
+// the worker's redial); only when a whole retry budget is exhausted does
+// the failure reach here as a transport error, and the worker is
+// condemned. An application-level rejection proves the worker alive and
+// is passed through untouched.
+func (c *Coordinator) onProc(w int, what string, op func(p *workerProc, owed Owed) error) error {
 	c.mu.Lock()
 	p := c.procs[w]
+	var owed Owed
+	if p != nil {
+		owed, p.owed = p.owed, Owed{}
+	}
 	c.mu.Unlock()
 	if p == nil {
 		return fmt.Errorf("proc: no process for worker %d", w)
 	}
-	err := op(p)
+	err := op(p, owed)
 	if err != nil && isTransportError(err) {
 		c.condemn(w, fmt.Sprintf("%s failed: %v", what, err))
 	}
 	return err
 }
 
-// call performs one ctrl RPC against worker w.
+// owe records the driver's decision that the superstep committed —
+// every worker answered its StepReq — as a debt to each: none has been
+// told. The debt lives on the worker's handle, so it survives a reconnect
+// and dies with a condemned worker; whatever onProc runs next pays it.
+func (c *Coordinator) owe(workers []int, superstep int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, w := range workers {
+		if p := c.procs[w]; p != nil {
+			p.owed = Owed{Superstep: superstep, Set: true}
+		}
+	}
+}
+
+// settle pays a debt with a CommitReq of its own, ahead of a request
+// that cannot carry it.
+func (p *workerProc) settle(owed Owed) error {
+	if !owed.Set {
+		return nil
+	}
+	_, err := p.ctrl.call(CommitReq{Superstep: owed.Superstep})
+	return err
+}
+
+// call performs one ctrl RPC against worker w. A StepReq carries w's
+// debt, so a superstep is one round trip; anything else settles it first.
 func (c *Coordinator) call(w int, req any) (resp any, err error) {
-	err = c.onProc(w, "rpc", func(p *workerProc) error {
+	err = c.onProc(w, "rpc", func(p *workerProc, owed Owed) error {
+		if r, ok := req.(StepReq); ok {
+			r.Commit = owed
+			req = r
+		} else if err := p.settle(owed); err != nil {
+			return err
+		}
 		resp, err = p.ctrl.call(req)
 		return err
 	})

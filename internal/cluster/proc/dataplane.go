@@ -204,8 +204,8 @@ func (c *Coordinator) dataTransfer(p *workerProc, fn func(nc net.Conn) error) er
 }
 
 // dataFetch streams the listed partitions' committed state off worker
-// p over its data plane.
-func (c *Coordinator) dataFetch(p *workerProc, parts []int) ([]PartBlob, error) {
+// p over its data plane, every attempt carrying the commit.
+func (c *Coordinator) dataFetch(p *workerProc, commit Owed, parts []int) ([]PartBlob, error) {
 	var out []PartBlob
 	var buf []byte
 	err := c.dataTransfer(p, func(nc net.Conn) error {
@@ -213,7 +213,7 @@ func (c *Coordinator) dataFetch(p *workerProc, parts []int) ([]PartBlob, error) 
 		stream := streamSeq.Add(1)
 		seq := uint32(0)
 		nc.SetDeadline(time.Now().Add(c.cfg.CallTimeout))
-		req := DataFetchReq{Stream: stream, ChunkBytes: viewBytesPerVertex * c.cfg.ChunkVertices, Parts: parts}
+		req := DataFetchReq{Commit: commit, Stream: stream, ChunkBytes: viewBytesPerVertex * c.cfg.ChunkVertices, Parts: parts}
 		if err := writeFrameCfg(nc, 0, req, c.wc); err != nil {
 			return err
 		}
@@ -321,14 +321,15 @@ func (c *Coordinator) dataRestore(p *workerProc, parts []PartBlob) error {
 }
 
 // fetchState reads the committed state views of parts from worker w —
-// over the data plane when it has one, else a monolithic ctrl RPC.
+// over the data plane when it has one, else a monolithic ctrl RPC. The
+// fetch carries w's debt either way.
 func (c *Coordinator) fetchState(w int, parts []int) (out []PartBlob, err error) {
-	err = c.onProc(w, "state fetch", func(p *workerProc) (err error) {
+	err = c.onProc(w, "state fetch", func(p *workerProc, owed Owed) (err error) {
 		if p.data != nil {
-			out, err = c.dataFetch(p, parts)
+			out, err = c.dataFetch(p, owed, parts)
 			return err
 		}
-		resp, err := p.ctrl.call(FetchReq{Parts: parts})
+		resp, err := p.ctrl.call(FetchReq{Commit: owed, Parts: parts})
 		if err == nil {
 			out = resp.(FetchResp).Parts
 		}
@@ -338,9 +339,12 @@ func (c *Coordinator) fetchState(w int, parts []int) (out []PartBlob, err error)
 }
 
 // restoreState overwrites partition state on worker w — data plane when
-// it has one, ctrl RPC otherwise.
+// it has one, ctrl RPC otherwise — once w's debt is settled.
 func (c *Coordinator) restoreState(w int, parts []PartBlob) error {
-	return c.onProc(w, "state restore", func(p *workerProc) error {
+	return c.onProc(w, "state restore", func(p *workerProc, owed Owed) error {
+		if err := p.settle(owed); err != nil {
+			return err
+		}
 		if p.data != nil {
 			return c.dataRestore(p, parts)
 		}

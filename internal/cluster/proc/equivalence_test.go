@@ -6,7 +6,9 @@ package proc
 // same labels, ranks within float-summation noise, the same committed
 // supersteps up to the one priming step — failure-free, and after a
 // real mid-superstep SIGKILL under every recovery policy. Two proc runs
-// of the same input must agree bit for bit.
+// of the same input must agree bit for bit. The boundary cells hold the
+// deferred commit to the reference and to the eager protocol's counts
+// when a checkpoint, a Release or a SIGKILL finds every worker owed one.
 
 import (
 	"bytes"
@@ -18,6 +20,8 @@ import (
 
 	"optiflow/internal/algo/cc"
 	"optiflow/internal/algo/pagerank"
+	"optiflow/internal/algo/ref"
+	"optiflow/internal/checkpoint"
 	"optiflow/internal/cluster"
 	"optiflow/internal/failure"
 	"optiflow/internal/graph"
@@ -43,11 +47,84 @@ type procRun struct {
 	ranks      map[graph.VertexID]float64
 	supersteps int
 	messages   int64
+	res        *iterate.Result
 }
 
-// runProc runs kind over g on a fresh 2-worker cluster. killAt >= 0
-// SIGKILLs worker 1 while that superstep is in flight.
-func runProc(t *testing.T, kind string, g *graph.Graph, policy recovery.Policy, killAt int) procRun {
+// procScript is what happens to worker 1 during a run.
+type procScript func(co *Coordinator) failure.Injector
+
+func undisturbed(*Coordinator) failure.Injector { return nil }
+
+// midStepKill SIGKILLs worker 1 while superstep at is in flight.
+func midStepKill(at int) procScript {
+	return func(*Coordinator) failure.Injector { return failure.NewScripted(nil).AtMidStep(at, 0, 1) }
+}
+
+// atBoundary is a failure.Injector that acts once, at the boundary after
+// superstep at — every worker answered it, so its commit is owed to each
+// and none has been told — and reports as dead the workers act returns.
+type atBoundary struct {
+	at   int
+	act  func() []int
+	done bool
+}
+
+func (b *atBoundary) FailuresAt(superstep, _ int, _ []int) []int {
+	if superstep != b.at || b.done {
+		return nil
+	}
+	b.done = true
+	return b.act()
+}
+
+// assertOwed demands the premise of every boundary cell: the driver
+// decided superstep at committed and has told no worker yet.
+func assertOwed(t *testing.T, co *Coordinator, at int) {
+	t.Helper()
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	for w, p := range co.procs {
+		if want := (Owed{Superstep: at, Set: true}); p.owed != want {
+			t.Errorf("at the boundary after superstep %d worker %d is owed %+v, want %+v", at, w, p.owed, want)
+		}
+	}
+}
+
+// boundaryKill fails worker 1 (a SIGKILL) at the boundary after
+// superstep at. settled pays every worker's debt first — a ping cannot
+// carry a commit — so the victim dies owing nothing instead of owing at.
+func boundaryKill(t *testing.T, at int, settled bool) procScript {
+	return func(co *Coordinator) failure.Injector {
+		return &atBoundary{at: at, act: func() []int {
+			assertOwed(t, co, at)
+			if settled {
+				for _, w := range co.Workers() {
+					if _, err := co.call(w, PingReq{}); err != nil {
+						t.Errorf("settling worker %d: %v", w, err)
+					}
+				}
+			}
+			return []int{1}
+		}}
+	}
+}
+
+// releaseAt releases worker 1 at the boundary after superstep at: its
+// state migrates while every commit of at is owed.
+func releaseAt(t *testing.T, at int) procScript {
+	return func(co *Coordinator) failure.Injector {
+		return &atBoundary{at: at, act: func() []int {
+			assertOwed(t, co, at)
+			if err := co.Release(1); err != nil {
+				t.Errorf("Release(1) at the boundary after superstep %d: %v", at, err)
+			}
+			return nil
+		}}
+	}
+}
+
+// runProc runs kind over g on a fresh 2-worker cluster under script.
+func runProc(t *testing.T, kind string, g *graph.Graph, policy recovery.Policy, script procScript) procRun {
 	t.Helper()
 	co := startTestCluster(t, eqWorkers, eqParts, nil)
 	defer co.Close()
@@ -61,19 +138,12 @@ func runProc(t *testing.T, kind string, g *graph.Graph, policy recovery.Policy, 
 	} else {
 		loop.Done = iterate.BulkDone(1000, func(int) bool { return job.LastL1() < eqEpsilon })
 	}
-	var sched failure.Injector
-	if killAt >= 0 {
-		sched = failure.NewScripted(nil).AtMidStep(killAt, 0, 1)
-	}
-	loop.Injector = DetectFailures(co, sched)
+	loop.Injector = DetectFailures(co, script(co))
 	res, err := loop.Run()
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if killAt >= 0 {
-		assertAbortedKill(t, res, 1)
-	}
-	run := procRun{supersteps: res.Supersteps}
+	run := procRun{supersteps: res.Supersteps, res: res}
 	for _, s := range res.Samples {
 		run.messages += s.Stats.Messages
 	}
@@ -118,7 +188,7 @@ func TestProcCCMatchesInProcess(t *testing.T) {
 			}
 			want := ref.Components()
 
-			clean := runProc(t, KindCC, g, recovery.None{}, -1)
+			clean := runProc(t, KindCC, g, recovery.None{}, undisturbed)
 			if !reflect.DeepEqual(clean.labels, want) {
 				t.Fatal("failure-free proc labels differ from the in-process run")
 			}
@@ -129,7 +199,9 @@ func TestProcCCMatchesInProcess(t *testing.T) {
 				t.Errorf("proc sent %d messages, in-process %d", clean.messages, refMsgs)
 			}
 			for _, tc := range recoveryMatrix {
-				if got := runProc(t, KindCC, g, tc.policy(), 1); !reflect.DeepEqual(got.labels, want) {
+				got := runProc(t, KindCC, g, tc.policy(), midStepKill(1))
+				assertAbortedKill(t, got.res, 1)
+				if !reflect.DeepEqual(got.labels, want) {
 					t.Errorf("%s: labels after a mid-superstep SIGKILL differ from the in-process run", tc.name)
 				}
 			}
@@ -159,18 +231,20 @@ func TestProcPageRankMatchesInProcess(t *testing.T) {
 					t.Errorf("%s: proc ranks sum to %.12f", what, sum)
 				}
 			}
-			clean := runProc(t, KindPageRank, g, recovery.None{}, -1)
+			clean := runProc(t, KindPageRank, g, recovery.None{}, undisturbed)
 			check("failure-free", clean)
 			if clean.supersteps != res.Supersteps+1 {
 				t.Errorf("proc committed %d supersteps, in-process %d (+1 priming)", clean.supersteps, res.Supersteps)
 			}
 			for _, tc := range recoveryMatrix {
-				check(tc.name+" after a mid-superstep SIGKILL", runProc(t, KindPageRank, g, tc.policy(), 2))
+				got := runProc(t, KindPageRank, g, tc.policy(), midStepKill(2))
+				assertAbortedKill(t, got.res, 1)
+				check(tc.name+" after a mid-superstep SIGKILL", got)
 			}
 
 			// Same input, same placement: partial sums are folded and added
 			// in fixed partition and worker order, so nothing may differ.
-			again := runProc(t, KindPageRank, g, recovery.None{}, -1)
+			again := runProc(t, KindPageRank, g, recovery.None{}, undisturbed)
 			if again.supersteps != clean.supersteps || again.messages != clean.messages {
 				t.Errorf("second run: %d supersteps %d messages, first %d and %d",
 					again.supersteps, again.messages, clean.supersteps, clean.messages)
@@ -181,6 +255,83 @@ func TestProcPageRankMatchesInProcess(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// owedCounts pins, per "kind/graph/cell", the committed supersteps and
+// Σ messages of every boundary cell as the eager-commit protocol ran it
+// (commit db47218, where each superstep ended with a CommitReq round):
+// deferring the commit must not move a count.
+var owedCounts = map[string]struct {
+	supersteps int
+	messages   int64
+}{
+	"cc/grid/checkpoint": {16, 1792}, "cc/grid/release": {17, 2016},
+	"cc/grid/kill/optimistic": {17, 1931}, "cc/grid/kill/checkpoint": {17, 2238}, "cc/grid/kill/restart": {16, 2238},
+	"cc/twitter/checkpoint": {3, 2392}, "cc/twitter/release": {4, 4756},
+	"cc/twitter/kill/optimistic": {5, 4769}, "cc/twitter/kill/checkpoint": {4, 4784}, "cc/twitter/kill/restart": {3, 4784},
+	"pagerank/grid/checkpoint": {94, 21056}, "pagerank/grid/release": {95, 21280},
+	"pagerank/grid/kill/optimistic": {143, 32032}, "pagerank/grid/kill/checkpoint": {95, 21504}, "pagerank/grid/kill/restart": {94, 21728},
+	"pagerank/twitter/checkpoint": {55, 130020}, "pagerank/twitter/release": {56, 132384},
+	"pagerank/twitter/kill/optimistic": {148, 349872}, "pagerank/twitter/kill/checkpoint": {56, 134748}, "pagerank/twitter/kill/restart": {55, 137112},
+}
+
+// TestOwedCommitBoundaryMatrix takes a checkpoint, a Release of worker
+// 1 and a SIGKILL of worker 1 under every recovery policy at a superstep
+// boundary — the moment every worker is owed the commit of the superstep
+// it just answered — and holds each run to internal/algo/ref and to the
+// counts of the protocol that committed eagerly. The kill runs twice,
+// the second time with every debt settled first: a worker that dies
+// owing nothing and one that dies owing a commit must be recovered to
+// the same supersteps, ticks, messages and bits.
+func TestOwedCommitBoundaryMatrix(t *testing.T) {
+	for name, g := range equivalenceGraphs() {
+		labels := ref.ConnectedComponents(g)
+		if name == "twitter" {
+			// Directed: labels diffuse along out-edges only, so the fixpoint
+			// is the in-process job's, not union-find's.
+			inproc := cc.NewColumnar(g, eqParts)
+			for inproc.WorksetLen() > 0 {
+				if _, err := inproc.Step(nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			labels = inproc.Components()
+		}
+		ranks, _ := ref.PageRank(g, ref.PageRankOptions{})
+		for kind, at := range map[string]int{KindCC: 1, KindPageRank: 2} {
+			cell := func(what string, policy recovery.Policy, script procScript) procRun {
+				t.Helper()
+				key := kind + "/" + name + "/" + what
+				got := runProc(t, kind, g, policy, script)
+				if want := owedCounts[key]; got.supersteps != want.supersteps || got.messages != want.messages {
+					t.Errorf("%s: %d supersteps, %d messages; the eager-commit protocol took %d and %d",
+						key, got.supersteps, got.messages, want.supersteps, want.messages)
+				}
+				if kind == KindCC && !reflect.DeepEqual(got.labels, labels) {
+					t.Errorf("%s: labels differ from the reference", key)
+				}
+				if l1 := rankL1(got.ranks, ranks); kind == KindPageRank && (len(got.ranks) != len(ranks) || l1 > 1e-9) {
+					t.Errorf("%s: ranks are L1 %.3g from the reference", key, l1)
+				}
+				return got
+			}
+			cell("checkpoint", recovery.NewCheckpoint(1, checkpoint.NewMemoryStore()), undisturbed)
+			cell("release", recovery.None{}, releaseAt(t, at))
+			for _, tc := range recoveryMatrix {
+				owing := cell("kill/"+tc.name, tc.policy(), boundaryKill(t, at, false))
+				settled := cell("kill/"+tc.name, tc.policy(), boundaryKill(t, at, true))
+				if owing.res.Failures != 1 || settled.res.Failures != 1 {
+					t.Errorf("%s/%s kill/%s: %d and %d failures struck, want 1 each",
+						kind, name, tc.name, owing.res.Failures, settled.res.Failures)
+				}
+				if owing.res.Ticks != settled.res.Ticks || !reflect.DeepEqual(owing.labels, settled.labels) ||
+					!reflect.DeepEqual(owing.ranks, settled.ranks) {
+					t.Errorf("%s/%s kill/%s: a victim owed superstep %d (%d ticks) was not recovered like one owed nothing (%d ticks)",
+						kind, name, tc.name, at, owing.res.Ticks, settled.res.Ticks)
+				}
+			}
+		}
 	}
 }
 

@@ -2,7 +2,7 @@ package proc
 
 // job.go is the driver half of a worker-hosted job, and it is transport
 // and protocol only: ship each worker the adjacency of its partitions,
-// drive the two-phase superstep, relay the exchange columns one worker
+// drive the superstep protocol, relay the exchange columns one worker
 // expanded for partitions another hosts, add up the workers' partial
 // scalars, move partition state views for checkpoints and results. The
 // superstep itself — expand, fold, apply, what a label or a rank is —
@@ -13,9 +13,11 @@ package proc
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"optiflow/internal/algo/cc"
@@ -44,9 +46,11 @@ type Spec struct {
 // Job runs an iterative algorithm with its state hosted ON the worker
 // processes — unlike the in-process jobs (cc.CC, pagerank.PR), whose
 // state lives in the driver and which use the cluster only for
-// membership. Supersteps are two-phase: compute on every worker, then
-// commit everywhere or abort everywhere, so an attempt torn by a SIGKILL
-// leaves worker state untouched and replayable.
+// membership. A superstep is one round trip: every worker computes an
+// attempt and holds it; once all have answered, the commit rides on the
+// next request each sees (Coordinator.owe). A failed attempt is aborted
+// everywhere at once, so one torn by a SIGKILL leaves worker state
+// untouched and replayable.
 //
 // Because the exchange crosses the driver, one superstep of the
 // in-process job spans two steps here: a step folds what the previous
@@ -150,10 +154,11 @@ type stepResult struct {
 	err    error
 }
 
-// Step executes one superstep attempt across the worker processes: a
-// parallel compute phase (during which a scheduled mid-superstep fault
-// SIGKILLs its victims for real), then commit everywhere on success or
-// abort everywhere on failure. A failed attempt returns a typed
+// Step executes one superstep attempt across the worker processes: one
+// parallel round of StepReqs carrying the previous superstep's commit
+// (during which a scheduled mid-superstep fault SIGKILLs its victims
+// for real), then the decision — committed if all answered, aborted
+// everywhere if not. A failed attempt returns a typed
 // *exec.WorkerFailure naming the dead workers, exactly like the
 // in-process engine, so iterate.Loop's recovery path is unchanged.
 func (j *Job) Step(ctx *iterate.Context) (iterate.StepStats, error) {
@@ -183,12 +188,14 @@ func (j *Job) Step(ctx *iterate.Context) (iterate.StepStats, error) {
 	}
 
 	// The mid-superstep fault: SIGKILL the victims while their compute
-	// RPCs are in flight. If a victim's plan outruns the kill, its
-	// commit RPC fails instead — either way the process is dead and the
-	// attempt aborts.
+	// RPCs are in flight. A victim whose answer outruns the kill is dead
+	// all the same, so it fails the attempt whether or not it answered.
+	var killed []int
 	if ctx.Fault != nil {
 		for _, w := range ctx.Fault.Workers {
-			j.co.Kill(w)
+			if j.co.Kill(w) {
+				killed = append(killed, w)
+			}
 		}
 	}
 
@@ -209,7 +216,7 @@ func (j *Job) Step(ctx *iterate.Context) (iterate.StepStats, error) {
 		select {
 		case r := <-results:
 			pending--
-			if r.err != nil {
+			if r.err != nil || slices.Contains(killed, r.worker) {
 				failed = append(failed, r.worker)
 			} else {
 				ok[r.worker] = r.resp
@@ -248,33 +255,19 @@ func (j *Job) Step(ctx *iterate.Context) (iterate.StepStats, error) {
 		return iterate.StepStats{}, j.workerFailure(failed, owners)
 	}
 
-	var commitFailed []int
-	for w := range ok {
-		if _, err := j.co.call(w, CommitReq{Superstep: ctx.Superstep}); err != nil {
-			commitFailed = append(commitFailed, w)
-		}
-	}
-	if len(commitFailed) > 0 {
-		// A partial commit is safe to abandon: every recovery path
-		// restarts the exchange from committed state, and the dead
-		// workers' state is about to be cleared and recovered anyway.
-		return iterate.StepStats{}, j.workerFailure(commitFailed, owners)
-	}
-
-	// Committed everywhere: the attempt's outboxes become the next
-	// superstep's inbox. Partial scalars are added in worker order so
-	// float sums repeat from run to run.
+	// Everyone answered: the superstep is committed by decision, and each
+	// worker learns it from the next request it sees (one that dies first
+	// loses state recovery replaces anyway). The attempt's outboxes become
+	// the next superstep's inbox; partial scalars are added in worker
+	// order so float sums repeat from run to run.
+	workers := slices.Sorted(maps.Keys(ok))
+	j.co.owe(workers, ctx.Superstep)
 	stats := iterate.StepStats{Extra: map[string]float64{}}
 	j.inbox = make(map[int][]exec.HostedCols)
 	j.placement = placement
 	j.pending, j.dangling, j.rescatter = 0, 0, false
 	var l1 float64
 	folded := false
-	workers := make([]int, 0, len(ok))
-	for w := range ok {
-		workers = append(workers, w)
-	}
-	sort.Ints(workers)
 	for _, w := range workers {
 		resp := ok[w]
 		for _, cols := range resp.Remote {
@@ -331,40 +324,59 @@ type SnapshotError struct{ Reason string }
 
 func (e *SnapshotError) Error() string { return "proc: snapshot: " + e.Reason }
 
-// fetchEach fetches every partition's committed state view from its
-// owner and hands them to fn. An owner that died (or was condemned)
+// onOwners runs op against every owner at once — each has its own
+// connections, so state moves overlap — and returns the failure of the
+// lowest-numbered worker that had one, whatever the map or arrival order.
+func onOwners[T any](owners map[int][]T, op func(w int, items []T) error) error {
+	workers := slices.Sorted(maps.Keys(owners))
+	errs := make([]error, len(workers))
+	var wg sync.WaitGroup
+	for i, w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = op(w, owners[w])
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("worker %d: %w", workers[i], err)
+		}
+	}
+	return nil
+}
+
+// fetchAll fetches every partition's committed state view from its
+// owner, in partition order. An owner that died (or was condemned)
 // under the fetch surfaces as a typed worker failure, so the iteration
 // loop enters recovery instead of aborting the run.
-func (j *Job) fetchEach(fn func(PartBlob) error) error {
-	for w, parts := range j.ownersSnapshot() {
+func (j *Job) fetchAll() ([]PartBlob, error) {
+	var mu sync.Mutex
+	var all []PartBlob
+	err := onOwners(j.ownersSnapshot(), func(w int, parts []int) error {
 		fetched, err := j.co.fetchState(w, parts)
 		if isTransportError(err) {
 			err = &exec.WorkerFailure{Workers: []int{w}, Partitions: parts}
 		}
-		for i := 0; err == nil && i < len(fetched); i++ {
-			err = fn(fetched[i])
-		}
-		if err != nil {
-			return fmt.Errorf("fetching from worker %d: %w", w, err)
-		}
-	}
-	return nil
+		mu.Lock()
+		all = append(all, fetched...)
+		mu.Unlock()
+		return err
+	})
+	sort.Slice(all, func(a, b int) bool { return all[a].Part < all[b].Part })
+	return all, err
 }
 
 // SnapshotTo implements recovery.Job: every partition's state view in
 // one blob, sorted, so equal distributed states snapshot to equal
 // bytes.
 func (j *Job) SnapshotTo(w *bytes.Buffer) error {
-	snap := JobSnapshot{Kind: j.spec.Kind}
-	err := j.fetchEach(func(pb PartBlob) error {
-		snap.Parts = append(snap.Parts, pb)
-		return nil
-	})
+	parts, err := j.fetchAll()
 	if err != nil {
 		return fmt.Errorf("proc: snapshot: %w", err)
 	}
-	sort.Slice(snap.Parts, func(a, b int) bool { return snap.Parts[a].Part < snap.Parts[b].Part })
-	w.Write(appendSnapshot(nil, snap))
+	w.Write(appendSnapshot(nil, JobSnapshot{Kind: j.spec.Kind, Parts: parts}))
 	return nil
 }
 
@@ -401,10 +413,8 @@ func (j *Job) RestoreFrom(data []byte) error {
 			push[w] = append(push[w], pb)
 		}
 	}
-	for w, blobs := range push {
-		if err := j.co.restoreState(w, blobs); err != nil {
-			return fmt.Errorf("proc: restore: pushing to worker %d: %v", w, err)
-		}
+	if err := onOwners(push, j.co.restoreState); err != nil {
+		return fmt.Errorf("proc: restore: pushing to %v", err)
 	}
 	j.restartExchange()
 	return nil
@@ -449,10 +459,12 @@ func (j *Job) Compensate([]int) error {
 
 // ResetToInitial implements recovery.Job (the restart baseline).
 func (j *Job) ResetToInitial() error {
-	for w, parts := range j.ownersSnapshot() {
-		if _, err := j.co.call(w, ClearReq{Parts: parts}); err != nil {
-			return fmt.Errorf("proc: reset: worker %d: %v", w, err)
-		}
+	err := onOwners(j.ownersSnapshot(), func(w int, parts []int) error {
+		_, err := j.co.call(w, ClearReq{Parts: parts})
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("proc: reset: %v", err)
 	}
 	j.restartExchange()
 	return nil
@@ -465,7 +477,10 @@ func result[H any](j *Job, what string) (h H, err error) {
 	if !ok {
 		return h, fmt.Errorf("proc: %s job has no %s", j.spec.Kind, what)
 	}
-	err = j.fetchEach(func(pb PartBlob) error { return j.replica.RestorePartition(pb.Part, pb.Data) })
+	parts, err := j.fetchAll()
+	for i := 0; err == nil && i < len(parts); i++ {
+		err = j.replica.RestorePartition(parts[i].Part, parts[i].Data)
+	}
 	if err != nil {
 		err = fmt.Errorf("proc: results: %w", err)
 	}

@@ -59,6 +59,7 @@ func appendRawPayload(dst []byte, kind byte, id uint64, m any) []byte {
 	dst = colbytes.AppendU64(dst, id)
 	switch r := m.(type) {
 	case StepReq:
+		dst = colbytes.AppendU32(colbytes.AppendBool(dst, r.Commit.Set), uint32(r.Commit.Superstep))
 		dst = colbytes.AppendU32(dst, uint32(r.Superstep))
 		dst = colbytes.AppendBool(dst, r.Rescatter)
 		dst = colbytes.AppendF64(dst, r.Dangling)
@@ -92,6 +93,7 @@ func appendRawPayload(dst []byte, kind byte, id uint64, m any) []byte {
 		dst = colbytes.AppendString(dst, r.Kind)
 		dst = blobSection.append(dst, r.Parts)
 	case DataFetchReq:
+		dst = colbytes.AppendU32(colbytes.AppendBool(dst, r.Commit.Set), uint32(r.Commit.Superstep))
 		dst = colbytes.AppendU64(dst, r.Stream)
 		dst = colbytes.AppendU32(dst, uint32(r.ChunkBytes))
 		dst = appendInts(dst, r.Parts)
@@ -129,6 +131,7 @@ func decodeRawPayload(p []byte) (uint64, any, error) {
 	switch kind {
 	case wire.KStepReq:
 		v := StepReq{
+			Commit:    Owed{Set: r.Bool(), Superstep: int(r.U32())},
 			Superstep: int(r.U32()),
 			Rescatter: r.Bool(),
 			Dangling:  r.F64(),
@@ -152,7 +155,7 @@ func decodeRawPayload(p []byte) (uint64, any, error) {
 	case wire.KSnapshot:
 		m = JobSnapshot{Kind: r.String(), Parts: blobSection.read(r)}
 	case wire.KDataFetch:
-		m = DataFetchReq{Stream: r.U64(), ChunkBytes: int(r.U32()), Parts: readInts(r)}
+		m = DataFetchReq{Commit: Owed{Set: r.Bool(), Superstep: int(r.U32())}, Stream: r.U64(), ChunkBytes: int(r.U32()), Parts: readInts(r)}
 	case wire.KDataRestore:
 		m = DataRestoreReq{Stream: r.U64()}
 	case wire.KDataChunk:

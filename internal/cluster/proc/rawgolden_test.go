@@ -19,11 +19,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"optiflow/internal/cluster/proc/netfault"
 	"optiflow/internal/cluster/proc/wire"
@@ -51,6 +54,7 @@ func goldenRawCases() []struct {
 		m    any
 	}{
 		{"stepreq", StepReq{
+			Commit:    Owed{Superstep: 6, Set: true},
 			Superstep: 7, Rescatter: true, Dangling: 0.375,
 			Inbox: []exec.HostedCols{
 				{Src: 1, Dst: 0, Cols: goldenCols([]int32{3, 4}, []uint64{1, 2})},
@@ -69,7 +73,7 @@ func goldenRawCases() []struct {
 			Hosted: []int{1, 2}, Fresh: []int{2},
 			Offsets: []int32{0, 2, 2, 3, 3, 3}, Targets: []int32{1, 2, 4}, Weights: []float64{0.5, 1.5, 1},
 		}},
-		{"datafetch", DataFetchReq{Stream: 9, ChunkBytes: 36864, Parts: []int{0, 2, 3}}},
+		{"datafetch", DataFetchReq{Commit: Owed{Set: true}, Stream: 9, ChunkBytes: 36864, Parts: []int{0, 2, 3}}},
 		{"datarestore", DataRestoreReq{Stream: 10}},
 		{"datachunk", DataChunk{Stream: 10, Seq: 3, Done: true, Data: view[:5]}},
 		{"dataack", DataAck{Stream: 10}},
@@ -228,6 +232,73 @@ func TestRawHostileFrames(t *testing.T) {
 			_, _, err := readFrameCfg(bytes.NewReader(append(b, payload...)), defaultWire)
 			return err
 		})
+	}
+	t.Run("commit of a superstep not held", hostileCommits)
+}
+
+// hostileCommits feeds a worker host that holds superstep 1's attempt
+// well-formed requests whose Commit names superstep 9, over every road a
+// commit can arrive by. Each must be refused by type — ErrResp on the
+// ctrl path, DataErr on a data stream — and none may commit, abort or
+// replace the attempt held: it then commits once, to the state of a host
+// that never saw the hostile requests (and not to the state before the
+// attempt, which is what a fetch that ran would have left).
+func hostileCommits(t *testing.T) {
+	g := ccTestGraph()
+	d := g.Dense()
+	load := LoadReq{Job: "hostile", Kind: KindCC, NumPartitions: 2, IDs: d.IDs(), Hosted: []int{0, 1}, Fresh: []int{0, 1}}
+	load.Offsets, load.Targets, load.Weights = d.Restrict(d.Partitioning(2), load.Hosted)
+	holding := func() *workerHost {
+		h := &workerHost{worker: 3, lastStep: -1}
+		for id, req := range []any{load, StepReq{Superstep: 0, Rescatter: true}, StepReq{Commit: Owed{Set: true}, Superstep: 1}} {
+			if e, bad := h.dispatch(uint64(id+1), req).(ErrResp); bad {
+				t.Fatalf("%T: %s", req, e.Msg)
+			}
+		}
+		return h
+	}
+	h, twin := holding(), holding()
+	stale := Owed{Superstep: 9, Set: true}
+	for id, req := range []any{
+		StepReq{Commit: stale, Superstep: 2},
+		FetchReq{Commit: stale, Parts: []int{0}},
+		CommitReq{Superstep: stale.Superstep},
+	} {
+		if resp, refused := h.dispatch(uint64(id+10), req).(ErrResp); !refused {
+			t.Errorf("%T committing a superstep not held answered %#v, want ErrResp", req, resp)
+		}
+	}
+	coord, worker := net.Pipe()
+	defer coord.Close()
+	served := make(chan error, 1)
+	go func() {
+		served <- h.serveFetchStream(WorkerConfig{ReconnectGrace: time.Second}, defaultWire, worker,
+			DataFetchReq{Commit: stale, Stream: 4, Parts: []int{0}})
+	}()
+	m, err := readFrame(coord)
+	if de, refused := m.(DataErr); err != nil || !refused || de.Stream != 4 {
+		t.Errorf("DataFetchReq committing a superstep not held answered %#v (err %v), want DataErr on stream 4", m, err)
+	}
+	if err := <-served; err != nil {
+		t.Errorf("the refusal broke the data stream: %v", err)
+	}
+
+	for _, host := range []*workerHost{h, twin} {
+		if e, bad := host.dispatch(20, CommitReq{Superstep: 1}).(ErrResp); bad {
+			t.Fatalf("committing the attempt held: %s", e.Msg)
+		}
+	}
+	if h.stats.CommitsExplicit != 1 || h.stats.CommitsCarried != 1 {
+		t.Errorf("commits explicit/carried = %d/%d, want 1/1: a refused request committed or dropped the attempt held",
+			h.stats.CommitsExplicit, h.stats.CommitsCarried)
+	}
+	got, err := h.fetch(FetchReq{Parts: load.Hosted})
+	want, werr := twin.fetch(FetchReq{Parts: load.Hosted})
+	if err != nil || werr != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("state after the refused commits differs from an undisturbed host's (errs %v, %v)", err, werr)
+	}
+	if before, _ := holding().fetch(FetchReq{Parts: load.Hosted}); reflect.DeepEqual(before, want) {
+		t.Error("superstep 1 changed no state: the comparison above proves nothing")
 	}
 }
 

@@ -58,8 +58,8 @@ import (
 // IDs; version 3 added the per-payload codec tag (gob or raw
 // columnar) and the data-plane connection role; version 4 replaced the
 // per-vertex message and state payloads with engine column views and
-// partition byte views.
-const ProtoVersion = 4
+// partition byte views; version 5 added the carried commit (Owed).
+const ProtoVersion = 5
 
 // Frame is the unit of transmission: one gob value wrapping one
 // message. Wrapping in an interface-typed field keeps each frame
@@ -167,9 +167,11 @@ const (
 // step: nothing is folded and every hosted vertex re-announces its
 // committed state. Dangling is the dangling-rank mass the previous
 // superstep's responses added up to (PageRank only). The attempt stays
-// uncommitted until CommitReq, and AbortReq drops it, so an aborted
-// attempt can be replayed against unchanged state.
+// held until a later request's Commit names it — the next StepReq, so a
+// superstep is one round trip — or AbortReq drops it, to be replayed
+// against unchanged state. A Commit of any other superstep is refused.
 type StepReq struct {
+	Commit    Owed
 	Superstep int
 	Rescatter bool
 	Dangling  float64
@@ -180,8 +182,16 @@ type StepReq struct {
 // bound for partitions hosted elsewhere, partial scalars, counters.
 type StepResp = exec.HostedOut
 
-// CommitReq applies the pending updates of the superstep computed by
-// the previous StepReq.
+// Owed names a superstep the driver decided committed — every worker
+// answered its StepReq — but has not told this worker. The next request
+// pays the debt: a StepReq, FetchReq or DataFetchReq carries it as Commit,
+// a CommitReq goes ahead of any other. The zero value owes nothing.
+type Owed struct {
+	Superstep int
+	Set       bool
+}
+
+// CommitReq commits the named superstep's held attempt on its own.
 type CommitReq struct {
 	Superstep int
 }
@@ -198,9 +208,11 @@ type PartBlob struct {
 }
 
 // FetchReq reads the committed state of the listed partitions
-// (checkpoint capture, final result collection, release migration).
+// (checkpoint capture, final result collection, release migration),
+// after committing what Commit names.
 type FetchReq struct {
-	Parts []int
+	Commit Owed
+	Parts  []int
 }
 
 // FetchResp answers a FetchReq.
@@ -232,10 +244,14 @@ type StatsReq struct{}
 
 // WorkerStats answers a StatsReq. Handled counts requests whose effect
 // was applied exactly once; Replayed counts duplicate deliveries that
-// were answered from the idempotence cache without re-applying.
+// were answered from the idempotence cache without re-applying;
+// CommitsCarried and CommitsExplicit count held attempts committed by a
+// request's Commit field and by a CommitReq.
 type WorkerStats struct {
-	Handled  uint64
-	Replayed uint64
+	Handled         uint64
+	Replayed        uint64
+	CommitsCarried  uint64
+	CommitsExplicit uint64
 }
 
 // JobSnapshot is a proc job's checkpoint: every partition's committed
@@ -254,6 +270,7 @@ type JobSnapshot struct {
 // last chunk marked Done. Stream tags the transfer so a late frame from an
 // abandoned stream cannot be mistaken for the current one.
 type DataFetchReq struct {
+	Commit     Owed
 	Stream     uint64
 	ChunkBytes int
 	Parts      []int

@@ -29,11 +29,11 @@ func sampleMessages() []any {
 		PingReq{},
 		CommitReq{Superstep: 5},
 		AbortReq{},
-		FetchReq{Parts: []int{0, 2}},
+		FetchReq{Commit: Owed{Set: true}, Parts: []int{0, 2}},
 		ClearReq{Parts: []int{3}},
 		ShutdownReq{},
 		StatsReq{},
-		WorkerStats{Handled: 17, Replayed: 2},
+		WorkerStats{Handled: 17, Replayed: 2, CommitsCarried: 9, CommitsExplicit: 1},
 		checkpoint.CommitRecord{Epoch: 9, Superstep: 4, Parts: map[int]uint64{2: 9}, Compressed: true},
 	}
 }

@@ -99,7 +99,7 @@ func RunWorker(cfg WorkerConfig) error {
 	defer close(done)
 	go pushHeartbeats(beat, cfg, done)
 
-	h := &workerHost{worker: cfg.Worker}
+	h := &workerHost{worker: cfg.Worker, lastStep: -1}
 	for i := 0; i < cfg.DataConns; i++ {
 		dc, err := dialHandshake(cfg, dataRole(i))
 		if err != nil {
@@ -191,14 +191,14 @@ func serveDataConn(cfg WorkerConfig, wc *wireCfg, h *workerHost, nc net.Conn, do
 	}
 }
 
-// serveFetchStream answers one DataFetchReq: snapshot the requested
-// partitions under the host lock, then stream the chunks with the lock
-// released, so a long transfer never stalls superstep RPCs. An unknown
-// partition is an application error (DataErr) — the stream stays
-// usable.
+// serveFetchStream answers one DataFetchReq: commit what it carries and
+// snapshot the requested partitions under the host lock, then stream
+// the chunks with the lock released, so a long transfer never stalls
+// superstep RPCs. An unknown partition or a commit of a superstep not
+// held is an application error (DataErr) — the stream stays usable.
 func (h *workerHost) serveFetchStream(cfg WorkerConfig, wc *wireCfg, nc net.Conn, r DataFetchReq) error {
 	h.mu.Lock()
-	resp, err := h.fetch(FetchReq{Parts: r.Parts})
+	resp, err := h.fetch(FetchReq{Commit: r.Commit, Parts: r.Parts})
 	h.mu.Unlock()
 	if err != nil {
 		nc.SetWriteDeadline(time.Now().Add(cfg.ReconnectGrace))
@@ -377,8 +377,8 @@ type hostedJob interface {
 	// Step runs one superstep attempt: fold the incoming exchange
 	// columns (unless prime), then expand the new state.
 	Step(prime bool, dangling float64, remote []exec.HostedCols) (exec.HostedOut, error)
-	// Commit makes the attempt in flight the committed state; Abort
-	// returns to the state before it. Both are no-ops without one.
+	// Commit makes the attempt held the committed state; Abort returns
+	// to the state before it. Both are no-ops without one.
 	Commit()
 	Abort()
 	// AppendPartition appends partition p's committed state view.
@@ -416,8 +416,10 @@ type workerHost struct {
 	// was built from, Hosted being its partitions.
 	spec LoadReq
 	job  hostedJob
-	// lastStep is the superstep of the last attempt run.
+	// lastStep is the superstep of the last attempt run (-1 before the
+	// first), held whether it is still uncommitted.
 	lastStep int
+	held     bool
 
 	// Idempotence cache: the last applied request token and its
 	// response. Ctrl RPCs are serialized, so depth one is exact — a
@@ -427,8 +429,7 @@ type workerHost struct {
 	// buffers, untouched until the next applied request.
 	lastID   uint64
 	lastResp any
-	handled  uint64
-	replayed uint64
+	stats    WorkerStats
 }
 
 // dispatch resolves one ctrl request against the idempotence cache:
@@ -438,11 +439,11 @@ func (h *workerHost) dispatch(id uint64, req any) any {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if id != 0 && id == h.lastID {
-		h.replayed++
+		h.stats.Replayed++
 		return h.lastResp
 	}
 	resp := h.handle(req)
-	h.handled++
+	h.stats.Handled++
 	if id != 0 {
 		h.lastID, h.lastResp = id, resp
 	}
@@ -457,27 +458,25 @@ func (h *workerHost) handle(req any) any {
 	case PingReq:
 		return OKResp{}
 	case StatsReq:
-		return WorkerStats{Handled: h.handled, Replayed: h.replayed}
+		return h.stats
 	case LoadReq:
 		err = h.load(r)
 	case StepReq:
-		// The attempt stays uncommitted until CommitReq names it.
-		if err = h.hosts("step", nil); err == nil {
+		// The attempt Commit names is committed first; this one stays held
+		// until a later request names it.
+		if err = h.commit("step", nil, r.Commit, &h.stats.CommitsCarried); err == nil {
 			var out exec.HostedOut
 			if out, err = h.job.Step(r.Rescatter, r.Dangling, r.Inbox); err == nil {
-				h.lastStep = r.Superstep
+				h.lastStep, h.held = r.Superstep, true
 				return out
 			}
 		}
 	case CommitReq:
-		if err = h.hosts("commit", nil); err == nil && h.lastStep != r.Superstep {
-			err = fmt.Errorf("commit for superstep %d, last attempt was for %d", r.Superstep, h.lastStep)
-		} else if err == nil {
-			h.job.Commit()
-		}
+		err = h.commit("commit", nil, Owed{Superstep: r.Superstep, Set: true}, &h.stats.CommitsExplicit)
 	case AbortReq:
 		if h.job != nil {
 			h.job.Abort()
+			h.held = false
 		}
 	case FetchReq:
 		var resp *FetchResp
@@ -497,6 +496,24 @@ func (h *workerHost) handle(req any) any {
 		return ErrResp{Msg: fmt.Sprintf("worker %d: %v", h.worker, err)}
 	}
 	return OKResp{}
+}
+
+// commit checks that op may run on parts (hosts) and applies the commit
+// the request carries, or is: it must name the last attempt's superstep,
+// or nothing is touched. A second delivery finds nothing held.
+func (h *workerHost) commit(op string, parts []int, c Owed, count *uint64) error {
+	if err := h.hosts(op, parts); err != nil || !c.Set {
+		return err
+	}
+	if h.lastStep != c.Superstep {
+		return fmt.Errorf("commit for superstep %d, last attempt was for %d", c.Superstep, h.lastStep)
+	}
+	if h.held {
+		h.job.Commit()
+		h.held = false
+		*count++
+	}
+	return nil
 }
 
 // load rebuilds the hosted job over the request's partitions and CSR.
@@ -530,7 +547,7 @@ func (h *workerHost) load(r LoadReq) error {
 		}
 	}
 	r.IDs, r.Offsets, r.Targets, r.Weights = nil, nil, nil, nil
-	h.spec, h.job = r, job
+	h.spec, h.job, h.lastStep, h.held = r, job, -1, false
 	return nil
 }
 
@@ -547,9 +564,9 @@ func (h *workerHost) hosts(op string, parts []int) error {
 	return nil
 }
 
-// fetch reads the committed state views of the listed partitions.
+// fetch applies r.Commit and reads the listed partitions' state views.
 func (h *workerHost) fetch(r FetchReq) (*FetchResp, error) {
-	if err := h.hosts("fetch", r.Parts); err != nil {
+	if err := h.commit("fetch", r.Parts, r.Commit, &h.stats.CommitsCarried); err != nil {
 		return nil, err
 	}
 	resp := &FetchResp{}
