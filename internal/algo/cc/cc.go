@@ -281,35 +281,41 @@ func (c *CC) ClearPartitions(parts []int) {
 // function of Fig. 1a: re-initialise every lost vertex to its initial
 // label (which guarantees convergence to the correct solution [14]) and
 // put the restored vertices and their surviving neighbors back into the
-// workset so labels propagate again (§3.2). Neighbors are walked as
-// contiguous CSR ranges.
+// workset so labels propagate again (§3.2).
 func (c *CC) Compensate(lost []int) error {
+	c.compensate(lost, lost)
+	return nil
+}
+
+// compensate is fix-components over this process's partitions: those of
+// fill (the lost partitions computed here — all of them in-process) are
+// seeded, and every surviving vertex with an out-edge into a lost
+// partition re-enters the workset. Labels diffuse along out-edges, so
+// those are the vertices whose labels the restored ones are missing; each
+// process finds its own in the out-edges it holds.
+func (c *CC) compensate(lost, fill []int) {
 	lostSet := make([]bool, c.pt.N)
 	for _, p := range lost {
 		lostSet[p] = true
 	}
-	// First restore the lost vertices themselves.
-	c.seed(lost)
-	// Then re-activate surviving neighbors so they re-send their labels
-	// into the restored partitions.
-	seeded := make([]bool, c.d.NumVertices())
-	offsets, targets := c.d.Offsets, c.d.Targets
-	for _, p := range lost {
-		for _, idx := range c.pt.Owned[p] {
+	c.seed(fill)
+	offsets, targets, partOf := c.d.Offsets, c.d.Targets, c.pt.PartOf
+	for _, p := range c.parts {
+		if lostSet[p] {
+			continue
+		}
+		for slot, idx := range c.pt.Owned[p] {
 			for j := offsets[idx]; j < offsets[idx+1]; j++ {
-				n := targets[j]
-				np := c.pt.PartOf[n]
-				if lostSet[np] || seeded[n] {
+				if !lostSet[partOf[targets[j]]] {
 					continue
 				}
-				seeded[n] = true
-				if l, ok := c.labels.GetSlot(int(np), c.pt.Slot[n]); ok {
-					c.workset.Add(int(np), n, l)
+				if l, ok := c.labels.GetSlot(p, int32(slot)); ok {
+					c.workset.Add(p, idx, l)
 				}
+				break
 			}
 		}
 	}
-	return nil
 }
 
 // PartitionVersions implements recovery.IncrementalJob: a partition's

@@ -129,3 +129,52 @@ func TestMidStepAbortReactivatesPendingLabels(t *testing.T) {
 		}
 	}
 }
+
+// directedPath is the graph 0 → 1 → … → n-1: labels diffuse along
+// out-edges only, so every vertex ends in component 0 and a vertex's
+// label can only be repaired by its predecessor re-sending.
+func directedPath(n int) *graph.Graph {
+	b := graph.NewBuilder(true)
+	for v := graph.VertexID(0); v+1 < graph.VertexID(n); v++ {
+		b.AddEdge(v, v+1)
+	}
+	return b.Build()
+}
+
+// TestCompensateDirectedPath pins which survivors the compensation
+// re-activates on a directed graph: those with an out-edge INTO a lost
+// partition. Re-activating the targets of the lost vertices' out-edges
+// instead left the restored vertices waiting for labels nobody re-sent.
+func TestCompensateDirectedPath(t *testing.T) {
+	g := directedPath(40)
+	clean, err := Run(g, Options{Parallelism: 4, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, l := range clean.Components {
+		if l != 0 {
+			t.Fatalf("failure-free: vertex %d ends in component %d, want 0", v, l)
+		}
+	}
+	for _, at := range []int{20, 35} {
+		for victim := 0; victim < 2; victim++ {
+			res, err := Run(g, Options{Parallelism: 4, Workers: 2, Policy: recovery.Optimistic{},
+				Injector: failure.NewScripted(nil).At(at, victim)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Failures != 1 {
+				t.Fatalf("At(%d,%d): %d failures struck, want 1", at, victim, res.Failures)
+			}
+			wrong := 0
+			for v, l := range res.Components {
+				if l != clean.Components[v] {
+					wrong++
+				}
+			}
+			if wrong > 0 {
+				t.Errorf("At(%d,%d): %d of %d labels wrong after compensation", at, victim, wrong, len(res.Components))
+			}
+		}
+	}
+}

@@ -16,7 +16,7 @@ import (
 // labels the previous step's expansion produced, then expands the
 // vertices it lowered; a priming step skips the fold and re-announces
 // every hosted label instead, which is how a job starts and how it
-// resumes after any recovery or migration.
+// resumes after a rollback, a restart or a migration.
 type Hosted struct {
 	*exec.ColHosted[uint64]
 	c *CC
@@ -63,6 +63,27 @@ func (h *Hosted) Reinit(parts []int) {
 	h.Abort()
 	h.c.ClearPartitions(parts)
 	h.c.seed(parts)
+}
+
+// Compensate is this host's share of fix-components (CC.compensate)
+// after the partitions lost were replaced: those in fill, hosted here
+// now, restart from their initial labels, and the surviving hosted
+// vertices with an out-edge into a lost partition send their labels
+// again. Only those rows are expanded, into the committed columns; what
+// the last step sent stays. The scalars are PageRank's.
+func (h *Hosted) Compensate(lost, fill []int, _ float64) (out exec.HostedOut, _ float64, err error) {
+	c := h.c
+	if err = h.Unheld(fill); err == nil {
+		h.Abort()
+		// The workset is what the last step expanded already.
+		c.workset.ClearAll()
+		c.compensate(lost, fill)
+		err = h.Reexpand(c.parts, &out)
+	}
+	if err != nil {
+		return out, 0, fmt.Errorf("cc: compensation: %w", err)
+	}
+	return out, 0, nil
 }
 
 // AppendPartition appends partition p's committed labels to dst as a

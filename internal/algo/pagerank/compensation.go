@@ -10,21 +10,28 @@ type Compensation func(pr *PR, lost []int) error
 // (§2.2.2): the lost probability mass is distributed uniformly over the
 // vertices of the failed partitions; survivors keep their ranks.
 func UniformRedistribution(pr *PR, lost []int) error {
-	surviving := pr.RankSum() // lost partitions are already cleared
+	// Lost partitions are already cleared, so what Range sums survived.
+	pr.redistribute(lost, lost, pr.RankSum())
+	return nil
+}
+
+// redistribute is fix-ranks' slot fill: every vertex of the lost
+// partitions gets an equal share of the mass missing from surviving.
+// fill lists the lost partitions computed here — all of them in-process.
+func (pr *PR) redistribute(lost, fill []int, surviving float64) {
 	lostCount := 0
 	for _, p := range lost {
 		lostCount += len(pr.pt.Owned[p])
 	}
 	if lostCount == 0 {
-		return nil
+		return
 	}
 	share := (1 - surviving) / float64(lostCount)
-	for _, p := range lost {
+	for _, p := range fill {
 		for slot := range pr.pt.Owned[p] {
 			pr.ranks.SetSlot(p, int32(slot), share)
 		}
 	}
-	return nil
 }
 
 // ResetAllUniform is a crude alternative compensation: forget all

@@ -65,6 +65,28 @@ func (h *Hosted) Reinit(parts []int) {
 	h.c.seed(parts)
 }
 
+// Compensate is this host's share of fix-ranks (PR.redistribute) after
+// the partitions lost were replaced. It reports the rank mass of the
+// hosted partitions that survived; the driver adds the hosts' up and
+// passes the total as surviving to the hosts of the lost partitions,
+// which fill those in fill with their share of what is missing and
+// expand them — only them — into the committed columns.
+func (h *Hosted) Compensate(lost, fill []int, surviving float64) (out exec.HostedOut, mass float64, err error) {
+	c := h.c
+	if err = h.Unheld(fill); err != nil {
+		return out, 0, fmt.Errorf("pagerank: compensation: %w", err)
+	}
+	h.Abort()
+	c.ClearPartitions(lost)
+	mass = c.RankSum()
+	c.redistribute(lost, fill, surviving)
+	out.Dangling = c.danglingMass()
+	if err = h.Reexpand(fill, &out); err != nil {
+		return out, 0, fmt.Errorf("pagerank: compensation: %w", err)
+	}
+	return out, mass, nil
+}
+
 // AppendPartition appends partition p's committed ranks to dst as a
 // DenseStore partition view (an attempt still in flight was abandoned).
 func (h *Hosted) AppendPartition(dst []byte, p int) []byte {

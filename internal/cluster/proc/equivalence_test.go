@@ -14,20 +14,26 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
+	"time"
 
 	"optiflow/internal/algo/cc"
 	"optiflow/internal/algo/pagerank"
 	"optiflow/internal/algo/ref"
 	"optiflow/internal/checkpoint"
 	"optiflow/internal/cluster"
+	"optiflow/internal/cluster/proc/netfault"
+	"optiflow/internal/exec"
 	"optiflow/internal/failure"
 	"optiflow/internal/graph"
 	"optiflow/internal/graph/gen"
 	"optiflow/internal/iterate"
 	"optiflow/internal/recovery"
+	"optiflow/internal/supervise"
 )
 
 const (
@@ -48,6 +54,8 @@ type procRun struct {
 	supersteps int
 	messages   int64
 	res        *iterate.Result
+	// stats holds every final worker's counters.
+	stats map[int]WorkerStats
 }
 
 // procScript is what happens to worker 1 during a run.
@@ -123,10 +131,23 @@ func releaseAt(t *testing.T, at int) procScript {
 	}
 }
 
+// procRig is a proc run about to start, for a test to observe or
+// disturb: hooks on the loop, a decorated job, a supervisor.
+type procRig struct {
+	co   *Coordinator
+	job  *Job
+	loop *iterate.Loop
+}
+
 // runProc runs kind over g on a fresh 2-worker cluster under script.
-func runProc(t *testing.T, kind string, g *graph.Graph, policy recovery.Policy, script procScript) procRun {
+func runProc(t *testing.T, kind string, g *graph.Graph, policy recovery.Policy, script procScript, arm ...func(*procRig)) procRun {
 	t.Helper()
-	co := startTestCluster(t, eqWorkers, eqParts, nil)
+	return runProcOn(t, startTestCluster(t, eqWorkers, eqParts, nil), kind, g, policy, script, arm...)
+}
+
+// runProcOn is runProc on a cluster the test configured; it closes it.
+func runProcOn(t *testing.T, co *Coordinator, kind string, g *graph.Graph, policy recovery.Policy, script procScript, arm ...func(*procRig)) procRun {
+	t.Helper()
 	defer co.Close()
 	job, err := NewJob(co, Spec{Name: "eq-" + kind, Kind: kind, Graph: g})
 	if err != nil {
@@ -139,11 +160,14 @@ func runProc(t *testing.T, kind string, g *graph.Graph, policy recovery.Policy, 
 		loop.Done = iterate.BulkDone(1000, func(int) bool { return job.LastL1() < eqEpsilon })
 	}
 	loop.Injector = DetectFailures(co, script(co))
+	for _, f := range arm {
+		f(&procRig{co: co, job: job, loop: loop})
+	}
 	res, err := loop.Run()
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	run := procRun{supersteps: res.Supersteps, res: res}
+	run := procRun{supersteps: res.Supersteps, res: res, stats: map[int]WorkerStats{}}
 	for _, s := range res.Samples {
 		run.messages += s.Stats.Messages
 	}
@@ -154,6 +178,41 @@ func runProc(t *testing.T, kind string, g *graph.Graph, policy recovery.Policy, 
 	}
 	if err != nil {
 		t.Fatalf("fetching results: %v", err)
+	}
+	for _, w := range co.Workers() {
+		st, err := co.call(w, StatsReq{})
+		if err != nil {
+			t.Fatalf("stats of worker %d: %v", w, err)
+		}
+		run.stats[w] = st.(WorkerStats)
+	}
+	return run
+}
+
+// runInProc is the in-process run of the same job — the specification a
+// proc run is held to — under inj.
+func runInProc(t *testing.T, kind string, g *graph.Graph, inj failure.Injector) procRun {
+	t.Helper()
+	loop := &iterate.Loop{Name: "ref-" + kind, Policy: recovery.Optimistic{}, Cluster: cluster.New(eqWorkers, eqParts), Injector: inj}
+	var result func() procRun
+	if kind == KindCC {
+		job := cc.NewColumnar(g, eqParts)
+		loop.Step, loop.Job, loop.Done = job.Step, job, iterate.DeltaDone(job.WorksetLen)
+		result = func() procRun { return procRun{labels: job.Components()} }
+	} else {
+		job := pagerank.NewColumnar(g, eqParts, 0, nil)
+		loop.Step, loop.Job = job.Step, job
+		loop.Done = iterate.BulkDone(1000, func(int) bool { return job.LastL1() < eqEpsilon })
+		result = func() procRun { return procRun{ranks: job.RankVector()} }
+	}
+	res, err := loop.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := result()
+	run.supersteps, run.res = res.Supersteps, res
+	for _, s := range res.Samples {
+		run.messages += s.Stats.Messages
 	}
 	return run
 }
@@ -261,19 +320,24 @@ func TestProcPageRankMatchesInProcess(t *testing.T) {
 // owedCounts pins, per "kind/graph/cell", the committed supersteps and
 // Σ messages of every boundary cell as the eager-commit protocol ran it
 // (commit db47218, where each superstep ended with a CommitReq round):
-// deferring the commit must not move a count.
+// deferring the commit must not move a count. The four kill/optimistic
+// cells were 17/1931, 5/4769, 143/32032 and 148/349872 there, when a
+// compensation reseeded the lost partitions and primed the whole job
+// again; they are now the in-process optimistic run's counts — one more
+// superstep, plus the messages TestCompensatedRunEqualsInProcess accounts
+// for — since workers renormalise and only the lost partitions re-send.
 var owedCounts = map[string]struct {
 	supersteps int
 	messages   int64
 }{
 	"cc/grid/checkpoint": {16, 1792}, "cc/grid/release": {17, 2016},
-	"cc/grid/kill/optimistic": {17, 1931}, "cc/grid/kill/checkpoint": {17, 2238}, "cc/grid/kill/restart": {16, 2238},
+	"cc/grid/kill/optimistic": {16, 1924}, "cc/grid/kill/checkpoint": {17, 2238}, "cc/grid/kill/restart": {16, 2238},
 	"cc/twitter/checkpoint": {3, 2392}, "cc/twitter/release": {4, 4756},
-	"cc/twitter/kill/optimistic": {5, 4769}, "cc/twitter/kill/checkpoint": {4, 4784}, "cc/twitter/kill/restart": {3, 4784},
+	"cc/twitter/kill/optimistic": {4, 4769}, "cc/twitter/kill/checkpoint": {4, 4784}, "cc/twitter/kill/restart": {3, 4784},
 	"pagerank/grid/checkpoint": {94, 21056}, "pagerank/grid/release": {95, 21280},
-	"pagerank/grid/kill/optimistic": {143, 32032}, "pagerank/grid/kill/checkpoint": {95, 21504}, "pagerank/grid/kill/restart": {94, 21728},
+	"pagerank/grid/kill/optimistic": {144, 32358}, "pagerank/grid/kill/checkpoint": {95, 21504}, "pagerank/grid/kill/restart": {94, 21728},
 	"pagerank/twitter/checkpoint": {55, 130020}, "pagerank/twitter/release": {56, 132384},
-	"pagerank/twitter/kill/optimistic": {148, 349872}, "pagerank/twitter/kill/checkpoint": {56, 134748}, "pagerank/twitter/kill/restart": {55, 137112},
+	"pagerank/twitter/kill/optimistic": {54, 128893}, "pagerank/twitter/kill/checkpoint": {56, 134748}, "pagerank/twitter/kill/restart": {55, 137112},
 }
 
 // TestOwedCommitBoundaryMatrix takes a checkpoint, a Release of worker
@@ -330,6 +394,222 @@ func TestOwedCommitBoundaryMatrix(t *testing.T) {
 					t.Errorf("%s/%s kill/%s: a victim owed superstep %d (%d ticks) was not recovered like one owed nothing (%d ticks)",
 						kind, name, tc.name, at, owing.res.Ticks, settled.res.Ticks)
 				}
+			}
+		}
+	}
+}
+
+// compensating decorates a proc job for the loop: before runs as a
+// compensation starts, after when it has returned.
+type compensating struct {
+	*Job
+	before func(lost []int)
+	after  func(lost []int, err error)
+}
+
+func (c compensating) Compensate(lost []int) error {
+	if c.before != nil {
+		c.before(lost)
+	}
+	err := c.Job.Compensate(lost)
+	if c.after != nil {
+		c.after(lost, err)
+	}
+	return err
+}
+
+// relayedBytes adds up the exchange columns the driver relays that were
+// sent by the listed partitions (nil: by any).
+func relayedBytes(j *Job, from []int) (n int) {
+	for _, cols := range j.inbox {
+		for _, c := range cols {
+			if from == nil || slices.Contains(from, c.Src) {
+				n += len(c.Cols)
+			}
+		}
+	}
+	return n
+}
+
+// TestCompensatedRunEqualsInProcess is what a compensated proc run must
+// equal: the in-process optimistic run under the same script — worker 1
+// failed at a superstep boundary, or SIGKILLed mid-superstep — on both
+// graphs. The same script is one superstep earlier in-process: proc step
+// k folds what in-process superstep k-1 folds, the priming step being
+// step 0, so a failure at step k compensates the state a failure at
+// superstep k-1 does. (a) Same labels, ranks within 1e-9, exactly one
+// more committed superstep (the priming one), and exactly the messages
+// of the in-process run plus two expansions it does not make: the
+// victim's last, whose columns died with it, and the last step's, which
+// nobody folds. (b) Ranks sum to one after the compensation and after
+// every superstep that follows it, not only at the end. (c) The survivor
+// was not primed again — it ran the job's one priming step, the
+// replacement none — and the compensation took in fewer column bytes,
+// those of the lost partitions only, than a priming step ships.
+func TestCompensatedRunEqualsInProcess(t *testing.T) {
+	for name, g := range equivalenceGraphs() {
+		for kind, at := range map[string]int{KindCC: 1, KindPageRank: 2} {
+			for what, script := range map[string]struct {
+				proc   procScript
+				inproc *failure.Scripted
+			}{
+				"boundary": {boundaryKill(t, at, false), failure.NewScripted(nil).At(at-1, 1)},
+				"midstep":  {midStepKill(at), failure.NewScripted(nil).AtMidStep(at-1, 0, 1)},
+			} {
+				t.Run(kind+"/"+name+"/"+what, func(t *testing.T) {
+					want := runInProc(t, kind, g, script.inproc)
+					var priming, resent int
+					var wasted int64
+					compensated := false
+					got := runProc(t, kind, g, recovery.Optimistic{}, script.proc, func(r *procRig) {
+						r.loop.Job = compensating{Job: r.job, after: func(lost []int, _ error) {
+							resent, wasted = relayedBytes(r.job, lost), r.job.partials[1].messages
+						}}
+						r.loop.OnSample = func(s iterate.Sample) {
+							if s.Tick == 0 {
+								priming = relayedBytes(r.job, nil)
+							}
+							if compensated = compensated || s.Failed(); !compensated || kind != KindPageRank {
+								return
+							}
+							ranks, err := r.job.Ranks()
+							if sum := rankSum(ranks); err != nil || math.Abs(sum-1) > 1e-9 {
+								t.Errorf("tick %d (superstep %d): ranks sum to %.12f after the compensation (err %v)", s.Tick, s.Superstep, sum, err)
+							}
+						}
+					})
+					if got.res.Failures != 1 || want.res.Failures != 1 {
+						t.Fatalf("%d failures struck the proc run, %d the in-process run, want 1 each", got.res.Failures, want.res.Failures)
+					}
+					if kind == KindCC && !reflect.DeepEqual(got.labels, want.labels) {
+						t.Error("labels differ from the in-process run")
+					}
+					if l1 := rankL1(got.ranks, want.ranks); kind == KindPageRank && (len(got.ranks) != len(want.ranks) || l1 > 1e-9) {
+						t.Errorf("ranks are L1 %.3g from the in-process run", l1)
+					}
+					if got.supersteps != want.supersteps+1 {
+						t.Errorf("proc committed %d supersteps, in-process %d (+1 priming)", got.supersteps, want.supersteps)
+					}
+					last := got.res.Samples[len(got.res.Samples)-1].Stats.Messages
+					if got.messages != want.messages+wasted+last {
+						t.Errorf("proc sent %d messages, in-process %d + %d the victim expanded in vain + %d of the last step",
+							got.messages, want.messages, wasted, last)
+					}
+					if survivor, replacement := got.stats[0].Rescatters, got.stats[2].Rescatters; survivor != 1 || replacement != 0 {
+						t.Errorf("survivor ran %d priming steps, replacement %d, want 1 and 0", survivor, replacement)
+					}
+					if resent == 0 || resent >= priming {
+						t.Errorf("the compensation took in %d column bytes, a priming step ships %d", resent, priming)
+					}
+					t.Logf("proc %d supersteps %d messages, in-process %d and %d", got.supersteps, got.messages, want.supersteps, want.messages)
+				})
+			}
+		}
+	}
+}
+
+// TestAdoptionFallbackCompensates empties the spare pool, so the
+// survivor adopts the lost partitions: its job is rebuilt, the columns it
+// held go with the old one, and the compensation falls back to a global
+// priming step — still renormalised, the scalar not depending on columns.
+// The run converges to the failure-free result with ranks summing to one
+// from the compensation on.
+func TestAdoptionFallbackCompensates(t *testing.T) {
+	g := equivalenceGraphs()["twitter"]
+	for kind, at := range map[string]int{KindCC: 1, KindPageRank: 2} {
+		t.Run(kind, func(t *testing.T) {
+			want := runInProc(t, kind, g, nil)
+			co := startTestCluster(t, eqWorkers, eqParts, func(c *Config) { c.SparesBounded = true })
+			compensated := false
+			got := runProcOn(t, co, kind, g, recovery.Optimistic{}, boundaryKill(t, at, false), func(r *procRig) {
+				r.loop.Supervisor = supervise.New(co, r.loop.Policy, r.loop.Injector, supervise.Config{})
+				r.loop.OnSample = func(s iterate.Sample) {
+					if compensated = compensated || s.Failed(); !compensated || kind != KindPageRank {
+						return
+					}
+					ranks, err := r.job.Ranks()
+					if sum := rankSum(ranks); err != nil || math.Abs(sum-1) > 1e-9 {
+						t.Errorf("tick %d: ranks sum to %.12f after the compensation (err %v)", s.Tick, sum, err)
+					}
+				}
+			})
+			if got.res.Failures != 1 || len(got.stats) != 1 || got.stats[0].Rescatters != 2 {
+				t.Fatalf("%d failures, final workers' stats %+v: want one failure and a lone survivor primed twice", got.res.Failures, got.stats)
+			}
+			if kind == KindCC && !reflect.DeepEqual(got.labels, want.labels) {
+				t.Error("labels differ from the failure-free run")
+			}
+			if l1 := rankL1(got.ranks, want.ranks); kind == KindPageRank && (len(got.ranks) != len(want.ranks) || l1 > 1e-9) {
+				t.Errorf("ranks are L1 %.3g from the failure-free run", l1)
+			}
+		})
+	}
+}
+
+// TestWorkerDyingUnderCompensateIsFolded SIGKILLs the replacement while
+// its CompensateReq is in flight — held on the wire long enough for the
+// kill to land before it is read. That is a failure, not a fatal
+// error: the loop, and the supervisor, fold it into the recovery, replace
+// the replacement and compensate again.
+func TestWorkerDyingUnderCompensateIsFolded(t *testing.T) {
+	g := equivalenceGraphs()["twitter"]
+	for kind, at := range map[string]int{KindCC: 1, KindPageRank: 2} {
+		for _, supervised := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/supervised=%v", kind, supervised), func(t *testing.T) {
+				want := runInProc(t, kind, g, nil)
+				nw := netfault.New(11)
+				co := startTestCluster(t, eqWorkers, eqParts, func(c *Config) { c.NetFault = nw })
+				var verdicts []error
+				got := runProcOn(t, co, kind, g, recovery.Optimistic{}, boundaryKill(t, at, false), func(r *procRig) {
+					if supervised {
+						r.loop.Supervisor = supervise.New(co, r.loop.Policy, r.loop.Injector, supervise.Config{Spares: -1})
+					}
+					r.loop.Job = compensating{Job: r.job, before: func(lost []int) {
+						if replacement := co.Owner(lost[0]); len(verdicts) == 0 {
+							nw.SetFaults(replacement, netfault.Outbound, netfault.Faults{DelayP: 1, Delay: 200 * time.Millisecond})
+							time.AfterFunc(20*time.Millisecond, func() { co.Kill(replacement) })
+						}
+					}, after: func(_ []int, err error) { verdicts = append(verdicts, err) }}
+				})
+				var wf *exec.WorkerFailure
+				if len(verdicts) != 2 || !errors.As(verdicts[0], &wf) || !slices.Equal(wf.Workers, []int{2}) || verdicts[1] != nil {
+					t.Fatalf("compensations returned %v, want a worker failure naming worker 2, then success", verdicts)
+				}
+				if got.res.Failures != 2 || co.IsAlive(2) || !co.IsAlive(3) {
+					t.Fatalf("%d failures struck, worker 2 alive %v, worker 3 alive %v: want the victim and its first replacement dead",
+						got.res.Failures, co.IsAlive(2), co.IsAlive(3))
+				}
+				if kind == KindCC && !reflect.DeepEqual(got.labels, want.labels) {
+					t.Error("labels differ from the failure-free run")
+				}
+				l1, sum := rankL1(got.ranks, want.ranks), rankSum(got.ranks)
+				if kind == KindPageRank && (len(got.ranks) != len(want.ranks) || l1 > 1e-9 || math.Abs(sum-1) > 1e-9) {
+					t.Errorf("ranks are L1 %.3g from the failure-free run and sum to %.12f", l1, sum)
+				}
+			})
+		}
+	}
+}
+
+// TestProcCompensateDirectedPath is cc.TestCompensateDirectedPath across
+// processes: on 0 → 1 → … → 39 a restored vertex gets its label back only
+// if its surviving predecessor re-sends, which a compensation that
+// re-announces nothing but the lost partitions and their out-neighbours'
+// labels would never make it do.
+func TestProcCompensateDirectedPath(t *testing.T) {
+	b := graph.NewBuilder(true)
+	for v := graph.VertexID(0); v < 39; v++ {
+		b.AddEdge(v, v+1)
+	}
+	g := b.Build()
+	for _, at := range []int{20, 35} {
+		got := runProc(t, KindCC, g, recovery.Optimistic{}, boundaryKill(t, at, false))
+		if got.res.Failures != 1 {
+			t.Fatalf("at %d: %d failures struck, want 1", at, got.res.Failures)
+		}
+		for v, l := range got.labels {
+			if l != 0 {
+				t.Errorf("at %d: vertex %d ends in component %d, want 0", at, v, l)
 			}
 		}
 	}

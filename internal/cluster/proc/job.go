@@ -56,14 +56,16 @@ type Spec struct {
 // in-process job spans two steps here: a step folds what the previous
 // step's expansion sent, applies it, and expands the result. A priming
 // step (rescatter) folds nothing and re-announces all committed state —
-// the first step of a job and the first after any recovery or change of
-// placement, when the columns in flight no longer match the state.
+// the first step of a job and the first after a rollback, a restart or a
+// change of placement that rebuilt a surviving worker's job, when the
+// columns in flight no longer match the state.
 //
 // Job implements recovery.Job, so every recovery policy works
-// unchanged: Compensate is the paper's optimistic path (reinitialised
-// lost partitions plus a global priming step), SnapshotTo/RestoreFrom
-// fetch and push the partitions' state views for checkpoint rollback,
-// and ResetToInitial serves the restart baseline.
+// unchanged: Compensate is the paper's optimistic path (workers run the
+// job's compensation function on the lost partitions and re-send only
+// what those sent; survivors keep state and columns), SnapshotTo/
+// RestoreFrom fetch and push the partitions' state views for checkpoint
+// rollback, and ResetToInitial serves the restart baseline.
 type Job struct {
 	co   *Coordinator
 	spec Spec
@@ -75,10 +77,15 @@ type Job struct {
 	// inbox holds, per destination partition, the exchange columns the
 	// last committed step produced on other workers, placement the
 	// ownership they (and the columns workers kept) were produced under,
-	// pending the message count they stand for.
+	// pending the message count they stand for. partials keeps each
+	// worker's share of pending and dangling, for a compensation to combine
+	// them again without the dead worker's; the messages it re-sends are
+	// reported, as resent, with the next step's.
 	inbox     map[int][]exec.HostedCols
 	placement []int
+	partials  map[int]partial
 	pending   int64
+	resent    int64
 	dangling  float64
 	rescatter bool
 	lastL1    float64
@@ -104,6 +111,8 @@ func NewJob(co *Coordinator, spec Spec) (*Job, error) {
 		dense:     d,
 		pt:        d.Partitioning(co.NumPartitions()),
 		replica:   replica,
+		inbox:     make(map[int][]exec.HostedCols),
+		partials:  make(map[int]partial),
 		rescatter: true,
 		lastL1:    math.MaxFloat64,
 	}
@@ -148,6 +157,31 @@ func (j *Job) ownersSnapshot() map[int][]int {
 	return owners
 }
 
+// partial is one worker's share of the scalars the driver combines.
+type partial struct {
+	dangling float64
+	messages int64
+}
+
+// combine adds up the workers' partials, in the order listed so float
+// sums repeat from run to run.
+func (j *Job) combine(workers []int) {
+	j.pending, j.dangling = 0, 0
+	for _, w := range workers {
+		j.dangling += j.partials[w].dangling
+		j.pending += j.partials[w].messages
+	}
+}
+
+// currentPlacement lists every partition's owner.
+func (j *Job) currentPlacement() []int {
+	placement := make([]int, j.numParts)
+	for p := range placement {
+		placement[p] = j.co.Owner(p)
+	}
+	return placement
+}
+
 type stepResult struct {
 	worker int
 	resp   StepResp
@@ -163,10 +197,7 @@ type stepResult struct {
 // in-process engine, so iterate.Loop's recovery path is unchanged.
 func (j *Job) Step(ctx *iterate.Context) (iterate.StepStats, error) {
 	owners := j.ownersSnapshot()
-	placement := make([]int, j.numParts)
-	for p := range placement {
-		placement[p] = j.co.Owner(p)
-	}
+	placement := j.currentPlacement()
 	if !slices.Equal(placement, j.placement) {
 		// Partitions moved since the columns in flight were produced:
 		// those workers kept are gone or misplaced, so start over.
@@ -264,8 +295,7 @@ func (j *Job) Step(ctx *iterate.Context) (iterate.StepStats, error) {
 	j.co.owe(workers, ctx.Superstep)
 	stats := iterate.StepStats{Extra: map[string]float64{}}
 	j.inbox = make(map[int][]exec.HostedCols)
-	j.placement = placement
-	j.pending, j.dangling, j.rescatter = 0, 0, false
+	j.placement, j.rescatter = placement, false
 	var l1 float64
 	folded := false
 	for _, w := range workers {
@@ -273,13 +303,13 @@ func (j *Job) Step(ctx *iterate.Context) (iterate.StepStats, error) {
 		for _, cols := range resp.Remote {
 			j.inbox[cols.Dst] = append(j.inbox[cols.Dst], cols)
 		}
-		j.dangling += resp.Dangling
+		j.partials[w] = partial{dangling: resp.Dangling, messages: resp.Messages}
 		l1 += resp.L1
 		folded = folded || resp.Folded
-		j.pending += resp.Messages
 		stats.Updates += resp.Updates
 	}
-	stats.Messages = j.pending
+	j.combine(workers)
+	stats.Messages, j.resent = j.pending+j.resent, 0
 	if folded {
 		j.lastL1 = l1
 	}
@@ -423,7 +453,7 @@ func (j *Job) RestoreFrom(data []byte) error {
 // restartExchange drops the columns in flight and schedules a priming
 // step: the exchange starts over from whatever state the workers hold.
 func (j *Job) restartExchange() {
-	j.inbox = nil
+	clear(j.inbox)
 	j.pending, j.dangling = 0, 0
 	j.rescatter = true
 	j.lastL1 = math.MaxFloat64
@@ -446,15 +476,90 @@ func (j *Job) ClearPartitions(parts []int) {
 }
 
 // Compensate implements recovery.Job — the optimistic compensation
-// function. The lost partitions were already reinitialised by
-// ClearPartitions; dropping the columns in flight and scheduling a
-// global priming step transitions the whole computation to a consistent
-// state from which the fixpoint iteration re-converges (CC: every
-// vertex re-announces its label; PR: contributions are re-emitted from
-// current ranks and the rank mass contracts back to one).
-func (j *Job) Compensate([]int) error {
-	j.restartExchange()
+// function, run where the state is; the lost partitions were replaced and
+// reinitialised already. Survivors report their partitions' state mass
+// and re-send what the job's compensation re-activates (CC: labels along
+// out-edges into the lost partitions); the new owners, told the combined
+// mass, fill the lost partitions (PageRank: a uniform share of what is
+// missing, so ranks sum to one again) and expand them. Columns a surviving
+// partition sent — held on its worker, relayed here — stay; the lost
+// ones' are replaced by the responses', so the next step just folds.
+//
+// One fallback, a global priming step from the state as compensated: when
+// a survivor's job was rebuilt (it adopted lost partitions, no spare
+// being left, and load dropped its columns) or a worker died under the
+// compensation — returned as a typed failure for the recovery to fold in.
+func (j *Job) Compensate(lost []int) error {
+	// A surviving partition kept its columns if it stayed where they were
+	// produced and its worker adopted nothing.
+	placement := j.currentPlacement()
+	fill, survivors := make(map[int][]int), make(map[int][]int)
+	rebuilt := false
+	for p, w := range placement {
+		if slices.Contains(lost, p) {
+			fill[w] = append(fill[w], p)
+		} else {
+			survivors[w] = nil
+			rebuilt = rebuilt || j.placement != nil && j.placement[p] != w
+		}
+	}
+	for w := range fill {
+		_, adopted := survivors[w]
+		rebuilt = rebuilt || adopted
+	}
+	for dst, cols := range j.inbox {
+		j.inbox[dst] = slices.DeleteFunc(cols, func(c exec.HostedCols) bool { return slices.Contains(lost, c.Src) })
+	}
+	surviving, err := j.compensateOn(survivors, lost, 0)
+	if err == nil {
+		_, err = j.compensateOn(fill, lost, surviving)
+	}
+	if err != nil || rebuilt {
+		j.restartExchange()
+	} else {
+		j.combine(j.co.Workers())
+		j.placement, j.lastL1 = placement, math.MaxFloat64
+	}
+	if err != nil {
+		return fmt.Errorf("proc: compensation: %w", err)
+	}
 	return nil
+}
+
+// compensateOn asks each worker of fill to compensate, filling the lost
+// partitions listed for it, and takes in the responses in worker order:
+// new rows join the columns relayed for their pair, counts and dangling
+// mass the worker's partial. It returns the survivors' combined mass.
+func (j *Job) compensateOn(fill map[int][]int, lost []int, surviving float64) (mass float64, err error) {
+	var mu sync.Mutex
+	resps := make(map[int]CompensateResp, len(fill))
+	err = onOwners(fill, func(w int, parts []int) error {
+		resp, err := j.co.call(w, CompensateReq{Lost: lost, Fill: parts, Surviving: surviving})
+		if isTransportError(err) {
+			err = &exec.WorkerFailure{Workers: []int{w}, Partitions: j.co.PartitionsOf(w)}
+		}
+		if err == nil {
+			mu.Lock()
+			resps[w] = resp.(CompensateResp)
+			mu.Unlock()
+		}
+		return err
+	})
+	for _, w := range slices.Sorted(maps.Keys(resps)) {
+		r := resps[w]
+		mass += r.Surviving
+		j.resent += r.Messages
+		j.partials[w] = partial{dangling: r.Dangling, messages: j.partials[w].messages + r.Messages}
+		for _, cols := range r.Remote {
+			relayed := j.inbox[cols.Dst]
+			if i := slices.IndexFunc(relayed, func(c exec.HostedCols) bool { return c.Src == cols.Src }); i >= 0 {
+				relayed[i].Cols = append(relayed[i].Cols, cols.Cols...)
+			} else {
+				j.inbox[cols.Dst] = append(relayed, cols)
+			}
+		}
+	}
+	return mass, err
 }
 
 // ResetToInitial implements recovery.Job (the restart baseline).

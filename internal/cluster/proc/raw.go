@@ -48,6 +48,10 @@ func rawKindOf(m any) (byte, bool) {
 		return wire.KDataAck, true
 	case DataErr:
 		return wire.KDataErr, true
+	case CompensateReq:
+		return wire.KCompReq, true
+	case CompensateResp:
+		return wire.KCompResp, true
 	}
 	return 0, false
 }
@@ -110,6 +114,13 @@ func appendRawPayload(dst []byte, kind byte, id uint64, m any) []byte {
 	case DataErr:
 		dst = colbytes.AppendU64(dst, r.Stream)
 		dst = colbytes.AppendString(dst, r.Msg)
+	case CompensateReq:
+		dst = appendInts(appendInts(dst, r.Lost), r.Fill)
+		dst = colbytes.AppendF64(dst, r.Surviving)
+	case CompensateResp:
+		dst = colsSection.append(dst, r.Remote)
+		dst = colbytes.AppendU64(dst, uint64(r.Messages))
+		dst = colbytes.AppendF64(colbytes.AppendF64(dst, r.Dangling), r.Surviving)
 	}
 	return dst
 }
@@ -166,6 +177,10 @@ func decodeRawPayload(p []byte) (uint64, any, error) {
 		m = DataAck{Stream: r.U64()}
 	case wire.KDataErr:
 		m = DataErr{Stream: r.U64(), Msg: r.String()}
+	case wire.KCompReq:
+		m = CompensateReq{Lost: readInts(r), Fill: readInts(r), Surviving: r.F64()}
+	case wire.KCompResp:
+		m = CompensateResp{Remote: colsSection.read(r), Messages: int64(r.U64()), Dangling: r.F64(), Surviving: r.F64()}
 	default:
 		return 0, nil, fmt.Errorf("proc: raw frame with unknown kind %d: %w", kind, wire.ErrMalformed)
 	}

@@ -78,6 +78,11 @@ func goldenRawCases() []struct {
 		{"datachunk", DataChunk{Stream: 10, Seq: 3, Done: true, Data: view[:5]}},
 		{"dataack", DataAck{Stream: 10}},
 		{"dataerr", DataErr{Stream: 11, Msg: "worker 2: partition 9 not hosted"}},
+		{"compensatereq", CompensateReq{Lost: []int{1, 3}, Fill: []int{3}, Surviving: 0.4375}},
+		{"compensateresp", CompensateResp{
+			Remote:   []exec.HostedCols{{Src: 3, Dst: 0, Cols: goldenCols([]int32{2, 6}, []uint64{3, 3})}, {Src: 3, Dst: 2}},
+			Messages: 9, Dangling: 0.03125, Surviving: 0.5625,
+		}},
 	}
 }
 
@@ -234,6 +239,61 @@ func TestRawHostileFrames(t *testing.T) {
 		})
 	}
 	t.Run("commit of a superstep not held", hostileCommits)
+	t.Run("compensation of what was not lost", hostileCompensations)
+}
+
+// hostileCompensations feeds a worker host that holds committed columns
+// well-formed CompensateReqs for partitions it cannot have just been
+// given: one it does not host, one outside the job, one whose own
+// columns it still holds. Each must be refused by type with nothing
+// touched — state, held columns and the attempt in flight end up those
+// of a host that never saw them — while the request the driver would
+// send, for the partition hosted elsewhere, is served.
+func hostileCompensations(t *testing.T) {
+	g := ccTestGraph()
+	d := g.Dense()
+	load := LoadReq{Job: "hostile", Kind: KindPageRank, NumPartitions: 4, IDs: d.IDs(), Hosted: []int{0, 2}, Fresh: []int{0, 2}}
+	load.Offsets, load.Targets, load.Weights = d.Restrict(d.Partitioning(4), load.Hosted)
+	stepped := func() *workerHost {
+		h := &workerHost{worker: 3, lastStep: -1}
+		for id, req := range []any{load, StepReq{Superstep: 0, Rescatter: true}, StepReq{Commit: Owed{Set: true}, Superstep: 1}} {
+			if e, bad := h.dispatch(uint64(id+1), req).(ErrResp); bad {
+				t.Fatalf("%T: %s", req, e.Msg)
+			}
+		}
+		return h
+	}
+	h, twin := stepped(), stepped()
+	id := uint64(50)
+	for what, req := range map[string]CompensateReq{
+		"fill of a partition not hosted":  {Lost: []int{1}, Fill: []int{1}},
+		"lost partition outside the job":  {Lost: []int{1, 1 << 30}},
+		"negative lost partition":         {Lost: []int{-1}},
+		"fill of a partition still held":  {Lost: []int{2}, Fill: []int{2}, Surviving: 0.5},
+		"fill of every partition it held": {Lost: []int{0, 2}, Fill: []int{0, 2}},
+	} {
+		id++ // a token seen before is answered from the cache
+		if resp, refused := h.dispatch(id, req).(ErrResp); !refused {
+			t.Errorf("%s: answered %#v, want ErrResp", what, resp)
+		}
+	}
+	for _, host := range []*workerHost{h, twin} {
+		if e, bad := host.dispatch(70, CommitReq{Superstep: 1}).(ErrResp); bad {
+			t.Fatalf("committing the attempt held: %s", e.Msg)
+		}
+	}
+	if h.stats.CommitsExplicit != 1 {
+		t.Errorf("%d explicit commits, want 1: a refused compensation dropped the attempt held", h.stats.CommitsExplicit)
+	}
+	next := StepReq{Superstep: 2}
+	got, want := h.dispatch(71, next), twin.dispatch(71, next)
+	if _, bad := got.(ErrResp); bad || !reflect.DeepEqual(got, want) {
+		t.Errorf("the step after the refused compensations answered %#v, an undisturbed host %#v", got, want)
+	}
+	resp, served := h.dispatch(72, CompensateReq{Lost: []int{1, 3}}).(CompensateResp)
+	if !served || len(resp.Remote) != 0 || resp.Messages != 0 || !(resp.Surviving > 0 && resp.Surviving < 1) {
+		t.Errorf("a survivor's PageRank compensation answered %#v (served %v), want only its partitions' mass", resp, served)
+	}
 }
 
 // hostileCommits feeds a worker host that holds superstep 1's attempt

@@ -58,8 +58,9 @@ import (
 // IDs; version 3 added the per-payload codec tag (gob or raw
 // columnar) and the data-plane connection role; version 4 replaced the
 // per-vertex message and state payloads with engine column views and
-// partition byte views; version 5 added the carried commit (Owed).
-const ProtoVersion = 5
+// partition byte views; version 5 added the carried commit (Owed);
+// version 6 the compensation round (CompensateReq).
+const ProtoVersion = 6
 
 // Frame is the unit of transmission: one gob value wrapping one
 // message. Wrapping in an interface-typed field keeps each frame
@@ -191,6 +192,31 @@ type Owed struct {
 	Set       bool
 }
 
+// CompensateReq runs one worker's share of the optimistic compensation
+// on its committed state, outside any attempt. Lost lists every partition
+// the failure destroyed, Fill those this worker hosts now — freshly
+// loaded, holding no columns they sent. The worker reports the state mass
+// of its surviving partitions, gives the Fill partitions their
+// compensated state (PageRank: a uniform share of 1 − Surviving, the
+// survivors' combined mass) and expands them, and whatever surviving
+// vertices the job re-activates, into the columns it holds; the rest of
+// those stay. Survivors are asked first, with an empty Fill.
+type CompensateReq struct {
+	Lost      []int
+	Fill      []int
+	Surviving float64
+}
+
+// CompensateResp reports that expansion as a StepResp would — new rows
+// bound for partitions hosted elsewhere, their count, the worker's
+// dangling mass — plus the mass of the worker's surviving partitions.
+type CompensateResp struct {
+	Remote    []exec.HostedCols
+	Messages  int64
+	Dangling  float64
+	Surviving float64
+}
+
 // CommitReq commits the named superstep's held attempt on its own.
 type CommitReq struct {
 	Superstep int
@@ -246,12 +272,14 @@ type StatsReq struct{}
 // was applied exactly once; Replayed counts duplicate deliveries that
 // were answered from the idempotence cache without re-applying;
 // CommitsCarried and CommitsExplicit count held attempts committed by a
-// request's Commit field and by a CommitReq.
+// request's Commit field and by a CommitReq; Rescatters counts priming
+// steps run.
 type WorkerStats struct {
 	Handled         uint64
 	Replayed        uint64
 	CommitsCarried  uint64
 	CommitsExplicit uint64
+	Rescatters      uint64
 }
 
 // JobSnapshot is a proc job's checkpoint: every partition's committed

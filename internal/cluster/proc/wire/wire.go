@@ -41,7 +41,7 @@ import (
 // Version is the raw-codec format version. Bump it whenever a body
 // encoding changes shape; the decoder rejects any other version with
 // *VersionError.
-const Version byte = 3
+const Version byte = 4
 
 // Codec tags — the first payload byte of every frame.
 const (
@@ -64,6 +64,8 @@ const (
 	KDataChunk   byte = 9
 	KDataAck     byte = 10
 	KDataErr     byte = 11
+	KCompReq     byte = 12
+	KCompResp    byte = 13
 )
 
 // MaxFrame is the hard ceiling on any payload, inherited from the

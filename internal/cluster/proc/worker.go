@@ -388,6 +388,9 @@ type hostedJob interface {
 	RestorePartition(p int, view []byte) error
 	// Reinit puts the listed partitions into superstep-zero state.
 	Reinit(parts []int)
+	// Compensate runs this host's share of the job's compensation
+	// function on the committed state (see CompensateReq).
+	Compensate(lost, fill []int, surviving float64) (out exec.HostedOut, mass float64, err error)
 }
 
 // newHosted builds the hosted job of the given kind over g for the
@@ -468,6 +471,9 @@ func (h *workerHost) handle(req any) any {
 			var out exec.HostedOut
 			if out, err = h.job.Step(r.Rescatter, r.Dangling, r.Inbox); err == nil {
 				h.lastStep, h.held = r.Superstep, true
+				if r.Rescatter {
+					h.stats.Rescatters++
+				}
 				return out
 			}
 		}
@@ -488,6 +494,11 @@ func (h *workerHost) handle(req any) any {
 	case ClearReq:
 		if err = h.hosts("clear", r.Parts); err == nil {
 			h.job.Reinit(r.Parts)
+		}
+	case CompensateReq:
+		var resp CompensateResp
+		if resp, err = h.compensate(r); err == nil {
+			return resp
 		}
 	default:
 		err = fmt.Errorf("unexpected request %T", req)
@@ -562,6 +573,22 @@ func (h *workerHost) hosts(op string, parts []int) error {
 		}
 	}
 	return nil
+}
+
+// compensate runs the job's share of a compensation. A request that does
+// not fit what is hosted is refused before anything is touched.
+func (h *workerHost) compensate(r CompensateReq) (resp CompensateResp, err error) {
+	err = h.hosts("compensate", r.Fill)
+	for _, p := range r.Lost {
+		if err == nil && (p < 0 || p >= h.spec.NumPartitions) {
+			err = fmt.Errorf("compensate for partition %d of %d", p, h.spec.NumPartitions)
+		}
+	}
+	if err != nil {
+		return resp, err
+	}
+	out, mass, err := h.job.Compensate(r.Lost, r.Fill, r.Surviving)
+	return CompensateResp{Remote: out.Remote, Messages: out.Messages, Dangling: out.Dangling, Surviving: mass}, err
 }
 
 // fetch applies r.Commit and reads the listed partitions' state views.

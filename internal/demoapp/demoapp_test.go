@@ -290,6 +290,41 @@ func TestFaultMatrix(t *testing.T) {
 	}
 }
 
+// TestFaultMatrixDuringRecovery adds the during-recovery cell: a second
+// worker dies while the optimistic compensation for the first runs, and
+// the supervisor folds it into the same recovery. Under -cluster=proc the
+// deaths are SIGKILLs; the demo's jobs keep their state in the driver, so
+// the cell where the worker dies under a compensate request is the proc
+// suite's (TestWorkerDyingUnderCompensateIsFolded), not this one.
+func TestFaultMatrixDuringRecovery(t *testing.T) {
+	for _, mode := range []Mode{ModeCC, ModePageRank} {
+		t.Run(mode.String(), func(t *testing.T) {
+			out, err := Run(Config{
+				Mode:                   mode,
+				Policy:                 "optimistic",
+				Supervised:             true,
+				Spares:                 -1,
+				Failures:               map[int][]int{0: {0}},
+				DuringRecoveryFailures: map[int][]int{0: {1}},
+				NewCluster:             testClusterFactory(t),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(out.Summary, "CORRECT") {
+				t.Fatalf("summary = %q", out.Summary)
+			}
+			folded := false
+			for _, f := range out.Frames {
+				folded = folded || strings.Contains(f.Failure, "during recovery")
+			}
+			if ticks := out.Stats.FailureTicks(); len(ticks) != 1 || !folded {
+				t.Fatalf("failure ticks = %v, folded = %v: want one tick whose recovery absorbed a second failure", ticks, folded)
+			}
+		})
+	}
+}
+
 func TestHTMLReportMarksAbortedFrames(t *testing.T) {
 	out, err := Run(Config{
 		Mode:                ModeCC,

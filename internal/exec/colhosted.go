@@ -42,7 +42,8 @@ type HostedOut struct {
 // hosts and keeps the byte-form exchange between them. One goroutine
 // drives it, an attempt at a time: Begin, Fold (unless priming), Expand,
 // then Commit or Abort. An uncommitted attempt leaves the held columns
-// of the last committed one in place, so it can be replayed.
+// of the last committed one in place, so it can be replayed; between
+// attempts Reexpand adds to them.
 type ColHosted[V ColValue] struct {
 	engine *ColEngine[V]
 	step   *ColStep[V]
@@ -130,20 +131,54 @@ func (h *ColHosted[V]) Fold(remote []HostedCols) error {
 // partitions hosted elsewhere, which alias the attempt's buffers until
 // the Expand after the next Commit.
 func (h *ColHosted[V]) Expand(out *HostedOut) error {
-	for _, src := range h.parts {
-		for dst := range h.out[src] {
-			h.out[src][dst] = h.out[src][dst][:0]
+	return h.expand(h.out, h.parts, false, out)
+}
+
+// Reexpand runs the producing half over the listed hosted partitions'
+// sources outside any attempt and appends the result to the committed
+// columns, which the next Fold consumes with the rows already there —
+// how a compensation re-sends what a lost partition sent and what its
+// neighbours must send again. out reports only the new rows bound for
+// partitions hosted elsewhere, for the driver to append to the set it
+// relays: one Fold never takes two sets for the same pair.
+func (h *ColHosted[V]) Reexpand(parts []int, out *HostedOut) error {
+	return h.expand(h.held, parts, true, out)
+}
+
+// Unheld fails if one of the listed partitions has committed columns
+// bound for a hosted partition: its sources were expanded here, so it
+// was not lost and must not be expanded again from other state.
+func (h *ColHosted[V]) Unheld(parts []int) error {
+	for _, src := range parts {
+		for dst, cols := range h.held[src] {
+			if h.hosted[dst] && len(cols) > 0 {
+				return fmt.Errorf("col: partition %d still holds the columns it sent to partition %d", src, dst)
+			}
 		}
 	}
-	stats, err := h.engine.expandHalf(h.step, h.parts, func(src, dst int, b *ColBatch[V]) {
-		h.out[src][dst] = b.AppendColumns(h.out[src][dst])
+	return nil
+}
+
+// expand expands parts' sources into bufs. Columns that left the process
+// are always replaced; those bound for hosted partitions are appended to
+// if keepLocal.
+func (h *ColHosted[V]) expand(bufs [][][]byte, parts []int, keepLocal bool, out *HostedOut) error {
+	for _, src := range parts {
+		for dst := range bufs[src] {
+			if !(keepLocal && h.hosted[dst]) {
+				bufs[src][dst] = bufs[src][dst][:0]
+			}
+		}
+	}
+	stats, err := h.engine.expandHalf(h.step, parts, func(src, dst int, b *ColBatch[V]) {
+		bufs[src][dst] = b.AppendColumns(bufs[src][dst])
 	})
 	if err != nil {
 		return err
 	}
 	out.Messages = stats.Messages
-	for _, src := range h.parts {
-		for dst, cols := range h.out[src] {
+	for _, src := range parts {
+		for dst, cols := range bufs[src] {
 			if !h.hosted[dst] && len(cols) > 0 {
 				out.Remote = append(out.Remote, HostedCols{Src: src, Dst: dst, Cols: cols})
 			}

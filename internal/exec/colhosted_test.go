@@ -99,5 +99,98 @@ func TestColHostedRejectsHostileColumns(t *testing.T) {
 	} {
 		fold(what, []HostedCols{rc}, true)
 	}
+	// A second column set for a pair is rejected: rows appended after a
+	// compensation (Reexpand) travel concatenated onto the pair's one set —
+	// TestColHostedReexpandAppends — which is the column format anyway.
 	fold("the same pair twice", []HostedCols{{Src: 1, Dst: 0, Cols: good}, {Src: 1, Dst: 0, Cols: good}}, true)
+	if err := h.Fold([]HostedCols{{Src: 1, Dst: 0, Cols: append(bytes.Clone(good), good...)}}); err != nil {
+		t.Errorf("one pair's sets concatenated: %v", err)
+	}
+}
+
+// TestColHostedReexpandAppends drives the compensation path: Reexpand
+// outside any attempt appends to the committed columns of hosted
+// destinations, so the next Fold sees the old rows and the new ones,
+// reports only the new rows of remote destinations, and leaves an
+// aborted attempt's columns out of it. Unheld tells a partition whose
+// columns are still held from one freshly loaded.
+func TestColHostedReexpandAppends(t *testing.T) {
+	h, applied, _, _ := hostedFixture(t)
+	d := h.step.Adj
+	pt := h.step.Parts
+	// active lists what Source emits: (vertex index, label) rows of
+	// partition 0.
+	var active [][2]int32
+	h.step.Source = func(part int, emit func(int32, uint64) bool) error {
+		for _, row := range active {
+			if part == 0 && !emit(row[0], uint64(row[1])) {
+				break
+			}
+		}
+		return nil
+	}
+	// Two vertices of partition 0, one with an out-edge staying in it and
+	// one with an out-edge leaving it.
+	var local, remote int32 = -1, -1
+	for _, v := range pt.Owned[0] {
+		for j := d.Offsets[v]; j < d.Offsets[v+1]; j++ {
+			if pt.PartOf[d.Targets[j]] == 0 && local < 0 {
+				local = v
+			} else if pt.PartOf[d.Targets[j]] == 1 && remote < 0 {
+				remote = v
+			}
+		}
+	}
+	if local < 0 || remote < 0 {
+		t.Fatal("fixture graph has no local or no remote edge out of partition 0")
+	}
+	if err := h.Unheld([]int{0}); err != nil {
+		t.Fatalf("nothing expanded yet: %v", err)
+	}
+
+	active = [][2]int32{{local, 50}, {remote, 50}}
+	var first HostedOut
+	h.Begin(func() {})
+	if err := h.Expand(&first); err != nil {
+		t.Fatal(err)
+	}
+	h.Commit()
+	if err := h.Unheld([]int{0}); err == nil {
+		t.Error("Unheld passed a partition whose committed columns are held")
+	}
+	shipped := bytes.Clone(first.Remote[0].Cols)
+
+	// An attempt in flight, then aborted: its columns must not be appended to.
+	active = [][2]int32{{local, 1}}
+	h.Begin(func() {})
+	if err := h.Expand(&HostedOut{}); err != nil {
+		t.Fatal(err)
+	}
+	h.Abort()
+
+	active = [][2]int32{{local, 7}, {remote, 7}}
+	var again HostedOut
+	if err := h.Reexpand([]int{0}, &again); err != nil {
+		t.Fatal(err)
+	}
+	if again.Messages != first.Messages {
+		t.Errorf("Reexpand sent %d messages, the same rows' Expand %d", again.Messages, first.Messages)
+	}
+	if len(again.Remote) != 1 || len(again.Remote[0].Cols) != len(shipped) {
+		t.Fatalf("Reexpand reported %d remote sets (first of %d bytes), want 1 of the %d bytes one expansion ships",
+			len(again.Remote), len(again.Remote[0].Cols), len(shipped))
+	}
+	if err := h.Fold(nil); err != nil {
+		t.Fatal(err)
+	}
+	// FoldMin over the held rows: 50 from the committed step, 7 appended; the
+	// aborted attempt's 1 never shows.
+	for v, got := range applied {
+		if got != 7 {
+			t.Errorf("vertex %d folded to %d, want 7: the min of the committed row and the appended one", v, got)
+		}
+	}
+	if len(applied) == 0 {
+		t.Error("Fold applied nothing: the held columns are gone")
+	}
 }

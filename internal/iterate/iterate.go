@@ -280,14 +280,7 @@ func (l *Loop) Run() (*Result, error) {
 		// Only workers that actually die trigger recovery. Injectors may
 		// name workers that are already dead; acting on those would
 		// acquire a spurious spare worker and record a phantom failure.
-		var died, lost []int
-		for _, w := range failed {
-			if !l.Cluster.IsAlive(w) {
-				continue
-			}
-			died = append(died, w)
-			lost = append(lost, l.Cluster.Fail(w)...)
-		}
+		died, lost := failWorkers(l.Cluster, failed)
 
 		// With the attempt committed and nobody dead, run the policy's
 		// superstep epilogue (e.g. the periodic checkpoint snapshot). A
@@ -303,13 +296,7 @@ func (l *Loop) Run() (*Result, error) {
 					return nil, fmt.Errorf("iterate: loop %q superstep %d: %w", l.Name, superstep, err)
 				}
 				epilogueFailed = true
-				for _, w := range pwf.Workers {
-					if !l.Cluster.IsAlive(w) {
-						continue
-					}
-					died = append(died, w)
-					lost = append(lost, l.Cluster.Fail(w)...)
-				}
+				died, lost = failWorkers(l.Cluster, pwf.Workers)
 			}
 		}
 
@@ -335,15 +322,26 @@ func (l *Loop) Run() (*Result, error) {
 			sample.RecoveryDuration = out.Duration
 			superstep = out.ResumeAt
 		case len(died) > 0:
-			res.Failures++
-			l.Cluster.AcquireN(len(died))
-			l.Job.ClearPartitions(lost)
-			resumeAt, err := policy.OnFailure(l.Job, recovery.Failure{
-				Superstep: superstep, Tick: tick,
-				Workers: died, LostPartitions: lost,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("iterate: loop %q superstep %d: %w", l.Name, superstep, err)
+			round := recovery.Failure{Superstep: superstep, Tick: tick, Workers: died, LostPartitions: lost}
+			var resumeAt int
+			for {
+				res.Failures++
+				l.Cluster.AcquireN(len(round.Workers))
+				l.Job.ClearPartitions(round.LostPartitions)
+				var err error
+				if resumeAt, err = policy.OnFailure(l.Job, round); err == nil {
+					break
+				}
+				// A worker that died under the recovery is one more failure
+				// to recover from, not the policy's.
+				var rwf *exec.WorkerFailure
+				if errors.As(err, &rwf) {
+					round.Workers, round.LostPartitions = failWorkers(l.Cluster, rwf.Workers)
+				}
+				if rwf == nil || len(round.Workers) == 0 {
+					return nil, fmt.Errorf("iterate: loop %q superstep %d: %w", l.Name, superstep, err)
+				}
+				died, lost = mergeWorkers(died, round.Workers), mergeWorkers(lost, round.LostPartitions)
 			}
 			sample.FailedWorkers = died
 			sample.LostPartitions = lost
@@ -382,6 +380,19 @@ func (l *Loop) Run() (*Result, error) {
 	res.Elapsed = clock.Since(start)
 	res.Overhead = policy.Overhead()
 	return res, nil
+}
+
+// failWorkers fails those of the listed workers that are alive — only a
+// worker that actually dies triggers recovery — and returns them with the
+// partitions they owned.
+func failWorkers(cl cluster.Interface, workers []int) (died, lost []int) {
+	for _, w := range workers {
+		if cl.IsAlive(w) {
+			died = append(died, w)
+			lost = append(lost, cl.Fail(w)...)
+		}
+	}
+	return died, lost
 }
 
 // mergeWorkers unions two worker lists, deduplicated and sorted.

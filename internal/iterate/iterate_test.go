@@ -157,6 +157,45 @@ func TestOptimisticFailureFlow(t *testing.T) {
 	}
 }
 
+// dyingJob loses worker victim under its first compensation, the way a
+// worker-hosted job does when the worker dies under the request.
+type dyingJob struct {
+	counterJob
+	victim int
+}
+
+func (d *dyingJob) Compensate(lost []int) error {
+	if d.comps++; d.comps == 1 {
+		return fmt.Errorf("compensation: %w", &exec.WorkerFailure{Workers: []int{d.victim}})
+	}
+	return nil
+}
+
+func TestWorkerDyingUnderRecoveryIsFolded(t *testing.T) {
+	job := &dyingJob{victim: 2}
+	l := newLoop(&job.counterJob, 5)
+	l.Job = job
+	l.Policy = recovery.Optimistic{}
+	l.Injector = failure.NewScripted(nil).At(2, 1)
+	res, err := l.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ticks != 5 || res.Failures != 2 || job.comps != 2 {
+		t.Fatalf("%d ticks, %d failures, %d compensations; want 5, 2, 2", res.Ticks, res.Failures, job.comps)
+	}
+	if s := res.Samples[2]; len(s.FailedWorkers) != 2 || l.Cluster.IsAlive(2) || len(l.Cluster.Workers()) != 4 {
+		t.Fatalf("failure sample = %+v, workers = %v", s, l.Cluster.Workers())
+	}
+	// Naming nobody alive, the failure is the policy's error.
+	job = &dyingJob{victim: 1}
+	l = newLoop(&job.counterJob, 5)
+	l.Job, l.Policy, l.Injector = job, recovery.Optimistic{}, failure.NewScripted(nil).At(2, 1)
+	if _, err := l.Run(); err == nil {
+		t.Fatal("a worker failure naming only the dead worker was swallowed")
+	}
+}
+
 func TestCheckpointFailureRollsBack(t *testing.T) {
 	job := &counterJob{}
 	l := newLoop(job, 6)

@@ -159,10 +159,12 @@ func (Optimistic) Setup(Job) error { return nil }
 // failure-free performance is the point.
 func (Optimistic) AfterSuperstep(Job, int) error { return nil }
 
-// OnFailure implements Policy: compensate and keep going.
+// OnFailure implements Policy: compensate and keep going. A worker that
+// died under the compensation stays visible (%w) as the typed failure
+// the driver folds into the recovery.
 func (Optimistic) OnFailure(job Job, f Failure) (int, error) {
 	if err := job.Compensate(f.LostPartitions); err != nil {
-		return 0, fmt.Errorf("recovery: compensation failed: %v", err)
+		return 0, fmt.Errorf("recovery: compensation failed: %w", err)
 	}
 	return f.Superstep + 1, nil
 }

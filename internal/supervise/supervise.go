@@ -28,6 +28,7 @@
 package supervise
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -35,6 +36,7 @@ import (
 	"optiflow/internal/checkpoint"
 	"optiflow/internal/clock"
 	"optiflow/internal/cluster"
+	"optiflow/internal/exec"
 	"optiflow/internal/failure"
 	"optiflow/internal/recovery"
 )
@@ -264,16 +266,21 @@ func (s *Supervisor) Recover(job recovery.Job, f recovery.Failure) (*Outcome, er
 			Superstep: f.Superstep, Tick: f.Tick,
 			Workers: roundWorkers, LostPartitions: roundLost,
 		}, out)
-		if err != nil {
+		var under *exec.WorkerFailure
+		if err != nil && !errors.As(err, &under) {
 			return nil, err
 		}
 		out.ResumeAt = resumeAt
 
-		// Did anything die while that restore/compensation ran? If so,
+		// Did anything die while that restore/compensation ran — reported
+		// by the injector, or by the policy as what stopped it? If so,
 		// fold it in: the next round replaces the new dead, clears the
 		// newly lost partitions and re-runs the policy over them.
-		died, lost := s.duringRecoveryFailures(f.Superstep, f.Tick, round)
+		died, lost := s.duringRecoveryFailures(f.Superstep, f.Tick, round, under)
 		if len(died) == 0 {
+			if under != nil {
+				return nil, err // it named nobody alive: nothing to fold in
+			}
 			break
 		}
 		out.FoldedFailures++
@@ -352,8 +359,10 @@ func (s *Supervisor) decide(job recovery.Job, f recovery.Failure, out *Outcome) 
 		return s.escalate(job, f, out)
 	}
 	resumeAt, err := s.policy.OnFailure(job, f)
-	if err == nil {
-		return resumeAt, nil
+	if err == nil || errors.As(err, new(*exec.WorkerFailure)) {
+		// A worker dying under the policy is Recover's to fold in, not a
+		// reason to escalate.
+		return resumeAt, err
 	}
 	s.cl.Note(cluster.EventEscalate,
 		fmt.Sprintf("policy %s could not recover (%v)", s.policy.PolicyName(), err), f.LostPartitions)
@@ -429,15 +438,18 @@ func (s *Supervisor) noteEscalation(out *Outcome, detail string, partitions []in
 	s.cl.Note(cluster.EventEscalate, detail, partitions)
 }
 
-// duringRecoveryFailures consults the injector's recovery surface and
-// kills the reported workers, returning those that actually died and
-// the partitions they owned.
-func (s *Supervisor) duringRecoveryFailures(superstep, tick, round int) (died, lost []int) {
-	ri, ok := s.injector.(failure.RecoveryInjector)
-	if !ok {
-		return nil, nil
+// duringRecoveryFailures consults the injector's recovery surface, adds
+// the workers the policy reported dying under it, and kills them all,
+// returning those that actually died and the partitions they owned.
+func (s *Supervisor) duringRecoveryFailures(superstep, tick, round int, under *exec.WorkerFailure) (died, lost []int) {
+	var workers []int
+	if ri, ok := s.injector.(failure.RecoveryInjector); ok {
+		workers = ri.FailuresDuringRecovery(superstep, tick, round, s.cl.Workers())
 	}
-	for _, w := range ri.FailuresDuringRecovery(superstep, tick, round, s.cl.Workers()) {
+	if under != nil {
+		workers = mergeInts(workers, under.Workers)
+	}
+	for _, w := range workers {
 		if !s.cl.IsAlive(w) {
 			continue
 		}

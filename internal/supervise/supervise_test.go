@@ -10,6 +10,7 @@ import (
 
 	"optiflow/internal/checkpoint"
 	"optiflow/internal/cluster"
+	"optiflow/internal/exec"
 	"optiflow/internal/failure"
 	"optiflow/internal/recovery"
 )
@@ -354,6 +355,44 @@ func TestDoubleFailureDuringRecovery(t *testing.T) {
 	}
 	if !strings.Contains(out.Description, "failure(s) during recovery") {
 		t.Fatalf("description = %q", out.Description)
+	}
+}
+
+// dyingOnce is a job whose first compensation loses worker victim: the
+// typed failure a worker-hosted job returns when a worker dies under the
+// compensate request.
+type dyingOnce struct {
+	fakeJob
+	victim int
+}
+
+func (j *dyingOnce) Compensate(lost []int) error {
+	if j.comps == 0 && j.compErr == nil {
+		j.compErr = &exec.WorkerFailure{Workers: []int{j.victim}}
+		return fmt.Errorf("compensation: %w", j.compErr)
+	}
+	j.compErr = nil
+	return j.fakeJob.Compensate(lost)
+}
+
+func TestWorkerDyingUnderThePolicyIsFoldedNotEscalated(t *testing.T) {
+	cl := cluster.New(4, 8)
+	job := &dyingOnce{victim: 2}
+	s := New(cl, recovery.Optimistic{}, nil, Config{Spares: -1})
+	out, err := s.Recover(job, kill(cl, 3, 3, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.FoldedFailures != 1 || out.Escalations != 0 || out.ResumeAt != 4 {
+		t.Fatalf("out = %+v, want one folded failure, no escalation, resuming at 4", out)
+	}
+	if len(out.Workers) != 2 || out.Workers[1] != 2 || cl.IsAlive(2) || job.comps != 1 {
+		t.Fatalf("workers = %v, worker 2 alive %v, %d compensations succeeded", out.Workers, cl.IsAlive(2), job.comps)
+	}
+	// A failure naming nobody alive cannot be folded: it is the policy's error.
+	job = &dyingOnce{victim: 1}
+	if _, err := s.Recover(job, kill(cl, 5, 5, 0)); err == nil {
+		t.Fatal("a worker failure naming only dead workers was swallowed")
 	}
 }
 
