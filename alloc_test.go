@@ -1,6 +1,7 @@
 package optiflow_test
 
 import (
+	"runtime"
 	"testing"
 
 	"optiflow/internal/algo/cc"
@@ -15,6 +16,12 @@ import (
 // PageRank superstep ~16k messages in ~60 (~75 under -race). The
 // ceilings leave ~10x headroom for benign drift and still sit an order
 // of magnitude below one allocation per message.
+//
+// Counts miss a column that regrows from empty every superstep, so the
+// byte ceilings pin that too: a whole CC run on gen.Grid(48, 48) — 95
+// short supersteps — allocates ~0.95 MB with reused workset and
+// pending-log columns and ~8.4 MB when they are dropped at every clear;
+// a steady PageRank superstep allocates a few kB of per-run set-up.
 func TestAllocationCeilings(t *testing.T) {
 	directed := gen.Twitter(2000, 1)
 	und := graph.NewBuilder(false)
@@ -28,31 +35,60 @@ func TestAllocationCeilings(t *testing.T) {
 		}
 	}
 
+	grid := gen.Grid(48, 48)
+
 	cases := []struct {
 		name    string
-		ceiling float64
+		ceiling float64 // allocations per op
+		bytes   float64 // bytes per op; 0 means unchecked
 		op      func() error
 	}{
-		{"cc-whole-run", 10000, func() error {
+		{"cc-whole-run", 10000, 0, func() error {
 			_, err := cc.Run(undirected, cc.Options{Parallelism: 4})
 			return err
 		}},
-		{"pagerank-steady-superstep", 600, func() error {
+		{"cc-grid-whole-run", 10000, 2 << 20, func() error {
+			_, err := cc.Run(grid, cc.Options{Parallelism: 4})
+			return err
+		}},
+		{"pagerank-steady-superstep", 600, 16 << 10, func() error {
 			_, err := pr.Step(nil)
 			return err
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := testing.AllocsPerRun(5, func() {
+			op := func() {
 				if err := tc.op(); err != nil {
 					t.Error(err)
 				}
-			})
-			t.Logf("%s: %.0f allocs/op (ceiling %.0f)", tc.name, got, tc.ceiling)
+			}
+			got := testing.AllocsPerRun(5, op)
+			b := bytesPerRun(5, op)
+			t.Logf("%s: %.0f allocs/op (ceiling %.0f), %.0f B/op (ceiling %.0f)", tc.name, got, tc.ceiling, b, tc.bytes)
 			if got > tc.ceiling {
 				t.Fatalf("%s allocates %.0f allocs/op, ceiling is %.0f: the hot path is allocating per record again", tc.name, got, tc.ceiling)
 			}
+			if tc.bytes > 0 && b > tc.bytes && !raceEnabled {
+				t.Fatalf("%s allocates %.0f B/op, ceiling is %.0f: a column is regrowing from empty every superstep again", tc.name, b, tc.bytes)
+			}
 		})
 	}
+}
+
+// raceEnabled is set by race_test.go under -race.
+var raceEnabled bool
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes
+// allocated by one call of f, after a warm-up call.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }

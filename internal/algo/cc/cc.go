@@ -10,8 +10,9 @@
 // There is one CC job. It runs on the typed columnar superstep engine:
 // labels live in a dense per-partition column store, the workset is two
 // parallel (index, label) columns, and the superstep is one exec.ColStep
-// — ExpandCopy over the CSR adjacency folded with min — so a converged
-// steady-state superstep allocates nothing. FigurePlan renders Fig. 1a;
+// — ExpandCopy over the CSR adjacency folded with min — so a superstep
+// allocates nothing per message, and the workset and pending-log
+// columns are truncated and refilled rather than regrown. FigurePlan renders Fig. 1a;
 // BulkCC (bulk.go) is the §2.1 bulk-iteration baseline on exec.Engine.
 package cc
 
@@ -240,8 +241,8 @@ func (c *CC) abortAttempt() {
 // clearPending forgets the attempt's write log and update counts.
 func (c *CC) clearPending() {
 	for p := range c.pendingIdx {
-		c.pendingIdx[p] = nil
-		c.pendingVal[p] = nil
+		c.pendingIdx[p] = c.pendingIdx[p][:0]
+		c.pendingVal[p] = c.pendingVal[p][:0]
 		c.updates[p] = 0
 	}
 }

@@ -160,8 +160,8 @@ func (c *colSSSP) abortAttempt() {
 
 func (c *colSSSP) clearPending() {
 	for p := range c.pendingIdx {
-		c.pendingIdx[p] = nil
-		c.pendingVal[p] = nil
+		c.pendingIdx[p] = c.pendingIdx[p][:0]
+		c.pendingVal[p] = c.pendingVal[p][:0]
 	}
 }
 

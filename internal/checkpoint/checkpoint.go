@@ -19,7 +19,8 @@ import (
 // Store is stable storage for iteration snapshots. Save replaces any
 // previous snapshot of the same job; Load returns the latest snapshot.
 type Store interface {
-	// Save persists the snapshot taken after the given superstep.
+	// Save persists the snapshot taken after the given superstep; data
+	// is borrowed for the call only, so a store keeps a copy.
 	Save(job string, superstep int, data []byte) error
 	// Load returns the most recent snapshot and the superstep it was
 	// taken after. ok is false if no snapshot exists.
@@ -62,7 +63,8 @@ func NewMemoryStore() *MemoryStore {
 func (m *MemoryStore) Save(job string, superstep int, data []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	cp := append([]byte(nil), data...)
+	// Readers get copies, so the replaced snapshot's array is reused.
+	cp := append(m.snaps[job].data[:0], data...)
 	m.snaps[job] = memSnap{data: cp, superstep: superstep}
 	m.bytes += int64(len(data))
 	m.saves++

@@ -72,6 +72,17 @@ func TestMemoryStoreCopiesData(t *testing.T) {
 	if string(again) != "mutable" {
 		t.Fatal("load aliased internal buffer")
 	}
+	// A replacing save refills the stored array; earlier loads keep
+	// their bytes.
+	if err := s.Save("job", 1, []byte("refill")); err != nil {
+		t.Fatal(err)
+	}
+	if latest, sup, _, _ := s.Load("job"); string(latest) != "refill" || sup != 1 {
+		t.Fatalf("load after replace: %q %d", latest, sup)
+	}
+	if string(again) != "mutable" {
+		t.Fatal("replacing save changed an earlier load")
+	}
 }
 
 func TestDiskStoreSurvivesReopen(t *testing.T) {

@@ -1,0 +1,227 @@
+package exec
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/hex"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+
+	"optiflow/internal/graph"
+	"optiflow/internal/graph/gen"
+)
+
+// hostedExpandBytes runs three LocalFold Expand/Commit/Fold rounds of a
+// ColHosted hosting all four partitions of g and returns every
+// committed (src, dst) column buffer, each prefixed by src, dst and its
+// length. Apply appends the folded rows to the next round's source in
+// the order it sees them, so the bytes depend on both the local fold's
+// emission order and the fold's Apply order (float sums are
+// order-sensitive).
+func hostedExpandBytes[V ColValue](t *testing.T, g *graph.Graph, expand ExpandKind, fold FoldKind, init func(idx int32) V) []byte {
+	t.Helper()
+	const nparts = 4
+	d := g.Dense()
+	pt := d.Partitioning(nparts)
+	type rows struct {
+		idx []int32
+		val []V
+	}
+	cur, next := make([]rows, nparts), make([]rows, nparts)
+	for p, owned := range pt.Owned {
+		for _, i := range owned {
+			cur[p].idx = append(cur[p].idx, i)
+			cur[p].val = append(cur[p].val, init(i))
+		}
+	}
+	step := &ColStep[V]{
+		Adj: d, Parts: pt, Expand: expand, Fold: fold, LocalFold: true,
+		Source: func(part int, emit func(int32, V) bool) error {
+			for i, src := range cur[part].idx {
+				if !emit(src, cur[part].val[i]) {
+					return nil
+				}
+			}
+			return nil
+		},
+		Apply: func(part int, dst KeyCol, val ValCol[V]) error {
+			next[part].idx = append(next[part].idx, dst...)
+			next[part].val = append(next[part].val, val...)
+			return nil
+		},
+	}
+	if expand == ExpandMulScale {
+		step.Scale = make([]float64, len(d.Targets))
+		for v := int32(0); int(v) < d.NumVertices(); v++ {
+			for j := d.Offsets[v]; j < d.Offsets[v+1]; j++ {
+				step.Scale[j] = 1 / float64(d.Degree(v))
+			}
+		}
+	}
+	parts := []int{0, 1, 2, 3}
+	h := NewColHosted(&ColEngine[V]{Parallelism: nparts}, step, parts)
+	var all []byte
+	for round := 0; round < 3; round++ {
+		h.Begin(func() {})
+		if err := h.Expand(&HostedOut{}); err != nil {
+			t.Fatal(err)
+		}
+		h.Commit()
+		for src := range h.held {
+			for dst, cols := range h.held[src] {
+				all = binary.LittleEndian.AppendUint32(all, uint32(src))
+				all = binary.LittleEndian.AppendUint32(all, uint32(dst))
+				all = binary.LittleEndian.AppendUint32(all, uint32(len(cols)))
+				all = append(all, cols...)
+			}
+		}
+		for p := range next {
+			next[p] = rows{}
+		}
+		if err := h.Fold(nil); err != nil {
+			t.Fatal(err)
+		}
+		cur, next = next, cur
+	}
+	return all
+}
+
+// checkColGolden compares got against testdata/<name>.hex, rewriting
+// it when OPTIFLOW_UPDATE_GOLDEN=1.
+func checkColGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name+".hex")
+	if os.Getenv("OPTIFLOW_UPDATE_GOLDEN") == "1" {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(hex.EncodeToString(got)+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden fixture %s: %v", path, err)
+	}
+	want, err := hex.DecodeString(strings.TrimSpace(string(raw)))
+	if err != nil {
+		t.Fatalf("corrupt golden fixture %s: %v", path, err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s: hosted Expand bytes drifted (%d bytes, want %d)", name, len(got), len(want))
+	}
+}
+
+// TestColHostedExpandBytesGolden pins the per-(src, dst) Expand columns
+// of a LocalFold hosted run, byte for byte, on a PageRank-shaped step
+// (float sums over a Twitter graph) and a CC-shaped one (min labels
+// over a grid). Regenerate with OPTIFLOW_UPDATE_GOLDEN=1 only after a
+// deliberate change to the exchange's row order.
+func TestColHostedExpandBytesGolden(t *testing.T) {
+	tw := gen.Twitter(300, 7)
+	checkColGolden(t, "hosted_twitter_pr", hostedExpandBytes(t, tw, ExpandMulScale, FoldSum,
+		func(int32) float64 { return 1 / 300.0 }))
+	checkColGolden(t, "hosted_grid_cc", hostedExpandBytes(t, gen.Grid(8, 8), ExpandCopy, FoldMin,
+		func(i int32) uint64 { return uint64(i*37%64 + 1) }))
+}
+
+// TestAscendingMatchesSorted checks both branches of ascending against
+// slices.Sorted of the same set: random sets of every density, empty,
+// one element, everything owned, and the sizes either side of the
+// scan/sort threshold, with owned candidates and with 0..n-1.
+func TestAscendingMatchesSorted(t *testing.T) {
+	const nv = 512
+	rng := rand.New(rand.NewSource(1))
+	owned := make([]int32, 0, nv/2)
+	for i := int32(0); i < nv; i += 2 {
+		owned = append(owned, i)
+	}
+	check := func(name string, set []int32, cand []int32) {
+		t.Helper()
+		seen := make([]bool, nv)
+		for _, i := range set {
+			seen[i] = true
+		}
+		want := slices.Sorted(slices.Values(set))
+		got := ascending(slices.Clone(set), seen, cand)
+		if !slices.Equal(got, want) && !(len(got) == 0 && len(want) == 0) {
+			t.Errorf("%s (%d of %d candidates): got %v, want %v", name, len(set), len(cand), got, want)
+		}
+	}
+	subset := func(from []int32, k int) []int32 {
+		perm := rng.Perm(len(from))[:k]
+		out := make([]int32, k)
+		for i, j := range perm {
+			out[i] = from[j]
+		}
+		return out
+	}
+	all := make([]int32, nv)
+	for i := range all {
+		all[i] = int32(i)
+	}
+	for _, c := range []struct {
+		name string
+		from []int32
+		cand []int32
+	}{{"owned", owned, owned}, {"all", all, nil}} {
+		n := len(c.from)
+		edge := (n + scanDensity - 1) / scanDensity // smallest scanned size
+		if (edge-1)*scanDensity >= n || edge*scanDensity < n {
+			t.Fatalf("%s: %d is not the threshold size", c.name, edge)
+		}
+		for _, k := range []int{0, 1, edge - 1, edge, edge + 1, n / 2, n} {
+			check(c.name, subset(c.from, k), c.cand)
+		}
+		for i := 0; i < 50; i++ {
+			check(c.name, subset(c.from, rng.Intn(n+1)), c.cand)
+		}
+	}
+}
+
+// TestAscendingScratchResetClearsSeen runs LocalFold supersteps whose
+// touched sets take each branch of ascending — every vertex active, then
+// one — and checks the deferred resets leave no seen entry set.
+func TestAscendingScratchResetClearsSeen(t *testing.T) {
+	d := gen.Grid(16, 16).Dense()
+	pt := d.Partitioning(4)
+	var active []int32
+	step := &ColStep[uint64]{
+		Adj: d, Parts: pt, Expand: ExpandCopy, Fold: FoldMin, LocalFold: true,
+		Source: func(part int, emit func(int32, uint64) bool) error {
+			for _, src := range active {
+				if int(pt.PartOf[src]) == part && !emit(src, uint64(src)) {
+					return nil
+				}
+			}
+			return nil
+		},
+		Apply: func(int, KeyCol, ValCol[uint64]) error { return nil },
+	}
+	e := &ColEngine[uint64]{Parallelism: 4}
+	for _, n := range []int{d.NumVertices(), 1} {
+		active = active[:0]
+		for i := 0; i < n; i++ {
+			active = append(active, int32(i))
+		}
+		if _, err := e.Run(step, nil); err != nil {
+			t.Fatal(err)
+		}
+		for p := range e.seen {
+			if i := slices.Index(e.seen[p], true); i >= 0 {
+				t.Fatalf("%d active: fold scratch of partition %d still marks %d", n, p, i)
+			}
+			if i := slices.Index(e.lseen[p], true); i >= 0 {
+				t.Fatalf("%d active: local-fold scratch of partition %d still marks %d", n, p, i)
+			}
+			if len(e.touched[p]) != 0 || len(e.ltouched[p]) != 0 {
+				t.Fatalf("%d active: partition %d kept a touched list", n, p)
+			}
+		}
+	}
+}

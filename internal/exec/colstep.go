@@ -15,7 +15,7 @@ package exec
 import (
 	"fmt"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -96,9 +96,10 @@ type ColStats struct {
 // ColEngine executes columnar supersteps with a fixed parallelism. An
 // engine owns pooled exchange batches and persistent per-partition fold
 // scratch, so a converging iterative job reaches a steady state where
-// supersteps allocate nothing. Run may not be called concurrently on
-// one engine (iteration drivers are sequential); distinct engines are
-// independent.
+// a superstep allocates nothing per message: only a few dozen objects
+// of per-run set-up (task goroutines, exchange channels). Run may not
+// be called concurrently on one engine (iteration drivers are
+// sequential); distinct engines are independent.
 type ColEngine[V ColValue] struct {
 	// Parallelism is the number of expander/folder task pairs and must
 	// match the step's partitioning. Must be >= 1.
@@ -528,11 +529,10 @@ func (r *colRun[V]) expand(part int) {
 		return
 	}
 	if s.LocalFold {
-		// Emission order of folded rows is made deterministic by
-		// sorting the touched set; sums within a destination are
-		// already folded, so this fixes the exchange byte stream for a
-		// given input.
-		sort.Slice(ltouched, func(i, j int) bool { return ltouched[i] < ltouched[j] })
+		// Folded rows leave in ascending destination order; sums within
+		// a destination are already folded, so this fixes the exchange
+		// byte stream for a given input.
+		ltouched = ascending(ltouched, lseen, nil)
 		for _, dst := range ltouched {
 			if !deliver(dst, lacc[dst]) {
 				abort()
@@ -605,7 +605,7 @@ func (r *colRun[V]) foldAndApply(part int) {
 
 	// Ascending dense index == ascending VertexID: Apply sees updates
 	// in a deterministic order regardless of arrival interleaving.
-	sort.Slice(touched, func(i, j int) bool { return touched[i] < touched[j] })
+	touched = ascending(touched, seen, s.Parts.Owned[part])
 	outVal := r.e.outVal[part][:0]
 	for _, dst := range touched {
 		outVal = append(outVal, acc[dst])
@@ -614,4 +614,34 @@ func (r *colRun[V]) foldAndApply(part int) {
 	if err := s.Apply(part, KeyCol(touched), ValCol[V](outVal)); err != nil {
 		r.fail(fmt.Errorf("col: apply for partition %d: %w", part, err))
 	}
+}
+
+// scanDensity is the touched-set density, one index per scanDensity
+// candidates, from which ascending scans instead of sorting.
+const scanDensity = 8
+
+// ascending returns touched, the set of indices marked in seen, in
+// ascending order, reusing its array. A dense set is rebuilt by scanning
+// the candidates for seen entries — owned, which is ascending, or
+// 0..len(seen)-1 when owned is nil — in O(candidates); a sparse one is
+// sorted, so a delta iteration's tail stays O(touched log touched).
+func ascending(touched []int32, seen []bool, owned []int32) []int32 {
+	n := len(owned)
+	if owned == nil {
+		n = len(seen)
+	}
+	if len(touched)*scanDensity < n {
+		slices.Sort(touched)
+		return touched
+	}
+	out := touched[:0]
+	for c := range int32(n) {
+		if owned != nil {
+			c = owned[c]
+		}
+		if seen[c] {
+			out = append(out, c)
+		}
+	}
+	return out
 }

@@ -182,6 +182,7 @@ type Checkpoint struct {
 	Store checkpoint.Store
 
 	ckptTime time.Duration
+	buf      bytes.Buffer // reused: Store.Save only borrows its data
 }
 
 // NewCheckpoint returns a Checkpoint policy with the given interval and
@@ -215,11 +216,11 @@ func (c *Checkpoint) AfterSuperstep(job Job, superstep int) error {
 
 func (c *Checkpoint) snapshot(job Job, superstep int) error {
 	start := clock.Now()
-	var buf bytes.Buffer
-	if err := job.SnapshotTo(&buf); err != nil {
+	c.buf.Reset()
+	if err := job.SnapshotTo(&c.buf); err != nil {
 		return fmt.Errorf("recovery: snapshotting %s after superstep %d: %w", job.Name(), superstep, err)
 	}
-	if err := c.Store.Save(job.Name(), superstep, buf.Bytes()); err != nil {
+	if err := c.Store.Save(job.Name(), superstep, c.buf.Bytes()); err != nil {
 		return fmt.Errorf("recovery: saving checkpoint of %s: %v", job.Name(), err)
 	}
 	c.ckptTime += clock.Since(start)

@@ -12,12 +12,17 @@ import (
 // columnar superstep source streams them without per-item boxing.
 // Snapshot captures alias the column backing arrays exactly like
 // Workset.SnapshotShared (append-only between clears makes that safe),
-// and checkpoint encoders write the columns directly.
+// and checkpoint encoders write the columns directly. A clear truncates
+// a partition's columns so the next superstep refills the same arrays,
+// unless a capture may alias them: then it drops them instead.
 type ColWorkset[V any] struct {
 	name     string
 	idx      [][]int32
 	val      [][]V
 	versions []uint64
+	// shared marks partitions whose arrays a SnapshotShared capture may
+	// alias; the next clear drops them instead of truncating.
+	shared []bool
 }
 
 // colPart is the serialised form of one columnar workset partition.
@@ -37,6 +42,7 @@ func NewColWorkset[V any](name string, nparts int) *ColWorkset[V] {
 		idx:      make([][]int32, nparts),
 		val:      make([][]V, nparts),
 		versions: make([]uint64, nparts),
+		shared:   make([]bool, nparts),
 	}
 }
 
@@ -66,7 +72,9 @@ func (w *ColWorkset[V]) Len() int {
 // PartitionLen returns the number of updates in partition p.
 func (w *ColWorkset[V]) PartitionLen(p int) int { return len(w.idx[p]) }
 
-// Cols returns partition p's columns; the caller must not modify them.
+// Cols returns partition p's columns, borrowed until the partition is
+// next cleared (which may reuse the arrays); the caller must not modify
+// them.
 func (w *ColWorkset[V]) Cols(p int) ([]int32, []V) { return w.idx[p], w.val[p] }
 
 // ClearAll empties every partition.
@@ -76,10 +84,14 @@ func (w *ColWorkset[V]) ClearAll() {
 	}
 }
 
-// ClearPartition empties partition p (the crash of its owner).
+// ClearPartition empties partition p (the crash of its owner), keeping
+// its arrays for reuse unless a capture may alias them.
 func (w *ColWorkset[V]) ClearPartition(p int) {
-	w.idx[p] = nil
-	w.val[p] = nil
+	if w.shared[p] {
+		w.idx[p], w.val[p], w.shared[p] = nil, nil, false
+	} else {
+		w.idx[p], w.val[p] = w.idx[p][:0], w.val[p][:0]
+	}
 	w.bump(p)
 }
 
@@ -100,6 +112,7 @@ func (w *ColWorkset[V]) Swap(other *ColWorkset[V]) {
 	}
 	w.idx, other.idx = other.idx, w.idx
 	w.val, other.val = other.val, w.val
+	w.shared, other.shared = other.shared, w.shared
 }
 
 // Snapshot returns a deep copy of the workset.
@@ -114,17 +127,20 @@ func (w *ColWorkset[V]) Snapshot() *ColWorkset[V] {
 
 // SnapshotShared returns an O(parts) capture sharing the column backing
 // arrays, safe because partitions are append-only between clears (see
-// Workset.SnapshotShared).
+// Workset.SnapshotShared). Both sides are marked shared, so neither
+// clear reuses an array the other still reads.
 func (w *ColWorkset[V]) SnapshotShared() *ColWorkset[V] {
 	c := &ColWorkset[V]{
 		name:     w.name,
 		idx:      make([][]int32, len(w.idx)),
 		val:      make([][]V, len(w.val)),
 		versions: append([]uint64(nil), w.versions...),
+		shared:   make([]bool, len(w.idx)),
 	}
 	for p := range w.idx {
 		c.idx[p] = w.idx[p][:len(w.idx[p]):len(w.idx[p])]
 		c.val[p] = w.val[p][:len(w.val[p]):len(w.val[p])]
+		w.shared[p], c.shared[p] = true, true
 	}
 	return c
 }
@@ -137,6 +153,7 @@ func (w *ColWorkset[V]) CopyFrom(other *ColWorkset[V]) {
 	for p := range w.idx {
 		w.idx[p] = append([]int32(nil), other.idx[p]...)
 		w.val[p] = append([]V(nil), other.val[p]...)
+		w.shared[p] = false
 		w.bump(p)
 	}
 }
@@ -189,6 +206,7 @@ func (w *ColWorkset[V]) DecodeFrom(dec *gob.Decoder) error {
 	for p := range parts {
 		w.idx[p] = parts[p].Idx
 		w.val[p] = parts[p].Val
+		w.shared[p] = false
 		w.bump(p)
 	}
 	return nil
@@ -211,6 +229,7 @@ func (w *ColWorkset[V]) DecodePartition(p int, dec *gob.Decoder) error {
 	}
 	w.idx[p] = part.Idx
 	w.val[p] = part.Val
+	w.shared[p] = false
 	w.bump(p)
 	return nil
 }

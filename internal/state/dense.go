@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 
 	"optiflow/internal/graph"
 )
@@ -38,6 +39,10 @@ type DenseStore[V any] struct {
 	dirty      [][]bool
 	dirtyCount []int
 	cleared    []bool
+
+	// scratch[p] is refilled by every encode of partition p; gob copies
+	// it out, so a snapshot allocates no pairs.
+	scratch []partPairs[V]
 }
 
 // NewDenseStore creates an empty dense store over the given graph view
@@ -55,6 +60,7 @@ func NewDenseStore[V any](name string, d *graph.Dense, pt *graph.Partitioning) *
 		dirty:      make([][]bool, pt.N),
 		dirtyCount: make([]int, pt.N),
 		cleared:    make([]bool, pt.N),
+		scratch:    make([]partPairs[V], pt.N),
 	}
 	for p := range s.vals {
 		n := len(pt.Owned[p])
@@ -249,6 +255,7 @@ func (s *DenseStore[V]) SnapshotShared() *DenseStore[V] {
 		dirty:      make([][]bool, len(s.vals)),
 		dirtyCount: make([]int, len(s.vals)),
 		cleared:    make([]bool, len(s.vals)),
+		scratch:    make([]partPairs[V], len(s.vals)),
 	}
 	for p := range s.vals {
 		s.shared[p] = true
@@ -279,10 +286,8 @@ func (s *DenseStore[V]) CopyFrom(other *DenseStore[V]) {
 func (s *DenseStore[V]) pairs(p int) partPairs[V] {
 	owned := s.pt.Owned[p]
 	ids := s.d.IDs()
-	pp := partPairs[V]{
-		Keys: make([]uint64, 0, s.count[p]),
-		Vals: make([]V, 0, s.count[p]),
-	}
+	pp := &s.scratch[p]
+	pp.Keys, pp.Vals = slices.Grow(pp.Keys[:0], s.count[p]), slices.Grow(pp.Vals[:0], s.count[p])
 	for slot, idx := range owned {
 		if !s.has[p][slot] {
 			continue
@@ -290,7 +295,7 @@ func (s *DenseStore[V]) pairs(p int) partPairs[V] {
 		pp.Keys = append(pp.Keys, uint64(ids[idx]))
 		pp.Vals = append(pp.Vals, s.vals[p][slot])
 	}
-	return pp
+	return *pp
 }
 
 // setPairs replaces partition p's contents from decoded pairs.

@@ -1,6 +1,7 @@
 package state
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -106,5 +107,32 @@ func TestPartitionByteViewCOW(t *testing.T) {
 	}
 	if cap0.Len() != 0 {
 		t.Fatalf("restore leaked %d entries into a shared capture", cap0.Len())
+	}
+}
+
+// TestEncodeReusesScratchWithoutStaleRows encodes a store, shrinks one
+// partition and grows another, and encodes again: the reused per-partition
+// pairs scratch must give exactly the bytes of a fresh store with the
+// same contents.
+func TestEncodeReusesScratchWithoutStaleRows(t *testing.T) {
+	encode := func(s *DenseStore[uint64]) string {
+		var buf bytes.Buffer
+		if err := s.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	reused := byteViewStore(t)
+	for v := uint64(1); v < 12; v += 3 {
+		reused.Put(v, v)
+	}
+	encode(reused)
+	reused.ClearPartition(0)
+	reused.Put(11, 7)
+
+	fresh := NewDenseStore[uint64]("labels", reused.d, reused.pt)
+	reused.Range(func(k, v uint64) bool { fresh.Put(k, v); return true })
+	if encode(reused) != encode(fresh) {
+		t.Fatal("a re-encode carried rows over from the previous encode")
 	}
 }
