@@ -347,6 +347,27 @@ func (p *workerProc) kill() {
 	p.closeConns()
 }
 
+// goneLocked reports whether the worker has left. Callers hold the
+// coordinator's mutex.
+func (p *workerProc) goneLocked() bool {
+	select {
+	case <-p.gone:
+		return true
+	default:
+		return false
+	}
+}
+
+// standby is a worker process spawned ahead of need — handshaken and
+// beating, but outside membership until AcquireN adopts it. Its ID is
+// reserved when the spawn starts; p is set (nil if the spawn failed)
+// before ready closes.
+type standby struct {
+	id    int
+	ready chan struct{}
+	p     *workerProc
+}
+
 // handshook is a connection that completed its Hello exchange,
 // delivered from the accept loop to the spawner waiting for it.
 type handshook struct {
@@ -378,8 +399,10 @@ type connKey struct {
 // Membership-mutating methods (Fail, Acquire*, Release, AssignOrphans,
 // AddSpares, Note) are driven by a single caller — the iteration loop
 // or the recovery supervisor — matching how the simulation is used.
-// Internal goroutines (accept loop, heartbeat readers, reapers) only
-// touch detection state, under the same mutex.
+// Internal goroutines (accept loop, heartbeat readers, reapers, the
+// standby's spawn) only touch detection state, under the same mutex.
+// While the spare pool is not empty, AcquireN adopts a warm standby
+// (see standby) instead of spawning a process at failure time.
 type Coordinator struct {
 	cfg   Config
 	ln    net.Listener
@@ -401,6 +424,13 @@ type Coordinator struct {
 	beats         *liveness
 	assign        func(worker int, parts []int) error
 	closed        bool
+	standby       *standby      // nil when none is kept
+	children      []*workerProc // every process spawned, for Close to kill
+	done          chan struct{} // closed by Close: aborts spawns in flight
+
+	// bg counts spawns in flight and reapers; Close waits for them, so
+	// every process spawned has been reaped when it returns.
+	bg sync.WaitGroup
 
 	statRetries    int
 	statReconnects int
@@ -414,9 +444,10 @@ var (
 	_ cluster.NetReporter = (*Coordinator)(nil)
 )
 
-// Start listens, spawns the initial worker processes and returns the
-// ready Coordinator. On any failure everything spawned so far is torn
-// down.
+// Start listens, spawns the initial worker processes concurrently and
+// returns the ready Coordinator, with the warm standby's spawn left
+// running in the background. On any failure everything spawned so far
+// is torn down.
 func Start(cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Workers < 1 {
@@ -446,6 +477,7 @@ func Start(cfg Config) (*Coordinator, error) {
 		procs:    make(map[int]*workerProc),
 		waiters:  make(map[connKey]chan handshook),
 		beats:    newLiveness(cfg.LivenessWindow),
+		done:     make(chan struct{}),
 	}
 	if cfg.SparesBounded || cfg.Spares > 0 {
 		c.spares = cfg.Spares
@@ -454,37 +486,102 @@ func Start(cfg Config) (*Coordinator, error) {
 		}
 	}
 	go c.acceptLoop()
-	for w := 0; w < cfg.Workers; w++ {
-		p, err := c.spawnWorker(w)
-		if err != nil {
-			c.Close()
-			return nil, fmt.Errorf("proc: starting worker %d: %v", w, err)
-		}
-		c.admit(w, p)
+	procs := make([]*workerProc, cfg.Workers)
+	initial := make(map[int][]int, cfg.Workers)
+	for w := range procs {
+		initial[w] = nil
+	}
+	if err := onOwners(initial, func(w int, _ []int) (err error) {
+		procs[w], err = c.spawnWorker(w)
+		return err
+	}); err != nil {
+		c.Close()
+		return nil, fmt.Errorf("proc: starting %v", err)
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	for w, p := range procs {
+		c.admitLocked(w, p)
+	}
 	c.nextWorker = cfg.Workers
 	for p := 0; p < cfg.Partitions; p++ {
 		c.owner[p] = p % cfg.Workers
 	}
-	c.mu.Unlock()
+	c.keepStandbyLocked()
 	return c, nil
 }
 
 // Addr returns the coordinator's listen address.
 func (c *Coordinator) Addr() string { return c.addr }
 
-// Close tears the deployment down: every worker process is killed and
-// the listener closed.
+// Close tears the deployment down: every worker process — members,
+// the standby, spawns still in flight — is killed and reaped before it
+// returns, and the listener is closed.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
-	c.closed = true
-	for _, p := range c.procs {
+	if !c.closed {
+		c.closed = true
+		close(c.done)
+	}
+	for _, p := range c.children {
 		p.markGoneLocked()
 		p.kill()
 	}
 	c.mu.Unlock()
-	return c.ln.Close()
+	err := c.ln.Close()
+	c.bg.Wait()
+	return err
+}
+
+// keepStandbyLocked starts spawning a warm standby in the background,
+// unless one is kept already, the spare pool is empty or the
+// coordinator is closed. Callers hold c.mu. It runs only at job
+// boundaries: replacing an adopted standby at once made the spawn
+// compete with the recovery for the same CPUs.
+func (c *Coordinator) keepStandbyLocked() {
+	if c.standby != nil || c.spares == 0 || c.closed {
+		return
+	}
+	s := &standby{id: c.nextWorker, ready: make(chan struct{})}
+	c.nextWorker++
+	c.standby = s
+	c.bg.Add(1)
+	go func() {
+		defer c.bg.Done()
+		p, _ := c.spawnWorker(s.id)
+		c.mu.Lock()
+		s.p = p
+		c.mu.Unlock()
+		close(s.ready)
+	}()
+}
+
+// takeStandby hands over the warm standby for adoption, waiting for its
+// spawn if that is still in flight — adopting is never slower than
+// spawning cold. It returns nil when none is kept, or when the one kept
+// died idle (reaped, its beat stream broken, or its beats overdue): that
+// one is killed and discarded, and the caller spawns cold.
+func (c *Coordinator) takeStandby() *standby {
+	c.mu.Lock()
+	s := c.standby
+	c.standby = nil
+	c.mu.Unlock()
+	if s == nil {
+		return nil
+	}
+	<-s.ready
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if s.p == nil {
+		return nil
+	}
+	if s.p.goneLocked() || c.beats.overdue(s.id, clock.Now()) {
+		s.p.markGoneLocked()
+		s.p.kill()
+		c.beats.forget(s.id)
+		return nil
+	}
+	return s
 }
 
 // acceptLoop admits handshaking connections until the listener closes.
@@ -641,10 +738,21 @@ func (c *Coordinator) dropWaiter(k connKey) {
 	}
 }
 
-// spawnWorker starts worker process w and waits for both of its
+// spawnWorker starts worker process w and waits for all of its
 // connections to handshake. It does not touch membership — the caller
-// admits the worker once spawn succeeds.
+// admits the worker once spawn succeeds. A spawn that Close overtakes
+// kills and reaps its child and fails.
 func (c *Coordinator) spawnWorker(w int) (*workerProc, error) {
+	errClosed := fmt.Errorf("worker %d: coordinator closed", w)
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return nil, errClosed
+	}
+	c.bg.Add(1)
+	c.mu.Unlock()
+	defer c.bg.Done()
+
 	roles := []string{ConnCtrl, ConnBeat}
 	for i := 0; i < c.cfg.DataConns; i++ {
 		roles = append(roles, dataRole(i))
@@ -699,21 +807,26 @@ func (c *Coordinator) spawnWorker(w int) (*workerProc, error) {
 			}
 		}(role, chans[role])
 	}
+	conns := make(map[string]net.Conn, len(roles))
+	abort := func(err error) (*workerProc, error) {
+		cleanup()
+		for _, nc := range conns {
+			nc.Close()
+		}
+		cmd.Process.Kill()
+		cmd.Wait()
+		return nil, err
+	}
 	timer := time.NewTimer(c.cfg.SpawnTimeout)
 	defer timer.Stop()
-	conns := make(map[string]net.Conn, len(roles))
 	for len(conns) < len(roles) {
 		select {
 		case a := <-arrivals:
 			conns[a.role] = a.hs.nc
 		case <-timer.C:
-			cleanup()
-			for _, nc := range conns {
-				nc.Close()
-			}
-			cmd.Process.Kill()
-			go cmd.Wait()
-			return nil, fmt.Errorf("worker %d did not handshake within %v", w, c.cfg.SpawnTimeout)
+			return abort(fmt.Errorf("worker %d did not handshake within %v", w, c.cfg.SpawnTimeout))
+		case <-c.done:
+			return abort(errClosed)
 		}
 	}
 
@@ -745,6 +858,15 @@ func (c *Coordinator) spawnWorker(w int) (*workerProc, error) {
 			c.mu.Unlock()
 		},
 	}
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return abort(errClosed)
+	}
+	c.children = append(c.children, p)
+	c.beats.track(w, clock.Now())
+	c.bg.Add(1)
+	c.mu.Unlock()
 	go c.reap(p)
 	go c.readBeats(p, p.beat)
 	return p, nil
@@ -763,11 +885,9 @@ func reexecCommand(env []string) (*oexec.Cmd, error) {
 	return cmd, nil
 }
 
-// admit installs a freshly spawned worker into membership and starts
-// its liveness window.
-func (c *Coordinator) admit(w int, p *workerProc) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// admitLocked installs a spawned worker into membership and starts its
+// liveness window. Callers hold c.mu.
+func (c *Coordinator) admitLocked(w int, p *workerProc) {
 	c.alive[w] = true
 	c.procs[w] = p
 	c.beats.track(w, clock.Now())
@@ -777,6 +897,7 @@ func (c *Coordinator) admit(w int, p *workerProc) {
 // a SIGKILL, which skips the suspicion grace entirely: a reaped process
 // cannot come back.
 func (c *Coordinator) reap(p *workerProc) {
+	defer c.bg.Done()
 	p.cmd.Wait()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -788,8 +909,9 @@ func (c *Coordinator) reap(p *workerProc) {
 }
 
 // readBeats consumes the worker's heartbeat stream. A broken stream
-// only makes the worker suspect (it may redial); a fresh beat clears
-// suspicion.
+// only makes a member suspect (it may redial); a fresh beat clears
+// suspicion. A standby is no member — its redial would be fenced — so
+// a broken stream marks it gone, to be discarded at adoption.
 func (c *Coordinator) readBeats(p *workerProc, nc net.Conn) {
 	for {
 		m, err := readFrame(nc)
@@ -799,6 +921,8 @@ func (c *Coordinator) readBeats(p *workerProc, nc net.Conn) {
 			// one — a reconnect swap closes the old stream on purpose.
 			if p.beat == nc && !p.condemned && c.alive[p.id] && !c.closed {
 				c.suspectLocked(p, clock.Now(), "beat stream broken")
+			} else if c.standby != nil && c.standby.p == p {
+				p.markGoneLocked()
 			}
 			c.mu.Unlock()
 			return
@@ -1035,10 +1159,11 @@ func (c *Coordinator) Acquire() (int, []int) {
 	return ws[0], ad[0]
 }
 
-// AcquireN implements cluster.Interface: it spawns up to n fresh
-// worker processes (spare pool and acquire hook permitting), spreads
-// the orphaned partitions across them round-robin, and hands each new
-// worker its partitions' data via the job's assign hook.
+// AcquireN implements cluster.Interface: it provisions up to n worker
+// processes (spare pool and acquire hook permitting) — the warm standby
+// first, then cold spawns — spreads the orphaned partitions across them
+// round-robin, and hands each new worker its partitions' data via the
+// job's assign hook.
 func (c *Coordinator) AcquireN(n int) (workers []int, adopted [][]int, err error) {
 	if n < 1 {
 		n = 1
@@ -1053,11 +1178,15 @@ func (c *Coordinator) AcquireN(n int) (workers []int, adopted [][]int, err error
 	c.mu.Unlock()
 
 	var latencies []time.Duration
+	var how []string
 	for i := 0; i < grant; i++ {
+		s := c.takeStandby()
 		c.mu.Lock()
 		c.acquireSeq++
-		seq := c.acquireSeq
-		w := c.nextWorker
+		seq, w := c.acquireSeq, c.nextWorker
+		if s != nil {
+			w = s.id
+		}
 		c.mu.Unlock()
 		var lat time.Duration
 		if c.cfg.AcquireHook != nil {
@@ -1065,25 +1194,33 @@ func (c *Coordinator) AcquireN(n int) (workers []int, adopted [][]int, err error
 			lat, hookErr = c.cfg.AcquireHook(seq, w)
 			if hookErr != nil {
 				c.mu.Lock()
+				if s != nil && c.standby == nil {
+					c.standby = s // still warm: the next attempt adopts it
+				}
 				c.record(cluster.Event{Kind: cluster.EventAcquireFailed, Worker: w, Detail: hookErr.Error()})
 				c.mu.Unlock()
 				err = fmt.Errorf("cluster: acquiring worker %d: %w", w, hookErr)
 				break
 			}
 		}
-		p, spawnErr := c.spawnWorker(w)
-		if spawnErr != nil {
-			c.mu.Lock()
-			c.record(cluster.Event{Kind: cluster.EventAcquireFailed, Worker: w, Detail: spawnErr.Error()})
-			c.mu.Unlock()
-			err = fmt.Errorf("cluster: acquiring worker %d: %w", w, spawnErr)
-			break
+		var p *workerProc
+		if s != nil {
+			p = s.p
+			how = append(how, "warm standby")
+		} else {
+			var spawnErr error
+			if p, spawnErr = c.spawnWorker(w); spawnErr != nil {
+				c.mu.Lock()
+				c.record(cluster.Event{Kind: cluster.EventAcquireFailed, Worker: w, Detail: spawnErr.Error()})
+				c.mu.Unlock()
+				err = fmt.Errorf("cluster: acquiring worker %d: %w", w, spawnErr)
+				break
+			}
+			how = append(how, "cold spawn")
 		}
 		c.mu.Lock()
-		c.nextWorker++
-		c.alive[w] = true
-		c.procs[w] = p
-		c.beats.track(w, clock.Now())
+		c.nextWorker = max(c.nextWorker, w+1)
+		c.admitLocked(w, p)
 		if c.spares > 0 {
 			c.spares--
 		}
@@ -1106,7 +1243,7 @@ func (c *Coordinator) AcquireN(n int) (workers []int, adopted [][]int, err error
 		}
 	}
 	for i, w := range workers {
-		c.record(cluster.Event{Kind: cluster.EventAcquire, Worker: w, Partitions: adopted[i], Latency: latencies[i]})
+		c.record(cluster.Event{Kind: cluster.EventAcquire, Worker: w, Partitions: adopted[i], Latency: latencies[i], Detail: how[i]})
 	}
 	hook := c.assign
 	c.mu.Unlock()
@@ -1308,11 +1445,13 @@ func (c *Coordinator) DroppedEvents() int {
 
 // setAssignHook registers the job's partition-loading callback,
 // invoked (outside the coordinator's lock) whenever partitions move to
-// a worker that may not host their data yet.
+// a worker that may not host their data yet. A new job is a job
+// boundary: a standby adopted under the last one is replaced here.
 func (c *Coordinator) setAssignHook(fn func(worker int, parts []int) error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.assign = fn
+	c.keepStandbyLocked()
 }
 
 // onProc runs one operation — a ctrl RPC, a data-plane transfer —
@@ -1365,15 +1504,22 @@ func (p *workerProc) settle(owed Owed) error {
 	return err
 }
 
-// call performs one ctrl RPC against worker w. A StepReq carries w's
-// debt, so a superstep is one round trip; anything else settles it first.
+// call performs one ctrl RPC against worker w. A StepReq or
+// CompensateReq carries w's debt, so a superstep — or a survivor's share
+// of a compensation — is one round trip; anything else settles it first.
 func (c *Coordinator) call(w int, req any) (resp any, err error) {
 	err = c.onProc(w, "rpc", func(p *workerProc, owed Owed) error {
-		if r, ok := req.(StepReq); ok {
+		switch r := req.(type) {
+		case StepReq:
 			r.Commit = owed
 			req = r
-		} else if err := p.settle(owed); err != nil {
-			return err
+		case CompensateReq:
+			r.Commit = owed
+			req = r
+		default:
+			if err := p.settle(owed); err != nil {
+				return err
+			}
 		}
 		resp, err = p.ctrl.call(req)
 		return err

@@ -43,15 +43,11 @@ type dataPlane struct {
 }
 
 func newDataPlane(conns []net.Conn) *dataPlane {
-	dp := &dataPlane{
-		conns: conns,
-		busy:  make([]bool, len(conns)),
-		idle:  make(chan int, len(conns)),
-	}
+	idle := make(chan int, len(conns))
 	for i := range conns {
-		dp.idle <- i
+		idle <- i
 	}
-	return dp
+	return &dataPlane{conns: conns, busy: make([]bool, len(conns)), idle: idle}
 }
 
 // take acquires an idle slot, waiting up to d (or until the worker is

@@ -97,7 +97,7 @@ type Job struct {
 }
 
 // NewJob registers the partition-loading hook on the coordinator and
-// loads every worker's partitions.
+// loads every worker's partitions, on all workers at once.
 func NewJob(co *Coordinator, spec Spec) (*Job, error) {
 	replica, err := newHosted(spec.Kind, spec.Graph, co.NumPartitions(), spec.Damping, nil)
 	if err != nil {
@@ -117,10 +117,8 @@ func NewJob(co *Coordinator, spec Spec) (*Job, error) {
 		lastL1:    math.MaxFloat64,
 	}
 	co.setAssignHook(j.loadPartitions)
-	for w, parts := range j.ownersSnapshot() {
-		if err := j.loadPartitions(w, parts); err != nil {
-			return nil, err
-		}
+	if err := onOwners(j.ownersSnapshot(), j.loadPartitions); err != nil {
+		return nil, err
 	}
 	return j, nil
 }

@@ -95,6 +95,32 @@ func TestOneRoundTripPerSuperstep(t *testing.T) {
 	}
 }
 
+// TestCompensationCarriesOwedCommit fails worker 1 at a superstep
+// boundary, when the survivor is owed the commit of the superstep it
+// just answered, and compensates. The survivor's CompensateReq carries
+// that commit, as a StepReq would: across the whole run no worker
+// settles a commit with a CommitReq of its own, and the survivor carried
+// every one of its commits.
+func TestCompensationCarriesOwedCommit(t *testing.T) {
+	g := gen.Grid(8, 8)
+	for kind, at := range map[string]int{KindCC: 1, KindPageRank: 2} {
+		t.Run(kind, func(t *testing.T) {
+			got := runProc(t, kind, g, recovery.Optimistic{}, boundaryKill(t, at, false))
+			if got.res.Failures != 1 {
+				t.Fatalf("%d failures struck, want 1", got.res.Failures)
+			}
+			for w, st := range got.stats {
+				if st.CommitsExplicit != 0 {
+					t.Errorf("worker %d settled %d commits explicitly, want 0", w, st.CommitsExplicit)
+				}
+			}
+			if st := got.stats[0]; st.CommitsCarried != uint64(got.supersteps) {
+				t.Errorf("the survivor carried %d commits over %d supersteps", st.CommitsCarried, got.supersteps)
+			}
+		})
+	}
+}
+
 // TestOwedCommitAppliedOnceUnderRetries makes the network lose a frame
 // of a request that carries a commit, so the driver sends the request
 // again. Either way the run must take the supersteps and messages of an

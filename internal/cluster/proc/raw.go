@@ -115,6 +115,7 @@ func appendRawPayload(dst []byte, kind byte, id uint64, m any) []byte {
 		dst = colbytes.AppendU64(dst, r.Stream)
 		dst = colbytes.AppendString(dst, r.Msg)
 	case CompensateReq:
+		dst = colbytes.AppendU32(colbytes.AppendBool(dst, r.Commit.Set), uint32(r.Commit.Superstep))
 		dst = appendInts(appendInts(dst, r.Lost), r.Fill)
 		dst = colbytes.AppendF64(dst, r.Surviving)
 	case CompensateResp:
@@ -178,7 +179,7 @@ func decodeRawPayload(p []byte) (uint64, any, error) {
 	case wire.KDataErr:
 		m = DataErr{Stream: r.U64(), Msg: r.String()}
 	case wire.KCompReq:
-		m = CompensateReq{Lost: readInts(r), Fill: readInts(r), Surviving: r.F64()}
+		m = CompensateReq{Commit: Owed{Set: r.Bool(), Superstep: int(r.U32())}, Lost: readInts(r), Fill: readInts(r), Surviving: r.F64()}
 	case wire.KCompResp:
 		m = CompensateResp{Remote: colsSection.read(r), Messages: int64(r.U64()), Dangling: r.F64(), Surviving: r.F64()}
 	default:

@@ -78,7 +78,7 @@ func goldenRawCases() []struct {
 		{"datachunk", DataChunk{Stream: 10, Seq: 3, Done: true, Data: view[:5]}},
 		{"dataack", DataAck{Stream: 10}},
 		{"dataerr", DataErr{Stream: 11, Msg: "worker 2: partition 9 not hosted"}},
-		{"compensatereq", CompensateReq{Lost: []int{1, 3}, Fill: []int{3}, Surviving: 0.4375}},
+		{"compensatereq", CompensateReq{Commit: Owed{Superstep: 5, Set: true}, Lost: []int{1, 3}, Fill: []int{3}, Surviving: 0.4375}},
 		{"compensateresp", CompensateResp{
 			Remote:   []exec.HostedCols{{Src: 3, Dst: 0, Cols: goldenCols([]int32{2, 6}, []uint64{3, 3})}, {Src: 3, Dst: 2}},
 			Messages: 9, Dangling: 0.03125, Surviving: 0.5625,
@@ -322,6 +322,7 @@ func hostileCommits(t *testing.T) {
 	for id, req := range []any{
 		StepReq{Commit: stale, Superstep: 2},
 		FetchReq{Commit: stale, Parts: []int{0}},
+		CompensateReq{Commit: stale, Lost: []int{1}},
 		CommitReq{Superstep: stale.Superstep},
 	} {
 		if resp, refused := h.dispatch(uint64(id+10), req).(ErrResp); !refused {

@@ -59,8 +59,9 @@ import (
 // columnar) and the data-plane connection role; version 4 replaced the
 // per-vertex message and state payloads with engine column views and
 // partition byte views; version 5 added the carried commit (Owed);
-// version 6 the compensation round (CompensateReq).
-const ProtoVersion = 6
+// version 6 the compensation round (CompensateReq); version 7 the
+// commit a CompensateReq carries.
+const ProtoVersion = 7
 
 // Frame is the unit of transmission: one gob value wrapping one
 // message. Wrapping in an interface-typed field keeps each frame
@@ -185,8 +186,9 @@ type StepResp = exec.HostedOut
 
 // Owed names a superstep the driver decided committed — every worker
 // answered its StepReq — but has not told this worker. The next request
-// pays the debt: a StepReq, FetchReq or DataFetchReq carries it as Commit,
-// a CommitReq goes ahead of any other. The zero value owes nothing.
+// pays the debt: a StepReq, CompensateReq, FetchReq or DataFetchReq
+// carries it as Commit, a CommitReq goes ahead of any other. The zero
+// value owes nothing.
 type Owed struct {
 	Superstep int
 	Set       bool
@@ -200,8 +202,10 @@ type Owed struct {
 // compensated state (PageRank: a uniform share of 1 − Surviving, the
 // survivors' combined mass) and expands them, and whatever surviving
 // vertices the job re-activates, into the columns it holds; the rest of
-// those stay. Survivors are asked first, with an empty Fill.
+// those stay. Survivors are asked first, with an empty Fill and the
+// commit they are owed as Commit.
 type CompensateReq struct {
+	Commit    Owed
 	Lost      []int
 	Fill      []int
 	Surviving float64

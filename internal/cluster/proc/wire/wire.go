@@ -41,7 +41,7 @@ import (
 // Version is the raw-codec format version. Bump it whenever a body
 // encoding changes shape; the decoder rejects any other version with
 // *VersionError.
-const Version byte = 4
+const Version byte = 5
 
 // Codec tags — the first payload byte of every frame.
 const (

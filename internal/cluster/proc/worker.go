@@ -575,14 +575,17 @@ func (h *workerHost) hosts(op string, parts []int) error {
 	return nil
 }
 
-// compensate runs the job's share of a compensation. A request that does
-// not fit what is hosted is refused before anything is touched.
+// compensate applies r.Commit and runs the job's share of a
+// compensation. A request that does not fit what is hosted is refused
+// before anything is touched, its commit included.
 func (h *workerHost) compensate(r CompensateReq) (resp CompensateResp, err error) {
-	err = h.hosts("compensate", r.Fill)
 	for _, p := range r.Lost {
 		if err == nil && (p < 0 || p >= h.spec.NumPartitions) {
 			err = fmt.Errorf("compensate for partition %d of %d", p, h.spec.NumPartitions)
 		}
+	}
+	if err == nil {
+		err = h.commit("compensate", r.Fill, r.Commit, &h.stats.CommitsCarried)
 	}
 	if err != nil {
 		return resp, err
