@@ -352,16 +352,12 @@ func (a *ALS) Step(ctx *iterate.Context) (iterate.StepStats, error) {
 		}
 		a.preparedI = p
 	}
-	var fault *exec.FaultInjection
-	if ctx != nil {
-		fault = ctx.Fault
-	}
-	statsU, err := a.preparedU.RunWithFault(fault)
+	statsU, err := a.preparedU.RunWithFault(ctx.ScheduledFault())
 	if err != nil {
 		// %w keeps *exec.WorkerFailure visible to the iteration driver.
 		return iterate.StepStats{}, fmt.Errorf("als: user half-step: %w", err)
 	}
-	statsI, err := a.preparedI.RunWithFault(fault)
+	statsI, err := a.preparedI.RunWithFault(ctx.ScheduledFault())
 	if err != nil {
 		return iterate.StepStats{}, fmt.Errorf("als: item half-step: %w", err)
 	}

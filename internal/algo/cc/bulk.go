@@ -168,11 +168,7 @@ func (b *BulkCC) Step(ctx *iterate.Context) (iterate.StepStats, error) {
 		}
 		b.prepared = p
 	}
-	var fault *exec.FaultInjection
-	if ctx != nil {
-		fault = ctx.Fault
-	}
-	stats, err := b.prepared.RunWithFault(fault)
+	stats, err := b.prepared.RunWithFault(ctx.ScheduledFault())
 	if err != nil {
 		// %w keeps *exec.WorkerFailure visible to the iteration driver.
 		return iterate.StepStats{}, fmt.Errorf("cc: bulk superstep: %w", err)

@@ -8,31 +8,31 @@ import (
 )
 
 // TestAsyncCaptureInFlightMatchesSyncSnapshot takes the async
-// checkpoint's capture at a superstep barrier and encodes it on another
-// goroutine while the live job keeps stepping — clearing, refilling and
-// swapping the worksets the capture aliases. Under -race any write to a
-// captured array is reported; without it the bytes must still equal a
-// synchronous snapshot taken at the same barrier, and restoring them
-// must reproduce that snapshot exactly.
+// checkpoint's per-partition capture at a superstep barrier and encodes
+// it on another goroutine while the live job keeps stepping — clearing,
+// refilling and swapping the worksets the capture aliases. Under -race
+// any write to a captured array is reported; without it the bytes must
+// still equal a synchronous snapshot taken at the same barrier, and
+// restoring them must reproduce that snapshot exactly.
 func TestAsyncCaptureInFlightMatchesSyncSnapshot(t *testing.T) {
-	g := gen.Grid(12, 12)
 	const nparts = 4
+	g := gen.Grid(12, 12)
 	for _, barrier := range []int{0, 1, 3, 6} {
-		c := NewColumnar(g, nparts)
+		j := NewColumnar(g, nparts)
 		for i := 0; i < barrier; i++ {
-			if _, err := c.Step(nil); err != nil {
+			if _, err := j.Step(nil); err != nil {
 				t.Fatal(err)
 			}
 		}
 		sync := make([][]byte, nparts)
 		for p := range sync {
 			var buf bytes.Buffer
-			if err := c.SnapshotPartition(p, &buf); err != nil {
+			if err := j.SnapshotPartition(p, &buf); err != nil {
 				t.Fatal(err)
 			}
 			sync[p] = buf.Bytes()
 		}
-		capture := c.CaptureSnapshot()
+		capture := j.CaptureSnapshot()
 		encoded := make(chan [][]byte)
 		go func() {
 			out := make([][]byte, nparts)
@@ -46,7 +46,7 @@ func TestAsyncCaptureInFlightMatchesSyncSnapshot(t *testing.T) {
 			encoded <- out
 		}()
 		for i := 0; i < 4; i++ {
-			if _, err := c.Step(nil); err != nil {
+			if _, err := j.Step(nil); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -17,10 +17,6 @@ import (
 // vertex converges to the minimum label of its component — so exact
 // equality against the union-find ground truth is the right notion of
 // correctness even under failures and recovery.
-//
-// The TestColumnarBoxedEquivalence* names are the suite's stable test
-// IDs from when a boxed twin ran beside this job; only the reference
-// comparison remains.
 
 // requireMatchesTruth runs the computation and holds its labels to
 // union-find; the options factory builds fresh stateful policies and
@@ -34,7 +30,7 @@ func requireMatchesTruth(t *testing.T, g *graph.Graph, mkOpts func() Options) {
 	requireComponentsEqual(t, res.Components, ref.ConnectedComponents(g))
 }
 
-func TestColumnarBoxedEquivalenceFailureFree(t *testing.T) {
+func TestGroundTruthFailureFree(t *testing.T) {
 	demo, _ := gen.Demo()
 	graphs := []*graph.Graph{
 		demo,
@@ -52,7 +48,7 @@ func TestColumnarBoxedEquivalenceFailureFree(t *testing.T) {
 // The PR 3/PR 4 fault-injection matrix: barrier failures, mid-superstep
 // aborts and failures during recovery, across every synchronous
 // recovery policy.
-func TestColumnarBoxedEquivalenceFaultMatrix(t *testing.T) {
+func TestGroundTruthFaultMatrix(t *testing.T) {
 	g := gen.ErdosRenyi(90, 0.05, 42, false)
 	policies := []func() recovery.Policy{
 		func() recovery.Policy { return recovery.Optimistic{} },
@@ -86,7 +82,7 @@ func TestColumnarBoxedEquivalenceFaultMatrix(t *testing.T) {
 // Both asynchronous checkpoint policies — full captures and
 // incremental dirty-partition submission — must recover the job from
 // background-written epochs to the ground truth.
-func TestColumnarBoxedEquivalenceAsyncCheckpoints(t *testing.T) {
+func TestGroundTruthAsyncCheckpoints(t *testing.T) {
 	g := gen.ErdosRenyi(90, 0.05, 17, false)
 	asyncs := []func() recovery.Policy{
 		func() recovery.Policy {
@@ -119,7 +115,7 @@ func TestColumnarBoxedEquivalenceAsyncCheckpoints(t *testing.T) {
 
 // Property form: for ANY random graph and ANY random failure schedule,
 // the job agrees with union-find.
-func TestColumnarBoxedEquivalenceProperty(t *testing.T) {
+func TestGroundTruthProperty(t *testing.T) {
 	f := func(seed int64, nRaw, pRaw, probRaw uint8) bool {
 		n := int(nRaw%40) + 20
 		edgeProb := 0.02 + float64(pRaw%10)/200.0

@@ -289,11 +289,7 @@ func (km *KMeans) Step(ctx *iterate.Context) (iterate.StepStats, error) {
 		}
 		km.prepared = p
 	}
-	var fault *exec.FaultInjection
-	if ctx != nil {
-		fault = ctx.Fault
-	}
-	stats, err := km.prepared.RunWithFault(fault)
+	stats, err := km.prepared.RunWithFault(ctx.ScheduledFault())
 	if err != nil {
 		// %w keeps *exec.WorkerFailure visible to the iteration driver.
 		return iterate.StepStats{}, fmt.Errorf("kmeans: superstep: %w", err)

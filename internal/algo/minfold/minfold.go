@@ -1,0 +1,420 @@
+// Package minfold is the min-fold delta iteration (Fig. 1a) shared by
+// Connected Components and single-source shortest paths: every active
+// vertex sends its value along its out-edges, each vertex keeps the
+// minimum candidate it receives, and the vertices it lowered form the
+// next workset. The two algorithms differ only in what a Kernel
+// supplies — a name, the Expand kernel (CC copies its label, SSSP adds
+// the edge weight) and each vertex's initial value — so the job, its
+// pending-write log, every snapshot capability and the fix-components
+// compensation exist once, here.
+//
+// The job runs on the typed columnar superstep engine: values live in a
+// dense per-partition column store, the workset is two parallel
+// (index, value) columns, and the superstep is one exec.ColStep folded
+// with min, so a superstep allocates nothing per message, and the
+// workset and pending-log columns are truncated and refilled rather
+// than regrown.
+package minfold
+
+import (
+	"bytes"
+	"encoding/gob"
+	"fmt"
+
+	"optiflow/internal/checkpoint"
+	"optiflow/internal/exec"
+	"optiflow/internal/graph"
+	"optiflow/internal/iterate"
+	"optiflow/internal/state"
+)
+
+// Kernel is what an algorithm supplies to the min-fold job.
+type Kernel[V exec.ColValue] struct {
+	// Name identifies the job (recovery.Job.Name).
+	Name string
+	// Expand turns an active vertex's value into the candidate it sends
+	// along each out-edge.
+	Expand exec.ExpandKind
+	// Init returns dense vertex idx's initial value and whether the
+	// vertex starts active. A vertex still at an inactive initial value
+	// has nothing to send, so no restart re-activates it.
+	Init func(idx int32) (V, bool)
+}
+
+// Job is a min-fold delta iteration over a graph. It implements
+// recovery.Job, IncrementalJob, AsyncJob and DeltaJob.
+type Job[V exec.ColValue] struct {
+	name string
+	init func(idx int32) (V, bool)
+	d    *graph.Dense
+	pt   *graph.Partitioning
+	// parts lists the partitions this process computes: all in-process,
+	// the hosted subset in a worker (see Hosted).
+	parts []int
+
+	engine *exec.ColEngine[V]
+	step   *exec.ColStep[V] // built once, reused every superstep
+
+	// The solution set keeps its historical store names, which full
+	// snapshots carry.
+	vals    *state.DenseStore[V]
+	workset *state.ColWorkset[V] // current workset
+	next    *state.ColWorkset[V] // workset under construction
+
+	// pending logs, per partition and as columns, the in-place writes of
+	// the attempt currently executing. If the attempt aborts
+	// mid-superstep, the lowered values are already in the solution set
+	// but the update records that would re-propagate them died with the
+	// step; merging the log back into the current workset re-activates
+	// those vertices so the retry converges. Values only decrease and
+	// each one witnesses a real candidate, so replaying them is safe.
+	pendingIdx [][]int32
+	pendingVal [][]V
+
+	// updates counts value changes per partition for step stats; each
+	// fold task writes only its own slot.
+	updates []int64
+}
+
+// New prepares a run of k on g with the given parallelism, every vertex
+// at its initial value.
+func New[V exec.ColValue](k Kernel[V], g *graph.Graph, parallelism int) *Job[V] {
+	if parallelism < 1 {
+		parallelism = 1
+	}
+	return newJob(k, g, parallelism, nil)
+}
+
+// newJob builds the job over the listed partitions of g (nil means all
+// of them) and seeds their superstep-zero state.
+func newJob[V exec.ColValue](k Kernel[V], g *graph.Graph, parallelism int, parts []int) *Job[V] {
+	d := g.Dense()
+	pt := d.Partitioning(parallelism)
+	if parts == nil {
+		for p := 0; p < parallelism; p++ {
+			parts = append(parts, p)
+		}
+	}
+	j := &Job[V]{
+		name:       k.Name,
+		init:       k.Init,
+		d:          d,
+		pt:         pt,
+		parts:      parts,
+		engine:     &exec.ColEngine[V]{Parallelism: parallelism},
+		vals:       state.NewDenseStore[V]("labels", d, pt),
+		workset:    state.NewColWorkset[V]("workset", parallelism),
+		next:       state.NewColWorkset[V]("next-workset", parallelism),
+		pendingIdx: make([][]int32, parallelism),
+		pendingVal: make([][]V, parallelism),
+		updates:    make([]int64, parallelism),
+	}
+	j.step = &exec.ColStep[V]{
+		Adj:    d,
+		Parts:  pt,
+		Expand: k.Expand,
+		Fold:   exec.FoldMin,
+		Source: j.source,
+		Apply:  j.apply,
+	}
+	j.seed(j.parts)
+	return j
+}
+
+// seed puts the listed partitions into superstep-zero state.
+func (j *Job[V]) seed(parts []int) {
+	for _, p := range parts {
+		for slot, idx := range j.pt.Owned[p] {
+			v, active := j.init(idx)
+			j.vals.SetSlot(p, int32(slot), v)
+			if active {
+				j.workset.Add(p, idx, v)
+			}
+		}
+	}
+}
+
+// activate puts the vertex at (p, slot) into the workset with its
+// current value, unless it has nothing to send.
+func (j *Job[V]) activate(p int, slot, idx int32) {
+	v, ok := j.vals.GetSlot(p, slot)
+	if !ok {
+		return
+	}
+	if init, active := j.init(idx); !active && v == init {
+		return
+	}
+	j.workset.Add(p, idx, v)
+}
+
+// reactivate makes every vertex of this process's partitions active
+// with its current value: the exchange restarts from state alone.
+func (j *Job[V]) reactivate() {
+	for _, p := range j.parts {
+		j.workset.ClearPartition(p)
+		for slot, idx := range j.pt.Owned[p] {
+			j.activate(p, int32(slot), idx)
+		}
+	}
+}
+
+// Name implements recovery.Job.
+func (j *Job[V]) Name() string { return j.name }
+
+// WorksetLen returns the current workset size; the delta iteration
+// terminates when it reaches zero.
+func (j *Job[V]) WorksetLen() int { return j.workset.Len() }
+
+// NumVertices returns the vertex count of the job's graph.
+func (j *Job[V]) NumVertices() int { return j.d.NumVertices() }
+
+// Range calls fn with every vertex this process holds a value for,
+// until fn returns false.
+func (j *Job[V]) Range(fn func(v graph.VertexID, val V) bool) {
+	j.vals.Range(func(k uint64, val V) bool { return fn(graph.VertexID(k), val) })
+}
+
+// source streams partition part's workset columns into the engine.
+func (j *Job[V]) source(part int, emit func(src int32, val V) bool) error {
+	idx, val := j.workset.Cols(part)
+	for i, src := range idx {
+		if !emit(src, val[i]) {
+			return nil
+		}
+	}
+	return nil
+}
+
+// apply is the update join of Fig. 1a on columns: compare each folded
+// candidate to the current value, lower it in place, log the write to
+// the pending column and activate the vertex in the next workset. The
+// engine routes updates to the partition owning them, so the
+// per-partition appends are race-free.
+func (j *Job[V]) apply(part int, dst exec.KeyCol, val exec.ValCol[V]) error {
+	slot := j.pt.Slot
+	for i, d := range dst {
+		cand := val[i]
+		s := slot[d]
+		cur, ok := j.vals.GetSlot(part, s)
+		if ok && cur <= cand {
+			continue
+		}
+		j.vals.SetSlot(part, s, cand)
+		j.pendingIdx[part] = append(j.pendingIdx[part], d)
+		j.pendingVal[part] = append(j.pendingVal[part], cand)
+		j.next.Add(part, d, cand)
+		j.updates[part]++
+	}
+	return nil
+}
+
+// Step implements the loop body for iterate.Loop: run one superstep of
+// the delta iteration and swap in the freshly built workset.
+func (j *Job[V]) Step(ctx *iterate.Context) (iterate.StepStats, error) {
+	stats, err := j.engine.Run(j.step, ctx.ScheduledFault())
+	if err != nil {
+		j.abortAttempt()
+		// %w keeps *exec.WorkerFailure visible to the iteration driver.
+		return iterate.StepStats{}, fmt.Errorf("%s: superstep: %w", j.name, err)
+	}
+	return iterate.StepStats{Messages: stats.Messages, Updates: j.advance()}, nil
+}
+
+// advance commits a completed fold: the vertices it lowered become the
+// workset the next expansion streams. It returns the update count.
+func (j *Job[V]) advance() int64 {
+	var updates int64
+	for _, n := range j.updates {
+		updates += n
+	}
+	j.clearPending()
+	j.workset.Swap(j.next)
+	j.next.ClearAll()
+	return updates
+}
+
+// abortAttempt reconciles state after a mid-superstep abort: the partial
+// next-workset is discarded, and every write the aborted step applied in
+// place is merged back into the current workset so the lowered values
+// re-propagate on retry (duplicates are harmless — the fold takes their
+// min).
+func (j *Job[V]) abortAttempt() {
+	for p, idx := range j.pendingIdx {
+		vals := j.pendingVal[p]
+		for i, d := range idx {
+			j.workset.Add(p, d, vals[i])
+		}
+	}
+	j.clearPending()
+	j.next.ClearAll()
+}
+
+// clearPending forgets the attempt's write log and update counts.
+func (j *Job[V]) clearPending() {
+	for p := range j.pendingIdx {
+		j.pendingIdx[p] = j.pendingIdx[p][:0]
+		j.pendingVal[p] = j.pendingVal[p][:0]
+		j.updates[p] = 0
+	}
+}
+
+// SnapshotTo implements recovery.Job: serialise solution set + workset.
+func (j *Job[V]) SnapshotTo(buf *bytes.Buffer) error {
+	enc := gob.NewEncoder(buf)
+	if err := j.vals.EncodeTo(enc); err != nil {
+		return err
+	}
+	return j.workset.EncodeTo(enc)
+}
+
+// RestoreFrom implements recovery.Job.
+func (j *Job[V]) RestoreFrom(data []byte) error {
+	dec := gob.NewDecoder(bytes.NewReader(data))
+	if err := j.vals.DecodeFrom(dec); err != nil {
+		return err
+	}
+	if err := j.workset.DecodeFrom(dec); err != nil {
+		return err
+	}
+	j.next.ClearAll()
+	return nil
+}
+
+// ClearPartitions implements recovery.Job: the direct damage of a
+// worker crash — its value and workset partitions vanish.
+func (j *Job[V]) ClearPartitions(parts []int) {
+	for _, p := range parts {
+		j.vals.ClearPartition(p)
+		j.workset.ClearPartition(p)
+	}
+}
+
+// Compensate implements recovery.Job — the fix-components compensation
+// function of Fig. 1a: re-initialise every lost vertex to its initial
+// value (which guarantees convergence to the correct solution [14]) and
+// put the restored vertices and the surviving vertices that send to
+// them back into the workset so values propagate again (§3.2).
+func (j *Job[V]) Compensate(lost []int) error {
+	j.compensate(lost, lost)
+	return nil
+}
+
+// compensate is fix-components over this process's partitions: those of
+// fill (the lost partitions computed here — all of them in-process) are
+// seeded, and every surviving vertex with an out-edge into a lost
+// partition re-enters the workset. Values diffuse along out-edges, so
+// those are the vertices whose values the restored ones are missing;
+// each process finds its own in the out-edges it holds.
+func (j *Job[V]) compensate(lost, fill []int) {
+	lostSet := make([]bool, j.pt.N)
+	for _, p := range lost {
+		lostSet[p] = true
+	}
+	j.seed(fill)
+	offsets, targets, partOf := j.d.Offsets, j.d.Targets, j.pt.PartOf
+	for _, p := range j.parts {
+		if lostSet[p] {
+			continue
+		}
+		for slot, idx := range j.pt.Owned[p] {
+			for e := offsets[idx]; e < offsets[idx+1]; e++ {
+				if lostSet[partOf[targets[e]]] {
+					j.activate(p, int32(slot), idx)
+					break
+				}
+			}
+		}
+	}
+}
+
+// PartitionVersions implements recovery.IncrementalJob: a partition's
+// version moves whenever its values or its workset slice change. Both
+// counters only increase, so their sum changes iff either does.
+func (j *Job[V]) PartitionVersions() []uint64 {
+	out := make([]uint64, j.pt.N)
+	for p := range out {
+		out[p] = j.vals.Version(p) + j.workset.Version(p)
+	}
+	return out
+}
+
+// SnapshotPartition implements recovery.IncrementalJob.
+func (j *Job[V]) SnapshotPartition(p int, buf *bytes.Buffer) error {
+	return capture[V]{j.vals, j.workset}.SnapshotPartition(p, buf)
+}
+
+// RestorePartition implements recovery.IncrementalJob.
+func (j *Job[V]) RestorePartition(p int, data []byte) error {
+	dec := gob.NewDecoder(bytes.NewReader(data))
+	if err := j.vals.DecodePartition(p, dec); err != nil {
+		return err
+	}
+	return j.workset.DecodePartition(p, dec)
+}
+
+// CaptureSnapshot implements recovery.AsyncJob: O(partitions)
+// copy-on-write views of the value columns plus shared slice views of
+// the workset columns, taken at the superstep barrier and safe to
+// encode from background goroutines while the next superstep mutates
+// the live state. Per-partition encoding matches SnapshotPartition byte
+// for byte, so RestorePartition round-trips either.
+func (j *Job[V]) CaptureSnapshot() checkpoint.PartitionSnapshot {
+	return capture[V]{vals: j.vals.SnapshotShared(), workset: j.workset.SnapshotShared()}
+}
+
+type capture[V exec.ColValue] struct {
+	vals    *state.DenseStore[V]
+	workset *state.ColWorkset[V]
+}
+
+func (s capture[V]) NumPartitions() int { return s.vals.NumPartitions() }
+
+func (s capture[V]) SnapshotPartition(p int, buf *bytes.Buffer) error {
+	enc := gob.NewEncoder(buf)
+	if err := s.vals.EncodePartition(p, enc); err != nil {
+		return err
+	}
+	return s.workset.EncodePartition(p, enc)
+}
+
+// SnapshotDelta implements recovery.DeltaJob: the value changes since
+// the previous delta, plus the current workset (which turns over
+// wholesale every superstep and shrinks as the iteration converges —
+// exactly like the update stream itself).
+func (j *Job[V]) SnapshotDelta(buf *bytes.Buffer) error {
+	enc := gob.NewEncoder(buf)
+	if err := j.vals.EncodeDelta(enc); err != nil {
+		return err
+	}
+	return j.workset.EncodeTo(enc)
+}
+
+// RestoreFromChain implements recovery.DeltaJob: replay the base
+// snapshot and the ordered value deltas; the newest delta's workset
+// wins (it is a full copy, not a diff).
+func (j *Job[V]) RestoreFromChain(base []byte, deltas [][]byte) error {
+	if err := j.RestoreFrom(base); err != nil {
+		return err
+	}
+	for i, d := range deltas {
+		dec := gob.NewDecoder(bytes.NewReader(d))
+		if err := j.vals.ApplyDelta(dec); err != nil {
+			return fmt.Errorf("%s: delta %d: %v", j.name, i, err)
+		}
+		if err := j.workset.DecodeFrom(dec); err != nil {
+			return fmt.Errorf("%s: delta %d: %v", j.name, i, err)
+		}
+	}
+	// The state now equals the stored chain; start the next delta here.
+	j.vals.MarkClean()
+	return nil
+}
+
+// ResetToInitial implements recovery.Job: back to superstep zero.
+func (j *Job[V]) ResetToInitial() error {
+	j.vals.ClearAll()
+	j.workset.ClearAll()
+	j.next.ClearAll()
+	j.seed(j.parts)
+	return nil
+}

@@ -17,10 +17,6 @@ import (
 // of the reference ranks. Exact bitwise equality is NOT the contract:
 // contribution sums fold in arrival order, so a run is only
 // reproducible up to floating-point association.
-//
-// The TestColumnarBoxedEquivalence* names are the suite's stable test
-// IDs from when a boxed twin ran beside this job; only the reference
-// comparison remains.
 
 // requireConverges runs the job and checks it against the
 // power-iteration ground truth and for unit rank mass. The options
@@ -38,7 +34,7 @@ func requireConverges(t *testing.T, g *graph.Graph, mkOpts func() Options, tol f
 	}
 }
 
-func TestColumnarBoxedEquivalenceFailureFree(t *testing.T) {
+func TestGroundTruthFailureFree(t *testing.T) {
 	demo, _ := gen.Demo()
 	graphs := []*graph.Graph{
 		demo,
@@ -54,7 +50,7 @@ func TestColumnarBoxedEquivalenceFailureFree(t *testing.T) {
 
 // Local combining folds partial sums before the shuffle; the result
 // must stay within tolerance of the uncombined fixpoint.
-func TestColumnarBoxedEquivalenceLocalCombine(t *testing.T) {
+func TestGroundTruthLocalCombine(t *testing.T) {
 	g := gen.BarabasiAlbert(120, 3, 21, true)
 	requireConverges(t, g, func() Options {
 		return Options{Parallelism: 4, MaxIterations: 200, Epsilon: 1e-12, LocalCombine: true}
@@ -65,7 +61,7 @@ func TestColumnarBoxedEquivalenceLocalCombine(t *testing.T) {
 // policies. Failure compensation perturbs the iterate — the rank vector
 // re-converges rather than replays — so the tolerance is the looser
 // 1e-8 the recovery tests in pagerank_test.go already use.
-func TestColumnarBoxedEquivalenceFaultMatrix(t *testing.T) {
+func TestGroundTruthFaultMatrix(t *testing.T) {
 	g := gen.BarabasiAlbert(100, 3, 33, true)
 	policies := []func() recovery.Policy{
 		func() recovery.Policy { return recovery.Optimistic{} },
@@ -98,7 +94,7 @@ func TestColumnarBoxedEquivalenceFaultMatrix(t *testing.T) {
 // Both asynchronous checkpoint policies: the COW capture must feed the
 // background pipeline the same bytes the superstep state holds at the
 // barrier, so recovery lands on the reference ranks.
-func TestColumnarBoxedEquivalenceAsyncCheckpoints(t *testing.T) {
+func TestGroundTruthAsyncCheckpoints(t *testing.T) {
 	g := gen.BarabasiAlbert(100, 3, 13, true)
 	asyncs := []func() recovery.Policy{
 		func() recovery.Policy {
@@ -132,7 +128,7 @@ func TestColumnarBoxedEquivalenceAsyncCheckpoints(t *testing.T) {
 
 // Every compensation variant must repair the DenseStore into a
 // consistent state the iteration converges from.
-func TestColumnarBoxedEquivalenceCompensations(t *testing.T) {
+func TestGroundTruthCompensations(t *testing.T) {
 	g := gen.BarabasiAlbert(100, 3, 55, true)
 	comps := []Compensation{UniformRedistribution, ResetAllUniform, ZeroFillRenormalize}
 	for i, comp := range comps {

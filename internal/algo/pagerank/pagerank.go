@@ -241,13 +241,9 @@ func (pr *PR) apply(part int, dst exec.KeyCol, val exec.ValCol[float64]) error {
 // only wrote the sums scratch, which is cleared at the start of every
 // attempt; the committed rank vector is untouched until the fold.
 func (pr *PR) Step(ctx *iterate.Context) (iterate.StepStats, error) {
-	var fault *exec.FaultInjection
-	if ctx != nil {
-		fault = ctx.Fault
-	}
 	danglingMass := pr.danglingMass()
 	pr.clearSums()
-	stats, err := pr.engine.Run(pr.step, fault)
+	stats, err := pr.engine.Run(pr.step, ctx.ScheduledFault())
 	if err != nil {
 		// %w keeps *exec.WorkerFailure visible to the iteration driver.
 		return iterate.StepStats{}, fmt.Errorf("pagerank: superstep: %w", err)

@@ -2,65 +2,82 @@ package sssp
 
 import (
 	"bytes"
-	"encoding/gob"
+	"math/rand"
 	"testing"
 
-	"optiflow/internal/graph/gen"
+	"optiflow/internal/algo/minfold"
+	"optiflow/internal/graph"
 )
 
-// TestAsyncCaptureInFlightMatchesSyncSnapshot holds SSSP's distance
-// column and workset to the copy-on-write capture contract the async
-// checkpoint relies on: SnapshotShared captures taken at a barrier and
-// encoded on another goroutine while supersteps clear, refill and swap
-// the live worksets must encode exactly like a synchronous snapshot of
-// that barrier (under -race, any write to a captured array is
-// reported), and restoring them must reproduce it.
+// TestAsyncCaptureInFlightMatchesSyncSnapshot takes the async
+// checkpoint's per-partition capture at a superstep barrier and encodes
+// it on another goroutine while the live job keeps stepping — clearing,
+// refilling and swapping the worksets the capture aliases. Under -race
+// any write to a captured array is reported; without it the bytes must
+// still equal a synchronous snapshot taken at the same barrier, and
+// restoring them must reproduce that snapshot exactly.
 func TestAsyncCaptureInFlightMatchesSyncSnapshot(t *testing.T) {
-	g := gen.Grid(12, 12)
+	const nparts = 4
+	// A random weighted digraph in which every vertex is reachable from 0.
+	b := graph.NewBuilder(true)
+	rng := rand.New(rand.NewSource(3))
+	for v := 1; v < 150; v++ {
+		b.AddWeightedEdge(graph.VertexID(rng.Intn(v)), graph.VertexID(v), 1+float64(rng.Intn(9)))
+		b.AddWeightedEdge(graph.VertexID(v), graph.VertexID(rng.Intn(v)), 1+float64(rng.Intn(9)))
+	}
+	g := b.Build()
+	newJob := func() *minfold.Job[float64] { return minfold.New(kernel(g, 0), g, nparts) }
+
 	for _, barrier := range []int{0, 1, 3, 6} {
-		c := newColSSSP(g, 0, 4)
+		j := newJob()
 		for i := 0; i < barrier; i++ {
-			if _, err := c.Step(nil); err != nil {
+			if _, err := j.Step(nil); err != nil {
 				t.Fatal(err)
 			}
 		}
-		var sync bytes.Buffer
-		if err := c.SnapshotTo(&sync); err != nil {
-			t.Fatal(err)
-		}
-		dist, workset := c.dist.SnapshotShared(), c.workset.SnapshotShared()
-		encoded := make(chan []byte)
-		go func() {
+		sync := make([][]byte, nparts)
+		for p := range sync {
 			var buf bytes.Buffer
-			enc := gob.NewEncoder(&buf)
-			if err := dist.EncodeTo(enc); err != nil {
-				t.Error(err)
+			if err := j.SnapshotPartition(p, &buf); err != nil {
+				t.Fatal(err)
 			}
-			if err := workset.EncodeTo(enc); err != nil {
-				t.Error(err)
+			sync[p] = buf.Bytes()
+		}
+		capture := j.CaptureSnapshot()
+		encoded := make(chan [][]byte)
+		go func() {
+			out := make([][]byte, nparts)
+			for p := range out {
+				var buf bytes.Buffer
+				if err := capture.SnapshotPartition(p, &buf); err != nil {
+					t.Error(err)
+				}
+				out[p] = buf.Bytes()
 			}
-			encoded <- buf.Bytes()
+			encoded <- out
 		}()
 		for i := 0; i < 4; i++ {
-			if _, err := c.Step(nil); err != nil {
+			if _, err := j.Step(nil); err != nil {
 				t.Fatal(err)
 			}
 		}
 		got := <-encoded
-		if !bytes.Equal(got, sync.Bytes()) {
-			t.Fatalf("barrier %d: capture encoded differently from the sync snapshot", barrier)
-		}
 
-		restored := newColSSSP(g, 0, 4)
-		if err := restored.RestoreFrom(got); err != nil {
-			t.Fatal(err)
-		}
-		var again bytes.Buffer
-		if err := restored.SnapshotTo(&again); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(again.Bytes(), sync.Bytes()) {
-			t.Fatalf("barrier %d: restored state differs from the sync snapshot", barrier)
+		restored := newJob()
+		for p := range got {
+			if !bytes.Equal(got[p], sync[p]) {
+				t.Fatalf("barrier %d, partition %d: capture encoded differently from the sync snapshot", barrier, p)
+			}
+			if err := restored.RestorePartition(p, got[p]); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := restored.SnapshotPartition(p, &buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), sync[p]) {
+				t.Fatalf("barrier %d, partition %d: restored state differs from the sync snapshot", barrier, p)
+			}
 		}
 	}
 }

@@ -13,13 +13,13 @@ import (
 	"optiflow/internal/vertexcentric"
 )
 
-// Columnar ↔ boxed equivalence: the columnar job and the vertex-centric
-// program (the runner confined recovery needs, see Run) relax the same
-// hop-ordered weight sums under the same min fold, so the shortest-path
-// fixpoint is identical (requireDistancesEqual's 1e-9 is slack for +Inf
-// handling, not for divergent arithmetic).
+// Ground-truth suite over both routes of Run: the min-fold job and the
+// vertex-centric program (the runner confined recovery needs, see Run)
+// relax the same hop-ordered weight sums under the same min fold, so
+// the shortest-path fixpoint is identical (requireDistancesEqual's 1e-9
+// is slack for +Inf handling, not for divergent arithmetic).
 
-// requireBothMatch runs the same SSSP computation as the columnar job
+// requireBothMatch runs the same SSSP computation as the min-fold job
 // and as the vertex-centric program and checks each against Dijkstra,
 // then against the other. The options factory is invoked once per run
 // so stateful policies and injectors are never shared.
@@ -40,7 +40,7 @@ func requireBothMatch(t *testing.T, g *graph.Graph, source graph.VertexID, mkOpt
 	requireDistancesEqual(t, col, boxed.States)
 }
 
-func TestColumnarBoxedEquivalenceFailureFree(t *testing.T) {
+func TestGroundTruthFailureFree(t *testing.T) {
 	weighted := func() *graph.Graph {
 		b := graph.NewBuilder(true)
 		rng := rand.New(rand.NewSource(3))
@@ -62,10 +62,11 @@ func TestColumnarBoxedEquivalenceFailureFree(t *testing.T) {
 	}
 }
 
-// The fault-injection matrix over the policies both engines support
+// The fault-injection matrix over the policies both routes support
 // (confined recovery pins the vertex-centric runner by design — see Run
-// — so it is exercised separately below).
-func TestColumnarBoxedEquivalenceFaultMatrix(t *testing.T) {
+// — so it is exercised separately below), plus the per-partition,
+// asynchronous and delta-log checkpoints only the min-fold job supports.
+func TestGroundTruthFaultMatrix(t *testing.T) {
 	g := gen.BarabasiAlbert(90, 2, 47, false)
 	policies := []func() recovery.Policy{
 		func() recovery.Policy { return recovery.Optimistic{} },
@@ -91,12 +92,32 @@ func TestColumnarBoxedEquivalenceFaultMatrix(t *testing.T) {
 			})
 		}
 	}
+	truth := ref.ShortestPaths(g, 0)
+	for _, pol := range []recovery.Policy{
+		recovery.NewIncrementalCheckpoint(2, checkpoint.NewMemoryStore()),
+		recovery.NewAsyncCheckpoint(1, checkpoint.NewMemoryStore(), 2),
+		recovery.NewDeltaCheckpoint(1, checkpoint.NewMemoryLogStore()),
+	} {
+		got, res, err := Run(g, 0, vertexcentric.Options{
+			Parallelism: 4,
+			Policy:      pol,
+			Injector:    failure.NewScripted(nil).At(2, 1).AtMidStep(3, 16, 0),
+			MaxTicks:    5000,
+		})
+		if err != nil {
+			t.Fatalf("%T: %v", pol, err)
+		}
+		if res.Failures == 0 {
+			t.Fatalf("%T: no failure struck", pol)
+		}
+		requireDistancesEqual(t, got, truth)
+	}
 }
 
 // Runs that require the vertex-centric accumulator replicas are routed
-// to the boxed vertex-centric runner and must still match Dijkstra: the
+// to the vertex-centric runner and must still match Dijkstra: the
 // engine selection never changes which configurations are supported.
-func TestColumnarIneligibleFallsBackToBoxed(t *testing.T) {
+func TestConfinedRunsUseVertexCentricRunner(t *testing.T) {
 	g := gen.Grid(8, 8)
 	truth := ref.ShortestPaths(g, 0)
 	cases := []vertexcentric.Options{

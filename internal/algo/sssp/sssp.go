@@ -1,18 +1,23 @@
-// Package sssp implements single-source shortest paths as a
-// vertex-centric delta iteration — the paper's own motivating example
-// for delta iterations ("parts of the intermediate state converge at
-// different speeds, e.g. in single-source shortest path computations in
-// large graphs", §2.1) — with a compensation function in the spirit of
-// fix-components: lost vertices reset to their initial distances
-// (infinity, 0 for the source). Distances only ever decrease and any
-// recorded distance witnesses a real path, so the fixpoint still
-// converges to the true shortest paths after compensation.
+// Package sssp implements single-source shortest paths as a delta
+// iteration — the paper's own motivating example for delta iterations
+// ("parts of the intermediate state converge at different speeds, e.g.
+// in single-source shortest path computations in large graphs", §2.1).
+// It is the min-fold job of internal/algo/minfold that Connected
+// Components also is, with ExpandAddWeight and "the source starts at 0,
+// every other vertex inactive at +Inf", so its compensation is
+// fix-components: lost vertices reset to their initial distances, and
+// they and the surviving vertices that send to them re-enter the
+// workset. Distances only ever decrease and any recorded distance
+// witnesses a real path, so the fixpoint still converges to the true
+// shortest paths after compensation.
 package sssp
 
 import (
 	"math"
 
+	"optiflow/internal/algo/minfold"
 	"optiflow/internal/cluster"
+	"optiflow/internal/exec"
 	"optiflow/internal/graph"
 	"optiflow/internal/iterate"
 	"optiflow/internal/recovery"
@@ -74,13 +79,14 @@ func Program(g *graph.Graph, source graph.VertexID) vertexcentric.Program[float6
 // Run computes shortest-path distances from source under the given
 // options. Unreached vertices map to +Inf.
 //
-// The iteration runs on the typed columnar engine (exec.ColEngine)
-// unless the run requests confined recovery — AccumulatorLog or the
-// recovery.Confined policy. Confined recovery's replica protocol exists
-// only in the vertex-centric runner, so those runs execute
-// vertexcentric.Run(Program(g, source), ...) on exec.Engine instead:
-// the engine is selected from the requested policy, there is no flag
-// for it, and both compute the same distances (equivalence_test.go).
+// The iteration is the min-fold job on the typed columnar engine, under
+// every recovery policy CC supports, unless the run requests confined
+// recovery — AccumulatorLog or the recovery.Confined policy. Confined
+// recovery's replica protocol exists only in the vertex-centric runner,
+// so those runs execute vertexcentric.Run(Program(g, source), ...) on
+// exec.Engine instead: the route follows from the requested policy,
+// there is no flag for it, and both compute the same distances
+// (equivalence_test.go).
 func Run(g *graph.Graph, source graph.VertexID, opts vertexcentric.Options) (map[graph.VertexID]float64, *vertexcentric.Result[float64, float64], error) {
 	if columnarEligible(opts) {
 		return runColumnar(g, source, opts)
@@ -93,16 +99,28 @@ func Run(g *graph.Graph, source graph.VertexID, opts vertexcentric.Options) (map
 }
 
 func columnarEligible(opts vertexcentric.Options) bool {
-	if opts.AccumulatorLog {
-		return false
-	}
-	if _, confined := opts.Policy.(recovery.Confined); confined {
-		return false
-	}
-	return true
+	_, confined := opts.Policy.(recovery.Confined)
+	return !opts.AccumulatorLog && !confined
 }
 
-// runColumnar drives the colSSSP job through the same iterate.Loop
+// kernel is shortest paths as a min-fold: the source starts active at
+// distance 0, every other vertex inactive at +Inf, and an active vertex
+// sends its distance plus the edge weight along its out-edges.
+func kernel(g *graph.Graph, source graph.VertexID) minfold.Kernel[float64] {
+	src, ok := g.Dense().IndexOf(source)
+	return minfold.Kernel[float64]{
+		Name:   "sssp",
+		Expand: exec.ExpandAddWeight,
+		Init: func(idx int32) (float64, bool) {
+			if ok && idx == src {
+				return 0, true
+			}
+			return Inf, false
+		},
+	}
+}
+
+// runColumnar drives the min-fold job through the same iterate.Loop
 // harness vertexcentric.Run uses, so policies, injectors and samples
 // behave identically.
 func runColumnar(g *graph.Graph, source graph.VertexID, opts vertexcentric.Options) (map[graph.VertexID]float64, *vertexcentric.Result[float64, float64], error) {
@@ -115,7 +133,7 @@ func runColumnar(g *graph.Graph, source graph.VertexID, opts vertexcentric.Optio
 	if opts.Policy == nil {
 		opts.Policy = recovery.Optimistic{}
 	}
-	job := newColSSSP(g, source, opts.Parallelism)
+	job := minfold.New(kernel(g, source), g, opts.Parallelism)
 	cl := cluster.New(opts.Workers, opts.Parallelism)
 	loop := &iterate.Loop{
 		Name:     job.Name(),
@@ -132,6 +150,10 @@ func runColumnar(g *graph.Graph, source graph.VertexID, opts vertexcentric.Optio
 	if err != nil {
 		return nil, nil, err
 	}
-	dist := job.Distances()
+	dist := make(map[graph.VertexID]float64, job.NumVertices())
+	job.Range(func(v graph.VertexID, d float64) bool {
+		dist[v] = d
+		return true
+	})
 	return dist, &vertexcentric.Result[float64, float64]{Result: res, States: dist, Cluster: cl}, nil
 }

@@ -9,6 +9,7 @@ import (
 	"optiflow/internal/failure"
 	"optiflow/internal/graph"
 	"optiflow/internal/graph/gen"
+	"optiflow/internal/recovery"
 	"optiflow/internal/vertexcentric"
 )
 
@@ -81,5 +82,43 @@ func TestRandomFailuresStillCorrect(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		requireDistancesEqual(t, got, truth)
+	}
+}
+
+// TestShortestPathsDirectedPath pins which survivors the compensation
+// re-activates on a directed graph, on both routes of Run: those with an
+// out-edge INTO a lost partition. Re-activating the targets of the lost
+// vertices' out-edges instead left the restored vertices waiting for
+// distances nobody re-sent.
+func TestShortestPathsDirectedPath(t *testing.T) {
+	b := graph.NewBuilder(true)
+	for v := graph.VertexID(0); v+1 < 40; v++ {
+		b.AddWeightedEdge(v, v+1, float64(1+v%3))
+	}
+	g := b.Build()
+	truth := ref.ShortestPaths(g, 0)
+	for _, accLog := range []bool{false, true} {
+		for _, at := range []int{20, 35} {
+			for victim := 0; victim < 2; victim++ {
+				got, res, err := Run(g, 0, vertexcentric.Options{Parallelism: 4, Workers: 2,
+					AccumulatorLog: accLog, Policy: recovery.Optimistic{},
+					Injector: failure.NewScripted(nil).At(at, victim)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Failures != 1 {
+					t.Fatalf("AccumulatorLog=%v At(%d,%d): %d failures struck, want 1", accLog, at, victim, res.Failures)
+				}
+				wrong := 0
+				for v, d := range truth {
+					if got[v] != d {
+						wrong++
+					}
+				}
+				if wrong > 0 {
+					t.Errorf("AccumulatorLog=%v At(%d,%d): %d of %d distances wrong after compensation", accLog, at, victim, wrong, len(truth))
+				}
+			}
+		}
 	}
 }

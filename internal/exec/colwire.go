@@ -66,6 +66,12 @@ func bitsVal[V ColValue](u uint64) V {
 	return v
 }
 
+// AppendVal appends v's 64-bit wire pattern to dst as one colbytes U64.
+func AppendVal[V ColValue](dst []byte, v V) []byte { return colbytes.AppendU64(dst, valBits(v)) }
+
+// ReadVal reads a value AppendVal wrote.
+func ReadVal[V ColValue](r *colbytes.Reader) V { return bitsVal[V](r.U64()) }
+
 // AppendColumns appends the batch's key and value columns to dst as
 // colbytes segments. The view copies the data out, so the batch can
 // be recycled immediately after.

@@ -56,6 +56,15 @@ type Context struct {
 	Fault *exec.FaultInjection
 }
 
+// ScheduledFault returns c.Fault, or nil for a nil c (a Step called
+// outside a Loop, as tests and benchmarks do).
+func (c *Context) ScheduledFault() *exec.FaultInjection {
+	if c == nil {
+		return nil
+	}
+	return c.Fault
+}
+
 // Sample is the per-attempt data point handed to listeners.
 type Sample struct {
 	Tick      int

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"slices"
 
 	"optiflow/internal/cluster"
 	"optiflow/internal/dataflow"
@@ -48,8 +49,9 @@ type Program[S, M any] struct {
 	// fix-components/fix-ranks. Required for optimistic recovery.
 	Compensate func(v graph.VertexID) S
 	// Reactivate is invoked during recovery for restored vertices and
-	// for surviving neighbors of lost vertices; it typically re-sends
-	// the messages the vertex would have sent on its last change.
+	// for surviving vertices with an out-edge into a lost partition; it
+	// typically re-sends the messages the vertex would have sent on its
+	// last change.
 	Reactivate func(v graph.VertexID, st S, send func(to graph.VertexID, m M))
 }
 
@@ -248,17 +250,16 @@ func (r *Runner[S, M]) ClearPartitions(parts []int) {
 }
 
 // Compensate implements recovery.Job: re-initialise lost vertices with
-// prog.Compensate, then reactivate them and the surviving neighbors of
-// lost vertices so the fixpoint propagation resumes.
+// prog.Compensate, then reactivate them and the surviving vertices with
+// an out-edge into a lost partition — the vertices whose messages the
+// restored ones are missing — so the fixpoint propagation resumes.
 func (r *Runner[S, M]) Compensate(lost []int) error {
 	if r.prog.Compensate == nil {
 		return fmt.Errorf("vertexcentric: program %s has no compensation function", r.prog.Name)
 	}
-	lostSet := make(map[int]bool, len(lost))
+	lostSet := make([]bool, r.par)
 	for _, p := range lost {
 		lostSet[p] = true
-	}
-	for _, p := range lost {
 		for _, v := range r.owned[p] {
 			r.states.Put(uint64(v), r.prog.Compensate(v))
 		}
@@ -267,23 +268,14 @@ func (r *Runner[S, M]) Compensate(lost []int) error {
 		return nil
 	}
 	send := func(to graph.VertexID, m M) { r.deliver(Outbound[M]{To: to, Msg: m}) }
-	seen := make(map[graph.VertexID]bool)
-	reactivate := func(v graph.VertexID) {
-		if seen[v] {
-			return
-		}
-		seen[v] = true
-		if st, ok := r.states.Get(uint64(v)); ok {
-			r.prog.Reactivate(v, st, send)
-		}
-	}
-	for _, p := range lost {
-		for _, v := range r.owned[p] {
-			reactivate(v)
-			for _, n := range r.g.OutNeighbors(v) {
-				if !lostSet[graph.Partition(n, r.par)] {
-					reactivate(n)
-				}
+	intoLost := func(n graph.VertexID) bool { return lostSet[graph.Partition(n, r.par)] }
+	for p, vs := range r.owned {
+		for _, v := range vs {
+			if !lostSet[p] && !slices.ContainsFunc(r.g.OutNeighbors(v), intoLost) {
+				continue
+			}
+			if st, ok := r.states.Get(uint64(v)); ok {
+				r.prog.Reactivate(v, st, send)
 			}
 		}
 	}

@@ -196,3 +196,38 @@ func TestRunnerSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("inbox %d, want %d", r.InboxLen(), beforeInbox)
 	}
 }
+
+// TestCompensateDirectedPath pins which survivors the compensation
+// re-activates on a directed graph: those with an out-edge INTO a lost
+// partition. On the path 39 → 38 → … → 0 the maximum flows down from
+// vertex 39, so a restored vertex can only be repaired by its surviving
+// predecessor re-sending; re-activating the targets of the lost
+// vertices' out-edges instead left it at its own ID.
+func TestCompensateDirectedPath(t *testing.T) {
+	b := graph.NewBuilder(true)
+	for v := graph.VertexID(0); v+1 < 40; v++ {
+		b.AddEdge(v+1, v)
+	}
+	g := b.Build()
+	for _, at := range []int{20, 35} {
+		for victim := 0; victim < 2; victim++ {
+			res, err := Run(maxProgram(g), g, Options{Parallelism: 4, Workers: 2, Policy: recovery.Optimistic{},
+				Injector: failure.NewScripted(nil).At(at, victim)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Failures != 1 {
+				t.Fatalf("At(%d,%d): %d failures struck, want 1", at, victim, res.Failures)
+			}
+			wrong := 0
+			for _, st := range res.States {
+				if st != 39 {
+					wrong++
+				}
+			}
+			if wrong > 0 {
+				t.Errorf("At(%d,%d): %d of %d states wrong after compensation", at, victim, wrong, len(res.States))
+			}
+		}
+	}
+}

@@ -459,8 +459,9 @@ func ALSFactorize(ratings *Ratings, opts ALSOptions) (*ALSResult, error) {
 type VertexProgramOptions = vertexcentric.Options
 
 // ShortestPaths computes single-source shortest path distances as a
-// delta iteration with compensation-based recovery. Unreached vertices
-// map to +Inf.
+// delta iteration with compensation-based recovery — the same min-fold
+// job as ConnectedComponents, so every recovery policy CC supports
+// applies. Unreached vertices map to +Inf.
 //
 // The iteration runs on the columnar engine unless opts requests
 // confined recovery (AccumulatorLog, or the Confined policy): confined
