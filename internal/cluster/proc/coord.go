@@ -216,13 +216,13 @@ func (r *rpcConn) close() {
 // attempt performs one request/response exchange for token id. Frames
 // with a different token are stale responses from earlier attempts (or
 // network duplicates) and are discarded.
-func (r *rpcConn) attempt(nc net.Conn, id uint64, req any) (any, error) {
+func (r *rpcConn) attempt(nc net.Conn, id uint64, req any, arena *[]byte) (any, error) {
 	nc.SetDeadline(time.Now().Add(r.timeout))
 	if err := writeFrameCfg(nc, id, req, r.wc); err != nil {
 		return nil, err
 	}
 	for {
-		rid, m, err := readFrameCfg(nc, r.wc)
+		rid, m, err := readFrameInto(nc, r.wc, arena)
 		if err != nil {
 			return nil, err
 		}
@@ -233,7 +233,9 @@ func (r *rpcConn) attempt(nc net.Conn, id uint64, req any) (any, error) {
 	}
 }
 
-func (r *rpcConn) call(req any) (any, error) {
+// call performs one RPC; a StepResp's exchange columns decode into arena
+// (see recycle), nil allocating them.
+func (r *rpcConn) call(req any, arena *[]byte) (any, error) {
 	select {
 	case r.sem <- struct{}{}:
 	case <-r.gone:
@@ -249,7 +251,7 @@ func (r *rpcConn) call(req any) (any, error) {
 			r.onRetry()
 		}
 		nc, swapped := r.conn()
-		resp, err := r.attempt(nc, id, req)
+		resp, err := r.attempt(nc, id, req, arena)
 		if err == nil {
 			if e, ok := resp.(ErrResp); ok {
 				return nil, errors.New("proc: " + e.Msg)
@@ -1347,7 +1349,7 @@ func (c *Coordinator) Release(w int) error {
 	}
 	if p != nil {
 		// Nothing is owed here: the migration fetch carried w's debt.
-		p.ctrl.call(ShutdownReq{})
+		p.ctrl.call(ShutdownReq{}, nil)
 		c.mu.Lock()
 		p.markGoneLocked()
 		p.kill()
@@ -1500,7 +1502,7 @@ func (p *workerProc) settle(owed Owed) error {
 	if !owed.Set {
 		return nil
 	}
-	_, err := p.ctrl.call(CommitReq{Superstep: owed.Superstep})
+	_, err := p.ctrl.call(CommitReq{Superstep: owed.Superstep}, nil)
 	return err
 }
 
@@ -1508,6 +1510,11 @@ func (p *workerProc) settle(owed Owed) error {
 // CompensateReq carries w's debt, so a superstep — or a survivor's share
 // of a compensation — is one round trip; anything else settles it first.
 func (c *Coordinator) call(w int, req any) (resp any, err error) {
+	return c.callInto(w, req, nil)
+}
+
+// callInto is call decoding a StepResp's exchange columns into arena.
+func (c *Coordinator) callInto(w int, req any, arena *[]byte) (resp any, err error) {
 	err = c.onProc(w, "rpc", func(p *workerProc, owed Owed) error {
 		switch r := req.(type) {
 		case StepReq:
@@ -1521,7 +1528,7 @@ func (c *Coordinator) call(w int, req any) (resp any, err error) {
 				return err
 			}
 		}
-		resp, err = p.ctrl.call(req)
+		resp, err = p.ctrl.call(req, arena)
 		return err
 	})
 	return resp, err

@@ -272,7 +272,7 @@ func sendChunks(parts []PartBlob, maxBytes int, stream uint64, write func(DataCh
 // readChunked decodes the reassembled bytes of a chunk stream.
 func readChunked(buf []byte) ([]PartBlob, error) {
 	r := colbytes.NewReader(buf)
-	parts := blobSection.read(r)
+	parts := blobSection.read(r, nil)
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("proc: reassembled state stream: %w", err)
 	}
@@ -325,7 +325,7 @@ func (c *Coordinator) fetchState(w int, parts []int) (out []PartBlob, err error)
 			out, err = c.dataFetch(p, owed, parts)
 			return err
 		}
-		resp, err := p.ctrl.call(FetchReq{Commit: owed, Parts: parts})
+		resp, err := p.ctrl.call(FetchReq{Commit: owed, Parts: parts}, nil)
 		if err == nil {
 			out = resp.(FetchResp).Parts
 		}
@@ -344,7 +344,7 @@ func (c *Coordinator) restoreState(w int, parts []PartBlob) error {
 		if p.data != nil {
 			return c.dataRestore(p, parts)
 		}
-		_, err := p.ctrl.call(RestoreReq{Parts: parts})
+		_, err := p.ctrl.call(RestoreReq{Parts: parts}, nil)
 		return err
 	})
 }

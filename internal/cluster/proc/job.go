@@ -81,7 +81,15 @@ type Job struct {
 	// worker's share of pending and dangling, for a compensation to combine
 	// them again without the dead worker's; the messages it re-sends are
 	// reported, as resent, with the next step's.
+	//
+	// The relayed columns live in recycled arenas, two generations per
+	// worker: arenas[w][gen] holds what w's last committed StepResp
+	// decoded into, and the next attempt decodes into the other one. Its
+	// commit flips gen; a failed attempt leaves the inbox and its
+	// generation as they were, for the replay to send again.
 	inbox     map[int][]exec.HostedCols
+	arenas    map[int]*[2][]byte
+	gen       int
 	placement []int
 	partials  map[int]partial
 	pending   int64
@@ -112,6 +120,7 @@ func NewJob(co *Coordinator, spec Spec) (*Job, error) {
 		pt:        d.Partitioning(co.NumPartitions()),
 		replica:   replica,
 		inbox:     make(map[int][]exec.HostedCols),
+		arenas:    make(map[int]*[2][]byte),
 		partials:  make(map[int]partial),
 		rescatter: true,
 		lastL1:    math.MaxFloat64,
@@ -202,6 +211,7 @@ func (j *Job) Step(ctx *iterate.Context) (iterate.StepStats, error) {
 		j.rescatter = true
 	}
 	results := make(chan stepResult, len(owners))
+	next := 1 - j.gen
 	for w, parts := range owners {
 		req := StepReq{Superstep: ctx.Superstep, Rescatter: j.rescatter, Dangling: j.dangling}
 		if !j.rescatter {
@@ -209,8 +219,12 @@ func (j *Job) Step(ctx *iterate.Context) (iterate.StepStats, error) {
 				req.Inbox = append(req.Inbox, j.inbox[p]...)
 			}
 		}
+		if j.arenas[w] == nil {
+			j.arenas[w] = new([2][]byte)
+		}
+		arena := &j.arenas[w][next]
 		go func() {
-			resp, err := j.co.call(w, req)
+			resp, err := j.co.callInto(w, req, arena)
 			out, _ := resp.(StepResp)
 			results <- stepResult{worker: w, resp: out, err: err}
 		}()
@@ -292,7 +306,10 @@ func (j *Job) Step(ctx *iterate.Context) (iterate.StepStats, error) {
 	workers := slices.Sorted(maps.Keys(ok))
 	j.co.owe(workers, ctx.Superstep)
 	stats := iterate.StepStats{Extra: map[string]float64{}}
-	j.inbox = make(map[int][]exec.HostedCols)
+	for dst, cols := range j.inbox {
+		j.inbox[dst] = cols[:0]
+	}
+	j.gen = next
 	j.placement, j.rescatter = placement, false
 	var l1 float64
 	folded := false
@@ -448,10 +465,12 @@ func (j *Job) RestoreFrom(data []byte) error {
 	return nil
 }
 
-// restartExchange drops the columns in flight and schedules a priming
-// step: the exchange starts over from whatever state the workers hold.
+// restartExchange drops the columns in flight, and the arenas they live
+// in, and schedules a priming step: the exchange starts over from
+// whatever state the workers hold.
 func (j *Job) restartExchange() {
 	clear(j.inbox)
+	clear(j.arenas)
 	j.pending, j.dangling = 0, 0
 	j.rescatter = true
 	j.lastL1 = math.MaxFloat64
@@ -526,8 +545,9 @@ func (j *Job) Compensate(lost []int) error {
 
 // compensateOn asks each worker of fill to compensate, filling the lost
 // partitions listed for it, and takes in the responses in worker order:
-// new rows join the columns relayed for their pair, counts and dangling
-// mass the worker's partial. It returns the survivors' combined mass.
+// new rows join the columns relayed for their pair in a fresh slice,
+// never in the relay arena; counts and dangling mass join the worker's
+// partial. It returns the survivors' combined mass.
 func (j *Job) compensateOn(fill map[int][]int, lost []int, surviving float64) (mass float64, err error) {
 	var mu sync.Mutex
 	resps := make(map[int]CompensateResp, len(fill))
@@ -551,7 +571,7 @@ func (j *Job) compensateOn(fill map[int][]int, lost []int, surviving float64) (m
 		for _, cols := range r.Remote {
 			relayed := j.inbox[cols.Dst]
 			if i := slices.IndexFunc(relayed, func(c exec.HostedCols) bool { return c.Src == cols.Src }); i >= 0 {
-				relayed[i].Cols = append(relayed[i].Cols, cols.Cols...)
+				relayed[i].Cols = slices.Concat(relayed[i].Cols, cols.Cols)
 			} else {
 				j.inbox[cols.Dst] = append(relayed, cols)
 			}

@@ -24,7 +24,11 @@ func TestMain(m *testing.M) {
 		}
 		os.Exit(0)
 	}
+	// Workers re-executed from this binary poison every arena they
+	// recycle (see TestRelayArenaLifetime); the tests themselves do not.
+	poisonRecycled = true
 	MaybeChildMode()
+	poisonRecycled = false
 	os.Exit(m.Run())
 }
 

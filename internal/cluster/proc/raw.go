@@ -6,10 +6,11 @@ package proc
 // internal/cluster/proc/wire. What the payloads carry is already flat
 // (the engine's ColBatch views, DenseStore partition views, CSR
 // arrays), so a section is a count header followed by the bytes or
-// columns as they are. Decoders copy each section into one exactly-sized
-// arena — O(1) allocations per frame, nothing aliasing the (pooled)
-// receive buffer, every count checked against the bytes actually
-// remaining before anything is allocated.
+// columns as they are. Decoders copy each section into one arena — O(1)
+// allocations per frame, nothing aliasing the (pooled) receive buffer,
+// every count checked against the bytes actually remaining before
+// anything is allocated. A superstep's exchange columns go into an arena
+// the caller recycles, every other section into an exactly-sized one.
 
 import (
 	"bytes"
@@ -127,8 +128,11 @@ func appendRawPayload(dst []byte, kind byte, id uint64, m any) []byte {
 }
 
 // decodeRawPayload decodes a raw payload (the frame payload minus the
-// leading codec tag): version, kind, idempotence token, body.
-func decodeRawPayload(p []byte) (uint64, any, error) {
+// leading codec tag): version, kind, idempotence token, body. The
+// exchange columns of a StepReq or StepResp are decoded into arena (see
+// recycle). A body that does not decode is malformed; its error also
+// wraps the colbytes cause.
+func decodeRawPayload(p []byte, arena *[]byte) (uint64, any, error) {
 	r := colbytes.NewReader(p)
 	ver := r.U8()
 	kind := r.U8()
@@ -148,10 +152,10 @@ func decodeRawPayload(p []byte) (uint64, any, error) {
 			Rescatter: r.Bool(),
 			Dangling:  r.F64(),
 		}
-		v.Inbox = colsSection.read(r)
+		v.Inbox = colsSection.read(r, arena)
 		m = v
 	case wire.KStepResp:
-		v := StepResp{Remote: colsSection.read(r)}
+		v := StepResp{Remote: colsSection.read(r, arena)}
 		v.Dangling = r.F64()
 		v.L1 = r.F64()
 		v.Folded = r.Bool()
@@ -159,13 +163,13 @@ func decodeRawPayload(p []byte) (uint64, any, error) {
 		v.Updates = int64(r.U64())
 		m = v
 	case wire.KFetchResp:
-		m = FetchResp{Parts: blobSection.read(r)}
+		m = FetchResp{Parts: blobSection.read(r, nil)}
 	case wire.KRestoreReq:
-		m = RestoreReq{Parts: blobSection.read(r)}
+		m = RestoreReq{Parts: blobSection.read(r, nil)}
 	case wire.KLoadReq:
 		m = readLoadReq(r)
 	case wire.KSnapshot:
-		m = JobSnapshot{Kind: r.String(), Parts: blobSection.read(r)}
+		m = JobSnapshot{Kind: r.String(), Parts: blobSection.read(r, nil)}
 	case wire.KDataFetch:
 		m = DataFetchReq{Commit: Owed{Set: r.Bool(), Superstep: int(r.U32())}, Stream: r.U64(), ChunkBytes: int(r.U32()), Parts: readInts(r)}
 	case wire.KDataRestore:
@@ -181,12 +185,12 @@ func decodeRawPayload(p []byte) (uint64, any, error) {
 	case wire.KCompReq:
 		m = CompensateReq{Commit: Owed{Set: r.Bool(), Superstep: int(r.U32())}, Lost: readInts(r), Fill: readInts(r), Surviving: r.F64()}
 	case wire.KCompResp:
-		m = CompensateResp{Remote: colsSection.read(r), Messages: int64(r.U64()), Dangling: r.F64(), Surviving: r.F64()}
+		m = CompensateResp{Remote: colsSection.read(r, nil), Messages: int64(r.U64()), Dangling: r.F64(), Surviving: r.F64()}
 	default:
 		return 0, nil, fmt.Errorf("proc: raw frame with unknown kind %d: %w", kind, wire.ErrMalformed)
 	}
 	if err := r.Err(); err != nil {
-		return 0, nil, fmt.Errorf("proc: decoding raw frame of kind %d: %w", kind, err)
+		return 0, nil, fmt.Errorf("proc: decoding raw frame of kind %d: %w: %w", kind, wire.ErrMalformed, err)
 	}
 	return id, m, nil
 }
@@ -228,8 +232,8 @@ func (c sectionCodec[E]) append(dst []byte, es []E) []byte {
 
 // read validates the declared lengths against the bytes actually
 // remaining before copying them into one arena, sub-sliced per entry
-// (an empty entry decodes as nil).
-func (c sectionCodec[E]) read(r *colbytes.Reader) []E {
+// and capped at its length (an empty entry decodes as nil).
+func (c sectionCodec[E]) read(r *colbytes.Reader, into *[]byte) []E {
 	n := int(r.U32())
 	if r.Err() != nil || n == 0 {
 		return nil
@@ -247,7 +251,7 @@ func (c sectionCodec[E]) read(r *colbytes.Reader) []E {
 			return nil
 		}
 	}
-	arena := append(make([]byte, 0, total), r.Raw(total, "byte section data")...)
+	arena := append(recycle(into, total), r.Raw(total, "byte section data")...)
 	out := make([]E, n)
 	for i, off := 0, 0; i < n; i++ {
 		e := hdr[12*i:]
@@ -258,6 +262,28 @@ func (c sectionCodec[E]) read(r *colbytes.Reader) []E {
 		out[i] = c.join(int(binary.LittleEndian.Uint32(e)), int(binary.LittleEndian.Uint32(e[4:])), data)
 	}
 	return out
+}
+
+// poisonRecycled, set only by tests, fills a recycled arena with 0xA5
+// before it is reused, so a view kept past its arena's lifetime reads
+// garbage rather than plausible columns.
+var poisonRecycled bool
+
+// recycle empties *arena for n bytes of section data and returns it: the
+// arena is regrown only when it is too small, so a decoder that owns one
+// allocates nothing once it has seen its largest section. Everything
+// decoded into the arena before is overwritten. A nil arena is a fresh,
+// exactly-sized one.
+func recycle(arena *[]byte, n int) []byte {
+	if arena == nil {
+		return make([]byte, 0, n)
+	}
+	if cap(*arena) < n {
+		*arena = make([]byte, 0, n)
+	} else if poisonRecycled {
+		copy((*arena)[:cap(*arena)], bytes.Repeat([]byte{0xA5}, cap(*arena)))
+	}
+	return (*arena)[:0]
 }
 
 // readLoadReq decodes an adjacency load. The ID and CSR columns are the
@@ -313,7 +339,7 @@ func decodeSnapshot(b []byte) (JobSnapshot, error) {
 	if len(b) == 0 || b[0] != wire.CodecRaw {
 		return JobSnapshot{}, &SnapshotError{"not a job snapshot blob"}
 	}
-	_, m, err := decodeRawPayload(b[1:])
+	_, m, err := decodeRawPayload(b[1:], nil)
 	snap, ok := m.(JobSnapshot)
 	if err == nil && !ok {
 		err = &SnapshotError{fmt.Sprintf("blob holds a %T", m)}

@@ -450,6 +450,12 @@ func writeFrame(w io.Writer, m any) error {
 // immediately. Read errors from the connection are returned wrapped
 // (%w) so deadline expiry stays detectable via net.Error.
 func readFrameCfg(r io.Reader, wc *wireCfg) (uint64, any, error) {
+	return readFrameInto(r, wc, nil)
+}
+
+// readFrameInto is readFrameCfg decoding a superstep's exchange columns
+// into arena, which the caller recycles (see recycle); nil allocates.
+func readFrameInto(r io.Reader, wc *wireCfg, arena *[]byte) (uint64, any, error) {
 	var hdr [netfault.HeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
@@ -478,7 +484,7 @@ func readFrameCfg(r io.Reader, wc *wireCfg) (uint64, any, error) {
 	}
 	switch payload[0] {
 	case wire.CodecRaw:
-		return decodeRawPayload(payload[1:])
+		return decodeRawPayload(payload[1:], arena)
 	case wire.CodecGob:
 		var f Frame
 		if err := gob.NewDecoder(bytes.NewReader(payload[1:])).Decode(&f); err != nil {

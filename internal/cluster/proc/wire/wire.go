@@ -25,9 +25,10 @@
 // Buffer ownership: encoders assemble frames in pooled buffers
 // (GetBuf/PutBuf). A pooled buffer may be recycled the moment the
 // frame's Write returns, so decoded messages must own their memory —
-// every raw decoder copies column data out of the frame buffer into
-// exactly-sized arenas before returning. Nothing decoded aliases the
-// receive buffer.
+// every raw decoder copies column data out of the frame buffer into an
+// arena before returning — exactly-sized, or one the caller recycles for
+// a superstep's exchange columns. Nothing decoded aliases the receive
+// buffer.
 package wire
 
 import (
@@ -98,10 +99,10 @@ func CheckSize(size, limit int) error {
 	return nil
 }
 
-// ErrMalformed marks a frame whose envelope makes no sense — an empty
-// payload, an unknown codec tag or raw kind, a gob body that does not
-// decode. Truncated or corrupt raw bodies fail with
-// colbytes.ErrTruncated instead.
+// ErrMalformed marks a frame that makes no sense — an empty payload, an
+// unknown codec tag or raw kind, a gob or raw body that does not decode.
+// A truncated or corrupt raw body's error also wraps
+// colbytes.ErrTruncated.
 var ErrMalformed = errors.New("wire: malformed frame")
 
 // VersionError is the typed raw-format version rejection.

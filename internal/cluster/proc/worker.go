@@ -107,8 +107,12 @@ func RunWorker(cfg WorkerConfig) error {
 		}
 		go serveData(cfg, wc, h, i, dc, done)
 	}
+	// Every StepReq's inbox decodes into this one arena: a request is
+	// handled before the next is read, and the hosted job borrows its
+	// columns only while it folds them.
+	var inbox []byte
 	for {
-		id, req, err := readFrameCfg(ctrl, wc)
+		id, req, err := readFrameInto(ctrl, wc, &inbox)
 		if err != nil {
 			ctrl.Close()
 			if ctrl, err = redial(cfg, ConnCtrl, err); err != nil {

@@ -55,7 +55,8 @@ type ColHosted[V ColValue] struct {
 	// so the steady state allocates nothing.
 	held, out [][][]byte
 	// remote[src][dst] are the peers' columns of the current Fold,
-	// borrowed from the caller for its duration.
+	// borrowed from the caller for its duration and cleared before it
+	// returns.
 	remote [][][]byte
 	// revert undoes the state writes of the attempt in flight; nil when
 	// none is.
@@ -82,12 +83,15 @@ func NewColHosted[V ColValue](engine *ColEngine[V], step *ColStep[V], parts []in
 // columns bound for it — held ones from hosted sources, remote ones
 // from the peers — in ascending source order, then Apply sees the
 // result. Remote columns come off the network: a malformed view or a
-// row routed to the wrong partition is an error.
+// row routed to the wrong partition is an error. They are borrowed for
+// the call only — the caller may recycle their bytes once it returns.
 func (h *ColHosted[V]) Fold(remote []HostedCols) error {
 	n := len(h.hosted)
-	for _, row := range h.remote {
-		clear(row)
-	}
+	defer func() {
+		for _, row := range h.remote {
+			clear(row)
+		}
+	}()
 	for _, rc := range remote {
 		if rc.Src < 0 || rc.Src >= n || rc.Dst < 0 || rc.Dst >= n || h.hosted[rc.Src] || !h.hosted[rc.Dst] || h.remote[rc.Src][rc.Dst] != nil {
 			return fmt.Errorf("col: misrouted exchange columns %d -> %d", rc.Src, rc.Dst)

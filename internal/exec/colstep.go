@@ -431,61 +431,27 @@ func (r *colRun[V]) expand(part int) {
 		return true
 	}
 
-	var lacc []V
-	var lseen []bool
-	var ltouched []int32
 	if s.LocalFold {
-		lacc, lseen, ltouched = r.e.lacc[part], r.e.lseen[part], r.e.ltouched[part]
+		// The local-fold scratch is reset whether the run commits or
+		// aborts, like the fold's.
 		defer func() {
-			for _, i := range ltouched {
+			lseen := r.e.lseen[part]
+			for _, i := range r.e.ltouched[part] {
 				lseen[i] = false
 			}
-			r.e.ltouched[part] = ltouched[:0]
+			r.e.ltouched[part] = r.e.ltouched[part][:0]
 		}()
-	}
-	foldLocal := func(dst int32, val V) {
-		if !lseen[dst] {
-			lseen[dst] = true
-			lacc[dst] = val
-			ltouched = append(ltouched, dst)
-			return
-		}
-		if s.Fold == FoldMin {
-			if val < lacc[dst] {
-				lacc[dst] = val
-			}
-		} else {
-			lacc[dst] += val
-		}
 	}
 
 	// emit expands one source row over its contiguous edge range. The
 	// three expand kinds are separate tight loops so the per-edge path
-	// has no switch and no closure call.
+	// has no switch and no closure call; so are the local-fold ones (see
+	// localFold).
 	emit := func(src int32, val V) bool {
 		lo, hi := offsets[src], offsets[src+1]
 		messages += int64(hi - lo)
 		if s.LocalFold {
-			switch s.Expand {
-			case ExpandCopy:
-				for j := lo; j < hi; j++ {
-					foldLocal(targets[j], val)
-				}
-			case ExpandAddWeight:
-				if weights == nil {
-					for j := lo; j < hi; j++ {
-						foldLocal(targets[j], val+V(1))
-					}
-				} else {
-					for j := lo; j < hi; j++ {
-						foldLocal(targets[j], val+V(weights[j]))
-					}
-				}
-			case ExpandMulScale:
-				for j := lo; j < hi; j++ {
-					foldLocal(targets[j], val*V(s.Scale[j]))
-				}
-			}
+			r.e.ltouched[part] = localFold(s, r.e.lacc[part], r.e.lseen[part], r.e.ltouched[part], lo, hi, val)
 			return !r.aborted.Load()
 		}
 		switch s.Expand {
@@ -532,7 +498,8 @@ func (r *colRun[V]) expand(part int) {
 		// Folded rows leave in ascending destination order; sums within
 		// a destination are already folded, so this fixes the exchange
 		// byte stream for a given input.
-		ltouched = ascending(ltouched, lseen, nil)
+		lacc, ltouched := r.e.lacc[part], ascending(r.e.ltouched[part], r.e.lseen[part], nil)
+		r.e.ltouched[part] = ltouched
 		for _, dst := range ltouched {
 			if !deliver(dst, lacc[dst]) {
 				abort()
@@ -550,6 +517,84 @@ func (r *colRun[V]) expand(part int) {
 			return
 		}
 	}
+}
+
+// localFold folds the messages one source row sends along its edges
+// lo..hi into a producing partition's local-fold scratch and returns
+// touched with the destinations seen first here appended: the LocalFold
+// branch of expand, one closure-free loop per ExpandKind × FoldKind (an
+// unweighted ExpandAddWeight adds a constant 1, so it is ExpandCopy of
+// val+1). It is a top-level function so that expand's emit captures
+// nothing for it.
+func localFold[V ColValue](s *ColStep[V], acc []V, seen []bool, touched []int32, lo, hi int32, val V) []int32 {
+	targets := s.Adj.Targets[lo:hi]
+	var col []float64 // per-edge operand, parallel to targets
+	switch {
+	case s.Expand == ExpandMulScale:
+		col = s.Scale[lo:hi]
+	case s.Expand == ExpandAddWeight && s.Adj.Weights != nil:
+		col = s.Adj.Weights[lo:hi]
+	case s.Expand == ExpandAddWeight:
+		val += V(1)
+	}
+	min := s.Fold == FoldMin
+	switch {
+	case col == nil && min:
+		for _, dst := range targets {
+			if !seen[dst] {
+				seen[dst], acc[dst] = true, val
+				touched = append(touched, dst)
+			} else if val < acc[dst] {
+				acc[dst] = val
+			}
+		}
+	case col == nil:
+		for _, dst := range targets {
+			if !seen[dst] {
+				seen[dst], acc[dst] = true, val
+				touched = append(touched, dst)
+			} else {
+				acc[dst] += val
+			}
+		}
+	case s.Expand == ExpandAddWeight && min:
+		for j, dst := range targets {
+			if v := val + V(col[j]); !seen[dst] {
+				seen[dst], acc[dst] = true, v
+				touched = append(touched, dst)
+			} else if v < acc[dst] {
+				acc[dst] = v
+			}
+		}
+	case s.Expand == ExpandAddWeight:
+		for j, dst := range targets {
+			if v := val + V(col[j]); !seen[dst] {
+				seen[dst], acc[dst] = true, v
+				touched = append(touched, dst)
+			} else {
+				acc[dst] += v
+			}
+		}
+	case min:
+		for j, dst := range targets {
+			if v := val * V(col[j]); !seen[dst] {
+				seen[dst], acc[dst] = true, v
+				touched = append(touched, dst)
+			} else if v < acc[dst] {
+				acc[dst] = v
+			}
+		}
+	default:
+		for j, dst := range targets {
+			if v := val * V(col[j]); !seen[dst] {
+				seen[dst], acc[dst] = true, v
+				touched = append(touched, dst)
+			} else {
+				acc[dst] += v
+			}
+		}
+	}
+	return touched
 }
 
 // foldAndApply is the consuming half of partition part: it folds
