@@ -69,14 +69,6 @@ type Config struct {
 	StragglerMin time.Duration
 	// SpawnTimeout bounds process start + handshake (15s if zero).
 	SpawnTimeout time.Duration
-	// DataConns is the per-worker data-plane connection pool size used
-	// for chunked state transfer (2 if zero; negative disables the data
-	// plane — bulk state then moves over monolithic ctrl RPCs).
-	DataConns int
-	// ChunkVertices bounds one data-plane chunk to the state view bytes
-	// of that many vertices (4096 if zero): the pipelining grain of a
-	// state stream.
-	ChunkVertices int
 	// MaxFrameBytes caps any frame payload on both the encode and
 	// decode path (netfault.MaxFrame if zero; values above the hard
 	// ceiling clamp to it). Oversized frames fail with a typed
@@ -126,15 +118,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SpawnTimeout <= 0 {
 		c.SpawnTimeout = 15 * time.Second
-	}
-	if c.DataConns == 0 {
-		c.DataConns = 2
-	}
-	if c.DataConns < 0 {
-		c.DataConns = 0
-	}
-	if c.ChunkVertices <= 0 {
-		c.ChunkVertices = 4096
 	}
 	return c
 }
@@ -306,7 +289,6 @@ type workerProc struct {
 	cmd  *oexec.Cmd
 	ctrl *rpcConn
 	beat net.Conn
-	data *dataPlane
 
 	gone      chan struct{} // closed when the worker leaves (condemn/fail/reap)
 	reaped    bool          // process exited (observed by the reaper)
@@ -333,9 +315,6 @@ func (p *workerProc) closeConns() {
 	}
 	if p.beat != nil {
 		p.beat.Close()
-	}
-	if p.data != nil {
-		p.data.closeAll()
 	}
 }
 
@@ -368,12 +347,6 @@ type standby struct {
 	id    int
 	ready chan struct{}
 	p     *workerProc
-}
-
-// handshook is a connection that completed its Hello exchange,
-// delivered from the accept loop to the spawner waiting for it.
-type handshook struct {
-	nc net.Conn
 }
 
 type connKey struct {
@@ -422,7 +395,7 @@ type Coordinator struct {
 	events        []cluster.Event
 	eventsDropped int
 	procs         map[int]*workerProc
-	waiters       map[connKey]chan handshook
+	waiters       map[connKey]chan net.Conn // handshaken conns awaited by a spawn
 	beats         *liveness
 	assign        func(worker int, parts []int) error
 	closed        bool
@@ -477,7 +450,7 @@ func Start(cfg Config) (*Coordinator, error) {
 		owner:    make([]int, cfg.Partitions),
 		spares:   -1,
 		procs:    make(map[int]*workerProc),
-		waiters:  make(map[connKey]chan handshook),
+		waiters:  make(map[connKey]chan net.Conn),
 		beats:    newLiveness(cfg.LivenessWindow),
 		done:     make(chan struct{}),
 	}
@@ -619,15 +592,7 @@ func (c *Coordinator) handleConn(nc net.Conn) {
 		return
 	}
 	hello, ok := m.(Hello)
-	validRole := false
-	if ok {
-		if hello.Conn == ConnCtrl || hello.Conn == ConnBeat {
-			validRole = true
-		} else if slot, isData := parseDataRole(hello.Conn); isData {
-			validRole = slot < c.cfg.DataConns
-		}
-	}
-	if !ok || hello.Proto != ProtoVersion || hello.Token != c.token || !validRole {
+	if !ok || hello.Proto != ProtoVersion || hello.Token != c.token || (hello.Conn != ConnCtrl && hello.Conn != ConnBeat) {
 		writeFrame(nc, ErrResp{Msg: "handshake rejected"})
 		nc.Close()
 		return
@@ -648,7 +613,7 @@ func (c *Coordinator) handleConn(nc net.Conn) {
 		nc.SetDeadline(time.Time{})
 		wrapped := c.wrapConn(hello.Worker, nc)
 		select {
-		case ch <- handshook{nc: wrapped}:
+		case ch <- wrapped:
 		default:
 			wrapped.Close()
 		}
@@ -688,21 +653,14 @@ func (c *Coordinator) attach(p *workerProc, role string, nc net.Conn) {
 		nc.Close()
 		return
 	}
-	switch role {
-	case ConnCtrl:
+	if role == ConnCtrl {
 		p.ctrl.swap(nc)
-	case ConnBeat:
+	} else {
 		old := p.beat
 		p.beat = nc
 		go c.readBeats(p, nc)
 		if old != nil {
 			old.Close()
-		}
-	default:
-		if slot, isData := parseDataRole(role); isData && p.data != nil {
-			p.data.attach(slot, nc)
-		} else {
-			nc.Close()
 		}
 	}
 	p.suspectAt = time.Time{}
@@ -711,15 +669,15 @@ func (c *Coordinator) attach(p *workerProc, role string, nc net.Conn) {
 	c.mu.Unlock()
 }
 
-func (c *Coordinator) addWaiter(k connKey) chan handshook {
-	ch := make(chan handshook, 1)
+func (c *Coordinator) addWaiter(k connKey) chan net.Conn {
+	ch := make(chan net.Conn, 1)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.waiters[k] = ch
 	return ch
 }
 
-func (c *Coordinator) takeWaiter(k connKey) chan handshook {
+func (c *Coordinator) takeWaiter(k connKey) chan net.Conn {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ch := c.waiters[k]
@@ -727,20 +685,15 @@ func (c *Coordinator) takeWaiter(k connKey) chan handshook {
 	return ch
 }
 
-// dropWaiter abandons a pending waiter. Closing the channel releases
-// the spawner's forwarder goroutine; it is safe because only a channel
-// still in the map can be closed here — once takeWaiter hands a
-// channel to the accept path it is out of the map and stays open.
+// dropWaiter abandons a pending waiter: a handshake that arrives for it
+// later finds no spawner.
 func (c *Coordinator) dropWaiter(k connKey) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if ch, ok := c.waiters[k]; ok {
-		delete(c.waiters, k)
-		close(ch)
-	}
+	delete(c.waiters, k)
 }
 
-// spawnWorker starts worker process w and waits for all of its
+// spawnWorker starts worker process w and waits for its ctrl and beat
 // connections to handshake. It does not touch membership — the caller
 // admits the worker once spawn succeeds. A spawn that Close overtakes
 // kills and reaps its child and fails.
@@ -755,18 +708,11 @@ func (c *Coordinator) spawnWorker(w int) (*workerProc, error) {
 	c.mu.Unlock()
 	defer c.bg.Done()
 
-	roles := []string{ConnCtrl, ConnBeat}
-	for i := 0; i < c.cfg.DataConns; i++ {
-		roles = append(roles, dataRole(i))
-	}
-	chans := make(map[string]chan handshook, len(roles))
-	for _, role := range roles {
-		chans[role] = c.addWaiter(connKey{worker: w, role: role})
-	}
+	ctrlKey, beatKey := connKey{worker: w, role: ConnCtrl}, connKey{worker: w, role: ConnBeat}
+	ctrlCh, beatCh := c.addWaiter(ctrlKey), c.addWaiter(beatKey)
 	cleanup := func() {
-		for _, role := range roles {
-			c.dropWaiter(connKey{worker: w, role: role})
-		}
+		c.dropWaiter(ctrlKey)
+		c.dropWaiter(beatKey)
 	}
 
 	env := workerEnv(c.addr, w, c.token, c.cfg)
@@ -786,34 +732,13 @@ func (c *Coordinator) spawnWorker(w int) (*workerProc, error) {
 		return nil, fmt.Errorf("starting process: %v", err)
 	}
 
-	// Merge the per-role waiter channels so the wait loop handles any
-	// number of data-plane slots alongside ctrl and beat. The stop arm
-	// is belt-and-braces: on the failure paths cleanup()'s dropWaiter
-	// already closes every pending waiter channel, but closing stop
-	// makes the forwarders' termination locally provable.
-	type arrival struct {
-		role string
-		hs   handshook
-	}
-	arrivals := make(chan arrival, len(roles))
-	stop := make(chan struct{})
-	defer close(stop)
-	for _, role := range roles {
-		go func(role string, ch chan handshook) {
-			select {
-			case hs, ok := <-ch:
-				if ok {
-					arrivals <- arrival{role: role, hs: hs}
-				}
-			case <-stop:
-			}
-		}(role, chans[role])
-	}
-	conns := make(map[string]net.Conn, len(roles))
+	var ctrl, beat net.Conn
 	abort := func(err error) (*workerProc, error) {
 		cleanup()
-		for _, nc := range conns {
-			nc.Close()
+		for _, nc := range []net.Conn{ctrl, beat} {
+			if nc != nil {
+				nc.Close()
+			}
 		}
 		cmd.Process.Kill()
 		cmd.Wait()
@@ -821,10 +746,10 @@ func (c *Coordinator) spawnWorker(w int) (*workerProc, error) {
 	}
 	timer := time.NewTimer(c.cfg.SpawnTimeout)
 	defer timer.Stop()
-	for len(conns) < len(roles) {
+	for ctrl == nil || beat == nil {
 		select {
-		case a := <-arrivals:
-			conns[a.role] = a.hs.nc
+		case ctrl = <-ctrlCh:
+		case beat = <-beatCh:
 		case <-timer.C:
 			return abort(fmt.Errorf("worker %d did not handshake within %v", w, c.cfg.SpawnTimeout))
 		case <-c.done:
@@ -835,19 +760,12 @@ func (c *Coordinator) spawnWorker(w int) (*workerProc, error) {
 	p := &workerProc{
 		id:   w,
 		cmd:  cmd,
-		beat: conns[ConnBeat],
+		beat: beat,
 		gone: make(chan struct{}),
-	}
-	if c.cfg.DataConns > 0 {
-		dataConns := make([]net.Conn, c.cfg.DataConns)
-		for i := range dataConns {
-			dataConns[i] = conns[dataRole(i)]
-		}
-		p.data = newDataPlane(dataConns)
 	}
 	p.ctrl = &rpcConn{
 		sem:     make(chan struct{}, 1),
-		nc:      conns[ConnCtrl],
+		nc:      ctrl,
 		swapped: make(chan struct{}),
 		timeout: c.cfg.CallTimeout,
 		backoff: c.cfg.RetryBackoff,
@@ -1297,9 +1215,7 @@ func (c *Coordinator) Release(w int) error {
 	p := c.procs[w]
 	c.mu.Unlock()
 
-	// Migrate state off the leaving worker before it goes away — over
-	// the chunked data plane when enabled, so a big migration streams
-	// and pipelines instead of marshalling one monolithic RPC blob.
+	// Migrate state off the leaving worker before it goes away.
 	var fetched map[int]PartBlob
 	if hook != nil && len(moved) > 0 && p != nil {
 		parts, err := c.fetchState(w, moved)
@@ -1330,9 +1246,8 @@ func (c *Coordinator) Release(w int) error {
 	c.mu.Unlock()
 
 	if hook != nil {
-		// Push the migrated state to each adopting survivor concurrently:
-		// every destination streams its own chunks over its own data
-		// plane, so a multi-survivor migration overlaps end to end.
+		// Push the migrated state to each adopting survivor concurrently,
+		// each over its own ctrl conn.
 		err := onOwners(perOwner, func(o int, parts []int) error {
 			if err := hook(o, parts); err != nil {
 				return fmt.Errorf("loading partitions: %v", err)
@@ -1456,36 +1371,10 @@ func (c *Coordinator) setAssignHook(fn func(worker int, parts []int) error) {
 	c.keepStandbyLocked()
 }
 
-// onProc runs one operation — a ctrl RPC, a data-plane transfer —
-// against worker w's process, handing it the commit w is owed (see owe)
-// to carry or settle. The transports absorb transient faults (timeouts
-// retry with the same idempotence token, broken connections wait for
-// the worker's redial); only when a whole retry budget is exhausted does
-// the failure reach here as a transport error, and the worker is
-// condemned. An application-level rejection proves the worker alive and
-// is passed through untouched.
-func (c *Coordinator) onProc(w int, what string, op func(p *workerProc, owed Owed) error) error {
-	c.mu.Lock()
-	p := c.procs[w]
-	var owed Owed
-	if p != nil {
-		owed, p.owed = p.owed, Owed{}
-	}
-	c.mu.Unlock()
-	if p == nil {
-		return fmt.Errorf("proc: no process for worker %d", w)
-	}
-	err := op(p, owed)
-	if err != nil && isTransportError(err) {
-		c.condemn(w, fmt.Sprintf("%s failed: %v", what, err))
-	}
-	return err
-}
-
 // owe records the driver's decision that the superstep committed —
 // every worker answered its StepReq — as a debt to each: none has been
 // told. The debt lives on the worker's handle, so it survives a reconnect
-// and dies with a condemned worker; whatever onProc runs next pays it.
+// and dies with a condemned worker; whatever call sends next pays it.
 func (c *Coordinator) owe(workers []int, superstep int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1506,30 +1395,66 @@ func (p *workerProc) settle(owed Owed) error {
 	return err
 }
 
-// call performs one ctrl RPC against worker w. A StepReq or
-// CompensateReq carries w's debt, so a superstep — or a survivor's share
-// of a compensation — is one round trip; anything else settles it first.
+// call performs one ctrl RPC against worker w. A StepReq,
+// CompensateReq or FetchReq carries w's debt (see owe), so a superstep —
+// or a survivor's share of a compensation, or a checkpoint fetch — is
+// one round trip; anything else settles it first. The rpcConn absorbs
+// transient faults (timeouts retry with the same idempotence token,
+// broken connections wait for the worker's redial); only when its whole
+// retry budget is exhausted does the failure reach here as a transport
+// error, and the worker is condemned. An application-level rejection
+// proves the worker alive and is passed through untouched.
 func (c *Coordinator) call(w int, req any) (resp any, err error) {
 	return c.callInto(w, req, nil)
 }
 
 // callInto is call decoding a StepResp's exchange columns into arena.
 func (c *Coordinator) callInto(w int, req any, arena *[]byte) (resp any, err error) {
-	err = c.onProc(w, "rpc", func(p *workerProc, owed Owed) error {
-		switch r := req.(type) {
-		case StepReq:
-			r.Commit = owed
-			req = r
-		case CompensateReq:
-			r.Commit = owed
-			req = r
-		default:
-			if err := p.settle(owed); err != nil {
-				return err
-			}
-		}
+	c.mu.Lock()
+	p := c.procs[w]
+	var owed Owed
+	if p != nil {
+		owed, p.owed = p.owed, Owed{}
+	}
+	c.mu.Unlock()
+	if p == nil {
+		return nil, fmt.Errorf("proc: no process for worker %d", w)
+	}
+	switch r := req.(type) {
+	case StepReq:
+		r.Commit = owed
+		req = r
+	case CompensateReq:
+		r.Commit = owed
+		req = r
+	case FetchReq:
+		r.Commit = owed
+		req = r
+	default:
+		err = p.settle(owed)
+	}
+	if err == nil {
 		resp, err = p.ctrl.call(req, arena)
-		return err
-	})
+	}
+	if isTransportError(err) {
+		c.condemn(w, fmt.Sprintf("%T failed: %v", req, err))
+	}
 	return resp, err
+}
+
+// fetchState reads the committed state views of parts from worker w,
+// carrying w's debt.
+func (c *Coordinator) fetchState(w int, parts []int) ([]PartBlob, error) {
+	resp, err := c.call(w, FetchReq{Parts: parts})
+	if err != nil {
+		return nil, err
+	}
+	return resp.(FetchResp).Parts, nil
+}
+
+// restoreState overwrites partition state on worker w once w's debt is
+// settled.
+func (c *Coordinator) restoreState(w int, parts []PartBlob) error {
+	_, err := c.call(w, RestoreReq{Parts: parts})
+	return err
 }

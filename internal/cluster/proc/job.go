@@ -426,12 +426,11 @@ func (j *Job) SnapshotTo(w *bytes.Buffer) error {
 }
 
 // RestoreFrom implements recovery.Job: it pushes the snapshot's
-// partition state back to the partitions' current owners — over the
-// chunked data plane when enabled — and schedules a priming step to
-// restart the exchange from it. The blob is checked in full against the
-// job first (kind, every owned partition present, every view fitting
-// its partition), so a bad blob returns a *SnapshotError with no worker
-// touched.
+// partition state back to the partitions' current owners and schedules
+// a priming step to restart the exchange from it. The blob is checked
+// in full against the job first (kind, every owned partition present,
+// every view fitting its partition), so a bad blob returns a
+// *SnapshotError with no worker touched.
 func (j *Job) RestoreFrom(data []byte) error {
 	snap, err := decodeSnapshot(data)
 	if err != nil {

@@ -63,36 +63,28 @@ func runGridCC(t *testing.T, co *Coordinator, policy recovery.Policy, inj *netSc
 
 // TestOneRoundTripPerSuperstep is the protocol's cost, counted by the
 // workers themselves: a failure-free run of N supersteps is N requests
-// per worker plus the load (plus the result fetch, where that is a ctrl
-// RPC rather than a data stream), every one of the N commits rode on a
-// request that had to be sent anyway, and no CommitReq was sent at all.
+// per worker plus the load and the result fetch (a ctrl RPC), every one
+// of the N commits rode on a request that had to be sent anyway, and no
+// CommitReq was sent at all.
 func TestOneRoundTripPerSuperstep(t *testing.T) {
-	for name, tc := range map[string]struct {
-		dataConns int
-		constant  uint64
-	}{
-		"data plane": {dataConns: 2, constant: 1},
-		"ctrl fetch": {dataConns: -1, constant: 2},
-	} {
-		t.Run(name, func(t *testing.T) {
-			co := startTestCluster(t, eqWorkers, eqParts, func(c *Config) { c.DataConns = tc.dataConns })
-			res := runGridCC(t, co, recovery.None{}, nil)
-			n := uint64(res.Supersteps)
-			if n < 10 || res.Ticks != res.Supersteps {
-				t.Fatalf("%d supersteps in %d ticks: not the failure-free multi-superstep run this test needs", n, res.Ticks)
+	t.Run("ctrl fetch", func(t *testing.T) {
+		co := startTestCluster(t, eqWorkers, eqParts, nil)
+		res := runGridCC(t, co, recovery.None{}, nil)
+		n := uint64(res.Supersteps)
+		if n < 10 || res.Ticks != res.Supersteps {
+			t.Fatalf("%d supersteps in %d ticks: not the failure-free multi-superstep run this test needs", n, res.Ticks)
+		}
+		for _, w := range co.Workers() {
+			st := workerStats(t, co, w)
+			if st.Handled != n+2 {
+				t.Errorf("worker %d handled %d requests for %d supersteps, want %d", w, st.Handled, n, n+2)
 			}
-			for _, w := range co.Workers() {
-				st := workerStats(t, co, w)
-				if st.Handled != n+tc.constant {
-					t.Errorf("worker %d handled %d requests for %d supersteps, want %d", w, st.Handled, n, n+tc.constant)
-				}
-				if st.CommitsCarried != n || st.CommitsExplicit != 0 || st.Replayed != 0 {
-					t.Errorf("worker %d: %d commits carried, %d explicit, %d replays; want %d, 0, 0",
-						w, st.CommitsCarried, st.CommitsExplicit, st.Replayed, n)
-				}
+			if st.CommitsCarried != n || st.CommitsExplicit != 0 || st.Replayed != 0 {
+				t.Errorf("worker %d: %d commits carried, %d explicit, %d replays; want %d, 0, 0",
+					w, st.CommitsCarried, st.CommitsExplicit, st.Replayed, n)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestCompensationCarriesOwedCommit fails worker 1 at a superstep
@@ -131,7 +123,6 @@ func TestOwedCommitAppliedOnceUnderRetries(t *testing.T) {
 	quiet := func(nw *netfault.Network) func(*Config) {
 		return func(c *Config) {
 			c.NetFault = nw
-			c.ChunkVertices = 2
 			c.CallTimeout = 300 * time.Millisecond
 			c.SuspicionGrace = 10 * time.Second
 			c.ReconnectGrace = 20 * time.Second
@@ -144,23 +135,19 @@ func TestOwedCommitAppliedOnceUnderRetries(t *testing.T) {
 	}
 	clean := runGridCC(t, startTestCluster(t, eqWorkers, eqParts, nil), recovery.None{}, nil)
 
-	for name, tc := range map[string]struct {
-		policy func() recovery.Policy
-		// drop is how many of worker 1's next frames to lose at the
-		// boundary after superstep 3: one is the StepResp of superstep 4,
-		// whose request carried commit 3; two reach into the chunk stream
-		// of the checkpoint fetch that carries it instead.
-		drop       int
-		wantReplay bool
-	}{
-		"dropped StepResp, same-token retry":   {func() recovery.Policy { return recovery.None{} }, 1, true},
-		"dropped chunk, fetch on a fresh slot": {func() recovery.Policy { return recovery.NewCheckpoint(1, checkpoint.NewMemoryStore()) }, 2, false},
+	// At the boundary after superstep 3 worker 1's next frame is lost: the
+	// StepResp of superstep 4, whose request carried commit 3, or the
+	// FetchResp of the checkpoint fetch that carries it instead. Either is
+	// answered from the idempotence cache on the retry.
+	for name, policy := range map[string]func() recovery.Policy{
+		"dropped StepResp, same-token retry":  func() recovery.Policy { return recovery.None{} },
+		"dropped FetchResp, same-token retry": func() recovery.Policy { return recovery.NewCheckpoint(1, checkpoint.NewMemoryStore()) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			nw := netfault.New(5)
 			co := startTestCluster(t, eqWorkers, eqParts, quiet(nw))
-			res := runGridCC(t, co, tc.policy(), scriptNet(map[int]func(){
-				3: func() { nw.DropNext(1, netfault.Inbound, tc.drop) },
+			res := runGridCC(t, co, policy(), scriptNet(map[int]func(){
+				3: func() { nw.DropNext(1, netfault.Inbound, 1) },
 			}))
 			if res.Failures != 0 || res.Supersteps != clean.Supersteps || res.Ticks != clean.Ticks {
 				t.Fatalf("%d failures, %d supersteps in %d ticks; an undisturbed run takes %d in %d with none",
@@ -182,8 +169,8 @@ func TestOwedCommitAppliedOnceUnderRetries(t *testing.T) {
 					t.Errorf("worker %d committed %d carried + %d explicit for %d supersteps, want each exactly once and carried",
 						w, st.CommitsCarried, st.CommitsExplicit, n)
 				}
-				if replayed := st.Replayed > 0; w == 1 && replayed != tc.wantReplay {
-					t.Errorf("worker 1 answered %d requests from its idempotence cache, want some: %v", st.Replayed, tc.wantReplay)
+				if w == 1 && st.Replayed == 0 {
+					t.Error("worker 1 answered no request from its idempotence cache")
 				}
 			}
 		})

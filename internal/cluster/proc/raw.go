@@ -31,6 +31,8 @@ func rawKindOf(m any) (byte, bool) {
 		return wire.KStepReq, true
 	case StepResp:
 		return wire.KStepResp, true
+	case FetchReq:
+		return wire.KFetchReq, true
 	case FetchResp:
 		return wire.KFetchResp, true
 	case RestoreReq:
@@ -39,16 +41,6 @@ func rawKindOf(m any) (byte, bool) {
 		return wire.KLoadReq, true
 	case JobSnapshot:
 		return wire.KSnapshot, true
-	case DataFetchReq:
-		return wire.KDataFetch, true
-	case DataRestoreReq:
-		return wire.KDataRestore, true
-	case DataChunk:
-		return wire.KDataChunk, true
-	case DataAck:
-		return wire.KDataAck, true
-	case DataErr:
-		return wire.KDataErr, true
 	case CompensateReq:
 		return wire.KCompReq, true
 	case CompensateResp:
@@ -64,7 +56,7 @@ func appendRawPayload(dst []byte, kind byte, id uint64, m any) []byte {
 	dst = colbytes.AppendU64(dst, id)
 	switch r := m.(type) {
 	case StepReq:
-		dst = colbytes.AppendU32(colbytes.AppendBool(dst, r.Commit.Set), uint32(r.Commit.Superstep))
+		dst = appendOwed(dst, r.Commit)
 		dst = colbytes.AppendU32(dst, uint32(r.Superstep))
 		dst = colbytes.AppendBool(dst, r.Rescatter)
 		dst = colbytes.AppendF64(dst, r.Dangling)
@@ -76,6 +68,9 @@ func appendRawPayload(dst []byte, kind byte, id uint64, m any) []byte {
 		dst = colbytes.AppendBool(dst, r.Folded)
 		dst = colbytes.AppendU64(dst, uint64(r.Messages))
 		dst = colbytes.AppendU64(dst, uint64(r.Updates))
+	case FetchReq:
+		dst = appendOwed(dst, r.Commit)
+		dst = appendInts(dst, r.Parts)
 	case FetchResp:
 		dst = blobSection.append(dst, r.Parts)
 	case RestoreReq:
@@ -97,26 +92,8 @@ func appendRawPayload(dst []byte, kind byte, id uint64, m any) []byte {
 	case JobSnapshot:
 		dst = colbytes.AppendString(dst, r.Kind)
 		dst = blobSection.append(dst, r.Parts)
-	case DataFetchReq:
-		dst = colbytes.AppendU32(colbytes.AppendBool(dst, r.Commit.Set), uint32(r.Commit.Superstep))
-		dst = colbytes.AppendU64(dst, r.Stream)
-		dst = colbytes.AppendU32(dst, uint32(r.ChunkBytes))
-		dst = appendInts(dst, r.Parts)
-	case DataRestoreReq:
-		dst = colbytes.AppendU64(dst, r.Stream)
-	case DataChunk:
-		dst = colbytes.AppendU64(dst, r.Stream)
-		dst = colbytes.AppendU32(dst, r.Seq)
-		dst = colbytes.AppendBool(dst, r.Done)
-		dst = colbytes.AppendU32(dst, uint32(len(r.Data)))
-		dst = append(dst, r.Data...)
-	case DataAck:
-		dst = colbytes.AppendU64(dst, r.Stream)
-	case DataErr:
-		dst = colbytes.AppendU64(dst, r.Stream)
-		dst = colbytes.AppendString(dst, r.Msg)
 	case CompensateReq:
-		dst = colbytes.AppendU32(colbytes.AppendBool(dst, r.Commit.Set), uint32(r.Commit.Superstep))
+		dst = appendOwed(dst, r.Commit)
 		dst = appendInts(appendInts(dst, r.Lost), r.Fill)
 		dst = colbytes.AppendF64(dst, r.Surviving)
 	case CompensateResp:
@@ -147,7 +124,7 @@ func decodeRawPayload(p []byte, arena *[]byte) (uint64, any, error) {
 	switch kind {
 	case wire.KStepReq:
 		v := StepReq{
-			Commit:    Owed{Set: r.Bool(), Superstep: int(r.U32())},
+			Commit:    readOwed(r),
 			Superstep: int(r.U32()),
 			Rescatter: r.Bool(),
 			Dangling:  r.F64(),
@@ -162,6 +139,8 @@ func decodeRawPayload(p []byte, arena *[]byte) (uint64, any, error) {
 		v.Messages = int64(r.U64())
 		v.Updates = int64(r.U64())
 		m = v
+	case wire.KFetchReq:
+		m = FetchReq{Commit: readOwed(r), Parts: readInts(r)}
 	case wire.KFetchResp:
 		m = FetchResp{Parts: blobSection.read(r, nil)}
 	case wire.KRestoreReq:
@@ -170,20 +149,8 @@ func decodeRawPayload(p []byte, arena *[]byte) (uint64, any, error) {
 		m = readLoadReq(r)
 	case wire.KSnapshot:
 		m = JobSnapshot{Kind: r.String(), Parts: blobSection.read(r, nil)}
-	case wire.KDataFetch:
-		m = DataFetchReq{Commit: Owed{Set: r.Bool(), Superstep: int(r.U32())}, Stream: r.U64(), ChunkBytes: int(r.U32()), Parts: readInts(r)}
-	case wire.KDataRestore:
-		m = DataRestoreReq{Stream: r.U64()}
-	case wire.KDataChunk:
-		v := DataChunk{Stream: r.U64(), Seq: r.U32(), Done: r.Bool()}
-		v.Data = bytes.Clone(r.Raw(int(r.U32()), "chunk data"))
-		m = v
-	case wire.KDataAck:
-		m = DataAck{Stream: r.U64()}
-	case wire.KDataErr:
-		m = DataErr{Stream: r.U64(), Msg: r.String()}
 	case wire.KCompReq:
-		m = CompensateReq{Commit: Owed{Set: r.Bool(), Superstep: int(r.U32())}, Lost: readInts(r), Fill: readInts(r), Surviving: r.F64()}
+		m = CompensateReq{Commit: readOwed(r), Lost: readInts(r), Fill: readInts(r), Surviving: r.F64()}
 	case wire.KCompResp:
 		m = CompensateResp{Remote: colsSection.read(r, nil), Messages: int64(r.U64()), Dangling: r.F64(), Surviving: r.F64()}
 	default:
@@ -307,6 +274,15 @@ func readLoadReq(r *colbytes.Reader) LoadReq {
 	v.Hosted, v.Fresh = readInts(r), readInts(r)
 	v.Offsets, v.Targets, v.Weights = r.I32s(nil), r.I32s(nil), r.F64s(nil)
 	return v
+}
+
+// appendOwed writes a carried commit: its set flag, then its superstep.
+func appendOwed(dst []byte, o Owed) []byte {
+	return colbytes.AppendU32(colbytes.AppendBool(dst, o.Set), uint32(o.Superstep))
+}
+
+func readOwed(r *colbytes.Reader) Owed {
+	return Owed{Set: r.Bool(), Superstep: int(r.U32())}
 }
 
 // appendInts writes a partition-ID list as a u32 column.

@@ -19,14 +19,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"optiflow/internal/cluster/proc/netfault"
 	"optiflow/internal/cluster/proc/wire"
@@ -65,6 +63,7 @@ func goldenRawCases() []struct {
 			Remote:   []exec.HostedCols{{Src: 0, Dst: 1, Cols: goldenCols([]int32{5}, []uint64{5})}},
 			Dangling: 0.0625, L1: 2.5, Folded: true, Messages: 42, Updates: 7,
 		}},
+		{"fetchreq", FetchReq{Commit: Owed{Superstep: 4, Set: true}, Parts: []int{0, 2, 3}}},
 		{"fetchresp", FetchResp{Parts: []PartBlob{{Part: 0, Data: view}, {Part: 3}}}},
 		{"restorereq", RestoreReq{Parts: []PartBlob{{Part: 2, Data: view}}}},
 		{"loadreq", LoadReq{
@@ -73,11 +72,6 @@ func goldenRawCases() []struct {
 			Hosted: []int{1, 2}, Fresh: []int{2},
 			Offsets: []int32{0, 2, 2, 3, 3, 3}, Targets: []int32{1, 2, 4}, Weights: []float64{0.5, 1.5, 1},
 		}},
-		{"datafetch", DataFetchReq{Commit: Owed{Set: true}, Stream: 9, ChunkBytes: 36864, Parts: []int{0, 2, 3}}},
-		{"datarestore", DataRestoreReq{Stream: 10}},
-		{"datachunk", DataChunk{Stream: 10, Seq: 3, Done: true, Data: view[:5]}},
-		{"dataack", DataAck{Stream: 10}},
-		{"dataerr", DataErr{Stream: 11, Msg: "worker 2: partition 9 not hosted"}},
 		{"compensatereq", CompensateReq{Commit: Owed{Superstep: 5, Set: true}, Lost: []int{1, 3}, Fill: []int{3}, Surviving: 0.4375}},
 		{"compensateresp", CompensateResp{
 			Remote:   []exec.HostedCols{{Src: 3, Dst: 0, Cols: goldenCols([]int32{2, 6}, []uint64{3, 3})}, {Src: 3, Dst: 2}},
@@ -298,11 +292,11 @@ func hostileCompensations(t *testing.T) {
 
 // hostileCommits feeds a worker host that holds superstep 1's attempt
 // well-formed requests whose Commit names superstep 9, over every road a
-// commit can arrive by. Each must be refused by type — ErrResp on the
-// ctrl path, DataErr on a data stream — and none may commit, abort or
-// replace the attempt held: it then commits once, to the state of a host
-// that never saw the hostile requests (and not to the state before the
-// attempt, which is what a fetch that ran would have left).
+// commit can arrive by. Each must be refused by type with an ErrResp,
+// and none may commit, abort or replace the attempt held: it then
+// commits once, to the state of a host that never saw the hostile
+// requests (and not to the state before the attempt, which is what a
+// fetch that ran would have left).
 func hostileCommits(t *testing.T) {
 	g := ccTestGraph()
 	d := g.Dense()
@@ -329,21 +323,6 @@ func hostileCommits(t *testing.T) {
 			t.Errorf("%T committing a superstep not held answered %#v, want ErrResp", req, resp)
 		}
 	}
-	coord, worker := net.Pipe()
-	defer coord.Close()
-	served := make(chan error, 1)
-	go func() {
-		served <- h.serveFetchStream(WorkerConfig{ReconnectGrace: time.Second}, defaultWire, worker,
-			DataFetchReq{Commit: stale, Stream: 4, Parts: []int{0}})
-	}()
-	m, err := readFrame(coord)
-	if de, refused := m.(DataErr); err != nil || !refused || de.Stream != 4 {
-		t.Errorf("DataFetchReq committing a superstep not held answered %#v (err %v), want DataErr on stream 4", m, err)
-	}
-	if err := <-served; err != nil {
-		t.Errorf("the refusal broke the data stream: %v", err)
-	}
-
 	for _, host := range []*workerHost{h, twin} {
 		if e, bad := host.dispatch(20, CommitReq{Superstep: 1}).(ErrResp); bad {
 			t.Fatalf("committing the attempt held: %s", e.Msg)
@@ -375,7 +354,7 @@ func TestRawHostileSnapshot(t *testing.T) {
 // frame or snapshot blob stamped with a future format version is
 // rejected with a typed *wire.VersionError, not misparsed.
 func TestRawVersionMismatch(t *testing.T) {
-	b, err := encodeFrame(1, DataAck{Stream: 5})
+	b, err := encodeFrame(1, FetchReq{Parts: []int{5}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,6 @@ const (
 	envHandshakeMS = "OPTIFLOW_PROC_HANDSHAKE_MS"
 	envReconnectMS = "OPTIFLOW_PROC_RECONNECT_MS"
 	envBackoffMS   = "OPTIFLOW_PROC_BACKOFF_MS"
-	envDataConns   = "OPTIFLOW_PROC_DATA_CONNS"
 	envMaxFrame    = "OPTIFLOW_PROC_MAX_FRAME"
 )
 
@@ -76,7 +75,6 @@ func workerConfigFromEnv() (WorkerConfig, error) {
 		HandshakeTimeout: envDuration(envHandshakeMS),
 		ReconnectGrace:   envDuration(envReconnectMS),
 		RetryBackoff:     envDuration(envBackoffMS),
-		DataConns:        envInt(envDataConns),
 		MaxFrameBytes:    envInt(envMaxFrame),
 	}
 	if cfg.Addr == "" {
@@ -99,7 +97,6 @@ func workerEnv(addr string, id int, token string, cfg Config) []string {
 		envHandshakeMS+"="+ms(cfg.HandshakeTimeout),
 		envReconnectMS+"="+ms(cfg.ReconnectGrace),
 		envBackoffMS+"="+ms(cfg.RetryBackoff),
-		envDataConns+"="+strconv.Itoa(cfg.DataConns),
 		envMaxFrame+"="+strconv.Itoa(cfg.MaxFrameBytes),
 	)
 }

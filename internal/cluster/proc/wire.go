@@ -8,22 +8,22 @@
 //
 // The wire protocol is deliberately small: every connection starts with
 // a Hello handshake naming the worker and the connection's role
-// ("ctrl" for serialized request/response RPC, "beat" for the worker's
-// heartbeat push stream, "data/N" for the chunked state-transfer data
-// plane), after which each side exchanges frames. Since protocol v2
-// each frame is length-prefixed (netfault.HeaderLen bytes of
-// big-endian payload length) and self-contained: a dropped, duplicated
-// or delayed frame cannot desynchronise the stream the way
-// shared-codec gob state would (the PR 8 desync lesson), and a
-// reconnected connection resumes mid-job with no carried codec state.
-// Since protocol v3 the payload's first byte selects its codec (see
-// internal/cluster/proc/wire), and since protocol v4 every payload has
-// exactly one: control frames are gob with a fresh encoder/decoder pair
-// per frame, hot-path payloads — exchange columns, partition state
-// views, adjacency, data-plane chunks — the raw columnar encoding of
-// raw.go. What those carry is opaque here: exec.HostedCols are ColBatch
-// column views the engine writes and reads, partition views are
-// state.DenseStore partition bytes the hosted job writes and reads.
+// ("ctrl" for serialized request/response RPC — supersteps and state
+// moves alike — and "beat" for the worker's heartbeat push stream),
+// after which each side exchanges frames. Since protocol v2 each frame
+// is length-prefixed (netfault.HeaderLen bytes of big-endian payload
+// length) and self-contained: a dropped, duplicated or delayed frame
+// cannot desynchronise the stream the way shared-codec gob state
+// would, and a reconnected connection resumes mid-job with no carried
+// codec state. Since protocol v3 the payload's first byte selects its
+// codec (see internal/cluster/proc/wire), and since protocol v4 every
+// payload has exactly one: control frames are gob with a fresh
+// encoder/decoder pair per frame, hot-path payloads — exchange columns,
+// partition state views, adjacency, and every request that carries a
+// commit — the raw columnar encoding of raw.go. What those carry is
+// opaque here: exec.HostedCols are ColBatch column views the engine
+// writes and reads, partition views are state.DenseStore partition
+// bytes the hosted job writes and reads.
 // Frames carry an ID used as an idempotence token on ctrl RPCs —
 // responses echo their request's ID, so the coordinator can discard
 // stale responses after a retry and the worker can answer a duplicate
@@ -40,8 +40,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strconv"
-	"strings"
 	"sync"
 
 	"optiflow/internal/checkpoint"
@@ -56,12 +54,13 @@ import (
 // cannot silently exchange frames with a newer coordinator. Version 2
 // introduced length-prefixed self-contained frames and idempotence
 // IDs; version 3 added the per-payload codec tag (gob or raw
-// columnar) and the data-plane connection role; version 4 replaced the
+// columnar) and a data-plane connection role; version 4 replaced the
 // per-vertex message and state payloads with engine column views and
 // partition byte views; version 5 added the carried commit (Owed);
 // version 6 the compensation round (CompensateReq); version 7 the
-// commit a CompensateReq carries.
-const ProtoVersion = 7
+// commit a CompensateReq carries; version 8 dropped the data plane, so
+// state moves as ctrl RPCs, and gave FetchReq the raw codec.
+const ProtoVersion = 8
 
 // Frame is the unit of transmission: one gob value wrapping one
 // message. Wrapping in an interface-typed field keeps each frame
@@ -85,30 +84,11 @@ type Hello struct {
 	Conn   string
 }
 
-// Connection roles named in Hello.Conn. Data-plane connections are
-// numbered — "data/0", "data/1", … — so each slot of a worker's pool
-// handshakes (and reconnects) independently; see dataRole.
+// Connection roles named in Hello.Conn.
 const (
 	ConnCtrl = "ctrl"
 	ConnBeat = "beat"
-	connData = "data"
 )
-
-// dataRole names data-plane connection slot i.
-func dataRole(i int) string { return connData + "/" + strconv.Itoa(i) }
-
-// parseDataRole recognises a data-plane role, returning its slot.
-func parseDataRole(role string) (int, bool) {
-	rest, ok := strings.CutPrefix(role, connData+"/")
-	if !ok {
-		return 0, false
-	}
-	i, err := strconv.Atoi(rest)
-	if err != nil || i < 0 {
-		return 0, false
-	}
-	return i, true
-}
 
 // HelloOK acknowledges a Hello.
 type HelloOK struct {
@@ -186,9 +166,9 @@ type StepResp = exec.HostedOut
 
 // Owed names a superstep the driver decided committed — every worker
 // answered its StepReq — but has not told this worker. The next request
-// pays the debt: a StepReq, CompensateReq, FetchReq or DataFetchReq
-// carries it as Commit, a CommitReq goes ahead of any other. The zero
-// value owes nothing.
+// pays the debt: a StepReq, CompensateReq or FetchReq carries it as
+// Commit, a CommitReq goes ahead of any other. The zero value owes
+// nothing.
 type Owed struct {
 	Superstep int
 	Set       bool
@@ -296,47 +276,6 @@ type JobSnapshot struct {
 	Parts []PartBlob
 }
 
-// DataFetchReq opens a fetch stream on a data-plane connection: the
-// worker answers with DataChunk frames carrying the listed partitions'
-// committed state views, at most ChunkBytes view bytes per chunk, the
-// last chunk marked Done. Stream tags the transfer so a late frame from an
-// abandoned stream cannot be mistaken for the current one.
-type DataFetchReq struct {
-	Commit     Owed
-	Stream     uint64
-	ChunkBytes int
-	Parts      []int
-}
-
-// DataRestoreReq opens a restore stream: the coordinator follows it
-// with DataChunk frames the worker reassembles, applying the views
-// after the Done chunk and answering DataAck (or DataErr).
-type DataRestoreReq struct {
-	Stream uint64
-}
-
-// DataChunk is one bounded fragment of a state stream: the next Data
-// bytes of the stream's partition views, encoded as one byte section
-// (raw.go) and cut wherever the chunk budget falls.
-type DataChunk struct {
-	Stream uint64
-	Seq    uint32
-	Done   bool
-	Data   []byte
-}
-
-// DataAck completes a restore stream.
-type DataAck struct {
-	Stream uint64
-}
-
-// DataErr reports a stream-level application error (unknown partition,
-// say). Transport failures don't get a frame — the connection breaks.
-type DataErr struct {
-	Stream uint64
-	Msg    string
-}
-
 // wireMessages lists every concrete type that travels gob-encoded
 // inside a Frame — the control frames — in a fixed order shared by gob
 // registration and the cross-process wire-compatibility check. Hot-path
@@ -347,7 +286,7 @@ func wireMessages() []any {
 		Hello{}, HelloOK{}, Heartbeat{},
 		OKResp{}, ErrResp{}, PingReq{},
 		CommitReq{}, AbortReq{},
-		FetchReq{}, ClearReq{},
+		ClearReq{},
 		ShutdownReq{},
 		StatsReq{}, WorkerStats{},
 		checkpoint.CommitRecord{},

@@ -42,7 +42,7 @@ import (
 // Version is the raw-codec format version. Bump it whenever a body
 // encoding changes shape; the decoder rejects any other version with
 // *VersionError.
-const Version byte = 5
+const Version byte = 6
 
 // Codec tags — the first payload byte of every frame.
 const (
@@ -54,19 +54,15 @@ const (
 // a raw frame's body, playing the role gob's type descriptor plays on
 // the gob side.
 const (
-	KStepReq     byte = 1
-	KStepResp    byte = 2
-	KFetchResp   byte = 3
-	KRestoreReq  byte = 4
-	KLoadReq     byte = 5
-	KSnapshot    byte = 6
-	KDataFetch   byte = 7
-	KDataRestore byte = 8
-	KDataChunk   byte = 9
-	KDataAck     byte = 10
-	KDataErr     byte = 11
-	KCompReq     byte = 12
-	KCompResp    byte = 13
+	KStepReq    byte = 1
+	KStepResp   byte = 2
+	KFetchReq   byte = 3
+	KFetchResp  byte = 4
+	KRestoreReq byte = 5
+	KLoadReq    byte = 6
+	KSnapshot   byte = 7
+	KCompReq    byte = 8
+	KCompResp   byte = 9
 )
 
 // MaxFrame is the hard ceiling on any payload, inherited from the

@@ -29,7 +29,6 @@ func sampleMessages() []any {
 		PingReq{},
 		CommitReq{Superstep: 5},
 		AbortReq{},
-		FetchReq{Commit: Owed{Set: true}, Parts: []int{0, 2}},
 		ClearReq{Parts: []int{3}},
 		ShutdownReq{},
 		StatsReq{},

@@ -6,7 +6,6 @@ import (
 	"net"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"optiflow/internal/algo/cc"
@@ -37,10 +36,6 @@ type WorkerConfig struct {
 	// RetryBackoff is the initial redial backoff, doubled per attempt
 	// and capped at 8x (25ms if zero).
 	RetryBackoff time.Duration
-	// DataConns is the size of this worker's data-plane connection
-	// pool, mirroring the coordinator's Config.DataConns. Zero means no
-	// data plane (bulk state moves over ctrl RPCs).
-	DataConns int
 	// MaxFrameBytes caps frame payloads, mirroring Config.MaxFrameBytes
 	// (0 = the netfault hard ceiling).
 	MaxFrameBytes int
@@ -70,10 +65,9 @@ var errFenced = errors.New("proc: fenced by coordinator")
 // RunWorker runs the worker daemon until the coordinator shuts it down
 // (clean exit), fences it, or a broken connection outlives the
 // reconnect grace (error exit). It dials a ctrl connection for
-// serialized RPC, a beat connection for heartbeat pushes, and
-// cfg.DataConns data-plane connections for chunked state streams,
-// performs the Hello handshake on each, then serves ctrl requests one
-// at a time while data streams run concurrently. Broken connections
+// serialized RPC — supersteps and state moves alike — and a beat
+// connection for heartbeat pushes, performs the Hello handshake on
+// each, then serves ctrl requests one at a time. Broken connections
 // are redialed with capped backoff; since protocol v2 every frame is
 // self-contained, so a reconnected stream resumes with no carried
 // codec state, and the idempotence cache answers a retried request
@@ -100,13 +94,6 @@ func RunWorker(cfg WorkerConfig) error {
 	go pushHeartbeats(beat, cfg, done)
 
 	h := &workerHost{worker: cfg.Worker, lastStep: -1}
-	for i := 0; i < cfg.DataConns; i++ {
-		dc, err := dialHandshake(cfg, dataRole(i))
-		if err != nil {
-			return err
-		}
-		go serveData(cfg, wc, h, i, dc, done)
-	}
 	// Every StepReq's inbox decodes into this one arena: a request is
 	// handled before the next is read, and the hosted job borrows its
 	// columns only while it folds them.
@@ -134,142 +121,6 @@ func RunWorker(cfg WorkerConfig) error {
 				return err
 			}
 		}
-	}
-}
-
-// serveData owns one data-plane slot: it serves fetch and restore
-// streams on the connection, redialing within the reconnect grace when
-// it breaks. A slot that is fenced or outlives the grace goes quiet —
-// the coordinator's pool marks it down and surviving slots carry the
-// load; if every slot dies the next transfer exhausts its budget and
-// condemns the worker over the ctrl path as usual.
-func serveData(cfg WorkerConfig, wc *wireCfg, h *workerHost, slot int, nc net.Conn, done <-chan struct{}) {
-	role := dataRole(slot)
-	for {
-		err := serveDataConn(cfg, wc, h, nc, done)
-		nc.Close()
-		if err == nil {
-			return // done closed: clean shutdown
-		}
-		if nc, err = redial(cfg, role, err); err != nil {
-			return
-		}
-	}
-}
-
-// serveDataConn serves streams on one data connection until it breaks
-// (returned error) or the daemon shuts down (nil). A companion
-// goroutine closes the connection when done closes, unblocking the
-// read.
-func serveDataConn(cfg WorkerConfig, wc *wireCfg, h *workerHost, nc net.Conn, done <-chan struct{}) error {
-	finished := make(chan struct{})
-	defer close(finished)
-	go func() {
-		select {
-		case <-done:
-			nc.Close()
-		case <-finished:
-		}
-	}()
-	for {
-		_, m, err := readFrameCfg(nc, wc)
-		if err != nil {
-			select {
-			case <-done:
-				return nil
-			default:
-				return err
-			}
-		}
-		switch r := m.(type) {
-		case DataFetchReq:
-			err = h.serveFetchStream(cfg, wc, nc, r)
-		case DataRestoreReq:
-			err = h.serveRestoreStream(cfg, wc, nc, r)
-		default:
-			err = fmt.Errorf("proc: worker %d data conn: unexpected %T", cfg.Worker, m)
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
-// serveFetchStream answers one DataFetchReq: commit what it carries and
-// snapshot the requested partitions under the host lock, then stream
-// the chunks with the lock released, so a long transfer never stalls
-// superstep RPCs. An unknown partition or a commit of a superstep not
-// held is an application error (DataErr) — the stream stays usable.
-func (h *workerHost) serveFetchStream(cfg WorkerConfig, wc *wireCfg, nc net.Conn, r DataFetchReq) error {
-	h.mu.Lock()
-	resp, err := h.fetch(FetchReq{Commit: r.Commit, Parts: r.Parts})
-	h.mu.Unlock()
-	if err != nil {
-		nc.SetWriteDeadline(time.Now().Add(cfg.ReconnectGrace))
-		werr := writeFrameCfg(nc, 0, DataErr{Stream: r.Stream, Msg: fmt.Sprintf("worker %d: %v", h.worker, err)}, wc)
-		nc.SetWriteDeadline(time.Time{})
-		return werr
-	}
-	err = sendChunks(resp.Parts, r.ChunkBytes, r.Stream, func(ch DataChunk) error {
-		nc.SetWriteDeadline(time.Now().Add(cfg.ReconnectGrace))
-		return writeFrameCfg(nc, 0, ch, wc)
-	})
-	nc.SetWriteDeadline(time.Time{})
-	return err
-}
-
-// serveRestoreStream consumes one restore stream: the chunks are
-// reassembled as they arrive and the views applied under the host lock
-// after the Done chunk, before the ack goes out. An application error
-// (unknown partition, a view that does not fit it) answers DataErr; the
-// stream has been drained by then, so the sender never blocks on a full
-// pipe. Each chunk read carries a deadline so a silent half-open peer
-// cannot park the slot forever.
-func (h *workerHost) serveRestoreStream(cfg WorkerConfig, wc *wireCfg, nc net.Conn, r DataRestoreReq) error {
-	var appErr error
-	var buf []byte
-	seq := uint32(0)
-	for {
-		nc.SetReadDeadline(time.Now().Add(cfg.ReconnectGrace))
-		_, m, err := readFrameCfg(nc, wc)
-		nc.SetReadDeadline(time.Time{})
-		if err != nil {
-			return err
-		}
-		ch, ok := m.(DataChunk)
-		if !ok {
-			return fmt.Errorf("proc: worker %d restore stream: unexpected %T", h.worker, m)
-		}
-		if ch.Seq != seq {
-			// A sequence gap means a chunk was lost in flight: this is a
-			// transport fault, not an application error — break the
-			// connection so the coordinator's idempotent transfer retries
-			// on a fresh slot instead of acking partial state.
-			return fmt.Errorf("proc: worker %d restore stream: chunk seq %d, want %d", h.worker, ch.Seq, seq)
-		}
-		seq++
-		if ch.Stream != r.Stream && appErr == nil {
-			appErr = fmt.Errorf("chunk for stream %d, want %d", ch.Stream, r.Stream)
-		}
-		buf = append(buf, ch.Data...)
-		if !ch.Done {
-			continue
-		}
-		var parts []PartBlob
-		if appErr == nil {
-			parts, appErr = readChunked(buf)
-		}
-		if appErr == nil {
-			h.mu.Lock()
-			appErr = h.restore(RestoreReq{Parts: parts})
-			h.mu.Unlock()
-		}
-		nc.SetWriteDeadline(time.Now().Add(cfg.ReconnectGrace))
-		defer nc.SetWriteDeadline(time.Time{})
-		if appErr != nil {
-			return writeFrameCfg(nc, 0, DataErr{Stream: r.Stream, Msg: fmt.Sprintf("worker %d: %v", h.worker, appErr)}, wc)
-		}
-		return writeFrameCfg(nc, 0, DataAck{Stream: r.Stream}, wc)
 	}
 }
 
@@ -410,14 +261,10 @@ func newHosted(kind string, g *graph.Graph, nparts int, damping float64, parts [
 }
 
 // workerHost is the daemon's state machine: the hosted job and the
-// idempotence cache. Ctrl RPCs are serialized, but data-plane streams
-// run concurrently with them (and with each other), so every state
-// access takes mu; streams hold it only while reading or applying whole
-// partition views, never across network I/O.
+// idempotence cache. Only the ctrl loop touches it, one request at a
+// time.
 type workerHost struct {
 	worker int
-
-	mu sync.Mutex
 
 	// spec is the last LoadReq minus its columns: what the hosted job
 	// was built from, Hosted being its partitions.
@@ -443,8 +290,6 @@ type workerHost struct {
 // a token already applied is answered from the cache, anything else is
 // handled and its response cached.
 func (h *workerHost) dispatch(id uint64, req any) any {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if id != 0 && id == h.lastID {
 		h.stats.Replayed++
 		return h.lastResp
