@@ -1,13 +1,16 @@
 package cc
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
 	"optiflow/internal/algo/ref"
+	"optiflow/internal/colbytes"
 	"optiflow/internal/exec"
 	"optiflow/internal/graph"
 	"optiflow/internal/graph/gen"
+	"optiflow/internal/state"
 )
 
 // hostedPair splits g's 4 partitions over two Hosted jobs, each built —
@@ -114,6 +117,20 @@ func TestHostedMatchesInProcess(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, inproc.Components()) {
 				t.Fatalf("hosted components diverged from the in-process job")
+			}
+			// One codec: after the format tag, an in-process partition
+			// blob is the value view the hosting worker ships, then the
+			// (now empty) workset view.
+			emptyWorkset := colbytes.AppendU32(colbytes.AppendU32(nil, 0), 0)
+			for p, w := range owner {
+				var buf bytes.Buffer
+				if err := inproc.SnapshotPartition(p, &buf); err != nil {
+					t.Fatal(err)
+				}
+				want := append(append([]byte{state.ViewTag}, hosts[w].AppendPartition(nil, p)...), emptyWorkset...)
+				if !bytes.Equal(buf.Bytes(), want) {
+					t.Fatalf("partition %d: in-process blob is not the hosted view", p)
+				}
 			}
 		})
 	}

@@ -18,10 +18,10 @@ package minfold
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"optiflow/internal/checkpoint"
+	"optiflow/internal/colbytes"
 	"optiflow/internal/exec"
 	"optiflow/internal/graph"
 	"optiflow/internal/iterate"
@@ -258,26 +258,49 @@ func (j *Job[V]) clearPending() {
 	}
 }
 
-// SnapshotTo implements recovery.Job: serialise solution set + workset.
+// SnapshotTo implements recovery.Job: the format tag, the partition
+// count, then every partition's value view and workset view.
 func (j *Job[V]) SnapshotTo(buf *bytes.Buffer) error {
-	enc := gob.NewEncoder(buf)
-	if err := j.vals.EncodeTo(enc); err != nil {
-		return err
-	}
-	return j.workset.EncodeTo(enc)
+	j.appendAll(buf, j.vals.AppendPartitionBytes)
+	return nil
 }
 
 // RestoreFrom implements recovery.Job.
 func (j *Job[V]) RestoreFrom(data []byte) error {
-	dec := gob.NewDecoder(bytes.NewReader(data))
-	if err := j.vals.DecodeFrom(dec); err != nil {
-		return err
-	}
-	if err := j.workset.DecodeFrom(dec); err != nil {
-		return err
-	}
 	j.next.ClearAll()
-	return nil
+	return j.restoreAll(data, j.vals.RestorePartitionBytes)
+}
+
+// appendAll writes the format tag, the partition count and, per
+// partition, what vals writes of the values and then the workset view.
+func (j *Job[V]) appendAll(buf *bytes.Buffer, vals func([]byte, int, func([]byte, V) []byte) []byte) {
+	b := append(buf.AvailableBuffer(), state.ViewTag)
+	b = colbytes.AppendU32(b, uint32(j.pt.N))
+	for p := 0; p < j.pt.N; p++ {
+		b = vals(b, p, exec.AppendVal[V])
+		b = j.workset.AppendPartitionBytes(b, p, exec.AppendVal[V])
+	}
+	buf.Write(b)
+}
+
+// restoreAll reads a blob appendAll wrote, with vals reading each
+// partition's values.
+func (j *Job[V]) restoreAll(data []byte, vals readVals[V]) error {
+	return state.ReadView(j.name, data, func(r *colbytes.Reader) error {
+		return state.ReadPartitions(r, j.pt.N, func(p int) error { return j.restorePartition(p, r, vals) })
+	})
+}
+
+// readVals reads one partition's values into the store: a full view
+// or a delta.
+type readVals[V exec.ColValue] func(p int, r *colbytes.Reader, dec func(*colbytes.Reader) V) error
+
+// restorePartition reads one partition's values, then its workset.
+func (j *Job[V]) restorePartition(p int, r *colbytes.Reader, vals readVals[V]) error {
+	if err := vals(p, r, exec.ReadVal[V]); err != nil {
+		return err
+	}
+	return j.workset.RestorePartitionBytes(p, r, exec.ReadVal[V], j.pt)
 }
 
 // ClearPartitions implements recovery.Job: the direct damage of a
@@ -345,11 +368,9 @@ func (j *Job[V]) SnapshotPartition(p int, buf *bytes.Buffer) error {
 
 // RestorePartition implements recovery.IncrementalJob.
 func (j *Job[V]) RestorePartition(p int, data []byte) error {
-	dec := gob.NewDecoder(bytes.NewReader(data))
-	if err := j.vals.DecodePartition(p, dec); err != nil {
-		return err
-	}
-	return j.workset.DecodePartition(p, dec)
+	return state.ReadView(j.name, data, func(r *colbytes.Reader) error {
+		return j.restorePartition(p, r, j.vals.RestorePartitionBytes)
+	})
 }
 
 // CaptureSnapshot implements recovery.AsyncJob: O(partitions)
@@ -369,24 +390,23 @@ type capture[V exec.ColValue] struct {
 
 func (s capture[V]) NumPartitions() int { return s.vals.NumPartitions() }
 
+// SnapshotPartition writes the format tag, partition p's value view —
+// the bytes Hosted.AppendPartition ships — and its workset view.
 func (s capture[V]) SnapshotPartition(p int, buf *bytes.Buffer) error {
-	enc := gob.NewEncoder(buf)
-	if err := s.vals.EncodePartition(p, enc); err != nil {
-		return err
-	}
-	return s.workset.EncodePartition(p, enc)
+	b := append(buf.AvailableBuffer(), state.ViewTag)
+	b = s.vals.AppendPartitionBytes(b, p, exec.AppendVal[V])
+	buf.Write(s.workset.AppendPartitionBytes(b, p, exec.AppendVal[V]))
+	return nil
 }
 
-// SnapshotDelta implements recovery.DeltaJob: the value changes since
-// the previous delta, plus the current workset (which turns over
-// wholesale every superstep and shrinks as the iteration converges —
-// exactly like the update stream itself).
+// SnapshotDelta implements recovery.DeltaJob: per partition, the value
+// changes since the previous delta plus the current workset (which
+// turns over wholesale every superstep and shrinks as the iteration
+// converges — exactly like the update stream itself).
 func (j *Job[V]) SnapshotDelta(buf *bytes.Buffer) error {
-	enc := gob.NewEncoder(buf)
-	if err := j.vals.EncodeDelta(enc); err != nil {
-		return err
-	}
-	return j.workset.EncodeTo(enc)
+	j.appendAll(buf, j.vals.AppendDeltaBytes)
+	j.vals.MarkClean()
+	return nil
 }
 
 // RestoreFromChain implements recovery.DeltaJob: replay the base
@@ -397,12 +417,8 @@ func (j *Job[V]) RestoreFromChain(base []byte, deltas [][]byte) error {
 		return err
 	}
 	for i, d := range deltas {
-		dec := gob.NewDecoder(bytes.NewReader(d))
-		if err := j.vals.ApplyDelta(dec); err != nil {
-			return fmt.Errorf("%s: delta %d: %v", j.name, i, err)
-		}
-		if err := j.workset.DecodeFrom(dec); err != nil {
-			return fmt.Errorf("%s: delta %d: %v", j.name, i, err)
+		if err := j.restoreAll(d, j.vals.RestoreDeltaBytes); err != nil {
+			return fmt.Errorf("delta %d: %w", i, err)
 		}
 	}
 	// The state now equals the stored chain; start the next delta here.

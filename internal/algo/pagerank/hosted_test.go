@@ -1,12 +1,14 @@
 package pagerank
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
 	"optiflow/internal/exec"
 	"optiflow/internal/graph"
 	"optiflow/internal/graph/gen"
+	"optiflow/internal/state"
 )
 
 // runHostedPair runs PageRank as two Hosted jobs — each built, like a
@@ -122,5 +124,47 @@ func TestHostedMatchesInProcess(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPartitionBlobIsHostedView shows PageRank has one state codec:
+// after the format tag, an in-process partition blob is byte for byte
+// the view a hosting worker ships — for the superstep-zero ranks both
+// seed on their own, and mid-run, once the host restored the blobs.
+func TestPartitionBlobIsHostedView(t *testing.T) {
+	const nparts = 4
+	g := gen.Twitter(300, 7)
+	inproc := NewColumnar(g, nparts, 0.85, nil)
+	host := NewHosted(g, nparts, 0.85, []int{0, 1, 2, 3})
+	blobs := func() [][]byte {
+		out := make([][]byte, nparts)
+		for p := range out {
+			var buf bytes.Buffer
+			if err := inproc.SnapshotPartition(p, &buf); err != nil {
+				t.Fatal(err)
+			}
+			if out[p] = buf.Bytes(); out[p][0] != state.ViewTag {
+				t.Fatalf("partition %d: blob starts with %#x, not the format tag", p, out[p][0])
+			}
+		}
+		return out
+	}
+	for p, blob := range blobs() {
+		if !bytes.Equal(blob[1:], host.AppendPartition(nil, p)) {
+			t.Fatalf("superstep 0, partition %d: in-process blob is not the hosted view", p)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := inproc.Step(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for p, blob := range blobs() {
+		if err := host.RestorePartition(p, blob[1:]); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(blob[1:], host.AppendPartition(nil, p)) {
+			t.Fatalf("superstep 3, partition %d: in-process blob is not the hosted view", p)
+		}
 	}
 }

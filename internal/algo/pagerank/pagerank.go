@@ -16,12 +16,12 @@ package pagerank
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"sync"
 
 	"optiflow/internal/checkpoint"
+	"optiflow/internal/colbytes"
 	"optiflow/internal/dataflow"
 	"optiflow/internal/exec"
 	"optiflow/internal/graph"
@@ -300,23 +300,31 @@ func (pr *PR) foldRanks(danglingMass float64) (l1 float64) {
 	return l1
 }
 
-// SnapshotTo implements recovery.Job: the rank vector plus the
-// convergence marker.
+// SnapshotTo implements recovery.Job: the format tag, the convergence
+// marker, the partition count, then every partition's rank view.
 func (pr *PR) SnapshotTo(buf *bytes.Buffer) error {
-	enc := gob.NewEncoder(buf)
-	if err := enc.Encode(pr.lastL1); err != nil {
-		return fmt.Errorf("pagerank: encoding snapshot: %v", err)
+	b := append(buf.AvailableBuffer(), state.ViewTag)
+	b = colbytes.AppendF64(b, pr.lastL1)
+	b = colbytes.AppendU32(b, uint32(pr.pt.N))
+	for p := 0; p < pr.pt.N; p++ {
+		b = pr.ranks.AppendPartitionBytes(b, p, colbytes.AppendF64)
 	}
-	return pr.ranks.EncodeTo(enc)
+	buf.Write(b)
+	return nil
 }
 
 // RestoreFrom implements recovery.Job.
 func (pr *PR) RestoreFrom(data []byte) error {
-	dec := gob.NewDecoder(bytes.NewReader(data))
-	if err := dec.Decode(&pr.lastL1); err != nil {
-		return fmt.Errorf("pagerank: decoding snapshot: %v", err)
-	}
-	return pr.ranks.DecodeFrom(dec)
+	return state.ReadView(pr.Name(), data, func(r *colbytes.Reader) error {
+		l1 := r.F64()
+		err := state.ReadPartitions(r, pr.pt.N, func(p int) error {
+			return pr.ranks.RestorePartitionBytes(p, r, (*colbytes.Reader).F64)
+		})
+		if err == nil {
+			pr.lastL1 = l1
+		}
+		return err
+	})
 }
 
 // ClearPartitions implements recovery.Job: the crash destroys the rank
@@ -348,7 +356,7 @@ func (pr *PR) PartitionVersions() []uint64 {
 
 // SnapshotPartition implements recovery.IncrementalJob.
 func (pr *PR) SnapshotPartition(p int, buf *bytes.Buffer) error {
-	return pr.ranks.EncodePartition(p, gob.NewEncoder(buf))
+	return prCapture{pr.ranks}.SnapshotPartition(p, buf)
 }
 
 // RestorePartition implements recovery.IncrementalJob. The parallel
@@ -359,7 +367,9 @@ func (pr *PR) RestorePartition(p int, data []byte) error {
 	pr.restoreMu.Lock()
 	pr.lastL1 = math.Inf(1) // the convergence marker is global; be safe
 	pr.restoreMu.Unlock()
-	return pr.ranks.DecodePartition(p, gob.NewDecoder(bytes.NewReader(data)))
+	return state.ReadView(pr.Name(), data, func(r *colbytes.Reader) error {
+		return pr.ranks.RestorePartitionBytes(p, r, (*colbytes.Reader).F64)
+	})
 }
 
 // ResetToInitial implements recovery.Job.
@@ -384,8 +394,11 @@ type prCapture struct {
 
 func (s prCapture) NumPartitions() int { return s.ranks.NumPartitions() }
 
+// SnapshotPartition writes the format tag and partition p's rank view:
+// after the tag, the bytes Hosted.AppendPartition ships.
 func (s prCapture) SnapshotPartition(p int, buf *bytes.Buffer) error {
-	return s.ranks.EncodePartition(p, gob.NewEncoder(buf))
+	buf.Write(s.ranks.AppendPartitionBytes(append(buf.AvailableBuffer(), state.ViewTag), p, colbytes.AppendF64))
+	return nil
 }
 
 // FigurePlan reproduces Fig. 1(b): the conceptual bulk-iteration

@@ -11,7 +11,7 @@ import (
 
 // Compressed wraps a Store with gzip compression: snapshots are
 // compressed before hitting stable storage and decompressed on load.
-// Iteration state is highly compressible (gob streams of similar
+// Iteration state is highly compressible (columns of similar
 // entries), so this trades CPU for a large cut in checkpoint volume —
 // experiment E6 reports both sides.
 func Compressed(inner Store) Store {

@@ -168,7 +168,7 @@ func (r *Runner) Overhead() (*Report, error) {
 			incrCkpt.Overhead().BytesWritten > fullCkpt.Overhead().BytesWritten/2,
 			"%d vs %d bytes", incrCkpt.Overhead().BytesWritten, fullCkpt.Overhead().BytesWritten),
 		// Rank vectors are high-entropy float64s, so the ratio is modest
-		// (~2x); label-like integer state compresses far better.
+		// (~2.6x); label-like integer state compresses far better.
 		check("gzip snapshots shrink the stored checkpoint volume at equal correctness",
 			ck1gz.overhead.BytesWritten < ck1m.overhead.BytesWritten*7/10,
 			"%d vs %d bytes", ck1gz.overhead.BytesWritten, ck1m.overhead.BytesWritten),

@@ -1,10 +1,6 @@
 package state
 
-import (
-	"encoding/gob"
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // ColWorkset is the columnar counterpart of Workset: each partition's
 // pending updates are two parallel append-only columns — the dense
@@ -12,7 +8,8 @@ import (
 // columnar superstep source streams them without per-item boxing.
 // Snapshot captures alias the column backing arrays exactly like
 // Workset.SnapshotShared (append-only between clears makes that safe),
-// and checkpoint encoders write the columns directly. A clear truncates
+// and checkpoint encoders write the columns directly as byte views
+// (densebytes.go). A clear truncates
 // a partition's columns so the next superstep refills the same arrays,
 // unless a capture may alias them: then it drops them instead.
 type ColWorkset[V any] struct {
@@ -23,12 +20,6 @@ type ColWorkset[V any] struct {
 	// shared marks partitions whose arrays a SnapshotShared capture may
 	// alias; the next clear drops them instead of truncating.
 	shared []bool
-}
-
-// colPart is the serialised form of one columnar workset partition.
-type colPart[V any] struct {
-	Idx []int32
-	Val []V
 }
 
 // NewColWorkset creates an empty columnar workset with nparts
@@ -156,80 +147,4 @@ func (w *ColWorkset[V]) CopyFrom(other *ColWorkset[V]) {
 		w.shared[p] = false
 		w.bump(p)
 	}
-}
-
-// Encode writes the workset to wr in gob encoding.
-func (w *ColWorkset[V]) Encode(wr io.Writer) error {
-	return w.EncodeTo(gob.NewEncoder(wr))
-}
-
-// EncodeTo appends the workset to an existing gob stream. Columns are
-// encoded as-is: append order is deterministic (fold tasks emit in
-// ascending destination order per superstep), so equal histories encode
-// to identical bytes.
-func (w *ColWorkset[V]) EncodeTo(enc *gob.Encoder) error {
-	if err := enc.Encode(w.name); err != nil {
-		return fmt.Errorf("state: encoding workset %q: %v", w.name, err)
-	}
-	parts := make([]colPart[V], len(w.idx))
-	for p := range w.idx {
-		parts[p] = colPart[V]{Idx: w.idx[p], Val: w.val[p]}
-	}
-	if err := enc.Encode(parts); err != nil {
-		return fmt.Errorf("state: encoding workset %q: %v", w.name, err)
-	}
-	return nil
-}
-
-// Decode replaces the workset contents from a gob stream.
-func (w *ColWorkset[V]) Decode(r io.Reader) error {
-	return w.DecodeFrom(gob.NewDecoder(r))
-}
-
-// DecodeFrom reads the workset from an existing gob stream.
-func (w *ColWorkset[V]) DecodeFrom(dec *gob.Decoder) error {
-	var name string
-	if err := dec.Decode(&name); err != nil {
-		return fmt.Errorf("state: decoding workset: %v", err)
-	}
-	if name != w.name {
-		return fmt.Errorf("state: decoding workset: snapshot is of %q, want %q", name, w.name)
-	}
-	var parts []colPart[V]
-	if err := dec.Decode(&parts); err != nil {
-		return fmt.Errorf("state: decoding workset %q: %v", w.name, err)
-	}
-	if len(parts) != len(w.idx) {
-		return fmt.Errorf("state: decoding workset %q: snapshot has %d partitions, workset has %d",
-			w.name, len(parts), len(w.idx))
-	}
-	for p := range parts {
-		w.idx[p] = parts[p].Idx
-		w.val[p] = parts[p].Val
-		w.shared[p] = false
-		w.bump(p)
-	}
-	return nil
-}
-
-// EncodePartition appends one workset partition to a gob stream.
-func (w *ColWorkset[V]) EncodePartition(p int, enc *gob.Encoder) error {
-	if err := enc.Encode(colPart[V]{Idx: w.idx[p], Val: w.val[p]}); err != nil {
-		return fmt.Errorf("state: encoding workset %q partition %d: %v", w.name, p, err)
-	}
-	return nil
-}
-
-// DecodePartition replaces one workset partition from a gob stream
-// written by EncodePartition.
-func (w *ColWorkset[V]) DecodePartition(p int, dec *gob.Decoder) error {
-	var part colPart[V]
-	if err := dec.Decode(&part); err != nil {
-		return fmt.Errorf("state: decoding workset %q partition %d: %v", w.name, p, err)
-	}
-	w.idx[p] = part.Idx
-	w.val[p] = part.Val
-	w.shared[p] = false
-	w.bump(p)
-	return nil
 }

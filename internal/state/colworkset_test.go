@@ -2,9 +2,11 @@ package state
 
 import (
 	"bytes"
-	"encoding/gob"
 	"reflect"
 	"testing"
+
+	"optiflow/internal/colbytes"
+	"optiflow/internal/graph"
 )
 
 // ColWorkset clears truncate its columns so the next superstep refills
@@ -20,13 +22,24 @@ func fillColWorkset(w *ColWorkset[uint64], base uint64) {
 	}
 }
 
+// colWorksetParts is a partitioning that owns the indices
+// fillColWorkset writes: partition p holds 10p..10p+9.
+func colWorksetParts(nparts int) *graph.Partitioning {
+	pt := &graph.Partitioning{N: nparts, PartOf: make([]int32, 10*nparts)}
+	for i := range pt.PartOf {
+		pt.PartOf[i] = int32(i / 10)
+	}
+	return pt
+}
+
+// colWorksetBytes is every partition's byte view, in order.
 func colWorksetBytes(t *testing.T, w *ColWorkset[uint64]) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := w.Encode(&buf); err != nil {
-		t.Fatal(err)
+	var b []byte
+	for p := 0; p < w.NumPartitions(); p++ {
+		b = w.AppendPartitionBytes(b, p, colbytes.AppendU64)
 	}
-	return buf.Bytes()
+	return b
 }
 
 func firstIdx(w *ColWorkset[uint64], p int) *int32 {
@@ -109,26 +122,28 @@ func TestColWorksetUnsharedClearReusesArrays(t *testing.T) {
 	}
 }
 
-// TestColWorksetReplacementUnshares checks CopyFrom, DecodeFrom and
-// DecodePartition install fresh arrays and leave no stale shared flag,
-// so the next clear reuses them and the old capture is untouched.
+// TestColWorksetReplacementUnshares checks CopyFrom and the byte-view
+// restore (of every partition, and of one) install fresh arrays and
+// leave no stale shared flag, so the next clear reuses them and the old
+// capture is untouched.
 func TestColWorksetReplacementUnshares(t *testing.T) {
 	src := NewColWorkset[uint64]("workset", 2)
 	fillColWorkset(src, 9)
-	blob := colWorksetBytes(t, src)
-	var part bytes.Buffer
-	if err := src.EncodePartition(1, gob.NewEncoder(&part)); err != nil {
-		t.Fatal(err)
+	pt := colWorksetParts(2)
+	restore := func(w *ColWorkset[uint64], parts ...int) error {
+		for _, p := range parts {
+			view := src.AppendPartitionBytes(nil, p, colbytes.AppendU64)
+			if err := w.RestorePartitionBytes(p, colbytes.NewReader(view), (*colbytes.Reader).U64, pt); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 
 	replace := map[string]func(w *ColWorkset[uint64]) error{
-		"CopyFrom": func(w *ColWorkset[uint64]) error { w.CopyFrom(src); return nil },
-		"DecodeFrom": func(w *ColWorkset[uint64]) error {
-			return w.Decode(bytes.NewReader(blob))
-		},
-		"DecodePartition": func(w *ColWorkset[uint64]) error {
-			return w.DecodePartition(1, gob.NewDecoder(bytes.NewReader(part.Bytes())))
-		},
+		"CopyFrom":              func(w *ColWorkset[uint64]) error { w.CopyFrom(src); return nil },
+		"RestoreEveryPartition": func(w *ColWorkset[uint64]) error { return restore(w, 0, 1) },
+		"RestoreOnePartition":   func(w *ColWorkset[uint64]) error { return restore(w, 1) },
 	}
 	for name, fn := range replace {
 		t.Run(name, func(t *testing.T) {
@@ -139,11 +154,14 @@ func TestColWorksetReplacementUnshares(t *testing.T) {
 			if err := fn(w); err != nil {
 				t.Fatal(err)
 			}
-			if name == "DecodePartition" && !w.shared[0] {
-				t.Fatal("DecodePartition unshared a partition it did not replace")
+			if name == "RestoreOnePartition" && !w.shared[0] {
+				t.Fatal("a partition restore unshared a partition it did not replace")
 			}
 			if w.shared[1] {
 				t.Fatal("replaced partition still marked shared")
+			}
+			if gi, gv := w.Cols(1); !reflect.DeepEqual(gi, src.idx[1]) || !reflect.DeepEqual(gv, src.val[1]) {
+				t.Fatalf("replaced partition holds %v/%v", gi, gv)
 			}
 			before := firstIdx(w, 1)
 			w.ClearPartition(1)

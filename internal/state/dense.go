@@ -1,10 +1,7 @@
 package state
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
-	"slices"
 
 	"optiflow/internal/graph"
 )
@@ -15,10 +12,10 @@ import (
 // graph.Partitioning.Slot), so the superstep hot path reads and writes
 // array entries instead of hashing into maps. It supports the same
 // recovery surface as Store — copy-on-write captures, per-partition
-// versions, delta logs — and serialises to the identical wire format
-// (name + sorted key/value pairs per partition), so checkpoints remain
-// byte-deterministic and the async writer encodes the columns directly
-// without re-boxing.
+// versions, delta logs — but serialises only as partition byte views
+// (densebytes.go): the column dumped in slot order, so equal contents
+// give identical bytes and the async writer encodes the columns
+// directly without re-boxing.
 type DenseStore[V any] struct {
 	name string
 	d    *graph.Dense
@@ -35,14 +32,10 @@ type DenseStore[V any] struct {
 	shared   []bool
 
 	// Delta-log tracking: per-slot dirty bits plus a distinct-dirty
-	// counter, and the partition-wiped flag (see Store.EncodeDelta).
+	// counter, and the partition-wiped flag (see AppendDeltaBytes).
 	dirty      [][]bool
 	dirtyCount []int
 	cleared    []bool
-
-	// scratch[p] is refilled by every encode of partition p; gob copies
-	// it out, so a snapshot allocates no pairs.
-	scratch []partPairs[V]
 }
 
 // NewDenseStore creates an empty dense store over the given graph view
@@ -60,7 +53,6 @@ func NewDenseStore[V any](name string, d *graph.Dense, pt *graph.Partitioning) *
 		dirty:      make([][]bool, pt.N),
 		dirtyCount: make([]int, pt.N),
 		cleared:    make([]bool, pt.N),
-		scratch:    make([]partPairs[V], pt.N),
 	}
 	for p := range s.vals {
 		n := len(pt.Owned[p])
@@ -88,9 +80,6 @@ func (s *DenseStore[V]) Len() int {
 	}
 	return n
 }
-
-// PartitionLen returns the number of present entries in partition p.
-func (s *DenseStore[V]) PartitionLen(p int) int { return s.count[p] }
 
 // unshare clones partition p's columns if a SnapshotShared capture
 // aliases them, so in-place writes cannot be observed through the
@@ -255,7 +244,6 @@ func (s *DenseStore[V]) SnapshotShared() *DenseStore[V] {
 		dirty:      make([][]bool, len(s.vals)),
 		dirtyCount: make([]int, len(s.vals)),
 		cleared:    make([]bool, len(s.vals)),
-		scratch:    make([]partPairs[V], len(s.vals)),
 	}
 	for p := range s.vals {
 		s.shared[p] = true
@@ -265,252 +253,8 @@ func (s *DenseStore[V]) SnapshotShared() *DenseStore[V] {
 	return c
 }
 
-// CopyFrom replaces this store's contents with those of other.
-func (s *DenseStore[V]) CopyFrom(other *DenseStore[V]) {
-	if len(s.vals) != len(other.vals) {
-		panic(fmt.Sprintf("state: CopyFrom: partition count mismatch %d != %d", len(s.vals), len(other.vals)))
-	}
-	for p := range s.vals {
-		s.vals[p] = append([]V(nil), other.vals[p]...)
-		s.has[p] = append([]bool(nil), other.has[p]...)
-		s.shared[p] = false
-		s.count[p] = other.count[p]
-		s.bump(p)
-		s.markCleared(p)
-	}
-}
-
-// pairs serialises partition p in the exact partPairs form Store uses.
-// Slots already ascend in key order, so no sort is needed — the encoder
-// walks the columns once.
-func (s *DenseStore[V]) pairs(p int) partPairs[V] {
-	owned := s.pt.Owned[p]
-	ids := s.d.IDs()
-	pp := &s.scratch[p]
-	pp.Keys, pp.Vals = slices.Grow(pp.Keys[:0], s.count[p]), slices.Grow(pp.Vals[:0], s.count[p])
-	for slot, idx := range owned {
-		if !s.has[p][slot] {
-			continue
-		}
-		pp.Keys = append(pp.Keys, uint64(ids[idx]))
-		pp.Vals = append(pp.Vals, s.vals[p][slot])
-	}
-	return *pp
-}
-
-// setPairs replaces partition p's contents from decoded pairs.
-func (s *DenseStore[V]) setPairs(p int, pp partPairs[V]) error {
-	n := len(s.pt.Owned[p])
-	vals := make([]V, n)
-	has := make([]bool, n)
-	count := 0
-	for i, k := range pp.Keys {
-		idx, ok := s.d.IndexOf(graph.VertexID(k))
-		if !ok || int(s.pt.PartOf[idx]) != p {
-			return fmt.Errorf("state: decoding dense store %q: key %d does not belong to partition %d", s.name, k, p)
-		}
-		slot := s.pt.Slot[idx]
-		vals[slot] = pp.Vals[i]
-		has[slot] = true
-		count++
-	}
-	s.vals[p] = vals
-	s.has[p] = has
-	s.shared[p] = false
-	s.count[p] = count
-	s.bump(p)
-	s.markCleared(p)
-	return nil
-}
-
-// Encode writes the store to w in gob encoding, for checkpointing.
-func (s *DenseStore[V]) Encode(w io.Writer) error {
-	return s.EncodeTo(gob.NewEncoder(w))
-}
-
-// EncodeTo appends the store to an existing gob stream. The bytes are
-// identical to those of a map-based Store with equal contents.
-func (s *DenseStore[V]) EncodeTo(enc *gob.Encoder) error {
-	if err := enc.Encode(s.name); err != nil {
-		return fmt.Errorf("state: encoding store %q: %v", s.name, err)
-	}
-	parts := make([]partPairs[V], len(s.vals))
-	for p := range s.vals {
-		parts[p] = s.pairs(p)
-	}
-	if err := enc.Encode(parts); err != nil {
-		return fmt.Errorf("state: encoding store %q: %v", s.name, err)
-	}
-	return nil
-}
-
-// Decode replaces the store contents from a gob stream written by
-// Encode (or by a map-based Store of the same name and layout).
-func (s *DenseStore[V]) Decode(r io.Reader) error {
-	return s.DecodeFrom(gob.NewDecoder(r))
-}
-
-// DecodeFrom reads the store from an existing gob stream.
-func (s *DenseStore[V]) DecodeFrom(dec *gob.Decoder) error {
-	var name string
-	if err := dec.Decode(&name); err != nil {
-		return fmt.Errorf("state: decoding store: %v", err)
-	}
-	if name != s.name {
-		return fmt.Errorf("state: decoding store: snapshot is of %q, want %q", name, s.name)
-	}
-	var parts []partPairs[V]
-	if err := dec.Decode(&parts); err != nil {
-		return fmt.Errorf("state: decoding store %q: %v", s.name, err)
-	}
-	if len(parts) != len(s.vals) {
-		return fmt.Errorf("state: decoding store %q: snapshot has %d partitions, store has %d",
-			s.name, len(parts), len(s.vals))
-	}
-	for p, pp := range parts {
-		if err := s.setPairs(p, pp); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// EncodePartition appends one partition's contents to a gob stream in
-// the same sorted-pair form as Store.EncodePartition.
-func (s *DenseStore[V]) EncodePartition(p int, enc *gob.Encoder) error {
-	if err := enc.Encode(s.pairs(p)); err != nil {
-		return fmt.Errorf("state: encoding store %q partition %d: %v", s.name, p, err)
-	}
-	return nil
-}
-
-// DecodePartition replaces one partition's contents from a gob stream
-// written by EncodePartition.
-func (s *DenseStore[V]) DecodePartition(p int, dec *gob.Decoder) error {
-	var pp partPairs[V]
-	if err := dec.Decode(&pp); err != nil {
-		return fmt.Errorf("state: decoding store %q partition %d: %v", s.name, p, err)
-	}
-	return s.setPairs(p, pp)
-}
-
-// DirtyCount returns how many entries changed since the last
-// EncodeDelta or MarkClean (cleared partitions count their full size).
-func (s *DenseStore[V]) DirtyCount() int {
-	n := 0
-	for p := range s.vals {
-		if s.cleared[p] {
-			n += s.count[p]
-			continue
-		}
-		n += s.dirtyCount[p]
-	}
-	return n
-}
-
-// EncodeDelta appends the change set since the previous EncodeDelta in
-// the same wire form as Store.EncodeDelta, then marks the store clean.
-func (s *DenseStore[V]) EncodeDelta(enc *gob.Encoder) error {
-	if err := enc.Encode(s.name); err != nil {
-		return fmt.Errorf("state: encoding delta of %q: %v", s.name, err)
-	}
-	deltas := make([]partDelta[V], len(s.vals))
-	for p := range s.vals {
-		d := partDelta[V]{}
-		switch {
-		case s.cleared[p]:
-			d.Cleared = true
-			d.Upserts = make(map[uint64]V, s.count[p])
-			s.RangePartition(p, func(k uint64, v V) bool {
-				d.Upserts[k] = v
-				return true
-			})
-		case s.dirtyCount[p] > 0:
-			d.Upserts = make(map[uint64]V, s.dirtyCount[p])
-			owned := s.pt.Owned[p]
-			ids := s.d.IDs()
-			for slot, isDirty := range s.dirty[p] {
-				if !isDirty {
-					continue
-				}
-				k := uint64(ids[owned[slot]])
-				if s.has[p][slot] {
-					d.Upserts[k] = s.vals[p][slot]
-				} else {
-					d.Deletes = append(d.Deletes, k)
-				}
-			}
-		}
-		deltas[p] = d
-	}
-	if err := enc.Encode(deltas); err != nil {
-		return fmt.Errorf("state: encoding delta of %q: %v", s.name, err)
-	}
-	s.MarkClean()
-	return nil
-}
-
-// ApplyDelta replays one change set written by EncodeDelta (of a dense
-// or map-based store with this name and layout).
-func (s *DenseStore[V]) ApplyDelta(dec *gob.Decoder) error {
-	var name string
-	if err := dec.Decode(&name); err != nil {
-		return fmt.Errorf("state: decoding delta: %v", err)
-	}
-	if name != s.name {
-		return fmt.Errorf("state: decoding delta: delta is of %q, want %q", name, s.name)
-	}
-	var deltas []partDelta[V]
-	if err := dec.Decode(&deltas); err != nil {
-		return fmt.Errorf("state: decoding delta of %q: %v", s.name, err)
-	}
-	if len(deltas) != len(s.vals) {
-		return fmt.Errorf("state: delta of %q has %d partitions, store has %d", s.name, len(deltas), len(s.vals))
-	}
-	slotOf := func(p int, k uint64) (int32, error) {
-		idx, ok := s.d.IndexOf(graph.VertexID(k))
-		if !ok || int(s.pt.PartOf[idx]) != p {
-			return 0, fmt.Errorf("state: delta of %q: key %d does not belong to partition %d", s.name, k, p)
-		}
-		return s.pt.Slot[idx], nil
-	}
-	for p, d := range deltas {
-		if d.Cleared {
-			s.ClearPartition(p)
-		}
-		if len(d.Upserts) > 0 || len(d.Deletes) > 0 {
-			s.unshare(p)
-			for k, v := range d.Upserts {
-				slot, err := slotOf(p, k)
-				if err != nil {
-					return err
-				}
-				if !s.has[p][slot] {
-					s.has[p][slot] = true
-					s.count[p]++
-				}
-				s.vals[p][slot] = v
-			}
-			for _, k := range d.Deletes {
-				slot, err := slotOf(p, k)
-				if err != nil {
-					return err
-				}
-				if s.has[p][slot] {
-					s.has[p][slot] = false
-					s.count[p]--
-					var zero V
-					s.vals[p][slot] = zero
-				}
-			}
-		}
-		s.bump(p)
-	}
-	return nil
-}
-
-// MarkClean forgets all recorded changes: the next EncodeDelta starts
-// from here.
+// MarkClean forgets all recorded changes: the next AppendDeltaBytes
+// starts from here.
 func (s *DenseStore[V]) MarkClean() {
 	for p := range s.vals {
 		for i := range s.dirty[p] {
