@@ -6,6 +6,7 @@ import (
 
 	"optiflow/internal/algo/cc"
 	"optiflow/internal/algo/pagerank"
+	"optiflow/internal/exec/hostedtest"
 	"optiflow/internal/graph"
 	"optiflow/internal/graph/gen"
 )
@@ -22,6 +23,12 @@ import (
 // short supersteps — allocates ~0.95 MB with reused workset and
 // pending-log columns and ~8.4 MB when they are dropped at every clear;
 // a steady PageRank superstep allocates a few kB of per-run set-up.
+//
+// The hosted cases run a job as two worker processes host it (see
+// newHostedPair): a steady step of both halves allocates ~100 B, where
+// revert captures that made every step regrow the CC workset and copy
+// the values and rank partitions cost ~86 kB (CC, 228 allocations) and
+// ~33 kB (PageRank, 140).
 func TestAllocationCeilings(t *testing.T) {
 	directed := gen.Twitter(2000, 1)
 	und := graph.NewBuilder(false)
@@ -36,6 +43,25 @@ func TestAllocationCeilings(t *testing.T) {
 	}
 
 	grid := gen.Grid(48, 48)
+	ccHosts := newHostedPair(t, grid, func(g *graph.Graph, parts []int) hostedtest.Host {
+		return cc.NewHosted(g, 4, parts)
+	})
+	prHosts := newHostedPair(t, directed, func(g *graph.Graph, parts []int) hostedtest.Host {
+		return pagerank.NewHosted(g, 4, 0.85, parts)
+	})
+	hostedStep := func(hp *hostedtest.Pair) func() error {
+		return func() error {
+			_, err := hp.Step()
+			return err
+		}
+	}
+	for i := 0; i < 20; i++ { // past the grid's first wide wavefronts
+		for _, hp := range []*hostedtest.Pair{ccHosts, prHosts} {
+			if err := hostedStep(hp)(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 
 	cases := []struct {
 		name    string
@@ -55,6 +81,8 @@ func TestAllocationCeilings(t *testing.T) {
 			_, err := pr.Step(nil)
 			return err
 		}},
+		{"cc-grid-hosted-steady-step", 100, 1 << 10, hostedStep(ccHosts)},
+		{"pagerank-hosted-steady-step", 100, 1 << 10, hostedStep(prHosts)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -91,4 +119,24 @@ func bytesPerRun(runs int, f func()) float64 {
 	}
 	runtime.ReadMemStats(&after)
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// newHostedPair splits g's 4 partitions over two hosts the way two
+// worker processes split them — partitions 0 and 2 on one, 1 and 3 on
+// the other, each built from its own partitions' out-edges.
+func newHostedPair(t *testing.T, g *graph.Graph, host func(*graph.Graph, []int) hostedtest.Host) *hostedtest.Pair {
+	t.Helper()
+	d := g.Dense()
+	pt := d.Partitioning(4)
+	var hosts [2]hostedtest.Host
+	for w := range hosts {
+		parts := []int{w, w + 2}
+		offsets, targets, weights := d.Restrict(pt, parts)
+		pg, err := graph.FromCSR(g.Vertices(), offsets, targets, weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hosts[w] = host(pg, parts)
+	}
+	return hostedtest.NewPair(hosts, []int{0, 1, 0, 1})
 }

@@ -8,6 +8,7 @@ import (
 	"optiflow/internal/algo/ref"
 	"optiflow/internal/colbytes"
 	"optiflow/internal/exec"
+	"optiflow/internal/exec/hostedtest"
 	"optiflow/internal/graph"
 	"optiflow/internal/graph/gen"
 	"optiflow/internal/state"
@@ -131,6 +132,26 @@ func TestHostedMatchesInProcess(t *testing.T) {
 				if !bytes.Equal(buf.Bytes(), want) {
 					t.Fatalf("partition %d: in-process blob is not the hosted view", p)
 				}
+			}
+		})
+	}
+}
+
+// TestHostedAbortAfterRecycledCommits aborts and replays hosted CC
+// attempts after commits whose revert captures were recycled — a
+// priming step, steps the driver aborts after they succeeded, a fold
+// that met a misrouted row — and holds every step's columns and
+// partition views to a twin run that never aborts.
+func TestHostedAbortAfterRecycledCommits(t *testing.T) {
+	for name, g := range map[string]*graph.Graph{"twitter": gen.Twitter(300, 7), "grid": gen.Grid(12, 12)} {
+		t.Run(name, func(t *testing.T) {
+			build := func() [2]hostedtest.Host {
+				hosts, _ := hostedPair(t, g)
+				return [2]hostedtest.Host{hosts[0], hosts[1]}
+			}
+			_, owner := hostedPair(t, g)
+			if err := hostedtest.AbortTwin(build, owner, g.Dense().Partitioning(4).PartOf, 14); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

@@ -5,6 +5,7 @@ import (
 
 	"optiflow/internal/exec"
 	"optiflow/internal/graph"
+	"optiflow/internal/state"
 )
 
 // Hosted is the min-fold job as a worker process hosts it: the job of
@@ -19,6 +20,10 @@ import (
 type Hosted[V exec.ColValue] struct {
 	*exec.ColHosted[V]
 	j *Job[V]
+	// vals is the revert capture of the current attempt's values,
+	// retaken for every attempt (Recapture); revert puts it back.
+	vals   *state.DenseStore[V]
+	revert func()
 }
 
 // NewHosted builds the job over g — the full graph, or one restricted to
@@ -27,25 +32,31 @@ type Hosted[V exec.ColValue] struct {
 func NewHosted[V exec.ColValue](k Kernel[V], g *graph.Graph, nparts int, parts []int) *Hosted[V] {
 	j := newJob(k, g, nparts, append([]int{}, parts...))
 	j.step.LocalFold = true
-	return &Hosted[V]{ColHosted: exec.NewColHosted(j.engine, j.step, j.parts), j: j}
+	h := &Hosted[V]{ColHosted: exec.NewColHosted(j.engine, j.step, j.parts), j: j}
+	h.revert = func() {
+		j.vals.Revert(h.vals)
+		j.next.ClearAll()
+		j.clearPending()
+	}
+	return h
 }
 
 // Job returns the job whose state the host holds.
 func (h *Hosted[V]) Job() *Job[V] { return h.j }
 
-// Step runs one hosted step attempt, held uncommitted by copy-on-write
-// captures of the values and the workset. A min-fold job has no global
-// scalars; the dangling argument exists for the interface PageRank
-// shares.
+// Step runs one hosted step attempt, held uncommitted by a copy-on-write
+// capture of the values, whose previous arrays the fold writes into.
+// The workset needs no capture: the one a step starts with is what the
+// previous step expanded, which nothing reads again — a folding step
+// swaps it into next and clears it, a priming step clears it — so an
+// attempt is undone by clearing next, and the workset and next keep
+// reusing their arrays. A min-fold job has no global scalars; the
+// dangling argument exists for the interface PageRank shares.
 func (h *Hosted[V]) Step(prime bool, _ float64, remote []exec.HostedCols) (out exec.HostedOut, err error) {
 	j := h.j
 	h.Abort() // capture committed state, not an abandoned attempt's
-	vals, workset := j.vals.SnapshotShared(), j.workset.SnapshotShared()
-	h.Begin(func() {
-		j.vals, j.workset = vals, workset
-		j.next.ClearAll()
-		j.clearPending()
-	})
+	h.vals = j.vals.Recapture(h.vals)
+	h.Begin(h.revert)
 	if prime {
 		j.reactivate()
 	} else if err = h.Fold(remote); err == nil {

@@ -6,6 +6,7 @@ import (
 	"optiflow/internal/colbytes"
 	"optiflow/internal/exec"
 	"optiflow/internal/graph"
+	"optiflow/internal/state"
 )
 
 // Hosted is the PageRank job as a worker process hosts it: the columnar
@@ -22,6 +23,10 @@ import (
 type Hosted struct {
 	*exec.ColHosted[float64]
 	c *PR
+	// ranks is the revert capture of the current attempt, retaken for
+	// every attempt (Recapture); revert puts it back.
+	ranks  *state.DenseStore[float64]
+	revert func()
 }
 
 // NewHosted builds the job over g — the full graph, or one restricted
@@ -30,17 +35,20 @@ type Hosted struct {
 func NewHosted(g *graph.Graph, nparts int, damping float64, parts []int) *Hosted {
 	c := newPR(g, nparts, damping, append([]int{}, parts...))
 	c.step.LocalFold = true
-	return &Hosted{ColHosted: exec.NewColHosted(c.engine, c.step, c.parts), c: c}
+	h := &Hosted{ColHosted: exec.NewColHosted(c.engine, c.step, c.parts), c: c}
+	h.revert = func() { c.ranks.Revert(h.ranks) }
+	return h
 }
 
 // Step runs one hosted step attempt, held uncommitted by a
-// copy-on-write capture of the ranks; dangling is the combined dangling
-// mass the previous step's hosts reported.
+// copy-on-write capture of the ranks, whose previous arrays the fold
+// writes the new ranks into; dangling is the combined dangling mass the
+// previous step's hosts reported.
 func (h *Hosted) Step(prime bool, dangling float64, remote []exec.HostedCols) (out exec.HostedOut, err error) {
 	c := h.c
 	h.Abort() // capture committed state, not an abandoned attempt's
-	ranks := c.ranks.SnapshotShared()
-	h.Begin(func() { c.ranks = ranks })
+	h.ranks = c.ranks.Recapture(h.ranks)
+	h.Begin(h.revert)
 	if !prime {
 		c.clearSums()
 		if err = h.Fold(remote); err == nil {

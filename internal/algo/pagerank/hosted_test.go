@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"optiflow/internal/exec"
+	"optiflow/internal/exec/hostedtest"
 	"optiflow/internal/graph"
 	"optiflow/internal/graph/gen"
 	"optiflow/internal/state"
@@ -166,5 +167,33 @@ func TestPartitionBlobIsHostedView(t *testing.T) {
 		if !bytes.Equal(blob[1:], host.AppendPartition(nil, p)) {
 			t.Fatalf("superstep 3, partition %d: in-process blob is not the hosted view", p)
 		}
+	}
+}
+
+// TestHostedAbortAfterRecycledCommits aborts and replays hosted
+// PageRank attempts after commits whose revert captures were recycled —
+// a priming step, steps the driver aborts after they succeeded, a fold
+// that met a misrouted row — and holds every step's columns, partial
+// scalars and rank views to a twin run that never aborts.
+func TestHostedAbortAfterRecycledCommits(t *testing.T) {
+	const nparts = 4
+	g := gen.Twitter(300, 7)
+	d := g.Dense()
+	pt := d.Partitioning(nparts)
+	owner := []int{0, 1, 0, 1}
+	build := func() (hosts [2]hostedtest.Host) {
+		for w := range hosts {
+			parts := []int{w, w + 2}
+			offsets, targets, weights := d.Restrict(pt, parts)
+			pg, err := graph.FromCSR(g.Vertices(), offsets, targets, weights)
+			if err != nil {
+				t.Fatalf("FromCSR: %v", err)
+			}
+			hosts[w] = NewHosted(pg, nparts, 0.85, parts)
+		}
+		return hosts
+	}
+	if err := hostedtest.AbortTwin(build, owner, pt.PartOf, 14); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -28,21 +28,54 @@ import (
 	"optiflow/internal/recovery"
 )
 
+// quietCluster starts 4 partitions on 2 workers, the ledger's proc
+// shape, kept quiet for MemStats windows: no standby spawning, no
+// heartbeat in the window.
+func quietCluster(t *testing.T) *Coordinator {
+	t.Helper()
+	return startTestCluster(t, 2, 4, func(c *Config) {
+		c.SparesBounded = true
+		c.Heartbeat, c.LivenessWindow = 5*time.Second, 30*time.Second
+	})
+}
+
+// leastPerStep steps job warm times, then three windows of steps
+// supersteps, and returns the least per-superstep growth of what
+// measure reads.
+func leastPerStep(t *testing.T, job *Job, warm, steps int, measure func() float64) float64 {
+	t.Helper()
+	s := 0
+	step := func() {
+		if _, err := job.Step(&iterate.Context{Superstep: s}); err != nil {
+			t.Fatalf("superstep %d: %v", s, err)
+		}
+		s++
+	}
+	for s < warm {
+		step()
+	}
+	perStep := math.Inf(1)
+	for range 3 {
+		before := measure()
+		for range steps {
+			step()
+		}
+		perStep = min(perStep, (measure()-before)/float64(steps))
+	}
+	return perStep
+}
+
 // TestProcStepAllocationCeiling holds a steady-state PageRank superstep
 // on gen.Twitter(4000) — 4 partitions on 2 workers, the ledger's
 // pr-twitter-proc — to 4 kB allocated in the driver. It was ~52 kB when
 // every StepResp decoded its relayed columns into a fresh arena.
 // MemStats counts the whole driver process, so the cluster is kept
-// quiet — no standby spawning, no heartbeat decoded in the window — and
-// the least of three windows counts.
+// quiet and the least of three windows counts.
 func TestProcStepAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc ceilings are meaningless under the race detector")
 	}
-	co := startTestCluster(t, 2, 4, func(c *Config) {
-		c.SparesBounded = true
-		c.Heartbeat, c.LivenessWindow = 5*time.Second, 30*time.Second
-	})
+	co := quietCluster(t)
 	defer co.Close()
 	job, err := NewJob(co, Spec{Name: "ceiling", Kind: KindPageRank, Graph: gen.Twitter(4000, 20150531)})
 	if err != nil {
@@ -72,6 +105,78 @@ func TestProcStepAllocationCeiling(t *testing.T) {
 	t.Logf("driver allocates %.0f B per superstep", perStep)
 	if perStep > 4<<10 {
 		t.Errorf("driver allocates %.0f B per steady-state superstep, want <= 4096 (relay arena regression)", perStep)
+	}
+}
+
+// TestProcWorkerStepAllocationCeiling holds what a steady-state hosted
+// superstep allocates in a worker process, read from WorkerStats, on the
+// two ledger proc workloads: CC on gen.Grid(48, 48) and PageRank on
+// gen.Twitter(4000), 4 partitions on 2 workers. Reading the counters
+// costs a few gob frames (the StatsReq, its answer and the commit
+// settled ahead of it), so a round counts a short and a long window of
+// supersteps and takes the difference, in the worker that allocates
+// more; the median of five rounds counts. What is left, ~340 B, is the
+// frame codec boxing the request and the response. While the halves ran
+// on goroutines fed through channels and every attempt's revert capture
+// made the fold copy the values and regrow the workset, it was ~44 kB
+// (CC) and ~28 kB (PageRank).
+func TestProcWorkerStepAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc ceilings are meaningless under the race detector")
+	}
+	for _, tc := range []struct {
+		name    string
+		spec    Spec
+		ceiling float64 // bytes per superstep
+	}{
+		{"cc-grid", Spec{Name: "worker-ceiling", Kind: KindCC, Graph: gen.Grid(48, 48)}, 512},
+		{"pagerank-twitter", Spec{Name: "worker-ceiling", Kind: KindPageRank, Graph: gen.Twitter(4000, 20150531)}, 512},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			co := quietCluster(t)
+			defer co.Close()
+			job, err := NewJob(co, tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const warm, short, long = 3, 2, 12
+			s := 0
+			// window runs n supersteps and returns what each worker
+			// allocated meanwhile, the stats reads included.
+			window := func(n int) []float64 {
+				grew := make([]float64, 0, 2)
+				var before []uint64
+				for _, w := range co.Workers() {
+					before = append(before, workerStats(t, co, w).AllocBytes)
+				}
+				for range n {
+					if _, err := job.Step(&iterate.Context{Superstep: s}); err != nil {
+						t.Fatalf("superstep %d: %v", s, err)
+					}
+					s++
+				}
+				for i, w := range co.Workers() {
+					grew = append(grew, float64(workerStats(t, co, w).AllocBytes-before[i]))
+				}
+				return grew
+			}
+			window(warm)
+			var rounds []float64
+			for range 5 {
+				a, b := window(short), window(long)
+				worst := math.Inf(-1)
+				for i := range a {
+					worst = max(worst, (b[i]-a[i])/(long-short))
+				}
+				rounds = append(rounds, worst)
+			}
+			slices.Sort(rounds)
+			perStep := rounds[len(rounds)/2]
+			t.Logf("a worker allocates %.0f B per superstep", perStep)
+			if perStep > tc.ceiling {
+				t.Errorf("a worker allocates %.0f B per steady-state superstep, want <= %.0f (hosted halves or revert captures allocating again)", perStep, tc.ceiling)
+			}
+		})
 	}
 }
 

@@ -13,7 +13,6 @@ package proc
 // the caller recycles, every other section into an exactly-sized one.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -233,7 +232,9 @@ func (c sectionCodec[E]) read(r *colbytes.Reader, into *[]byte) []E {
 
 // poisonRecycled, set only by tests, fills a recycled arena with 0xA5
 // before it is reused, so a view kept past its arena's lifetime reads
-// garbage rather than plausible columns.
+// garbage rather than plausible columns. It fills in place: the test
+// binary's workers poison every arena, and their allocation counters
+// must still show what a superstep allocates.
 var poisonRecycled bool
 
 // recycle empties *arena for n bytes of section data and returns it: the
@@ -248,7 +249,10 @@ func recycle(arena *[]byte, n int) []byte {
 	if cap(*arena) < n {
 		*arena = make([]byte, 0, n)
 	} else if poisonRecycled {
-		copy((*arena)[:cap(*arena)], bytes.Repeat([]byte{0xA5}, cap(*arena)))
+		a := (*arena)[:cap(*arena)]
+		for i := range a {
+			a[i] = 0xA5
+		}
 	}
 	return (*arena)[:0]
 }

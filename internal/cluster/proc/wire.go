@@ -59,8 +59,9 @@ import (
 // partition byte views; version 5 added the carried commit (Owed);
 // version 6 the compensation round (CompensateReq); version 7 the
 // commit a CompensateReq carries; version 8 dropped the data plane, so
-// state moves as ctrl RPCs, and gave FetchReq the raw codec.
-const ProtoVersion = 8
+// state moves as ctrl RPCs, and gave FetchReq the raw codec; version 9
+// added the worker's allocation counters to WorkerStats.
+const ProtoVersion = 9
 
 // Frame is the unit of transmission: one gob value wrapping one
 // message. Wrapping in an interface-typed field keeps each frame
@@ -257,13 +258,18 @@ type StatsReq struct{}
 // were answered from the idempotence cache without re-applying;
 // CommitsCarried and CommitsExplicit count held attempts committed by a
 // request's Commit field and by a CommitReq; Rescatters counts priming
-// steps run.
+// steps run. AllocBytes, Mallocs and GCCycles are the worker process's
+// runtime.MemStats TotalAlloc, Mallocs and NumGC, read when the
+// StatsReq is handled.
 type WorkerStats struct {
 	Handled         uint64
 	Replayed        uint64
 	CommitsCarried  uint64
 	CommitsExplicit uint64
 	Rescatters      uint64
+	AllocBytes      uint64
+	Mallocs         uint64
+	GCCycles        uint64
 }
 
 // JobSnapshot is a proc job's checkpoint: every partition's committed

@@ -32,7 +32,7 @@ func sampleMessages() []any {
 		ClearReq{Parts: []int{3}},
 		ShutdownReq{},
 		StatsReq{},
-		WorkerStats{Handled: 17, Replayed: 2, CommitsCarried: 9, CommitsExplicit: 1},
+		WorkerStats{Handled: 17, Replayed: 2, CommitsCarried: 9, CommitsExplicit: 1, Rescatters: 3, AllocBytes: 1 << 20, Mallocs: 4096, GCCycles: 7},
 		checkpoint.CommitRecord{Epoch: 9, Superstep: 4, Parts: map[int]uint64{2: 9}, Compressed: true},
 	}
 }

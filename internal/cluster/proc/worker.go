@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"slices"
 	"strings"
 	"time"
@@ -310,7 +311,11 @@ func (h *workerHost) handle(req any) any {
 	case PingReq:
 		return OKResp{}
 	case StatsReq:
-		return h.stats
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		st := h.stats
+		st.AllocBytes, st.Mallocs, st.GCCycles = ms.TotalAlloc, ms.Mallocs, uint64(ms.NumGC)
+		return st
 	case LoadReq:
 		err = h.load(r)
 	case StepReq:

@@ -1,11 +1,12 @@
 // Hosted columnar supersteps: the same ColStep, run by a process that
 // hosts only some of its partitions. The engine's halves execute
-// separately and the exchange between them is bytes instead of
-// channels: every flushed batch is written as ColBatch columns
-// (AppendColumns) into a per-(source, destination) buffer. Buffers
-// bound for hosted partitions stay here until the next fold, the others
-// leave the process and the peers' arrive, so a hosted step folds what
-// the previous one expanded, applies, then expands the new state.
+// separately, inline on the caller's goroutine, and the exchange between
+// them is bytes instead of channels: every flushed batch is written as
+// ColBatch columns (AppendColumns) into a per-(source, destination)
+// buffer. Buffers bound for hosted partitions stay here until the next
+// fold, the others leave the process and the peers' arrive, so a hosted
+// step folds what the previous one expanded, applies, then expands the
+// new state.
 // Source, Apply, the expand kernels and the fold scratch are the
 // in-process code path.
 package exec
@@ -58,6 +59,8 @@ type ColHosted[V ColValue] struct {
 	// borrowed from the caller for its duration and cleared before it
 	// returns.
 	remote [][][]byte
+	// sent backs HostedOut.Remote, refilled by every expansion.
+	sent []HostedCols
 	// revert undoes the state writes of the attempt in flight; nil when
 	// none is.
 	revert func()
@@ -98,32 +101,35 @@ func (h *ColHosted[V]) Fold(remote []HostedCols) error {
 		}
 		h.remote[rc.Src][rc.Dst] = rc.Cols
 	}
-	type cursor struct {
-		src int
-		r   *colbytes.Reader
-	}
-	cur := make([]cursor, n)
+	// foldHalf folds the hosted partitions one after another, each to
+	// its last batch, so one cursor serves them all: the partition being
+	// folded, the next source partition whose columns it reads, and the
+	// reader over the current one.
 	partOf := h.step.Parts.PartOf
+	folding, src := -1, 0
+	var r colbytes.Reader
 	return h.engine.foldHalf(h.step, h.parts, func(part int, b *ColBatch[V]) (bool, error) {
-		c := &cur[part]
-		for c.r == nil || c.r.Remaining() == 0 {
-			if c.src == n {
+		if part != folding {
+			folding, src, r = part, 0, colbytes.Reader{}
+		}
+		for r.Remaining() == 0 {
+			if src == n {
 				return false, nil
 			}
-			cols := h.remote[c.src][part]
-			if h.hosted[c.src] {
-				cols = h.held[c.src][part]
+			cols := h.remote[src][part]
+			if h.hosted[src] {
+				cols = h.held[src][part]
 			}
-			c.src++
-			c.r = colbytes.NewReader(cols)
+			src++
+			r = *colbytes.NewReader(cols)
 		}
-		b.ReadColumns(c.r)
-		if err := c.r.Err(); err != nil {
-			return false, fmt.Errorf("columns from partition %d: %w", c.src-1, err)
+		b.ReadColumns(&r)
+		if err := r.Err(); err != nil {
+			return false, fmt.Errorf("columns from partition %d: %w", src-1, err)
 		}
 		for _, d := range b.Dst {
 			if d < 0 || int(d) >= len(partOf) || int(partOf[d]) != part {
-				return false, fmt.Errorf("columns from partition %d: row for vertex index %d, which partition %d does not own", c.src-1, d, part)
+				return false, fmt.Errorf("columns from partition %d: row for vertex index %d, which partition %d does not own", src-1, d, part)
 			}
 		}
 		return true, nil
@@ -133,7 +139,8 @@ func (h *ColHosted[V]) Fold(remote []HostedCols) error {
 // Expand runs the producing half over the hosted partitions' sources
 // and reports, in out, the messages sent and the columns bound for
 // partitions hosted elsewhere, which alias the attempt's buffers until
-// the Expand after the next Commit.
+// the Expand after the next Commit; out.Remote itself is reused by the
+// next Expand or Reexpand.
 func (h *ColHosted[V]) Expand(out *HostedOut) error {
 	return h.expand(h.out, h.parts, false, out)
 }
@@ -181,13 +188,15 @@ func (h *ColHosted[V]) expand(bufs [][][]byte, parts []int, keepLocal bool, out 
 		return err
 	}
 	out.Messages = stats.Messages
+	h.sent = h.sent[:0]
 	for _, src := range parts {
 		for dst, cols := range bufs[src] {
 			if !h.hosted[dst] && len(cols) > 0 {
-				out.Remote = append(out.Remote, HostedCols{Src: src, Dst: dst, Cols: cols})
+				h.sent = append(h.sent, HostedCols{Src: src, Dst: dst, Cols: cols})
 			}
 		}
 	}
+	out.Remote = h.sent
 	return nil
 }
 

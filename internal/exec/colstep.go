@@ -123,13 +123,21 @@ type ColEngine[V ColValue] struct {
 	lacc     [][]V
 	lseen    [][]bool
 	ltouched [][]int32
+	// Producer state, per producing partition.
+	prod []producer[V]
+	// half is the run state the hosted halves reuse, one at a time.
+	half colRun[V]
 }
 
 type colRun[V ColValue] struct {
 	e     *ColEngine[V]
 	step  *ColStep[V]
 	batch int
+	// chans and done are Run's exchange and cancellation channels; the
+	// hosted halves run inline on the caller's goroutine and have
+	// neither.
 	chans []chan *ColBatch[V]
+	done  chan struct{}
 	// sink, when set, replaces the channel exchange: flushed batches are
 	// lent to it instead of sent to a fold task (see expandHalf).
 	sink func(src, dst int, b *ColBatch[V])
@@ -137,7 +145,6 @@ type colRun[V ColValue] struct {
 	senders sync.WaitGroup
 	folders sync.WaitGroup
 
-	done      chan struct{}
 	once      sync.Once
 	aborted   atomic.Bool
 	err       error
@@ -149,12 +156,15 @@ type colRun[V ColValue] struct {
 }
 
 // fail records the first error and tears the run down through the
-// cancellation channel, exactly like the boxed engine.
+// cancellation channel, exactly like the boxed engine (an inline half
+// has none: its loops check aborted).
 func (r *colRun[V]) fail(err error) {
 	r.once.Do(func() {
 		r.err = err
 		r.aborted.Store(true)
-		close(r.done)
+		if r.done != nil {
+			close(r.done)
+		}
 	})
 }
 
@@ -223,6 +233,11 @@ func (e *ColEngine[V]) ensureScratch(p, nv int, local bool) {
 		e.lacc = make([][]V, n)
 		e.lseen = make([][]bool, n)
 		e.ltouched = make([][]int32, n)
+		e.prod = make([]producer[V], n)
+		for i := range e.prod {
+			e.prod[i].bufs = make([]*ColBatch[V], n)
+			e.prod[i].emit = e.prod[i].row
+		}
 	}
 	if len(e.acc) != p {
 		grow(p)
@@ -242,44 +257,30 @@ func (e *ColEngine[V]) ensureScratch(p, nv int, local bool) {
 	}
 }
 
-// newRun validates the step against the engine and sizes the pooled
-// batches, fold scratch and channels — the set-up Run and the two
-// hosted halves share.
-func (e *ColEngine[V]) newRun(step *ColStep[V], fi *FaultInjection) (*colRun[V], error) {
+// newRun validates the step against the engine, sizes the pooled
+// batches and the fold scratch, and resets r for a run of step — the
+// set-up Run and the two hosted halves share.
+func (e *ColEngine[V]) newRun(r *colRun[V], step *ColStep[V], fi *FaultInjection) error {
 	if e.Parallelism < 1 {
 		e.Parallelism = 1
 	}
 	if step.Adj == nil || step.Parts == nil || step.Source == nil || step.Apply == nil {
-		return nil, fmt.Errorf("col: step needs Adj, Parts, Source and Apply")
+		return fmt.Errorf("col: step needs Adj, Parts, Source and Apply")
 	}
 	if step.Parts.N != e.Parallelism {
-		return nil, fmt.Errorf("col: partitioning has %d partitions, engine parallelism is %d", step.Parts.N, e.Parallelism)
+		return fmt.Errorf("col: partitioning has %d partitions, engine parallelism is %d", step.Parts.N, e.Parallelism)
 	}
 	if step.Expand == ExpandMulScale && len(step.Scale) != len(step.Adj.Targets) {
-		return nil, fmt.Errorf("col: Scale column has %d entries, adjacency has %d edges", len(step.Scale), len(step.Adj.Targets))
+		return fmt.Errorf("col: Scale column has %d entries, adjacency has %d edges", len(step.Scale), len(step.Adj.Targets))
 	}
 	batch := e.BatchSize
 	if batch <= 0 {
 		batch = DefaultColBatchSize
 	}
-	depth := e.ChannelDepth
-	if depth <= 0 {
-		depth = 16
-	}
 	e.pool.init(batch)
 	e.ensureScratch(e.Parallelism, step.Adj.NumVertices(), step.LocalFold)
-	r := &colRun[V]{
-		e:     e,
-		step:  step,
-		batch: batch,
-		chans: make([]chan *ColBatch[V], e.Parallelism),
-		done:  make(chan struct{}),
-		fault: fi,
-	}
-	for i := range r.chans {
-		r.chans[i] = make(chan *ColBatch[V], depth)
-	}
-	return r, nil
+	*r = colRun[V]{e: e, step: step, batch: batch, fault: fi}
+	return nil
 }
 
 // Run executes one columnar superstep, optionally with a scheduled
@@ -288,16 +289,31 @@ func (e *ColEngine[V]) newRun(step *ColStep[V], fi *FaultInjection) (*colRun[V],
 // reset, so the engine is reusable for the retry.
 func (e *ColEngine[V]) Run(step *ColStep[V], fi *FaultInjection) (ColStats, error) {
 	start := time.Now()
-	r, err := e.newRun(step, fi)
-	if err != nil {
+	r := new(colRun[V])
+	if err := e.newRun(r, step, fi); err != nil {
 		return ColStats{}, err
 	}
 	p := e.Parallelism
+	depth := e.ChannelDepth
+	if depth <= 0 {
+		depth = 16
+	}
+	r.chans = make([]chan *ColBatch[V], p)
+	for i := range r.chans {
+		r.chans[i] = make(chan *ColBatch[V], depth)
+	}
+	r.done = make(chan struct{})
 	r.senders.Add(p)
 	r.folders.Add(p)
 	for part := 0; part < p; part++ {
-		go r.expand(part)
-		go r.foldAndApply(part)
+		go func() {
+			defer r.senders.Done()
+			r.expand(part)
+		}()
+		go func() {
+			defer r.folders.Done()
+			r.foldAndApply(part, func() (*ColBatch[V], error) { return <-r.chans[part], nil })
+		}()
 	}
 	go func() {
 		r.senders.Wait()
@@ -321,115 +337,98 @@ func (r *colRun[V]) stats(start time.Time) ColStats {
 	}
 }
 
-// expandHalf runs only the producing half, for the listed partitions:
-// the exchange is sink, which is lent every flushed batch (after any
-// local fold) on the producing task's goroutine and must copy what it
-// keeps — the batch is recycled when sink returns.
+// expandHalf runs only the producing half, for the listed partitions,
+// one after another on the caller's goroutine: the exchange is sink,
+// which is lent every flushed batch (after any local fold) and must copy
+// what it keeps — the batch is recycled when sink returns.
 func (e *ColEngine[V]) expandHalf(step *ColStep[V], parts []int, sink func(src, dst int, b *ColBatch[V])) (ColStats, error) {
 	start := time.Now()
-	r, err := e.newRun(step, nil)
-	if err != nil {
+	r := &e.half
+	if err := e.newRun(r, step, nil); err != nil {
 		return ColStats{}, err
 	}
 	r.sink = sink
-	r.senders.Add(len(parts))
 	for _, part := range parts {
-		go r.expand(part)
-	}
-	r.senders.Wait()
-	if r.err != nil {
-		return ColStats{}, r.err
+		if r.expand(part); r.err != nil {
+			return ColStats{}, r.err
+		}
 	}
 	return r.stats(start), nil
 }
 
-// foldHalf runs only the consuming half, for the listed partitions:
-// the exchange is next, which fills the pooled batch it is lent with
-// partition part's next incoming batch, or reports that there is none
-// left. Each partition's batches are folded in the order next yields
-// them, so a deterministic next gives bit-identical float sums.
+// foldHalf runs only the consuming half, for the listed partitions, one
+// after another on the caller's goroutine: the exchange is next, which
+// fills the pooled batch it is lent with partition part's next incoming
+// batch, or reports that there is none left. Each batch is folded as
+// soon as next fills it, in the order next yields them, so a
+// deterministic next gives bit-identical float sums.
 func (e *ColEngine[V]) foldHalf(step *ColStep[V], parts []int, next func(part int, b *ColBatch[V]) (bool, error)) error {
-	r, err := e.newRun(step, nil)
-	if err != nil {
+	r := &e.half
+	if err := e.newRun(r, step, nil); err != nil {
 		return err
 	}
-	r.folders.Add(len(parts))
 	for _, part := range parts {
-		go r.feed(part, next)
-		go r.foldAndApply(part)
+		r.foldAndApply(part, func() (*ColBatch[V], error) {
+			bp := r.getBatch()
+			more, err := next(part, bp)
+			if err != nil || !more {
+				r.putColBatch(bp)
+				bp = nil
+			}
+			if err != nil {
+				err = fmt.Errorf("col: exchange into partition %d: %w", part, err)
+			}
+			return bp, err
+		})
+		if r.err != nil {
+			return r.err
+		}
 	}
-	r.folders.Wait()
-	return r.err
+	return nil
 }
 
-// feed is foldHalf's producing side for partition part: it pulls
-// batches from next into the partition's fold channel and closes it.
-func (r *colRun[V]) feed(part int, next func(part int, b *ColBatch[V]) (bool, error)) {
-	defer close(r.chans[part])
-	for {
-		bp := r.getBatch()
-		more, err := next(part, bp)
-		if err != nil {
-			r.fail(fmt.Errorf("col: exchange into partition %d: %w", part, err))
-		}
-		if err != nil || !more {
-			r.putColBatch(bp)
-			return
-		}
-		if !r.flushTo(part, part, bp) {
-			return
-		}
-	}
+// producer is the expanding task of one partition: its batches, one
+// per destination partition, and its message counters. The engine
+// keeps one per partition with emit bound to its row method once, so an
+// expansion allocates nothing.
+type producer[V ColValue] struct {
+	r    *colRun[V]
+	part int
+	// The run's step.Parts.PartOf and CSR columns, loaded once per run
+	// rather than once per row.
+	partOf, offsets, targets []int32
+	weights                  []float64
+	// bufs[dst] is the batch being filled for partition dst; nil once
+	// flushed or recycled.
+	bufs               []*ColBatch[V]
+	emit               func(src int32, val V) bool
+	messages, shuffled int64
+	// Run expands partitions on concurrent goroutines: the pad keeps
+	// the counters, written per row and per message, off the cache line
+	// holding the next producer's fields, which its core reads as often.
+	_ [64]byte
 }
 
 // expand is the producing half of partition part: it pulls source rows,
 // walks their CSR edge ranges and scatters messages into per-partition
 // batches (or the local fold scratch).
 func (r *colRun[V]) expand(part int) {
-	defer r.senders.Done()
 	defer func() {
 		if rec := recover(); rec != nil {
 			r.fail(fmt.Errorf("col: panic in expand task %d: %v\n%s", part, rec, debug.Stack()))
 		}
 	}()
 	s := r.step
-	offsets, targets := s.Adj.Offsets, s.Adj.Targets
-	weights := s.Adj.Weights
-	partOf := s.Parts.PartOf
-	bufs := make([]*ColBatch[V], len(r.chans))
-	for i := range bufs {
-		bufs[i] = r.getBatch()
+	p := &r.e.prod[part]
+	p.r, p.part, p.messages, p.shuffled = r, part, 0, 0
+	p.partOf, p.offsets, p.targets, p.weights = s.Parts.PartOf, s.Adj.Offsets, s.Adj.Targets, s.Adj.Weights
+	for i := range p.bufs {
+		p.bufs[i] = r.getBatch()
 	}
-	var messages, shuffled int64
 	defer func() {
-		r.messages.Add(messages)
-		r.shuffled.Add(shuffled)
+		r.messages.Add(p.messages)
+		r.shuffled.Add(p.shuffled)
 	}()
-	abort := func() {
-		for i, bp := range bufs {
-			if bp != nil {
-				r.putColBatch(bp)
-				bufs[i] = nil
-			}
-		}
-	}
-
-	// deliver appends one already-folded or raw message to its
-	// destination partition's batch.
-	deliver := func(dst int32, val V) bool {
-		dp := partOf[dst]
-		bp := bufs[dp]
-		bp.push(dst, val)
-		shuffled++
-		if bp.full(r.batch) {
-			if !r.flushTo(part, int(dp), bp) {
-				bufs[dp] = nil
-				return false
-			}
-			bufs[dp] = r.getBatch()
-		}
-		return true
-	}
 
 	if s.LocalFold {
 		// The local-fold scratch is reset whether the run commits or
@@ -443,55 +442,13 @@ func (r *colRun[V]) expand(part int) {
 		}()
 	}
 
-	// emit expands one source row over its contiguous edge range. The
-	// three expand kinds are separate tight loops so the per-edge path
-	// has no switch and no closure call; so are the local-fold ones (see
-	// localFold).
-	emit := func(src int32, val V) bool {
-		lo, hi := offsets[src], offsets[src+1]
-		messages += int64(hi - lo)
-		if s.LocalFold {
-			r.e.ltouched[part] = localFold(s, r.e.lacc[part], r.e.lseen[part], r.e.ltouched[part], lo, hi, val)
-			return !r.aborted.Load()
-		}
-		switch s.Expand {
-		case ExpandCopy:
-			for j := lo; j < hi; j++ {
-				if !deliver(targets[j], val) {
-					return false
-				}
-			}
-		case ExpandAddWeight:
-			if weights == nil {
-				for j := lo; j < hi; j++ {
-					if !deliver(targets[j], val+V(1)) {
-						return false
-					}
-				}
-			} else {
-				for j := lo; j < hi; j++ {
-					if !deliver(targets[j], val+V(weights[j])) {
-						return false
-					}
-				}
-			}
-		case ExpandMulScale:
-			for j := lo; j < hi; j++ {
-				if !deliver(targets[j], val*V(s.Scale[j])) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-
-	if err := s.Source(part, emit); err != nil {
+	if err := s.Source(part, p.emit); err != nil {
 		r.fail(fmt.Errorf("col: source for partition %d: %w", part, err))
-		abort()
+		p.abort()
 		return
 	}
 	if r.aborted.Load() {
-		abort()
+		p.abort()
 		return
 	}
 	if s.LocalFold {
@@ -501,22 +458,95 @@ func (r *colRun[V]) expand(part int) {
 		lacc, ltouched := r.e.lacc[part], ascending(r.e.ltouched[part], r.e.lseen[part], nil)
 		r.e.ltouched[part] = ltouched
 		for _, dst := range ltouched {
-			if !deliver(dst, lacc[dst]) {
-				abort()
+			if !p.deliver(dst, lacc[dst]) {
+				p.abort()
 				return
 			}
 		}
 	}
-	for i, bp := range bufs {
+	for i, bp := range p.bufs {
 		if bp == nil {
 			continue
 		}
-		bufs[i] = nil
+		p.bufs[i] = nil
 		if !r.flushTo(part, i, bp) {
-			abort()
+			p.abort()
 			return
 		}
 	}
+}
+
+// abort recycles the batches the producer still holds.
+func (p *producer[V]) abort() {
+	for i, bp := range p.bufs {
+		if bp != nil {
+			p.r.putColBatch(bp)
+			p.bufs[i] = nil
+		}
+	}
+}
+
+// deliver appends one already-folded or raw message to its destination
+// partition's batch.
+func (p *producer[V]) deliver(dst int32, val V) bool {
+	r := p.r
+	dp := p.partOf[dst]
+	bp := p.bufs[dp]
+	bp.push(dst, val)
+	p.shuffled++
+	if bp.full(r.batch) {
+		if !r.flushTo(p.part, int(dp), bp) {
+			p.bufs[dp] = nil
+			return false
+		}
+		p.bufs[dp] = r.getBatch()
+	}
+	return true
+}
+
+// row is the producer's emit: it expands one source row over its
+// contiguous edge range. The three expand kinds are separate tight loops
+// so the per-edge path has no switch and no indirect call; so are the
+// local-fold ones (see localFold).
+func (p *producer[V]) row(src int32, val V) bool {
+	r := p.r
+	s := r.step
+	targets, weights := p.targets, p.weights
+	lo, hi := p.offsets[src], p.offsets[src+1]
+	p.messages += int64(hi - lo)
+	if s.LocalFold {
+		r.e.ltouched[p.part] = localFold(s, r.e.lacc[p.part], r.e.lseen[p.part], r.e.ltouched[p.part], lo, hi, val)
+		return !r.aborted.Load()
+	}
+	switch s.Expand {
+	case ExpandCopy:
+		for j := lo; j < hi; j++ {
+			if !p.deliver(targets[j], val) {
+				return false
+			}
+		}
+	case ExpandAddWeight:
+		if weights == nil {
+			for j := lo; j < hi; j++ {
+				if !p.deliver(targets[j], val+V(1)) {
+					return false
+				}
+			}
+		} else {
+			for j := lo; j < hi; j++ {
+				if !p.deliver(targets[j], val+V(weights[j])) {
+					return false
+				}
+			}
+		}
+	case ExpandMulScale:
+		for j := lo; j < hi; j++ {
+			if !p.deliver(targets[j], val*V(s.Scale[j])) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // localFold folds the messages one source row sends along its edges
@@ -524,8 +554,8 @@ func (r *colRun[V]) expand(part int) {
 // touched with the destinations seen first here appended: the LocalFold
 // branch of expand, one closure-free loop per ExpandKind × FoldKind (an
 // unweighted ExpandAddWeight adds a constant 1, so it is ExpandCopy of
-// val+1). It is a top-level function so that expand's emit captures
-// nothing for it.
+// val+1). It is a top-level function, a direct call from the producer's
+// row.
 func localFold[V ColValue](s *ColStep[V], acc []V, seen []bool, touched []int32, lo, hi int32, val V) []int32 {
 	targets := s.Adj.Targets[lo:hi]
 	var col []float64 // per-edge operand, parallel to targets
@@ -597,11 +627,13 @@ func localFold[V ColValue](s *ColStep[V], acc []V, seen []bool, touched []int32,
 	return touched
 }
 
-// foldAndApply is the consuming half of partition part: it folds
-// incoming batches into dense scratch and hands the folded updates to
-// the step's Apply callback in ascending destination order.
-func (r *colRun[V]) foldAndApply(part int) {
-	defer r.folders.Done()
+// foldAndApply is the consuming half of partition part: it folds the
+// batches next hands over — Run's fold task receives them from the
+// partition's channel, the inline hosted fold decodes them — into dense
+// scratch as they come, recycles each, and hands the folded updates to
+// the step's Apply callback in ascending destination order. next
+// returns nil when there are no more; an error fails the run.
+func (r *colRun[V]) foldAndApply(part int, next func() (*ColBatch[V], error)) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			r.fail(fmt.Errorf("col: panic in fold task %d: %v\n%s", part, rec, debug.Stack()))
@@ -620,7 +652,15 @@ func (r *colRun[V]) foldAndApply(part int) {
 	}()
 
 	min := s.Fold == FoldMin
-	for bp := range r.chans[part] {
+	for {
+		bp, err := next()
+		if err != nil {
+			r.fail(err)
+			return
+		}
+		if bp == nil {
+			break
+		}
 		if r.aborted.Load() {
 			r.putColBatch(bp)
 			continue

@@ -30,6 +30,11 @@ type DenseStore[V any] struct {
 
 	versions []uint64
 	shared   []bool
+	// spareVals[p] and spareHas[p] are arrays no one reads any more,
+	// which partition p's next unshare copies into instead of
+	// allocating; nil when there are none. Only Recapture fills them.
+	spareVals [][]V
+	spareHas  [][]bool
 
 	// Delta-log tracking: per-slot dirty bits plus a distinct-dirty
 	// counter, and the partition-wiped flag (see AppendDeltaBytes).
@@ -81,15 +86,21 @@ func (s *DenseStore[V]) Len() int {
 	return n
 }
 
-// unshare clones partition p's columns if a SnapshotShared capture
-// aliases them, so in-place writes cannot be observed through the
-// capture.
+// unshare clones partition p's columns if a capture aliases them, so
+// in-place writes cannot be observed through the capture. The clone
+// fills the partition's spare arrays when it has them.
 func (s *DenseStore[V]) unshare(p int) {
 	if !s.shared[p] {
 		return
 	}
-	s.vals[p] = append([]V(nil), s.vals[p]...)
-	s.has[p] = append([]bool(nil), s.has[p]...)
+	var vals []V
+	var has []bool
+	if s.spareVals != nil {
+		vals, has = s.spareVals[p][:0], s.spareHas[p][:0]
+		s.spareVals[p], s.spareHas[p] = nil, nil
+	}
+	s.vals[p] = append(vals, s.vals[p]...)
+	s.has[p] = append(has, s.has[p]...)
 	s.shared[p] = false
 }
 
@@ -251,6 +262,56 @@ func (s *DenseStore[V]) SnapshotShared() *DenseStore[V] {
 		c.dirty[p] = make([]bool, len(s.dirty[p]))
 	}
 	return c
+}
+
+// Recapture is SnapshotShared for a capture that holds an attempt
+// uncommitted (a hosted step's revert capture, see Revert). c is the
+// capture the previous Recapture of s returned, nil the first time;
+// the attempt it held has ended. Recapture reuses c, and the arrays c
+// held that s no longer holds become the copy targets of the next
+// unshare of their partitions: a partition written by every attempt
+// alternates between two arrays, and a steady stream of attempts
+// allocates nothing. The capture has no dirty columns and must not be
+// written. Recapture's captures must be the only captures of s: another
+// one could still read an array recycled here.
+func (s *DenseStore[V]) Recapture(c *DenseStore[V]) *DenseStore[V] {
+	if c == nil {
+		c = &DenseStore[V]{name: s.name, d: s.d, pt: s.pt}
+	}
+	if s.spareVals == nil {
+		s.spareVals, s.spareHas = make([][]V, len(s.vals)), make([][]bool, len(s.vals))
+	}
+	for p := range c.vals {
+		if !sameArray(c.vals[p], s.vals[p]) {
+			s.spareVals[p], s.spareHas[p] = c.vals[p], c.has[p]
+		}
+	}
+	c.vals = append(c.vals[:0], s.vals...)
+	c.has = append(c.has[:0], s.has...)
+	c.count = append(c.count[:0], s.count...)
+	c.versions = append(c.versions[:0], s.versions...)
+	for p := range s.shared {
+		s.shared[p] = true
+	}
+	return c
+}
+
+// Revert puts s back to capture c, which Recapture returned, and ends
+// c's attempt: the arrays written since are dropped, and c's are s's
+// own again. Dirty marks stay: a delta may carry a slot more than
+// changed.
+func (s *DenseStore[V]) Revert(c *DenseStore[V]) {
+	copy(s.vals, c.vals)
+	copy(s.has, c.has)
+	copy(s.count, c.count)
+	copy(s.versions, c.versions)
+	clear(s.shared)
+}
+
+// sameArray reports whether two columns, both views from index 0 of
+// their arrays, share one.
+func sameArray[T any](a, b []T) bool {
+	return cap(a) > 0 && cap(b) > 0 && &a[:1][0] == &b[:1][0]
 }
 
 // MarkClean forgets all recorded changes: the next AppendDeltaBytes

@@ -245,3 +245,42 @@ func TestWorksetSnapshotSharedIsImmutable(t *testing.T) {
 		t.Fatalf("live len = %d", w.Len())
 	}
 }
+
+// TestDenseStoreRecapture holds a revert capture to the values of the
+// moment it was taken while the attempt writes, puts them back on
+// Revert, and has the next Recapture recycle what the capture held: a
+// steady stream of attempts writing every partition allocates nothing.
+func TestDenseStoreRecapture(t *testing.T) {
+	s := byteViewStore(t)
+	all := func(fn func(idx int32)) {
+		for idx := range int32(len(s.pt.PartOf)) {
+			fn(idx)
+		}
+	}
+	want := func(st *DenseStore[uint64], what string, val func(idx int32) uint64) {
+		t.Helper()
+		all(func(idx int32) {
+			if v, ok := st.At(idx); !ok || v != val(idx) {
+				t.Fatalf("%s: vertex %d holds %d (present %v), want %d", what, idx, v, ok, val(idx))
+			}
+		})
+	}
+	var c *DenseStore[uint64]
+	attempt := func(k uint64) {
+		c = s.Recapture(c)
+		all(func(idx int32) { s.SetAt(idx, k*100+uint64(idx)) })
+	}
+	attempt(1)
+	attempt(2)
+	want(c, "capture during attempt 2", func(idx int32) uint64 { return 100 + uint64(idx) })
+	s.Revert(c)
+	want(s, "reverted attempt 2", func(idx int32) uint64 { return 100 + uint64(idx) })
+	attempt(3)
+	want(c, "capture during attempt 3", func(idx int32) uint64 { return 100 + uint64(idx) })
+	want(s, "attempt 3", func(idx int32) uint64 { return 300 + uint64(idx) })
+	if allocs := testing.AllocsPerRun(10, func() { attempt(4) }); allocs != 0 {
+		t.Errorf("a steady attempt allocates %.0f times", allocs)
+	}
+	attempt(5)
+	want(c, "capture during attempt 5", func(idx int32) uint64 { return 400 + uint64(idx) })
+}
