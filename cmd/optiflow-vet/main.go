@@ -1,10 +1,8 @@
 // Command optiflow-vet lints the repository's Go sources for the
 // invariants that keep optimistic recovery sound and the engine
-// deterministic — checks go vet cannot express. It drives both lint
-// layers behind one registry: the syntactic AST rules in
-// internal/srclint and the typed CFG/dataflow analyses in
-// internal/deepvet (see either package for the rule catalogue, or run
-// with -catalogue).
+// deterministic — checks go vet cannot express. Every rule runs over
+// the packages internal/deepvet type-checks (see that package for the
+// rule catalogue, or run with -catalogue).
 //
 // Usage:
 //
@@ -41,14 +39,13 @@ func main() {
 	var (
 		jsonOut   = flag.Bool("json", false, "emit findings as a JSON array on stdout")
 		rules     = flag.String("rules", "", "comma-separated rule names to run (default: all)")
-		noTyped   = flag.Bool("no-typed", false, "skip the typed deepvet analyses (fast syntactic pass only)")
 		catalogue = flag.Bool("catalogue", false, "print the rule catalogue and exit")
 	)
 	flag.Parse()
 
 	if *catalogue {
 		for _, r := range deepvet.Rules() {
-			fmt.Printf("%-14s %-5s %s\n", r.Name, r.Layer, r.Doc)
+			fmt.Printf("%-14s %s\n", r.Name, r.Doc)
 		}
 		return
 	}
@@ -63,7 +60,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	opts := deepvet.Options{NoTyped: *noTyped}
+	var opts deepvet.Options
 	if *rules != "" {
 		for _, r := range strings.Split(*rules, ",") {
 			if r = strings.TrimSpace(r); r != "" {

@@ -1,0 +1,78 @@
+package checkpoint
+
+import (
+	"bytes"
+	"testing"
+)
+
+// FuzzDecodeSnapFile feeds arbitrary bytes to the DiskStore file
+// decoder. A file it accepts must be exactly the header it would write
+// for that payload and superstep, followed by the payload.
+func FuzzDecodeSnapFile(f *testing.F) {
+	packed, err := compress(bytes.Repeat([]byte("state"), 40))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i, data := range [][]byte{nil, []byte("p0"), packed} {
+		raw := append(encodeSnapHeader(i-1, data), data...)
+		f.Add(raw)
+		f.Add(raw[:len(raw)-1]) // torn payload
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		data, superstep, err := decodeSnapFile(raw)
+		if err != nil {
+			return
+		}
+		if again := append(encodeSnapHeader(superstep, data), data...); !bytes.Equal(again, raw) {
+			t.Fatalf("accepted %x, which re-encodes as %x", raw, again)
+		}
+	})
+}
+
+// FuzzLoadCommitted feeds an arbitrary commit record and partition blob
+// to LoadCommitted. It must return an error or a result, and a result
+// holds one blob per partition the record names.
+func FuzzLoadCommitted(f *testing.F) {
+	const job = "job"
+	packed, err := compress([]byte("p0"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, c := range []struct {
+		rec  CommitRecord
+		blob []byte
+	}{
+		{CommitRecord{Epoch: 1, Superstep: 4, Parts: map[int]uint64{0: 1}}, []byte("p0")},
+		{CommitRecord{Epoch: 1, Superstep: 4, Parts: map[int]uint64{0: 1}, Compressed: true}, packed},
+		{CommitRecord{Epoch: 2, Superstep: -1, Parts: map[int]uint64{0: 1, 1: 2}}, nil},
+		{CommitRecord{Epoch: 1, Superstep: 0, Compressed: true}, []byte("not gzip")},
+	} {
+		s := NewMemoryStore()
+		if err := Commit(s, job, c.rec); err != nil {
+			f.Fatal(err)
+		}
+		rec, _, _, err := s.Load(commitKey(job))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(rec, c.blob)
+	}
+	f.Fuzz(func(t *testing.T, rec, blob []byte) {
+		s := NewMemoryStore()
+		if err := s.Save(commitKey(job), 0, rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := SaveEpochPartition(s, job, 1, 0, 0, blob); err != nil {
+			t.Fatal(err)
+		}
+		got, blobs, ok, err := LoadCommitted(s, job)
+		if err != nil || !ok {
+			return
+		}
+		for part := range got.Parts {
+			if _, ok := blobs[part]; !ok {
+				t.Fatalf("record %+v loaded without partition %d", got, part)
+			}
+		}
+	})
+}

@@ -1,7 +1,6 @@
 package deepvet
 
 import (
-	"fmt"
 	"go/ast"
 	"go/constant"
 	"go/token"
@@ -13,9 +12,10 @@ import (
 // it blocked forever on a channel (the classic goroutine leak that
 // turns one worker failure into an engine-wide hang).
 //
-// For each `go` statement in internal/exec, internal/checkpoint,
-// internal/supervise and internal/cluster/proc (including its netfault
-// subpackage), the analysis walks the spawned body plus every
+// For each `go` statement in the spawn packages (spawnPackages in
+// rules.go: internal/exec, internal/checkpoint and internal/cluster/proc
+// with its netfault subpackage — the only packages the goroutine rule
+// lets spawn), the analysis walks the spawned body plus every
 // same-package function it (transitively) calls, and demands a
 // justification for each blocking channel operation it finds:
 //
@@ -38,25 +38,11 @@ import (
 // callbacks), and sync primitives (Cond.Wait, WaitGroup.Wait) are out
 // of scope — lockorder covers the mutex side.
 func cancellationAnalysis() *Analysis {
-	pkgs := []string{"internal/exec", "internal/checkpoint", "internal/supervise", "internal/cluster/proc"}
 	return &Analysis{
-		Name: "cancellation",
-		Doc:  "every spawned goroutine is drainable: blocking channel ops have a cancel arm, buffer, or closed channel",
-		Applies: func(rel string) bool {
-			for _, p := range pkgs {
-				if underPkg(rel, p) {
-					return true
-				}
-			}
-			return false
-		},
-		Run: func(ps []*Package) []Finding {
-			var fs []Finding
-			for _, p := range ps {
-				fs = append(fs, cancellationCheck(p)...)
-			}
-			return fs
-		},
+		Name:    "cancellation",
+		Doc:     "every spawned goroutine is drainable: blocking channel ops have a cancel arm, buffer, or closed channel",
+		Applies: func(rel string) bool { return underAnyPkg(rel, spawnPackages) },
+		Run:     eachPackage(cancellationCheck),
 	}
 }
 
@@ -107,12 +93,9 @@ func cancellationCheck(p *Package) []Finding {
 					continue
 				}
 				reported[op.pos] = true
-				fs = append(fs, Finding{
-					Pos:  position(p, op.pos),
-					Rule: "cancellation",
-					Msg: fmt.Sprintf("%s reachable from goroutine spawned at %s:%d has no cancel arm, buffer, or closed channel; a failure elsewhere strands it",
-						op.desc, spawnPos.Filename, spawnPos.Line),
-				})
+				fs = append(fs, finding(p, op.pos, "cancellation",
+					"%s reachable from goroutine spawned at %s:%d has no cancel arm, buffer, or closed channel; a failure elsewhere strands it",
+					op.desc, spawnPos.Filename, spawnPos.Line))
 			}
 			return true
 		})
@@ -227,15 +210,8 @@ func (c *cancelChecker) goStmtOps(gs *ast.GoStmt) []blockingOp {
 
 // calleeObj resolves a direct call to a same-package function object.
 func calleeObj(p *Package, call *ast.CallExpr) types.Object {
-	var obj types.Object
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		obj = p.Info.Uses[fun]
-	case *ast.SelectorExpr:
-		obj = p.Info.Uses[fun.Sel]
-	}
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() != p.Types {
+	fn := usedFunc(p.Info, call.Fun)
+	if fn == nil || fn.Pkg() != p.Types {
 		return nil
 	}
 	// A generic type's method called through an instantiation is a

@@ -1,27 +1,30 @@
-// Package deepvet is the typed, whole-program static-analysis layer of
-// optiflow-vet. Where internal/srclint pattern-matches syntax, deepvet
+// Package deepvet is the static analyzer behind optiflow-vet. It
 // type-checks the repository with go/types (stdlib only — module
 // packages are resolved against the repo tree, the rest compiles from
-// GOROOT source) and runs flow-sensitive analyses over an in-repo CFG
-// and forward-dataflow framework (cfg.go, flow.go).
+// GOROOT source) and runs each rule over the typed packages; the
+// flow-sensitive rules use an in-repo CFG and forward-dataflow
+// framework (cfg.go, flow.go). One rule per hazard:
 //
-// The typed rules target the engine's real hazard classes:
-//
+//   - goroutine, panicprefix, determinism, globalvar (rules.go): `go`
+//     statements only in the spawn packages, package-prefixed constant
+//     panic messages, no wall clock or math/rand on the replay paths,
+//     no mutated package-level state in internal/algo;
+//   - allowlist: the package lists those rules read name only packages
+//     that still exist;
 //   - poolescape: engine-owned batch memory ([]any group views and
 //     KeyCol/ValCol column views outside internal/exec, *[]any and
 //     *ColBatch[V] pooled batches inside it) must not escape or be used
-//     after its recycle point. Outside the engine this is the typed,
-//     aliasing-aware successor of the syntactic batchretain rule: a
-//     view laundered through a local alias is still caught. Inside the
-//     engine it enforces the DESIGN.md §2.1/§2.6 ownership rules: after
+//     after its recycle point. Outside the engine a view laundered
+//     through a local alias is still caught. Inside the engine it
+//     enforces the DESIGN.md §2.1/§2.6 ownership rules: after
 //     putBatch/putColBatch/put or a channel send hands a batch away,
 //     any further use on any path is flagged.
-//   - cancellation: every goroutine spawned in internal/exec,
-//     internal/checkpoint and internal/supervise must be provably
-//     drainable — each blocking channel operation reachable from a `go`
-//     statement needs a cancel-capable select (default clause, or a
-//     second arm receiving from a chan struct{}), a provably buffered
-//     channel, or a channel some function of the package closes.
+//   - cancellation: every goroutine spawned in the spawn packages must
+//     be provably drainable — each blocking channel operation reachable
+//     from a `go` statement needs a cancel-capable select (default
+//     clause, or a second arm receiving from a chan struct{}), a
+//     provably buffered channel, or a channel some function of the
+//     package closes.
 //   - snapshotwrite: in internal/state, entry-level writes to a
 //     copy-on-write store's partitions (s.parts[p][k] = v, delete)
 //     must be dominated by the unshare-on-write helpers — s.unshare(p),
@@ -34,11 +37,7 @@
 //     blocking channel operation.
 //
 // Each analysis documents its soundness boundary in its own file; the
-// architecture and the boundaries are summarized in DESIGN.md §2.5.
-//
-// The Check entry point unifies both layers — syntactic srclint rules,
-// the srclint allowlist validator, and the typed analyses — behind one
-// registry that cmd/optiflow-vet drives.
+// architecture and the hazard table are in DESIGN.md §2.5 and §6.1.
 package deepvet
 
 import (
@@ -48,15 +47,24 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-
-	"optiflow/internal/srclint"
 )
 
-// Finding is one rule violation; deepvet shares srclint's finding type
-// so both layers merge into a single deterministic report.
-type Finding = srclint.Finding
+// Finding is one rule violation.
+type Finding struct {
+	// Pos locates the violation.
+	Pos token.Position
+	// Rule identifies the check ("goroutine", "poolescape", ...).
+	Rule string
+	// Msg describes the violation.
+	Msg string
+}
 
-// Analysis is one typed rule.
+// String renders the finding in the file:line:col: style of go vet.
+func (f Finding) String() string {
+	return fmt.Sprintf("%s: [%s] %s", f.Pos, f.Rule, f.Msg)
+}
+
+// Analysis is one package rule.
 type Analysis struct {
 	// Name identifies the rule in findings and -rules filters.
 	Name string
@@ -70,9 +78,13 @@ type Analysis struct {
 	Run func(pkgs []*Package) []Finding
 }
 
-// Analyses returns the typed rule set, in catalogue order.
+// Analyses returns the package rules, in catalogue order.
 func Analyses() []*Analysis {
 	return []*Analysis{
+		goroutineAnalysis(),
+		panicPrefixAnalysis(),
+		determinismAnalysis(),
+		globalVarAnalysis(),
 		poolEscapeAnalysis(),
 		cancellationAnalysis(),
 		snapshotWriteAnalysis(),
@@ -80,45 +92,33 @@ func Analyses() []*Analysis {
 	}
 }
 
-// RuleInfo describes one rule of either layer for the catalogue.
+// RuleInfo describes one rule for the catalogue.
 type RuleInfo struct {
 	// Name is the rule identifier findings carry.
 	Name string
-	// Layer is "ast" (syntactic, internal/srclint) or "typed"
-	// (go/types + CFG, internal/deepvet).
-	Layer string
 	// Doc is the one-line description.
 	Doc string
 }
 
-// Rules returns the unified catalogue of every rule optiflow-vet runs.
+// Rules returns the catalogue of every rule optiflow-vet runs: the
+// package rules, then the allowlist validator, which reads the tree.
 func Rules() []RuleInfo {
-	rules := []RuleInfo{
-		{"goroutine", "ast", "go statements confined to the engine, cluster and checkpoint packages"},
-		{"panicprefix", "ast", "literal panic messages carry their package-name prefix"},
-		{"determinism", "ast", "replay packages read time only through internal/clock, never math/rand"},
-		{"globalvar", "ast", "algorithm packages declare no mutated package-level state"},
-		{"batchretain", "ast", "fast-path check: []any group views and KeyCol/ValCol columns must not syntactically escape UDFs"},
-		{"allowlist", "ast", "srclint package allowlists name only directories that still exist"},
-	}
+	var rules []RuleInfo
 	for _, a := range Analyses() {
-		rules = append(rules, RuleInfo{a.Name, "typed", a.Doc})
+		rules = append(rules, RuleInfo{a.Name, a.Doc})
 	}
-	return rules
+	return append(rules, RuleInfo{"allowlist", "the package lists the rules read name only directories that still exist"})
 }
 
 // Options configure Check.
 type Options struct {
 	// Rules, when non-empty, restricts the run to the named rules.
 	Rules []string
-	// NoTyped skips the typed layer (syntactic rules and the allowlist
-	// validator only) — the fast path for editor integrations.
-	NoTyped bool
 }
 
-// Check runs every selected rule of both layers over the packages the
-// patterns select (repo-root relative, "./..." style) and returns the
-// merged findings, deterministically ordered.
+// Check runs every selected rule over the packages the patterns select
+// (repo-root relative, "./..." style) and returns the findings,
+// deterministically ordered.
 func Check(root string, patterns []string, opts Options) ([]Finding, error) {
 	selected := map[string]bool{}
 	if len(opts.Rules) > 0 {
@@ -136,36 +136,10 @@ func Check(root string, patterns []string, opts Options) ([]Finding, error) {
 	want := func(rule string) bool { return len(selected) == 0 || selected[rule] }
 
 	var all []Finding
-
-	syntactic, err := srclint.Check(root, patterns)
-	if err != nil {
-		return nil, err
-	}
-	for _, f := range syntactic {
-		if want(f.Rule) {
-			all = append(all, f)
-		}
-	}
 	if want("allowlist") {
-		all = append(all, srclint.ValidateAllowlists(root)...)
+		all = append(all, validateAllowlists(root)...)
 	}
-
-	if !opts.NoTyped {
-		typed, err := checkTyped(root, patterns, want)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, typed...)
-	}
-
-	sortFindings(all)
-	return all, nil
-}
-
-// checkTyped loads every package an enabled typed analysis applies to
-// and runs the analyses.
-func checkTyped(root string, patterns []string, want func(string) bool) ([]Finding, error) {
-	dirs, err := srclint.PackageDirs(root, patterns)
+	dirs, err := packageDirs(root, patterns)
 	if err != nil {
 		return nil, err
 	}
@@ -173,7 +147,6 @@ func checkTyped(root string, patterns []string, want func(string) bool) ([]Findi
 	if err != nil {
 		return nil, err
 	}
-	var all []Finding
 	for _, a := range Analyses() {
 		if !want(a.Name) {
 			continue
@@ -193,11 +166,11 @@ func checkTyped(root string, patterns []string, want func(string) bool) ([]Findi
 			all = append(all, a.Run(pkgs)...)
 		}
 	}
+	sortFindings(all)
 	return all, nil
 }
 
-// sortFindings orders findings the way srclint.Check does: by file,
-// line, then rule.
+// sortFindings orders findings by position, rule, then message.
 func sortFindings(fs []Finding) {
 	sort.Slice(fs, func(i, j int) bool {
 		a, b := fs[i], fs[j]
@@ -206,6 +179,9 @@ func sortFindings(fs []Finding) {
 		}
 		if a.Pos.Line != b.Pos.Line {
 			return a.Pos.Line < b.Pos.Line
+		}
+		if a.Pos.Column != b.Pos.Column {
+			return a.Pos.Column < b.Pos.Column
 		}
 		if a.Rule != b.Rule {
 			return a.Rule < b.Rule

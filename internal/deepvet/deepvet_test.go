@@ -256,10 +256,9 @@ func TestLockOrderFixture(t *testing.T) {
 
 func TestRulesCatalogue(t *testing.T) {
 	rules := Rules()
-	if len(rules) != 10 {
-		t.Fatalf("catalogue has %d rules, want 10", len(rules))
+	if len(rules) != 9 {
+		t.Fatalf("catalogue has %d rules, want 9", len(rules))
 	}
-	layers := map[string]int{}
 	names := map[string]bool{}
 	for _, r := range rules {
 		if names[r.Name] {
@@ -269,12 +268,8 @@ func TestRulesCatalogue(t *testing.T) {
 		if r.Doc == "" {
 			t.Fatalf("rule %q has no doc", r.Name)
 		}
-		layers[r.Layer]++
 	}
-	if layers["ast"] != 6 || layers["typed"] != 4 {
-		t.Fatalf("layer split = %v, want 6 ast + 4 typed", layers)
-	}
-	for _, want := range []string{"batchretain", "allowlist", "poolescape", "cancellation", "snapshotwrite", "lockorder"} {
+	for _, want := range []string{"goroutine", "panicprefix", "determinism", "globalvar", "allowlist", "poolescape", "cancellation", "snapshotwrite", "lockorder"} {
 		if !names[want] {
 			t.Fatalf("catalogue missing rule %q", want)
 		}
@@ -300,17 +295,7 @@ func TestCheckRuleFilter(t *testing.T) {
 	}
 }
 
-func TestCheckNoTyped(t *testing.T) {
-	fs, err := Check(repoRoot(t), []string{"./..."}, Options{NoTyped: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fs) != 0 {
-		t.Fatalf("syntactic layer found %d violations:\n%s", len(fs), dumpFindings(fs))
-	}
-}
-
-// TestRepositoryIsClean is the CI gate: the full two-layer run over the
+// TestRepositoryIsClean is the CI gate: the run of every rule over the
 // repo — exactly what `go run ./cmd/optiflow-vet ./...` does — must be
 // free of findings, so every seeded-fixture test above proves a rule
 // that is actually enforceable on main.

@@ -7,6 +7,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -18,7 +19,7 @@ import (
 type Package struct {
 	// Rel is the package directory's slash-separated path relative to
 	// the repo root ("" for the root package). Analyses use it to decide
-	// which rules apply, exactly like srclint does.
+	// which rules apply.
 	Rel string
 	// Path is the import path the package was checked under.
 	Path string
@@ -129,7 +130,7 @@ func (l *Loader) check(dir, path, rel string) (*Package, error) {
 	}
 	names := make([]string, 0, len(entries))
 	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
+		if isSource(e) {
 			names = append(names, e.Name())
 		}
 	}
@@ -176,3 +177,53 @@ func (l *Loader) importPkg(path string) (*types.Package, error) {
 type importerFunc func(string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// packageDirs expands patterns ("./...", "internal/...", plain dirs)
+// into the sorted set of repo-root-relative, slash-separated package
+// directories holding non-test .go files ("" is the root package).
+// The recursive forms skip testdata, hidden and underscore directories.
+func packageDirs(root string, patterns []string) ([]string, error) {
+	seen := map[string]bool{}
+	var rels []string
+	add := func(dir string) error {
+		if !hasGoSources(dir) {
+			return nil
+		}
+		rel, err := filepath.Rel(root, dir)
+		if err != nil {
+			return err
+		}
+		if rel = filepath.ToSlash(rel); rel == "." {
+			rel = ""
+		}
+		if !seen[rel] {
+			seen[rel] = true
+			rels = append(rels, rel)
+		}
+		return nil
+	}
+	for _, pat := range patterns {
+		pat, recursive := strings.CutSuffix(pat, "...")
+		base := filepath.Join(root, filepath.FromSlash(pat))
+		if !recursive {
+			if err := add(base); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		err := filepath.WalkDir(base, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			if name := d.Name(); path != base && (name == "testdata" || name[0] == '.' || name[0] == '_') {
+				return fs.SkipDir
+			}
+			return add(path)
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	sort.Strings(rels)
+	return rels, nil
+}

@@ -37,21 +37,17 @@ import (
 // unified with the caller's instance. defer Unlock keeps the lock held
 // to function exit, which is exactly the truth the analysis needs.
 func lockOrderAnalysis() *Analysis {
-	pkgs := []string{"internal/cluster", "internal/supervise", "internal/checkpoint"}
 	return &Analysis{
-		Name: "lockorder",
-		Doc:  "mutex acquisition graph is acyclic; no re-lock; no lock held across blocking channel ops",
-		Applies: func(rel string) bool {
-			for _, p := range pkgs {
-				if underPkg(rel, p) {
-					return true
-				}
-			}
-			return false
-		},
-		Run: lockOrderCheck,
+		Name:    "lockorder",
+		Doc:     "mutex acquisition graph is acyclic; no re-lock; no lock held across blocking channel ops",
+		Applies: func(rel string) bool { return underAnyPkg(rel, lockOrderPackages) },
+		Run:     lockOrderCheck,
 	}
 }
+
+// lockOrderPackages are the packages whose mutexes form one
+// acquisition graph.
+var lockOrderPackages = []string{"internal/cluster", "internal/supervise", "internal/checkpoint"}
 
 // lockID identifies one mutex node in the acquisition graph.
 type lockID struct {
@@ -362,18 +358,8 @@ func (lp *lockProblem) Transfer(fact Fact, n ast.Node) Fact {
 // calleeInSet resolves a direct call to a function declared in one of
 // the analyzed packages.
 func (lp *lockProblem) calleeInSet(call *ast.CallExpr) types.Object {
-	var obj types.Object
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		obj = lp.pkg.Info.Uses[fun]
-	case *ast.SelectorExpr:
-		obj = lp.pkg.Info.Uses[fun.Sel]
-	}
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return nil
-	}
-	if _, inSet := lp.c.bodies[fn]; !inSet {
+	fn := usedFunc(lp.pkg.Info, call.Fun)
+	if _, inSet := lp.c.bodies[fn]; fn == nil || !inSet {
 		return nil
 	}
 	return fn

@@ -1,7 +1,6 @@
 package deepvet
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
 )
@@ -18,9 +17,8 @@ import (
 // or any local alias of it — must not escape through a return, a
 // channel send, a composite literal, a store into non-local memory, an
 // append as a single element, a call argument, or a closure capture.
-// Unlike the syntactic batchretain rule, the taint here flows through
-// assignments and re-slicing, so laundering the view through a local
-// alias is still caught. Reading elements out (indexing, range, copy,
+// The taint flows through assignments and re-slicing, so laundering the
+// view through a local alias is still caught. Reading elements out (indexing, range, copy,
 // append with ... spread) is the supported way to retain data and
 // stays legal.
 //
@@ -53,17 +51,12 @@ func poolEscapeAnalysis() *Analysis {
 			// engine; the ownership half applies inside it.
 			return true
 		},
-		Run: func(pkgs []*Package) []Finding {
-			var fs []Finding
-			for _, p := range pkgs {
-				if underPkg(p.Rel, "internal/exec") {
-					fs = append(fs, poolConsumeCheck(p)...)
-				} else {
-					fs = append(fs, viewEscapeCheck(p)...)
-				}
+		Run: eachPackage(func(p *Package) []Finding {
+			if underPkg(p.Rel, "internal/exec") {
+				return poolConsumeCheck(p)
 			}
-			return fs
-		},
+			return viewEscapeCheck(p)
+		}),
 	}
 }
 
@@ -206,11 +199,8 @@ func (vp *viewProblem) Transfer(fact Fact, n ast.Node) Fact {
 func viewEscapeCheck(p *Package) []Finding {
 	var fs []Finding
 	report := func(pos ast.Node, what string, obj types.Object) {
-		fs = append(fs, Finding{
-			Pos:  position(p, pos.Pos()),
-			Rule: "poolescape",
-			Msg:  fmt.Sprintf("engine-owned %s escapes via %s; copy the records you need instead", viewDesc(obj.Type()), what),
-		})
+		fs = append(fs, finding(p, pos.Pos(), "poolescape",
+			"engine-owned %s escapes via %s; copy the records you need instead", viewDesc(obj.Type()), what))
 	}
 	for _, file := range p.Files {
 		funcBodies(file, func(ft *ast.FuncType, body *ast.BlockStmt, _ *ast.FuncDecl) {
@@ -475,11 +465,8 @@ func poolConsumeCheck(p *Package) []Finding {
 					if ret, ok := n.(*ast.ReturnStmt); ok {
 						for _, res := range ret.Results {
 							if obj := cp.batchObj(res); obj != nil {
-								fs = append(fs, Finding{
-									Pos:  position(p, res.Pos()),
-									Rule: "poolescape",
-									Msg:  fmt.Sprintf("pooled %s batch returned from exported function; batches must stay inside internal/exec", batchDesc(obj.Type())),
-								})
+								fs = append(fs, finding(p, res.Pos(), "poolescape",
+									"pooled %s batch returned from exported function; batches must stay inside internal/exec", batchDesc(obj.Type())))
 							}
 						}
 					}
@@ -499,11 +486,8 @@ func poolConsumeCheck(p *Package) []Finding {
 				}
 				lobj := identObj(p.Info, st.Lhs[i])
 				if v, ok := lobj.(*types.Var); ok && v.Parent() == v.Pkg().Scope() {
-					fs = append(fs, Finding{
-						Pos:  position(p, st.Pos()),
-						Rule: "poolescape",
-						Msg:  fmt.Sprintf("pooled %s batch stored in package-level variable; its lifetime must end at its put call", batchDesc(obj.Type())),
-					})
+					fs = append(fs, finding(p, st.Pos(), "poolescape",
+						"pooled %s batch stored in package-level variable; its lifetime must end at its put call", batchDesc(obj.Type())))
 				}
 			}
 			return true
@@ -539,11 +523,8 @@ func consumedUses(p *Package, cp *consumeProblem, f consumeFact, n ast.Node) []F
 		}
 		obj := p.Info.Uses[id]
 		if obj != nil && f[obj] {
-			fs = append(fs, Finding{
-				Pos:  position(p, id.Pos()),
-				Rule: "poolescape",
-				Msg:  fmt.Sprintf("batch %s used after putBatch/send recycled it on some path; the pool or the receiver owns it now", id.Name),
-			})
+			fs = append(fs, finding(p, id.Pos(), "poolescape",
+				"batch %s used after putBatch/send recycled it on some path; the pool or the receiver owns it now", id.Name))
 		}
 		return true
 	})

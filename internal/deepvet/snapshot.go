@@ -35,18 +35,10 @@ import (
 // inherit the sanitized status the index had at the aliasing point.
 func snapshotWriteAnalysis() *Analysis {
 	return &Analysis{
-		Name: "snapshotwrite",
-		Doc:  "copy-on-write discipline: partition writes after SnapshotShared are dominated by unshare helpers",
-		Applies: func(rel string) bool {
-			return underPkg(rel, "internal/state")
-		},
-		Run: func(ps []*Package) []Finding {
-			var fs []Finding
-			for _, p := range ps {
-				fs = append(fs, snapshotCheck(p)...)
-			}
-			return fs
-		},
+		Name:    "snapshotwrite",
+		Doc:     "copy-on-write discipline: partition writes after SnapshotShared are dominated by unshare helpers",
+		Applies: func(rel string) bool { return underPkg(rel, "internal/state") },
+		Run:     eachPackage(snapshotCheck),
 	}
 }
 
@@ -264,11 +256,8 @@ func isCowStore(t types.Type) bool {
 func snapshotViolations(p *Package, sp *snapProblem, f *snapFact, n ast.Node) []Finding {
 	var fs []Finding
 	flag := func(pos ast.Node, detail string) {
-		fs = append(fs, Finding{
-			Pos:  position(p, pos.Pos()),
-			Rule: "snapshotwrite",
-			Msg:  fmt.Sprintf("partition write %s is not dominated by unshare/replacement; a SnapshotShared capture could observe it", detail),
-		})
+		fs = append(fs, finding(p, pos.Pos(), "snapshotwrite",
+			"partition write %s is not dominated by unshare/replacement; a SnapshotShared capture could observe it", detail))
 	}
 	// provenMap matches e against a partition-map expression
 	// (<recv>.parts[idx] or a tracked alias) and reports whether

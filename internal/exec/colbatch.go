@@ -22,8 +22,7 @@ type ColValue interface {
 // operator callbacks. Like boxed []any group views, it aliases
 // engine-owned scratch that is overwritten after the callback returns:
 // callbacks must consume it in place and must not retain, re-slice and
-// store, or send it (enforced by srclint's batchretain rule and
-// deepvet's poolescape analysis).
+// store, or send it (enforced by optiflow-vet's poolescape rule).
 type KeyCol []int32
 
 // ValCol is the borrowed payload column parallel to a KeyCol. The same
