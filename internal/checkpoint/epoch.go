@@ -1,10 +1,12 @@
 package checkpoint
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
+
+	"optiflow/internal/colbytes"
 )
 
 // Epoch-addressed checkpoint layout with an atomic commit marker, built
@@ -37,6 +39,67 @@ type CommitRecord struct {
 	Compressed bool
 }
 
+// recordTag is the format byte a commit record starts with. A gob
+// stream's first byte is a message length — below 0x80, or 0xF8 and up
+// for a long one — so a record written by the gob codec this one
+// replaced is a *RecordError, not a misparse.
+const recordTag byte = 0xC3
+
+// RecordError rejects a commit record that does not decode: another
+// format, a truncated body or trailing bytes, partitions duplicated or
+// out of order, or partition and epoch columns of unequal length.
+type RecordError struct{ Reason string }
+
+func (e *RecordError) Error() string { return "checkpoint: bad commit record: " + e.Reason }
+
+// appendRecord encodes rec: recordTag; epoch, superstep and the
+// compressed flag; then Parts as a u32 partition column in ascending
+// order and the u64 epoch column beside it.
+func appendRecord(dst []byte, rec CommitRecord) []byte {
+	parts := slices.Sorted(maps.Keys(rec.Parts))
+	dst = colbytes.AppendU64(append(dst, recordTag), rec.Epoch)
+	dst = colbytes.AppendBool(colbytes.AppendU64(dst, uint64(rec.Superstep)), rec.Compressed)
+	dst = colbytes.AppendU32(dst, uint32(len(parts)))
+	for _, p := range parts {
+		dst = colbytes.AppendU32(dst, uint32(p))
+	}
+	dst = colbytes.AppendU32(dst, uint32(len(parts)))
+	for _, p := range parts {
+		dst = colbytes.AppendU64(dst, rec.Parts[p])
+	}
+	return dst
+}
+
+// decodeRecord decodes a commit record, failing with a *RecordError.
+// Every column count is checked against the bytes there before
+// anything is allocated.
+func decodeRecord(b []byte) (CommitRecord, error) {
+	if len(b) == 0 || b[0] != recordTag {
+		return CommitRecord{}, &RecordError{"not a commit record"}
+	}
+	r := colbytes.NewReader(b[1:])
+	rec := CommitRecord{Epoch: r.U64(), Superstep: int(int64(r.U64())), Compressed: r.Bool()}
+	parts, epochs := r.U32s(nil), r.U64s(nil)
+	switch {
+	case r.Err() != nil:
+		return CommitRecord{}, &RecordError{r.Err().Error()}
+	case r.Remaining() != 0:
+		return CommitRecord{}, &RecordError{fmt.Sprintf("%d trailing bytes", r.Remaining())}
+	case len(parts) != len(epochs):
+		return CommitRecord{}, &RecordError{fmt.Sprintf("%d partitions, %d epochs", len(parts), len(epochs))}
+	}
+	if len(parts) > 0 {
+		rec.Parts = make(map[int]uint64, len(parts))
+	}
+	for i, p := range parts {
+		if i > 0 && p <= parts[i-1] {
+			return CommitRecord{}, &RecordError{fmt.Sprintf("partition %d after %d", p, parts[i-1])}
+		}
+		rec.Parts[int(p)] = epochs[i]
+	}
+	return rec, nil
+}
+
 func epochPartKey(job string, epoch uint64, part int) string {
 	return job + "#epoch-" + strconv.FormatUint(epoch, 10) + "#part-" + strconv.Itoa(part)
 }
@@ -56,11 +119,7 @@ func SaveEpochPartition(s Store, job string, epoch uint64, superstep, part int, 
 // Commit atomically publishes rec as job's current checkpoint. Every
 // partition blob rec references must already be saved.
 func Commit(s Store, job string, rec CommitRecord) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
-		return fmt.Errorf("checkpoint: encoding commit record of %s: %v", job, err)
-	}
-	if err := s.Save(commitKey(job), rec.Superstep, buf.Bytes()); err != nil {
+	if err := s.Save(commitKey(job), rec.Superstep, appendRecord(nil, rec)); err != nil {
 		return fmt.Errorf("checkpoint: committing epoch %d of %s: %v", rec.Epoch, job, err)
 	}
 	return nil
@@ -80,8 +139,8 @@ func LoadCommitRecord(s Store, job string) (CommitRecord, bool, error) {
 	if !ok {
 		return rec, false, nil
 	}
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&rec); err != nil {
-		return rec, false, fmt.Errorf("checkpoint: decoding commit record of %s: %v", job, err)
+	if rec, err = decodeRecord(raw); err != nil {
+		return rec, false, fmt.Errorf("checkpoint: decoding commit record of %s: %w", job, err)
 	}
 	return rec, true, nil
 }

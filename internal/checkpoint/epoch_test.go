@@ -2,11 +2,25 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
 	"testing"
+
+	"optiflow/internal/colbytes"
 )
+
+// gobRecord encodes rec as the gob codec the commit record used before
+// its raw form.
+func gobRecord(t testing.TB, rec CommitRecord) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := gob.NewEncoder(&b).Encode(rec); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
 
 func TestLoadCommittedIgnoresUncommittedEpoch(t *testing.T) {
 	s := NewMemoryStore()
@@ -44,6 +58,43 @@ func TestCommitThenLoadRoundTrip(t *testing.T) {
 	for p, data := range want {
 		if !bytes.Equal(blobs[p], data) {
 			t.Fatalf("partition %d = %q", p, blobs[p])
+		}
+	}
+}
+
+// TestCommitRecordCodec pins the commit record's one encoding: a
+// record round-trips exactly, the initial state's superstep -1 and an
+// empty Parts included, and a record that is not one — a gob stream,
+// partitions duplicated or out of order, columns of unequal length, a
+// truncated body, trailing bytes — is a *RecordError.
+func TestCommitRecordCodec(t *testing.T) {
+	for _, rec := range []CommitRecord{
+		{Epoch: 9, Superstep: 4, Parts: map[int]uint64{2: 9, 0: 3, 7: 8}, Compressed: true},
+		{Epoch: 1, Superstep: -1},
+	} {
+		got, err := decodeRecord(appendRecord(nil, rec))
+		if err != nil || fmt.Sprint(got) != fmt.Sprint(rec) {
+			t.Errorf("%+v decoded as %+v, %v", rec, got, err)
+		}
+	}
+	good := appendRecord(nil, CommitRecord{Epoch: 2, Superstep: 1, Parts: map[int]uint64{0: 1, 1: 2}})
+	head := good[:1+8+8+1]
+	cols := func(parts []uint32, epochs []uint64) []byte {
+		return colbytes.AppendU64s(colbytes.AppendU32s(bytes.Clone(head), parts), epochs)
+	}
+	for what, b := range map[string][]byte{
+		"gob stream":             gobRecord(t, CommitRecord{Epoch: 2, Superstep: 1, Parts: map[int]uint64{0: 1, 1: 2}}),
+		"empty":                  nil,
+		"duplicate partition":    cols([]uint32{1, 1}, []uint64{1, 2}),
+		"unordered partitions":   cols([]uint32{1, 0}, []uint64{1, 2}),
+		"more epochs than parts": cols([]uint32{0}, []uint64{1, 2}),
+		"more parts than epochs": cols([]uint32{0, 1}, []uint64{1}),
+		"truncated":              good[:len(good)-1],
+		"trailing byte":          append(bytes.Clone(good), 0),
+	} {
+		var re *RecordError
+		if _, err := decodeRecord(b); !errors.As(err, &re) {
+			t.Errorf("%s: err = %v, want *RecordError", what, err)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package checkpoint
 
 import (
 	"bytes"
+	"errors"
+	"runtime"
 	"testing"
 )
 
@@ -29,9 +31,39 @@ func FuzzDecodeSnapFile(f *testing.F) {
 	})
 }
 
+// recordAllocBound is the most decoding an n-byte hostile commit record
+// may allocate: 64 KiB, plus 16 bytes per input byte.
+func recordAllocBound(n int) uint64 { return 64<<10 + 16*uint64(n) }
+
+// allocBytes returns the bytes f allocates, read from TotalAlloc around
+// the call. TotalAlloc also counts what other goroutines allocate
+// meanwhile, so a reading over limit is retried, up to three calls, and
+// the least one counts. A retry first runs two GC cycles, which empty
+// every sync.Pool, so memory the first call left pooled is allocated,
+// and counted, again.
+func allocBytes(limit uint64, f func()) uint64 {
+	least := ^uint64(0)
+	for i := 0; i < 3 && least > limit; i++ {
+		if i > 0 {
+			runtime.GC()
+			runtime.GC()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
 // FuzzLoadCommitted feeds an arbitrary commit record and partition blob
 // to LoadCommitted. It must return an error or a result, and a result
-// holds one blob per partition the record names.
+// holds one blob per partition the record names. A record that does not
+// decode is a *RecordError, and reading the record allocates no more
+// than recordAllocBound of it (the blob is gzip and may inflate by
+// design). The seeds include the gob form records had before the raw
+// one, which must be refused.
 func FuzzLoadCommitted(f *testing.F) {
 	const job = "job"
 	packed, err := compress([]byte("p0"))
@@ -57,6 +89,7 @@ func FuzzLoadCommitted(f *testing.F) {
 		}
 		f.Add(rec, c.blob)
 	}
+	f.Add(gobRecord(f, CommitRecord{Epoch: 1, Superstep: 4, Parts: map[int]uint64{0: 1}}), []byte("p0"))
 	f.Fuzz(func(t *testing.T, rec, blob []byte) {
 		s := NewMemoryStore()
 		if err := s.Save(commitKey(job), 0, rec); err != nil {
@@ -64,6 +97,15 @@ func FuzzLoadCommitted(f *testing.F) {
 		}
 		if err := SaveEpochPartition(s, job, 1, 0, 0, blob); err != nil {
 			t.Fatal(err)
+		}
+		var err error
+		limit := recordAllocBound(len(rec))
+		if grew := allocBytes(limit, func() { _, _, err = LoadCommitRecord(s, job) }); grew > limit {
+			t.Fatalf("a %d-byte record allocated %d bytes to decode, want <= %d", len(rec), grew, limit)
+		}
+		var re *RecordError
+		if err != nil && !errors.As(err, &re) {
+			t.Fatalf("untyped record error: %v", err)
 		}
 		got, blobs, ok, err := LoadCommitted(s, job)
 		if err != nil || !ok {

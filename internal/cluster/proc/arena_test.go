@@ -21,7 +21,6 @@ import (
 	"optiflow/internal/checkpoint"
 	"optiflow/internal/cluster"
 	"optiflow/internal/cluster/proc/netfault"
-	"optiflow/internal/cluster/proc/wire"
 	"optiflow/internal/colbytes"
 	"optiflow/internal/graph/gen"
 	"optiflow/internal/iterate"
@@ -112,7 +111,7 @@ func TestProcStepAllocationCeiling(t *testing.T) {
 // superstep allocates in a worker process, read from WorkerStats, on the
 // two ledger proc workloads: CC on gen.Grid(48, 48) and PageRank on
 // gen.Twitter(4000), 4 partitions on 2 workers. Reading the counters
-// costs a few gob frames (the StatsReq, its answer and the commit
+// costs a few frames (the StatsReq, its answer and the commit
 // settled ahead of it), so a round counts a short and a long window of
 // supersteps and takes the difference, in the worker that allocates
 // more; the median of five rounds counts. What is left, ~340 B, is the
@@ -289,7 +288,7 @@ func relayedLens(j *Job, lost []int) map[[2]int]int {
 // the frame is malformed, by type, and the arena keeps its capacity and
 // bytes — the lengths are checked before it could be regrown.
 func TestRelayArenaHostileSection(t *testing.T) {
-	body := []byte{wire.CodecRaw, wire.Version, wire.KStepResp}
+	body := []byte{wireVersion, kStepResp}
 	body = colbytes.AppendU64(body, 9)
 	body = colbytes.AppendU32(body, 1) // one entry: (0 -> 1), 1 GiB
 	body = colbytes.AppendU32(colbytes.AppendU32(colbytes.AppendU32(body, 0), 1), 1<<30)
@@ -302,10 +301,10 @@ func TestRelayArenaHostileSection(t *testing.T) {
 	was := bytes.Clone(arena)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, m, err := readFrameInto(bytes.NewReader(frame), defaultWire, &arena)
+	_, m, err := readFrame(bytes.NewReader(frame), &arena)
 	runtime.ReadMemStats(&after)
-	if !errors.Is(err, wire.ErrMalformed) {
-		t.Fatalf("decoded %#v, err %v; want wire.ErrMalformed", m, err)
+	if !errors.Is(err, ErrMalformed) {
+		t.Fatalf("decoded %#v, err %v; want ErrMalformed", m, err)
 	}
 	if cap(arena) != cap(was) || !bytes.Equal(arena[:cap(arena)], was) {
 		t.Errorf("the arena went from capacity %d to %d or had its bytes overwritten", cap(was), cap(arena))

@@ -69,11 +69,6 @@ type Config struct {
 	StragglerMin time.Duration
 	// SpawnTimeout bounds process start + handshake (15s if zero).
 	SpawnTimeout time.Duration
-	// MaxFrameBytes caps any frame payload on both the encode and
-	// decode path (netfault.MaxFrame if zero; values above the hard
-	// ceiling clamp to it). Oversized frames fail with a typed
-	// *wire.SizeError instead of an unbounded allocation.
-	MaxFrameBytes int
 	// NetFault, when set, routes every worker connection through the
 	// fault-injecting network layer.
 	NetFault *netfault.Network
@@ -160,7 +155,6 @@ type rpcConn struct {
 	grace   time.Duration   // total retry budget
 	gone    <-chan struct{} // closed when the worker is condemned/reaped
 	onRetry func()          // observability hook, called per extra attempt
-	wc      *wireCfg        // codec policy and frame cap
 
 	nextID uint64
 }
@@ -201,11 +195,11 @@ func (r *rpcConn) close() {
 // network duplicates) and are discarded.
 func (r *rpcConn) attempt(nc net.Conn, id uint64, req any, arena *[]byte) (any, error) {
 	nc.SetDeadline(time.Now().Add(r.timeout))
-	if err := writeFrameCfg(nc, id, req, r.wc); err != nil {
+	if err := writeFrame(nc, id, req); err != nil {
 		return nil, err
 	}
 	for {
-		rid, m, err := readFrameInto(nc, r.wc, arena)
+		rid, m, err := readFrame(nc, arena)
 		if err != nil {
 			return nil, err
 		}
@@ -383,7 +377,6 @@ type Coordinator struct {
 	ln    net.Listener
 	addr  string
 	token string
-	wc    *wireCfg
 
 	mu            sync.Mutex
 	alive         map[int]bool
@@ -444,7 +437,6 @@ func Start(cfg Config) (*Coordinator, error) {
 		ln:       ln,
 		addr:     ln.Addr().String(),
 		token:    hex.EncodeToString(tok),
-		wc:       &wireCfg{maxFrame: cfg.MaxFrameBytes},
 		alive:    make(map[int]bool),
 		released: make(map[int]bool),
 		owner:    make([]int, cfg.Partitions),
@@ -583,17 +575,19 @@ func (c *Coordinator) wrapConn(w int, nc net.Conn) net.Conn {
 // then either deliver it to the spawner waiting for that (worker, role)
 // pair, re-attach it to a live worker (reconnect), or fence it — a
 // handshake from a condemned or replaced worker is rejected so a zombie
-// cannot write into the job.
+// cannot write into the job. A Hello that does not decode — a stale
+// binary's, whose frame version is not ours (*VersionError) — closes
+// the connection unanswered.
 func (c *Coordinator) handleConn(nc net.Conn) {
 	nc.SetDeadline(time.Now().Add(c.cfg.HandshakeTimeout))
-	m, err := readFrame(nc)
+	_, m, err := readFrame(nc, nil)
 	if err != nil {
 		nc.Close()
 		return
 	}
 	hello, ok := m.(Hello)
-	if !ok || hello.Proto != ProtoVersion || hello.Token != c.token || (hello.Conn != ConnCtrl && hello.Conn != ConnBeat) {
-		writeFrame(nc, ErrResp{Msg: "handshake rejected"})
+	if !ok || hello.Token != c.token || (hello.Conn != ConnCtrl && hello.Conn != ConnBeat) {
+		writeFrame(nc, 0, ErrResp{Msg: "handshake rejected"})
 		nc.Close()
 		return
 	}
@@ -606,7 +600,7 @@ func (c *Coordinator) handleConn(nc net.Conn) {
 
 	if ch := c.takeWaiter(connKey{worker: hello.Worker, role: hello.Conn}); ch != nil {
 		// A spawner is waiting for this connection: first contact.
-		if err := writeFrame(nc, HelloOK{Proto: ProtoVersion}); err != nil {
+		if err := writeFrame(nc, 0, HelloOK{}); err != nil {
 			nc.Close()
 			return
 		}
@@ -629,11 +623,11 @@ func (c *Coordinator) handleConn(nc net.Conn) {
 	}
 	c.mu.Unlock()
 	if !admit {
-		writeFrame(nc, ErrResp{Msg: "fenced: worker is no longer a member"})
+		writeFrame(nc, 0, ErrResp{Msg: "fenced: worker is no longer a member"})
 		nc.Close()
 		return
 	}
-	if err := writeFrame(nc, HelloOK{Proto: ProtoVersion}); err != nil {
+	if err := writeFrame(nc, 0, HelloOK{}); err != nil {
 		nc.Close()
 		return
 	}
@@ -771,7 +765,6 @@ func (c *Coordinator) spawnWorker(w int) (*workerProc, error) {
 		backoff: c.cfg.RetryBackoff,
 		grace:   c.cfg.SuspicionGrace,
 		gone:    p.gone,
-		wc:      c.wc,
 		onRetry: func() {
 			c.mu.Lock()
 			c.statRetries++
@@ -834,7 +827,7 @@ func (c *Coordinator) reap(p *workerProc) {
 // a broken stream marks it gone, to be discarded at adoption.
 func (c *Coordinator) readBeats(p *workerProc, nc net.Conn) {
 	for {
-		m, err := readFrame(nc)
+		_, m, err := readFrame(nc, nil)
 		if err != nil {
 			c.mu.Lock()
 			// Only suspect if this stream is still the worker's current

@@ -1,6 +1,7 @@
 package proc
 
 import (
+	"errors"
 	"net"
 	"reflect"
 	"strings"
@@ -70,18 +71,97 @@ func TestHandshakeDeadlineFromConfig(t *testing.T) {
 	}
 	defer nc2.Close()
 	time.Sleep(200 * time.Millisecond)
-	hello := Hello{Proto: ProtoVersion, Worker: 0, Token: "wrong-token", Conn: ConnCtrl}
-	if err := writeFrame(nc2, hello); err != nil {
+	hello := Hello{Worker: 0, Token: "wrong-token", Conn: ConnCtrl}
+	if err := writeFrame(nc2, 0, hello); err != nil {
 		t.Fatalf("writing slow hello: %v", err)
 	}
 	nc2.SetReadDeadline(time.Now().Add(2 * time.Second))
-	m, err := readFrame(nc2)
+	_, m, err := readFrame(nc2, nil)
 	if err != nil {
 		t.Fatalf("reading handshake response: %v", err)
 	}
 	if e, ok := m.(ErrResp); !ok || !strings.Contains(e.Msg, "handshake rejected") {
 		t.Fatalf("slow bad-token hello answered with %#v, want handshake rejection", m)
 	}
+}
+
+// TestHandshakeForeignVersion pins the frame version byte as the
+// protocol's only version, from both ends of a handshake. A Hello
+// stamped with another version, token and role right, is not decoded:
+// its connection closes with no answer and nothing is counted as
+// fenced, while a correct Hello from the same worker is then answered
+// as ever. A coordinator answering with another version fails the
+// worker's dialHandshake with an error wrapping *VersionError.
+func TestHandshakeForeignVersion(t *testing.T) {
+	t.Run("stale worker", func(t *testing.T) {
+		co := startTestCluster(t, 1, 1, nil)
+		frame, err := encodeFrame(0, Hello{Worker: 0, Token: co.token, Conn: ConnCtrl})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame[netfault.HeaderLen]++
+		nc, err := net.Dial("tcp", co.Addr())
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		defer nc.Close()
+		if _, err := nc.Write(frame); err != nil {
+			t.Fatalf("writing the stale hello: %v", err)
+		}
+		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, m, err := readFrame(nc, nil); err == nil || isTimeout(err) {
+			t.Fatalf("stale hello answered with %#v (err %v), want the connection closed", m, err)
+		}
+		if f := co.NetStats().Fenced; f != 0 {
+			t.Errorf("NetStats.Fenced = %d after a stale hello, want 0", f)
+		}
+		cfg := WorkerConfig{Addr: co.Addr(), Worker: 0, Token: co.token}.withDefaults()
+		ctrl, err := dialHandshake(cfg, ConnCtrl)
+		if err != nil {
+			t.Fatalf("a correct hello after the stale one: %v", err)
+		}
+		ctrl.Close()
+		// The worker's own ctrl connection was swapped out for ours; it
+		// redials, and the coordinator's calls reach it again.
+		if _, err := co.call(0, PingReq{}); err != nil {
+			t.Fatalf("PingReq after the handshakes: %v", err)
+		}
+	})
+	t.Run("stale coordinator", func(t *testing.T) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		defer ln.Close()
+		served := make(chan error, 1)
+		go func() {
+			nc, err := ln.Accept()
+			if err != nil {
+				served <- err
+				return
+			}
+			defer nc.Close()
+			if _, _, err := readFrame(nc, nil); err != nil {
+				served <- err
+				return
+			}
+			frame, err := encodeFrame(0, HelloOK{})
+			if err == nil {
+				frame[netfault.HeaderLen]++
+				_, err = nc.Write(frame)
+			}
+			served <- err
+		}()
+		cfg := WorkerConfig{Addr: ln.Addr().String(), Worker: 1, Token: "tok"}.withDefaults()
+		_, err = dialHandshake(cfg, ConnCtrl)
+		var ve *VersionError
+		if !errors.As(err, &ve) || ve.Got != wireVersion+1 {
+			t.Errorf("dialHandshake against a stale coordinator: err = %v, want a *VersionError for version %d", err, wireVersion+1)
+		}
+		if err := <-served; err != nil {
+			t.Fatalf("stale coordinator: %v", err)
+		}
+	})
 }
 
 // TestReconnectResumesWithZeroRecoveryRounds severs a worker's TCP

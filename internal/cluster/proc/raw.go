@@ -1,66 +1,71 @@
 package proc
 
-// raw.go is the codec of the hot-path payloads — the only one they
-// have: per-message encoders and decoders composing the column segments
-// of internal/colbytes under the frame format of
-// internal/cluster/proc/wire. What the payloads carry is already flat
-// (the engine's ColBatch views, DenseStore partition views, CSR
-// arrays), so a section is a count header followed by the bytes or
-// columns as they are. Decoders copy each section into one arena — O(1)
-// allocations per frame, nothing aliasing the (pooled) receive buffer,
-// every count checked against the bytes actually remaining before
-// anything is allocated. A superstep's exchange columns go into an arena
-// the caller recycles, every other section into an exactly-sized one.
+// raw.go is the wire codec — the only one a proc message has: one kind
+// byte per message type, and per-kind encoders and decoders composing
+// the fixed-width fields and column segments of internal/colbytes under
+// the frame header of wire.go. What the hot-path payloads carry is
+// already flat (the engine's ColBatch views, DenseStore partition
+// views, CSR arrays), so a section is a count header followed by the
+// bytes or columns as they are; a control message is a few fields, and
+// one with no fields is its kind byte alone. Decoders copy each section
+// into one arena — O(1) allocations per frame, nothing aliasing the
+// (pooled) receive buffer, every count checked against the bytes
+// actually remaining before anything is allocated. A superstep's
+// exchange columns go into an arena the caller recycles, every other
+// section into an exactly-sized one.
 
 import (
 	"encoding/binary"
 	"fmt"
 
-	"optiflow/internal/cluster/proc/wire"
 	"optiflow/internal/colbytes"
 	"optiflow/internal/exec"
 	"optiflow/internal/graph"
 )
 
-// rawKindOf maps a message to its raw payload kind. Messages without a
-// kind only travel as gob (control frames).
-func rawKindOf(m any) (byte, bool) {
-	switch m.(type) {
-	case StepReq:
-		return wire.KStepReq, true
-	case StepResp:
-		return wire.KStepResp, true
-	case FetchReq:
-		return wire.KFetchReq, true
-	case FetchResp:
-		return wire.KFetchResp, true
-	case RestoreReq:
-		return wire.KRestoreReq, true
-	case LoadReq:
-		return wire.KLoadReq, true
-	case JobSnapshot:
-		return wire.KSnapshot, true
-	case CompensateReq:
-		return wire.KCompReq, true
-	case CompensateResp:
-		return wire.KCompResp, true
-	}
-	return 0, false
-}
+// Payload kinds: the byte after the version that names a frame's
+// message type.
+const (
+	kStepReq byte = iota + 1
+	kStepResp
+	kFetchReq
+	kFetchResp
+	kRestoreReq
+	kLoadReq
+	kSnapshot
+	kCompReq
+	kCompResp
+	kHello
+	kHelloOK
+	kHeartbeat
+	kOKResp
+	kErrResp
+	kPingReq
+	kCommitReq
+	kAbortReq
+	kClearReq
+	kShutdownReq
+	kStatsReq
+	kWorkerStats
+)
 
-// appendRawPayload appends the complete raw payload (codec tag, raw
-// header, body) for a message of the given kind.
-func appendRawPayload(dst []byte, kind byte, id uint64, m any) []byte {
-	dst = append(dst, wire.CodecRaw, wire.Version, kind)
-	dst = colbytes.AppendU64(dst, id)
+// appendPayload appends the complete payload (version, kind,
+// idempotence token, body) for m. A type with no kind is an error, with
+// dst as it was.
+func appendPayload(dst []byte, id uint64, m any) ([]byte, error) {
+	start := len(dst)
+	dst = colbytes.AppendU64(append(dst, wireVersion, 0), id)
+	var kind byte
 	switch r := m.(type) {
 	case StepReq:
+		kind = kStepReq
 		dst = appendOwed(dst, r.Commit)
 		dst = colbytes.AppendU32(dst, uint32(r.Superstep))
 		dst = colbytes.AppendBool(dst, r.Rescatter)
 		dst = colbytes.AppendF64(dst, r.Dangling)
 		dst = colsSection.append(dst, r.Inbox)
 	case StepResp:
+		kind = kStepResp
 		dst = colsSection.append(dst, r.Remote)
 		dst = colbytes.AppendF64(dst, r.Dangling)
 		dst = colbytes.AppendF64(dst, r.L1)
@@ -68,13 +73,17 @@ func appendRawPayload(dst []byte, kind byte, id uint64, m any) []byte {
 		dst = colbytes.AppendU64(dst, uint64(r.Messages))
 		dst = colbytes.AppendU64(dst, uint64(r.Updates))
 	case FetchReq:
+		kind = kFetchReq
 		dst = appendOwed(dst, r.Commit)
 		dst = appendInts(dst, r.Parts)
 	case FetchResp:
+		kind = kFetchResp
 		dst = blobSection.append(dst, r.Parts)
 	case RestoreReq:
+		kind = kRestoreReq
 		dst = blobSection.append(dst, r.Parts)
 	case LoadReq:
+		kind = kLoadReq
 		dst = colbytes.AppendString(dst, r.Job)
 		dst = colbytes.AppendString(dst, r.Kind)
 		dst = colbytes.AppendU32(dst, uint32(r.NumPartitions))
@@ -89,39 +98,79 @@ func appendRawPayload(dst []byte, kind byte, id uint64, m any) []byte {
 		dst = colbytes.AppendI32s(dst, r.Targets)
 		dst = colbytes.AppendF64s(dst, r.Weights)
 	case JobSnapshot:
+		kind = kSnapshot
 		dst = colbytes.AppendString(dst, r.Kind)
 		dst = blobSection.append(dst, r.Parts)
 	case CompensateReq:
+		kind = kCompReq
 		dst = appendOwed(dst, r.Commit)
 		dst = appendInts(appendInts(dst, r.Lost), r.Fill)
 		dst = colbytes.AppendF64(dst, r.Surviving)
 	case CompensateResp:
+		kind = kCompResp
 		dst = colsSection.append(dst, r.Remote)
 		dst = colbytes.AppendU64(dst, uint64(r.Messages))
 		dst = colbytes.AppendF64(colbytes.AppendF64(dst, r.Dangling), r.Surviving)
+	case Hello:
+		kind = kHello
+		dst = colbytes.AppendU32(dst, uint32(r.Worker))
+		dst = colbytes.AppendString(colbytes.AppendString(dst, r.Token), r.Conn)
+	case HelloOK:
+		kind = kHelloOK
+	case Heartbeat:
+		kind = kHeartbeat
+		dst = colbytes.AppendU64(colbytes.AppendU32(dst, uint32(r.Worker)), r.Seq)
+	case OKResp:
+		kind = kOKResp
+	case ErrResp:
+		kind = kErrResp
+		dst = colbytes.AppendString(dst, r.Msg)
+	case PingReq:
+		kind = kPingReq
+	case CommitReq:
+		kind = kCommitReq
+		dst = colbytes.AppendU32(dst, uint32(r.Superstep))
+	case AbortReq:
+		kind = kAbortReq
+	case ClearReq:
+		kind = kClearReq
+		dst = appendInts(dst, r.Parts)
+	case ShutdownReq:
+		kind = kShutdownReq
+	case StatsReq:
+		kind = kStatsReq
+	case WorkerStats:
+		kind = kWorkerStats
+		for _, v := range [...]uint64{r.Handled, r.Replayed, r.CommitsCarried, r.CommitsExplicit,
+			r.Rescatters, r.AllocBytes, r.Mallocs, r.GCCycles} {
+			dst = colbytes.AppendU64(dst, v)
+		}
+	default:
+		return dst[:start], fmt.Errorf("proc: %T has no wire kind: %w", m, ErrMalformed)
 	}
-	return dst
+	dst[start+1] = kind
+	return dst, nil
 }
 
-// decodeRawPayload decodes a raw payload (the frame payload minus the
-// leading codec tag): version, kind, idempotence token, body. The
-// exchange columns of a StepReq or StepResp are decoded into arena (see
-// recycle). A body that does not decode is malformed; its error also
-// wraps the colbytes cause.
-func decodeRawPayload(p []byte, arena *[]byte) (uint64, any, error) {
+// decodePayload decodes a frame payload: version, kind, idempotence
+// token, body. The version is checked before anything else is read, so
+// a foreign blob is a *VersionError. The exchange columns of a StepReq
+// or StepResp are decoded into arena (see recycle). A body that does
+// not decode, or leaves bytes over, is malformed; its error also wraps
+// the colbytes cause.
+func decodePayload(p []byte, arena *[]byte) (uint64, any, error) {
 	r := colbytes.NewReader(p)
-	ver := r.U8()
+	if ver := r.U8(); r.Err() == nil && ver != wireVersion {
+		return 0, nil, &VersionError{Got: ver, Want: wireVersion}
+	}
 	kind := r.U8()
 	id := r.U64()
 	if err := r.Err(); err != nil {
-		return 0, nil, fmt.Errorf("proc: raw frame header: %w", err)
-	}
-	if ver != wire.Version {
-		return 0, nil, &wire.VersionError{Got: ver, Want: wire.Version}
+		return 0, nil, fmt.Errorf("proc: frame header: %w", err)
 	}
 	var m any
 	switch kind {
-	case wire.KStepReq:
+	case kStepReq:
 		v := StepReq{
 			Commit:    readOwed(r),
 			Superstep: int(r.U32()),
@@ -130,7 +179,7 @@ func decodeRawPayload(p []byte, arena *[]byte) (uint64, any, error) {
 		}
 		v.Inbox = colsSection.read(r, arena)
 		m = v
-	case wire.KStepResp:
+	case kStepResp:
 		v := StepResp{Remote: colsSection.read(r, arena)}
 		v.Dangling = r.F64()
 		v.L1 = r.F64()
@@ -138,25 +187,53 @@ func decodeRawPayload(p []byte, arena *[]byte) (uint64, any, error) {
 		v.Messages = int64(r.U64())
 		v.Updates = int64(r.U64())
 		m = v
-	case wire.KFetchReq:
+	case kFetchReq:
 		m = FetchReq{Commit: readOwed(r), Parts: readInts(r)}
-	case wire.KFetchResp:
+	case kFetchResp:
 		m = FetchResp{Parts: blobSection.read(r, nil)}
-	case wire.KRestoreReq:
+	case kRestoreReq:
 		m = RestoreReq{Parts: blobSection.read(r, nil)}
-	case wire.KLoadReq:
+	case kLoadReq:
 		m = readLoadReq(r)
-	case wire.KSnapshot:
+	case kSnapshot:
 		m = JobSnapshot{Kind: r.String(), Parts: blobSection.read(r, nil)}
-	case wire.KCompReq:
+	case kCompReq:
 		m = CompensateReq{Commit: readOwed(r), Lost: readInts(r), Fill: readInts(r), Surviving: r.F64()}
-	case wire.KCompResp:
+	case kCompResp:
 		m = CompensateResp{Remote: colsSection.read(r, nil), Messages: int64(r.U64()), Dangling: r.F64(), Surviving: r.F64()}
+	case kHello:
+		m = Hello{Worker: int(r.U32()), Token: r.String(), Conn: r.String()}
+	case kHelloOK:
+		m = HelloOK{}
+	case kHeartbeat:
+		m = Heartbeat{Worker: int(r.U32()), Seq: r.U64()}
+	case kOKResp:
+		m = OKResp{}
+	case kErrResp:
+		m = ErrResp{Msg: r.String()}
+	case kPingReq:
+		m = PingReq{}
+	case kCommitReq:
+		m = CommitReq{Superstep: int(r.U32())}
+	case kAbortReq:
+		m = AbortReq{}
+	case kClearReq:
+		m = ClearReq{Parts: readInts(r)}
+	case kShutdownReq:
+		m = ShutdownReq{}
+	case kStatsReq:
+		m = StatsReq{}
+	case kWorkerStats:
+		m = WorkerStats{Handled: r.U64(), Replayed: r.U64(), CommitsCarried: r.U64(), CommitsExplicit: r.U64(),
+			Rescatters: r.U64(), AllocBytes: r.U64(), Mallocs: r.U64(), GCCycles: r.U64()}
 	default:
-		return 0, nil, fmt.Errorf("proc: raw frame with unknown kind %d: %w", kind, wire.ErrMalformed)
+		return 0, nil, fmt.Errorf("proc: frame with unknown kind %d: %w", kind, ErrMalformed)
 	}
 	if err := r.Err(); err != nil {
-		return 0, nil, fmt.Errorf("proc: decoding raw frame of kind %d: %w: %w", kind, wire.ErrMalformed, err)
+		return 0, nil, fmt.Errorf("proc: decoding frame of kind %d: %w: %w", kind, ErrMalformed, err)
+	}
+	if r.Remaining() != 0 {
+		return 0, nil, fmt.Errorf("proc: %d trailing bytes in a frame of kind %d: %w", r.Remaining(), kind, ErrMalformed)
 	}
 	return id, m, nil
 }
@@ -305,21 +382,19 @@ func readInts(r *colbytes.Reader) (ps []int) {
 	return ps
 }
 
-// appendSnapshot appends a JobSnapshot as a checkpoint blob: the raw
-// payload of a frame — codec tag, format version, kind — with no length
-// prefix and no token.
+// appendSnapshot appends a JobSnapshot as a checkpoint blob: the
+// payload of a frame of the snapshot kind, with no length prefix and a
+// zero token.
 func appendSnapshot(dst []byte, s JobSnapshot) []byte {
-	return appendRawPayload(dst, wire.KSnapshot, 0, s)
+	dst, _ = appendPayload(dst, 0, s)
+	return dst
 }
 
-// decodeSnapshot decodes a checkpoint blob. Anything but a raw payload
-// of the snapshot kind (a gob stream, say) is a *SnapshotError, another
-// format version a *wire.VersionError.
+// decodeSnapshot decodes a checkpoint blob. A blob of another format
+// version (a gob stream, say) is a *VersionError, a payload of another
+// kind a *SnapshotError.
 func decodeSnapshot(b []byte) (JobSnapshot, error) {
-	if len(b) == 0 || b[0] != wire.CodecRaw {
-		return JobSnapshot{}, &SnapshotError{"not a job snapshot blob"}
-	}
-	_, m, err := decodeRawPayload(b[1:], nil)
+	_, m, err := decodePayload(b, nil)
 	snap, ok := m.(JobSnapshot)
 	if err == nil && !ok {
 		err = &SnapshotError{fmt.Sprintf("blob holds a %T", m)}

@@ -1,7 +1,7 @@
 package proc
 
-// rawgolden_test.go pins the raw columnar wire format byte for byte:
-// one golden fixture per raw payload kind (plus the snapshot blob),
+// rawgolden_test.go pins the wire format byte for byte: one golden
+// fixture per frame kind (the snapshot kind's is the checkpoint blob),
 // committed as hex under testdata/, and feeds each fixture damaged —
 // truncated at every offset, every byte inverted in turn — to its
 // decoder. The fixtures catch silent
@@ -14,20 +14,20 @@ package proc
 // after a deliberate, version-bumped format change.
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
 	"os"
+	oexec "os/exec"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
 	"optiflow/internal/cluster/proc/netfault"
-	"optiflow/internal/cluster/proc/wire"
 	"optiflow/internal/colbytes"
 	"optiflow/internal/exec"
 	"optiflow/internal/graph"
@@ -39,9 +39,9 @@ func goldenCols(dst []int32, val []uint64) []byte {
 	return b.AppendColumns(nil)
 }
 
-// goldenRawCases returns one populated sample per raw payload kind, in
-// a fixed order. Values exercise multi-entry sections, empty entries
-// and non-trivial floats.
+// goldenRawCases returns one populated sample per frame kind but the
+// snapshot's (goldenSnapshot), in a fixed order. Values exercise
+// multi-entry sections, empty entries and non-trivial floats.
 func goldenRawCases() []struct {
 	name string
 	m    any
@@ -77,6 +77,19 @@ func goldenRawCases() []struct {
 			Remote:   []exec.HostedCols{{Src: 3, Dst: 0, Cols: goldenCols([]int32{2, 6}, []uint64{3, 3})}, {Src: 3, Dst: 2}},
 			Messages: 9, Dangling: 0.03125, Surviving: 0.5625,
 		}},
+		{"hello", Hello{Worker: 3, Token: "tok", Conn: ConnCtrl}},
+		{"hellook", HelloOK{}},
+		{"heartbeat", Heartbeat{Worker: 3, Seq: 41}},
+		{"okresp", OKResp{}},
+		{"errresp", ErrResp{Msg: "worker 3: boom"}},
+		{"pingreq", PingReq{}},
+		{"commitreq", CommitReq{Superstep: 5}},
+		{"abortreq", AbortReq{}},
+		{"clearreq", ClearReq{Parts: []int{3}}},
+		{"shutdownreq", ShutdownReq{}},
+		{"statsreq", StatsReq{}},
+		{"workerstats", WorkerStats{Handled: 17, Replayed: 2, CommitsCarried: 9, CommitsExplicit: 1, Rescatters: 3,
+			AllocBytes: 1 << 20, Mallocs: 4096, GCCycles: 7}},
 	}
 }
 
@@ -115,22 +128,69 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// TestRawGoldenFrames pins every raw payload kind's frame bytes and
-// proves the committed bytes decode in a fresh subprocess.
+// decodeInChild pipes the frame bytes into a freshly started
+// subprocess decoder (this test binary re-executed with envDecodeCheck
+// set) and returns the child's per-frame %#v digests.
+func decodeInChild(t *testing.T, frames []byte) []string {
+	t.Helper()
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatalf("os.Executable: %v", err)
+	}
+	cmd := oexec.Command(exe)
+	cmd.Env = append(os.Environ(), envDecodeCheck+"=1")
+	cmd.Stdin = bytes.NewReader(frames)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("decode-check child: %v (stderr: %s)", err, stderr.String())
+	}
+	sc := bufio.NewScanner(bytes.NewReader(out))
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	var got []string
+	for sc.Scan() {
+		got = append(got, sc.Text())
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("reading child output: %v", err)
+	}
+	return got
+}
+
+// TestRawGoldenFrames pins every frame kind's bytes — each kind has
+// exactly one fixture, the snapshot kind's being the checkpoint blob —
+// and proves the committed bytes decode in a fresh subprocess.
 func TestRawGoldenFrames(t *testing.T) {
 	var all bytes.Buffer
+	kinds := map[byte]string{}
 	cases := goldenRawCases()
 	for _, c := range cases {
 		b, err := encodeFrame(77, c.m)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if codec := b[4]; codec != wire.CodecRaw {
-			t.Fatalf("%s: encoded with codec %#x, want raw", c.name, codec)
-		}
 		checkGolden(t, "raw_"+c.name, b)
+		if prev, dup := kinds[b[5]]; dup {
+			t.Errorf("%s and %s share kind %d", prev, c.name, b[5])
+		}
+		kinds[b[5]] = c.name
 		all.Write(b)
 	}
+	snap := appendSnapshot(nil, goldenSnapshot())
+	kinds[snap[1]] = "snapshot"
+	for k := byte(1); k <= kWorkerStats; k++ {
+		if _, ok := kinds[k]; !ok {
+			t.Errorf("kind %d has no golden fixture", k)
+		}
+	}
+	hdr := make([]byte, netfault.HeaderLen)
+	netfault.PutHeader(hdr, len(snap))
+	all.Write(append(hdr, snap...))
+	cases = append(cases, struct {
+		name string
+		m    any
+	}{"snapshot", goldenSnapshot()})
 	got := decodeInChild(t, all.Bytes())
 	if len(got) != len(cases) {
 		t.Fatalf("child decoded %d frames, want %d", len(got), len(cases))
@@ -143,8 +203,8 @@ func TestRawGoldenFrames(t *testing.T) {
 }
 
 // TestRawGoldenSnapshot pins the checkpoint blob format and its round
-// trip, and that a blob that is not a raw payload (a gob stream, say)
-// is rejected by type instead of misparsed.
+// trip, and that a blob of another format (a gob stream, say) is
+// rejected by type instead of misparsed.
 func TestRawGoldenSnapshot(t *testing.T) {
 	snap := goldenSnapshot()
 	b := appendSnapshot(nil, snap)
@@ -156,19 +216,19 @@ func TestRawGoldenSnapshot(t *testing.T) {
 	if fmt.Sprintf("%#v", got) != fmt.Sprintf("%#v", snap) {
 		t.Errorf("snapshot mutated:\n sent %#v\n got  %#v", snap, got)
 	}
-	var se *SnapshotError
-	if _, err := decodeSnapshot([]byte("\x0c\xff\x81\x03\x01\x01")); !errors.As(err, &se) {
-		t.Errorf("gob-looking blob: err = %v, want *SnapshotError", err)
+	var ve *VersionError
+	if _, err := decodeSnapshot([]byte("\x0c\xff\x81\x03\x01\x01")); !errors.As(err, &ve) {
+		t.Errorf("gob-looking blob: err = %v, want *VersionError", err)
 	}
 }
 
 // typedWireError reports whether err is one of the typed rejections a
 // decoder may answer hostile bytes with.
 func typedWireError(err error) bool {
-	var ve *wire.VersionError
-	var se *wire.SizeError
+	var ve *VersionError
+	var se *SizeError
 	var ne *SnapshotError
-	return errors.Is(err, colbytes.ErrTruncated) || errors.Is(err, wire.ErrMalformed) ||
+	return errors.Is(err, colbytes.ErrTruncated) || errors.Is(err, ErrMalformed) ||
 		errors.Is(err, io.ErrUnexpectedEOF) || errors.As(err, &ve) || errors.As(err, &se) || errors.As(err, &ne)
 }
 
@@ -176,26 +236,25 @@ func typedWireError(err error) bool {
 // bytes up) and over good
 // with each single byte inverted, demanding that a prefix always fails,
 // that every failure is typed, that nothing panics, and that no decode
-// allocates more than a small multiple of the input — a count field
-// blown up to 2^32-ish by the inversion must be checked against the
-// bytes actually there before anything is sized by it.
+// allocates more than allocBound of the input — a count field blown up
+// to 2^32-ish by the inversion must be checked against the bytes
+// actually there before anything is sized by it.
 func hostile(t *testing.T, name string, good []byte, shortest int, decode func([]byte) error) {
 	t.Helper()
 	try := func(what string, b []byte, mustFail bool) {
 		t.Helper()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		err := func() (err error) {
+		var err error
+		limit := allocBound(len(b))
+		grew := allocBytes(limit, func() {
 			defer func() {
 				if rec := recover(); rec != nil {
 					err = fmt.Errorf("panic: %v", rec)
 					t.Errorf("%s %s: decoder panicked: %v", name, what, rec)
 				}
 			}()
-			return decode(b)
-		}()
-		runtime.ReadMemStats(&after)
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			err = decode(b)
+		})
+		if grew > limit {
 			t.Errorf("%s %s: decode allocated %d bytes for a %d-byte input", name, what, grew, len(b))
 		}
 		if mustFail && err == nil {
@@ -228,7 +287,7 @@ func TestRawHostileFrames(t *testing.T) {
 		hostile(t, c.name, frame[netfault.HeaderLen:], 1, func(payload []byte) error {
 			b := make([]byte, netfault.HeaderLen, netfault.HeaderLen+len(payload))
 			netfault.PutHeader(b, len(payload))
-			_, _, err := readFrameCfg(bytes.NewReader(append(b, payload...)), defaultWire)
+			_, _, err := readFrame(bytes.NewReader(append(b, payload...)), nil)
 			return err
 		})
 	}
@@ -350,27 +409,27 @@ func TestRawHostileSnapshot(t *testing.T) {
 	})
 }
 
-// TestRawVersionMismatch pins the forward-compatibility guard: a raw
-// frame or snapshot blob stamped with a future format version is
-// rejected with a typed *wire.VersionError, not misparsed.
+// TestRawVersionMismatch pins the forward-compatibility guard: a frame
+// or snapshot blob stamped with a future format version is rejected
+// with a typed *VersionError, not misparsed.
 func TestRawVersionMismatch(t *testing.T) {
 	b, err := encodeFrame(1, FetchReq{Parts: []int{5}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b[5]++ // frame = 4B length, codec tag, then the raw version byte
-	_, _, err = readFrameCfg(bytes.NewReader(b), defaultWire)
-	var ve *wire.VersionError
+	b[netfault.HeaderLen]++ // the version byte follows the length prefix
+	_, _, err = readFrame(bytes.NewReader(b), nil)
+	var ve *VersionError
 	if !errors.As(err, &ve) {
-		t.Fatalf("decode of future-version frame: err = %v, want *wire.VersionError", err)
+		t.Fatalf("decode of future-version frame: err = %v, want *VersionError", err)
 	}
-	if ve.Got != wire.Version+1 || ve.Want != wire.Version {
-		t.Errorf("VersionError = %+v, want Got=%d Want=%d", ve, wire.Version+1, wire.Version)
+	if ve.Got != wireVersion+1 || ve.Want != wireVersion {
+		t.Errorf("VersionError = %+v, want Got=%d Want=%d", ve, wireVersion+1, wireVersion)
 	}
 
 	sb := appendSnapshot(nil, goldenSnapshot())
-	sb[1]++ // version byte follows the codec tag
+	sb[0]++ // a blob starts at its version byte
 	if _, err := decodeSnapshot(sb); !errors.As(err, &ve) {
-		t.Fatalf("decode of future-version snapshot: err = %v, want *wire.VersionError", err)
+		t.Fatalf("decode of future-version snapshot: err = %v, want *VersionError", err)
 	}
 }

@@ -21,7 +21,6 @@ const (
 	envHandshakeMS = "OPTIFLOW_PROC_HANDSHAKE_MS"
 	envReconnectMS = "OPTIFLOW_PROC_RECONNECT_MS"
 	envBackoffMS   = "OPTIFLOW_PROC_BACKOFF_MS"
-	envMaxFrame    = "OPTIFLOW_PROC_MAX_FRAME"
 )
 
 // MaybeChildMode checks whether this process was spawned as a worker
@@ -52,14 +51,6 @@ func envDuration(key string) time.Duration {
 	return 0
 }
 
-// envInt reads an optional positive integer knob.
-func envInt(key string) int {
-	if n, err := strconv.Atoi(os.Getenv(key)); err == nil && n > 0 {
-		return n
-	}
-	return 0
-}
-
 // workerConfigFromEnv rebuilds the WorkerConfig the coordinator
 // serialised into the child's environment.
 func workerConfigFromEnv() (WorkerConfig, error) {
@@ -75,7 +66,6 @@ func workerConfigFromEnv() (WorkerConfig, error) {
 		HandshakeTimeout: envDuration(envHandshakeMS),
 		ReconnectGrace:   envDuration(envReconnectMS),
 		RetryBackoff:     envDuration(envBackoffMS),
-		MaxFrameBytes:    envInt(envMaxFrame),
 	}
 	if cfg.Addr == "" {
 		return WorkerConfig{}, fmt.Errorf("proc: %s not set", envAddr)
@@ -97,6 +87,5 @@ func workerEnv(addr string, id int, token string, cfg Config) []string {
 		envHandshakeMS+"="+ms(cfg.HandshakeTimeout),
 		envReconnectMS+"="+ms(cfg.ReconnectGrace),
 		envBackoffMS+"="+ms(cfg.RetryBackoff),
-		envMaxFrame+"="+strconv.Itoa(cfg.MaxFrameBytes),
 	)
 }

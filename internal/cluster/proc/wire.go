@@ -1,77 +1,92 @@
 // Package proc is the multi-process deployment of the cluster model: a
 // coordinator process (the driver) and worker daemons that are real
-// operating-system processes, connected over TCP with gob-encoded
-// frames. It is the "in action" counterpart of the in-process
-// simulation in package cluster — same Interface, same membership
-// semantics, but Fail(w) delivers an actual SIGKILL and recovery
-// re-provisions an actual process.
+// operating-system processes, connected over TCP. It is the "in action"
+// counterpart of the in-process simulation in package cluster — same
+// Interface, same membership semantics, but Fail(w) delivers an actual
+// SIGKILL and recovery re-provisions an actual process.
 //
 // The wire protocol is deliberately small: every connection starts with
 // a Hello handshake naming the worker and the connection's role
 // ("ctrl" for serialized request/response RPC — supersteps and state
 // moves alike — and "beat" for the worker's heartbeat push stream),
-// after which each side exchanges frames. Since protocol v2 each frame
-// is length-prefixed (netfault.HeaderLen bytes of big-endian payload
-// length) and self-contained: a dropped, duplicated or delayed frame
-// cannot desynchronise the stream the way shared-codec gob state
-// would, and a reconnected connection resumes mid-job with no carried
-// codec state. Since protocol v3 the payload's first byte selects its
-// codec (see internal/cluster/proc/wire), and since protocol v4 every
-// payload has exactly one: control frames are gob with a fresh
-// encoder/decoder pair per frame, hot-path payloads — exchange columns,
-// partition state views, adjacency, and every request that carries a
-// commit — the raw columnar encoding of raw.go. What those carry is
-// opaque here: exec.HostedCols are ColBatch column views the engine
-// writes and reads, partition views are state.DenseStore partition
-// bytes the hosted job writes and reads.
-// Frames carry an ID used as an idempotence token on ctrl RPCs —
-// responses echo their request's ID, so the coordinator can discard
-// stale responses after a retry and the worker can answer a duplicate
-// request from cache instead of re-applying it. All message types are
-// listed in wireMessages, and the wire-compatibility test round-trips
-// every one of them through a freshly started subprocess decoder to pin
-// cross-process decodability.
+// after which each side exchanges frames. A frame is self-contained:
+//
+//	[length: 4 bytes BE][version][kind][id: 8 bytes LE][body]
+//
+// The length prefix is netfault's (netfault.HeaderLen bytes, capped at
+// netfault.MaxFrame), so a dropped, duplicated or delayed frame cannot
+// desynchronise the stream and a reconnected connection resumes mid-job
+// with no carried codec state. The kind byte names the message type and
+// the body is its one encoding, the columnar codec of raw.go: control
+// messages are a few fixed-width fields, hot-path payloads — exchange
+// columns, partition state views, adjacency — column segments written
+// by loops over the job's flat arrays. What those carry is opaque here:
+// exec.HostedCols are ColBatch column views the engine writes and
+// reads, partition views are state.DenseStore partition bytes the
+// hosted job writes and reads.
+//
+// The version byte is the protocol's only version: a peer speaking
+// another one fails every frame with *VersionError, the Hello first, so
+// a stale worker binary cannot exchange frames with a newer
+// coordinator. The id is the ctrl-RPC idempotence token — responses
+// echo their request's ID, so the coordinator can discard stale
+// responses after a retry and the worker can answer a duplicate request
+// from cache instead of re-applying it; it is zero on handshake and
+// heartbeat frames.
 package proc
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
 
-	"optiflow/internal/checkpoint"
 	"optiflow/internal/cluster/proc/netfault"
-	"optiflow/internal/cluster/proc/wire"
 	"optiflow/internal/exec"
 	"optiflow/internal/graph"
 )
 
-// ProtoVersion is the wire protocol version. A Hello with a different
-// version is rejected during the handshake, so a stale worker binary
-// cannot silently exchange frames with a newer coordinator. Version 2
-// introduced length-prefixed self-contained frames and idempotence
-// IDs; version 3 added the per-payload codec tag (gob or raw
-// columnar) and a data-plane connection role; version 4 replaced the
-// per-vertex message and state payloads with engine column views and
-// partition byte views; version 5 added the carried commit (Owed);
-// version 6 the compensation round (CompensateReq); version 7 the
-// commit a CompensateReq carries; version 8 dropped the data plane, so
-// state moves as ctrl RPCs, and gave FetchReq the raw codec; version 9
-// added the worker's allocation counters to WorkerStats.
-const ProtoVersion = 9
+// wireVersion is the frame format version, and the protocol's only
+// one. Bump it whenever a body encoding changes shape; the decoder
+// rejects any other version with *VersionError.
+const wireVersion byte = 7
 
-// Frame is the unit of transmission: one gob value wrapping one
-// message. Wrapping in an interface-typed field keeps each frame
-// self-describing — the decoder learns the concrete type from the gob
-// type descriptor, so request dispatch is a type switch. ID is the
-// ctrl-RPC idempotence token (responses echo their request's ID); it is
-// zero on handshake and heartbeat frames.
-type Frame struct {
-	ID uint64
-	M  any
+// SizeError is the typed oversized-frame rejection, raised on the
+// encode path (a frame grew past netfault.MaxFrame before hitting the
+// network) and on the decode path (a length prefix claims more, before
+// any payload byte is read). It ends the connection: a frame too large
+// to buffer cannot be skipped on a stream.
+type SizeError struct {
+	Size  int // payload bytes, excluding the length prefix
+	Limit int
+}
+
+func (e *SizeError) Error() string {
+	return fmt.Sprintf("proc: frame payload %d bytes exceeds cap %d", e.Size, e.Limit)
+}
+
+// checkSize validates a payload size against netfault.MaxFrame.
+func checkSize(size int) error {
+	if size > netfault.MaxFrame {
+		return &SizeError{Size: size, Limit: netfault.MaxFrame}
+	}
+	return nil
+}
+
+// ErrMalformed marks a frame that makes no sense — an empty payload, an
+// unknown kind, a body that does not decode. A truncated or corrupt
+// body's error also wraps colbytes.ErrTruncated.
+var ErrMalformed = errors.New("proc: malformed frame")
+
+// VersionError is the typed format version rejection.
+type VersionError struct {
+	Got, Want byte
+}
+
+func (e *VersionError) Error() string {
+	return fmt.Sprintf("proc: frame format version %d, this binary speaks %d", e.Got, e.Want)
 }
 
 // Hello opens every connection. Token authenticates the worker to the
@@ -79,7 +94,6 @@ type Frame struct {
 // so only processes the coordinator spawned can join). Conn is the
 // connection's role: "ctrl" or "beat".
 type Hello struct {
-	Proto  int
 	Worker int
 	Token  string
 	Conn   string
@@ -92,9 +106,7 @@ const (
 )
 
 // HelloOK acknowledges a Hello.
-type HelloOK struct {
-	Proto int
-}
+type HelloOK struct{}
 
 // Heartbeat is pushed periodically by the worker on its beat
 // connection. Seq increases monotonically per worker.
@@ -275,180 +287,109 @@ type WorkerStats struct {
 // JobSnapshot is a proc job's checkpoint: every partition's committed
 // state view. The exchange columns in flight are not part of it — a
 // restored job re-announces them with a priming step. SnapshotTo writes
-// one as a raw payload (raw.go); RestoreFrom decodes it and pushes the
+// one as a frame payload (raw.go); RestoreFrom decodes it and pushes the
 // partitions to their current owners.
 type JobSnapshot struct {
 	Kind  string
 	Parts []PartBlob
 }
 
-// wireMessages lists every concrete type that travels gob-encoded
-// inside a Frame — the control frames — in a fixed order shared by gob
-// registration and the cross-process wire-compatibility check. Hot-path
-// payloads are not here: they have a raw kind (rawKindOf) and no gob
-// form, so a gob frame claiming to carry one fails to decode.
-func wireMessages() []any {
-	return []any{
-		Hello{}, HelloOK{}, Heartbeat{},
-		OKResp{}, ErrResp{}, PingReq{},
-		CommitReq{}, AbortReq{},
-		ClearReq{},
-		ShutdownReq{},
-		StatsReq{}, WorkerStats{},
-		checkpoint.CommitRecord{},
-	}
-}
-
-func init() {
-	for _, m := range wireMessages() {
-		gob.Register(m)
-	}
-}
-
-// wireCfg is the connection-local wire policy: the (configurable) frame
-// size cap.
-type wireCfg struct {
-	maxFrame int // payload cap; 0 = netfault.MaxFrame
-}
-
-// defaultWire is the policy of plain writeFrame/readFrame callers
-// (handshakes, heartbeats, the gob-check child): frames capped at the
-// hard ceiling.
-var defaultWire = &wireCfg{}
-
-// max returns the effective payload cap.
-func (wc *wireCfg) max() int {
-	if wc == nil || wc.maxFrame <= 0 || wc.maxFrame > netfault.MaxFrame {
-		return netfault.MaxFrame
-	}
-	return wc.maxFrame
-}
-
-// sliceWriter adapts an append-grown []byte to io.Writer for the gob
-// encoder, so gob frames assemble in the same pooled buffer raw frames
-// do.
-type sliceWriter struct{ b []byte }
-
-func (sw *sliceWriter) Write(p []byte) (int, error) {
-	sw.b = append(sw.b, p...)
-	return len(p), nil
-}
-
-// appendFrame appends one complete length-prefixed frame for m to dst:
-// raw codec for hot-path payloads, gob for control frames. The returned
-// slice is dst possibly regrown.
-func appendFrame(dst []byte, id uint64, m any, wc *wireCfg) ([]byte, error) {
+// appendFrame appends one complete length-prefixed frame for m to dst.
+// The returned slice is dst possibly regrown; on error it is dst as it
+// was.
+func appendFrame(dst []byte, id uint64, m any) ([]byte, error) {
 	start := len(dst)
-	dst = append(dst, make([]byte, netfault.HeaderLen)...)
-	if kind, ok := rawKindOf(m); ok {
-		dst = appendRawPayload(dst, kind, id, m)
-	} else {
-		sw := sliceWriter{b: append(dst, wire.CodecGob)}
-		if err := gob.NewEncoder(&sw).Encode(Frame{ID: id, M: m}); err != nil {
-			return dst[:start], fmt.Errorf("proc: encoding %T: %v", m, err)
-		}
-		dst = sw.b
-	}
+	dst, err := appendPayload(append(dst, make([]byte, netfault.HeaderLen)...), id, m)
 	payload := len(dst) - start - netfault.HeaderLen
-	if err := wire.CheckSize(payload, wc.max()); err != nil {
+	if err == nil {
+		err = checkSize(payload)
+	}
+	if err != nil {
 		return dst[:start], fmt.Errorf("proc: encoding %T: %w", m, err)
 	}
 	netfault.PutHeader(dst[start:], payload)
 	return dst, nil
 }
 
-// framePool recycles frame-assembly and frame-receive buffers across
-// the send and receive loops — the PR 10 fix for the per-frame
-// allocations that dominated the proc hot path.
-var framePool = sync.Pool{New: func() any { return &wire.Buf{} }}
+// frameBuf is a pooled frame-assembly or frame-receive buffer, pooled as
+// a pointer so returning one does not itself allocate a slice header.
+type frameBuf struct{ b []byte }
 
-// writeFrameCfg writes one message as a single self-contained frame
-// under the given policy. The frame reaches the connection in exactly
-// one Write call — the contract the netfault wrapper relies on to see
-// frame boundaries — and its buffer returns to the pool afterwards.
-func writeFrameCfg(w io.Writer, id uint64, m any, wc *wireCfg) error {
-	buf := framePool.Get().(*wire.Buf)
-	b, err := appendFrame(buf.B[:0], id, m, wc)
-	buf.B = b[:0]
+// framePool recycles frame-assembly and frame-receive buffers across
+// the send and receive loops, so a frame costs no buffer allocation
+// once the pool is warm.
+var framePool = sync.Pool{New: func() any { return &frameBuf{} }}
+
+// writeFrame writes one message as a single self-contained frame
+// carrying idempotence token id (zero on handshake, heartbeat and push
+// frames). The frame reaches the connection in exactly one Write call —
+// the contract the netfault wrapper relies on to see frame boundaries —
+// and its buffer returns to the pool afterwards.
+func writeFrame(w io.Writer, id uint64, m any) error {
+	buf := framePool.Get().(*frameBuf)
+	defer framePool.Put(buf)
+	b, err := appendFrame(buf.b[:0], id, m)
+	buf.b = b[:0]
 	if err != nil {
-		framePool.Put(buf)
 		return err
 	}
-	_, err = w.Write(b)
-	framePool.Put(buf)
-	if err != nil {
+	if _, err := w.Write(b); err != nil {
 		return fmt.Errorf("proc: writing %T: %w", m, err)
 	}
 	return nil
 }
 
-// writeFrame writes a message under the default policy with no
-// idempotence token (handshake, heartbeat and push frames).
-func writeFrame(w io.Writer, m any) error {
-	return writeFrameCfg(w, 0, m, defaultWire)
-}
-
-// readFrameCfg reads the next complete frame under the given policy,
-// returning its idempotence token alongside the message. The payload is
-// read into a pooled buffer; both codecs' decoders copy everything out
-// (gob by construction, raw by the arena rule), so the buffer recycles
-// immediately. Read errors from the connection are returned wrapped
-// (%w) so deadline expiry stays detectable via net.Error.
-func readFrameCfg(r io.Reader, wc *wireCfg) (uint64, any, error) {
-	return readFrameInto(r, wc, nil)
-}
-
-// readFrameInto is readFrameCfg decoding a superstep's exchange columns
-// into arena, which the caller recycles (see recycle); nil allocates.
-func readFrameInto(r io.Reader, wc *wireCfg, arena *[]byte) (uint64, any, error) {
+// readFrame reads the next complete frame, returning its
+// idempotence token alongside the message; the exchange columns of a
+// StepReq or StepResp decode into arena (see recycle), nil allocates.
+// The length prefix is checked against netfault.MaxFrame before any
+// payload byte is read, and the payload lands in a pooled buffer the
+// decoders copy everything out of, so it recycles immediately. Read
+// errors from the connection are returned wrapped (%w) so deadline
+// expiry stays detectable via net.Error.
+func readFrame(r io.Reader, arena *[]byte) (uint64, any, error) {
 	var hdr [netfault.HeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n, err := netfault.ParseHeader(hdr[:])
-	if err != nil {
-		return 0, nil, err
-	}
-	if err := wire.CheckSize(n, wc.max()); err != nil {
+	n := int(binary.BigEndian.Uint32(hdr[:]))
+	if err := checkSize(n); err != nil {
 		return 0, nil, fmt.Errorf("proc: reading frame: %w", err)
 	}
-	buf := framePool.Get().(*wire.Buf)
-	defer framePool.Put(buf)
-	if cap(buf.B) < n {
-		buf.B = make([]byte, n)
+	if n == 0 {
+		return 0, nil, fmt.Errorf("proc: empty frame: %w", ErrMalformed)
 	}
-	payload := buf.B[:n]
-	if _, err := io.ReadFull(r, payload); err != nil {
+	buf := framePool.Get().(*frameBuf)
+	defer framePool.Put(buf)
+	payload, err := readPayload(r, buf.b[:0], n)
+	buf.b = payload[:0]
+	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return 0, nil, fmt.Errorf("proc: reading frame body: %w", err)
 	}
-	if n == 0 {
-		return 0, nil, fmt.Errorf("proc: empty frame: %w", wire.ErrMalformed)
-	}
-	switch payload[0] {
-	case wire.CodecRaw:
-		return decodeRawPayload(payload[1:], arena)
-	case wire.CodecGob:
-		var f Frame
-		if err := gob.NewDecoder(bytes.NewReader(payload[1:])).Decode(&f); err != nil {
-			return 0, nil, fmt.Errorf("proc: decoding frame: %v: %w", err, wire.ErrMalformed)
-		}
-		if f.M == nil {
-			return 0, nil, fmt.Errorf("proc: empty frame: %w", wire.ErrMalformed)
-		}
-		return f.ID, f.M, nil
-	default:
-		return 0, nil, fmt.Errorf("proc: unknown frame codec %#x: %w", payload[0], wire.ErrMalformed)
-	}
+	return decodePayload(payload, arena)
 }
 
-// readFrame reads the next frame's message under the default policy,
-// discarding the token.
-func readFrame(r io.Reader) (any, error) {
-	_, m, err := readFrameCfg(r, defaultWire)
-	return m, err
+// readPayload reads an n-byte payload into b's memory. A b with room
+// for n is filled in one read; a smaller one grows only as bytes
+// arrive, first to 32 KiB and then at most doubling, so a length prefix
+// claiming more than the peer sends costs 32 KiB plus a few times what
+// it did send, not what it claimed.
+func readPayload(r io.Reader, b []byte, n int) ([]byte, error) {
+	for len(b) < n {
+		if len(b) == cap(b) {
+			grown := make([]byte, len(b), min(n, len(b)+max(len(b), 32<<10)))
+			b = grown[:copy(grown, b)]
+		}
+		k, err := io.ReadFull(r, b[len(b):min(n, cap(b))])
+		b = b[:len(b)+k]
+		if err != nil {
+			return b, err
+		}
+	}
+	return b, nil
 }
 
 // isTimeout reports whether err is (or wraps) a network timeout — the

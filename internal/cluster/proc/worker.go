@@ -37,9 +37,6 @@ type WorkerConfig struct {
 	// RetryBackoff is the initial redial backoff, doubled per attempt
 	// and capped at 8x (25ms if zero).
 	RetryBackoff time.Duration
-	// MaxFrameBytes caps frame payloads, mirroring Config.MaxFrameBytes
-	// (0 = the netfault hard ceiling).
-	MaxFrameBytes int
 }
 
 func (cfg WorkerConfig) withDefaults() WorkerConfig {
@@ -69,13 +66,11 @@ var errFenced = errors.New("proc: fenced by coordinator")
 // serialized RPC — supersteps and state moves alike — and a beat
 // connection for heartbeat pushes, performs the Hello handshake on
 // each, then serves ctrl requests one at a time. Broken connections
-// are redialed with capped backoff; since protocol v2 every frame is
-// self-contained, so a reconnected stream resumes with no carried
-// codec state, and the idempotence cache answers a retried request
-// without re-applying it.
+// are redialed with capped backoff; every frame is self-contained, so
+// a reconnected stream resumes with no carried codec state, and the
+// idempotence cache answers a retried request without re-applying it.
 func RunWorker(cfg WorkerConfig) error {
 	cfg = cfg.withDefaults()
-	wc := &wireCfg{maxFrame: cfg.MaxFrameBytes}
 	ctrl, err := dialHandshake(cfg, ConnCtrl)
 	if err != nil {
 		return err
@@ -100,7 +95,7 @@ func RunWorker(cfg WorkerConfig) error {
 	// columns only while it folds them.
 	var inbox []byte
 	for {
-		id, req, err := readFrameInto(ctrl, wc, &inbox)
+		id, req, err := readFrame(ctrl, &inbox)
 		if err != nil {
 			ctrl.Close()
 			if ctrl, err = redial(cfg, ConnCtrl, err); err != nil {
@@ -109,11 +104,11 @@ func RunWorker(cfg WorkerConfig) error {
 			continue
 		}
 		if _, ok := req.(ShutdownReq); ok {
-			writeFrameCfg(ctrl, id, OKResp{}, wc)
+			writeFrame(ctrl, id, OKResp{})
 			return nil
 		}
 		resp := h.dispatch(id, req)
-		if err := writeFrameCfg(ctrl, id, resp, wc); err != nil {
+		if err := writeFrame(ctrl, id, resp); err != nil {
 			// The response is lost with the connection, but its effect
 			// is cached: the coordinator retries the same token and is
 			// answered from the cache, not re-applied.
@@ -156,24 +151,19 @@ func dialHandshake(cfg WorkerConfig, role string) (net.Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("proc: worker %d dialing %s: %v", cfg.Worker, cfg.Addr, err)
 	}
-	hello := Hello{Proto: ProtoVersion, Worker: cfg.Worker, Token: cfg.Token, Conn: role}
-	if err := writeFrame(c, hello); err != nil {
+	hello := Hello{Worker: cfg.Worker, Token: cfg.Token, Conn: role}
+	if err := writeFrame(c, 0, hello); err != nil {
 		c.Close()
 		return nil, err
 	}
 	c.SetReadDeadline(time.Now().Add(cfg.HandshakeTimeout))
-	m, err := readFrame(c)
+	_, m, err := readFrame(c, nil)
 	if err != nil {
 		c.Close()
-		return nil, fmt.Errorf("proc: worker %d %s handshake: %v", cfg.Worker, role, err)
+		return nil, fmt.Errorf("proc: worker %d %s handshake: %w", cfg.Worker, role, err)
 	}
 	switch resp := m.(type) {
 	case HelloOK:
-		if resp.Proto != ProtoVersion {
-			c.Close()
-			return nil, fmt.Errorf("proc: worker %d %s handshake: coordinator speaks proto %d, want %d",
-				cfg.Worker, role, resp.Proto, ProtoVersion)
-		}
 	case ErrResp:
 		c.Close()
 		if strings.HasPrefix(resp.Msg, "fenced") {
@@ -207,7 +197,7 @@ func pushHeartbeats(nc net.Conn, cfg WorkerConfig, done <-chan struct{}) {
 			return
 		case <-t.C:
 			seq++
-			if nc != nil && writeFrame(nc, Heartbeat{Worker: cfg.Worker, Seq: seq}) == nil {
+			if nc != nil && writeFrame(nc, 0, Heartbeat{Worker: cfg.Worker, Seq: seq}) == nil {
 				continue
 			}
 			if nc != nil {
