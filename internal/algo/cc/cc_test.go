@@ -96,11 +96,10 @@ func TestRandomGraphsRandomFailures(t *testing.T) {
 
 func TestMidStepAbortReactivatesPendingLabels(t *testing.T) {
 	// Deterministic mid-step abort through the real exec engine: the
-	// threshold is tiny, so the plan is torn down almost immediately and
-	// the label Puts already applied in place must be re-activated (the
-	// pending log) for the retry — otherwise a lowered label whose
-	// update record died in flight would never re-propagate and the
-	// delta iteration would stall or converge to the wrong components.
+	// threshold is tiny, so the superstep aborts during its expansion,
+	// before any label is lowered, and the retry must expand the same
+	// workset again — a workset lost with the attempt would leave the
+	// delta iteration stalled or converged to the wrong components.
 	g, _ := gen.Demo()
 	truth := ref.ConnectedComponents(g)
 	inj := failure.NewScripted(nil).AtMidStep(1, 2, 1)

@@ -58,9 +58,9 @@ func TestAllPoliciesAllSchedulesProperty(t *testing.T) {
 // mid-superstep failure schedule, aborting the running dataflow and
 // recovering under the optimistic, checkpoint and restart policies
 // still converges to exactly the union-find components. This exercises
-// the full abort path — the exec engine tears the plan down mid-flight,
-// the in-place label writes are re-activated via the pending log, and
-// the policy repairs the lost partitions.
+// the full abort path — the exec engine aborts the superstep during its
+// expansion, before any label is lowered, the retry expands the same
+// workset again, and the policy repairs the lost partitions.
 func TestMidStepFailuresConvergeProperty(t *testing.T) {
 	f := func(seed int64, nRaw, pRaw, sRaw, aRaw uint8) bool {
 		n := int(nRaw%40) + 20

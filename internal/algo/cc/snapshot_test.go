@@ -3,6 +3,7 @@ package cc
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"runtime"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"optiflow/internal/exec"
 	"optiflow/internal/graph"
 	"optiflow/internal/graph/gen"
+	"optiflow/internal/iterate"
 	"optiflow/internal/state"
 )
 
@@ -229,4 +231,52 @@ func FuzzRestoreSnapshot(f *testing.F) {
 			t.Fatalf("step after a successful restore: %v", err)
 		}
 	})
+}
+
+// TestMidStepAbortLeavesSnapshotUnchanged strikes a mid-step fault in
+// every superstep of a CC run — after no message, after half the
+// superstep's messages and after all but one — and demands that each
+// aborted attempt leaves the SnapshotTo bytes as they were: the fault
+// strikes during the expansion, before any Apply lowers a label, so an
+// aborted attempt has nothing to reconcile. A threshold of all the
+// superstep's messages is never crossed: that attempt completes and
+// must equal a twin job stepping without faults.
+func TestMidStepAbortLeavesSnapshotUnchanged(t *testing.T) {
+	g := gen.Twitter(400, 1)
+	j, twin := NewColumnar(g, 4), NewColumnar(g, 4)
+	snapshot := func(j *CC) []byte {
+		var buf bytes.Buffer
+		if err := j.SnapshotTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	faultAfter := func(n int64) *iterate.Context {
+		return &iterate.Context{Fault: &exec.FaultInjection{Workers: []int{1}, Partitions: []int{1}, AfterRecords: n}}
+	}
+	for step := 1; twin.WorksetLen() > 0; step++ {
+		stats, err := twin.Step(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, before := stats.Messages, snapshot(j)
+		for _, after := range []int64{0, m / 2, m - 1} {
+			if after < 0 {
+				continue
+			}
+			var wf *exec.WorkerFailure
+			if _, err := j.Step(faultAfter(after)); !errors.As(err, &wf) {
+				t.Fatalf("superstep %d, fault after %d of %d messages: err = %v, want a worker failure", step, after, m, err)
+			}
+			if !bytes.Equal(snapshot(j), before) {
+				t.Fatalf("superstep %d, fault after %d of %d messages: the aborted attempt changed the snapshot", step, after, m)
+			}
+		}
+		if _, err := j.Step(faultAfter(m)); err != nil {
+			t.Fatalf("superstep %d: a fault after all %d messages struck: %v", step, m, err)
+		}
+		if !bytes.Equal(snapshot(j), snapshot(twin)) {
+			t.Fatalf("superstep %d: snapshot differs from the twin's", step)
+		}
+	}
 }

@@ -36,7 +36,7 @@ func NewHosted[V exec.ColValue](k Kernel[V], g *graph.Graph, nparts int, parts [
 	h.revert = func() {
 		j.vals.Revert(h.vals)
 		j.next.ClearAll()
-		j.clearPending()
+		clear(j.updates)
 	}
 	return h
 }

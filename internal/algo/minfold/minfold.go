@@ -4,16 +4,15 @@
 // minimum candidate it receives, and the vertices it lowered form the
 // next workset. The two algorithms differ only in what a Kernel
 // supplies — a name, the Expand kernel (CC copies its label, SSSP adds
-// the edge weight) and each vertex's initial value — so the job, its
-// pending-write log, every snapshot capability and the fix-components
-// compensation exist once, here.
+// the edge weight) and each vertex's initial value — so the job, every
+// snapshot capability and the fix-components compensation exist once,
+// here.
 //
 // The job runs on the typed columnar superstep engine: values live in a
 // dense per-partition column store, the workset is two parallel
 // (index, value) columns, and the superstep is one exec.ColStep folded
 // with min, so a superstep allocates nothing per message, and the
-// workset and pending-log columns are truncated and refilled rather
-// than regrown.
+// workset columns are truncated and refilled rather than regrown.
 package minfold
 
 import (
@@ -61,18 +60,7 @@ type Job[V exec.ColValue] struct {
 	workset *state.ColWorkset[V] // current workset
 	next    *state.ColWorkset[V] // workset under construction
 
-	// pending logs, per partition and as columns, the in-place writes of
-	// the attempt currently executing. If the attempt aborts
-	// mid-superstep, the lowered values are already in the solution set
-	// but the update records that would re-propagate them died with the
-	// step; merging the log back into the current workset re-activates
-	// those vertices so the retry converges. Values only decrease and
-	// each one witnesses a real candidate, so replaying them is safe.
-	pendingIdx [][]int32
-	pendingVal [][]V
-
-	// updates counts value changes per partition for step stats; each
-	// fold task writes only its own slot.
+	// updates counts value changes per partition for step stats.
 	updates []int64
 }
 
@@ -96,18 +84,16 @@ func newJob[V exec.ColValue](k Kernel[V], g *graph.Graph, parallelism int, parts
 		}
 	}
 	j := &Job[V]{
-		name:       k.Name,
-		init:       k.Init,
-		d:          d,
-		pt:         pt,
-		parts:      parts,
-		engine:     &exec.ColEngine[V]{Parallelism: parallelism},
-		vals:       state.NewDenseStore[V]("labels", d, pt),
-		workset:    state.NewColWorkset[V]("workset", parallelism),
-		next:       state.NewColWorkset[V]("next-workset", parallelism),
-		pendingIdx: make([][]int32, parallelism),
-		pendingVal: make([][]V, parallelism),
-		updates:    make([]int64, parallelism),
+		name:    k.Name,
+		init:    k.Init,
+		d:       d,
+		pt:      pt,
+		parts:   parts,
+		engine:  &exec.ColEngine[V]{Parallelism: parallelism},
+		vals:    state.NewDenseStore[V]("labels", d, pt),
+		workset: state.NewColWorkset[V]("workset", parallelism),
+		next:    state.NewColWorkset[V]("next-workset", parallelism),
+		updates: make([]int64, parallelism),
 	}
 	j.step = &exec.ColStep[V]{
 		Adj:    d,
@@ -186,10 +172,9 @@ func (j *Job[V]) source(part int, emit func(src int32, val V) bool) error {
 }
 
 // apply is the update join of Fig. 1a on columns: compare each folded
-// candidate to the current value, lower it in place, log the write to
-// the pending column and activate the vertex in the next workset. The
-// engine routes updates to the partition owning them, so the
-// per-partition appends are race-free.
+// candidate to the current value, lower it in place and activate the
+// vertex in the next workset. The engine routes updates to the
+// partition owning them.
 func (j *Job[V]) apply(part int, dst exec.KeyCol, val exec.ValCol[V]) error {
 	slot := j.pt.Slot
 	for i, d := range dst {
@@ -200,8 +185,6 @@ func (j *Job[V]) apply(part int, dst exec.KeyCol, val exec.ValCol[V]) error {
 			continue
 		}
 		j.vals.SetSlot(part, s, cand)
-		j.pendingIdx[part] = append(j.pendingIdx[part], d)
-		j.pendingVal[part] = append(j.pendingVal[part], cand)
 		j.next.Add(part, d, cand)
 		j.updates[part]++
 	}
@@ -209,11 +192,13 @@ func (j *Job[V]) apply(part int, dst exec.KeyCol, val exec.ValCol[V]) error {
 }
 
 // Step implements the loop body for iterate.Loop: run one superstep of
-// the delta iteration and swap in the freshly built workset.
+// the delta iteration and swap in the freshly built workset. A
+// mid-superstep fault strikes during the expansion, before any apply
+// lowers a value, so an aborted attempt leaves the values and the
+// workset as they were and the retry expands the same workset again.
 func (j *Job[V]) Step(ctx *iterate.Context) (iterate.StepStats, error) {
 	stats, err := j.engine.Run(j.step, ctx.ScheduledFault())
 	if err != nil {
-		j.abortAttempt()
 		// %w keeps *exec.WorkerFailure visible to the iteration driver.
 		return iterate.StepStats{}, fmt.Errorf("%s: superstep: %w", j.name, err)
 	}
@@ -227,35 +212,10 @@ func (j *Job[V]) advance() int64 {
 	for _, n := range j.updates {
 		updates += n
 	}
-	j.clearPending()
+	clear(j.updates)
 	j.workset.Swap(j.next)
 	j.next.ClearAll()
 	return updates
-}
-
-// abortAttempt reconciles state after a mid-superstep abort: the partial
-// next-workset is discarded, and every write the aborted step applied in
-// place is merged back into the current workset so the lowered values
-// re-propagate on retry (duplicates are harmless — the fold takes their
-// min).
-func (j *Job[V]) abortAttempt() {
-	for p, idx := range j.pendingIdx {
-		vals := j.pendingVal[p]
-		for i, d := range idx {
-			j.workset.Add(p, d, vals[i])
-		}
-	}
-	j.clearPending()
-	j.next.ClearAll()
-}
-
-// clearPending forgets the attempt's write log and update counts.
-func (j *Job[V]) clearPending() {
-	for p := range j.pendingIdx {
-		j.pendingIdx[p] = j.pendingIdx[p][:0]
-		j.pendingVal[p] = j.pendingVal[p][:0]
-		j.updates[p] = 0
-	}
 }
 
 // SnapshotTo implements recovery.Job: the format tag, the partition

@@ -14,9 +14,9 @@ import (
 
 // Ground-truth suite: the job runs the same damped power iteration as
 // internal/algo/ref, so it must land within the termination tolerance
-// of the reference ranks. Exact bitwise equality is NOT the contract:
-// contribution sums fold in arrival order, so a run is only
-// reproducible up to floating-point association.
+// of the reference ranks. Bitwise equality with the reference is NOT
+// the contract: the two add contributions in different orders. A run
+// does repeat itself bit for bit (TestSnapshotBytesReproducible).
 
 // requireConverges runs the job and checks it against the
 // power-iteration ground truth and for unit rank mass. The options

@@ -237,9 +237,9 @@ func (pr *PR) apply(part int, dst exec.KeyCol, val exec.ValCol[float64]) error {
 // superstep — dangling mass first, then the exchange that propagates
 // and sums contributions, then base + d*sum + share per vertex with the
 // L1 delta, committing the new rank vector.
-// A mid-superstep abort needs no reconciliation here: the aborted step
-// only wrote the sums scratch, which is cleared at the start of every
-// attempt; the committed rank vector is untouched until the fold.
+// A mid-superstep abort needs no reconciliation here: the fault strikes
+// before any apply writes the sums scratch, and the committed rank
+// vector is untouched until the fold.
 func (pr *PR) Step(ctx *iterate.Context) (iterate.StepStats, error) {
 	danglingMass := pr.danglingMass()
 	pr.clearSums()

@@ -3,11 +3,14 @@ package pagerank
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"runtime"
 	"strings"
 	"testing"
 
+	"optiflow/internal/exec"
 	"optiflow/internal/graph/gen"
+	"optiflow/internal/iterate"
 )
 
 // gobSnapshot writes a snapshot of pr the way the gob codec did: the
@@ -111,4 +114,90 @@ func FuzzRestoreSnapshot(f *testing.F) {
 			t.Fatalf("step after a successful restore: %v", err)
 		}
 	})
+}
+
+// TestSnapshotBytesReproducible runs PageRank 30 times per seed and
+// demands byte-identical SnapshotTo blobs at superstep 0, after two
+// supersteps and at convergence: the engine folds contributions in
+// ascending source order, so even the float sums are a function of the
+// seed.
+func TestSnapshotBytesReproducible(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		g := gen.Twitter(400, seed)
+		var want [][]byte
+		for run := 0; run < 30; run++ {
+			got := snapshotsAlongRun(t, NewColumnar(g, 4, 0.85, nil))
+			if run == 0 {
+				want = got
+				continue
+			}
+			for i := range want {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("seed %d, run %d: snapshot %d differs from run 0", seed, run, i)
+				}
+			}
+		}
+	}
+}
+
+// snapshotsAlongRun steps pr until its L1 delta falls below 1e-9 and
+// returns its SnapshotTo blobs at superstep 0, after two supersteps and
+// at the end.
+func snapshotsAlongRun(t *testing.T, pr *PR) [][]byte {
+	t.Helper()
+	out := [][]byte{snapshotOf(t, pr)}
+	for step := 1; pr.LastL1() >= 1e-9; step++ {
+		if _, err := pr.Step(nil); err != nil {
+			t.Fatal(err)
+		}
+		if step == 2 {
+			out = append(out, snapshotOf(t, pr))
+		}
+	}
+	return append(out, snapshotOf(t, pr))
+}
+
+func snapshotOf(t *testing.T, pr *PR) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := pr.SnapshotTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestMidStepAbortLeavesSnapshotUnchanged strikes a mid-step fault in
+// every superstep of a PageRank run — after no message, after half the
+// superstep's messages and after all but one — and demands that each
+// aborted attempt leaves the SnapshotTo bytes as they were. A threshold
+// of all the superstep's messages is never crossed: that attempt
+// completes and must equal a twin job stepping without faults.
+func TestMidStepAbortLeavesSnapshotUnchanged(t *testing.T) {
+	g := gen.Twitter(400, 1)
+	pr, twin := NewColumnar(g, 4, 0.85, nil), NewColumnar(g, 4, 0.85, nil)
+	faultAfter := func(n int64) *iterate.Context {
+		return &iterate.Context{Fault: &exec.FaultInjection{Workers: []int{1}, Partitions: []int{1}, AfterRecords: n}}
+	}
+	for step := 1; twin.LastL1() >= 1e-9; step++ {
+		stats, err := twin.Step(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, before := stats.Messages, snapshotOf(t, pr)
+		for _, after := range []int64{0, m / 2, m - 1} {
+			var wf *exec.WorkerFailure
+			if _, err := pr.Step(faultAfter(after)); !errors.As(err, &wf) {
+				t.Fatalf("superstep %d, fault after %d of %d messages: err = %v, want a worker failure", step, after, m, err)
+			}
+			if !bytes.Equal(snapshotOf(t, pr), before) {
+				t.Fatalf("superstep %d, fault after %d of %d messages: the aborted attempt changed the snapshot", step, after, m)
+			}
+		}
+		if _, err := pr.Step(faultAfter(m)); err != nil {
+			t.Fatalf("superstep %d: a fault after all %d messages struck: %v", step, m, err)
+		}
+		if !bytes.Equal(snapshotOf(t, pr), snapshotOf(t, twin)) {
+			t.Fatalf("superstep %d: snapshot differs from the twin's", step)
+		}
+	}
 }

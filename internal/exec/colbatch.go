@@ -3,10 +3,9 @@
 // (dense int32 vertex indices plus a numeric payload), so a record on
 // the columnar path costs two array slots instead of an interface
 // allocation. Ownership follows the boxed rules (DESIGN.md §2.1/§2.6):
-// a batch is owned by exactly one goroutine at a time, sending it
-// transfers ownership, and putColBatch recycles it — using a batch
-// after either is a use-after-free caught by deepvet's poolescape
-// analysis, which covers these types alongside *[]any.
+// a batch has one owner at a time, and the pool's put recycles it —
+// using a batch after that is a use-after-free caught by deepvet's
+// poolescape analysis, which covers these types alongside *[]any.
 package exec
 
 import "sync"
@@ -31,7 +30,7 @@ type ValCol[V ColValue] []V
 
 // DefaultColBatchSize is the rows-per-batch granularity of columnar
 // exchanges. Columnar rows are 12 bytes, so batches are larger than the
-// boxed default without growing the channel-buffered footprint.
+// boxed default.
 const DefaultColBatchSize = 1024
 
 // ColBatch is one pooled columnar exchange batch: Dst[i] is the dense

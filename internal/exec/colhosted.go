@@ -1,7 +1,7 @@
 // Hosted columnar supersteps: the same ColStep, run by a process that
 // hosts only some of its partitions. The engine's halves execute
 // separately, inline on the caller's goroutine, and the exchange between
-// them is bytes instead of channels: every flushed batch is written as
+// them is bytes: every flushed batch is written as
 // ColBatch columns (AppendColumns) into a per-(source, destination)
 // buffer. Buffers bound for hosted partitions stay here until the next
 // fold, the others leave the process and the peers' arrive, so a hosted

@@ -186,7 +186,7 @@ func TestAscendingMatchesSorted(t *testing.T) {
 
 // TestAscendingScratchResetClearsSeen runs LocalFold supersteps whose
 // touched sets take each branch of ascending — every vertex active, then
-// one — and checks the deferred resets leave no seen entry set.
+// one — and checks the resets leave no seen entry set.
 func TestAscendingScratchResetClearsSeen(t *testing.T) {
 	d := gen.Grid(16, 16).Dense()
 	pt := d.Partitioning(4)
@@ -212,14 +212,17 @@ func TestAscendingScratchResetClearsSeen(t *testing.T) {
 		if _, err := e.Run(step, nil); err != nil {
 			t.Fatal(err)
 		}
-		for p := range e.seen {
-			if i := slices.Index(e.seen[p], true); i >= 0 {
-				t.Fatalf("%d active: fold scratch of partition %d still marks %d", n, p, i)
-			}
-			if i := slices.Index(e.lseen[p], true); i >= 0 {
-				t.Fatalf("%d active: local-fold scratch of partition %d still marks %d", n, p, i)
-			}
-			if len(e.touched[p]) != 0 || len(e.ltouched[p]) != 0 {
+		if i := slices.Index(e.seen, true); i >= 0 {
+			t.Fatalf("%d active: fold scratch still marks %d", n, i)
+		}
+		if i := slices.Index(e.lseen, true); i >= 0 {
+			t.Fatalf("%d active: local-fold scratch still marks %d", n, i)
+		}
+		if len(e.all) != 0 || len(e.ltouched) != 0 {
+			t.Fatalf("%d active: the engine kept a touched list", n)
+		}
+		for p, touched := range e.touched {
+			if len(touched) != 0 {
 				t.Fatalf("%d active: partition %d kept a touched list", n, p)
 			}
 		}

@@ -27,8 +27,9 @@ type FaultInjection struct {
 	// crash strikes: the run aborts on the first record past this
 	// count. Zero means the first processed record triggers it.
 	// "Processed" counts operator emissions plan-wide (the same events
-	// Stats.NodeOutputs counts), so the timing scales with actual work
-	// done, not wall time. If the plan finishes before the threshold is
+	// Stats.NodeOutputs counts) — in ColEngine.Run, edge-expansion
+	// messages, a source row at a time — so the timing scales with
+	// actual work done, not wall time. If the plan finishes before the threshold is
 	// reached, the run completes normally — the caller decides what a
 	// failure that outlived the superstep means (typically: it strikes
 	// at the superstep boundary instead).

@@ -4,26 +4,38 @@ import (
 	"bytes"
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
 	"optiflow/internal/graph"
 )
 
-// TestLocalFoldMatchesMapReference holds the specialised local-fold
-// loops to the plainest combiner there is: per producing partition, fold
-// every message into a map in emission order, then emit the folded rows
-// in ascending destination order, cut into batches. For every ExpandKind
-// × FoldKind, on a graph with and without edge weights, the exchange
-// bytes of every (source, destination) pair must be equal. Rows repeat a
-// source, and batches are small, so flushes fall mid-pair.
+// TestLocalFoldMatchesMapReference holds both fold kernels to the
+// plainest fold there is: a map, filled message by message in emission
+// order, source partitions ascending. With LocalFold each source
+// partition fills its own map first, and those merge in ascending
+// source order. For every ExpandKind × FoldKind, on a graph with and
+// without edge weights, with LocalFold on and off, what Run hands Apply
+// must equal the reference bit for bit. With LocalFold, so must what
+// ColHosted.Fold applies after the same rows were expanded, and the
+// exchange bytes of every (source, destination) pair must equal the
+// per-source maps emitted in ascending destination order, cut into
+// batches. Rows repeat a source, and batches are small, so flushes fall
+// mid-pair.
 func TestLocalFoldMatchesMapReference(t *testing.T) {
 	const parts, batch = 3, 5
 	type row struct {
 		src int32
 		val float64
 	}
+	type update struct {
+		dst  int32
+		bits uint64
+	}
+	all := []int{0, 1, 2}
 	for _, weighted := range []bool{false, true} {
 		rng := rand.New(rand.NewSource(7))
 		b := graph.NewBuilder(true)
@@ -55,77 +67,130 @@ func TestLocalFoldMatchesMapReference(t *testing.T) {
 		for _, expand := range []ExpandKind{ExpandCopy, ExpandAddWeight, ExpandMulScale} {
 			for _, fold := range []FoldKind{FoldMin, FoldSum} {
 				t.Run(fmt.Sprintf("weighted=%v/expand=%d/fold=%d", weighted, expand, fold), func(t *testing.T) {
-					step := &ColStep[float64]{
-						Adj: d, Parts: pt, Expand: expand, Scale: scale, Fold: fold, LocalFold: true,
-						Source: func(p int, emit func(int32, float64) bool) error {
-							for _, r := range rows[p] {
-								if !emit(r.src, r.val) {
-									break
-								}
+					for _, local := range []bool{false, true} {
+						t.Run(fmt.Sprintf("local=%v", local), func(t *testing.T) {
+							var applied [parts][]update
+							step := &ColStep[float64]{
+								Adj: d, Parts: pt, Expand: expand, Scale: scale, Fold: fold, LocalFold: local,
+								Source: func(p int, emit func(int32, float64) bool) error {
+									for _, r := range rows[p] {
+										if !emit(r.src, r.val) {
+											break
+										}
+									}
+									return nil
+								},
+								Apply: func(p int, dst KeyCol, val ValCol[float64]) error {
+									for i, d := range dst {
+										applied[p] = append(applied[p], update{d, math.Float64bits(val[i])})
+									}
+									return nil
+								},
 							}
-							return nil
-						},
-						Apply: func(int, KeyCol, ValCol[float64]) error { return nil },
-					}
-					// The sink runs on every producing task's goroutine at once,
-					// each writing only its own row.
-					var got, want [parts][parts][]byte
-					e := &ColEngine[float64]{Parallelism: parts, BatchSize: batch}
-					all := []int{0, 1, 2}
-					if _, err := e.expandHalf(step, all, func(src, dst int, b *ColBatch[float64]) {
-						got[src][dst] = b.AppendColumns(got[src][dst])
-					}); err != nil {
-						t.Fatal(err)
-					}
 
-					for p := range all {
-						acc := map[int32]float64{}
-						for _, r := range rows[p] {
-							for j := d.Offsets[r.src]; j < d.Offsets[r.src+1]; j++ {
-								v := r.val
-								switch {
-								case expand == ExpandAddWeight && d.Weights != nil:
-									v += d.Weights[j]
-								case expand == ExpandAddWeight:
-									v++
-								case expand == ExpandMulScale:
-									v *= scale[j]
-								}
-								old, seen := acc[d.Targets[j]]
+							foldInto := func(acc map[int32]float64, dst int32, v float64) {
+								old, seen := acc[dst]
 								switch {
 								case !seen:
-									acc[d.Targets[j]] = v
+									acc[dst] = v
 								case fold == FoldMin:
-									acc[d.Targets[j]] = min(old, v)
+									acc[dst] = min(old, v)
 								default:
-									acc[d.Targets[j]] = old + v
+									acc[dst] = old + v
 								}
 							}
-						}
-						cut := make([]ColBatch[float64], parts)
-						flush := func(q int) {
-							if cut[q].Len() > 0 {
-								want[p][q] = cut[q].AppendColumns(want[p][q])
-								cut[q] = ColBatch[float64]{}
+							perSource := make([]map[int32]float64, parts)
+							total := map[int32]float64{}
+							for p := range all {
+								perSource[p] = map[int32]float64{}
+								for _, r := range rows[p] {
+									for j := d.Offsets[r.src]; j < d.Offsets[r.src+1]; j++ {
+										v := r.val
+										switch {
+										case expand == ExpandAddWeight && d.Weights != nil:
+											v += d.Weights[j]
+										case expand == ExpandAddWeight:
+											v++
+										case expand == ExpandMulScale:
+											v *= scale[j]
+										}
+										foldInto(perSource[p], d.Targets[j], v)
+										if !local {
+											foldInto(total, d.Targets[j], v)
+										}
+									}
+								}
+								if local {
+									// One value per destination and source: the order within
+									// a source cannot matter.
+									for dst, v := range perSource[p] {
+										foldInto(total, dst, v)
+									}
+								}
 							}
-						}
-						for _, dst := range slices.Sorted(maps.Keys(acc)) {
-							q := int(pt.PartOf[dst])
-							cut[q].push(dst, acc[dst])
-							if cut[q].Len() == batch {
-								flush(q)
+							var want [parts][]update
+							for _, dst := range slices.Sorted(maps.Keys(total)) {
+								q := pt.PartOf[dst]
+								want[q] = append(want[q], update{dst, math.Float64bits(total[dst])})
 							}
-						}
-						for q := range cut {
-							flush(q)
-						}
-					}
-					for src := range want {
-						for dst, w := range want[src] {
-							if !bytes.Equal(got[src][dst], w) {
-								t.Errorf("%d -> %d: %d exchange bytes differ from the reference's %d", src, dst, len(got[src][dst]), len(w))
+
+							if _, err := (&ColEngine[float64]{Parallelism: parts, BatchSize: batch}).Run(step, nil); err != nil {
+								t.Fatal(err)
 							}
-						}
+							if !reflect.DeepEqual(applied, want) {
+								t.Errorf("Run applied %v, the reference %v", applied, want)
+							}
+							if !local {
+								return
+							}
+
+							applied = [parts][]update{}
+							h := NewColHosted(&ColEngine[float64]{Parallelism: parts, BatchSize: batch}, step, all)
+							h.Begin(func() {})
+							if err := h.Expand(&HostedOut{}); err != nil {
+								t.Fatal(err)
+							}
+							h.Commit()
+							if err := h.Fold(nil); err != nil {
+								t.Fatal(err)
+							}
+							if !reflect.DeepEqual(applied, want) {
+								t.Errorf("ColHosted.Fold applied %v, the reference %v", applied, want)
+							}
+
+							var got, cut [parts][parts][]byte
+							if _, err := (&ColEngine[float64]{Parallelism: parts, BatchSize: batch}).expandHalf(step, all, func(src, dst int, b *ColBatch[float64]) {
+								got[src][dst] = b.AppendColumns(got[src][dst])
+							}); err != nil {
+								t.Fatal(err)
+							}
+							for p, acc := range perSource {
+								batches := make([]ColBatch[float64], parts)
+								flush := func(q int) {
+									if batches[q].Len() > 0 {
+										cut[p][q] = batches[q].AppendColumns(cut[p][q])
+										batches[q] = ColBatch[float64]{}
+									}
+								}
+								for _, dst := range slices.Sorted(maps.Keys(acc)) {
+									q := int(pt.PartOf[dst])
+									batches[q].push(dst, acc[dst])
+									if batches[q].Len() == batch {
+										flush(q)
+									}
+								}
+								for q := range batches {
+									flush(q)
+								}
+							}
+							for src := range cut {
+								for dst, w := range cut[src] {
+									if !bytes.Equal(got[src][dst], w) {
+										t.Errorf("%d -> %d: %d exchange bytes differ from the reference's %d", src, dst, len(got[src][dst]), len(w))
+									}
+								}
+							}
+						})
 					}
 				})
 			}

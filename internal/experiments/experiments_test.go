@@ -39,6 +39,22 @@ func TestFig2ShapeChecksPass(t *testing.T) {
 	}
 }
 
+// TestBulkDeltaShapeChecksPass runs E9: bulk against delta CC, and the
+// PageRank combiner ablation, whose check reads the shuffled-row counts
+// the columnar engine reports with LocalFold on and off.
+func TestBulkDeltaShapeChecksPass(t *testing.T) {
+	rep, err := quickRunner().BulkDelta()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Passed() {
+		t.Fatalf("bulkdelta checks failed:\n%s", rep.Render())
+	}
+	if !strings.Contains(rep.Text, "combiner ablation") {
+		t.Fatal("bulkdelta report missing the combiner ablation")
+	}
+}
+
 func TestFig4ShapeChecksPass(t *testing.T) {
 	rep, err := quickRunner().Fig4()
 	if err != nil {

@@ -141,7 +141,8 @@ type (
 	ColVals[V ColValue] = exec.ValCol[V]
 	// ColBatch is one pooled columnar exchange batch.
 	ColBatch[V ColValue] = exec.ColBatch[V]
-	// ColEngine executes columnar supersteps with fixed parallelism.
+	// ColEngine executes columnar supersteps over a fixed number of
+	// partitions, inline on the caller's goroutine.
 	ColEngine[V ColValue] = exec.ColEngine[V]
 	// ColStep describes one columnar superstep (source rows -> CSR edge
 	// expansion -> hash exchange -> monotone fold -> apply).
