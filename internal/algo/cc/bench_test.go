@@ -1,0 +1,53 @@
+package cc
+
+import (
+	"testing"
+
+	"optiflow/internal/exec/hostedtest"
+	"optiflow/internal/graph/gen"
+)
+
+// BenchmarkSuperstep times one in-process CC superstep on
+// gen.Grid(48, 48), the ledger's grid, over 4 partitions: an op is the
+// next superstep of a run, which restarts, untimed, once it converges.
+func BenchmarkSuperstep(b *testing.B) {
+	c := NewColumnar(gen.Grid(48, 48), 4)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if c.WorksetLen() == 0 {
+			b.StopTimer()
+			if err := c.ResetToInitial(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		if _, err := c.Step(nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHostedPairStep times one step of the same job split over two
+// hosts, partitions 0 and 2 on one and 1 and 3 on the other: an op is
+// the next step of a run, which restarts, untimed, on fresh hosts once
+// no host sends a message.
+func BenchmarkHostedPairStep(b *testing.B) {
+	g := gen.Grid(48, 48)
+	split := func() *hostedtest.Pair {
+		hosts, owner := hostedPair(b, g)
+		return hostedtest.NewPair([2]hostedtest.Host{hosts[0], hosts[1]}, owner)
+	}
+	pair := split()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		outs, err := pair.Step()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if outs[0].Messages+outs[1].Messages == 0 {
+			b.StopTimer()
+			pair = split()
+			b.StartTimer()
+		}
+	}
+}

@@ -17,7 +17,7 @@ import (
 // hostedPair splits g's 4 partitions over two Hosted jobs, each built —
 // like a worker process — from the vertex IDs plus only its own
 // partitions' adjacency.
-func hostedPair(t *testing.T, g *graph.Graph) (hosts [2]*Hosted, owner []int) {
+func hostedPair(t testing.TB, g *graph.Graph) (hosts [2]*Hosted, owner []int) {
 	t.Helper()
 	const nparts = 4
 	d := g.Dense()

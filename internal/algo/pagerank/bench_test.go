@@ -1,0 +1,46 @@
+package pagerank
+
+import (
+	"testing"
+
+	"optiflow/internal/exec/hostedtest"
+	"optiflow/internal/graph/gen"
+)
+
+// BenchmarkSuperstep times one in-process PageRank superstep on
+// gen.Twitter(4000, 20150531), the ledger's graph, over 4 partitions,
+// from a warm engine.
+func BenchmarkSuperstep(b *testing.B) {
+	pr := NewColumnar(gen.Twitter(4000, 20150531), 4, 0.85, nil)
+	for i := 0; i < 3; i++ {
+		if _, err := pr.Step(nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pr.Step(nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHostedPairStep times one step of the same job split over two
+// hosts, partitions 0 and 2 on one and 1 and 3 on the other: both
+// hosts' fold and expand halves and the relay between them.
+func BenchmarkHostedPairStep(b *testing.B) {
+	pair := hostedtest.NewPair(hostedHosts(b, gen.Twitter(4000, 20150531)))
+	for i := 0; i < 3; i++ {
+		if _, err := pair.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pair.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

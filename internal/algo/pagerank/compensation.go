@@ -26,12 +26,7 @@ func (pr *PR) redistribute(lost, fill []int, surviving float64) {
 	if lostCount == 0 {
 		return
 	}
-	share := (1 - surviving) / float64(lostCount)
-	for _, p := range fill {
-		for slot := range pr.pt.Owned[p] {
-			pr.ranks.SetSlot(p, int32(slot), share)
-		}
-	}
+	pr.fill(fill, (1-surviving)/float64(lostCount))
 }
 
 // ResetAllUniform is a crude alternative compensation: forget all
@@ -55,15 +50,10 @@ func ZeroFillRenormalize(pr *PR, lost []int) error {
 	}
 	scale := 1 / surviving
 	for _, p := range pr.parts {
-		for slot := range pr.pt.Owned[p] {
-			if r, ok := pr.ranks.GetSlot(p, int32(slot)); ok {
-				pr.ranks.SetSlot(p, int32(slot), r*scale)
-			}
-		}
-	}
-	for _, p := range lost {
-		for slot := range pr.pt.Owned[p] {
-			pr.ranks.SetSlot(p, int32(slot), 0)
+		// The lost partitions were cleared: their ranks read as zero.
+		ranks := pr.ranks.WriteAll(p)
+		for slot := range ranks {
+			ranks[slot] *= scale
 		}
 	}
 	return nil

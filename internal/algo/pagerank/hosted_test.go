@@ -176,24 +176,13 @@ func TestPartitionBlobIsHostedView(t *testing.T) {
 // that met a misrouted row — and holds every step's columns, partial
 // scalars and rank views to a twin run that never aborts.
 func TestHostedAbortAfterRecycledCommits(t *testing.T) {
-	const nparts = 4
 	g := gen.Twitter(300, 7)
-	d := g.Dense()
-	pt := d.Partitioning(nparts)
-	owner := []int{0, 1, 0, 1}
-	build := func() (hosts [2]hostedtest.Host) {
-		for w := range hosts {
-			parts := []int{w, w + 2}
-			offsets, targets, weights := d.Restrict(pt, parts)
-			pg, err := graph.FromCSR(g.Vertices(), offsets, targets, weights)
-			if err != nil {
-				t.Fatalf("FromCSR: %v", err)
-			}
-			hosts[w] = NewHosted(pg, nparts, 0.85, parts)
-		}
+	_, owner := hostedHosts(t, g)
+	build := func() [2]hostedtest.Host {
+		hosts, _ := hostedHosts(t, g)
 		return hosts
 	}
-	if err := hostedtest.AbortTwin(build, owner, pt.PartOf, 14); err != nil {
+	if err := hostedtest.AbortTwin(build, owner, g.Dense().Partitioning(4).PartOf, 14); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -10,8 +10,8 @@
 // engine: ranks live in a dense column store, rank contributions travel
 // as float64 columns expanded with a precomputed per-edge scale column
 // (weight / total outgoing weight, the find-neighbors join collapsed
-// into one multiply), and contribution sums fold into dense
-// per-partition scratch. FigurePlan renders Fig. 1b.
+// into one multiply), and contributions add into the engine's dense sum
+// fold, whose Apply writes the new ranks. FigurePlan renders Fig. 1b.
 package pagerank
 
 import (
@@ -47,10 +47,8 @@ type PR struct {
 	damping float64
 	ranks   *state.DenseStore[float64] // current rank vector
 
-	// Per-superstep scratch, per partition, indexed by local slot: the
-	// damped contribution sums and which slots received any.
-	sums   [][]float64
-	sumSet [][]bool
+	// apply's rank update, base + damping*sum + share, and its L1 delta.
+	base, share, l1 float64
 
 	danglingIdx []int32 // this process's vertices with no out-edges, ascending
 
@@ -103,14 +101,7 @@ func newPR(g *graph.Graph, parallelism int, damping float64, parts []int) *PR {
 		engine:  &exec.ColEngine[float64]{Parallelism: parallelism},
 		damping: damping,
 		ranks:   state.NewDenseStore[float64]("ranks", d, pt),
-		sums:    make([][]float64, parallelism),
-		sumSet:  make([][]bool, parallelism),
 		lastL1:  math.Inf(1),
-	}
-	for p := range pr.sums {
-		n := len(pt.Owned[p])
-		pr.sums[p] = make([]float64, n)
-		pr.sumSet[p] = make([]bool, n)
 	}
 	nv := d.NumVertices()
 	offsets, weights := d.Offsets, d.Weights
@@ -159,11 +150,14 @@ func newPR(g *graph.Graph, parallelism int, damping float64, parts []int) *PR {
 }
 
 // seed puts the listed partitions into superstep-zero state.
-func (pr *PR) seed(parts []int) {
-	n := float64(pr.d.NumVertices())
+func (pr *PR) seed(parts []int) { pr.fill(parts, 1/float64(pr.d.NumVertices())) }
+
+// fill sets every rank of the listed partitions to r.
+func (pr *PR) fill(parts []int, r float64) {
 	for _, p := range parts {
-		for slot := range pr.pt.Owned[p] {
-			pr.ranks.SetSlot(p, int32(slot), 1/n)
+		ranks := pr.ranks.WriteAll(p)
+		for slot := range ranks {
+			ranks[slot] = r
 		}
 	}
 }
@@ -207,48 +201,52 @@ func (pr *PR) ConvergedCount(truth map[graph.VertexID]float64, eps float64) int 
 
 // source streams partition part's rank column into the expansion.
 func (pr *PR) source(part int, emit func(src int32, val float64) bool) error {
-	owned := pr.pt.Owned[part]
-	for slot, idx := range owned {
-		r, ok := pr.ranks.GetSlot(part, int32(slot))
-		if !ok {
-			continue
-		}
-		if !emit(idx, r) {
+	ranks, has := pr.ranks.Column(part)
+	for slot, idx := range pr.pt.Owned[part] {
+		if has[slot] && !emit(idx, ranks[slot]) {
 			return nil
 		}
 	}
 	return nil
 }
 
-// apply scatters the folded contribution sums into the partition's
-// scratch columns; foldRanks turns them into ranks.
-func (pr *PR) apply(part int, dst exec.KeyCol, val exec.ValCol[float64]) error {
-	slot := pr.pt.Slot
-	sums, set := pr.sums[part], pr.sumSet[part]
-	for i, d := range dst {
-		s := slot[d]
-		sums[s] = val[i]
-		set[s] = true
+// beginFold sets apply's teleport base and share of danglingMass, the
+// mass the expanded ranks held on sink vertices.
+func (pr *PR) beginFold(danglingMass float64) {
+	n := float64(pr.d.NumVertices())
+	pr.base, pr.share, pr.l1 = (1-pr.damping)/n, pr.damping*danglingMass/n, 0
+}
+
+// apply is recompute-ranks and compare-to-old-rank: handed the sum of
+// every vertex partition part owns, in slot order, it overwrites the
+// ranks, adding their L1 change to pr.l1 (partitions, slots ascending).
+func (pr *PR) apply(part int, _ exec.KeyCol, sums exec.ValCol[float64]) error {
+	ranks := pr.ranks.WriteAll(part)
+	l1 := pr.l1
+	for slot, sum := range sums {
+		nv := pr.base + pr.damping*sum + pr.share
+		l1 += math.Abs(nv - ranks[slot])
+		ranks[slot] = nv
 	}
+	pr.l1 = l1
 	return nil
 }
 
 // Step implements the loop body for iterate.Loop: one PageRank
 // superstep — dangling mass first, then the exchange that propagates
-// and sums contributions, then base + d*sum + share per vertex with the
-// L1 delta, committing the new rank vector.
+// and sums contributions, whose apply writes base + d*sum + share per
+// vertex and the L1 delta, committing the new rank vector.
 // A mid-superstep abort needs no reconciliation here: the fault strikes
-// before any apply writes the sums scratch, and the committed rank
-// vector is untouched until the fold.
+// during expansion, before any apply writes a rank.
 func (pr *PR) Step(ctx *iterate.Context) (iterate.StepStats, error) {
 	danglingMass := pr.danglingMass()
-	pr.clearSums()
+	pr.beginFold(danglingMass)
 	stats, err := pr.engine.Run(pr.step, ctx.ScheduledFault())
 	if err != nil {
 		// %w keeps *exec.WorkerFailure visible to the iteration driver.
 		return iterate.StepStats{}, fmt.Errorf("pagerank: superstep: %w", err)
 	}
-	l1 := pr.foldRanks(danglingMass)
+	l1 := pr.l1
 	pr.lastL1 = l1
 	return iterate.StepStats{
 		Messages: stats.Messages,
@@ -267,37 +265,6 @@ func (pr *PR) danglingMass() float64 {
 		}
 	}
 	return mass
-}
-
-// clearSums resets the sums scratch: an aborted attempt may have
-// written some of it.
-func (pr *PR) clearSums() {
-	for _, p := range pr.parts {
-		clear(pr.sumSet[p])
-	}
-}
-
-// foldRanks is the driver fold over this process's partitions: new
-// rank = teleport base + damped contribution sum + share of the global
-// dangling mass. It returns the L1 delta against the previous ranks.
-func (pr *PR) foldRanks(danglingMass float64) (l1 float64) {
-	n := float64(pr.d.NumVertices())
-	base := (1 - pr.damping) / n
-	share := pr.damping * danglingMass / n
-	for _, p := range pr.parts {
-		sums, set := pr.sums[p], pr.sumSet[p]
-		for slot := range sums {
-			nv := base
-			if set[slot] {
-				nv = base + pr.damping*sums[slot]
-			}
-			nv += share
-			old, _ := pr.ranks.GetSlot(p, int32(slot))
-			l1 += math.Abs(nv - old)
-			pr.ranks.SetSlot(p, int32(slot), nv)
-		}
-	}
-	return l1
 }
 
 // SnapshotTo implements recovery.Job: the format tag, the convergence

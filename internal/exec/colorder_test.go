@@ -19,9 +19,10 @@ import (
 // ColHosted hosting all four partitions of g and returns every
 // committed (src, dst) column buffer, each prefixed by src, dst and its
 // length. Apply appends the folded rows to the next round's source in
-// the order it sees them, so the bytes depend on both the local fold's
-// emission order and the fold's Apply order (float sums are
-// order-sensitive).
+// the order it sees them — under FoldSum only the nonzero sums, the
+// rows a sparse fold would have applied — so the bytes depend on both
+// the local fold's emission order and the fold's Apply order (float
+// sums are order-sensitive).
 func hostedExpandBytes[V ColValue](t *testing.T, g *graph.Graph, expand ExpandKind, fold FoldKind, init func(idx int32) V) []byte {
 	t.Helper()
 	const nparts = 4
@@ -49,8 +50,15 @@ func hostedExpandBytes[V ColValue](t *testing.T, g *graph.Graph, expand ExpandKi
 			return nil
 		},
 		Apply: func(part int, dst KeyCol, val ValCol[V]) error {
-			next[part].idx = append(next[part].idx, dst...)
-			next[part].val = append(next[part].val, val...)
+			for i, d := range dst {
+				// A sum fold hands Apply every owned vertex; the ones no
+				// message reached sum to zero and send nothing on.
+				if fold == FoldSum && val[i] == 0 {
+					continue
+				}
+				next[part].idx = append(next[part].idx, d)
+				next[part].val = append(next[part].val, val[i])
+			}
 			return nil
 		},
 	}

@@ -33,9 +33,13 @@ type FoldKind int
 
 const (
 	// FoldMin keeps the minimum payload per destination (CC labels,
-	// SSSP distances).
+	// SSSP distances). It is sparse: Apply sees only the destinations
+	// some message reached.
 	FoldMin FoldKind = iota
-	// FoldSum accumulates payloads per destination (PageRank mass).
+	// FoldSum accumulates payloads per destination (PageRank mass),
+	// densely, for a bulk iteration: Apply sees every vertex the
+	// partition owns, one no message reached as +0. A sum starts at +0,
+	// so a lone −0 message folds to +0.
 	FoldSum
 )
 
@@ -78,8 +82,10 @@ type ColStep[V ColValue] struct {
 	// (dense source vertex index, payload).
 	Source func(part int, emit func(src int32, val V) bool) error
 	// Apply receives the folded updates owned by partition part, with
-	// destinations in ascending dense-index order. dst and val are
-	// borrowed engine-owned columns: consume in place, do not retain.
+	// destinations in ascending dense-index order: under FoldMin the
+	// destinations some message reached, under FoldSum all of
+	// Parts.Owned[part], which dst then is. dst and val are borrowed
+	// read-only columns: consume in place, do not retain.
 	Apply func(part int, dst KeyCol, val ValCol[V]) error
 }
 
@@ -113,9 +119,10 @@ type ColEngine[V ColValue] struct {
 	pool colPool[V]
 
 	// Fold scratch, indexed by global dense vertex index and shared by
-	// all partitions, since a vertex has one owner; all lists the live
-	// entries, so reset is O(touched), not O(vertices), and touched[p]
-	// is partition p's share of them, handed to Apply.
+	// all partitions, since a vertex has one owner. Under FoldMin all
+	// lists the live entries, so reset is O(touched), not O(vertices),
+	// and touched[p] is partition p's share of them, handed to Apply.
+	// FoldSum zeroes acc and adds every message, leaving the rest empty.
 	acc     []V
 	seen    []bool
 	all     []int32
@@ -129,8 +136,9 @@ type ColEngine[V ColValue] struct {
 	// row is delivered to it.
 	bufs []*ColBatch[V]
 	run  colRun[V]
-	// emit is run.row, bound once so an expansion allocates nothing.
-	emit func(src int32, val V) bool
+	// emit is run.row and emitSum run.rowSum, bound once so an
+	// expansion allocates nothing.
+	emit, emitSum func(src int32, val V) bool
 }
 
 // colRun is the state of one run — Run or a hosted half.
@@ -191,7 +199,7 @@ func (e *ColEngine[V]) ensureScratch(p, nv int, local bool) {
 		e.lacc, e.lseen = make([]V, nv), make([]bool, nv)
 	}
 	if e.emit == nil {
-		e.emit = e.run.row
+		e.emit, e.emitSum = e.run.row, e.run.rowSum
 	}
 }
 
@@ -241,11 +249,18 @@ func (e *ColEngine[V]) Run(step *ColStep[V], fi *FaultInjection) (ColStats, erro
 	if err != nil {
 		return ColStats{}, err
 	}
+	emit := e.emit
+	if step.Fold == FoldSum {
+		clear(e.acc)
+		if !step.LocalFold {
+			emit = e.emitSum
+		}
+	}
 	if !step.LocalFold {
 		r.acc, r.seen, r.touched = e.acc, e.seen, e.all
 	}
 	for part := 0; part < e.Parallelism && r.err == nil; part++ {
-		r.expand(part)
+		r.expand(part, emit)
 	}
 	if !step.LocalFold {
 		e.all, r.shuffled = r.touched, r.messages
@@ -257,7 +272,7 @@ func (e *ColEngine[V]) Run(step *ColStep[V], fi *FaultInjection) (ColStats, erro
 		}
 		for p, touched := range e.touched {
 			if r.err == nil {
-				r.apply(p, touched)
+				r.applyFolded(p, touched)
 			}
 			e.touched[p] = touched[:0]
 		}
@@ -285,7 +300,7 @@ func (e *ColEngine[V]) expandHalf(step *ColStep[V], parts []int, sink func(src, 
 	}
 	r.sink = sink
 	for _, part := range parts {
-		if r.expand(part); r.err != nil {
+		if r.expand(part, e.emit); r.err != nil {
 			return ColStats{}, r.err
 		}
 	}
@@ -303,6 +318,9 @@ func (e *ColEngine[V]) foldHalf(step *ColStep[V], parts []int, next func(part in
 	if err != nil {
 		return err
 	}
+	if step.Fold == FoldSum {
+		clear(e.acc)
+	}
 	for _, part := range parts {
 		for more := true; more && r.err == nil; {
 			bp := e.pool.get(r.batch)
@@ -314,7 +332,7 @@ func (e *ColEngine[V]) foldHalf(step *ColStep[V], parts []int, next func(part in
 			e.pool.put(bp)
 		}
 		if r.err == nil {
-			r.apply(part, e.all)
+			r.applyFolded(part, e.all)
 		}
 		if r.reset(); r.err != nil {
 			return r.err
@@ -324,15 +342,16 @@ func (e *ColEngine[V]) foldHalf(step *ColStep[V], parts []int, next func(part in
 }
 
 // expand is the producing half of partition part: it pulls source rows
-// and walks their CSR edge ranges (row), then, under LocalFold, sends
-// the folded rows on and flushes the batches still filling.
-func (r *colRun[V]) expand(part int) {
+// and walks their CSR edge ranges (emit: row, or Run's rowSum), then,
+// under LocalFold, sends the folded rows on and flushes the batches
+// still filling.
+func (r *colRun[V]) expand(part int, emit func(src int32, val V) bool) {
 	e, s := r.e, r.step
 	r.part = part
 	if s.LocalFold {
 		r.acc, r.seen, r.touched = e.lacc, e.lseen, e.ltouched
 	}
-	if err := s.Source(part, e.emit); err != nil {
+	if err := s.Source(part, emit); err != nil {
 		r.fail(fmt.Errorf("col: source for partition %d: %w", part, err))
 	}
 	if s.LocalFold {
@@ -378,15 +397,34 @@ func (r *colRun[V]) deliver(dst int32, val V) {
 	}
 }
 
-// row is the expansion's emit: it counts one source row's messages —
-// the fault's clock — and folds them (localFold) or delivers them. The
-// three expand kinds are separate tight loops so the per-edge path has
-// no switch and no indirect call; so are the fold ones (see localFold).
-func (r *colRun[V]) row(src int32, val V) bool {
-	lo, hi := r.offsets[src], r.offsets[src+1]
+// clock counts the messages of a source row with edges lo..hi — the
+// fault's clock — and reports false once a scheduled fault has struck.
+func (r *colRun[V]) clock(lo, hi int32) bool {
 	r.messages += int64(hi - lo)
 	if f := r.fault; f != nil && r.messages > f.AfterRecords {
 		r.fail(&WorkerFailure{Workers: f.Workers, Partitions: f.Partitions, Processed: r.messages})
+		return false
+	}
+	return true
+}
+
+// rowSum is Run's emit for a sum fold without LocalFold (sumFold).
+func (r *colRun[V]) rowSum(src int32, val V) bool {
+	lo, hi := r.offsets[src], r.offsets[src+1]
+	if !r.clock(lo, hi) {
+		return false
+	}
+	sumFold(r.step, r.acc, lo, hi, val)
+	return true
+}
+
+// row is the expansion's emit: it counts one source row's messages and
+// folds them (localFold) or delivers them. The three expand kinds are
+// separate tight loops so the per-edge path has no switch and no
+// indirect call; so are the fold ones (see localFold).
+func (r *colRun[V]) row(src int32, val V) bool {
+	lo, hi := r.offsets[src], r.offsets[src+1]
+	if !r.clock(lo, hi) {
 		return false
 	}
 	if r.acc != nil {
@@ -418,23 +456,48 @@ func (r *colRun[V]) row(src int32, val V) bool {
 	return true
 }
 
-// localFold folds the messages one source row sends along its edges
-// lo..hi into fold scratch — Run's, or a producing partition's
-// local-fold scratch — and returns touched with the destinations seen
-// first here appended: one closure-free loop per ExpandKind × FoldKind
-// (an unweighted ExpandAddWeight adds a constant 1, so it is ExpandCopy
-// of val+1). It is a top-level function, a direct call from row.
-func localFold[V ColValue](s *ColStep[V], acc []V, seen []bool, touched []int32, lo, hi int32, val V) []int32 {
-	targets := s.Adj.Targets[lo:hi]
-	var col []float64 // per-edge operand, parallel to targets
+// edgeCols returns the targets of a source row's edges lo..hi and the
+// per-edge operand, nil when every edge sends the returned val: an
+// unweighted ExpandAddWeight is ExpandCopy of val+1.
+func edgeCols[V ColValue](s *ColStep[V], lo, hi int32, val V) ([]int32, []float64, V) {
 	switch {
 	case s.Expand == ExpandMulScale:
-		col = s.Scale[lo:hi]
+		return s.Adj.Targets[lo:hi], s.Scale[lo:hi], val
 	case s.Expand == ExpandAddWeight && s.Adj.Weights != nil:
-		col = s.Adj.Weights[lo:hi]
+		return s.Adj.Targets[lo:hi], s.Adj.Weights[lo:hi], val
 	case s.Expand == ExpandAddWeight:
-		val += V(1)
+		return s.Adj.Targets[lo:hi], nil, val + V(1)
 	}
+	return s.Adj.Targets[lo:hi], nil, val
+}
+
+// sumFold adds the messages a source row sends along its edges lo..hi
+// into Run's dense sum scratch, with no seen test and no touched list.
+func sumFold[V ColValue](s *ColStep[V], acc []V, lo, hi int32, val V) {
+	targets, col, val := edgeCols(s, lo, hi, val)
+	switch {
+	case col == nil:
+		for _, dst := range targets {
+			acc[dst] += val
+		}
+	case s.Expand == ExpandAddWeight:
+		for j, dst := range targets {
+			acc[dst] += val + V(col[j])
+		}
+	default:
+		for j, dst := range targets {
+			acc[dst] += val * V(col[j])
+		}
+	}
+}
+
+// localFold folds the messages one source row sends along its edges
+// lo..hi into sparse fold scratch — Run's under FoldMin, or a producing
+// partition's local-fold scratch — and returns touched with the
+// destinations seen first here appended: one closure-free loop per
+// ExpandKind × FoldKind, a direct call from row.
+func localFold[V ColValue](s *ColStep[V], acc []V, seen []bool, touched []int32, lo, hi int32, val V) []int32 {
+	targets, col, val := edgeCols(s, lo, hi, val)
 	min := s.Fold == FoldMin
 	switch {
 	case col == nil && min:
@@ -499,37 +562,41 @@ func localFold[V ColValue](s *ColStep[V], acc []V, seen []bool, touched []int32,
 func (r *colRun[V]) fold(dsts []int32, vals []V) {
 	e := r.e
 	acc, seen, all := e.acc, e.seen, e.all
-	min := r.step.Fold == FoldMin
+	if r.step.Fold == FoldSum {
+		for i, dst := range dsts {
+			acc[dst] += vals[i]
+		}
+		return
+	}
 	for i, dst := range dsts {
-		v := vals[i]
-		if !seen[dst] {
+		if v := vals[i]; !seen[dst] {
 			seen[dst], acc[dst] = true, v
 			all = append(all, dst)
-		} else if min {
-			if v < acc[dst] {
-				acc[dst] = v
-			}
-		} else {
-			acc[dst] += v
+		} else if v < acc[dst] {
+			acc[dst] = v
 		}
 	}
 	e.all = all
 }
 
-// apply hands partition part's folded updates — the fold scratch
-// entries touched lists — to the step's Apply, with destinations in
-// ascending dense-index order; it reorders touched in place.
-func (r *colRun[V]) apply(part int, touched []int32) {
+// applyFolded hands partition part's folded updates to the step's
+// Apply, with destinations in ascending dense-index order: under
+// FoldSum every vertex the partition owns, under FoldMin the fold
+// scratch entries touched lists, which it reorders in place.
+func (r *colRun[V]) applyFolded(part int, touched []int32) {
 	e := r.e
 	// Ascending dense index == ascending VertexID: Apply sees updates in
 	// a deterministic order.
-	touched = ascending(touched, e.seen, r.step.Parts.Owned[part])
+	dst := r.step.Parts.Owned[part]
+	if r.step.Fold == FoldMin {
+		dst = ascending(touched, e.seen, dst)
+	}
 	outVal := e.outVal[:0]
-	for _, dst := range touched {
-		outVal = append(outVal, e.acc[dst])
+	for _, d := range dst {
+		outVal = append(outVal, e.acc[d])
 	}
 	e.outVal = outVal
-	if err := r.step.Apply(part, KeyCol(touched), ValCol[V](outVal)); err != nil {
+	if err := r.step.Apply(part, KeyCol(dst), ValCol[V](outVal)); err != nil {
 		r.fail(fmt.Errorf("col: apply for partition %d: %w", part, err))
 	}
 }

@@ -17,14 +17,16 @@ import (
 // plainest fold there is: a map, filled message by message in emission
 // order, source partitions ascending. With LocalFold each source
 // partition fills its own map first, and those merge in ascending
-// source order. For every ExpandKind × FoldKind, on a graph with and
-// without edge weights, with LocalFold on and off, what Run hands Apply
-// must equal the reference bit for bit. With LocalFold, so must what
+// source order. Under FoldSum the reference lists every owned vertex
+// too, a vertex no message reached with +0, since a sum fold is dense.
+// For every ExpandKind × FoldKind, on a graph with and without edge
+// weights, with LocalFold on and off, what Run hands Apply must equal
+// the reference bit for bit. With LocalFold, so must what
 // ColHosted.Fold applies after the same rows were expanded, and the
 // exchange bytes of every (source, destination) pair must equal the
 // per-source maps emitted in ascending destination order, cut into
 // batches. Rows repeat a source, and batches are small, so flushes fall
-// mid-pair.
+// mid-pair. The negative-zero case pins a lone −0 message.
 func TestLocalFoldMatchesMapReference(t *testing.T) {
 	const parts, batch = 3, 5
 	type row struct {
@@ -35,6 +37,7 @@ func TestLocalFoldMatchesMapReference(t *testing.T) {
 		dst  int32
 		bits uint64
 	}
+	t.Run("negative-zero", sumFoldNegativeZero)
 	all := []int{0, 1, 2}
 	for _, weighted := range []bool{false, true} {
 		rng := rand.New(rand.NewSource(7))
@@ -128,6 +131,15 @@ func TestLocalFoldMatchesMapReference(t *testing.T) {
 									}
 								}
 							}
+							if fold == FoldSum {
+								for _, owned := range pt.Owned {
+									for _, dst := range owned {
+										if _, ok := total[dst]; !ok {
+											total[dst] = 0
+										}
+									}
+								}
+							}
 							var want [parts][]update
 							for _, dst := range slices.Sorted(maps.Keys(total)) {
 								q := pt.PartOf[dst]
@@ -193,6 +205,71 @@ func TestLocalFoldMatchesMapReference(t *testing.T) {
 						})
 					}
 				})
+			}
+		}
+	}
+}
+
+// sumFoldNegativeZero pins the edges of the sum fold's contract:
+// a destination whose only message is −0 folds to +0, since a sum
+// starts at +0, and one no message reached is handed to Apply as +0 —
+// by Run with LocalFold off and on, and by ColHosted.Fold. A min fold
+// keeps the lone −0 and hands Apply only the destinations reached.
+func sumFoldNegativeZero(t *testing.T) {
+	b := graph.NewBuilder(true)
+	b.AddEdge(0, 1)
+	b.AddEdge(2, 3)
+	d := b.Build().Dense()
+	pt := d.Partitioning(2)
+	src, _ := d.IndexOf(0)
+	one, _ := d.IndexOf(1)
+	negZero := math.Copysign(0, -1)
+	for _, fold := range []FoldKind{FoldMin, FoldSum} {
+		for _, local := range []bool{false, true} {
+			got := map[int32]uint64{}
+			step := &ColStep[float64]{
+				Adj: d, Parts: pt, Expand: ExpandCopy, Fold: fold, LocalFold: local,
+				Source: func(p int, emit func(int32, float64) bool) error {
+					if int(pt.PartOf[src]) == p {
+						emit(src, negZero)
+					}
+					return nil
+				},
+				Apply: func(p int, dst KeyCol, val ValCol[float64]) error {
+					for i, d := range dst {
+						got[d] = math.Float64bits(val[i])
+					}
+					return nil
+				},
+			}
+			want := map[int32]uint64{one: math.Float64bits(negZero)}
+			if fold == FoldSum {
+				want = map[int32]uint64{}
+				for i := range int32(d.NumVertices()) {
+					want[i] = 0
+				}
+			}
+			if _, err := (&ColEngine[float64]{Parallelism: 2}).Run(step, nil); err != nil {
+				t.Fatal(err)
+			}
+			if !maps.Equal(got, want) {
+				t.Errorf("fold=%d local=%v: Run applied %v, want %v", fold, local, got, want)
+			}
+			if !local {
+				continue
+			}
+			clear(got)
+			h := NewColHosted(&ColEngine[float64]{Parallelism: 2}, step, []int{0, 1})
+			h.Begin(func() {})
+			if err := h.Expand(&HostedOut{}); err != nil {
+				t.Fatal(err)
+			}
+			h.Commit()
+			if err := h.Fold(nil); err != nil {
+				t.Fatal(err)
+			}
+			if !maps.Equal(got, want) {
+				t.Errorf("fold=%d: ColHosted.Fold applied %v, want %v", fold, got, want)
 			}
 		}
 	}

@@ -161,6 +161,30 @@ func (s *DenseStore[V]) SetSlot(p int, slot int32, v V) {
 	s.markDirty(p, slot)
 }
 
+// Column returns partition p's value and presence columns, indexed by
+// slot, for reading only: a capture may share them.
+func (s *DenseStore[V]) Column(p int) (vals []V, has []bool) {
+	return s.vals[p], s.has[p]
+}
+
+// WriteAll returns partition p's value column, indexed by slot, for a
+// caller that overwrites every slot: it unshares the partition once,
+// marks every slot present and dirty, and bumps the version once. A
+// slot that was absent reads as the zero value.
+func (s *DenseStore[V]) WriteAll(p int) []V {
+	s.unshare(p)
+	var zero V
+	for slot, h := range s.has[p] {
+		if !h {
+			s.has[p][slot], s.vals[p][slot] = true, zero
+		}
+		s.dirty[p][slot] = true
+	}
+	s.count[p], s.dirtyCount[p] = len(s.has[p]), len(s.has[p])
+	s.bump(p)
+	return s.vals[p]
+}
+
 // Get returns the value stored for vertex key k (a VertexID).
 func (s *DenseStore[V]) Get(k uint64) (V, bool) {
 	i, ok := s.d.IndexOf(graph.VertexID(k))
