@@ -10,8 +10,16 @@ import (
 // BenchmarkSuperstep times one in-process PageRank superstep on
 // gen.Twitter(4000, 20150531), the ledger's graph, over 4 partitions,
 // from a warm engine.
-func BenchmarkSuperstep(b *testing.B) {
+func BenchmarkSuperstep(b *testing.B) { benchSuperstep(b, false) }
+
+// BenchmarkSuperstepLocal times the same superstep with the pre-shuffle
+// combiner on (Options.LocalCombine): every partition sums its own
+// messages first, as a hosted step does.
+func BenchmarkSuperstepLocal(b *testing.B) { benchSuperstep(b, true) }
+
+func benchSuperstep(b *testing.B, local bool) {
 	pr := NewColumnar(gen.Twitter(4000, 20150531), 4, 0.85, nil)
+	pr.SetLocalCombine(local)
 	for i := 0; i < 3; i++ {
 		if _, err := pr.Step(nil); err != nil {
 			b.Fatal(err)

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
+	"fmt"
+	"maps"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -234,5 +238,93 @@ func TestAscendingScratchResetClearsSeen(t *testing.T) {
 				t.Fatalf("%d active: partition %d kept a touched list", n, p)
 			}
 		}
+	}
+}
+
+// TestLocalSumScratchResetLeavesZero runs FoldSum LocalFold supersteps
+// on a Twitter graph — clean, and faulted after none, half and all but
+// one of their messages — and checks that each leaves the local-fold
+// scratch all +0 and unmarked, and that the retry after a fault applies
+// what a never-faulted twin engine does, bit for bit. An engine whose
+// previous local step was a FoldMin one, which starts each destination
+// at its first message, must still sum from zero.
+func TestLocalSumScratchResetLeavesZero(t *testing.T) {
+	d := gen.Twitter(300, 7).Dense()
+	pt := d.Partitioning(4)
+	scale := make([]float64, len(d.Targets))
+	for v := range int32(d.NumVertices()) {
+		for j := d.Offsets[v]; j < d.Offsets[v+1]; j++ {
+			scale[j] = 1 / float64(d.Degree(v))
+		}
+	}
+	applied := map[int32]uint64{}
+	step := &ColStep[float64]{
+		Adj: d, Parts: pt, Expand: ExpandMulScale, Scale: scale, Fold: FoldSum, LocalFold: true,
+		Source: func(part int, emit func(int32, float64) bool) error {
+			for _, src := range pt.Owned[part] {
+				if !emit(src, float64(src%7)+0.1) {
+					return nil
+				}
+			}
+			return nil
+		},
+		Apply: func(_ int, dst KeyCol, val ValCol[float64]) error {
+			for i, d := range dst {
+				applied[d] = math.Float64bits(val[i])
+			}
+			return nil
+		},
+	}
+	run := func(e *ColEngine[float64], fi *FaultInjection) (map[int32]uint64, ColStats, error) {
+		clear(applied)
+		stats, err := e.Run(step, fi)
+		return maps.Clone(applied), stats, err
+	}
+	checkClean := func(what string, e *ColEngine[float64]) {
+		t.Helper()
+		if i := slices.IndexFunc(e.lacc, func(v float64) bool { return math.Float64bits(v) != 0 }); i >= 0 {
+			t.Fatalf("%s: local-fold scratch holds %v at %d", what, e.lacc[i], i)
+		}
+		if i := slices.Index(e.lseen, true); i >= 0 {
+			t.Fatalf("%s: local-fold scratch still marks %d", what, i)
+		}
+	}
+	want, stats, err := run(&ColEngine[float64]{Parallelism: 4}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != d.NumVertices() || stats.Messages < 2 {
+		t.Fatalf("the twin applied %d of %d vertices after %d messages", len(want), d.NumVertices(), stats.Messages)
+	}
+	e := &ColEngine[float64]{Parallelism: 4}
+	if _, _, err := run(e, nil); err != nil {
+		t.Fatal(err)
+	}
+	checkClean("clean run", e)
+	for _, after := range []int64{0, stats.Messages / 2, stats.Messages - 1} {
+		what := fmt.Sprintf("fault after %d of %d messages", after, stats.Messages)
+		_, _, err := run(e, &FaultInjection{Workers: []int{0}, Partitions: []int{0}, AfterRecords: after})
+		var wf *WorkerFailure
+		if !errors.As(err, &wf) {
+			t.Fatalf("%s: err = %v, want a WorkerFailure", what, err)
+		}
+		checkClean(what, e)
+		got, _, err := run(e, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !maps.Equal(got, want) {
+			t.Fatalf("%s: the retry applied other sums than a never-faulted twin", what)
+		}
+		checkClean(what+", retried", e)
+	}
+	step.Fold = FoldMin
+	if _, _, err := run(e, nil); err != nil {
+		t.Fatal(err)
+	}
+	checkClean("FoldMin step", e)
+	step.Fold = FoldSum
+	if got, _, err := run(e, nil); err != nil || !maps.Equal(got, want) {
+		t.Fatalf("a FoldSum step after a FoldMin one applied other sums than the twin (err %v)", err)
 	}
 }

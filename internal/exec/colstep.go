@@ -39,7 +39,8 @@ const (
 	// FoldSum accumulates payloads per destination (PageRank mass),
 	// densely, for a bulk iteration: Apply sees every vertex the
 	// partition owns, one no message reached as +0. A sum starts at +0,
-	// so a lone −0 message folds to +0.
+	// so a lone −0 message folds to +0 — under LocalFold already in the
+	// producer's local sum, so it crosses the exchange as +0.
 	FoldSum
 )
 
@@ -75,7 +76,9 @@ type ColStep[V ColValue] struct {
 	Fold FoldKind
 	// LocalFold folds each source partition's messages on their own
 	// before the exchange (the columnar combiner), shrinking shuffle
-	// volume to at most one row per (producer, destination) pair.
+	// volume to at most one row per (producer, destination) pair: one
+	// per destination some message reached, in ascending destination
+	// order.
 	LocalFold bool
 	// Source emits partition part's input rows. emit returns false once
 	// a scheduled fault has struck; Source must stop then. Rows are
@@ -128,7 +131,10 @@ type ColEngine[V ColValue] struct {
 	all     []int32
 	touched [][]int32
 	outVal  []V
-	// Local-fold scratch of the partition being expanded.
+	// Local-fold scratch of the partition being expanded: lacc is all
+	// zeros and lseen all false between expansions, after a fault too,
+	// so a local sum starts from +0. Under FoldMin ltouched lists the
+	// live entries; FoldSum marks lseen and keeps no list.
 	lacc     []V
 	lseen    []bool
 	ltouched []int32
@@ -343,8 +349,9 @@ func (e *ColEngine[V]) foldHalf(step *ColStep[V], parts []int, next func(part in
 
 // expand is the producing half of partition part: it pulls source rows
 // and walks their CSR edge ranges (emit: row, or Run's rowSum), then,
-// under LocalFold, sends the folded rows on and flushes the batches
-// still filling.
+// under LocalFold, sends the folded rows on — a sum destination
+// partition by destination partition (emitSums), a min through
+// ascending and deliver — and flushes the batches still filling.
 func (r *colRun[V]) expand(part int, emit func(src int32, val V) bool) {
 	e, s := r.e, r.step
 	r.part = part
@@ -354,16 +361,20 @@ func (r *colRun[V]) expand(part int, emit func(src int32, val V) bool) {
 	if err := s.Source(part, emit); err != nil {
 		r.fail(fmt.Errorf("col: source for partition %d: %w", part, err))
 	}
-	if s.LocalFold {
-		// Folded rows leave in ascending destination order, one per
-		// destination, so the exchange byte stream is a function of the
-		// input. The scratch is reset whether the run goes on or not.
+	// Folded rows leave in ascending destination order, one per
+	// destination, so the exchange byte stream is a function of the
+	// input. The scratch is reset, to false and 0, whether the run goes
+	// on or not.
+	switch {
+	case s.LocalFold && s.Fold == FoldSum:
+		r.emitSums()
+	case s.LocalFold:
 		e.ltouched = ascending(r.touched, e.lseen, nil)
 		for _, dst := range e.ltouched {
 			if r.err == nil {
 				r.deliver(dst, e.lacc[dst])
 			}
-			e.lseen[dst] = false
+			e.lseen[dst], e.lacc[dst] = false, 0
 		}
 		e.ltouched = e.ltouched[:0]
 	}
@@ -378,6 +389,51 @@ func (r *colRun[V]) expand(part int, emit func(src int32, val V) bool) {
 			e.pool.put(bp)
 		}
 	}
+}
+
+// emitSums sends a producing partition's local sums on, one destination
+// partition d after another: it walks Parts.Owned[d], which is
+// ascending, pushes every vertex a message reached straight into d's
+// batch and resets the scratch as it goes. A row is written whether or
+// not lseen marks it and kept only if it does, so the walk does not
+// branch on lseen. After a fault it only resets.
+func (r *colRun[V]) emitSums() {
+	e := r.e
+	lacc, lseen := e.lacc, e.lseen
+	if r.err != nil {
+		clear(lacc)
+		clear(lseen)
+		return
+	}
+	for d, owned := range r.step.Parts.Owned {
+		bp := e.pool.get(r.batch)
+		dst, val, n := bp.Dst[:r.batch], bp.Val[:r.batch], 0
+		for _, v := range owned {
+			dst[n], val[n] = v, lacc[v]
+			if lseen[v] {
+				n++
+			}
+			lseen[v], lacc[v] = false, 0
+			if n == r.batch {
+				r.flushSums(d, bp, n)
+				bp = e.pool.get(r.batch)
+				dst, val, n = bp.Dst[:r.batch], bp.Val[:r.batch], 0
+			}
+		}
+		r.flushSums(d, bp, n)
+	}
+}
+
+// flushSums hands the first n rows emitSums wrote into bp to partition
+// d's exchange, or recycles bp when it holds none.
+func (r *colRun[V]) flushSums(d int, bp *ColBatch[V], n int) {
+	if n == 0 {
+		r.e.pool.put(bp)
+		return
+	}
+	bp.Dst, bp.Val = bp.Dst[:n], bp.Val[:n]
+	r.shuffled += int64(n)
+	r.flushTo(r.part, d, bp)
 }
 
 // deliver appends one already-folded or raw message to its destination
@@ -492,10 +548,14 @@ func sumFold[V ColValue](s *ColStep[V], acc []V, lo, hi int32, val V) {
 }
 
 // localFold folds the messages one source row sends along its edges
-// lo..hi into sparse fold scratch — Run's under FoldMin, or a producing
-// partition's local-fold scratch — and returns touched with the
-// destinations seen first here appended: one closure-free loop per
-// ExpandKind × FoldKind, a direct call from row.
+// lo..hi into fold scratch — Run's under FoldMin, or a producing
+// partition's local-fold scratch — and marks each destination in seen:
+// one closure-free loop per ExpandKind × FoldKind, a direct call from
+// row. A min loop tests seen, since its first message is the start
+// value, and returns touched with the destinations seen first here
+// appended. A sum loop adds into the zeroed scratch without a branch
+// and returns touched as it was; emitSums finds its destinations by
+// their marks.
 func localFold[V ColValue](s *ColStep[V], acc []V, seen []bool, touched []int32, lo, hi int32, val V) []int32 {
 	targets, col, val := edgeCols(s, lo, hi, val)
 	min := s.Fold == FoldMin
@@ -511,12 +571,8 @@ func localFold[V ColValue](s *ColStep[V], acc []V, seen []bool, touched []int32,
 		}
 	case col == nil:
 		for _, dst := range targets {
-			if !seen[dst] {
-				seen[dst], acc[dst] = true, val
-				touched = append(touched, dst)
-			} else {
-				acc[dst] += val
-			}
+			acc[dst] += val
+			seen[dst] = true
 		}
 	case s.Expand == ExpandAddWeight && min:
 		for j, dst := range targets {
@@ -529,12 +585,8 @@ func localFold[V ColValue](s *ColStep[V], acc []V, seen []bool, touched []int32,
 		}
 	case s.Expand == ExpandAddWeight:
 		for j, dst := range targets {
-			if v := val + V(col[j]); !seen[dst] {
-				seen[dst], acc[dst] = true, v
-				touched = append(touched, dst)
-			} else {
-				acc[dst] += v
-			}
+			acc[dst] += val + V(col[j])
+			seen[dst] = true
 		}
 	case min:
 		for j, dst := range targets {
@@ -547,12 +599,8 @@ func localFold[V ColValue](s *ColStep[V], acc []V, seen []bool, touched []int32,
 		}
 	default:
 		for j, dst := range targets {
-			if v := val * V(col[j]); !seen[dst] {
-				seen[dst], acc[dst] = true, v
-				touched = append(touched, dst)
-			} else {
-				acc[dst] += v
-			}
+			acc[dst] += val * V(col[j])
+			seen[dst] = true
 		}
 	}
 	return touched
@@ -615,10 +663,12 @@ func (r *colRun[V]) reset() {
 const scanDensity = 8
 
 // ascending returns touched, the set of indices marked in seen, in
-// ascending order, reusing its array. A dense set is rebuilt by scanning
-// the candidates for seen entries — owned, which is ascending, or
-// 0..len(seen)-1 when owned is nil — in O(candidates); a sparse one is
-// sorted, so a delta iteration's tail stays O(touched log touched).
+// ascending order, reusing its array: FoldMin's order, for Apply and
+// for its local fold's rows (a sum needs none, see emitSums). A dense
+// set is rebuilt by scanning the candidates for seen entries — owned,
+// which is ascending, or 0..len(seen)-1 when owned is nil — in
+// O(candidates); a sparse one is sorted, so a delta iteration's tail
+// stays O(touched log touched).
 func ascending(touched []int32, seen []bool, owned []int32) []int32 {
 	n := len(owned)
 	if owned == nil {

@@ -213,8 +213,11 @@ func TestLocalFoldMatchesMapReference(t *testing.T) {
 // sumFoldNegativeZero pins the edges of the sum fold's contract:
 // a destination whose only message is −0 folds to +0, since a sum
 // starts at +0, and one no message reached is handed to Apply as +0 —
-// by Run with LocalFold off and on, and by ColHosted.Fold. A min fold
-// keeps the lone −0 and hands Apply only the destinations reached.
+// by Run with LocalFold off and on, and by ColHosted.Fold. Under
+// LocalFold the producer's local sum starts at +0 too, so the lone −0
+// crosses the exchange as +0: the hosted exchange bytes are pinned. A
+// min fold keeps the lone −0, on the exchange too, and hands Apply only
+// the destinations reached.
 func sumFoldNegativeZero(t *testing.T) {
 	b := graph.NewBuilder(true)
 	b.AddEdge(0, 1)
@@ -265,6 +268,21 @@ func sumFoldNegativeZero(t *testing.T) {
 				t.Fatal(err)
 			}
 			h.Commit()
+			crossed := 0.0
+			if fold == FoldMin {
+				crossed = negZero
+			}
+			for from, row := range h.held {
+				for to, cols := range row {
+					var want []byte
+					if from == int(pt.PartOf[src]) && to == int(pt.PartOf[one]) {
+						want = (&ColBatch[float64]{Dst: KeyCol{one}, Val: ValCol[float64]{crossed}}).AppendColumns(nil)
+					}
+					if !bytes.Equal(cols, want) {
+						t.Errorf("fold=%d: %d -> %d exchanged % x, want % x", fold, from, to, cols, want)
+					}
+				}
+			}
 			if err := h.Fold(nil); err != nil {
 				t.Fatal(err)
 			}
