@@ -438,13 +438,6 @@ func BenchmarkCheckpointBarrier_CC_Async(b *testing.B) {
 	benchCheckpointBarrier(b, benchCCJob(), recovery.NewAsyncCheckpoint(1, checkpoint.NewMemoryStore(), 4), nil)
 }
 
-func BenchmarkCheckpointBarrier_CC_Incremental(b *testing.B) {
-	job := benchCCJob()
-	pol := recovery.NewIncrementalCheckpoint(1, checkpoint.NewMemoryStore())
-	pol.Parallelism = 4
-	benchCheckpointBarrier(b, job, pol, dirtyOnePartition(b, job))
-}
-
 func BenchmarkCheckpointBarrier_CC_AsyncIncremental(b *testing.B) {
 	job := benchCCJob()
 	pol := recovery.NewAsyncCheckpoint(1, checkpoint.NewMemoryStore(), 4)
@@ -681,7 +674,7 @@ func BenchmarkOverhead_DeltaLogCheckpointCC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, err := optiflow.ConnectedComponents(g, optiflow.CCOptions{
 			Parallelism: 4,
-			Policy:      optiflow.DeltaCheckpointRecovery(1, optiflow.NewMemoryCheckpointLogStore()),
+			Policy:      optiflow.DeltaCheckpointRecovery(1, optiflow.NewMemoryCheckpointStore()),
 		})
 		if err != nil {
 			b.Fatal(err)

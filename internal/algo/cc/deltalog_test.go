@@ -16,7 +16,7 @@ func TestDeltaCheckpointRecoveryIsCorrect(t *testing.T) {
 	truth := ref.ConnectedComponents(g)
 	for _, failAt := range []int{2, 8, 14} {
 		inj := failure.NewScripted(nil).At(failAt, 1)
-		pol := recovery.NewDeltaCheckpoint(1, checkpoint.NewMemoryLogStore())
+		pol := recovery.NewDeltaCheckpoint(1, checkpoint.NewMemoryStore())
 		res, err := Run(g, Options{Parallelism: 4, Injector: inj, Policy: pol})
 		if err != nil {
 			t.Fatalf("fail@%d: %v", failAt, err)
@@ -57,7 +57,7 @@ func TestDeltaCheckpointWritesLessThanFullCheckpoints(t *testing.T) {
 	if _, err := Run(g, Options{Parallelism: 4, Policy: full}); err != nil {
 		t.Fatal(err)
 	}
-	delta := recovery.NewDeltaCheckpoint(1, checkpoint.NewMemoryLogStore())
+	delta := recovery.NewDeltaCheckpoint(1, checkpoint.NewMemoryStore())
 	delta.CompactEvery = 1 << 30 // no compaction: pure delta volume
 	res, err := Run(g, Options{Parallelism: 4, Policy: delta})
 	if err != nil {
@@ -72,7 +72,7 @@ func TestDeltaCheckpointWritesLessThanFullCheckpoints(t *testing.T) {
 
 func TestDeltaCheckpointCompaction(t *testing.T) {
 	g := gen.Grid(12, 12)
-	store := checkpoint.NewMemoryLogStore()
+	store := checkpoint.NewMemoryStore()
 	pol := recovery.NewDeltaCheckpoint(1, store)
 	pol.CompactEvery = 4
 	inj := failure.NewScripted(nil).At(18, 2)
@@ -81,14 +81,18 @@ func TestDeltaCheckpointCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireComponentsEqual(t, res.Components, ref.ConnectedComponents(g))
-	if store.DeltaCount("connected-components") > 4 {
-		t.Fatalf("chain grew past the compaction bound: %d deltas", store.DeltaCount("connected-components"))
+	rec, ok, err := checkpoint.LoadCommitRecord(store, "connected-components")
+	if err != nil || !ok {
+		t.Fatalf("no committed chain: %v %v", ok, err)
+	}
+	if deltas := len(rec.Parts) - 1; deltas > 4 {
+		t.Fatalf("chain grew past the compaction bound: %d deltas", deltas)
 	}
 }
 
 func TestDeltaCheckpointDiskStore(t *testing.T) {
 	g := gen.Grid(8, 8)
-	store, err := checkpoint.NewDiskLogStore(t.TempDir())
+	store, err := checkpoint.NewDiskStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,13 +104,13 @@ func TestDeltaCheckpointDiskStore(t *testing.T) {
 	}
 	requireComponentsEqual(t, res.Components, ref.ConnectedComponents(g))
 	if store.BytesWritten() == 0 {
-		t.Fatal("disk log store wrote nothing")
+		t.Fatal("disk store wrote no chain")
 	}
 }
 
 func TestDeltaCheckpointRejectsNonDeltaJobs(t *testing.T) {
 	g := gen.Grid(4, 4)
-	pol := recovery.NewDeltaCheckpoint(1, checkpoint.NewMemoryLogStore())
+	pol := recovery.NewDeltaCheckpoint(1, checkpoint.NewMemoryStore())
 	// BulkCC does not implement DeltaJob.
 	_, err := RunBulk(g, Options{Parallelism: 2, Policy: pol})
 	if err == nil {

@@ -46,15 +46,15 @@ func TestGroundTruthFailureFree(t *testing.T) {
 }
 
 // The PR 3/PR 4 fault-injection matrix: barrier failures, mid-superstep
-// aborts and failures during recovery, across every synchronous
-// recovery policy.
+// aborts and failures during recovery, across the recovery policies
+// (per-partition incremental checkpoints on the async epoch pipeline).
 func TestGroundTruthFaultMatrix(t *testing.T) {
 	g := gen.ErdosRenyi(90, 0.05, 42, false)
 	policies := []func() recovery.Policy{
 		func() recovery.Policy { return recovery.Optimistic{} },
 		func() recovery.Policy { return recovery.NewCheckpoint(2, checkpoint.NewMemoryStore()) },
-		func() recovery.Policy { return recovery.NewIncrementalCheckpoint(2, checkpoint.NewMemoryStore()) },
-		func() recovery.Policy { return recovery.NewDeltaCheckpoint(1, checkpoint.NewMemoryLogStore()) },
+		func() recovery.Policy { return newAsyncIncremental(2) },
+		func() recovery.Policy { return recovery.NewDeltaCheckpoint(1, checkpoint.NewMemoryStore()) },
 		func() recovery.Policy { return recovery.Restart{} },
 	}
 	injectors := []func() failure.Injector{

@@ -10,11 +10,19 @@ import (
 	"optiflow/internal/recovery"
 )
 
+// newAsyncIncremental returns the per-partition incremental checkpoint:
+// the async epoch pipeline submitting only changed partitions.
+func newAsyncIncremental(interval int) *recovery.AsyncCheckpoint {
+	p := recovery.NewAsyncCheckpoint(interval, checkpoint.NewMemoryStore(), 2)
+	p.Incremental = true
+	return p
+}
+
 func TestIncrementalCheckpointRecoveryIsCorrect(t *testing.T) {
 	g := gen.Grid(10, 10)
 	truth := ref.ConnectedComponents(g)
 	inj := failure.NewScripted(nil).At(8, 1)
-	pol := recovery.NewIncrementalCheckpoint(2, checkpoint.NewMemoryStore())
+	pol := newAsyncIncremental(2)
 	res, err := Run(g, Options{Parallelism: 4, Injector: inj, Policy: pol})
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +46,7 @@ func TestIncrementalGranularityFindingUnderHashPartitioning(t *testing.T) {
 	if _, err := Run(g, Options{Parallelism: 4, Policy: full}); err != nil {
 		t.Fatal(err)
 	}
-	incr := recovery.NewIncrementalCheckpoint(1, checkpoint.NewMemoryStore())
+	incr := newAsyncIncremental(1)
 	if _, err := Run(g, Options{Parallelism: 4, Policy: incr}); err != nil {
 		t.Fatal(err)
 	}

@@ -27,8 +27,8 @@ func TestAllPoliciesAllSchedulesProperty(t *testing.T) {
 		policies := []func() recovery.Policy{
 			func() recovery.Policy { return recovery.Optimistic{} },
 			func() recovery.Policy { return recovery.NewCheckpoint(2, checkpoint.NewMemoryStore()) },
-			func() recovery.Policy { return recovery.NewIncrementalCheckpoint(2, checkpoint.NewMemoryStore()) },
-			func() recovery.Policy { return recovery.NewDeltaCheckpoint(1, checkpoint.NewMemoryLogStore()) },
+			func() recovery.Policy { return newAsyncIncremental(2) },
+			func() recovery.Policy { return recovery.NewDeltaCheckpoint(1, checkpoint.NewMemoryStore()) },
 			func() recovery.Policy { return recovery.Restart{} },
 		}
 		for i, mk := range policies {

@@ -57,8 +57,8 @@ func TestGroundTruthLocalCombine(t *testing.T) {
 	}, 1e-9)
 }
 
-// The PR 3/PR 4 fault-injection matrix across the synchronous recovery
-// policies. Failure compensation perturbs the iterate — the rank vector
+// The fault-injection matrix across the recovery policies, the
+// per-partition incremental one on the async epoch pipeline. Failure compensation perturbs the iterate — the rank vector
 // re-converges rather than replays — so the tolerance is the looser
 // 1e-8 the recovery tests in pagerank_test.go already use.
 func TestGroundTruthFaultMatrix(t *testing.T) {
@@ -66,7 +66,11 @@ func TestGroundTruthFaultMatrix(t *testing.T) {
 	policies := []func() recovery.Policy{
 		func() recovery.Policy { return recovery.Optimistic{} },
 		func() recovery.Policy { return recovery.NewCheckpoint(2, checkpoint.NewMemoryStore()) },
-		func() recovery.Policy { return recovery.NewIncrementalCheckpoint(2, checkpoint.NewMemoryStore()) },
+		func() recovery.Policy {
+			p := recovery.NewAsyncCheckpoint(2, checkpoint.NewMemoryStore(), 2)
+			p.Incremental = true
+			return p
+		},
 		func() recovery.Policy { return recovery.Restart{} },
 	}
 	injectors := []func() failure.Injector{

@@ -93,10 +93,12 @@ func TestGroundTruthFaultMatrix(t *testing.T) {
 		}
 	}
 	truth := ref.ShortestPaths(g, 0)
+	asyncIncremental := recovery.NewAsyncCheckpoint(2, checkpoint.NewMemoryStore(), 2)
+	asyncIncremental.Incremental = true
 	for _, pol := range []recovery.Policy{
-		recovery.NewIncrementalCheckpoint(2, checkpoint.NewMemoryStore()),
+		asyncIncremental,
 		recovery.NewAsyncCheckpoint(1, checkpoint.NewMemoryStore(), 2),
-		recovery.NewDeltaCheckpoint(1, checkpoint.NewMemoryLogStore()),
+		recovery.NewDeltaCheckpoint(1, checkpoint.NewMemoryStore()),
 	} {
 		got, res, err := Run(g, 0, vertexcentric.Options{
 			Parallelism: 4,

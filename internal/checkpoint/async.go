@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"time"
@@ -127,12 +128,9 @@ func RestorePartitions(blobs map[int][]byte, par int, restore func(part int, dat
 // AsyncOptions configures an AsyncWriter.
 type AsyncOptions struct {
 	// Parallelism is the number of encoder goroutines per checkpoint
-	// (default 1).
+	// (default 1). A Compressed store gzips each blob in its Save, so
+	// on these goroutines too.
 	Parallelism int
-	// Compress gzip-compresses each partition blob on the encoder
-	// goroutines before it hits the store. Pass the *uncompressed*
-	// store here — wrapping it in Compressed would double-compress.
-	Compress bool
 	// QueueDepth bounds the number of in-flight checkpoints; Submit
 	// blocks once the bound is reached (backpressure instead of
 	// unbounded snapshot buffering). Default 2.
@@ -186,7 +184,7 @@ type pendingEpoch struct {
 	epoch     uint64
 	superstep int
 	snap      PartitionSnapshot
-	dirty     []int // nil = full snapshot of every partition
+	dirty     []int // nil = full snapshot of every partition, replacing every older link
 	submitted time.Time
 }
 
@@ -287,7 +285,9 @@ func (w *AsyncWriter) drain() {
 }
 
 // write persists one epoch: parallel encode + save of every (dirty)
-// partition, then the atomic commit, then GC of superseded blobs.
+// partition, then the atomic commit, then GC of superseded blobs. A
+// full submission's record names its own partitions only, so the GC
+// drops every older link; a dirty one carries the others over.
 func (w *AsyncWriter) write(p *pendingEpoch) error {
 	parts := p.dirty
 	if parts == nil {
@@ -297,13 +297,6 @@ func (w *AsyncWriter) write(p *pendingEpoch) error {
 		}
 	}
 	err := EncodePartitions(p.snap, parts, w.opts.Parallelism, func(part int, data []byte) error {
-		if w.opts.Compress {
-			packed, err := compress(data)
-			if err != nil {
-				return err
-			}
-			data = packed
-		}
 		return SaveEpochPartition(w.store, w.job, p.epoch, p.superstep, part, data)
 	})
 	if err != nil {
@@ -313,19 +306,11 @@ func (w *AsyncWriter) write(p *pendingEpoch) error {
 
 	w.mu.Lock()
 	prev := w.last
-	hasPrev := w.hasLast
 	w.mu.Unlock()
 
-	rec := CommitRecord{
-		Epoch:      p.epoch,
-		Superstep:  p.superstep,
-		Parts:      make(map[int]uint64, p.snap.NumPartitions()),
-		Compressed: w.opts.Compress,
-	}
-	if hasPrev {
-		for part, e := range prev.Parts {
-			rec.Parts[part] = e
-		}
+	rec := CommitRecord{Epoch: p.epoch, Superstep: p.superstep, Parts: make(map[int]uint64, len(prev.Parts)+len(parts))}
+	if p.dirty != nil {
+		maps.Copy(rec.Parts, prev.Parts)
 	}
 	for _, part := range parts {
 		rec.Parts[part] = p.epoch
@@ -334,13 +319,9 @@ func (w *AsyncWriter) write(p *pendingEpoch) error {
 		DiscardEpochParts(w.store, w.job, p.epoch, parts)
 		return err
 	}
-
-	// GC blobs superseded by this commit.
-	if hasPrev {
-		for part, e := range prev.Parts {
-			if rec.Parts[part] != e {
-				DiscardEpochParts(w.store, w.job, e, []int{part})
-			}
+	for part, e := range prev.Parts {
+		if rec.Parts[part] != e {
+			DiscardEpochParts(w.store, w.job, e, []int{part})
 		}
 	}
 

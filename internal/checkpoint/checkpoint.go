@@ -3,7 +3,10 @@
 // store (checkpointing to a replicated peer) and an on-disk store
 // (checkpointing to a distributed file system). Both report how many
 // bytes they absorbed so experiment E6 can quantify the failure-free
-// overhead that optimistic recovery avoids.
+// overhead that optimistic recovery avoids. Store is the one store
+// interface: a whole-blob snapshot is one key, and every multi-blob
+// checkpoint (per-partition epochs, delta chains) is the epoch layout
+// of epoch.go over the same Save/Load.
 package checkpoint
 
 import (
@@ -178,8 +181,8 @@ type TempSweeper interface {
 
 // SweepTemp removes temp files abandoned by a crash mid-Save, scoped to
 // keys of the owning job: plain snapshots (`job.tmp-*`) and everything
-// under the job's composite keys (`job#epoch-…`, `job#part-…`,
-// `job#commit` — all `job#*.tmp-*`). Files of other jobs sharing the
+// under the job's composite keys (`job#epoch-…` and `job#commit` —
+// both `job#*.tmp-*`). Files of other jobs sharing the
 // directory are left alone, including their live in-flight temps.
 func (d *DiskStore) SweepTemp(jobPrefix string) error {
 	d.mu.Lock()

@@ -13,7 +13,9 @@ import (
 // compressed before hitting stable storage and decompressed on load.
 // Iteration state is highly compressible (columns of similar
 // entries), so this trades CPU for a large cut in checkpoint volume —
-// experiment E6 reports both sides.
+// experiment E6 reports both sides. Save compresses on the caller's
+// goroutine, so under an AsyncWriter the encoder goroutines pay for it,
+// not the superstep barrier.
 func Compressed(inner Store) Store {
 	return &compressedStore{inner: inner}
 }
@@ -95,6 +97,15 @@ func (c *compressedStore) Saves() int { return c.inner.Saves() }
 func (c *compressedStore) Delete(job string) error {
 	if del, ok := c.inner.(Deleter); ok {
 		return del.Delete(job)
+	}
+	return nil
+}
+
+// SweepTemp implements TempSweeper by forwarding to the inner store (a
+// no-op if the inner store keeps no temp files).
+func (c *compressedStore) SweepTemp(jobPrefix string) error {
+	if ts, ok := c.inner.(TempSweeper); ok {
+		return ts.SweepTemp(jobPrefix)
 	}
 	return nil
 }

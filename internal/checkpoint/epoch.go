@@ -10,15 +10,17 @@ import (
 )
 
 // Epoch-addressed checkpoint layout with an atomic commit marker, built
-// on top of any Store. The asynchronous checkpoint pipeline writes each
-// partition's blob under a (job, epoch, partition) key while the next
-// superstep already runs; only once every blob of the epoch has landed
-// does a single Commit publish the CommitRecord under the job's commit
-// key — the one atomic step of the protocol. Restore reads the commit
-// record first and only ever assembles blobs it references, so a torn
-// (partially written, crashed or discarded) epoch is invisible: the
-// previous committed epoch stays the restore target until the next
-// marker lands.
+// on top of any Store. Every multi-blob checkpoint writes each blob
+// under a (job, epoch, slot) key — the asynchronous pipeline one slot
+// per state partition while the next superstep already runs, a delta
+// chain its base in slot 0 and its i-th delta in slot i. Only once
+// every blob of the epoch has landed does a single Commit publish the
+// CommitRecord under the job's commit key — the one atomic step of the
+// protocol. Restore reads the commit record first and only ever
+// assembles blobs it references, so a torn (partially written, crashed
+// or discarded) epoch is invisible: the previous committed epoch stays
+// the restore target until the next marker lands. Compression is the
+// store's business (Compressed), not the record's.
 
 // CommitRecord is the atomically published description of one committed
 // checkpoint epoch.
@@ -29,21 +31,20 @@ type CommitRecord struct {
 	// Superstep is the superstep the snapshot was taken after (-1 for
 	// the initial state).
 	Superstep int
-	// Parts maps each state partition to the epoch whose blob holds its
-	// current contents. A full snapshot maps every partition to Epoch;
-	// an incremental one keeps unchanged partitions pointing at older
-	// epochs.
+	// Parts maps each slot (a state partition, or a link of a delta
+	// chain) to the epoch whose blob holds its current contents. A full
+	// snapshot maps every slot to Epoch; an incremental one keeps
+	// unchanged partitions, and a delta append the chain's older links,
+	// pointing at older epochs.
 	Parts map[int]uint64
-	// Compressed reports that partition blobs were gzip-compressed
-	// before hitting the store.
-	Compressed bool
 }
 
 // recordTag is the format byte a commit record starts with. A gob
 // stream's first byte is a message length — below 0x80, or 0xF8 and up
 // for a long one — so a record written by the gob codec this one
-// replaced is a *RecordError, not a misparse.
-const recordTag byte = 0xC3
+// replaced is a *RecordError, not a misparse; so is one of the 0xC3
+// records that still carried a compressed flag.
+const recordTag byte = 0xC4
 
 // RecordError rejects a commit record that does not decode: another
 // format, a truncated body or trailing bytes, partitions duplicated or
@@ -52,13 +53,13 @@ type RecordError struct{ Reason string }
 
 func (e *RecordError) Error() string { return "checkpoint: bad commit record: " + e.Reason }
 
-// appendRecord encodes rec: recordTag; epoch, superstep and the
-// compressed flag; then Parts as a u32 partition column in ascending
-// order and the u64 epoch column beside it.
+// appendRecord encodes rec: recordTag; epoch and superstep; then Parts
+// as a u32 slot column in ascending order and the u64 epoch column
+// beside it.
 func appendRecord(dst []byte, rec CommitRecord) []byte {
 	parts := slices.Sorted(maps.Keys(rec.Parts))
 	dst = colbytes.AppendU64(append(dst, recordTag), rec.Epoch)
-	dst = colbytes.AppendBool(colbytes.AppendU64(dst, uint64(rec.Superstep)), rec.Compressed)
+	dst = colbytes.AppendU64(dst, uint64(rec.Superstep))
 	dst = colbytes.AppendU32(dst, uint32(len(parts)))
 	for _, p := range parts {
 		dst = colbytes.AppendU32(dst, uint32(p))
@@ -78,7 +79,7 @@ func decodeRecord(b []byte) (CommitRecord, error) {
 		return CommitRecord{}, &RecordError{"not a commit record"}
 	}
 	r := colbytes.NewReader(b[1:])
-	rec := CommitRecord{Epoch: r.U64(), Superstep: int(int64(r.U64())), Compressed: r.Bool()}
+	rec := CommitRecord{Epoch: r.U64(), Superstep: int(int64(r.U64()))}
 	parts, epochs := r.U32s(nil), r.U64s(nil)
 	switch {
 	case r.Err() != nil:
@@ -106,9 +107,9 @@ func epochPartKey(job string, epoch uint64, part int) string {
 
 func commitKey(job string) string { return job + "#commit" }
 
-// SaveEpochPartition persists one partition blob of an uncommitted
-// epoch. The blob stays invisible to LoadCommitted until Commit
-// publishes a record referencing it.
+// SaveEpochPartition persists one slot's blob of an uncommitted epoch.
+// The blob stays invisible to LoadCommitted until Commit publishes a
+// record referencing it.
 func SaveEpochPartition(s Store, job string, epoch uint64, superstep, part int, data []byte) error {
 	if err := s.Save(epochPartKey(job, epoch, part), superstep, data); err != nil {
 		return fmt.Errorf("checkpoint: saving %s epoch %d partition %d: %v", job, epoch, part, err)
@@ -146,9 +147,9 @@ func LoadCommitRecord(s Store, job string) (CommitRecord, bool, error) {
 }
 
 // LoadCommitted returns job's current committed checkpoint: the commit
-// record and one ready-to-restore (decompressed) blob per partition.
-// ok is false if no epoch was ever committed. A referenced blob that is
-// missing or torn is an error — never a partial result.
+// record and one ready-to-restore blob per slot. ok is false if no
+// epoch was ever committed. A referenced blob that is missing or torn
+// is an error — never a partial result.
 func LoadCommitted(s Store, job string) (CommitRecord, map[int][]byte, bool, error) {
 	rec, ok, err := LoadCommitRecord(s, job)
 	if err != nil || !ok {
@@ -162,11 +163,6 @@ func LoadCommitted(s Store, job string) (CommitRecord, map[int][]byte, bool, err
 		}
 		if !ok {
 			return rec, nil, false, fmt.Errorf("checkpoint: %s commit %d references missing blob (epoch %d, partition %d)", job, rec.Epoch, epoch, part)
-		}
-		if rec.Compressed {
-			if data, err = decompress(data); err != nil {
-				return rec, nil, false, fmt.Errorf("checkpoint: %s epoch %d partition %d: %v", job, epoch, part, err)
-			}
 		}
 		blobs[part] = data
 	}

@@ -69,7 +69,7 @@ func TestCommitThenLoadRoundTrip(t *testing.T) {
 // truncated body, trailing bytes — is a *RecordError.
 func TestCommitRecordCodec(t *testing.T) {
 	for _, rec := range []CommitRecord{
-		{Epoch: 9, Superstep: 4, Parts: map[int]uint64{2: 9, 0: 3, 7: 8}, Compressed: true},
+		{Epoch: 9, Superstep: 4, Parts: map[int]uint64{2: 9, 0: 3, 7: 8}},
 		{Epoch: 1, Superstep: -1},
 	} {
 		got, err := decodeRecord(appendRecord(nil, rec))
@@ -78,7 +78,7 @@ func TestCommitRecordCodec(t *testing.T) {
 		}
 	}
 	good := appendRecord(nil, CommitRecord{Epoch: 2, Superstep: 1, Parts: map[int]uint64{0: 1, 1: 2}})
-	head := good[:1+8+8+1]
+	head := good[:1+8+8]
 	cols := func(parts []uint32, epochs []uint64) []byte {
 		return colbytes.AppendU64s(colbytes.AppendU32s(bytes.Clone(head), parts), epochs)
 	}
@@ -283,7 +283,7 @@ func TestAsyncWriterCommitsInBackground(t *testing.T) {
 
 func TestAsyncWriterCompressedRoundTrip(t *testing.T) {
 	s := NewMemoryStore()
-	w := NewAsyncWriter(s, "job", AsyncOptions{Parallelism: 2, Compress: true})
+	w := NewAsyncWriter(Compressed(s), "job", AsyncOptions{Parallelism: 2})
 	payload := bytes.Repeat([]byte("optiflow "), 500)
 	if err := w.Submit(0, sliceSnap{payload, payload}, nil); err != nil {
 		t.Fatal(err)
@@ -291,7 +291,7 @@ func TestAsyncWriterCompressedRoundTrip(t *testing.T) {
 	if err := w.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	_, blobs, ok, err := LoadCommitted(s, "job")
+	_, blobs, ok, err := LoadCommitted(Compressed(s), "job")
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}

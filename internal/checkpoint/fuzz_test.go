@@ -61,23 +61,19 @@ func allocBytes(limit uint64, f func()) uint64 {
 // to LoadCommitted. It must return an error or a result, and a result
 // holds one blob per partition the record names. A record that does not
 // decode is a *RecordError, and reading the record allocates no more
-// than recordAllocBound of it (the blob is gzip and may inflate by
-// design). The seeds include the gob form records had before the raw
-// one, which must be refused.
+// than recordAllocBound of it. The seeds include a delta chain's record
+// (a base and two deltas, each at its own epoch) and the gob form
+// records had before the raw one, which must be refused.
 func FuzzLoadCommitted(f *testing.F) {
 	const job = "job"
-	packed, err := compress([]byte("p0"))
-	if err != nil {
-		f.Fatal(err)
-	}
 	for _, c := range []struct {
 		rec  CommitRecord
 		blob []byte
 	}{
 		{CommitRecord{Epoch: 1, Superstep: 4, Parts: map[int]uint64{0: 1}}, []byte("p0")},
-		{CommitRecord{Epoch: 1, Superstep: 4, Parts: map[int]uint64{0: 1}, Compressed: true}, packed},
 		{CommitRecord{Epoch: 2, Superstep: -1, Parts: map[int]uint64{0: 1, 1: 2}}, nil},
-		{CommitRecord{Epoch: 1, Superstep: 0, Compressed: true}, []byte("not gzip")},
+		{CommitRecord{Epoch: 3, Superstep: 6, Parts: map[int]uint64{0: 1, 1: 2, 2: 3}}, []byte("base")},
+		{CommitRecord{Epoch: 1, Superstep: 0}, []byte("p0")},
 	} {
 		s := NewMemoryStore()
 		if err := Commit(s, job, c.rec); err != nil {

@@ -154,3 +154,28 @@ func TestWriterIncarnationsDoNotReclaimCommittedBlobs(t *testing.T) {
 		t.Fatalf("restored blobs = %q, %q", blobs3[0], blobs3[1])
 	}
 }
+
+// A Compressed disk store sweeps its job's crash-abandoned temps too:
+// the decorator forwards TempSweeper to the store it wraps, and the
+// sweep stays scoped to the job.
+func TestCompressedDiskStoreSweepsTemp(t *testing.T) {
+	dir := t.TempDir()
+	disk, err := NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leftover := filepath.Join(dir, "job#epoch-1#part-0.tmp-7")
+	other := filepath.Join(dir, "other#epoch-1#part-0.tmp-7")
+	for _, name := range []string{leftover, other} {
+		if err := os.WriteFile(name, []byte("stale"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	NewAsyncWriter(Compressed(disk), "job", AsyncOptions{})
+	if _, err := os.Stat(leftover); !os.IsNotExist(err) {
+		t.Fatal("compressed disk store did not sweep the job's stale temp")
+	}
+	if _, err := os.Stat(other); err != nil {
+		t.Fatal("the sweep reached another job's temp")
+	}
+}

@@ -1,43 +1,52 @@
 package checkpoint
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 )
 
-func testPartStore(t *testing.T, s PartStore) {
+// submit hands one capture to w and waits for its commit.
+func submit(t *testing.T, w *AsyncWriter, superstep int, snap PartitionSnapshot, dirty []int) {
 	t.Helper()
-	if got, err := s.LoadPartitions("job"); err != nil || len(got) != 0 {
+	if err := w.Submit(superstep, snap, dirty); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Drain(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// testPartStore checks per-partition checkpoints on a plain Store: an
+// epoch that rewrites one partition leaves the others at their first
+// epoch's blobs, and another job's epochs stay apart.
+func testPartStore(t *testing.T, s Store) {
+	t.Helper()
+	if _, got, ok, err := LoadCommitted(s, "job"); ok || err != nil || len(got) != 0 {
 		t.Fatalf("empty: %v %v", got, err)
 	}
-	for p := 0; p < 3; p++ {
-		if err := s.SavePartition("job", p, 0, []byte(fmt.Sprintf("part-%d-v0", p))); err != nil {
-			t.Fatal(err)
-		}
-	}
+	w := NewAsyncWriter(s, "job", AsyncOptions{Parallelism: 2})
+	submit(t, w, 0, sliceSnap{[]byte("part-0-v0"), []byte("part-1-v0"), []byte("part-2-v0")}, nil)
 	// Replace one partition.
-	if err := s.SavePartition("job", 1, 4, []byte("part-1-v4")); err != nil {
-		t.Fatal(err)
+	submit(t, w, 4, sliceSnap{nil, []byte("part-1-v4"), nil}, []int{1})
+	rec, got, ok, err := LoadCommitted(s, "job")
+	if err != nil || !ok {
+		t.Fatal(ok, err)
 	}
-	got, err := s.LoadPartitions("job")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("loaded %d partitions", len(got))
+	if len(got) != 3 || rec.Superstep != 4 {
+		t.Fatalf("loaded %d partitions at superstep %d", len(got), rec.Superstep)
 	}
 	if string(got[0]) != "part-0-v0" || string(got[1]) != "part-1-v4" || string(got[2]) != "part-2-v0" {
 		t.Fatalf("blobs: %q %q %q", got[0], got[1], got[2])
 	}
 	// Other jobs are isolated.
-	if err := s.SavePartition("other", 0, 0, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	got, _ = s.LoadPartitions("job")
+	submit(t, NewAsyncWriter(s, "other", AsyncOptions{}), 0, sliceSnap{[]byte("x")}, nil)
+	_, got, _, _ = LoadCommitted(s, "job")
 	if len(got) != 3 {
 		t.Fatal("jobs collided")
 	}
-	if s.Saves() != 5 {
+	// Five partition blobs and three commit records.
+	if s.Saves() != 8 {
 		t.Fatalf("saves = %d", s.Saves())
 	}
 }
@@ -54,91 +63,106 @@ func TestDiskPartStore(t *testing.T) {
 	testPartStore(t, s)
 }
 
-func testLogStore(t *testing.T, s LogStore) {
+// link is one blob of a delta chain: a one-partition capture whose
+// bytes go to whichever slot the submission names.
+type link []byte
+
+func (l link) NumPartitions() int { return 1 }
+
+func (l link) SnapshotPartition(_ int, buf *bytes.Buffer) error {
+	_, err := buf.Write(l)
+	return err
+}
+
+// testLogStore checks a delta chain on a plain Store: the base in slot
+// 0, the i-th delta in slot i, and a compaction (a full submission)
+// that commits a lone base and collects the old links.
+func testLogStore(t *testing.T, s Store) {
 	t.Helper()
-	if _, _, _, ok, err := s.LoadChain("job"); ok || err != nil {
+	if _, _, ok, err := LoadCommitted(s, "job"); ok || err != nil {
 		t.Fatalf("empty chain: %v %v", ok, err)
 	}
-	// Appending without a base must fail.
-	if err := s.AppendDelta("job", 0, []byte("d0")); err == nil {
-		t.Fatal("delta without base accepted")
-	}
-	if err := s.SaveBase("job", -1, []byte("base-a")); err != nil {
-		t.Fatal(err)
-	}
+	w := NewAsyncWriter(s, "job", AsyncOptions{})
+	submit(t, w, -1, link("base-a"), nil)
 	for i := 0; i < 3; i++ {
-		if err := s.AppendDelta("job", i, []byte(fmt.Sprintf("d%d", i))); err != nil {
-			t.Fatal(err)
-		}
+		submit(t, w, i, link(fmt.Sprintf("d%d", i)), []int{i + 1})
 	}
-	base, deltas, sup, ok, err := s.LoadChain("job")
-	if err != nil || !ok || sup != 2 {
-		t.Fatalf("chain: %v %v %v", sup, ok, err)
+	rec, blobs, ok, err := LoadCommitted(s, "job")
+	if err != nil || !ok || rec.Superstep != 2 {
+		t.Fatalf("chain: %v %v %v", rec.Superstep, ok, err)
 	}
-	if string(base) != "base-a" || len(deltas) != 3 || string(deltas[2]) != "d2" {
-		t.Fatalf("chain content: %q %v", base, deltas)
-	}
-	if s.DeltaCount("job") != 3 {
-		t.Fatalf("delta count = %d", s.DeltaCount("job"))
+	if string(blobs[0]) != "base-a" || len(blobs) != 4 || string(blobs[3]) != "d2" {
+		t.Fatalf("chain content: %q", blobs)
 	}
 	// Compaction replaces the chain.
-	if err := s.SaveBase("job", 5, []byte("base-b")); err != nil {
-		t.Fatal(err)
+	old := rec
+	submit(t, w, 5, link("base-b"), nil)
+	rec, blobs, ok, err = LoadCommitted(s, "job")
+	if err != nil || !ok || rec.Superstep != 5 || string(blobs[0]) != "base-b" || len(blobs) != 1 {
+		t.Fatalf("after compaction: %q %d %v %v", blobs, rec.Superstep, ok, err)
 	}
-	base, deltas, sup, ok, err = s.LoadChain("job")
-	if err != nil || !ok || sup != 5 || string(base) != "base-b" || len(deltas) != 0 {
-		t.Fatalf("after compaction: %q %v %d %v %v", base, deltas, sup, ok, err)
+	for slot, e := range old.Parts {
+		if _, _, ok, _ := s.Load(epochPartKey("job", e, slot)); ok {
+			t.Fatalf("compaction kept link %d (epoch %d)", slot, e)
+		}
 	}
-	if s.DeltaCount("job") != 0 {
-		t.Fatal("compaction kept deltas")
-	}
-	if s.BytesWritten() == 0 || s.Saves() != 5 {
+	// Five links and five commit records.
+	if s.BytesWritten() == 0 || s.Saves() != 10 {
 		t.Fatalf("accounting: %d bytes, %d saves", s.BytesWritten(), s.Saves())
 	}
 }
 
 func TestMemoryLogStore(t *testing.T) {
-	testLogStore(t, NewMemoryLogStore())
+	testLogStore(t, NewMemoryStore())
 }
 
+// TestDiskLogStore also reopens the directory: a fresh DiskStore reads
+// the chain, its deltas and its superstep from the files alone.
 func TestDiskLogStore(t *testing.T) {
-	s, err := NewDiskLogStore(t.TempDir())
+	dir := t.TempDir()
+	s, err := NewDiskStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	testLogStore(t, s)
+	submit(t, NewAsyncWriter(s, "job", AsyncOptions{}), 6, link("d6"), []int{1})
+	reopened, err := NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, blobs, ok, err := LoadCommitted(reopened, "job")
+	if err != nil || !ok || rec.Superstep != 6 || string(blobs[0]) != "base-b" || string(blobs[1]) != "d6" {
+		t.Fatalf("reopened chain: %q %d %v %v", blobs, rec.Superstep, ok, err)
+	}
 }
 
 func TestMemoryLogStoreCopiesData(t *testing.T) {
-	s := NewMemoryLogStore()
+	s := NewMemoryStore()
 	buf := []byte("mutable")
-	if err := s.SaveBase("job", 0, buf); err != nil {
-		t.Fatal(err)
-	}
+	submit(t, NewAsyncWriter(s, "job", AsyncOptions{}), 0, link(buf), nil)
 	buf[0] = 'X'
-	base, _, _, _, _ := s.LoadChain("job")
-	if string(base) != "mutable" {
-		t.Fatal("log store aliased caller buffer")
+	_, blobs, _, _ := LoadCommitted(s, "job")
+	if string(blobs[0]) != "mutable" {
+		t.Fatal("chain link aliased caller buffer")
 	}
 }
 
 // Regression for the old prefix derivation
 // (prefix[:strings.LastIndex(prefix, "0")]), which broke for job names
-// containing digits: partition keys must be grouped by an explicit
-// prefix that survives digits and '#' in the name.
-func testPartPrefixHostileJobNames(t *testing.T, s PartStore) {
+// containing digits: a job's keys must stay its own when names carry
+// digits and '#'.
+func testPartPrefixHostileJobNames(t *testing.T, s Store) {
 	t.Helper()
 	jobs := []string{"job0", "job01", "pagerank#v2", "pagerank#v20"}
 	for i, job := range jobs {
-		for p := 0; p < 12; p += 11 { // partitions 0 and 11: multi-digit suffixes too
-			blob := fmt.Sprintf("%s/part-%d", job, p)
-			if err := s.SavePartition(job, p, i, []byte(blob)); err != nil {
-				t.Fatal(err)
-			}
+		snap := make(sliceSnap, 12)
+		for _, p := range []int{0, 11} { // multi-digit suffixes too
+			snap[p] = []byte(fmt.Sprintf("%s/part-%d", job, p))
 		}
+		submit(t, NewAsyncWriter(s, job, AsyncOptions{}), i, snap, []int{0, 11})
 	}
 	for _, job := range jobs {
-		got, err := s.LoadPartitions(job)
+		_, got, _, err := LoadCommitted(s, job)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,10 +190,10 @@ func TestDiskPartStoreHostileJobNames(t *testing.T) {
 }
 
 func TestPartPrefix(t *testing.T) {
-	if got := partPrefix("job0#v1"); got != "job0#v1#part-" {
-		t.Fatalf("partPrefix = %q", got)
+	if got := epochPartKey("job0#v1", 3, 10); got != "job0#v1#epoch-3#part-10" {
+		t.Fatalf("epochPartKey = %q", got)
 	}
-	if got := partKey("job0#v1", 10); got != "job0#v1#part-10" {
-		t.Fatalf("partKey = %q", got)
+	if got := commitKey("job0#v1"); got != "job0#v1#commit" {
+		t.Fatalf("commitKey = %q", got)
 	}
 }

@@ -12,9 +12,10 @@ import "sync"
 
 // ColValue is the payload universe of the columnar path: the numeric
 // types graph supersteps exchange (labels, distances, rank mass).
-// Arbitrary record types stay on the boxed path.
+// Arbitrary record types stay on the boxed path, and so do named types
+// derived from these three: the byte views switch on the ground type.
 type ColValue interface {
-	~int64 | ~uint64 | ~float64
+	int64 | uint64 | float64
 }
 
 // KeyCol is a borrowed column of dense vertex indices handed to

@@ -11,33 +11,21 @@ package exec
 import (
 	"encoding/binary"
 	"math"
-	"reflect"
 
 	"optiflow/internal/colbytes"
 )
 
-// valBits returns v's 64-bit wire pattern. Ground types take the
-// devirtualised fast path; named derived types (legal under ColValue's
-// ~ constraints, never produced by the engines) fall back to
-// reflection.
+// valBits returns v's 64-bit wire pattern. ColValue admits the three
+// ground types only, so the switch is exhaustive and small enough to
+// inline.
 func valBits[V ColValue](v V) uint64 {
 	switch x := any(v).(type) {
 	case int64:
 		return uint64(x)
 	case uint64:
 		return x
-	case float64:
-		return math.Float64bits(x)
 	}
-	rv := reflect.ValueOf(v)
-	switch rv.Kind() {
-	case reflect.Int64:
-		return uint64(rv.Int())
-	case reflect.Uint64:
-		return rv.Uint()
-	default:
-		return math.Float64bits(rv.Float())
-	}
+	return math.Float64bits(any(v).(float64))
 }
 
 // bitsVal is valBits's inverse.
@@ -46,22 +34,10 @@ func bitsVal[V ColValue](u uint64) V {
 	switch p := any(&v).(type) {
 	case *int64:
 		*p = int64(u)
-		return v
 	case *uint64:
 		*p = u
-		return v
 	case *float64:
 		*p = math.Float64frombits(u)
-		return v
-	}
-	rv := reflect.ValueOf(&v).Elem()
-	switch rv.Kind() {
-	case reflect.Int64:
-		rv.SetInt(int64(u))
-	case reflect.Uint64:
-		rv.SetUint(u)
-	default:
-		rv.SetFloat(math.Float64frombits(u))
 	}
 	return v
 }

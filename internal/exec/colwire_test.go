@@ -51,14 +51,6 @@ func TestColBatchViewRoundTrip(t *testing.T) {
 	})
 }
 
-// namedVal exercises the reflection fallback: a derived type is legal
-// under ColValue's ~ constraints but never produced by the engines.
-type namedVal int64
-
-func TestColBatchViewNamedType(t *testing.T) {
-	roundTripCols(t, colWireBatch(16, func(i int) namedVal { return namedVal(-i) }))
-}
-
 // TestColBatchViewLayoutStable pins that the int64 slow path and the
 // uint64 fast path emit the same bytes for the same bit patterns —
 // the view's layout must not depend on which instantiation wrote it.

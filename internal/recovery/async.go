@@ -1,12 +1,29 @@
 package recovery
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
 	"optiflow/internal/checkpoint"
 	"optiflow/internal/clock"
 )
+
+// IncrementalJob is implemented by jobs whose state supports
+// per-partition snapshots. An incremental checkpoint then writes only
+// the partitions that changed since the previous one — a large saving
+// for delta iterations, where most partitions stop changing long
+// before convergence.
+type IncrementalJob interface {
+	Job
+	// PartitionVersions returns one change counter per partition; it
+	// must change whenever that partition's state changes.
+	PartitionVersions() []uint64
+	// SnapshotPartition serialises one partition's full state.
+	SnapshotPartition(p int, buf *bytes.Buffer) error
+	// RestorePartition replaces one partition's state from a snapshot.
+	RestorePartition(p int, data []byte) error
+}
 
 // AsyncJob is implemented by jobs that support the asynchronous
 // checkpoint pipeline: a cheap consistent capture at the superstep
@@ -32,22 +49,20 @@ type Finisher interface {
 // AsyncCheckpoint is pessimistic rollback recovery with the capture /
 // persist split: every Interval supersteps the barrier only takes a
 // copy-on-write capture and submits it to a background writer; per-
-// partition encoding, optional gzip and stable-storage writes overlap
-// the following superstep(s). An epoch becomes restorable only once its
-// atomic commit marker lands (checkpoint.Commit), and OnFailure fences
-// the writer — discarding queued epochs, awaiting the one mid-write —
-// so a torn snapshot is never restored.
+// partition encoding and stable-storage writes (gzip too, on a
+// checkpoint.Compressed store) overlap the following superstep(s). An
+// epoch becomes restorable only once its atomic commit marker lands
+// (checkpoint.Commit), and OnFailure fences the writer — discarding
+// queued epochs, awaiting the one mid-write — so a torn snapshot is
+// never restored. With Incremental set it is the per-partition
+// incremental checkpoint: only changed partitions are written.
 type AsyncCheckpoint struct {
 	// Interval is the superstep period between snapshots (>= 1).
 	Interval int
-	// Store is the stable storage target. Pass it uncompressed and set
-	// Compress instead: the pipeline compresses per partition on the
-	// encoder goroutines.
+	// Store is the stable storage target.
 	Store checkpoint.Store
 	// Parallelism is the number of encoder goroutines per checkpoint.
 	Parallelism int
-	// Compress gzip-compresses partition blobs before they hit Store.
-	Compress bool
 	// Incremental submits only the partitions whose version changed
 	// since the last submission; the commit record stitches unchanged
 	// partitions to their older epochs.
@@ -91,10 +106,7 @@ func (c *AsyncCheckpoint) Setup(job Job) error {
 	if err != nil {
 		return err
 	}
-	c.writer = checkpoint.NewAsyncWriter(c.Store, job.Name(), checkpoint.AsyncOptions{
-		Parallelism: c.Parallelism,
-		Compress:    c.Compress,
-	})
+	c.writer = checkpoint.NewAsyncWriter(c.Store, job.Name(), checkpoint.AsyncOptions{Parallelism: c.Parallelism})
 	c.saved = append([]uint64(nil), aj.PartitionVersions()...)
 	return c.submit(aj, -1, nil)
 }
@@ -139,16 +151,18 @@ func (c *AsyncCheckpoint) submit(aj AsyncJob, superstep int, dirty []int) error 
 
 // OnFailure implements Policy: fence the writer (drop queued epochs,
 // await the one mid-write), then restore the newest committed epoch in
-// parallel and resume right after the superstep it captured.
+// parallel and resume right after the superstep it captured. A write
+// that failed discarded its own blobs before any commit named them, so
+// the committed epoch it would have replaced is still whole and is the
+// restore target; the writer's error stays sticky and fails the next
+// submission.
 func (c *AsyncCheckpoint) OnFailure(job Job, _ Failure) (int, error) {
 	aj, err := c.async(job)
 	if err != nil {
 		return 0, err
 	}
 	c.writer.CancelPending()
-	if err := c.writer.Drain(); err != nil {
-		return 0, fmt.Errorf("recovery: checkpoint writer of %s failed: %v", aj.Name(), err)
-	}
+	c.writer.Drain()
 	rec, blobs, ok, err := checkpoint.LoadCommitted(c.Store, aj.Name())
 	if err != nil {
 		return 0, fmt.Errorf("recovery: loading committed checkpoint of %s: %v", aj.Name(), err)

@@ -98,8 +98,8 @@ func TestAsyncRestoreByteIdenticalToSync_PageRank(t *testing.T) {
 	job := pagerank.NewColumnar(g, 4, 0.85, nil)
 
 	syncPol := recovery.NewCheckpoint(1, checkpoint.NewMemoryStore())
-	asyncPol := recovery.NewAsyncCheckpoint(1, checkpoint.NewMemoryStore(), 4)
-	asyncPol.Compress = true // the gzip path must not perturb bytes either
+	// The gzip path must not perturb bytes either.
+	asyncPol := recovery.NewAsyncCheckpoint(1, checkpoint.Compressed(checkpoint.NewMemoryStore()), 4)
 	if err := syncPol.Setup(job); err != nil {
 		t.Fatal(err)
 	}

@@ -36,16 +36,26 @@ func (d *deltaJob) RestoreFromChain(base []byte, deltas [][]byte) error {
 	return nil
 }
 
+// chainLen returns how many deltas job's committed chain holds.
+func chainLen(t *testing.T, store checkpoint.Store, job string) int {
+	t.Helper()
+	rec, ok, err := checkpoint.LoadCommitRecord(store, job)
+	if err != nil || !ok {
+		t.Fatalf("no committed chain: %v %v", ok, err)
+	}
+	return len(rec.Parts) - 1
+}
+
 func TestDeltaCheckpointLifecycle(t *testing.T) {
-	store := checkpoint.NewMemoryLogStore()
+	store := checkpoint.NewMemoryStore()
 	pol := NewDeltaCheckpoint(1, store)
 	job := &deltaJob{fakeJob: fakeJob{name: "dj", state: "base."}}
 
 	if err := pol.Setup(job); err != nil {
 		t.Fatal(err)
 	}
-	if store.DeltaCount("dj") != 0 || store.Saves() != 1 {
-		t.Fatalf("after setup: %d deltas, %d saves", store.DeltaCount("dj"), store.Saves())
+	if chainLen(t, store, "dj") != 0 || pol.Overhead().Checkpoints != 1 {
+		t.Fatalf("after setup: %d deltas, %d checkpoints", chainLen(t, store, "dj"), pol.Overhead().Checkpoints)
 	}
 
 	job.append("s0.")
@@ -56,8 +66,8 @@ func TestDeltaCheckpointLifecycle(t *testing.T) {
 	if err := pol.AfterSuperstep(job, 1); err != nil {
 		t.Fatal(err)
 	}
-	if store.DeltaCount("dj") != 2 {
-		t.Fatalf("deltas = %d", store.DeltaCount("dj"))
+	if chainLen(t, store, "dj") != 2 {
+		t.Fatalf("deltas = %d", chainLen(t, store, "dj"))
 	}
 
 	// Failure at superstep 2: chain replay reproduces base+s0+s1 and
@@ -81,7 +91,7 @@ func TestDeltaCheckpointLifecycle(t *testing.T) {
 }
 
 func TestDeltaCheckpointCompacts(t *testing.T) {
-	store := checkpoint.NewMemoryLogStore()
+	store := checkpoint.NewMemoryStore()
 	pol := NewDeltaCheckpoint(1, store)
 	pol.CompactEvery = 3
 	job := &deltaJob{fakeJob: fakeJob{name: "dj", state: "b"}}
@@ -93,8 +103,8 @@ func TestDeltaCheckpointCompacts(t *testing.T) {
 		if err := pol.AfterSuperstep(job, s); err != nil {
 			t.Fatal(err)
 		}
-		if store.DeltaCount("dj") > 3 {
-			t.Fatalf("chain grew past the bound: %d", store.DeltaCount("dj"))
+		if n := chainLen(t, store, "dj"); n > 3 {
+			t.Fatalf("chain grew past the bound: %d", n)
 		}
 	}
 	// Recovery from a compacted chain is still exact.
@@ -108,8 +118,55 @@ func TestDeltaCheckpointCompacts(t *testing.T) {
 	}
 }
 
+// A policy on a fresh DiskStore over the same directory — a restarted
+// process — restores the whole committed chain, deltas and superstep
+// included, from the files alone.
+func TestDeltaCheckpointChainSurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	store, err := checkpoint.NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := NewDeltaCheckpoint(1, store)
+	job := &deltaJob{fakeJob: fakeJob{name: "dj", state: "base."}}
+	if err := pol.Setup(job); err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < 2; s++ {
+		job.append(fmt.Sprintf("s%d.", s))
+		if err := pol.AfterSuperstep(job, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reopened, err := checkpoint.NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := &deltaJob{fakeJob: fakeJob{name: "dj"}}
+	resume, err := NewDeltaCheckpoint(1, reopened).OnFailure(fresh, Failure{Superstep: 2})
+	if err != nil || resume != 2 || fresh.state != "base.s0.s1." {
+		t.Fatalf("reopened chain: resume=%d state=%q err=%v", resume, fresh.state, err)
+	}
+}
+
+// A committed chain whose slots are not 0..n — a delta without its
+// base — is refused, never replayed onto nothing.
+func TestDeltaCheckpointRejectsChainWithoutBase(t *testing.T) {
+	store := checkpoint.NewMemoryStore()
+	if err := checkpoint.SaveEpochPartition(store, "dj", 1, 0, 1, []byte("d0")); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkpoint.Commit(store, "dj", checkpoint.CommitRecord{Epoch: 1, Superstep: 0, Parts: map[int]uint64{1: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	job := &deltaJob{fakeJob: fakeJob{name: "dj", state: "live"}}
+	if _, err := NewDeltaCheckpoint(1, store).OnFailure(job, Failure{Superstep: 1}); err == nil || job.state != "live" {
+		t.Fatalf("chain without a base restored: state %q, err %v", job.state, err)
+	}
+}
+
 func TestDeltaCheckpointRejectsPlainJobs(t *testing.T) {
-	pol := NewDeltaCheckpoint(1, checkpoint.NewMemoryLogStore())
+	pol := NewDeltaCheckpoint(1, checkpoint.NewMemoryStore())
 	if err := pol.Setup(&fakeJob{name: "plain"}); err == nil {
 		t.Fatal("plain job accepted")
 	}

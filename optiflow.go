@@ -7,7 +7,7 @@
 // The library contains a parallel dataflow engine (Map/Reduce/Join/
 // CoGroup operators over hash exchanges, with operator fusion), bulk
 // and delta iterations with partitioned state, a cluster model whose
-// worker failures destroy state partitions, and seven fault-tolerance
+// worker failures destroy state partitions, and these fault-tolerance
 // policies:
 //
 //   - Optimistic (the paper's contribution): no checkpoints; after a
@@ -15,8 +15,11 @@
 //     the fixpoint iteration converges to the correct result anyway.
 //   - Checkpoint: classic rollback recovery with periodic snapshots
 //     (memory, disk, or gzip-compressed stores).
-//   - IncrementalCheckpoint / DeltaCheckpoint: per-partition and
-//     per-key incremental snapshot variants.
+//   - AsyncCheckpoint: the same, with the snapshot written in the
+//     background as per-partition epochs that one commit record makes
+//     visible; its incremental form writes only changed partitions.
+//   - DeltaCheckpoint: per-key delta logs, committed as a chain of
+//     epoch slots in the same store.
 //   - Confined: CoRAL-style accumulator replay for monotone vertex
 //     programs.
 //   - Restart: restart the iteration from scratch (the lineage
@@ -228,21 +231,6 @@ func CheckpointRecovery(interval int, store CheckpointStore) Policy {
 	return recovery.NewCheckpoint(interval, store)
 }
 
-// IncrementalCheckpointRecovery returns rollback recovery with
-// per-partition incremental snapshots: only partitions whose contents
-// changed since the previous checkpoint are re-written. Note the
-// documented limitation: under hash partitioning every partition tends
-// to stay hot, so this rarely beats full checkpoints — prefer
-// DeltaCheckpointRecovery. The job must support per-partition
-// snapshots (the built-in algorithms do).
-func IncrementalCheckpointRecovery(interval int, store CheckpointStore) Policy {
-	ps, ok := store.(checkpoint.PartStore)
-	if !ok {
-		panic("optiflow: store does not support per-partition snapshots")
-	}
-	return recovery.NewIncrementalCheckpoint(interval, ps)
-}
-
 // AsyncCheckpointRecovery returns rollback recovery with the
 // asynchronous, partition-sharded checkpoint pipeline: the superstep
 // barrier pays only a cheap copy-on-write capture, while partition
@@ -258,31 +246,20 @@ func AsyncCheckpointRecovery(interval int, store CheckpointStore, parallelism in
 // AsyncIncrementalCheckpointRecovery is AsyncCheckpointRecovery
 // submitting only the partitions whose version changed since the last
 // epoch; unchanged partitions are stitched from older epochs at restore
-// time.
+// time. Note the documented limitation: under hash partitioning every
+// partition tends to stay hot, so this rarely beats full checkpoints —
+// prefer DeltaCheckpointRecovery.
 func AsyncIncrementalCheckpointRecovery(interval int, store CheckpointStore, parallelism int) Policy {
 	c := recovery.NewAsyncCheckpoint(interval, store, parallelism)
 	c.Incremental = true
 	return c
 }
 
-// CheckpointLogStore is stable storage for delta-log snapshot chains.
-type CheckpointLogStore = checkpoint.LogStore
-
-// NewMemoryCheckpointLogStore returns an in-memory snapshot-chain
-// store.
-func NewMemoryCheckpointLogStore() CheckpointLogStore { return checkpoint.NewMemoryLogStore() }
-
-// NewDiskCheckpointLogStore returns a snapshot-chain store writing
-// synced files under dir.
-func NewDiskCheckpointLogStore(dir string) (CheckpointLogStore, error) {
-	return checkpoint.NewDiskLogStore(dir)
-}
-
 // DeltaCheckpointRecovery returns rollback recovery with per-key delta
 // logs: a base snapshot once, then only the state changes per interval,
 // compacted periodically. On delta iterations this tracks the shrinking
 // update stream and writes a fraction of what full checkpoints cost.
-func DeltaCheckpointRecovery(interval int, store CheckpointLogStore) Policy {
+func DeltaCheckpointRecovery(interval int, store CheckpointStore) Policy {
 	return recovery.NewDeltaCheckpoint(interval, store)
 }
 

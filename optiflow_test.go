@@ -373,7 +373,7 @@ func TestDeltaCheckpointThroughFacade(t *testing.T) {
 	g := optiflow.GridGraph(8, 8)
 	res, err := optiflow.ConnectedComponents(g, optiflow.CCOptions{
 		Parallelism: 4,
-		Policy:      optiflow.DeltaCheckpointRecovery(1, optiflow.NewMemoryCheckpointLogStore()),
+		Policy:      optiflow.DeltaCheckpointRecovery(1, optiflow.NewMemoryCheckpointStore()),
 		Injector:    optiflow.FailWorker(5, 1),
 	})
 	if err != nil {
