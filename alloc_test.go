@@ -13,8 +13,8 @@ import (
 
 // TestAllocationCeilings fails when the superstep hot path starts
 // allocating per message. gen.Twitter(2000, 1) has ~16k edges: a whole
-// CC run sends ~93k messages in ~300 allocations, a whole PageRank run
-// (NewColumnar to convergence, 53 supersteps) ~850k in ~160, and a
+// CC run sends ~93k messages in ~240 allocations, a whole PageRank run
+// (NewColumnar to convergence, 53 supersteps) ~850k in ~145, and a
 // steady-state PageRank superstep ~16k in 2, the map of its step stats
 // (as many under -race). The ceilings leave ~10x headroom on counts for
 // benign drift and still sit orders of magnitude below one allocation
@@ -22,9 +22,9 @@ import (
 //
 // Counts miss a column that regrows from empty every superstep, so the
 // byte ceilings pin that too: a whole CC run on gen.Grid(48, 48) — 95
-// short supersteps — allocates ~0.42 MB with reused workset columns and
+// short supersteps — allocates ~0.36 MB with reused workset columns and
 // ~4.1 MB when they are dropped at every clear; a whole PageRank run
-// allocates ~0.20 MB, most of it the job's set-up, and a steady
+// allocates ~0.19 MB, most of it the job's set-up, and a steady
 // PageRank superstep ~260 B.
 //
 // The hosted cases run a job as two worker processes host it (see

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"optiflow/internal/exec/hostedtest"
+	"optiflow/internal/graph"
 	"optiflow/internal/graph/gen"
 )
 
@@ -48,6 +49,30 @@ func BenchmarkHostedPairStep(b *testing.B) {
 			b.StopTimer()
 			pair = split()
 			b.StartTimer()
+		}
+	}
+}
+
+// BenchmarkRunChain times a whole cc.Run on gen.Chain(3000): ~3000
+// supersteps that each carry about two messages, the sparse tail of a
+// delta iteration with nothing else around it, where a fold's per-run
+// set-up over every vertex shows most.
+func BenchmarkRunChain(b *testing.B) {
+	benchmarkRun(b, gen.Chain(3000))
+}
+
+// BenchmarkRunBarabasiAlbert times a whole cc.Run on a 20 000-vertex
+// power-law graph, whose workset collapses from every vertex to a few
+// within a handful of supersteps.
+func BenchmarkRunBarabasiAlbert(b *testing.B) {
+	benchmarkRun(b, gen.BarabasiAlbert(20000, 4, 1, false))
+}
+
+func benchmarkRun(b *testing.B, g *graph.Graph) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(g, Options{}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -31,7 +31,6 @@ type Hosted[V exec.ColValue] struct {
 // partitions out of nparts.
 func NewHosted[V exec.ColValue](k Kernel[V], g *graph.Graph, nparts int, parts []int) *Hosted[V] {
 	j := newJob(k, g, nparts, append([]int{}, parts...))
-	j.step.LocalFold = true
 	h := &Hosted[V]{ColHosted: exec.NewColHosted(j.engine, j.step, j.parts), j: j}
 	h.revert = func() {
 		j.vals.Revert(h.vals)

@@ -34,7 +34,6 @@ type Hosted struct {
 // partitions out of nparts.
 func NewHosted(g *graph.Graph, nparts int, damping float64, parts []int) *Hosted {
 	c := newPR(g, nparts, damping, append([]int{}, parts...))
-	c.step.LocalFold = true
 	h := &Hosted{ColHosted: exec.NewColHosted(c.engine, c.step, c.parts), c: c}
 	h.revert = func() { c.ranks.Revert(h.ranks) }
 	return h

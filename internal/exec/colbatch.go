@@ -44,14 +44,6 @@ type ColBatch[V ColValue] struct {
 // Len returns the number of rows in the batch.
 func (b *ColBatch[V]) Len() int { return len(b.Dst) }
 
-// push appends one row. The caller checks capacity via full().
-func (b *ColBatch[V]) push(dst int32, val V) {
-	b.Dst = append(b.Dst, dst)
-	b.Val = append(b.Val, val)
-}
-
-func (b *ColBatch[V]) full(limit int) bool { return len(b.Dst) >= limit }
-
 // colPool recycles columnar batches for one engine, mirroring the
 // boxed engine's batch pool.
 type colPool[V ColValue] struct {

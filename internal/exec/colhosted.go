@@ -1,7 +1,8 @@
 // Hosted columnar supersteps: the same ColStep, run by a process that
 // hosts only some of its partitions. The engine's halves execute
 // separately, inline on the caller's goroutine, and the exchange between
-// them is bytes: every flushed batch is written as
+// them is bytes: every partition's expansion is folded locally, as
+// under LocalFold, and each flushed batch of its rows is written as
 // ColBatch columns (AppendColumns) into a per-(source, destination)
 // buffer. Buffers bound for hosted partitions stay here until the next
 // fold, the others leave the process and the peers' arrive, so a hosted
@@ -12,6 +13,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 
 	"optiflow/internal/colbytes"
@@ -38,6 +40,11 @@ type HostedOut struct {
 	L1       float64
 	Folded   bool
 }
+
+// ErrBadColumns marks every exchange column set Fold rejects: one
+// misrouted, truncated or malformed, or holding a row for a vertex the
+// destination partition does not own.
+var ErrBadColumns = errors.New("col: bad exchange columns")
 
 // ColHosted runs a ColStep's halves for the partitions one process
 // hosts and keeps the byte-form exchange between them. One goroutine
@@ -86,8 +93,10 @@ func NewColHosted[V ColValue](engine *ColEngine[V], step *ColStep[V], parts []in
 // columns bound for it — held ones from hosted sources, remote ones
 // from the peers — in ascending source order, then Apply sees the
 // result. Remote columns come off the network: a malformed view or a
-// row routed to the wrong partition is an error. They are borrowed for
-// the call only — the caller may recycle their bytes once it returns.
+// row routed to the wrong partition is an ErrBadColumns error, found
+// before the partition it is bound for is applied. They are borrowed
+// for the call only — the caller may recycle their bytes once it
+// returns.
 func (h *ColHosted[V]) Fold(remote []HostedCols) error {
 	n := len(h.hosted)
 	defer func() {
@@ -97,7 +106,7 @@ func (h *ColHosted[V]) Fold(remote []HostedCols) error {
 	}()
 	for _, rc := range remote {
 		if rc.Src < 0 || rc.Src >= n || rc.Dst < 0 || rc.Dst >= n || h.hosted[rc.Src] || !h.hosted[rc.Dst] || h.remote[rc.Src][rc.Dst] != nil {
-			return fmt.Errorf("col: misrouted exchange columns %d -> %d", rc.Src, rc.Dst)
+			return fmt.Errorf("%w: misrouted %d -> %d", ErrBadColumns, rc.Src, rc.Dst)
 		}
 		h.remote[rc.Src][rc.Dst] = rc.Cols
 	}
@@ -125,11 +134,11 @@ func (h *ColHosted[V]) Fold(remote []HostedCols) error {
 		}
 		b.ReadColumns(&r)
 		if err := r.Err(); err != nil {
-			return false, fmt.Errorf("columns from partition %d: %w", src-1, err)
+			return false, fmt.Errorf("%w from partition %d: %w", ErrBadColumns, src-1, err)
 		}
 		for _, d := range b.Dst {
 			if d < 0 || int(d) >= len(partOf) || int(partOf[d]) != part {
-				return false, fmt.Errorf("columns from partition %d: row for vertex index %d, which partition %d does not own", src-1, d, part)
+				return false, fmt.Errorf("%w from partition %d: row for vertex index %d, which partition %d does not own", ErrBadColumns, src-1, d, part)
 			}
 		}
 		return true, nil

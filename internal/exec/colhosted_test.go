@@ -13,7 +13,7 @@ import (
 
 // hostedFixture hosts partition 0 of a two-partition path graph and
 // records what Apply sees. It also returns one vertex of each partition.
-func hostedFixture(t *testing.T) (h *ColHosted[uint64], applied map[int32]uint64, mine, theirs int32) {
+func hostedFixture(t testing.TB) (h *ColHosted[uint64], applied map[int32]uint64, mine, theirs int32) {
 	t.Helper()
 	b := graph.NewBuilder(false)
 	for v := graph.VertexID(0); v < 7; v++ {
@@ -53,11 +53,32 @@ func TestColHostedFoldsRemoteColumns(t *testing.T) {
 	}
 }
 
+// hostileColumns is the hostile-column table of hostedFixture's host:
+// column sets, built around the well-formed good, that a hostile peer
+// might send and Fold must reject — truncated, also after a batch that
+// folds, with a row for a vertex partition 0 does not own or outside the
+// graph, and misrouted.
+func hostileColumns(good []byte, theirs int32) map[string]HostedCols {
+	cases := map[string]HostedCols{
+		"truncated":                 {Src: 1, Dst: 0, Cols: good[:len(good)-1]},
+		"truncated after a batch":   {Src: 1, Dst: 0, Cols: append(bytes.Clone(good), good[:len(good)-1]...)},
+		"from a hosted source":      {Src: 0, Dst: 0, Cols: good},
+		"to a partition not hosted": {Src: 0, Dst: 1, Cols: good},
+		"source out of range":       {Src: 2, Dst: 0, Cols: good},
+		"negative destination":      {Src: 1, Dst: -1, Cols: good},
+	}
+	for what, dst := range map[string]int32{"foreign vertex": theirs, "negative index": -1, "index past the graph": 1 << 20} {
+		b := ColBatch[uint64]{Dst: KeyCol{dst}, Val: ValCol[uint64]{1}}
+		cases[what] = HostedCols{Src: 1, Dst: 0, Cols: b.AppendColumns(nil)}
+	}
+	return cases
+}
+
 // TestColHostedRejectsHostileColumns feeds Fold columns as a hostile
 // peer might send them: truncated at every offset, every byte inverted
-// in turn, rows for a vertex the partition does not own or outside the
-// graph, and misrouted entries. Each must fail — or, for an inversion
-// that happens to stay well-formed, fold — without a panic.
+// in turn, and the rest of the hostile-column table. Each must fail
+// with ErrBadColumns — or, for an inversion that happens to stay
+// well-formed, fold — without a panic.
 func TestColHostedRejectsHostileColumns(t *testing.T) {
 	h, _, mine, theirs := hostedFixture(t)
 	batch := ColBatch[uint64]{Dst: KeyCol{mine, mine}, Val: ValCol[uint64]{7, 3}}
@@ -72,14 +93,17 @@ func TestColHostedRejectsHostileColumns(t *testing.T) {
 			}()
 			return h.Fold(in)
 		}()
+		if err != nil && !errors.Is(err, ErrBadColumns) {
+			t.Errorf("%s: err = %v, want ErrBadColumns", what, err)
+		}
 		if mustFail && err == nil {
 			t.Errorf("%s: folded without error", what)
 		}
 	}
 	for n := 1; n < len(good); n++ {
 		err := h.Fold([]HostedCols{{Src: 1, Dst: 0, Cols: good[:n]}})
-		if !errors.Is(err, colbytes.ErrTruncated) {
-			t.Errorf("columns truncated to %d bytes: err = %v, want ErrTruncated", n, err)
+		if !errors.Is(err, colbytes.ErrTruncated) || !errors.Is(err, ErrBadColumns) {
+			t.Errorf("columns truncated to %d bytes: err = %v, want ErrTruncated and ErrBadColumns", n, err)
 		}
 	}
 	for i := range good {
@@ -87,16 +111,7 @@ func TestColHostedRejectsHostileColumns(t *testing.T) {
 		bad[i] ^= 0xff
 		fold(fmt.Sprintf("byte %d inverted", i), []HostedCols{{Src: 1, Dst: 0, Cols: bad}}, false)
 	}
-	for what, dst := range map[string]int32{"foreign vertex": theirs, "negative index": -1, "index past the graph": 1 << 20} {
-		b := ColBatch[uint64]{Dst: KeyCol{dst}, Val: ValCol[uint64]{1}}
-		fold(what, []HostedCols{{Src: 1, Dst: 0, Cols: b.AppendColumns(nil)}}, true)
-	}
-	for what, rc := range map[string]HostedCols{
-		"from a hosted source":      {Src: 0, Dst: 0, Cols: good},
-		"to a partition not hosted": {Src: 0, Dst: 1, Cols: good},
-		"source out of range":       {Src: 2, Dst: 0, Cols: good},
-		"negative destination":      {Src: 1, Dst: -1, Cols: good},
-	} {
+	for what, rc := range hostileColumns(good, theirs) {
 		fold(what, []HostedCols{rc}, true)
 	}
 	// A second column set for a pair is rejected: rows appended after a
@@ -106,6 +121,71 @@ func TestColHostedRejectsHostileColumns(t *testing.T) {
 	if err := h.Fold([]HostedCols{{Src: 1, Dst: 0, Cols: append(bytes.Clone(good), good...)}}); err != nil {
 		t.Errorf("one pair's sets concatenated: %v", err)
 	}
+}
+
+// FuzzColHostedFold feeds the fixture's host one remote column set,
+// seeded from the hostile-column table and a well-formed set. The host
+// holds columns of its own, committed before. Fold must not panic; if
+// it fails, it fails with ErrBadColumns, before Apply saw anything; and
+// either way the committed columns are what they were, and a Fold of
+// them alone afterwards applies what it does on a host that never saw
+// the input.
+func FuzzColHostedFold(f *testing.F) {
+	_, _, mine, theirs := hostedFixture(f)
+	good := (&ColBatch[uint64]{Dst: KeyCol{mine, mine}, Val: ValCol[uint64]{7, 3}}).AppendColumns(nil)
+	f.Add(1, 0, good)
+	for _, rc := range hostileColumns(good, theirs) {
+		f.Add(rc.Src, rc.Dst, rc.Cols)
+	}
+	f.Fuzz(func(t *testing.T, src, dst int, cols []byte) {
+		host := func() (*ColHosted[uint64], map[int32]uint64) {
+			h, applied, mine, _ := hostedFixture(t)
+			h.step.Source = func(part int, emit func(int32, uint64) bool) error {
+				if part == 0 {
+					emit(mine, 5)
+				}
+				return nil
+			}
+			h.Begin(func() {})
+			if err := h.Expand(&HostedOut{}); err != nil {
+				t.Fatal(err)
+			}
+			h.Commit()
+			return h, applied
+		}
+		h, applied := host()
+		held := bytes.Clone(h.held[0][0])
+		err := h.Fold([]HostedCols{{Src: src, Dst: dst, Cols: cols}})
+		if err != nil {
+			if !errors.Is(err, ErrBadColumns) {
+				t.Fatalf("err = %v, want ErrBadColumns", err)
+			}
+			if len(applied) != 0 {
+				t.Fatalf("a rejected Fold applied %v", applied)
+			}
+		}
+		for _, row := range h.remote {
+			for dst, cols := range row {
+				if cols != nil {
+					t.Fatalf("Fold kept columns bound for partition %d", dst)
+				}
+			}
+		}
+		if !bytes.Equal(h.held[0][0], held) {
+			t.Fatal("Fold changed the committed columns")
+		}
+		twin, want := host()
+		clear(applied)
+		if err := h.Fold(nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := twin.Fold(nil); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(applied, want) {
+			t.Fatalf("the committed columns then applied %v, on a twin %v", applied, want)
+		}
+	})
 }
 
 // TestColHostedReexpandAppends drives the compensation path: Reexpand

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"maps"
 	"math"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -140,105 +139,6 @@ func TestColHostedExpandBytesGolden(t *testing.T) {
 		func(int32) float64 { return 1 / 300.0 }))
 	checkColGolden(t, "hosted_grid_cc", hostedExpandBytes(t, gen.Grid(8, 8), ExpandCopy, FoldMin,
 		func(i int32) uint64 { return uint64(i*37%64 + 1) }))
-}
-
-// TestAscendingMatchesSorted checks both branches of ascending against
-// slices.Sorted of the same set: random sets of every density, empty,
-// one element, everything owned, and the sizes either side of the
-// scan/sort threshold, with owned candidates and with 0..n-1.
-func TestAscendingMatchesSorted(t *testing.T) {
-	const nv = 512
-	rng := rand.New(rand.NewSource(1))
-	owned := make([]int32, 0, nv/2)
-	for i := int32(0); i < nv; i += 2 {
-		owned = append(owned, i)
-	}
-	check := func(name string, set []int32, cand []int32) {
-		t.Helper()
-		seen := make([]bool, nv)
-		for _, i := range set {
-			seen[i] = true
-		}
-		want := slices.Sorted(slices.Values(set))
-		got := ascending(slices.Clone(set), seen, cand)
-		if !slices.Equal(got, want) && !(len(got) == 0 && len(want) == 0) {
-			t.Errorf("%s (%d of %d candidates): got %v, want %v", name, len(set), len(cand), got, want)
-		}
-	}
-	subset := func(from []int32, k int) []int32 {
-		perm := rng.Perm(len(from))[:k]
-		out := make([]int32, k)
-		for i, j := range perm {
-			out[i] = from[j]
-		}
-		return out
-	}
-	all := make([]int32, nv)
-	for i := range all {
-		all[i] = int32(i)
-	}
-	for _, c := range []struct {
-		name string
-		from []int32
-		cand []int32
-	}{{"owned", owned, owned}, {"all", all, nil}} {
-		n := len(c.from)
-		edge := (n + scanDensity - 1) / scanDensity // smallest scanned size
-		if (edge-1)*scanDensity >= n || edge*scanDensity < n {
-			t.Fatalf("%s: %d is not the threshold size", c.name, edge)
-		}
-		for _, k := range []int{0, 1, edge - 1, edge, edge + 1, n / 2, n} {
-			check(c.name, subset(c.from, k), c.cand)
-		}
-		for i := 0; i < 50; i++ {
-			check(c.name, subset(c.from, rng.Intn(n+1)), c.cand)
-		}
-	}
-}
-
-// TestAscendingScratchResetClearsSeen runs LocalFold supersteps whose
-// touched sets take each branch of ascending — every vertex active, then
-// one — and checks the resets leave no seen entry set.
-func TestAscendingScratchResetClearsSeen(t *testing.T) {
-	d := gen.Grid(16, 16).Dense()
-	pt := d.Partitioning(4)
-	var active []int32
-	step := &ColStep[uint64]{
-		Adj: d, Parts: pt, Expand: ExpandCopy, Fold: FoldMin, LocalFold: true,
-		Source: func(part int, emit func(int32, uint64) bool) error {
-			for _, src := range active {
-				if int(pt.PartOf[src]) == part && !emit(src, uint64(src)) {
-					return nil
-				}
-			}
-			return nil
-		},
-		Apply: func(int, KeyCol, ValCol[uint64]) error { return nil },
-	}
-	e := &ColEngine[uint64]{Parallelism: 4}
-	for _, n := range []int{d.NumVertices(), 1} {
-		active = active[:0]
-		for i := 0; i < n; i++ {
-			active = append(active, int32(i))
-		}
-		if _, err := e.Run(step, nil); err != nil {
-			t.Fatal(err)
-		}
-		if i := slices.Index(e.seen, true); i >= 0 {
-			t.Fatalf("%d active: fold scratch still marks %d", n, i)
-		}
-		if i := slices.Index(e.lseen, true); i >= 0 {
-			t.Fatalf("%d active: local-fold scratch still marks %d", n, i)
-		}
-		if len(e.all) != 0 || len(e.ltouched) != 0 {
-			t.Fatalf("%d active: the engine kept a touched list", n)
-		}
-		for p, touched := range e.touched {
-			if len(touched) != 0 {
-				t.Fatalf("%d active: partition %d kept a touched list", n, p)
-			}
-		}
-	}
 }
 
 // TestLocalSumScratchResetLeavesZero runs FoldSum LocalFold supersteps

@@ -8,9 +8,10 @@
 // dense scratch. Run executes a whole superstep inline on the caller's
 // goroutine, partitions in ascending order, folding each message where
 // it is emitted, so it needs no exchange at all. The hosted halves
-// (colhosted.go) cut the same superstep at the exchange, where messages
-// travel as parallel int32/V columns in pooled ColBatch batches, routed
-// by one array load into a precomputed partition map (no per-message
+// (colhosted.go) cut the same superstep at the exchange, where each
+// producing partition's locally folded rows travel as parallel int32/V
+// columns in pooled ColBatch batches, grouped by destination partition
+// with a walk of the partition's owned vertices (no per-message
 // hashing). The boxed dataflow engine remains the fully general path;
 // ColEngine exists for the numeric-payload supersteps where boxing
 // dominated the profile.
@@ -18,7 +19,7 @@ package exec
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
 	"time"
 
 	"optiflow/internal/graph"
@@ -33,8 +34,9 @@ type FoldKind int
 
 const (
 	// FoldMin keeps the minimum payload per destination (CC labels,
-	// SSSP distances). It is sparse: Apply sees only the destinations
-	// some message reached.
+	// SSSP distances), the first of equal ones. It folds without a
+	// branch into a dense column that marks the destinations reached,
+	// and Apply sees only those.
 	FoldMin FoldKind = iota
 	// FoldSum accumulates payloads per destination (PageRank mass),
 	// densely, for a bulk iteration: Apply sees every vertex the
@@ -78,7 +80,8 @@ type ColStep[V ColValue] struct {
 	// before the exchange (the columnar combiner), shrinking shuffle
 	// volume to at most one row per (producer, destination) pair: one
 	// per destination some message reached, in ascending destination
-	// order.
+	// order. It selects Run's path only: the hosted halves always fold
+	// locally.
 	LocalFold bool
 	// Source emits partition part's input rows. emit returns false once
 	// a scheduled fault has struck; Source must stop then. Rows are
@@ -122,29 +125,30 @@ type ColEngine[V ColValue] struct {
 	pool colPool[V]
 
 	// Fold scratch, indexed by global dense vertex index and shared by
-	// all partitions, since a vertex has one owner. Under FoldMin all
-	// lists the live entries, so reset is O(touched), not O(vertices),
-	// and touched[p] is partition p's share of them, handed to Apply.
-	// FoldSum zeroes acc and adds every message, leaving the rest empty.
+	// all partitions, since a vertex has one owner. A sum zeroes acc and
+	// adds every message. A min selects into acc (firstLess) and marks
+	// the destination in reached — one byte per vertex, padded to a
+	// multiple of eight, all zero between runs — so an entry no message
+	// reached is never read. outDst and outVal are the columns Apply is
+	// handed: under FoldMin partition p's is a window of
+	// len(Parts.Owned[p]), the windows laid end to end, which
+	// gatherReached fills up to next[p]; under FoldSum one partition's
+	// values at a time.
 	acc     []V
-	seen    []bool
-	all     []int32
-	touched [][]int32
+	reached []byte
+	outDst  []int32
 	outVal  []V
+	next    []int
 	// Local-fold scratch of the partition being expanded: lacc is all
-	// zeros and lseen all false between expansions, after a fault too,
-	// so a local sum starts from +0. Under FoldMin ltouched lists the
-	// live entries; FoldSum marks lseen and keeps no list.
-	lacc     []V
-	lseen    []bool
-	ltouched []int32
-	// bufs[dst] is the batch being filled for partition dst, nil until a
-	// row is delivered to it.
-	bufs []*ColBatch[V]
-	run  colRun[V]
-	// emit is run.row and emitSum run.rowSum, bound once so an
-	// expansion allocates nothing.
-	emit, emitSum func(src int32, val V) bool
+	// zeros and lseen all false between expansions, after a fault too.
+	// A local fold marks lseen for every destination it reaches, and
+	// emitFolded finds them by their marks.
+	lacc  []V
+	lseen []bool
+	run   colRun[V]
+	// emit is run.row, emitSum run.rowSum and emitMin run.rowMin, bound
+	// once so an expansion allocates nothing.
+	emit, emitSum, emitMin func(src int32, val V) bool
 }
 
 // colRun is the state of one run — Run or a hosted half.
@@ -156,17 +160,11 @@ type colRun[V ColValue] struct {
 	// sink, when set, is lent every flushed batch (see expandHalf);
 	// otherwise flushed batches fold into the fold scratch.
 	sink func(src, dst int, b *ColBatch[V])
-	// The step's partition map and CSR columns, loaded once per run
+	// The step's partition map and CSR offsets, loaded once per run
 	// rather than once per row.
-	partOf, offsets, targets []int32
-	weights                  []float64
-	// part is the partition being expanded. Its rows fold into acc, seen
-	// and touched — the local-fold scratch, or Run's fold scratch — or
-	// are delivered as raw messages when acc is nil.
-	part    int
-	acc     []V
-	seen    []bool
-	touched []int32
+	partOf, offsets []int32
+	// part is the partition being expanded.
+	part int
 
 	err                error
 	messages, shuffled int64
@@ -191,28 +189,43 @@ func (r *colRun[V]) flushTo(src, dst int, bp *ColBatch[V]) {
 	r.e.pool.put(bp)
 }
 
-// ensureScratch sizes the engine's persistent scratch for nv vertices
-// across p partitions, reusing prior arrays when they fit.
-func (e *ColEngine[V]) ensureScratch(p, nv int, local bool) {
-	if len(e.touched) != p {
-		e.touched = make([][]int32, p)
-		e.bufs = make([]*ColBatch[V], p)
-	}
+// ensureScratch sizes the engine's persistent scratch for step —
+// marks and out columns for all its vertices under FoldMin, out values
+// for its largest partition under FoldSum, and the local-fold scratch
+// if local — reusing prior arrays when they fit.
+func (e *ColEngine[V]) ensureScratch(step *ColStep[V], local bool) {
+	nv, out := step.Adj.NumVertices(), 0
 	if len(e.acc) != nv {
-		e.acc, e.seen = make([]V, nv), make([]bool, nv)
+		e.acc = make([]V, nv)
+	}
+	if step.Fold == FoldMin {
+		if len(e.outDst) != nv {
+			e.reached, e.outDst = make([]byte, (nv+7)&^7), make([]int32, nv)
+		}
+		out = nv
+	}
+	for _, owned := range step.Parts.Owned {
+		out = max(out, len(owned))
+	}
+	if len(e.outVal) < out {
+		e.outVal = make([]V, out)
+	}
+	if len(e.next) != step.Parts.N {
+		e.next = make([]int, step.Parts.N)
 	}
 	if local && len(e.lacc) != nv {
 		e.lacc, e.lseen = make([]V, nv), make([]bool, nv)
 	}
 	if e.emit == nil {
-		e.emit, e.emitSum = e.run.row, e.run.rowSum
+		e.emit, e.emitSum, e.emitMin = e.run.row, e.run.rowSum, e.run.rowMin
 	}
 }
 
 // newRun validates the step against the engine, sizes the pooled
-// batches and the scratch, and resets e.run for a run of step — the
-// set-up Run and the two hosted halves share.
-func (e *ColEngine[V]) newRun(step *ColStep[V], fi *FaultInjection) (*colRun[V], error) {
+// batches and the scratch — the local-fold scratch too if local — and
+// resets e.run for a run of step: the set-up Run and the two hosted
+// halves share.
+func (e *ColEngine[V]) newRun(step *ColStep[V], fi *FaultInjection, local bool) (*colRun[V], error) {
 	if e.Parallelism < 1 {
 		e.Parallelism = 1
 	}
@@ -230,10 +243,10 @@ func (e *ColEngine[V]) newRun(step *ColStep[V], fi *FaultInjection) (*colRun[V],
 		batch = DefaultColBatchSize
 	}
 	e.pool.init(batch)
-	e.ensureScratch(e.Parallelism, step.Adj.NumVertices(), step.LocalFold)
+	e.ensureScratch(step, local)
 	e.run = colRun[V]{
 		e: e, step: step, batch: batch, fault: fi,
-		partOf: step.Parts.PartOf, offsets: step.Adj.Offsets, targets: step.Adj.Targets, weights: step.Adj.Weights,
+		partOf: step.Parts.PartOf, offsets: step.Adj.Offsets,
 	}
 	return &e.run, nil
 }
@@ -251,40 +264,32 @@ func (e *ColEngine[V]) newRun(step *ColStep[V], fi *FaultInjection) (*colRun[V],
 // the engine is reusable for the retry.
 func (e *ColEngine[V]) Run(step *ColStep[V], fi *FaultInjection) (ColStats, error) {
 	start := time.Now()
-	r, err := e.newRun(step, fi)
+	r, err := e.newRun(step, fi, step.LocalFold)
 	if err != nil {
 		return ColStats{}, err
 	}
-	emit := e.emit
 	if step.Fold == FoldSum {
 		clear(e.acc)
-		if !step.LocalFold {
-			emit = e.emitSum
-		}
 	}
-	if !step.LocalFold {
-		r.acc, r.seen, r.touched = e.acc, e.seen, e.all
+	emit := e.emit
+	switch {
+	case step.LocalFold:
+	case step.Fold == FoldSum:
+		emit = e.emitSum
+	default:
+		emit = e.emitMin
 	}
 	for part := 0; part < e.Parallelism && r.err == nil; part++ {
-		r.expand(part, emit)
+		r.expand(part, emit, step.LocalFold)
 	}
 	if !step.LocalFold {
-		e.all, r.shuffled = r.touched, r.messages
+		r.shuffled = r.messages
 	}
 	if r.err == nil {
-		for _, dst := range e.all {
-			p := r.partOf[dst]
-			e.touched[p] = append(e.touched[p], dst)
-		}
-		for p, touched := range e.touched {
-			if r.err == nil {
-				r.applyFolded(p, touched)
-			}
-			e.touched[p] = touched[:0]
-		}
+		r.applyFolded(-1)
 	}
-	r.reset()
 	if r.err != nil {
+		clear(e.reached)
 		return ColStats{}, r.err
 	}
 	return r.stats(start), nil
@@ -295,18 +300,19 @@ func (r *colRun[V]) stats(start time.Time) ColStats {
 }
 
 // expandHalf runs only the producing half, for the listed partitions,
-// one after another: the exchange is sink, which is lent every flushed
-// batch (after any local fold) and must copy what it keeps — the batch
-// is recycled when sink returns.
+// one after another, folding each on its own whatever the step's
+// LocalFold says: the exchange is sink, which is lent every flushed
+// batch of folded rows and must copy what it keeps — the batch is
+// recycled when sink returns.
 func (e *ColEngine[V]) expandHalf(step *ColStep[V], parts []int, sink func(src, dst int, b *ColBatch[V])) (ColStats, error) {
 	start := time.Now()
-	r, err := e.newRun(step, nil)
+	r, err := e.newRun(step, nil, true)
 	if err != nil {
 		return ColStats{}, err
 	}
 	r.sink = sink
 	for _, part := range parts {
-		if r.expand(part, e.emit); r.err != nil {
+		if r.expand(part, e.emit, true); r.err != nil {
 			return ColStats{}, r.err
 		}
 	}
@@ -320,7 +326,7 @@ func (e *ColEngine[V]) expandHalf(step *ColStep[V], parts []int, sink func(src, 
 // the order next yields them, so a deterministic next gives
 // bit-identical float sums.
 func (e *ColEngine[V]) foldHalf(step *ColStep[V], parts []int, next func(part int, b *ColBatch[V]) (bool, error)) error {
-	r, err := e.newRun(step, nil)
+	r, err := e.newRun(step, nil, false)
 	if err != nil {
 		return err
 	}
@@ -338,9 +344,10 @@ func (e *ColEngine[V]) foldHalf(step *ColStep[V], parts []int, next func(part in
 			e.pool.put(bp)
 		}
 		if r.err == nil {
-			r.applyFolded(part, e.all)
+			r.applyFolded(part)
 		}
-		if r.reset(); r.err != nil {
+		if r.err != nil {
+			clear(e.reached)
 			return r.err
 		}
 	}
@@ -348,56 +355,27 @@ func (e *ColEngine[V]) foldHalf(step *ColStep[V], parts []int, next func(part in
 }
 
 // expand is the producing half of partition part: it pulls source rows
-// and walks their CSR edge ranges (emit: row, or Run's rowSum), then,
-// under LocalFold, sends the folded rows on — a sum destination
-// partition by destination partition (emitSums), a min through
-// ascending and deliver — and flushes the batches still filling.
-func (r *colRun[V]) expand(part int, emit func(src int32, val V) bool) {
-	e, s := r.e, r.step
+// and walks their CSR edge ranges (emit: row, or Run's rowSum or
+// rowMin), then,
+// if local, sends the locally folded rows on (emitFolded).
+func (r *colRun[V]) expand(part int, emit func(src int32, val V) bool, local bool) {
 	r.part = part
-	if s.LocalFold {
-		r.acc, r.seen, r.touched = e.lacc, e.lseen, e.ltouched
-	}
-	if err := s.Source(part, emit); err != nil {
+	if err := r.step.Source(part, emit); err != nil {
 		r.fail(fmt.Errorf("col: source for partition %d: %w", part, err))
 	}
-	// Folded rows leave in ascending destination order, one per
-	// destination, so the exchange byte stream is a function of the
-	// input. The scratch is reset, to false and 0, whether the run goes
-	// on or not.
-	switch {
-	case s.LocalFold && s.Fold == FoldSum:
-		r.emitSums()
-	case s.LocalFold:
-		e.ltouched = ascending(r.touched, e.lseen, nil)
-		for _, dst := range e.ltouched {
-			if r.err == nil {
-				r.deliver(dst, e.lacc[dst])
-			}
-			e.lseen[dst], e.lacc[dst] = false, 0
-		}
-		e.ltouched = e.ltouched[:0]
-	}
-	for i, bp := range e.bufs {
-		if bp == nil {
-			continue
-		}
-		e.bufs[i] = nil
-		if r.err == nil {
-			r.flushTo(part, i, bp)
-		} else {
-			e.pool.put(bp)
-		}
+	if local {
+		r.emitFolded()
 	}
 }
 
-// emitSums sends a producing partition's local sums on, one destination
-// partition d after another: it walks Parts.Owned[d], which is
-// ascending, pushes every vertex a message reached straight into d's
-// batch and resets the scratch as it goes. A row is written whether or
-// not lseen marks it and kept only if it does, so the walk does not
-// branch on lseen. After a fault it only resets.
-func (r *colRun[V]) emitSums() {
+// emitFolded sends a producing partition's locally folded rows on, one
+// destination partition d after another: it walks Parts.Owned[d], which
+// is ascending, pushes every vertex a message reached straight into d's
+// batch and resets the scratch, to false and 0, as it goes — so the
+// exchange byte stream is a function of the input. A row is written
+// whether or not lseen marks it and kept only if it does, so the walk
+// does not branch on lseen. After a fault it only resets.
+func (r *colRun[V]) emitFolded() {
 	e := r.e
 	lacc, lseen := e.lacc, e.lseen
 	if r.err != nil {
@@ -415,18 +393,18 @@ func (r *colRun[V]) emitSums() {
 			}
 			lseen[v], lacc[v] = false, 0
 			if n == r.batch {
-				r.flushSums(d, bp, n)
+				r.flushFolded(d, bp, n)
 				bp = e.pool.get(r.batch)
 				dst, val, n = bp.Dst[:r.batch], bp.Val[:r.batch], 0
 			}
 		}
-		r.flushSums(d, bp, n)
+		r.flushFolded(d, bp, n)
 	}
 }
 
-// flushSums hands the first n rows emitSums wrote into bp to partition
-// d's exchange, or recycles bp when it holds none.
-func (r *colRun[V]) flushSums(d int, bp *ColBatch[V], n int) {
+// flushFolded hands the first n rows emitFolded wrote into bp to
+// partition d's exchange, or recycles bp when it holds none.
+func (r *colRun[V]) flushFolded(d int, bp *ColBatch[V], n int) {
 	if n == 0 {
 		r.e.pool.put(bp)
 		return
@@ -434,23 +412,6 @@ func (r *colRun[V]) flushSums(d int, bp *ColBatch[V], n int) {
 	bp.Dst, bp.Val = bp.Dst[:n], bp.Val[:n]
 	r.shuffled += int64(n)
 	r.flushTo(r.part, d, bp)
-}
-
-// deliver appends one already-folded or raw message to its destination
-// partition's batch, flushing the batch when it fills.
-func (r *colRun[V]) deliver(dst int32, val V) {
-	dp := r.partOf[dst]
-	bp := r.e.bufs[dp]
-	if bp == nil {
-		bp = r.e.pool.get(r.batch)
-		r.e.bufs[dp] = bp
-	}
-	bp.push(dst, val)
-	r.shuffled++
-	if bp.full(r.batch) {
-		r.e.bufs[dp] = nil
-		r.flushTo(r.part, int(dp), bp)
-	}
 }
 
 // clock counts the messages of a source row with edges lo..hi — the
@@ -464,51 +425,35 @@ func (r *colRun[V]) clock(lo, hi int32) bool {
 	return true
 }
 
-// rowSum is Run's emit for a sum fold without LocalFold (sumFold).
+// rowSum and rowMin are Run's emits without LocalFold: they count one
+// source row's messages and fold them straight into the fold scratch
+// (sumFold, minFold).
 func (r *colRun[V]) rowSum(src int32, val V) bool {
 	lo, hi := r.offsets[src], r.offsets[src+1]
 	if !r.clock(lo, hi) {
 		return false
 	}
-	sumFold(r.step, r.acc, lo, hi, val)
+	sumFold(r.step, r.e.acc, lo, hi, val)
 	return true
 }
 
-// row is the expansion's emit: it counts one source row's messages and
-// folds them (localFold) or delivers them. The three expand kinds are
-// separate tight loops so the per-edge path has no switch and no
-// indirect call; so are the fold ones (see localFold).
+func (r *colRun[V]) rowMin(src int32, val V) bool {
+	lo, hi := r.offsets[src], r.offsets[src+1]
+	if !r.clock(lo, hi) {
+		return false
+	}
+	minFold(r.step, r.e.acc, r.e.reached, lo, hi, val)
+	return true
+}
+
+// row is the emit of a local fold: it counts one source row's messages
+// and folds them into the local-fold scratch (localFold).
 func (r *colRun[V]) row(src int32, val V) bool {
 	lo, hi := r.offsets[src], r.offsets[src+1]
 	if !r.clock(lo, hi) {
 		return false
 	}
-	if r.acc != nil {
-		r.touched = localFold(r.step, r.acc, r.seen, r.touched, lo, hi, val)
-		return true
-	}
-	targets, weights := r.targets, r.weights
-	switch r.step.Expand {
-	case ExpandCopy:
-		for j := lo; j < hi; j++ {
-			r.deliver(targets[j], val)
-		}
-	case ExpandAddWeight:
-		if weights == nil {
-			for j := lo; j < hi; j++ {
-				r.deliver(targets[j], val+V(1))
-			}
-		} else {
-			for j := lo; j < hi; j++ {
-				r.deliver(targets[j], val+V(weights[j]))
-			}
-		}
-	case ExpandMulScale:
-		scale := r.step.Scale
-		for j := lo; j < hi; j++ {
-			r.deliver(targets[j], val*V(scale[j]))
-		}
-	}
+	localFold(r.step, r.e.lacc, r.e.lseen, lo, hi, val)
 	return true
 }
 
@@ -527,8 +472,26 @@ func edgeCols[V ColValue](s *ColStep[V], lo, hi int32, val V) ([]int32, []float6
 	return s.Adj.Targets[lo:hi], nil, val
 }
 
+// firstLess is the min fold's select: v where no message reached the
+// slot yet (seen false; the slot's value is stale or zero) or where v
+// is strictly less than a, else a — so the first of equal values stays,
+// −0 before +0 or after. On integers the two ifs compile to conditional
+// moves, not branches.
+func firstLess[V ColValue](a, v V, seen bool) V {
+	if !seen {
+		a = v
+	}
+	if v < a {
+		a = v
+	}
+	return a
+}
+
 // sumFold adds the messages a source row sends along its edges lo..hi
-// into Run's dense sum scratch, with no seen test and no touched list.
+// into Run's zeroed fold scratch, and minFold selects them into it
+// (firstLess) and marks reached. Neither branches on a mark or lists a
+// destination; the separate loops per ExpandKind keep the per-edge path
+// free of a switch and an indirect call.
 func sumFold[V ColValue](s *ColStep[V], acc []V, lo, hi int32, val V) {
 	targets, col, val := edgeCols(s, lo, hi, val)
 	switch {
@@ -547,27 +510,35 @@ func sumFold[V ColValue](s *ColStep[V], acc []V, lo, hi int32, val V) {
 	}
 }
 
+func minFold[V ColValue](s *ColStep[V], acc []V, reached []byte, lo, hi int32, val V) {
+	targets, col, val := edgeCols(s, lo, hi, val)
+	switch {
+	case col == nil:
+		for _, dst := range targets {
+			acc[dst], reached[dst] = firstLess(acc[dst], val, reached[dst] != 0), 1
+		}
+	case s.Expand == ExpandAddWeight:
+		for j, dst := range targets {
+			acc[dst], reached[dst] = firstLess(acc[dst], val+V(col[j]), reached[dst] != 0), 1
+		}
+	default:
+		for j, dst := range targets {
+			acc[dst], reached[dst] = firstLess(acc[dst], val*V(col[j]), reached[dst] != 0), 1
+		}
+	}
+}
+
 // localFold folds the messages one source row sends along its edges
-// lo..hi into fold scratch — Run's under FoldMin, or a producing
-// partition's local-fold scratch — and marks each destination in seen:
-// one closure-free loop per ExpandKind × FoldKind, a direct call from
-// row. A min loop tests seen, since its first message is the start
-// value, and returns touched with the destinations seen first here
-// appended. A sum loop adds into the zeroed scratch without a branch
-// and returns touched as it was; emitSums finds its destinations by
-// their marks.
-func localFold[V ColValue](s *ColStep[V], acc []V, seen []bool, touched []int32, lo, hi int32, val V) []int32 {
+// lo..hi into a producing partition's local-fold scratch and marks each
+// destination in seen, without a branch on the mark: a sum adds into
+// the zeroed scratch, a min selects (firstLess).
+func localFold[V ColValue](s *ColStep[V], acc []V, seen []bool, lo, hi int32, val V) {
 	targets, col, val := edgeCols(s, lo, hi, val)
 	min := s.Fold == FoldMin
 	switch {
 	case col == nil && min:
 		for _, dst := range targets {
-			if !seen[dst] {
-				seen[dst], acc[dst] = true, val
-				touched = append(touched, dst)
-			} else if val < acc[dst] {
-				acc[dst] = val
-			}
+			acc[dst], seen[dst] = firstLess(acc[dst], val, seen[dst]), true
 		}
 	case col == nil:
 		for _, dst := range targets {
@@ -576,12 +547,7 @@ func localFold[V ColValue](s *ColStep[V], acc []V, seen []bool, touched []int32,
 		}
 	case s.Expand == ExpandAddWeight && min:
 		for j, dst := range targets {
-			if v := val + V(col[j]); !seen[dst] {
-				seen[dst], acc[dst] = true, v
-				touched = append(touched, dst)
-			} else if v < acc[dst] {
-				acc[dst] = v
-			}
+			acc[dst], seen[dst] = firstLess(acc[dst], val+V(col[j]), seen[dst]), true
 		}
 	case s.Expand == ExpandAddWeight:
 		for j, dst := range targets {
@@ -590,12 +556,7 @@ func localFold[V ColValue](s *ColStep[V], acc []V, seen []bool, touched []int32,
 		}
 	case min:
 		for j, dst := range targets {
-			if v := val * V(col[j]); !seen[dst] {
-				seen[dst], acc[dst] = true, v
-				touched = append(touched, dst)
-			} else if v < acc[dst] {
-				acc[dst] = v
-			}
+			acc[dst], seen[dst] = firstLess(acc[dst], val*V(col[j]), seen[dst]), true
 		}
 	default:
 		for j, dst := range targets {
@@ -603,13 +564,12 @@ func localFold[V ColValue](s *ColStep[V], acc []V, seen []bool, touched []int32,
 			seen[dst] = true
 		}
 	}
-	return touched
 }
 
 // fold folds the rows of one exchange batch into the fold scratch.
 func (r *colRun[V]) fold(dsts []int32, vals []V) {
-	e := r.e
-	acc, seen, all := e.acc, e.seen, e.all
+	acc, reached := r.e.acc, r.e.reached
+	vals = vals[:len(dsts)]
 	if r.step.Fold == FoldSum {
 		for i, dst := range dsts {
 			acc[dst] += vals[i]
@@ -617,75 +577,72 @@ func (r *colRun[V]) fold(dsts []int32, vals []V) {
 		return
 	}
 	for i, dst := range dsts {
-		if v := vals[i]; !seen[dst] {
-			seen[dst], acc[dst] = true, v
-			all = append(all, dst)
-		} else if v < acc[dst] {
-			acc[dst] = v
-		}
+		acc[dst], reached[dst] = firstLess(acc[dst], vals[i], reached[dst] != 0), 1
 	}
-	e.all = all
 }
 
-// applyFolded hands partition part's folded updates to the step's
-// Apply, with destinations in ascending dense-index order: under
-// FoldSum every vertex the partition owns, under FoldMin the fold
-// scratch entries touched lists, which it reorders in place.
-func (r *colRun[V]) applyFolded(part int, touched []int32) {
+// applyFolded hands the folded updates of partition part — of every
+// partition in ascending order if part is -1 — to the step's Apply, with
+// destinations in ascending dense-index order, which is ascending
+// VertexID, so Apply sees updates in a deterministic order: under
+// FoldSum every vertex the partition owns, under FoldMin those marked
+// reached (gatherReached).
+func (r *colRun[V]) applyFolded(part int) {
+	e, s, acc := r.e, r.step, r.e.acc
+	min := s.Fold == FoldMin
+	if min {
+		r.gatherReached()
+	}
+	for p, at := 0, 0; p < s.Parts.N && r.err == nil; p++ {
+		owned := s.Parts.Owned[p]
+		start := at
+		at += len(owned)
+		if part >= 0 && p != part {
+			continue
+		}
+		dst, val := KeyCol(owned), ValCol[V](e.outVal[:len(owned)])
+		if min {
+			dst, val = e.outDst[start:e.next[p]], e.outVal[start:e.next[p]]
+		} else {
+			for i, d := range owned {
+				val[i] = acc[d]
+			}
+		}
+		if err := s.Apply(p, dst, val); err != nil {
+			r.fail(fmt.Errorf("col: apply for partition %d: %w", p, err))
+		}
+	}
+}
+
+// gatherReached moves every vertex marked reached, and its folded
+// value, into its partition's window of the out columns, in ascending
+// order, and unmarks it. It reads the marks eight at a time, so a
+// sparse step's unreached stretches cost one load per eight vertices,
+// and each reached vertex one turn of a loop without a data-dependent
+// branch.
+func (r *colRun[V]) gatherReached() {
 	e := r.e
-	// Ascending dense index == ascending VertexID: Apply sees updates in
-	// a deterministic order.
-	dst := r.step.Parts.Owned[part]
-	if r.step.Fold == FoldMin {
-		dst = ascending(touched, e.seen, dst)
+	reached, acc, partOf, next := e.reached, e.acc, r.partOf, e.next
+	for p, at := 0, 0; p < len(next); p++ {
+		next[p], at = at, at+len(r.step.Parts.Owned[p])
 	}
-	outVal := e.outVal[:0]
-	for _, d := range dst {
-		outVal = append(outVal, e.acc[d])
-	}
-	e.outVal = outVal
-	if err := r.step.Apply(part, KeyCol(dst), ValCol[V](outVal)); err != nil {
-		r.fail(fmt.Errorf("col: apply for partition %d: %w", part, err))
-	}
-}
-
-// reset clears the fold scratch, whether the run committed or aborted,
-// so the next run starts from clean fold state.
-func (r *colRun[V]) reset() {
-	for _, i := range r.e.all {
-		r.e.seen[i] = false
-	}
-	r.e.all = r.e.all[:0]
-}
-
-// scanDensity is the touched-set density, one index per scanDensity
-// candidates, from which ascending scans instead of sorting.
-const scanDensity = 8
-
-// ascending returns touched, the set of indices marked in seen, in
-// ascending order, reusing its array: FoldMin's order, for Apply and
-// for its local fold's rows (a sum needs none, see emitSums). A dense
-// set is rebuilt by scanning the candidates for seen entries — owned,
-// which is ascending, or 0..len(seen)-1 when owned is nil — in
-// O(candidates); a sparse one is sorted, so a delta iteration's tail
-// stays O(touched log touched).
-func ascending(touched []int32, seen []bool, owned []int32) []int32 {
-	n := len(owned)
-	if owned == nil {
-		n = len(seen)
-	}
-	if len(touched)*scanDensity < n {
-		slices.Sort(touched)
-		return touched
-	}
-	out := touched[:0]
-	for c := range int32(n) {
-		if owned != nil {
-			c = owned[c]
+	for i := 0; i < len(reached); i += 8 {
+		// One load of eight marks: the compiler merges the shifts, which
+		// binary.LittleEndian.Uint64 would not be inlined into a generic
+		// instantiation to do.
+		m := (*[8]byte)(reached[i:])
+		w := uint64(m[0]) | uint64(m[1])<<8 | uint64(m[2])<<16 | uint64(m[3])<<24 |
+			uint64(m[4])<<32 | uint64(m[5])<<40 | uint64(m[6])<<48 | uint64(m[7])<<56
+		if w == 0 {
+			continue
 		}
-		if seen[c] {
-			out = append(out, c)
+		*m = [8]byte{}
+		for ; w != 0; w &= w - 1 {
+			d := int32(i + bits.TrailingZeros64(w)>>3)
+			p := partOf[d]
+			k := next[p]
+			e.outDst[k], e.outVal[k] = d, acc[d]
+			next[p] = k + 1
 		}
 	}
-	return out
 }

@@ -11,7 +11,7 @@ import (
 func colWireBatch[V ColValue](n int, val func(i int) V) *ColBatch[V] {
 	b := &ColBatch[V]{}
 	for i := 0; i < n; i++ {
-		b.push(int32(i*3), val(i))
+		b.Dst, b.Val = append(b.Dst, int32(i*3)), append(b.Val, val(i))
 	}
 	return b
 }

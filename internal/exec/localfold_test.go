@@ -186,7 +186,7 @@ func TestLocalFoldMatchesMapReference(t *testing.T) {
 								}
 								for _, dst := range slices.Sorted(maps.Keys(acc)) {
 									q := int(pt.PartOf[dst])
-									batches[q].push(dst, acc[dst])
+									batches[q].Dst, batches[q].Val = append(batches[q].Dst, dst), append(batches[q].Val, acc[dst])
 									if batches[q].Len() == batch {
 										flush(q)
 									}
