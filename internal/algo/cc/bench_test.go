@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"bytes"
 	"testing"
 
 	"optiflow/internal/exec/hostedtest"
@@ -75,4 +76,41 @@ func benchmarkRun(b *testing.B, g *graph.Graph) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRunGrid times what one job of the ledger's cc-grid-inproc
+// workload does: a fresh CC job on gen.Grid(48, 48) over 4 partitions
+// and 2 workers, built and run to convergence, and its labels fetched.
+// The steady-step BenchmarkSuperstep leaves out the job's construction,
+// its first, full-workset supersteps and the loop around them.
+func BenchmarkRunGrid(b *testing.B) {
+	g := gen.Grid(48, 48)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(g, Options{Parallelism: 4, Workers: 2}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSnapshotTo times one full checkpoint blob of CC on
+// gen.Grid(48, 48) over 4 partitions after ten supersteps: every
+// partition's value view and workset view.
+func BenchmarkSnapshotTo(b *testing.B) {
+	c := NewColumnar(gen.Grid(48, 48), 4)
+	for i := 0; i < 10; i++ {
+		if _, err := c.Step(nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := c.SnapshotTo(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(buf.Len()))
 }

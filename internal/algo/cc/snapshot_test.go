@@ -30,8 +30,8 @@ func forgedSnapshot(g *graph.Graph, nparts int, idx int32) []byte {
 	ws.Add(0, idx, 0)
 	b := colbytes.AppendU32([]byte{state.ViewTag}, uint32(nparts))
 	for p := 0; p < nparts; p++ {
-		b = vals.AppendPartitionBytes(b, p, exec.AppendVal[uint64])
-		b = ws.AppendPartitionBytes(b, p, exec.AppendVal[uint64])
+		b = vals.AppendPartitionBytes(b, p, exec.AppendVals[uint64])
+		b = ws.AppendPartitionBytes(b, p, exec.AppendVals[uint64])
 	}
 	return b
 }

@@ -159,9 +159,6 @@ func (km *KMeans) seedInitial() {
 // Name implements recovery.Job.
 func (km *KMeans) Name() string { return "kmeans" }
 
-// LastShift returns the total centroid movement of the last superstep.
-func (km *KMeans) LastShift() float64 { return km.lastShift }
-
 // Centroids materialises the current centroid table.
 func (km *KMeans) Centroids() []Point {
 	out := make([]Point, km.k)

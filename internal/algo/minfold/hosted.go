@@ -103,12 +103,12 @@ func (h *Hosted[V]) Compensate(lost, fill []int, _ float64) (out exec.HostedOut,
 // DenseStore partition view (an attempt still in flight was abandoned).
 func (h *Hosted[V]) AppendPartition(dst []byte, p int) []byte {
 	h.Abort()
-	return h.j.vals.AppendPartitionBytes(dst, p, exec.AppendVal[V])
+	return h.j.vals.AppendPartitionBytes(dst, p, exec.AppendVals[V])
 }
 
 // RestorePartition replaces partition p's values from a view written by
 // AppendPartition.
 func (h *Hosted[V]) RestorePartition(p int, view []byte) error {
 	h.Abort()
-	return h.j.vals.RestorePartitionView(p, view, exec.ReadVal[V])
+	return h.j.vals.RestorePartitionView(p, view, exec.ReadVals[V])
 }

@@ -171,24 +171,41 @@ func (j *Job[V]) source(part int, emit func(src int32, val V) bool) error {
 	return nil
 }
 
-// apply is the update join of Fig. 1a on columns: compare each folded
-// candidate to the current value, lower it in place and activate the
-// vertex in the next workset. The engine routes updates to the
-// partition owning them.
+// apply is the update join of Fig. 1a on columns: one pass over the
+// folded candidates writes each into the tail of next's columns and
+// keeps it — advances the count — only where it lowers the current
+// value; then one bulk write lowers the kept vertices' values. dst
+// holds each destination once (ColStep.Apply), so no candidate is
+// compared against a value this pass lowered. The engine routes
+// updates to the partition owning them.
 func (j *Job[V]) apply(part int, dst exec.KeyCol, val exec.ValCol[V]) error {
+	cur, has := j.vals.Column(part)
+	cur, val = cur[:len(has)], val[:len(dst)] // so has[s] and i bound cur and val
 	slot := j.pt.Slot
+	idx, vals := j.next.Grow(part, len(dst))
+	n := 0
 	for i, d := range dst {
-		cand := val[i]
-		s := slot[d]
-		cur, ok := j.vals.GetSlot(part, s)
-		if ok && cur <= cand {
-			continue
-		}
-		j.vals.SetSlot(part, s, cand)
-		j.next.Add(part, d, cand)
-		j.updates[part]++
+		cand, s := val[i], slot[d]
+		h := has[s]
+		c := cur[s]
+		idx[n], vals[n] = d, cand
+		// !(h && c <= cand), the test of a per-vertex loop, as arithmetic:
+		// a NaN or a ±0 tie decides as it always did.
+		n += 1 - b2i(h)&b2i(c <= cand)
 	}
+	j.vals.SetIdx(part, idx[:n], vals[:n])
+	j.next.Commit(part, n)
+	j.updates[part] += int64(n)
 	return nil
+}
+
+// b2i is 1 for true and 0 for false, without a branch.
+func b2i(b bool) int {
+	var i int
+	if b {
+		i = 1
+	}
+	return i
 }
 
 // Step implements the loop body for iterate.Loop: run one superstep of
@@ -233,12 +250,13 @@ func (j *Job[V]) RestoreFrom(data []byte) error {
 
 // appendAll writes the format tag, the partition count and, per
 // partition, what vals writes of the values and then the workset view.
-func (j *Job[V]) appendAll(buf *bytes.Buffer, vals func([]byte, int, func([]byte, V) []byte) []byte) {
+func (j *Job[V]) appendAll(buf *bytes.Buffer, vals func([]byte, int, func([]byte, []V) []byte) []byte) {
+	enc := exec.AppendVals[V] // one func value, not one per partition
 	b := append(buf.AvailableBuffer(), state.ViewTag)
 	b = colbytes.AppendU32(b, uint32(j.pt.N))
 	for p := 0; p < j.pt.N; p++ {
-		b = vals(b, p, exec.AppendVal[V])
-		b = j.workset.AppendPartitionBytes(b, p, exec.AppendVal[V])
+		b = vals(b, p, enc)
+		b = j.workset.AppendPartitionBytes(b, p, enc)
 	}
 	buf.Write(b)
 }
@@ -253,14 +271,14 @@ func (j *Job[V]) restoreAll(data []byte, vals readVals[V]) error {
 
 // readVals reads one partition's values into the store: a full view
 // or a delta.
-type readVals[V exec.ColValue] func(p int, r *colbytes.Reader, dec func(*colbytes.Reader) V) error
+type readVals[V exec.ColValue] func(p int, r *colbytes.Reader, dec func(*colbytes.Reader, []V)) error
 
 // restorePartition reads one partition's values, then its workset.
 func (j *Job[V]) restorePartition(p int, r *colbytes.Reader, vals readVals[V]) error {
-	if err := vals(p, r, exec.ReadVal[V]); err != nil {
+	if err := vals(p, r, exec.ReadVals[V]); err != nil {
 		return err
 	}
-	return j.workset.RestorePartitionBytes(p, r, exec.ReadVal[V], j.pt)
+	return j.workset.RestorePartitionBytes(p, r, exec.ReadVals[V], j.pt)
 }
 
 // ClearPartitions implements recovery.Job: the direct damage of a
@@ -354,8 +372,8 @@ func (s capture[V]) NumPartitions() int { return s.vals.NumPartitions() }
 // the bytes Hosted.AppendPartition ships — and its workset view.
 func (s capture[V]) SnapshotPartition(p int, buf *bytes.Buffer) error {
 	b := append(buf.AvailableBuffer(), state.ViewTag)
-	b = s.vals.AppendPartitionBytes(b, p, exec.AppendVal[V])
-	buf.Write(s.workset.AppendPartitionBytes(b, p, exec.AppendVal[V]))
+	b = s.vals.AppendPartitionBytes(b, p, exec.AppendVals[V])
+	buf.Write(s.workset.AppendPartitionBytes(b, p, exec.AppendVals[V]))
 	return nil
 }
 

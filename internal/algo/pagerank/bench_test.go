@@ -1,6 +1,7 @@
 package pagerank
 
 import (
+	"bytes"
 	"testing"
 
 	"optiflow/internal/exec/hostedtest"
@@ -51,4 +52,26 @@ func BenchmarkHostedPairStep(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSnapshotTo times one full checkpoint blob of PageRank on
+// gen.Twitter(4000, 20150531) over 4 partitions after three supersteps:
+// the convergence marker and every partition's rank view.
+func BenchmarkSnapshotTo(b *testing.B) {
+	pr := NewColumnar(gen.Twitter(4000, 20150531), 4, 0.85, nil)
+	for i := 0; i < 3; i++ {
+		if _, err := pr.Step(nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := pr.SnapshotTo(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(buf.Len()))
 }

@@ -98,14 +98,14 @@ func (h *Hosted) Compensate(lost, fill []int, surviving float64) (out exec.Hoste
 // DenseStore partition view (an attempt still in flight was abandoned).
 func (h *Hosted) AppendPartition(dst []byte, p int) []byte {
 	h.Abort()
-	return h.c.ranks.AppendPartitionBytes(dst, p, colbytes.AppendF64)
+	return h.c.ranks.AppendPartitionBytes(dst, p, colbytes.AppendF64Vals)
 }
 
 // RestorePartition replaces partition p's ranks from a view written by
 // AppendPartition.
 func (h *Hosted) RestorePartition(p int, view []byte) error {
 	h.Abort()
-	return h.c.ranks.RestorePartitionView(p, view, (*colbytes.Reader).F64)
+	return h.c.ranks.RestorePartitionView(p, view, (*colbytes.Reader).F64Vals)
 }
 
 // RankVector returns the rank of every vertex of the partitions this

@@ -274,7 +274,7 @@ func (pr *PR) SnapshotTo(buf *bytes.Buffer) error {
 	b = colbytes.AppendF64(b, pr.lastL1)
 	b = colbytes.AppendU32(b, uint32(pr.pt.N))
 	for p := 0; p < pr.pt.N; p++ {
-		b = pr.ranks.AppendPartitionBytes(b, p, colbytes.AppendF64)
+		b = pr.ranks.AppendPartitionBytes(b, p, colbytes.AppendF64Vals)
 	}
 	buf.Write(b)
 	return nil
@@ -285,7 +285,7 @@ func (pr *PR) RestoreFrom(data []byte) error {
 	return state.ReadView(pr.Name(), data, func(r *colbytes.Reader) error {
 		l1 := r.F64()
 		err := state.ReadPartitions(r, pr.pt.N, func(p int) error {
-			return pr.ranks.RestorePartitionBytes(p, r, (*colbytes.Reader).F64)
+			return pr.ranks.RestorePartitionBytes(p, r, (*colbytes.Reader).F64Vals)
 		})
 		if err == nil {
 			pr.lastL1 = l1
@@ -335,7 +335,7 @@ func (pr *PR) RestorePartition(p int, data []byte) error {
 	pr.lastL1 = math.Inf(1) // the convergence marker is global; be safe
 	pr.restoreMu.Unlock()
 	return state.ReadView(pr.Name(), data, func(r *colbytes.Reader) error {
-		return pr.ranks.RestorePartitionBytes(p, r, (*colbytes.Reader).F64)
+		return pr.ranks.RestorePartitionBytes(p, r, (*colbytes.Reader).F64Vals)
 	})
 }
 
@@ -364,7 +364,7 @@ func (s prCapture) NumPartitions() int { return s.ranks.NumPartitions() }
 // SnapshotPartition writes the format tag and partition p's rank view:
 // after the tag, the bytes Hosted.AppendPartition ships.
 func (s prCapture) SnapshotPartition(p int, buf *bytes.Buffer) error {
-	buf.Write(s.ranks.AppendPartitionBytes(append(buf.AvailableBuffer(), state.ViewTag), p, colbytes.AppendF64))
+	buf.Write(s.ranks.AppendPartitionBytes(append(buf.AvailableBuffer(), state.ViewTag), p, colbytes.AppendF64Vals))
 	return nil
 }
 

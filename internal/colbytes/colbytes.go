@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ErrTruncated reports a read past the end of the buffer — a corrupt
@@ -60,11 +61,7 @@ func AppendString(dst []byte, s string) []byte {
 // AppendU64s appends a uint64 column segment: uint32 count, then the
 // values.
 func AppendU64s(dst []byte, col []uint64) []byte {
-	dst = AppendU32(dst, uint32(len(col)))
-	for _, v := range col {
-		dst = binary.LittleEndian.AppendUint64(dst, v)
-	}
-	return dst
+	return AppendU64Vals(AppendU32(dst, uint32(len(col))), col)
 }
 
 // AppendU32s appends a uint32 column segment.
@@ -87,9 +84,36 @@ func AppendI32s(dst []byte, col []int32) []byte {
 
 // AppendF64s appends a float64 column segment (IEEE-754 bits).
 func AppendF64s(dst []byte, col []float64) []byte {
-	dst = AppendU32(dst, uint32(len(col)))
+	return AppendF64Vals(AppendU32(dst, uint32(len(col))), col)
+}
+
+// AppendU64Vals appends col's values with no count — the body of a
+// U64s segment — growing dst once. The appends then never reallocate,
+// and an append loop compiles tighter than indexed stores.
+func AppendU64Vals(dst []byte, col []uint64) []byte {
+	dst = slices.Grow(dst, 8*len(col))
+	for _, v := range col {
+		dst = binary.LittleEndian.AppendUint64(dst, v)
+	}
+	return dst
+}
+
+// AppendF64Vals appends col's IEEE-754 bit patterns with no count — the
+// body of an F64s segment — growing dst once.
+func AppendF64Vals(dst []byte, col []float64) []byte {
+	dst = slices.Grow(dst, 8*len(col))
 	for _, v := range col {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+	}
+	return dst
+}
+
+// AppendBools appends col as one byte (0 or 1) per element, with no
+// count, growing dst once.
+func AppendBools(dst []byte, col []bool) []byte {
+	dst = slices.Grow(dst, len(col))
+	for _, v := range col {
+		dst = AppendBool(dst, v)
 	}
 	return dst
 }
@@ -253,4 +277,24 @@ func (r *Reader) F64s(dst []float64) []float64 {
 		r.b = r.b[8*n:]
 	}
 	return dst
+}
+
+// U64Vals fills dst with the next len(dst) values of a column body
+// AppendU64Vals wrote, or fails and leaves dst as it was.
+func (r *Reader) U64Vals(dst []uint64) {
+	if b := r.take(8*len(dst), "u64 values"); b != nil {
+		for i := range dst {
+			dst[i] = binary.LittleEndian.Uint64(b[8*i:])
+		}
+	}
+}
+
+// F64Vals fills dst with the next len(dst) values of a column body
+// AppendF64Vals wrote, or fails and leaves dst as it was.
+func (r *Reader) F64Vals(dst []float64) {
+	if b := r.take(8*len(dst), "f64 values"); b != nil {
+		for i := range dst {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+	}
 }

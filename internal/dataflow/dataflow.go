@@ -204,9 +204,6 @@ type Node struct {
 	tableLabel string
 }
 
-// TableLabel returns the display name of a lookup join's table side.
-func (n *Node) TableLabel() string { return n.tableLabel }
-
 // Plan is a DAG of operators with at least one sink.
 type Plan struct {
 	Name  string
@@ -324,22 +321,13 @@ func (d *Dataset) ReduceByCombining(name string, key KeyFunc, combine CombineFun
 	return &Dataset{plan: d.plan, node: n}
 }
 
-// LocalReduceBy folds groups within each producing partition, without
-// a shuffle — a combiner. Placing one before a ReduceBy on the same key
-// pre-aggregates records before they cross the network, cutting
-// shuffle volume exactly like Flink's combinable reduce.
-func (d *Dataset) LocalReduceBy(name string, key KeyFunc, fn ReduceFunc) *Dataset {
-	n := d.plan.add(&Node{
-		Name: name, Kind: KindReduce, Reduce: fn,
-		Inputs: []*Node{d.node}, InExchange: []Exchange{ExForward}, InKeys: []KeyFunc{key},
-	})
-	return &Dataset{plan: d.plan, node: n}
-}
-
-// LocalReduceByCombining is LocalReduceBy with the streaming
-// accumulator interface of ReduceByCombining: a pre-shuffle combiner
-// that folds records as they arrive instead of materialising each
-// partition-local group.
+// LocalReduceByCombining folds groups within each producing partition,
+// without a shuffle — a combiner — with the streaming accumulator
+// interface of ReduceByCombining: it folds records as they arrive
+// instead of materialising each partition-local group. Placing one
+// before a reduce on the same key pre-aggregates records before they
+// cross the network, cutting shuffle volume exactly like Flink's
+// combinable reduce.
 func (d *Dataset) LocalReduceByCombining(name string, key KeyFunc, combine CombineFunc, finish FinishFunc) *Dataset {
 	n := d.plan.add(&Node{
 		Name: name, Kind: KindReduce, Combine: combine, Finish: finish,

@@ -88,9 +88,9 @@ type ColStep[V ColValue] struct {
 	// (dense source vertex index, payload).
 	Source func(part int, emit func(src int32, val V) bool) error
 	// Apply receives the folded updates owned by partition part, with
-	// destinations in ascending dense-index order: under FoldMin the
-	// destinations some message reached, under FoldSum all of
-	// Parts.Owned[part], which dst then is. dst and val are borrowed
+	// destinations in ascending dense-index order, each once: under
+	// FoldMin the destinations some message reached, under FoldSum all
+	// of Parts.Owned[part], which dst then is. dst and val are borrowed
 	// read-only columns: consume in place, do not retain.
 	Apply func(part int, dst KeyCol, val ValCol[V]) error
 }

@@ -10,60 +10,53 @@ package exec
 
 import (
 	"encoding/binary"
-	"math"
+	"slices"
 
 	"optiflow/internal/colbytes"
 )
 
-// valBits returns v's 64-bit wire pattern. ColValue admits the three
-// ground types only, so the switch is exhaustive and small enough to
-// inline.
-func valBits[V ColValue](v V) uint64 {
-	switch x := any(v).(type) {
-	case int64:
-		return uint64(x)
-	case uint64:
-		return x
+// AppendVals appends the 64-bit wire patterns of vals to dst, with no
+// count: integer payloads as their two's-complement/unsigned bits,
+// float payloads as IEEE-754 bits. It switches on the column type once
+// and grows dst once. ColValue admits the three ground types only, so
+// the switch is exhaustive.
+func AppendVals[V ColValue](dst []byte, vals []V) []byte {
+	switch vs := any(vals).(type) {
+	case []uint64:
+		return colbytes.AppendU64Vals(dst, vs)
+	case []float64:
+		return colbytes.AppendF64Vals(dst, vs)
 	}
-	return math.Float64bits(any(v).(float64))
+	dst = slices.Grow(dst, 8*len(vals))
+	for _, v := range any(vals).([]int64) {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
+	}
+	return dst
 }
 
-// bitsVal is valBits's inverse.
-func bitsVal[V ColValue](u uint64) V {
-	var v V
-	switch p := any(&v).(type) {
-	case *int64:
-		*p = int64(u)
-	case *uint64:
-		*p = u
-	case *float64:
-		*p = math.Float64frombits(u)
+// ReadVals fills vals with the next len(vals) values AppendVals wrote,
+// or poisons r and leaves vals as they were.
+func ReadVals[V ColValue](r *colbytes.Reader, vals []V) {
+	switch vs := any(vals).(type) {
+	case []uint64:
+		r.U64Vals(vs)
+	case []float64:
+		r.F64Vals(vs)
+	case []int64:
+		if raw := r.Raw(8*len(vs), "i64 values"); raw != nil {
+			for i := range vs {
+				vs[i] = int64(binary.LittleEndian.Uint64(raw[8*i:]))
+			}
+		}
 	}
-	return v
 }
-
-// AppendVal appends v's 64-bit wire pattern to dst as one colbytes U64.
-func AppendVal[V ColValue](dst []byte, v V) []byte { return colbytes.AppendU64(dst, valBits(v)) }
-
-// ReadVal reads a value AppendVal wrote.
-func ReadVal[V ColValue](r *colbytes.Reader) V { return bitsVal[V](r.U64()) }
 
 // AppendColumns appends the batch's key and value columns to dst as
 // colbytes segments. The view copies the data out, so the batch can
 // be recycled immediately after.
 func (b *ColBatch[V]) AppendColumns(dst []byte) []byte {
 	dst = colbytes.AppendI32s(dst, []int32(b.Dst))
-	switch vs := any(b.Val).(type) {
-	case ValCol[uint64]:
-		return colbytes.AppendU64s(dst, vs)
-	case ValCol[float64]:
-		return colbytes.AppendF64s(dst, vs)
-	}
-	dst = colbytes.AppendU32(dst, uint32(len(b.Val)))
-	for _, v := range b.Val {
-		dst = colbytes.AppendU64(dst, valBits(v))
-	}
-	return dst
+	return AppendVals(colbytes.AppendU32(dst, uint32(len(b.Val))), []V(b.Val))
 }
 
 // ReadColumns replaces the batch's contents from a view written by
@@ -73,27 +66,17 @@ func (b *ColBatch[V]) AppendColumns(dst []byte) []byte {
 // a failed read, matching the pooled get-then-fill discipline.
 func (b *ColBatch[V]) ReadColumns(r *colbytes.Reader) {
 	b.Dst = KeyCol(r.I32s([]int32(b.Dst[:0])))
-	switch vs := any(&b.Val).(type) {
-	case *ValCol[uint64]:
-		*vs = ValCol[uint64](r.U64s([]uint64((*vs)[:0])))
-	case *ValCol[float64]:
-		*vs = ValCol[float64](r.F64s([]float64((*vs)[:0])))
-	default:
-		b.Val = b.Val[:0]
-		n := int(r.U32())
-		raw := r.Raw(8*n, "column batch values")
-		if raw == nil {
-			return
-		}
-		if cap(b.Val) < n {
-			b.Val = make(ValCol[V], n)
-		} else {
-			b.Val = b.Val[:n]
-		}
-		for i := range b.Val {
-			b.Val[i] = bitsVal[V](binary.LittleEndian.Uint64(raw[8*i:]))
-		}
+	b.Val = b.Val[:0]
+	n := int(r.U32())
+	if r.Err() != nil {
+		return
 	}
+	if 8*n > r.Remaining() {
+		r.Fail("column batch values")
+		return
+	}
+	b.Val = slices.Grow(b.Val, n)[:n]
+	ReadVals(r, []V(b.Val))
 	if r.Err() == nil && len(b.Dst) != len(b.Val) {
 		r.Fail("column batch: key/value columns have different lengths")
 	}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"maps"
@@ -221,6 +222,11 @@ func TestDenseMinMatchesMapReference(t *testing.T) {
 	t.Run("float64", func(t *testing.T) {
 		denseMinReference(t, []float64{math.Copysign(0, -1), 0, math.Copysign(0, -1), 0, 1.5, -2, math.MaxFloat64, math.Inf(1)})
 	})
+}
+
+// valBits returns v's 64-bit wire pattern, which tells -0 from +0.
+func valBits[V ColValue](v V) uint64 {
+	return binary.LittleEndian.Uint64(AppendVals(nil, []V{v}))
 }
 
 // denseMinReference is TestDenseMinMatchesMapReference for one value

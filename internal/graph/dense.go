@@ -114,13 +114,3 @@ func (d *Dense) Partitioning(n int) *Partitioning {
 	d.parts[n] = pt
 	return pt
 }
-
-// OwnedIDs returns partition p's vertices as IDs in ascending order,
-// matching PartitionVertices(g, n)[p].
-func (pt *Partitioning) OwnedIDs(d *Dense, p int) []VertexID {
-	out := make([]VertexID, len(pt.Owned[p]))
-	for i, idx := range pt.Owned[p] {
-		out[i] = d.g.ids[idx]
-	}
-	return out
-}

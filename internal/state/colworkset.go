@@ -1,6 +1,9 @@
 package state
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // ColWorkset is the columnar counterpart of Workset: each partition's
 // pending updates are two parallel append-only columns — the dense
@@ -48,6 +51,27 @@ func (w *ColWorkset[V]) NumPartitions() int { return len(w.idx) }
 func (w *ColWorkset[V]) Add(p int, idx int32, val V) {
 	w.idx[p] = append(w.idx[p], idx)
 	w.val[p] = append(w.val[p], val)
+	w.bump(p)
+}
+
+// Grow returns n writable entries past the end of partition p's
+// columns without changing their length: a caller fills a prefix of
+// them and keeps it with Commit. The entries lie past every capture's
+// view, so a shared partition may be grown too.
+func (w *ColWorkset[V]) Grow(p, n int) ([]int32, []V) {
+	at := len(w.idx[p])
+	w.idx[p], w.val[p] = slices.Grow(w.idx[p], n), slices.Grow(w.val[p], n)
+	return w.idx[p][at : at+n], w.val[p][at : at+n]
+}
+
+// Commit appends the first n entries the last Grow of partition p
+// returned, bumping the version once; n == 0 changes nothing.
+func (w *ColWorkset[V]) Commit(p, n int) {
+	if n == 0 {
+		return
+	}
+	at := len(w.idx[p])
+	w.idx[p], w.val[p] = w.idx[p][:at+n], w.val[p][:at+n]
 	w.bump(p)
 }
 

@@ -37,7 +37,7 @@ func colWorksetBytes(t *testing.T, w *ColWorkset[uint64]) []byte {
 	t.Helper()
 	var b []byte
 	for p := 0; p < w.NumPartitions(); p++ {
-		b = w.AppendPartitionBytes(b, p, colbytes.AppendU64)
+		b = w.AppendPartitionBytes(b, p, colbytes.AppendU64Vals)
 	}
 	return b
 }
@@ -132,8 +132,8 @@ func TestColWorksetReplacementUnshares(t *testing.T) {
 	pt := colWorksetParts(2)
 	restore := func(w *ColWorkset[uint64], parts ...int) error {
 		for _, p := range parts {
-			view := src.AppendPartitionBytes(nil, p, colbytes.AppendU64)
-			if err := w.RestorePartitionBytes(p, colbytes.NewReader(view), (*colbytes.Reader).U64, pt); err != nil {
+			view := src.AppendPartitionBytes(nil, p, colbytes.AppendU64Vals)
+			if err := w.RestorePartitionBytes(p, colbytes.NewReader(view), (*colbytes.Reader).U64Vals, pt); err != nil {
 				return err
 			}
 		}

@@ -161,6 +161,32 @@ func (s *DenseStore[V]) SetSlot(p int, slot int32, v V) {
 	s.markDirty(p, slot)
 }
 
+// SetIdx stores vals[i] for the vertex with dense index idx[i], every
+// one owned by partition p: one unshare and one version bump for the
+// lot, then each slot's value, presence, count and dirty mark. An empty
+// idx changes nothing, so a partition nothing is written to keeps its
+// version and its arrays stay shared with a capture.
+func (s *DenseStore[V]) SetIdx(p int, idx []int32, vals []V) {
+	if len(idx) == 0 {
+		return
+	}
+	s.unshare(p)
+	col, has, dirty, slot := s.vals[p], s.has[p], s.dirty[p], s.pt.Slot
+	for i, d := range idx {
+		sl := slot[d]
+		if !has[sl] {
+			has[sl] = true
+			s.count[p]++
+		}
+		if !dirty[sl] {
+			dirty[sl] = true
+			s.dirtyCount[p]++
+		}
+		col[sl] = vals[i]
+	}
+	s.bump(p)
+}
+
 // Column returns partition p's value and presence columns, indexed by
 // slot, for reading only: a capture may share them.
 func (s *DenseStore[V]) Column(p int) (vals []V, has []bool) {

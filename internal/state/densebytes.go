@@ -11,9 +11,10 @@ import (
 // Partition byte views: the one encoding of DenseStore and ColWorkset
 // state. A view is the dense column itself, dumped in slot order — a
 // u32 slot count, one presence byte per slot, then the present values
-// encoded by a caller-supplied element codec. Slot order is VertexID
-// order by construction, so two stores over the same partitioning
-// produce byte-identical views for equal contents. Hosted jobs ship
+// encoded by a caller-supplied column codec, one call per run of
+// present slots. Slot order is VertexID order by construction, so two
+// stores over the same partitioning produce byte-identical views for
+// equal contents. Hosted jobs ship
 // these views as worker state (DESIGN.md §2.9); the columnar jobs'
 // checkpoint blobs are the same views behind ViewTag.
 
@@ -60,31 +61,38 @@ func ReadPartitions(r *colbytes.Reader, n int, read func(p int) error) error {
 }
 
 // AppendPartitionBytes appends partition p's columns to dst, encoding
-// each present value with enc. It never fails: the view is complete
+// each run of present values with one call of enc, which appends a
+// column of values with no count. It never fails: the view is complete
 // by construction.
-func (s *DenseStore[V]) AppendPartitionBytes(dst []byte, p int, enc func([]byte, V) []byte) []byte {
+func (s *DenseStore[V]) AppendPartitionBytes(dst []byte, p int, enc func([]byte, []V) []byte) []byte {
 	has := s.has[p]
-	dst = colbytes.AppendU32(dst, uint32(len(has)))
-	for _, h := range has {
-		dst = colbytes.AppendBool(dst, h)
-	}
+	dst = colbytes.AppendBools(colbytes.AppendU32(dst, uint32(len(has))), has)
 	vals := s.vals[p]
-	for slot, h := range has {
-		if h {
-			dst = enc(dst, vals[slot])
-		}
+	for lo, hi := presentRun(has, 0); lo < len(has); lo, hi = presentRun(has, hi) {
+		dst = enc(dst, vals[lo:hi])
 	}
 	return dst
 }
 
+// presentRun returns the first run of present slots at or after from:
+// has[lo:hi] all true, lo = len(has) if there is none.
+func presentRun(has []bool, from int) (lo, hi int) {
+	for lo = from; lo < len(has) && !has[lo]; lo++ {
+	}
+	for hi = lo; hi < len(has) && has[hi]; hi++ {
+	}
+	return lo, hi
+}
+
 // RestorePartitionBytes replaces partition p's contents from a view
-// written by AppendPartitionBytes, decoding each present value with
-// dec. The slot count is validated against the partitioning up front,
-// and decoded columns are installed only after the whole view parses,
-// so a truncated or misrouted view fails without half-applying. A
+// written by AppendPartitionBytes, decoding each run of present values
+// with one call of dec, which fills a column from r. The slot count is
+// validated against the partitioning up front, and decoded columns are
+// installed only after the whole view parses, so a truncated or
+// misrouted view fails without half-applying. A
 // successful restore unshares the partition, bumps its version, and
 // marks it clean.
-func (s *DenseStore[V]) RestorePartitionBytes(p int, r *colbytes.Reader, dec func(*colbytes.Reader) V) error {
+func (s *DenseStore[V]) RestorePartitionBytes(p int, r *colbytes.Reader, dec func(*colbytes.Reader, []V)) error {
 	n, err := s.readSlotCount(p, r)
 	if err != nil {
 		return err
@@ -92,16 +100,14 @@ func (s *DenseStore[V]) RestorePartitionBytes(p int, r *colbytes.Reader, dec fun
 	vals := make([]V, n)
 	has := make([]bool, n)
 	count := 0
-	for slot := 0; slot < n; slot++ {
-		if r.Bool() {
+	for slot, b := range r.Raw(n, "presence") {
+		if b != 0 {
 			has[slot] = true
 			count++
 		}
 	}
-	for slot := 0; slot < n; slot++ {
-		if has[slot] {
-			vals[slot] = dec(r)
-		}
+	for lo, hi := presentRun(has, 0); lo < n && r.Err() == nil; lo, hi = presentRun(has, hi) {
+		dec(r, vals[lo:hi])
 	}
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("state: restoring store %q partition %d: %w", s.name, p, err)
@@ -132,7 +138,7 @@ func (s *DenseStore[V]) readSlotCount(p int, r *colbytes.Reader) (int, error) {
 
 // RestorePartitionView is RestorePartitionBytes over a view that must
 // hold exactly one partition: trailing bytes are an error too.
-func (s *DenseStore[V]) RestorePartitionView(p int, view []byte, dec func(*colbytes.Reader) V) error {
+func (s *DenseStore[V]) RestorePartitionView(p int, view []byte, dec func(*colbytes.Reader, []V)) error {
 	r := colbytes.NewReader(view)
 	if err := s.RestorePartitionBytes(p, r, dec); err != nil {
 		return err
@@ -146,10 +152,11 @@ func (s *DenseStore[V]) RestorePartitionView(p int, view []byte, dec func(*colby
 // AppendDeltaBytes appends partition p's changes since the last
 // MarkClean to dst: a cleared flag, then the full view of a cleared
 // partition, or else the slot count, the number of dirty slots and the
-// dirty slots in slot order as (u32 slot, value) pairs. Only SetSlot
-// marks a slot dirty, and it leaves the slot present, so a delta never
+// dirty slots in slot order as (u32 slot, value) pairs, each value
+// encoded by enc as a column of one. Only SetSlot, SetIdx and WriteAll
+// mark a slot dirty, and they leave it present, so a delta never
 // deletes.
-func (s *DenseStore[V]) AppendDeltaBytes(dst []byte, p int, enc func([]byte, V) []byte) []byte {
+func (s *DenseStore[V]) AppendDeltaBytes(dst []byte, p int, enc func([]byte, []V) []byte) []byte {
 	dst = colbytes.AppendBool(dst, s.cleared[p])
 	if s.cleared[p] {
 		return s.AppendPartitionBytes(dst, p, enc)
@@ -159,7 +166,7 @@ func (s *DenseStore[V]) AppendDeltaBytes(dst []byte, p int, enc func([]byte, V) 
 	for slot, dirty := range s.dirty[p] {
 		if dirty {
 			dst = colbytes.AppendU32(dst, uint32(slot))
-			dst = enc(dst, s.vals[p][slot])
+			dst = enc(dst, s.vals[p][slot:slot+1])
 		}
 	}
 	return dst
@@ -168,7 +175,7 @@ func (s *DenseStore[V]) AppendDeltaBytes(dst []byte, p int, enc func([]byte, V) 
 // RestoreDeltaBytes replays one partition's changes written by
 // AppendDeltaBytes. Slots must ascend; like RestorePartitionBytes,
 // nothing is applied unless the whole section parses.
-func (s *DenseStore[V]) RestoreDeltaBytes(p int, r *colbytes.Reader, dec func(*colbytes.Reader) V) error {
+func (s *DenseStore[V]) RestoreDeltaBytes(p int, r *colbytes.Reader, dec func(*colbytes.Reader, []V)) error {
 	if r.Bool() {
 		return s.RestorePartitionBytes(p, r, dec)
 	}
@@ -183,7 +190,8 @@ func (s *DenseStore[V]) RestoreDeltaBytes(p int, r *colbytes.Reader, dec func(*c
 	}
 	slots, vals := make([]uint32, n), make([]V, n)
 	for i := 0; i < n; i++ {
-		if slots[i], vals[i] = r.U32(), dec(r); r.Err() != nil {
+		slots[i] = r.U32()
+		if dec(r, vals[i:i+1]); r.Err() != nil {
 			break
 		}
 		if int(slots[i]) >= owned || (i > 0 && slots[i] <= slots[i-1]) {
@@ -206,22 +214,18 @@ func (s *DenseStore[V]) RestoreDeltaBytes(p int, r *colbytes.Reader, dec func(*c
 }
 
 // AppendPartitionBytes appends workset partition p to dst as an i32
-// index column and a value column encoded by enc — the layout of
-// exec.ColBatch.AppendColumns.
-func (w *ColWorkset[V]) AppendPartitionBytes(dst []byte, p int, enc func([]byte, V) []byte) []byte {
+// index column and a u32 count followed by the value column, which enc
+// encodes in one call — the layout of exec.ColBatch.AppendColumns.
+func (w *ColWorkset[V]) AppendPartitionBytes(dst []byte, p int, enc func([]byte, []V) []byte) []byte {
 	dst = colbytes.AppendI32s(dst, w.idx[p])
-	dst = colbytes.AppendU32(dst, uint32(len(w.val[p])))
-	for _, v := range w.val[p] {
-		dst = enc(dst, v)
-	}
-	return dst
+	return enc(colbytes.AppendU32(dst, uint32(len(w.val[p]))), w.val[p])
 }
 
 // RestorePartitionBytes replaces workset partition p from a view
 // written by AppendPartitionBytes. Every index must name a vertex that
 // pt assigns to p; the columns are installed, as fresh arrays, only
 // after the whole view parses.
-func (w *ColWorkset[V]) RestorePartitionBytes(p int, r *colbytes.Reader, dec func(*colbytes.Reader) V, pt *graph.Partitioning) error {
+func (w *ColWorkset[V]) RestorePartitionBytes(p int, r *colbytes.Reader, dec func(*colbytes.Reader, []V), pt *graph.Partitioning) error {
 	idx := r.I32s(nil)
 	n := int(r.U32())
 	if err := r.Err(); err != nil {
@@ -236,9 +240,7 @@ func (w *ColWorkset[V]) RestorePartitionBytes(p int, r *colbytes.Reader, dec fun
 		}
 	}
 	val := make([]V, n)
-	for i := range val {
-		val[i] = dec(r)
-	}
+	dec(r, val)
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("state: restoring workset %q partition %d: %w", w.name, p, err)
 	}

@@ -68,12 +68,12 @@ func byteViewCases(t testing.TB) []byteViewCase {
 	src := byteViewStore(t)
 	ws := byteViewWorkset(src)
 	base, cur := byteViewDelta(t)
-	u64 := (*colbytes.Reader).U64
+	u64 := (*colbytes.Reader).U64Vals
 	storeView := func(s *DenseStore[uint64]) func(int) []byte {
-		return func(p int) []byte { return s.AppendPartitionBytes(nil, p, colbytes.AppendU64) }
+		return func(p int) []byte { return s.AppendPartitionBytes(nil, p, colbytes.AppendU64Vals) }
 	}
 	worksetView := func(w *ColWorkset[uint64]) func(int) []byte {
-		return func(p int) []byte { return w.AppendPartitionBytes(nil, p, colbytes.AppendU64) }
+		return func(p int) []byte { return w.AppendPartitionBytes(nil, p, colbytes.AppendU64Vals) }
 	}
 	return []byteViewCase{{
 		name:  "dense",
@@ -97,7 +97,7 @@ func byteViewCases(t testing.TB) []byteViewCase {
 		want: worksetView(ws),
 	}, {
 		name:  "delta",
-		write: func(p int) []byte { return cur.AppendDeltaBytes(nil, p, colbytes.AppendU64) },
+		write: func(p int) []byte { return cur.AppendDeltaBytes(nil, p, colbytes.AppendU64Vals) },
 		newTarget: func() (func(int, *colbytes.Reader) error, func(int) []byte) {
 			dst := base.Snapshot()
 			return func(p int, r *colbytes.Reader) error { return dst.RestoreDeltaBytes(p, r, u64) }, storeView(dst)
@@ -110,9 +110,9 @@ func TestPartitionByteViewRoundTrip(t *testing.T) {
 	src := byteViewStore(t)
 	dst := NewDenseStore[uint64]("labels", src.d, src.pt)
 	for p := 0; p < src.NumPartitions(); p++ {
-		view := src.AppendPartitionBytes(nil, p, colbytes.AppendU64)
+		view := src.AppendPartitionBytes(nil, p, colbytes.AppendU64Vals)
 		ver := dst.Version(p)
-		if err := dst.RestorePartitionBytes(p, colbytes.NewReader(view), (*colbytes.Reader).U64); err != nil {
+		if err := dst.RestorePartitionBytes(p, colbytes.NewReader(view), (*colbytes.Reader).U64Vals); err != nil {
 			t.Fatalf("partition %d: %v", p, err)
 		}
 		if dst.Version(p) == ver {
@@ -131,8 +131,8 @@ func TestPartitionByteViewRoundTrip(t *testing.T) {
 	})
 	// Determinism: equal contents => byte-identical views.
 	for p := 0; p < src.NumPartitions(); p++ {
-		a := src.AppendPartitionBytes(nil, p, colbytes.AppendU64)
-		b := dst.AppendPartitionBytes(nil, p, colbytes.AppendU64)
+		a := src.AppendPartitionBytes(nil, p, colbytes.AppendU64Vals)
+		b := dst.AppendPartitionBytes(nil, p, colbytes.AppendU64Vals)
 		if string(a) != string(b) {
 			t.Errorf("partition %d: views differ after round-trip", p)
 		}
@@ -162,11 +162,11 @@ func TestPartitionByteViewRoundTrip(t *testing.T) {
 // untouched.
 func TestPartitionByteViewTruncation(t *testing.T) {
 	src := byteViewStore(t)
-	view := src.AppendPartitionBytes(nil, 0, colbytes.AppendU64)
+	view := src.AppendPartitionBytes(nil, 0, colbytes.AppendU64Vals)
 	for cut := 0; cut < len(view); cut++ {
 		dst := NewDenseStore[uint64]("labels", src.d, src.pt)
 		dst.Put(0, 999) // pre-existing entry that must survive a failed restore
-		if err := dst.RestorePartitionBytes(0, colbytes.NewReader(view[:cut]), (*colbytes.Reader).U64); err == nil {
+		if err := dst.RestorePartitionBytes(0, colbytes.NewReader(view[:cut]), (*colbytes.Reader).U64Vals); err == nil {
 			t.Fatalf("cut at %d: restore succeeded on a truncated view", cut)
 		}
 		if got, ok := dst.Get(0); !ok || got != 999 {
@@ -203,16 +203,16 @@ func TestPartitionByteViewWrongPartition(t *testing.T) {
 	}
 	d := b.Build().Dense()
 	other := NewDenseStore[uint64]("labels", d, d.Partitioning(2))
-	view := src.AppendPartitionBytes(nil, 0, colbytes.AppendU64)
-	err := other.RestorePartitionBytes(0, colbytes.NewReader(view), (*colbytes.Reader).U64)
+	view := src.AppendPartitionBytes(nil, 0, colbytes.AppendU64Vals)
+	err := other.RestorePartitionBytes(0, colbytes.NewReader(view), (*colbytes.Reader).U64Vals)
 	if err == nil || !strings.Contains(err.Error(), "slots") {
 		t.Fatalf("misrouted view: err = %v, want slot-count mismatch", err)
 	}
 
 	t.Run("delta", func(t *testing.T) {
 		_, cur := byteViewDelta(t)
-		view := cur.AppendDeltaBytes(nil, 0, colbytes.AppendU64)
-		err := other.RestoreDeltaBytes(0, colbytes.NewReader(view), (*colbytes.Reader).U64)
+		view := cur.AppendDeltaBytes(nil, 0, colbytes.AppendU64Vals)
+		err := other.RestoreDeltaBytes(0, colbytes.NewReader(view), (*colbytes.Reader).U64Vals)
 		if err == nil || !strings.Contains(err.Error(), "slots") {
 			t.Fatalf("misrouted delta: err = %v, want slot-count mismatch", err)
 		}
@@ -225,11 +225,11 @@ func TestPartitionByteViewWrongPartition(t *testing.T) {
 		foreign := NewColWorkset[uint64]("workset", 1)
 		foreign.Add(0, 1<<20, 1)
 		for name, view := range map[string][]byte{
-			"other partition":    ws.AppendPartitionBytes(nil, from, colbytes.AppendU64),
-			"index out of range": foreign.AppendPartitionBytes(nil, 0, colbytes.AppendU64),
+			"other partition":    ws.AppendPartitionBytes(nil, from, colbytes.AppendU64Vals),
+			"index out of range": foreign.AppendPartitionBytes(nil, 0, colbytes.AppendU64Vals),
 		} {
 			dst := NewColWorkset[uint64]("workset", src.NumPartitions())
-			err := dst.RestorePartitionBytes(to, colbytes.NewReader(view), (*colbytes.Reader).U64, src.pt)
+			err := dst.RestorePartitionBytes(to, colbytes.NewReader(view), (*colbytes.Reader).U64Vals, src.pt)
 			if err == nil || !strings.Contains(err.Error(), "not in the partition") {
 				t.Fatalf("%s: err = %v, want an ownership error", name, err)
 			}
@@ -247,8 +247,8 @@ func TestPartitionByteViewCOW(t *testing.T) {
 	src := byteViewStore(t)
 	empty := NewDenseStore[uint64]("labels", src.d, src.pt)
 	cap0 := empty.SnapshotShared()
-	view := src.AppendPartitionBytes(nil, 0, colbytes.AppendU64)
-	if err := empty.RestorePartitionBytes(0, colbytes.NewReader(view), (*colbytes.Reader).U64); err != nil {
+	view := src.AppendPartitionBytes(nil, 0, colbytes.AppendU64Vals)
+	if err := empty.RestorePartitionBytes(0, colbytes.NewReader(view), (*colbytes.Reader).U64Vals); err != nil {
 		t.Fatal(err)
 	}
 	if cap0.Len() != 0 {

@@ -160,14 +160,7 @@ type (
 	DenseStore[V any] = state.DenseStore[V]
 	// ColWorkset is a columnar delta-iteration workset.
 	ColWorkset[V any] = state.ColWorkset[V]
-	// Interner assigns dense integer IDs to strings so string-keyed
-	// workloads route and join on integers.
-	Interner = exec.Interner
 )
-
-// NewInterner returns an empty string interner with a lock-free read
-// path.
-func NewInterner() *Interner { return exec.NewInterner() }
 
 // NewGraphBuilder returns a builder for a directed or undirected graph.
 func NewGraphBuilder(directed bool) *GraphBuilder { return graph.NewBuilder(directed) }
