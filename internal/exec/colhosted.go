@@ -190,7 +190,7 @@ func (h *ColHosted[V]) expand(bufs [][][]byte, parts []int, keepLocal bool, out 
 			}
 		}
 	}
-	stats, err := h.engine.expandHalf(h.step, parts, func(src, dst int, b *ColBatch[V]) {
+	stats, err := h.engine.expandHalf(h.step, parts, nil, func(src, dst int, b *ColBatch[V]) {
 		bufs[src][dst] = b.AppendColumns(bufs[src][dst])
 	})
 	if err != nil {
