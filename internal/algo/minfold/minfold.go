@@ -160,15 +160,9 @@ func (j *Job[V]) Range(fn func(v graph.VertexID, val V) bool) {
 	j.vals.Range(func(k uint64, val V) bool { return fn(graph.VertexID(k), val) })
 }
 
-// source streams partition part's workset columns into the engine.
-func (j *Job[V]) source(part int, emit func(src int32, val V) bool) error {
-	idx, val := j.workset.Cols(part)
-	for i, src := range idx {
-		if !emit(src, val[i]) {
-			return nil
-		}
-	}
-	return nil
+// source hands the engine partition part's workset columns.
+func (j *Job[V]) source(part int) (exec.KeyCol, exec.ValCol[V]) {
+	return j.workset.Cols(part)
 }
 
 // apply is the update join of Fig. 1a on columns: one pass over the

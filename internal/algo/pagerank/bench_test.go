@@ -35,6 +35,23 @@ func benchSuperstep(b *testing.B, local bool) {
 	}
 }
 
+// BenchmarkRun times what one job of the ledger's pr-twitter-inproc
+// workload does: a fresh PageRank job on gen.Twitter(4000, 20150531)
+// over 4 partitions and 2 workers, built and run until a superstep
+// moves less than 4.7e-5 rank mass, and its ranks fetched. The
+// steady-step BenchmarkSuperstep leaves out the job's construction and
+// the loop around its supersteps, and reruns one warm engine; pair this
+// one with the ledger before calling a kernel change flat.
+func BenchmarkRun(b *testing.B) {
+	g := gen.Twitter(4000, 20150531)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(g, Options{Parallelism: 4, Workers: 2, Epsilon: 4.7e-5, MaxIterations: 200}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkHostedPairStep times one step of the same job split over two
 // hosts, partitions 0 and 2 on one and 1 and 3 on the other: both
 // hosts' fold and expand halves and the relay between them.

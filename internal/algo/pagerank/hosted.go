@@ -10,8 +10,8 @@ import (
 )
 
 // Hosted is the PageRank job as a worker process hosts it: the columnar
-// job of NewColumnar — same ColStep and scale column, same rank store,
-// same apply — restricted to the partitions the process owns, with the
+// job of NewColumnar — same ColStep and per-vertex 1/outdeg, same rank
+// store, same apply — restricted to the partitions the process owns, with the
 // superstep cut at the exchange (exec.ColHosted, whose Commit and Abort
 // end an attempt). A hosted step folds the contributions the previous
 // step's expansion produced into new ranks, then expands those; a

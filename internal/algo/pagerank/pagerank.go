@@ -7,17 +7,19 @@
 // converges to the correct result without checkpoints.
 //
 // There is one PageRank job. It runs on the typed columnar superstep
-// engine: ranks live in a dense column store, rank contributions travel
-// as float64 columns expanded with a precomputed per-edge scale column
-// (weight / total outgoing weight, the find-neighbors join collapsed
-// into one multiply), and contributions add into the engine's dense sum
-// fold, whose Apply writes the new ranks. FigurePlan renders Fig. 1b.
+// engine: ranks live in a dense column store; the find-neighbors join
+// is one multiply per vertex, its rank times a precomputed 1/outdeg (1/Σw
+// on a weighted graph), whose product the engine sends along every
+// out-edge (times the edge weight, if any); and contributions add into
+// the engine's dense sum fold, whose Apply writes the new ranks.
+// FigurePlan renders Fig. 1b.
 package pagerank
 
 import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"optiflow/internal/checkpoint"
@@ -51,6 +53,15 @@ type PR struct {
 	base, share, l1 float64
 
 	danglingIdx []int32 // this process's vertices with no out-edges, ascending
+
+	// inv[v] is what vertex v sends per unit of rank along each
+	// out-edge, before the edge weight: 1/outdeg, 1/Σw on a weighted
+	// graph, 0 for a sink or a total weight ≤ 0, whose rank flows
+	// nowhere. srcIdx and srcVal are the columns source fills, sized at
+	// build for the largest partition this process computes.
+	inv    []float64
+	srcIdx []int32
+	srcVal []float64
 
 	compensation Compensation
 
@@ -90,9 +101,9 @@ func newPR(g *graph.Graph, parallelism int, damping float64, parts []int) *PR {
 			parts = append(parts, p)
 		}
 	}
-	mine := make([]bool, parallelism)
+	mine, rows := make([]bool, parallelism), 0
 	for _, p := range parts {
-		mine[p] = true
+		mine[p], rows = true, max(rows, len(pt.Owned[p]))
 	}
 	pr := &PR{
 		d:       d,
@@ -102,45 +113,31 @@ func newPR(g *graph.Graph, parallelism int, damping float64, parts []int) *PR {
 		damping: damping,
 		ranks:   state.NewDenseStore[float64]("ranks", d, pt),
 		lastL1:  math.Inf(1),
+		inv:     make([]float64, d.NumVertices()),
+		srcIdx:  make([]int32, rows),
+		srcVal:  make([]float64, rows),
 	}
-	nv := d.NumVertices()
 	offsets, weights := d.Offsets, d.Weights
-	// The per-edge scale column: contribution fraction per out-edge.
-	// Unweighted edges split rank uniformly over the out-degree.
-	scale := make([]float64, len(d.Targets))
-	for i := 0; i < nv; i++ {
+	for i := range pr.inv {
 		lo, hi := offsets[i], offsets[i+1]
-		if lo == hi {
-			if mine[pt.PartOf[i]] {
-				pr.danglingIdx = append(pr.danglingIdx, int32(i))
+		if lo == hi && mine[pt.PartOf[i]] {
+			pr.danglingIdx = append(pr.danglingIdx, int32(i))
+		}
+		total := float64(hi - lo)
+		if weights != nil {
+			total = 0
+			for _, w := range weights[lo:hi] {
+				total += w
 			}
-			continue
 		}
-		if weights == nil {
-			s := 1 / float64(hi-lo)
-			for j := lo; j < hi; j++ {
-				scale[j] = s
-			}
-			continue
-		}
-		total := 0.0
-		for j := lo; j < hi; j++ {
-			total += weights[j]
-		}
-		if total <= 0 {
-			// Degenerate weights: no mass flows; the zero scales leave
-			// such a vertex contributing nothing.
-			continue
-		}
-		for j := lo; j < hi; j++ {
-			scale[j] = weights[j] / total
+		if total > 0 {
+			pr.inv[i] = 1 / total
 		}
 	}
 	pr.step = &exec.ColStep[float64]{
 		Adj:    d,
 		Parts:  pt,
-		Expand: exec.ExpandMulScale,
-		Scale:  scale,
+		Expand: exec.ExpandMulWeight,
 		Fold:   exec.FoldSum,
 		Source: pr.source,
 		Apply:  pr.apply,
@@ -199,15 +196,27 @@ func (pr *PR) ConvergedCount(truth map[graph.VertexID]float64, eps float64) int 
 	return n
 }
 
-// source streams partition part's rank column into the expansion.
-func (pr *PR) source(part int, emit func(src int32, val float64) bool) error {
+// source is find-neighbors' vertex half: it returns every present slot
+// of partition part with what it sends along each out-edge, its rank
+// times inv — the partition's own index column and srcVal when every
+// slot is present, else the present ones compacted into the scratch.
+func (pr *PR) source(part int) (exec.KeyCol, exec.ValCol[float64]) {
+	owned := pr.pt.Owned[part]
 	ranks, has := pr.ranks.Column(part)
-	for slot, idx := range pr.pt.Owned[part] {
-		if has[slot] && !emit(idx, ranks[slot]) {
-			return nil
+	val, inv := pr.srcVal[:len(owned)], pr.inv
+	for slot, v := range owned {
+		val[slot] = ranks[slot] * inv[v]
+	}
+	if !slices.Contains(has, false) {
+		return owned, val
+	}
+	idx := pr.srcIdx[:0]
+	for slot, v := range owned {
+		if has[slot] {
+			val[len(idx)], idx = val[slot], append(idx, v)
 		}
 	}
-	return nil
+	return idx, val[:len(idx)]
 }
 
 // beginFold sets apply's teleport base and share of danglingMass, the

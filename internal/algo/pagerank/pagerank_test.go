@@ -267,3 +267,37 @@ func TestMidStepFailuresUnderAllPoliciesProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSourceSkipsAbsentSlots steps a job one of whose rank partitions
+// was cleared: its vertices send nothing, so the step counts only the
+// other partitions' out-edges, and the ranks it writes equal, bit for
+// bit, those of a twin whose partition holds rank 0 instead — which
+// sends zeros along the same edges. The source compacts a partition
+// with absent slots; a full one it hands over whole.
+func TestSourceSkipsAbsentSlots(t *testing.T) {
+	g := gen.Twitter(300, 7)
+	pr, twin := NewColumnar(g, 4, 0.85, nil), NewColumnar(g, 4, 0.85, nil)
+	pr.ClearPartitions([]int{1})
+	twin.fill([]int{1}, 0)
+	var want int64
+	for _, idx := range pr.pt.Owned[1] {
+		want += int64(pr.d.Degree(idx))
+	}
+	got, err := pr.Step(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := twin.Step(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want == 0 || full.Messages-got.Messages != want {
+		t.Fatalf("the step sent %d messages, a full one %d: want %d fewer", got.Messages, full.Messages, want)
+	}
+	ranks := twin.RankVector()
+	for v, r := range pr.RankVector() {
+		if math.Float64bits(r) != math.Float64bits(ranks[v]) {
+			t.Fatalf("vertex %d: rank %v, the twin's %v", v, r, ranks[v])
+		}
+	}
+}

@@ -27,7 +27,7 @@ func hostedFixture(t testing.TB) (h *ColHosted[uint64], applied map[int32]uint64
 	applied = map[int32]uint64{}
 	step := &ColStep[uint64]{
 		Adj: d, Parts: pt, Expand: ExpandCopy, Fold: FoldMin,
-		Source: func(int, func(int32, uint64) bool) error { return nil },
+		Source: func(int) (KeyCol, ValCol[uint64]) { return nil, nil },
 		Apply: func(_ int, dst KeyCol, val ValCol[uint64]) error {
 			for i, d := range dst {
 				applied[d] = val[i]
@@ -140,11 +140,11 @@ func FuzzColHostedFold(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src, dst int, cols []byte) {
 		host := func() (*ColHosted[uint64], map[int32]uint64) {
 			h, applied, mine, _ := hostedFixture(t)
-			h.step.Source = func(part int, emit func(int32, uint64) bool) error {
+			h.step.Source = func(part int) (KeyCol, ValCol[uint64]) {
 				if part == 0 {
-					emit(mine, 5)
+					return KeyCol{mine}, ValCol[uint64]{5}
 				}
-				return nil
+				return nil, nil
 			}
 			h.Begin(func() {})
 			if err := h.Expand(&HostedOut{}); err != nil {
@@ -198,16 +198,16 @@ func TestColHostedReexpandAppends(t *testing.T) {
 	h, applied, _, _ := hostedFixture(t)
 	d := h.step.Adj
 	pt := h.step.Parts
-	// active lists what Source emits: (vertex index, label) rows of
+	// active lists what Source returns: (vertex index, label) rows of
 	// partition 0.
 	var active [][2]int32
-	h.step.Source = func(part int, emit func(int32, uint64) bool) error {
+	h.step.Source = func(part int) (idx KeyCol, val ValCol[uint64]) {
 		for _, row := range active {
-			if part == 0 && !emit(row[0], uint64(row[1])) {
-				break
+			if part == 0 {
+				idx, val = append(idx, row[0]), append(val, uint64(row[1]))
 			}
 		}
-		return nil
+		return idx, val
 	}
 	// Two vertices of partition 0, one with an out-edge staying in it and
 	// one with an out-edge leaving it.

@@ -25,8 +25,8 @@ import (
 // the order it sees them — under FoldSum only the nonzero sums, the
 // rows a sparse fold would have applied — so the bytes depend on both
 // the local fold's emission order and the fold's Apply order (float
-// sums are order-sensitive).
-func hostedExpandBytes[V ColValue](t *testing.T, g *graph.Graph, expand ExpandKind, fold FoldKind, init func(idx int32) V) []byte {
+// sums are order-sensitive). A row with value v sends send(src, v).
+func hostedExpandBytes[V ColValue](t *testing.T, g *graph.Graph, expand ExpandKind, fold FoldKind, init func(idx int32) V, send func(src int32, v V) V) []byte {
 	t.Helper()
 	const nparts = 4
 	d := g.Dense()
@@ -44,13 +44,12 @@ func hostedExpandBytes[V ColValue](t *testing.T, g *graph.Graph, expand ExpandKi
 	}
 	step := &ColStep[V]{
 		Adj: d, Parts: pt, Expand: expand, Fold: fold, LocalFold: true,
-		Source: func(part int, emit func(int32, V) bool) error {
+		Source: func(part int) (KeyCol, ValCol[V]) {
+			sent := make(ValCol[V], len(cur[part].idx))
 			for i, src := range cur[part].idx {
-				if !emit(src, cur[part].val[i]) {
-					return nil
-				}
+				sent[i] = send(src, cur[part].val[i])
 			}
-			return nil
+			return cur[part].idx, sent
 		},
 		Apply: func(part int, dst KeyCol, val ValCol[V]) error {
 			for i, d := range dst {
@@ -64,14 +63,6 @@ func hostedExpandBytes[V ColValue](t *testing.T, g *graph.Graph, expand ExpandKi
 			}
 			return nil
 		},
-	}
-	if expand == ExpandMulScale {
-		step.Scale = make([]float64, len(d.Targets))
-		for v := int32(0); int(v) < d.NumVertices(); v++ {
-			for j := d.Offsets[v]; j < d.Offsets[v+1]; j++ {
-				step.Scale[j] = 1 / float64(d.Degree(v))
-			}
-		}
 	}
 	parts := []int{0, 1, 2, 3}
 	h := NewColHosted(&ColEngine[V]{Parallelism: nparts}, step, parts)
@@ -130,15 +121,19 @@ func checkColGolden(t *testing.T, name string, got []byte) {
 
 // TestColHostedExpandBytesGolden pins the per-(src, dst) Expand columns
 // of a LocalFold hosted run, byte for byte, on a PageRank-shaped step
-// (float sums over a Twitter graph) and a CC-shaped one (min labels
-// over a grid). Regenerate with OPTIFLOW_UPDATE_GOLDEN=1 only after a
-// deliberate change to the exchange's row order.
+// (float sums over a Twitter graph, a row sending its value times one
+// over its out-degree) and a CC-shaped one (min labels over a grid).
+// Regenerate with OPTIFLOW_UPDATE_GOLDEN=1 only after a deliberate
+// change to the exchange's row order.
 func TestColHostedExpandBytesGolden(t *testing.T) {
 	tw := gen.Twitter(300, 7)
-	checkColGolden(t, "hosted_twitter_pr", hostedExpandBytes(t, tw, ExpandMulScale, FoldSum,
-		func(int32) float64 { return 1 / 300.0 }))
+	d := tw.Dense()
+	checkColGolden(t, "hosted_twitter_pr", hostedExpandBytes(t, tw, ExpandMulWeight, FoldSum,
+		func(int32) float64 { return 1 / 300.0 },
+		func(src int32, v float64) float64 { return v * (1 / float64(d.Degree(src))) }))
 	checkColGolden(t, "hosted_grid_cc", hostedExpandBytes(t, gen.Grid(8, 8), ExpandCopy, FoldMin,
-		func(i int32) uint64 { return uint64(i*37%64 + 1) }))
+		func(i int32) uint64 { return uint64(i*37%64 + 1) },
+		func(_ int32, v uint64) uint64 { return v }))
 }
 
 // TestLocalSumScratchResetLeavesZero runs FoldSum LocalFold supersteps
@@ -151,23 +146,18 @@ func TestColHostedExpandBytesGolden(t *testing.T) {
 func TestLocalSumScratchResetLeavesZero(t *testing.T) {
 	d := gen.Twitter(300, 7).Dense()
 	pt := d.Partitioning(4)
-	scale := make([]float64, len(d.Targets))
-	for v := range int32(d.NumVertices()) {
-		for j := d.Offsets[v]; j < d.Offsets[v+1]; j++ {
-			scale[j] = 1 / float64(d.Degree(v))
+	// Each partition's vertices send PageRank-like contributions, a value
+	// times one over the out-degree.
+	vals := make([][]float64, len(pt.Owned))
+	for p, owned := range pt.Owned {
+		for _, src := range owned {
+			vals[p] = append(vals[p], (float64(src%7)+0.1)*(1/float64(d.Degree(src))))
 		}
 	}
 	applied := map[int32]uint64{}
 	step := &ColStep[float64]{
-		Adj: d, Parts: pt, Expand: ExpandMulScale, Scale: scale, Fold: FoldSum, LocalFold: true,
-		Source: func(part int, emit func(int32, float64) bool) error {
-			for _, src := range pt.Owned[part] {
-				if !emit(src, float64(src%7)+0.1) {
-					return nil
-				}
-			}
-			return nil
-		},
+		Adj: d, Parts: pt, Expand: ExpandMulWeight, Fold: FoldSum, LocalFold: true,
+		Source: colSource(pt.Owned, vals),
 		Apply: func(_ int, dst KeyCol, val ValCol[float64]) error {
 			for i, d := range dst {
 				applied[d] = math.Float64bits(val[i])
@@ -185,7 +175,7 @@ func TestLocalSumScratchResetLeavesZero(t *testing.T) {
 		if i := slices.IndexFunc(e.lacc, func(v float64) bool { return math.Float64bits(v) != 0 }); i >= 0 {
 			t.Fatalf("%s: local-fold scratch holds %v at %d", what, e.lacc[i], i)
 		}
-		if i := slices.Index(e.lseen, true); i >= 0 {
+		if i := slices.Index(e.lseen, 1); i >= 0 {
 			t.Fatalf("%s: local-fold scratch still marks %d", what, i)
 		}
 	}

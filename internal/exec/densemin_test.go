@@ -36,13 +36,13 @@ func TestDenseMinAppliesAscendingReached(t *testing.T) {
 	var vals [parts][]uint64
 	step := &ColStep[uint64]{
 		Adj: d, Parts: pt, Expand: ExpandCopy, Fold: FoldMin,
-		Source: func(part int, emit func(int32, uint64) bool) error {
+		Source: func(part int) (idx KeyCol, val ValCol[uint64]) {
 			for _, src := range active {
-				if int(pt.PartOf[src]) == part && !emit(src, label(src)) {
-					return nil
+				if int(pt.PartOf[src]) == part {
+					idx, val = append(idx, src), append(val, label(src))
 				}
 			}
-			return nil
+			return idx, val
 		},
 		Apply: func(part int, dst KeyCol, val ValCol[uint64]) error {
 			applied[part] = append(applied[part], dst...)
@@ -119,17 +119,16 @@ func TestDenseMinAppliesAscendingReached(t *testing.T) {
 func TestDenseMinScratchResetLeavesZero(t *testing.T) {
 	d := gen.Twitter(300, 7).Dense()
 	pt := d.Partitioning(4)
+	vals := make([][]uint64, len(pt.Owned))
+	for p, owned := range pt.Owned {
+		for _, src := range owned {
+			vals[p] = append(vals[p], uint64(src%97))
+		}
+	}
 	applied := map[int32]uint64{}
 	step := &ColStep[uint64]{
 		Adj: d, Parts: pt, Expand: ExpandCopy, Fold: FoldMin,
-		Source: func(part int, emit func(int32, uint64) bool) error {
-			for _, src := range pt.Owned[part] {
-				if !emit(src, uint64(src%97)) {
-					return nil
-				}
-			}
-			return nil
-		},
+		Source: colSource(pt.Owned, vals),
 		Apply: func(_ int, dst KeyCol, val ValCol[uint64]) error {
 			for i, d := range dst {
 				applied[d] = val[i]
@@ -147,7 +146,7 @@ func TestDenseMinScratchResetLeavesZero(t *testing.T) {
 		if i := slices.IndexFunc(e.lacc, func(v uint64) bool { return v != 0 }); i >= 0 {
 			t.Fatalf("%s: local-fold scratch holds %d at %d", what, e.lacc[i], i)
 		}
-		if i := slices.Index(e.lseen, true); i >= 0 {
+		if i := slices.Index(e.lseen, 1); i >= 0 {
 			t.Fatalf("%s: local-fold scratch still marks %d", what, i)
 		}
 		if i := slices.IndexFunc(e.reached, func(m byte) bool { return m != 0 }); i >= 0 {
@@ -251,33 +250,19 @@ func denseMinReference[V ColValue](t *testing.T, values []V) {
 		}
 		d := b.Build().Dense()
 		pt := d.Partitioning(parts)
-		scale := make([]float64, len(d.Targets))
-		for j := range scale {
-			scale[j] = float64(rng.Intn(2)+1) / 2
-		}
-		type row struct {
-			src int32
-			val V
-		}
-		rows := make([][]row, parts)
+		idx, vals := make([][]int32, parts), make([][]V, parts)
 		for p, owned := range pt.Owned {
 			for i := 0; i < 2*len(owned); i++ {
-				rows[p] = append(rows[p], row{owned[rng.Intn(len(owned))], values[rng.Intn(len(values))]})
+				idx[p] = append(idx[p], owned[rng.Intn(len(owned))])
+				vals[p] = append(vals[p], values[rng.Intn(len(values))])
 			}
 		}
-		for _, expand := range []ExpandKind{ExpandCopy, ExpandAddWeight, ExpandMulScale} {
+		for _, expand := range []ExpandKind{ExpandCopy, ExpandAddWeight, ExpandMulWeight} {
 			t.Run(fmt.Sprintf("weighted=%v/expand=%d", weighted, expand), func(t *testing.T) {
 				var applied [parts][]update
 				step := &ColStep[V]{
-					Adj: d, Parts: pt, Expand: expand, Scale: scale, Fold: FoldMin,
-					Source: func(p int, emit func(int32, V) bool) error {
-						for _, r := range rows[p] {
-							if !emit(r.src, r.val) {
-								break
-							}
-						}
-						return nil
-					},
+					Adj: d, Parts: pt, Expand: expand, Fold: FoldMin,
+					Source: colSource(idx, vals),
 					Apply: func(p int, dst KeyCol, val ValCol[V]) error {
 						for i, d := range dst {
 							applied[p] = append(applied[p], update{d, valBits(val[i])})
@@ -294,16 +279,16 @@ func denseMinReference[V ColValue](t *testing.T, values []V) {
 				direct, merged := map[int32]V{}, map[int32]V{}
 				for p := range all {
 					perSource[p] = map[int32]V{}
-					for _, r := range rows[p] {
-						for j := d.Offsets[r.src]; j < d.Offsets[r.src+1]; j++ {
-							v := r.val
+					for i, src := range idx[p] {
+						for j := d.Offsets[src]; j < d.Offsets[src+1]; j++ {
+							v := vals[p][i]
 							switch {
 							case expand == ExpandAddWeight && d.Weights != nil:
 								v += V(d.Weights[j])
 							case expand == ExpandAddWeight:
 								v += V(1)
-							case expand == ExpandMulScale:
-								v *= V(scale[j])
+							case expand == ExpandMulWeight && d.Weights != nil:
+								v *= V(d.Weights[j])
 							}
 							foldInto(perSource[p], d.Targets[j], v)
 							foldInto(direct, d.Targets[j], v)

@@ -148,7 +148,9 @@ type (
 	// partitions, inline on the caller's goroutine.
 	ColEngine[V ColValue] = exec.ColEngine[V]
 	// ColStep describes one columnar superstep (source rows -> CSR edge
-	// expansion -> hash exchange -> monotone fold -> apply).
+	// expansion -> hash exchange -> monotone fold -> apply). Its Source
+	// hands the engine a partition's rows as two borrowed columns,
+	// expanded in order until the next Source call.
 	ColStep[V ColValue] = exec.ColStep[V]
 	// ColStats reports what a columnar superstep did.
 	ColStats = exec.ColStats
