@@ -9,7 +9,7 @@
 //	optiflow-graph stats -type grid -n 30 -m 30
 //	optiflow-graph convert -directed < raw.el > normalised.el
 //	optiflow-graph plan -name cc-figure
-//	optiflow-graph plan -name cc-bulk-step -format dot
+//	optiflow-graph plan -name vertexcentric-step -format dot
 //	optiflow-graph plan -list
 package main
 

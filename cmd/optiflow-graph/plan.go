@@ -20,15 +20,11 @@ import (
 // in-plan compensation operators; step plans are the per-superstep
 // plans the exec.Engine jobs actually execute, built on the demo graph
 // (or a small synthetic input) so they can be rendered without any
-// data. Delta CC and PageRank run on exec.ColEngine, which has no plan
-// to render; their dataflow is the figure.
+// data. CC (delta and bulk) and PageRank run on exec.ColEngine, which
+// has no plan to render; their dataflow is the figure.
 var planBuilders = map[string]func(par int) *dataflow.Plan{
 	"cc-figure":       func(int) *dataflow.Plan { return cc.FigurePlan() },
 	"pagerank-figure": func(int) *dataflow.Plan { return pagerank.FigurePlan() },
-	"cc-bulk-step": func(par int) *dataflow.Plan {
-		g, _ := gen.Demo()
-		return cc.NewBulk(g, par).StepPlan()
-	},
 	"kmeans-step": func(par int) *dataflow.Plan {
 		data := []kmeans.Point{{0, 0}, {0, 1}, {1, 0}, {10, 10}, {10, 11}, {11, 10}}
 		km, err := kmeans.New(data, kmeans.Config{K: 2, Parallelism: par})

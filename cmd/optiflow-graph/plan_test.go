@@ -25,7 +25,7 @@ func TestRenderPlanAllNamesAllFormats(t *testing.T) {
 func TestRenderPlanCarriesDiagnostics(t *testing.T) {
 	// Step plans declare external compensation; the Info diagnostic must
 	// surface in the rendered output so the tool is a lint viewer too.
-	out, err := renderPlan("cc-bulk-step", "explain", 2)
+	out, err := renderPlan("vertexcentric-step", "explain", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,8 +35,9 @@ func TestRenderPlanCarriesDiagnostics(t *testing.T) {
 }
 
 func TestRenderPlanErrors(t *testing.T) {
-	// cc-step and pagerank-step left with the boxed runtime they rendered.
-	for _, name := range []string{"no-such-plan", "cc-step", "pagerank-step"} {
+	// cc-step, pagerank-step and cc-bulk-step left with the boxed runtime
+	// they rendered.
+	for _, name := range []string{"no-such-plan", "cc-step", "pagerank-step", "cc-bulk-step"} {
 		if _, err := renderPlan(name, "explain", 2); err == nil {
 			t.Fatalf("unknown plan name %q did not error", name)
 		}

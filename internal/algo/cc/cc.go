@@ -10,8 +10,8 @@
 // There is one CC job: the min-fold delta iteration of
 // internal/algo/minfold, which SSSP shares, instantiated with
 // ExpandCopy and "every vertex starts active, labelled with its own ID".
-// FigurePlan renders Fig. 1a; BulkCC (bulk.go) is the §2.1
-// bulk-iteration baseline on exec.Engine.
+// NewBulk runs the same job as the §2.1 bulk-iteration baseline, every
+// vertex active in every superstep. FigurePlan renders Fig. 1a.
 package cc
 
 import (
@@ -45,6 +45,16 @@ func kernel(g *graph.Graph) minfold.Kernel[uint64] {
 // ID) and the initial workset equals the labels input (§2.2.1).
 func NewColumnar(g *graph.Graph, parallelism int) *CC {
 	return &CC{minfold.New(kernel(g), g, parallelism)}
+}
+
+// NewBulk prepares Connected Components as a bulk iteration (§2.1): the
+// job of NewColumnar with every vertex active in every superstep, so
+// each superstep recomputes every label, converged or not, and the run
+// stops after the first superstep that changes none.
+func NewBulk(g *graph.Graph, parallelism int) *CC {
+	k := kernel(g)
+	k.Name += "-bulk"
+	return &CC{minfold.NewBulk(k, g, parallelism)}
 }
 
 // Components materialises the solution set as a map.

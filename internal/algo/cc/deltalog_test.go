@@ -107,13 +107,3 @@ func TestDeltaCheckpointDiskStore(t *testing.T) {
 		t.Fatal("disk store wrote no chain")
 	}
 }
-
-func TestDeltaCheckpointRejectsNonDeltaJobs(t *testing.T) {
-	g := gen.Grid(4, 4)
-	pol := recovery.NewDeltaCheckpoint(1, checkpoint.NewMemoryStore())
-	// BulkCC does not implement DeltaJob.
-	_, err := RunBulk(g, Options{Parallelism: 2, Policy: pol})
-	if err == nil {
-		t.Fatal("non-delta job accepted")
-	}
-}

@@ -66,9 +66,15 @@ type Result struct {
 
 // Run executes Connected Components on g until the workset drains,
 // recovering from injected failures per the configured policy.
-func Run(g *graph.Graph, opts Options) (*Result, error) {
+func Run(g *graph.Graph, opts Options) (*Result, error) { return run(NewColumnar, g, opts) }
+
+// RunBulk executes bulk-iteration Connected Components (NewBulk) until
+// a superstep changes no label.
+func RunBulk(g *graph.Graph, opts Options) (*Result, error) { return run(NewBulk, g, opts) }
+
+func run(newJob func(*graph.Graph, int) *CC, g *graph.Graph, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
-	job := NewColumnar(g, opts.Parallelism)
+	job := newJob(g, opts.Parallelism)
 	cl := opts.Cluster
 	if cl == nil {
 		var clOpts []cluster.Option

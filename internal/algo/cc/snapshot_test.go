@@ -234,16 +234,15 @@ func FuzzRestoreSnapshot(f *testing.F) {
 }
 
 // TestMidStepAbortLeavesSnapshotUnchanged strikes a mid-step fault in
-// every superstep of a CC run — after no message, after half the
-// superstep's messages and after all but one — and demands that each
-// aborted attempt leaves the SnapshotTo bytes as they were: the fault
-// strikes during the expansion, before any Apply lowers a label, so an
-// aborted attempt has nothing to reconcile. A threshold of all the
-// superstep's messages is never crossed: that attempt completes and
-// must equal a twin job stepping without faults.
+// every superstep of a CC run, delta and bulk — after no message, after
+// half the superstep's messages and after all but one — and demands
+// that each aborted attempt leaves the SnapshotTo bytes as they were:
+// the fault strikes during the expansion, before any Apply lowers a
+// label, so an aborted attempt has nothing to reconcile. A threshold of
+// all the superstep's messages is never crossed: that attempt completes
+// and must equal a twin job stepping without faults.
 func TestMidStepAbortLeavesSnapshotUnchanged(t *testing.T) {
 	g := gen.Twitter(400, 1)
-	j, twin := NewColumnar(g, 4), NewColumnar(g, 4)
 	snapshot := func(j *CC) []byte {
 		var buf bytes.Buffer
 		if err := j.SnapshotTo(&buf); err != nil {
@@ -254,29 +253,34 @@ func TestMidStepAbortLeavesSnapshotUnchanged(t *testing.T) {
 	faultAfter := func(n int64) *iterate.Context {
 		return &iterate.Context{Fault: &exec.FaultInjection{Workers: []int{1}, Partitions: []int{1}, AfterRecords: n}}
 	}
-	for step := 1; twin.WorksetLen() > 0; step++ {
-		stats, err := twin.Step(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, before := stats.Messages, snapshot(j)
-		for _, after := range []int64{0, m / 2, m - 1} {
-			if after < 0 {
-				continue
+	for name, newJob := range map[string]func(*graph.Graph, int) *CC{"delta": NewColumnar, "bulk": NewBulk} {
+		t.Run(name, func(t *testing.T) {
+			j, twin := newJob(g, 4), newJob(g, 4)
+			for step := 1; twin.WorksetLen() > 0; step++ {
+				stats, err := twin.Step(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, before := stats.Messages, snapshot(j)
+				for _, after := range []int64{0, m / 2, m - 1} {
+					if after < 0 {
+						continue
+					}
+					var wf *exec.WorkerFailure
+					if _, err := j.Step(faultAfter(after)); !errors.As(err, &wf) {
+						t.Fatalf("superstep %d, fault after %d of %d messages: err = %v, want a worker failure", step, after, m, err)
+					}
+					if !bytes.Equal(snapshot(j), before) {
+						t.Fatalf("superstep %d, fault after %d of %d messages: the aborted attempt changed the snapshot", step, after, m)
+					}
+				}
+				if _, err := j.Step(faultAfter(m)); err != nil {
+					t.Fatalf("superstep %d: a fault after all %d messages struck: %v", step, m, err)
+				}
+				if !bytes.Equal(snapshot(j), snapshot(twin)) {
+					t.Fatalf("superstep %d: snapshot differs from the twin's", step)
+				}
 			}
-			var wf *exec.WorkerFailure
-			if _, err := j.Step(faultAfter(after)); !errors.As(err, &wf) {
-				t.Fatalf("superstep %d, fault after %d of %d messages: err = %v, want a worker failure", step, after, m, err)
-			}
-			if !bytes.Equal(snapshot(j), before) {
-				t.Fatalf("superstep %d, fault after %d of %d messages: the aborted attempt changed the snapshot", step, after, m)
-			}
-		}
-		if _, err := j.Step(faultAfter(m)); err != nil {
-			t.Fatalf("superstep %d: a fault after all %d messages struck: %v", step, m, err)
-		}
-		if !bytes.Equal(snapshot(j), snapshot(twin)) {
-			t.Fatalf("superstep %d: snapshot differs from the twin's", step)
-		}
+		})
 	}
 }

@@ -6,7 +6,9 @@
 // supplies — a name, the Expand kernel (CC copies its label, SSSP adds
 // the edge weight) and each vertex's initial value — so the job, every
 // snapshot capability and the fix-components compensation exist once,
-// here.
+// here. NewBulk runs the same job as a bulk iteration: every vertex is
+// active in every superstep, as a bulk iteration is an incremental one
+// whose workset is every vertex.
 //
 // The job runs on the typed columnar superstep engine: values live in a
 // dense per-partition column store, the workset is two parallel
@@ -62,6 +64,9 @@ type Job[V exec.ColValue] struct {
 
 	// updates counts value changes per partition for step stats.
 	updates []int64
+	// bulk makes every vertex active again after each superstep that
+	// lowered a value and after each compensation (NewBulk).
+	bulk bool
 }
 
 // New prepares a run of k on g with the given parallelism, every vertex
@@ -71,6 +76,16 @@ func New[V exec.ColValue](k Kernel[V], g *graph.Graph, parallelism int) *Job[V] 
 		parallelism = 1
 	}
 	return newJob(k, g, parallelism, nil)
+}
+
+// NewBulk is New as a bulk iteration (§2.1): after every superstep that
+// lowers a value, and after a compensation, every vertex is active, so
+// each superstep recomputes the whole solution set. A superstep that
+// lowers nothing leaves the workset empty, and the run stops there.
+func NewBulk[V exec.ColValue](k Kernel[V], g *graph.Graph, parallelism int) *Job[V] {
+	j := New(k, g, parallelism)
+	j.bulk = true
+	return j
 }
 
 // newJob builds the job over the listed partitions of g (nil means all
@@ -213,7 +228,11 @@ func (j *Job[V]) Step(ctx *iterate.Context) (iterate.StepStats, error) {
 		// %w keeps *exec.WorkerFailure visible to the iteration driver.
 		return iterate.StepStats{}, fmt.Errorf("%s: superstep: %w", j.name, err)
 	}
-	return iterate.StepStats{Messages: stats.Messages, Updates: j.advance()}, nil
+	updates := j.advance()
+	if j.bulk && updates > 0 {
+		j.reactivate()
+	}
+	return iterate.StepStats{Messages: stats.Messages, Updates: updates}, nil
 }
 
 // advance commits a completed fold: the vertices it lowered become the
@@ -288,9 +307,14 @@ func (j *Job[V]) ClearPartitions(parts []int) {
 // function of Fig. 1a: re-initialise every lost vertex to its initial
 // value (which guarantees convergence to the correct solution [14]) and
 // put the restored vertices and the surviving vertices that send to
-// them back into the workset so values propagate again (§3.2).
+// them back into the workset so values propagate again (§3.2). A bulk
+// job then makes every vertex active: the compensated state is not
+// converged.
 func (j *Job[V]) Compensate(lost []int) error {
 	j.compensate(lost, lost)
+	if j.bulk {
+		j.reactivate()
+	}
 	return nil
 }
 

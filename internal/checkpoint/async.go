@@ -13,7 +13,7 @@ import (
 
 // PartitionSnapshot is a consistent, immutable capture of partitioned
 // iteration state. Captures are cheap to take (copy-on-write views, see
-// state.Store.SnapshotShared) and safe to encode from multiple
+// state.DenseStore.SnapshotShared) and safe to encode from multiple
 // goroutines concurrently while the live state advances.
 type PartitionSnapshot interface {
 	// NumPartitions returns the partition count.

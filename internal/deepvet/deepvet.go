@@ -25,11 +25,6 @@
 //     clause, or a second arm receiving from a chan struct{}), a
 //     provably buffered channel, or a channel some function of the
 //     package closes.
-//   - snapshotwrite: in internal/state, entry-level writes to a
-//     copy-on-write store's partitions (s.parts[p][k] = v, delete)
-//     must be dominated by the unshare-on-write helpers — s.unshare(p),
-//     s.shared[p] = false, or wholesale replacement of s.parts[p] — so
-//     a SnapshotShared capture can never observe a later mutation.
 //   - lockorder: the mutex-acquisition graph across internal/cluster,
 //     internal/supervise and internal/checkpoint must be acyclic
 //     (including through cross-package calls), locks must not be
@@ -87,7 +82,6 @@ func Analyses() []*Analysis {
 		globalVarAnalysis(),
 		poolEscapeAnalysis(),
 		cancellationAnalysis(),
-		snapshotWriteAnalysis(),
 		lockOrderAnalysis(),
 	}
 }

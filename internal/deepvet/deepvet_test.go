@@ -205,26 +205,6 @@ func TestCancellationNetFixture(t *testing.T) {
 	}
 }
 
-func TestSnapshotWriteFixture(t *testing.T) {
-	fs := runFixture(t, "snapshotwrite", "snapshotwrite", "internal/state")
-	if len(fs) != 5 {
-		t.Fatalf("snapshotwrite findings = %d, want 5:\n%s", len(fs), dumpFindings(fs))
-	}
-	// PutBad, DeleteBad, BranchBad and LoopBad all write via index p;
-	// AliasBad launders the map through a local first.
-	if got := countContaining(fs, `to partition index "p"`); got != 4 {
-		t.Fatalf("index-write findings = %d, want 4:\n%s", got, dumpFindings(fs))
-	}
-	if got := countContaining(fs, `through alias "m"`); got != 1 {
-		t.Fatalf("alias-write findings = %d, want 1:\n%s", got, dumpFindings(fs))
-	}
-	for _, f := range fs {
-		if !strings.Contains(f.Msg, "SnapshotShared") {
-			t.Fatalf("finding does not explain the snapshot hazard: %v", f)
-		}
-	}
-}
-
 func TestLockOrderFixture(t *testing.T) {
 	fs := runFixture(t, "lockorder", "lockorder", "internal/cluster")
 	if len(fs) != 5 {
@@ -256,8 +236,8 @@ func TestLockOrderFixture(t *testing.T) {
 
 func TestRulesCatalogue(t *testing.T) {
 	rules := Rules()
-	if len(rules) != 9 {
-		t.Fatalf("catalogue has %d rules, want 9", len(rules))
+	if len(rules) != 8 {
+		t.Fatalf("catalogue has %d rules, want 8", len(rules))
 	}
 	names := map[string]bool{}
 	for _, r := range rules {
@@ -269,7 +249,7 @@ func TestRulesCatalogue(t *testing.T) {
 			t.Fatalf("rule %q has no doc", r.Name)
 		}
 	}
-	for _, want := range []string{"goroutine", "panicprefix", "determinism", "globalvar", "allowlist", "poolescape", "cancellation", "snapshotwrite", "lockorder"} {
+	for _, want := range []string{"goroutine", "panicprefix", "determinism", "globalvar", "allowlist", "poolescape", "cancellation", "lockorder"} {
 		if !names[want] {
 			t.Fatalf("catalogue missing rule %q", want)
 		}
@@ -286,12 +266,12 @@ func TestCheckRejectsUnknownRule(t *testing.T) {
 func TestCheckRuleFilter(t *testing.T) {
 	// A single-rule run over a single package must come back clean and
 	// must not error on a partial package set.
-	fs, err := Check(repoRoot(t), []string{"./internal/state"}, Options{Rules: []string{"snapshotwrite"}})
+	fs, err := Check(repoRoot(t), []string{"./internal/state"}, Options{Rules: []string{"panicprefix"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(fs) != 0 {
-		t.Fatalf("snapshotwrite over internal/state found %d violations:\n%s", len(fs), dumpFindings(fs))
+		t.Fatalf("panicprefix over internal/state found %d violations:\n%s", len(fs), dumpFindings(fs))
 	}
 }
 

@@ -50,17 +50,17 @@ func TestLoaderLoadDirFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := l.LoadDir(filepath.Join("testdata", "snapshotwrite"), "internal/state")
+	p, err := l.LoadDir(filepath.Join("testdata", "lockorder"), "internal/cluster")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Rel != "internal/state" {
+	if p.Rel != "internal/cluster" {
 		t.Fatalf("fixture rel = %q", p.Rel)
 	}
-	if p.Path != "fixture/internal/state" {
+	if p.Path != "fixture/internal/cluster" {
 		t.Fatalf("fixture path = %q", p.Path)
 	}
-	again, err := l.LoadDir(filepath.Join("testdata", "snapshotwrite"), "internal/state")
+	again, err := l.LoadDir(filepath.Join("testdata", "lockorder"), "internal/cluster")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,6 @@ func TestAllRepoPlansAreLintClean(t *testing.T) {
 		name string
 		plan *dataflow.Plan
 	}{
-		{"cc-bulk-step", cc.NewBulk(g, 4).StepPlan()},
 		{"cc-figure", cc.FigurePlan()},
 		{"pagerank-figure", pagerank.FigurePlan()},
 		{"kmeans-step", km.StepPlan()},

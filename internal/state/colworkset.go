@@ -9,10 +9,9 @@ import (
 // pending updates are two parallel append-only columns — the dense
 // vertex index of the update's target and its numeric payload — so the
 // columnar superstep source streams them without per-item boxing.
-// Snapshot captures alias the column backing arrays exactly like
-// Workset.SnapshotShared (append-only between clears makes that safe),
-// and checkpoint encoders write the columns directly as byte views
-// (densebytes.go). A clear truncates
+// SnapshotShared captures alias the column backing arrays (append-only
+// between clears makes that safe), and checkpoint encoders write the
+// columns directly as byte views (densebytes.go). A clear truncates
 // a partition's columns so the next superstep refills the same arrays,
 // unless a capture may alias them: then it drops them instead.
 type ColWorkset[V any] struct {
@@ -141,9 +140,10 @@ func (w *ColWorkset[V]) Snapshot() *ColWorkset[V] {
 }
 
 // SnapshotShared returns an O(parts) capture sharing the column backing
-// arrays, safe because partitions are append-only between clears (see
-// Workset.SnapshotShared). Both sides are marked shared, so neither
-// clear reuses an array the other still reads.
+// arrays, safe because partitions are append-only between clears: a
+// later Add writes beyond the captured length, which the capture's
+// view does not reach. Both sides are marked shared, so neither clear
+// reuses an array the other still reads.
 func (w *ColWorkset[V]) SnapshotShared() *ColWorkset[V] {
 	c := &ColWorkset[V]{
 		name:     w.name,

@@ -2,72 +2,97 @@ package state
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math/rand"
 	"testing"
+
+	"optiflow/internal/colbytes"
+	"optiflow/internal/graph"
 )
 
-func encodeDelta(t *testing.T, s *Store[int]) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := s.EncodeDelta(gob.NewEncoder(&buf)); err != nil {
-		t.Fatal(err)
+// The delta log of DenseStore: AppendDeltaBytes writes each
+// partition's changes since the last MarkClean, and RestoreDeltaBytes
+// replays them, so a base view plus the ordered deltas reproduce the
+// store.
+
+// emptyDenseStore is a store over n vertices (IDs 0..n-1) in nparts
+// partitions, with nothing written.
+func emptyDenseStore(n, nparts int) *DenseStore[uint64] {
+	b := graph.NewBuilder(true)
+	for v := 0; v < n; v++ {
+		b.AddVertex(graph.VertexID(v))
 	}
-	return buf.Bytes()
+	d := b.Build().Dense()
+	return NewDenseStore[uint64]("labels", d, d.Partitioning(nparts))
 }
 
-func applyDelta(t *testing.T, s *Store[int], data []byte) {
-	t.Helper()
-	if err := s.ApplyDelta(gob.NewDecoder(bytes.NewReader(data))); err != nil {
-		t.Fatal(err)
+// appendDelta is every partition's delta, in order; it marks s clean.
+func appendDelta(s *DenseStore[uint64]) []byte {
+	var b []byte
+	for p := 0; p < s.NumPartitions(); p++ {
+		b = s.AppendDeltaBytes(b, p, colbytes.AppendU64Vals)
 	}
+	s.MarkClean()
+	return b
 }
 
-func requireStoresEqual(t *testing.T, got, want *Store[int]) {
+func applyDelta(t *testing.T, s *DenseStore[uint64], data []byte) {
 	t.Helper()
-	if got.Len() != want.Len() {
-		t.Fatalf("len %d != %d", got.Len(), want.Len())
-	}
-	want.Range(func(k uint64, v int) bool {
-		g, ok := got.Get(k)
-		if !ok || g != v {
-			t.Fatalf("key %d: got %d (%v), want %d", k, g, ok, v)
+	r := colbytes.NewReader(data)
+	for p := 0; p < s.NumPartitions(); p++ {
+		if err := s.RestoreDeltaBytes(p, r, (*colbytes.Reader).U64Vals); err != nil {
+			t.Fatal(err)
 		}
-		return true
-	})
+	}
+	if r.Remaining() != 0 {
+		t.Fatalf("%d bytes left after the delta", r.Remaining())
+	}
+}
+
+// replicate is a store over s's partitioning restored from s's views;
+// it marks s clean.
+func replicate(t *testing.T, s *DenseStore[uint64]) *DenseStore[uint64] {
+	t.Helper()
+	c := NewDenseStore[uint64](s.name, s.d, s.pt)
+	for p := 0; p < s.NumPartitions(); p++ {
+		view := s.AppendPartitionBytes(nil, p, colbytes.AppendU64Vals)
+		if err := c.RestorePartitionView(p, view, (*colbytes.Reader).U64Vals); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.MarkClean()
+	return c
+}
+
+func requireStoresEqual(t *testing.T, got, want *DenseStore[uint64]) {
+	t.Helper()
+	for p := 0; p < want.NumPartitions(); p++ {
+		g := got.AppendPartitionBytes(nil, p, colbytes.AppendU64Vals)
+		w := want.AppendPartitionBytes(nil, p, colbytes.AppendU64Vals)
+		if !bytes.Equal(g, w) {
+			t.Fatalf("partition %d differs", p)
+		}
+	}
 }
 
 func TestDeltaReplayReproducesState(t *testing.T) {
-	src := NewStore[int]("s", 4)
-	replica := NewStore[int]("s", 4)
-
-	// Base: initial contents.
+	src := emptyDenseStore(80, 4)
 	for k := uint64(0); k < 50; k++ {
-		src.Put(k, int(k))
+		src.Put(k, k)
 	}
-	var base bytes.Buffer
-	if err := src.Encode(&base); err != nil {
-		t.Fatal(err)
-	}
-	src.MarkClean()
-	if err := replica.Decode(&base); err != nil {
-		t.Fatal(err)
-	}
+	replica := replicate(t, src)
 
-	// Rounds of mutations, one delta each.
+	// Rounds of writes, one delta each; now and then a partition is
+	// wiped and refilled.
 	rng := rand.New(rand.NewSource(1))
 	var deltas [][]byte
 	for round := 0; round < 10; round++ {
-		for i := 0; i < 20; i++ {
-			k := uint64(rng.Intn(80))
-			switch rng.Intn(3) {
-			case 0, 1:
-				src.Put(k, rng.Intn(1000))
-			case 2:
-				src.Delete(k)
-			}
+		if round%4 == 3 {
+			src.ClearPartition(rng.Intn(4))
 		}
-		deltas = append(deltas, encodeDelta(t, src))
+		for i := 0; i < 20; i++ {
+			src.Put(uint64(rng.Intn(80)), uint64(rng.Intn(1000)))
+		}
+		deltas = append(deltas, appendDelta(src))
 	}
 	for _, d := range deltas {
 		applyDelta(t, replica, d)
@@ -76,67 +101,59 @@ func TestDeltaReplayReproducesState(t *testing.T) {
 }
 
 func TestDeltaOnlyCarriesChanges(t *testing.T) {
-	s := NewStore[int]("s", 4)
+	s := emptyDenseStore(1000, 4)
 	for k := uint64(0); k < 1000; k++ {
-		s.Put(k, int(k))
+		s.Put(k, k)
 	}
-	full := encodeDelta(t, s) // everything dirty: effectively a full dump
-	if s.DirtyCount() != 0 {
-		t.Fatal("EncodeDelta did not reset tracking")
-	}
+	full := appendDelta(s) // everything dirty: effectively a full dump
 	s.Put(1, 42)
 	s.Put(2, 43)
-	small := encodeDelta(t, s)
+	small := appendDelta(s)
 	if len(small) >= len(full)/10 {
 		t.Fatalf("2-key delta is %d bytes, full dump %d", len(small), len(full))
 	}
-	empty := encodeDelta(t, s)
+	empty := appendDelta(s)
 	if len(empty) >= len(small) {
 		t.Fatalf("empty delta (%d bytes) not smaller than 2-key delta (%d)", len(empty), len(small))
 	}
 }
 
 func TestDeltaHandlesClearedPartitions(t *testing.T) {
-	src := NewStore[int]("s", 4)
-	replica := NewStore[int]("s", 4)
+	src := emptyDenseStore(40, 4)
 	for k := uint64(0); k < 40; k++ {
 		src.Put(k, 1)
 	}
-	replica.CopyFrom(src)
-	src.MarkClean()
+	replica := replicate(t, src)
 
 	src.ClearPartition(2)
-	src.Put(100, 7) // may or may not land in partition 2
-	applyDelta(t, replica, encodeDelta(t, src))
+	src.SetSlot(2, 0, 7)
+	applyDelta(t, replica, appendDelta(src))
 	requireStoresEqual(t, replica, src)
-	if replica.PartitionLen(2) != src.PartitionLen(2) {
-		t.Fatal("cleared partition not replicated")
+	if replica.count[2] != 1 {
+		t.Fatalf("cleared partition replicated with %d entries, want 1", replica.count[2])
 	}
 }
 
 func TestDeltaDirtyCount(t *testing.T) {
-	s := NewStore[int]("s", 2)
-	if s.DirtyCount() != 0 {
+	s := emptyDenseStore(8, 2)
+	dirty := func() int {
+		n := 0
+		for _, c := range s.dirtyCount {
+			n += c
+		}
+		return n
+	}
+	if dirty() != 0 {
 		t.Fatal("fresh store dirty")
 	}
 	s.Put(1, 1)
 	s.Put(1, 2) // same key: still one dirty entry
 	s.Put(2, 1)
-	if got := s.DirtyCount(); got != 2 {
+	if got := dirty(); got != 2 {
 		t.Fatalf("dirty = %d, want 2", got)
 	}
 	s.MarkClean()
-	if s.DirtyCount() != 0 {
+	if dirty() != 0 {
 		t.Fatal("MarkClean failed")
-	}
-}
-
-func TestDeltaNameMismatch(t *testing.T) {
-	a := NewStore[int]("a", 2)
-	a.Put(1, 1)
-	data := encodeDelta(t, a)
-	b := NewStore[int]("b", 2)
-	if err := b.ApplyDelta(gob.NewDecoder(bytes.NewReader(data))); err == nil {
-		t.Fatal("delta applied across store names")
 	}
 }

@@ -10,9 +10,9 @@ import (
 // domain is exactly the vertex set of a graph: each partition holds its
 // values in a flat column indexed by the vertex's local slot (see
 // graph.Partitioning.Slot), so the superstep hot path reads and writes
-// array entries instead of hashing into maps. It supports the same
-// recovery surface as Store — copy-on-write captures, per-partition
-// versions, delta logs — but serialises only as partition byte views
+// array entries instead of hashing into maps. It carries the recovery
+// surface of the columnar jobs — copy-on-write captures, per-partition
+// versions, delta logs — and serialises only as partition byte views
 // (densebytes.go): the column dumped in slot order, so equal contents
 // give identical bytes and the async writer encodes the columns
 // directly without re-boxing.
@@ -106,7 +106,9 @@ func (s *DenseStore[V]) unshare(p int) {
 
 func (s *DenseStore[V]) bump(p int) { s.versions[p]++ }
 
-// Version returns partition p's change counter (see Store.Version).
+// Version returns a counter that increases whenever partition p's
+// contents change: incremental checkpoints skip partitions whose
+// counter has not moved since the last one.
 func (s *DenseStore[V]) Version(p int) uint64 { return s.versions[p] }
 
 func (s *DenseStore[V]) markDirty(p int, slot int32) {

@@ -9,7 +9,6 @@ package state
 import (
 	"encoding/gob"
 	"fmt"
-	"io"
 	"sort"
 
 	"optiflow/internal/graph"
@@ -18,22 +17,12 @@ import (
 // Store is a keyed store hash-partitioned into nparts partitions with
 // the same partitioning function the dataflow engine uses for hash
 // exchanges, so the task at partition p only ever touches parts[p] and
-// no locking is needed during a superstep.
+// no locking is needed during a superstep. It holds the state of the
+// exec.Engine jobs (vertexcentric, als, kmeans), which snapshot it whole
+// with EncodeTo.
 type Store[V any] struct {
-	name     string
-	parts    []map[uint64]V
-	versions []uint64 // per-partition change counters (see Version)
-
-	// Delta-log tracking (see EncodeDelta): keys changed and partitions
-	// wiped since the last delta. Both allocated lazily.
-	dirty   []map[uint64]struct{}
-	cleared []bool
-
-	// shared marks partitions whose map is aliased by a SnapshotShared
-	// capture: the next in-place mutation clones the partition first
-	// (copy-on-write), so captures stay immutable while the next
-	// superstep runs.
-	shared []bool
+	name  string
+	parts []map[uint64]V
 }
 
 // NewStore creates an empty store with nparts partitions.
@@ -41,25 +30,12 @@ func NewStore[V any](name string, nparts int) *Store[V] {
 	if nparts < 1 {
 		panic(fmt.Sprintf("state: store %q: nparts must be >= 1, got %d", name, nparts))
 	}
-	s := &Store[V]{
-		name:     name,
-		parts:    make([]map[uint64]V, nparts),
-		versions: make([]uint64, nparts),
-		dirty:    make([]map[uint64]struct{}, nparts),
-		cleared:  make([]bool, nparts),
-		shared:   make([]bool, nparts),
-	}
+	s := &Store[V]{name: name, parts: make([]map[uint64]V, nparts)}
 	for i := range s.parts {
 		s.parts[i] = make(map[uint64]V)
 	}
 	return s
 }
-
-// Name returns the store's name (used in snapshots and diagnostics).
-func (s *Store[V]) Name() string { return s.name }
-
-// NumPartitions returns the partition count.
-func (s *Store[V]) NumPartitions() int { return len(s.parts) }
 
 // PartitionOf returns the partition owning key k.
 func (s *Store[V]) PartitionOf(k uint64) int {
@@ -73,59 +49,12 @@ func (s *Store[V]) Get(k uint64) (V, bool) {
 }
 
 // Put stores v under k in the partition owning k.
-func (s *Store[V]) Put(k uint64, v V) {
-	p := s.PartitionOf(k)
-	s.unshare(p)
-	s.parts[p][k] = v
-	s.bump(p)
-	s.markDirty(p, k)
-}
-
-// Delete removes k.
-func (s *Store[V]) Delete(k uint64) {
-	p := s.PartitionOf(k)
-	s.unshare(p)
-	delete(s.parts[p], k)
-	s.bump(p)
-	s.markDirty(p, k)
-}
-
-// unshare clones partition p if a SnapshotShared capture aliases it, so
-// the in-place mutation about to happen cannot be observed through the
-// capture. Reading the aliased map while capture encoders read it too
-// is safe (concurrent map reads); all writes go to the fresh clone.
-func (s *Store[V]) unshare(p int) {
-	if !s.shared[p] {
-		return
-	}
-	part := s.parts[p]
-	cp := make(map[uint64]V, len(part))
-	for k, v := range part {
-		cp[k] = v
-	}
-	s.parts[p] = cp
-	s.shared[p] = false
-}
-
-// Len returns the total number of entries.
-func (s *Store[V]) Len() int {
-	n := 0
-	for _, p := range s.parts {
-		n += len(p)
-	}
-	return n
-}
-
-// PartitionLen returns the number of entries in partition p.
-func (s *Store[V]) PartitionLen(p int) int { return len(s.parts[p]) }
+func (s *Store[V]) Put(k uint64, v V) { s.parts[s.PartitionOf(k)][k] = v }
 
 // ClearPartition drops every entry of partition p — the effect of the
 // worker owning p crashing.
 func (s *Store[V]) ClearPartition(p int) {
-	s.parts[p] = make(map[uint64]V) // wholesale replacement: no clone needed
-	s.shared[p] = false
-	s.bump(p)
-	s.markCleared(p)
+	s.parts[p] = make(map[uint64]V)
 }
 
 // ClearAll drops every entry of every partition.
@@ -163,56 +92,6 @@ func (s *Store[V]) RangePartition(p int, fn func(k uint64, v V) bool) bool {
 	return true
 }
 
-// Snapshot returns a deep-enough copy of the store for value types V
-// (maps are copied; V values are copied by assignment).
-func (s *Store[V]) Snapshot() *Store[V] {
-	c := NewStore[V](s.name, len(s.parts))
-	for p, part := range s.parts {
-		for k, v := range part {
-			c.parts[p][k] = v
-		}
-	}
-	return c
-}
-
-// SnapshotShared returns a copy-on-write capture of the store: O(parts)
-// at the barrier instead of O(entries). The capture aliases the live
-// partition maps; both sides are marked shared, and whichever side
-// mutates a partition next clones it first (see unshare). The intended
-// use is checkpoint capture — take the view at the superstep barrier,
-// encode it on background goroutines while the next superstep runs.
-func (s *Store[V]) SnapshotShared() *Store[V] {
-	c := &Store[V]{
-		name:     s.name,
-		parts:    append([]map[uint64]V(nil), s.parts...),
-		versions: append([]uint64(nil), s.versions...),
-		dirty:    make([]map[uint64]struct{}, len(s.parts)),
-		cleared:  make([]bool, len(s.parts)),
-		shared:   make([]bool, len(s.parts)),
-	}
-	for p := range s.parts {
-		s.shared[p] = true
-		c.shared[p] = true
-	}
-	return c
-}
-
-// CopyFrom replaces this store's contents with those of other.
-func (s *Store[V]) CopyFrom(other *Store[V]) {
-	if len(s.parts) != len(other.parts) {
-		panic(fmt.Sprintf("state: CopyFrom: partition count mismatch %d != %d", len(s.parts), len(other.parts)))
-	}
-	for p := range s.parts {
-		s.parts[p] = make(map[uint64]V, len(other.parts[p]))
-		s.shared[p] = false
-		for k, v := range other.parts[p] {
-			s.parts[p][k] = v
-		}
-		s.bump(p)
-		s.markCleared(p)
-	}
-}
-
 // partPairs is the serialised form of one partition: keys in ascending
 // order with their values aligned. Encoding sorted pairs instead of the
 // map makes snapshots byte-deterministic — two encodes of equal state
@@ -245,11 +124,6 @@ func (pp partPairs[V]) toMap() map[uint64]V {
 	return m
 }
 
-// Encode writes the store to w in gob encoding, for checkpointing.
-func (s *Store[V]) Encode(w io.Writer) error {
-	return s.EncodeTo(gob.NewEncoder(w))
-}
-
 // EncodeTo appends the store to an existing gob stream, so that a job
 // snapshot can serialise several stores into one checkpoint.
 func (s *Store[V]) EncodeTo(enc *gob.Encoder) error {
@@ -264,12 +138,6 @@ func (s *Store[V]) EncodeTo(enc *gob.Encoder) error {
 		return fmt.Errorf("state: encoding store %q: %v", s.name, err)
 	}
 	return nil
-}
-
-// Decode replaces the store contents from a gob stream written by
-// Encode. The partition count must match.
-func (s *Store[V]) Decode(r io.Reader) error {
-	return s.DecodeFrom(gob.NewDecoder(r))
 }
 
 // DecodeFrom reads the store from an existing gob stream (counterpart
@@ -292,9 +160,6 @@ func (s *Store[V]) DecodeFrom(dec *gob.Decoder) error {
 	}
 	for p, pp := range parts {
 		s.parts[p] = pp.toMap()
-		s.shared[p] = false
-		s.bump(p)
-		s.markCleared(p)
 	}
 	return nil
 }

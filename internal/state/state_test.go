@@ -2,17 +2,22 @@ package state
 
 import (
 	"bytes"
+	"encoding/gob"
 	"testing"
 	"testing/quick"
 
 	"optiflow/internal/graph"
 )
 
+// storeLen counts s's entries through Range.
+func storeLen[V any](s *Store[V]) int {
+	n := 0
+	s.Range(func(uint64, V) bool { n++; return true })
+	return n
+}
+
 func TestStoreBasics(t *testing.T) {
 	s := NewStore[string]("labels", 4)
-	if s.Name() != "labels" || s.NumPartitions() != 4 {
-		t.Fatal("metadata wrong")
-	}
 	if _, ok := s.Get(7); ok {
 		t.Fatal("empty store returned a value")
 	}
@@ -21,19 +26,15 @@ func TestStoreBasics(t *testing.T) {
 	if v, ok := s.Get(7); !ok || v != "seven" {
 		t.Fatalf("Get(7) = %q, %v", v, ok)
 	}
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d", s.Len())
+	if n := storeLen(s); n != 2 {
+		t.Fatalf("%d entries, want 2", n)
 	}
 	s.Put(7, "SEVEN")
 	if v, _ := s.Get(7); v != "SEVEN" {
 		t.Fatal("overwrite failed")
 	}
-	if s.Len() != 2 {
+	if storeLen(s) != 2 {
 		t.Fatal("overwrite changed length")
-	}
-	s.Delete(7)
-	if _, ok := s.Get(7); ok {
-		t.Fatal("delete failed")
 	}
 }
 
@@ -65,20 +66,20 @@ func TestClearPartitionOnlyDropsThatPartition(t *testing.T) {
 	for k := uint64(0); k < 100; k++ {
 		s.Put(k, 1)
 	}
-	victim := 2
-	lost := s.PartitionLen(victim)
+	victim, lost := 2, 0
+	s.RangePartition(victim, func(uint64, int) bool { lost++; return true })
 	if lost == 0 {
 		t.Fatal("test needs a non-empty victim partition")
 	}
 	s.ClearPartition(victim)
-	if s.PartitionLen(victim) != 0 {
+	if !s.RangePartition(victim, func(uint64, int) bool { return false }) {
 		t.Fatal("victim not cleared")
 	}
-	if s.Len() != 100-lost {
-		t.Fatalf("Len = %d, want %d", s.Len(), 100-lost)
+	if n := storeLen(s); n != 100-lost {
+		t.Fatalf("%d entries, want %d", n, 100-lost)
 	}
 	s.ClearAll()
-	if s.Len() != 0 {
+	if storeLen(s) != 0 {
 		t.Fatal("ClearAll failed")
 	}
 }
@@ -107,22 +108,37 @@ func TestRangeDeterministicOrder(t *testing.T) {
 	}
 }
 
+// TestSnapshotIsolation holds DenseStore.Snapshot, the deep copy tests
+// take as a twin, apart from the store it copies.
 func TestSnapshotIsolation(t *testing.T) {
-	s := NewStore[int]("snap", 2)
-	s.Put(1, 10)
+	s := byteViewStore(t)
 	c := s.Snapshot()
-	s.Put(1, 99)
-	s.Put(2, 20)
-	if v, _ := c.Get(1); v != 10 {
+	s.Put(0, 99)
+	s.Put(1, 20)
+	if v, _ := c.Get(0); v != 0 {
 		t.Fatalf("snapshot mutated: %d", v)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("snapshot len = %d", c.Len())
+	if _, ok := c.Get(1); ok || c.Len() != 4 {
+		t.Fatalf("snapshot holds %d entries, want 4", c.Len())
 	}
-	s.CopyFrom(c)
-	if v, _ := s.Get(1); v != 10 || s.Len() != 1 {
-		t.Fatal("CopyFrom failed")
+	c.Put(3, 7)
+	if v, _ := s.Get(3); v != 30 {
+		t.Fatalf("a write to the snapshot reached the store: %d", v)
 	}
+}
+
+// encodeStore is s written by EncodeTo.
+func encodeStore[V any](t *testing.T, s *Store[V]) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.EncodeTo(gob.NewEncoder(&buf)); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func decodeStore[V any](s *Store[V], data []byte) error {
+	return s.DecodeFrom(gob.NewDecoder(bytes.NewReader(data)))
 }
 
 func TestStoreEncodeDecodeRoundTrip(t *testing.T) {
@@ -135,15 +151,11 @@ func TestStoreEncodeDecodeRoundTrip(t *testing.T) {
 			}
 			s.Put(k, v)
 		}
-		var buf bytes.Buffer
-		if err := s.Encode(&buf); err != nil {
-			return false
-		}
 		d := NewStore[int64]("prop", 4)
-		if err := d.Decode(&buf); err != nil {
+		if err := decodeStore(d, encodeStore(t, s)); err != nil {
 			return false
 		}
-		if d.Len() != s.Len() {
+		if storeLen(d) != storeLen(s) {
 			return false
 		}
 		ok := true
@@ -165,16 +177,11 @@ func TestStoreEncodeDecodeRoundTrip(t *testing.T) {
 func TestStoreDecodeRejectsMismatch(t *testing.T) {
 	s := NewStore[int]("alpha", 2)
 	s.Put(1, 1)
-	var buf bytes.Buffer
-	if err := s.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	wrongName := NewStore[int]("beta", 2)
-	if err := wrongName.Decode(bytes.NewReader(buf.Bytes())); err == nil {
+	data := encodeStore(t, s)
+	if err := decodeStore(NewStore[int]("beta", 2), data); err == nil {
 		t.Fatal("decode accepted wrong store name")
 	}
-	wrongParts := NewStore[int]("alpha", 3)
-	if err := wrongParts.Decode(bytes.NewReader(buf.Bytes())); err == nil {
+	if err := decodeStore(NewStore[int]("alpha", 3), data); err == nil {
 		t.Fatal("decode accepted wrong partition count")
 	}
 }
@@ -198,16 +205,13 @@ func TestTableView(t *testing.T) {
 
 func TestWorksetBasics(t *testing.T) {
 	w := NewWorkset[string]("ws", 3)
-	if w.Name() != "ws" || w.NumPartitions() != 3 {
-		t.Fatal("metadata wrong")
-	}
 	w.Add(0, "a")
 	w.Add(0, "b")
 	w.Add(2, "c")
-	if w.Len() != 3 || w.PartitionLen(0) != 2 || w.PartitionLen(1) != 0 {
+	if w.Len() != 3 || len(w.Items(0)) != 2 || len(w.Items(1)) != 0 {
 		t.Fatalf("lens wrong: %d", w.Len())
 	}
-	if items := w.Items(0); len(items) != 2 || items[0] != "a" {
+	if items := w.Items(0); items[0] != "a" || items[1] != "b" {
 		t.Fatalf("items = %v", items)
 	}
 	w.ClearPartition(0)
@@ -220,6 +224,22 @@ func TestWorksetBasics(t *testing.T) {
 	}
 }
 
+// encodeWorkset is w written by EncodeTo.
+func encodeWorkset[T any](t *testing.T, w *Workset[T]) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := w.EncodeTo(gob.NewEncoder(&buf)); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func decodeWorkset[T any](w *Workset[T], data []byte) error {
+	return w.DecodeFrom(gob.NewDecoder(bytes.NewReader(data)))
+}
+
+// TestWorksetSwapKeepsNames swaps contents, not names: each workset's
+// encoding still decodes only into a workset of its own name.
 func TestWorksetSwapKeepsNames(t *testing.T) {
 	a := NewWorkset[int]("current", 2)
 	b := NewWorkset[int]("next", 2)
@@ -227,45 +247,37 @@ func TestWorksetSwapKeepsNames(t *testing.T) {
 	b.Add(1, 2)
 	b.Add(1, 3)
 	a.Swap(b)
-	if a.Name() != "current" || b.Name() != "next" {
-		t.Fatal("swap exchanged names")
-	}
 	if a.Len() != 2 || b.Len() != 1 {
 		t.Fatalf("swap contents wrong: %d, %d", a.Len(), b.Len())
 	}
+	if decodeWorkset(NewWorkset[int]("current", 2), encodeWorkset(t, a)) != nil ||
+		decodeWorkset(NewWorkset[int]("next", 2), encodeWorkset(t, b)) != nil {
+		t.Fatal("swap exchanged names")
+	}
 }
 
+// TestWorksetSnapshotAndEncode round-trips a workset through the gob
+// snapshot its jobs write, and rejects one of another name or
+// partition count.
 func TestWorksetSnapshotAndEncode(t *testing.T) {
 	w := NewWorkset[int]("ws", 2)
 	w.Add(0, 1)
 	w.Add(1, 2)
-	c := w.Snapshot()
 	w.Add(0, 3)
-	if c.Len() != 2 {
-		t.Fatal("snapshot mutated")
-	}
-	var buf bytes.Buffer
-	if err := w.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
+	data := encodeWorkset(t, w)
 	d := NewWorkset[int]("ws", 2)
-	if err := d.Decode(&buf); err != nil {
+	d.Add(1, 9)
+	if err := decodeWorkset(d, data); err != nil {
 		t.Fatal(err)
 	}
-	if d.Len() != 3 || d.PartitionLen(0) != 2 {
-		t.Fatalf("decoded len = %d", d.Len())
+	if d.Len() != 3 || len(d.Items(0)) != 2 || d.Items(1)[0] != 2 {
+		t.Fatalf("decoded %v and %v", d.Items(0), d.Items(1))
 	}
-	bad := NewWorkset[int]("other", 2)
-	var buf2 bytes.Buffer
-	if err := w.Encode(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if err := bad.Decode(&buf2); err == nil {
+	if decodeWorkset(NewWorkset[int]("other", 2), data) == nil {
 		t.Fatal("decode accepted wrong name")
 	}
-	w.CopyFrom(c)
-	if w.Len() != 2 {
-		t.Fatal("CopyFrom failed")
+	if decodeWorkset(NewWorkset[int]("ws", 3), data) == nil {
+		t.Fatal("decode accepted wrong partition count")
 	}
 }
 

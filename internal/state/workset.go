@@ -3,7 +3,6 @@ package state
 import (
 	"encoding/gob"
 	"fmt"
-	"io"
 )
 
 // Workset holds the update stream of a delta iteration, partitioned by
@@ -11,9 +10,8 @@ import (
 // every superstep and produces the next one; the iteration terminates
 // once the workset is empty (§2.1).
 type Workset[T any] struct {
-	name     string
-	parts    [][]T
-	versions []uint64 // per-partition change counters (see Version)
+	name  string
+	parts [][]T
 }
 
 // NewWorkset creates an empty workset with nparts partitions.
@@ -21,20 +19,13 @@ func NewWorkset[T any](name string, nparts int) *Workset[T] {
 	if nparts < 1 {
 		panic(fmt.Sprintf("state: workset %q: nparts must be >= 1, got %d", name, nparts))
 	}
-	return &Workset[T]{name: name, parts: make([][]T, nparts), versions: make([]uint64, nparts)}
+	return &Workset[T]{name: name, parts: make([][]T, nparts)}
 }
-
-// Name returns the workset's name.
-func (w *Workset[T]) Name() string { return w.name }
-
-// NumPartitions returns the partition count.
-func (w *Workset[T]) NumPartitions() int { return len(w.parts) }
 
 // Add appends an item to partition p. Each dataflow sink task appends
 // only to its own partition, so no locking is required.
 func (w *Workset[T]) Add(p int, item T) {
 	w.parts[p] = append(w.parts[p], item)
-	w.bump(p)
 }
 
 // Len returns the total number of items.
@@ -45,9 +36,6 @@ func (w *Workset[T]) Len() int {
 	}
 	return n
 }
-
-// PartitionLen returns the number of items in partition p.
-func (w *Workset[T]) PartitionLen(p int) int { return len(w.parts[p]) }
 
 // Items returns partition p's items; the caller must not modify them.
 func (w *Workset[T]) Items(p int) []T { return w.parts[p] }
@@ -62,65 +50,10 @@ func (w *Workset[T]) ClearAll() {
 // ClearPartition empties partition p (the crash of its owner).
 func (w *Workset[T]) ClearPartition(p int) {
 	w.parts[p] = nil
-	w.bump(p)
 }
 
-// Swap exchanges the contents of two worksets (current vs next). A
-// partition that is empty on both sides is unchanged by the swap, so
-// its version is not bumped — this keeps incremental checkpoints from
-// re-writing the workset partitions of long-converged vertices.
-func (w *Workset[T]) Swap(other *Workset[T]) {
-	for p := range w.parts {
-		if len(w.parts[p]) != 0 || len(other.parts[p]) != 0 {
-			w.bump(p)
-			other.bump(p)
-		}
-	}
-	w.parts, other.parts = other.parts, w.parts
-}
-
-// Snapshot returns a copy of the workset (items copied by assignment).
-func (w *Workset[T]) Snapshot() *Workset[T] {
-	c := NewWorkset[T](w.name, len(w.parts))
-	for p, items := range w.parts {
-		c.parts[p] = append([]T(nil), items...)
-	}
-	return c
-}
-
-// SnapshotShared returns an O(parts) capture of the workset that shares
-// the item backing arrays with the live workset. This is safe without
-// copy-on-write because partitions are append-only between clears: a
-// later Add writes beyond the captured length (invisible to the capture
-// view), and ClearPartition/Swap replace the live slice header without
-// touching the captured one.
-func (w *Workset[T]) SnapshotShared() *Workset[T] {
-	c := &Workset[T]{
-		name:     w.name,
-		parts:    make([][]T, len(w.parts)),
-		versions: append([]uint64(nil), w.versions...),
-	}
-	for p, items := range w.parts {
-		c.parts[p] = items[:len(items):len(items)]
-	}
-	return c
-}
-
-// CopyFrom replaces the workset contents with those of other.
-func (w *Workset[T]) CopyFrom(other *Workset[T]) {
-	if len(w.parts) != len(other.parts) {
-		panic(fmt.Sprintf("state: CopyFrom: partition count mismatch %d != %d", len(w.parts), len(other.parts)))
-	}
-	for p := range w.parts {
-		w.parts[p] = append([]T(nil), other.parts[p]...)
-		w.bump(p)
-	}
-}
-
-// Encode writes the workset to w in gob encoding.
-func (w *Workset[T]) Encode(wr io.Writer) error {
-	return w.EncodeTo(gob.NewEncoder(wr))
-}
+// Swap exchanges the contents of two worksets (current vs next).
+func (w *Workset[T]) Swap(other *Workset[T]) { w.parts, other.parts = other.parts, w.parts }
 
 // EncodeTo appends the workset to an existing gob stream.
 func (w *Workset[T]) EncodeTo(enc *gob.Encoder) error {
@@ -131,11 +64,6 @@ func (w *Workset[T]) EncodeTo(enc *gob.Encoder) error {
 		return fmt.Errorf("state: encoding workset %q: %v", w.name, err)
 	}
 	return nil
-}
-
-// Decode replaces the workset contents from a gob stream.
-func (w *Workset[T]) Decode(r io.Reader) error {
-	return w.DecodeFrom(gob.NewDecoder(r))
 }
 
 // DecodeFrom reads the workset from an existing gob stream
@@ -157,8 +85,5 @@ func (w *Workset[T]) DecodeFrom(dec *gob.Decoder) error {
 			w.name, len(parts), len(w.parts))
 	}
 	w.parts = parts
-	for p := range w.parts {
-		w.bump(p)
-	}
 	return nil
 }

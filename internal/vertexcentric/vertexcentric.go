@@ -115,9 +115,6 @@ func (r *Runner[S, M]) deliver(o Outbound[M]) {
 // Name implements recovery.Job.
 func (r *Runner[S, M]) Name() string { return r.prog.Name }
 
-// States returns the vertex state store.
-func (r *Runner[S, M]) States() *state.Store[S] { return r.states }
-
 // StateMap materialises vertex states as a map.
 func (r *Runner[S, M]) StateMap() map[graph.VertexID]S {
 	out := make(map[graph.VertexID]S, r.g.NumVertices())
