@@ -14,6 +14,12 @@
 // degraded fallback: orphaned partitions are spread round-robin across
 // the surviving workers and the cluster runs narrower until spares
 // return (Release, AddSpares).
+//
+// Cluster is the one membership both deployments share: the
+// multi-process coordinator (package cluster/proc) keeps a Cluster too,
+// and runs its process I/O between the steps AcquireN and Release are
+// built from (Grant, Attempt, Admit, AdoptOrphans; CheckRelease,
+// ApplyRelease), so both backends run one algorithm.
 package cluster
 
 import (
@@ -103,10 +109,12 @@ func WithEventCap(n int) Option {
 }
 
 // Cluster tracks worker liveness, partition ownership and the spare
-// pool.
+// pool. It takes no lock: a backend that reads it from several
+// goroutines guards it with its own.
 type Cluster struct {
-	alive      map[int]bool
+	alive      map[int]bool // live workers; Fail and Release delete theirs
 	released   map[int]bool // workers decommissioned via Release
+	reserved   map[int]bool // IDs set aside by Reserve, not yet admitted
 	owner      []int        // partition -> worker
 	nextWorker int
 
@@ -132,6 +140,7 @@ func New(numWorkers, numPartitions int, opts ...Option) *Cluster {
 	c := &Cluster{
 		alive:      make(map[int]bool),
 		released:   make(map[int]bool),
+		reserved:   make(map[int]bool),
 		owner:      make([]int, numPartitions),
 		nextWorker: numWorkers,
 		spares:     -1,
@@ -216,36 +225,53 @@ func (c *Cluster) Fail(w int) []int {
 // supervisor cannot inflate the spare pool with machines it does not
 // actually hold.
 func (c *Cluster) Release(w int) error {
-	if w < 0 || w >= c.nextWorker {
-		return &ReleaseError{Worker: w, Reason: ErrUnknownWorker}
+	if _, err := c.CheckRelease(w); err != nil {
+		return err
 	}
-	if c.released[w] {
-		return &ReleaseError{Worker: w, Reason: ErrDoubleRelease}
+	c.ApplyRelease(w)
+	return nil
+}
+
+// CheckRelease returns the partitions live worker w owns, or the
+// *ReleaseError Release(w) rejects it with. It changes nothing, so a
+// backend can migrate those partitions' state before ApplyRelease.
+func (c *Cluster) CheckRelease(w int) ([]int, error) {
+	var reason error
+	switch {
+	case w < 0 || w >= c.nextWorker || c.reserved[w]:
+		reason = ErrUnknownWorker
+	case c.released[w]:
+		reason = ErrDoubleRelease
+	case !c.alive[w]:
+		reason = ErrDeadWorker
+	case len(c.alive) == 1:
+		reason = ErrLastWorker
+	default:
+		return c.PartitionsOf(w), nil
 	}
-	if !c.alive[w] {
-		return &ReleaseError{Worker: w, Reason: ErrDeadWorker}
-	}
-	survivors := make([]int, 0, len(c.alive))
-	for o, ok := range c.alive {
-		if ok && o != w {
-			survivors = append(survivors, o)
-		}
-	}
-	if len(survivors) == 0 {
-		return &ReleaseError{Worker: w, Reason: ErrLastWorker}
-	}
-	sort.Ints(survivors)
-	moved := c.PartitionsOf(w)
-	for i, p := range moved {
-		c.owner[p] = survivors[i%len(survivors)]
-	}
+	return nil, &ReleaseError{Worker: w, Reason: reason}
+}
+
+// ApplyRelease decommissions w, which CheckRelease accepted: its
+// partitions move round-robin across the other live workers, in
+// ascending order, and a bounded pool gets its machine back. It returns
+// the moved partitions grouped by the survivor adopting them.
+func (c *Cluster) ApplyRelease(w int) map[int][]int {
 	delete(c.alive, w)
+	survivors := c.Workers()
+	moved := c.PartitionsOf(w)
+	perOwner := make(map[int][]int)
+	for i, p := range moved {
+		o := survivors[i%len(survivors)]
+		c.owner[p] = o
+		perOwner[o] = append(perOwner[o], p)
+	}
 	c.released[w] = true
 	if c.spares >= 0 {
 		c.spares++
 	}
 	c.record(Event{Kind: EventRelease, Worker: w, Partitions: moved})
-	return nil
+	return perOwner
 }
 
 // Acquire provisions a fresh worker and assigns it every orphaned
@@ -277,53 +303,106 @@ func (c *Cluster) Acquire() (worker int, adopted []int) {
 // acquired before it — retrying may succeed). Callers must therefore
 // check len(workers), not assume n.
 func (c *Cluster) AcquireN(n int) (workers []int, adopted [][]int, err error) {
-	if n < 1 {
-		n = 1
-	}
-	grant := n
-	if c.spares >= 0 && c.spares < grant {
-		grant = c.spares
-		c.record(Event{Kind: EventAcquireDenied, Worker: -1,
-			Detail: fmt.Sprintf("%d of %d acquisitions denied: spare pool exhausted", n-grant, n)})
-	}
-	latencies := make([]time.Duration, 0, grant)
-	for i := 0; i < grant; i++ {
-		c.acquireSeq++
-		w := c.nextWorker
-		var lat time.Duration
-		if c.acquireHook != nil {
-			var hookErr error
-			lat, hookErr = c.acquireHook(c.acquireSeq, w)
-			if hookErr != nil {
-				c.record(Event{Kind: EventAcquireFailed, Worker: w, Detail: hookErr.Error()})
-				err = fmt.Errorf("cluster: acquiring worker %d: %w", w, hookErr)
-				break
-			}
+	var got []Acquired
+	for range c.Grant(n) {
+		w, provision := c.Attempt(-1)
+		lat, hookErr := provision()
+		if hookErr != nil {
+			err = c.AcquireFailed(w, hookErr)
+			break
 		}
-		c.nextWorker++
-		c.alive[w] = true
-		if c.spares > 0 {
-			c.spares--
-		}
-		workers = append(workers, w)
-		latencies = append(latencies, lat)
+		c.Admit(w)
+		got = append(got, Acquired{Worker: w, Latency: lat})
 	}
-	adopted = make([][]int, len(workers))
-	if len(workers) > 0 {
-		next := 0
-		for p, o := range c.owner {
-			if !c.alive[o] {
-				i := next % len(workers)
-				c.owner[p] = workers[i]
-				adopted[i] = append(adopted[i], p)
-				next++
-			}
-		}
-	}
-	for i, w := range workers {
-		c.record(Event{Kind: EventAcquire, Worker: w, Partitions: adopted[i], Latency: latencies[i]})
-	}
+	workers, adopted = c.AdoptOrphans(got)
 	return workers, adopted, err
+}
+
+// Grant is AcquireN's first step: it caps a request for n workers
+// (at least 1) by the bounded spare pool, logs the shortfall as an
+// "acquire-denied" event, and returns how many attempts may proceed.
+func (c *Cluster) Grant(n int) int {
+	n = max(n, 1)
+	if c.spares < 0 || c.spares >= n {
+		return n
+	}
+	c.record(Event{Kind: EventAcquireDenied, Worker: -1,
+		Detail: fmt.Sprintf("%d of %d acquisitions denied: spare pool exhausted", n-c.spares, n)})
+	return c.spares
+}
+
+// Attempt opens one provisioning attempt: it returns the ID the new
+// worker gets — reserved when that is an ID Reserve handed out, else
+// the next fresh one — and the acquire hook bound to the attempt's
+// sequence number (a no-op without WithAcquireHook). The hook is a
+// plain function, so a backend guarding the Cluster with a lock can run
+// it outside.
+func (c *Cluster) Attempt(reserved int) (w int, provision func() (time.Duration, error)) {
+	c.acquireSeq++
+	seq, w, hook := c.acquireSeq, c.nextWorker, c.acquireHook
+	if c.reserved[reserved] {
+		w = reserved
+	}
+	if hook == nil {
+		return w, func() (time.Duration, error) { return 0, nil }
+	}
+	return w, func() (time.Duration, error) { return hook(seq, w) }
+}
+
+// AcquireFailed logs attempt w's failure as an "acquire-failed" event
+// and returns err as AcquireN reports it.
+func (c *Cluster) AcquireFailed(w int, err error) error {
+	c.record(Event{Kind: EventAcquireFailed, Worker: w, Detail: err.Error()})
+	return fmt.Errorf("cluster: acquiring worker %d: %w", w, err)
+}
+
+// Admit makes attempt w a live member and takes its machine from a
+// bounded pool.
+func (c *Cluster) Admit(w int) {
+	c.nextWorker = max(c.nextWorker, w+1)
+	delete(c.reserved, w)
+	c.alive[w] = true
+	if c.spares > 0 {
+		c.spares--
+	}
+}
+
+// Acquired is one admitted worker, as its "acquire" event records it:
+// the hook's latency and how the backend provisioned it.
+type Acquired struct {
+	Worker  int
+	Latency time.Duration
+	Detail  string
+}
+
+// AdoptOrphans is AcquireN's last step: it spreads every orphaned
+// partition round-robin, in ascending order, across the admitted
+// workers, logs one "acquire" event each, and returns their IDs and,
+// aligned with them, the partitions each adopted.
+func (c *Cluster) AdoptOrphans(got []Acquired) (workers []int, adopted [][]int) {
+	adopted = make([][]int, len(got))
+	if len(got) > 0 {
+		for i, p := range c.Orphaned() {
+			j := i % len(got)
+			c.owner[p] = got[j].Worker
+			adopted[j] = append(adopted[j], p)
+		}
+	}
+	for i, a := range got {
+		workers = append(workers, a.Worker)
+		c.record(Event{Kind: EventAcquire, Worker: a.Worker, Partitions: adopted[i], Latency: a.Latency, Detail: a.Detail})
+	}
+	return workers, adopted
+}
+
+// Reserve sets a fresh worker ID aside for a worker provisioned ahead
+// of need (a warm standby). The ID is no member — Release rejects it as
+// unknown — until Attempt hands it out and Admit admits it.
+func (c *Cluster) Reserve() int {
+	w := c.nextWorker
+	c.nextWorker++
+	c.reserved[w] = true
+	return w
 }
 
 // Orphaned returns the partitions currently owned by dead workers, in
@@ -368,6 +447,13 @@ func (c *Cluster) AssignOrphans() (map[int][]int, error) {
 // history of everything that happened to the deployment.
 func (c *Cluster) Note(kind EventKind, detail string, partitions []int) {
 	c.record(Event{Kind: kind, Worker: -1, Partitions: partitions, Detail: detail})
+}
+
+// NoteWorker appends an event about worker w — a process-backed
+// cluster's detection verdicts ("suspect", "condemn") — to the same
+// log.
+func (c *Cluster) NoteWorker(kind EventKind, w int, detail string) {
+	c.record(Event{Kind: kind, Worker: w, Detail: detail})
 }
 
 // record appends e, honouring the ring-buffer cap.

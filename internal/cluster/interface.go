@@ -11,24 +11,11 @@ import (
 // the recovery supervisor and every experiment are written against this
 // interface so any cluster-facing test can run in both modes.
 //
-// Semantics every implementation must honour:
-//
-//   - Workers returns the sorted IDs of live workers; Owner/PartitionsOf
-//     describe the current partition assignment.
-//   - Fail(w) kills a live worker and returns the partitions it owned
-//     (now lost); failing an unknown or dead worker returns nil. For a
-//     process-backed cluster this is a real SIGKILL.
-//   - Acquire/AcquireN provision replacements bounded by the spare pool
-//     and the AcquireHook, spreading orphaned partitions round-robin.
-//     Callers must check len(workers), not assume the requested count.
-//   - Release decommissions a live worker cooperatively, moving its
-//     partitions to survivors and returning the machine to the spare
-//     pool. Double releases, never-acquired IDs, failed workers and the
-//     last live worker are rejected with a *ReleaseError.
-//   - AssignOrphans is the degraded-mode fallback when the pool is dry:
-//     orphaned partitions are spread across survivors.
-//   - Note/Events/DroppedEvents expose one ordered event history for
-//     narration and tests.
+// Both backends keep their membership in a *Cluster, so its methods
+// define the semantics: the coordinator only adds processes around them
+// — Fail is a real SIGKILL, AcquireN adopts or spawns a worker process,
+// Release migrates the leaving worker's state. Callers of AcquireN must
+// check len(workers), not assume the requested count.
 type Interface interface {
 	NumPartitions() int
 	Workers() []int

@@ -33,7 +33,7 @@ import (
 func quietCluster(t *testing.T) *Coordinator {
 	t.Helper()
 	return startTestCluster(t, 2, 4, func(c *Config) {
-		c.SparesBounded = true
+		c.Cluster = []cluster.Option{cluster.WithSpares(0)}
 		c.Heartbeat, c.LivenessWindow = 5*time.Second, 30*time.Second
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	oexec "os/exec"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -24,17 +25,13 @@ type Config struct {
 	// Partitions is the state partition count (>= 1), assigned
 	// round-robin like the in-process simulation.
 	Partitions int
-	// Spares bounds the spare pool when SparesBounded is true or Spares
-	// is positive; otherwise the pool is unlimited, mirroring
-	// cluster.New's default.
-	Spares        int
-	SparesBounded bool
-	// AcquireHook observes (and may sabotage) provisioning attempts,
-	// exactly like cluster.WithAcquireHook. It runs before the process
-	// is spawned.
-	AcquireHook cluster.AcquireHook
-	// EventCap bounds the event log like cluster.WithEventCap.
-	EventCap int
+	// Cluster configures the membership the coordinator keeps, a
+	// cluster.Cluster, exactly as for the simulation: cluster.WithSpares
+	// bounds the spare pool (unlimited without it),
+	// cluster.WithAcquireHook observes provisioning attempts — the hook
+	// runs before the process is spawned — and cluster.WithEventCap
+	// bounds the event log.
+	Cluster []cluster.Option
 	// Heartbeat is the worker beat interval (100ms if zero).
 	Heartbeat time.Duration
 	// LivenessWindow is how long a worker may go without a heartbeat
@@ -348,11 +345,17 @@ type connKey struct {
 	role   string
 }
 
-// Coordinator is the multi-process cluster backend: it owns partition
-// assignment, spawns worker daemons as real OS processes, detects
-// their failures and implements cluster.Interface with the exact
-// membership semantics of the in-process simulation — Fail is a
-// SIGKILL, AcquireN spawns replacement processes.
+// Coordinator is the multi-process cluster backend: it spawns worker
+// daemons as real OS processes, detects their failures and implements
+// cluster.Interface on the in-process simulation's own membership — one
+// cluster.Cluster, guarded by mu, keeps the workers, the partition
+// owners, the spare pool and the event log. What the coordinator adds
+// are processes: Fail fences and SIGKILLs, AcquireN adopts the warm
+// standby or spawns a process between an attempt and its admission,
+// Release migrates the leaving worker's state between its check and
+// its application, and the job's assign hook loads adopted partitions.
+// Spawns, hooks, state fetches and RPCs run between the Cluster's
+// steps, never under mu.
 //
 // Failure detection is a suspicion ladder, not a binary verdict: a
 // broken connection or missed liveness window makes a worker suspect,
@@ -369,7 +372,9 @@ type connKey struct {
 // AddSpares, Note) are driven by a single caller — the iteration loop
 // or the recovery supervisor — matching how the simulation is used.
 // Internal goroutines (accept loop, heartbeat readers, reapers, the
-// standby's spawn) only touch detection state, under the same mutex.
+// standby's spawn) only read membership and touch detection state —
+// appending its suspect and condemn events to the log — under the same
+// mutex.
 // While the spare pool is not empty, AcquireN adopts a warm standby
 // (see standby) instead of spawning a process at failure time.
 type Coordinator struct {
@@ -378,23 +383,16 @@ type Coordinator struct {
 	addr  string
 	token string
 
-	mu            sync.Mutex
-	alive         map[int]bool
-	released      map[int]bool
-	owner         []int
-	nextWorker    int
-	spares        int // -1 = unlimited
-	acquireSeq    int
-	events        []cluster.Event
-	eventsDropped int
-	procs         map[int]*workerProc
-	waiters       map[connKey]chan net.Conn // handshaken conns awaited by a spawn
-	beats         *liveness
-	assign        func(worker int, parts []int) error
-	closed        bool
-	standby       *standby      // nil when none is kept
-	children      []*workerProc // every process spawned, for Close to kill
-	done          chan struct{} // closed by Close: aborts spawns in flight
+	mu       sync.Mutex
+	cl       *cluster.Cluster // membership: workers, owners, spares, events
+	procs    map[int]*workerProc
+	waiters  map[connKey]chan net.Conn // handshaken conns awaited by a spawn
+	beats    *liveness
+	assign   func(worker int, parts []int) error
+	closed   bool
+	standby  *standby      // nil when none is kept
+	children []*workerProc // every process spawned, for Close to kill
+	done     chan struct{} // closed by Close: aborts spawns in flight
 
 	// bg counts spawns in flight and reapers; Close waits for them, so
 	// every process spawned has been reaped when it returns.
@@ -433,24 +431,15 @@ func Start(cfg Config) (*Coordinator, error) {
 		return nil, fmt.Errorf("proc: listen: %v", err)
 	}
 	c := &Coordinator{
-		cfg:      cfg,
-		ln:       ln,
-		addr:     ln.Addr().String(),
-		token:    hex.EncodeToString(tok),
-		alive:    make(map[int]bool),
-		released: make(map[int]bool),
-		owner:    make([]int, cfg.Partitions),
-		spares:   -1,
-		procs:    make(map[int]*workerProc),
-		waiters:  make(map[connKey]chan net.Conn),
-		beats:    newLiveness(cfg.LivenessWindow),
-		done:     make(chan struct{}),
-	}
-	if cfg.SparesBounded || cfg.Spares > 0 {
-		c.spares = cfg.Spares
-		if c.spares < 0 {
-			c.spares = 0
-		}
+		cfg:     cfg,
+		ln:      ln,
+		addr:    ln.Addr().String(),
+		token:   hex.EncodeToString(tok),
+		cl:      cluster.New(cfg.Workers, cfg.Partitions, cfg.Cluster...),
+		procs:   make(map[int]*workerProc),
+		waiters: make(map[connKey]chan net.Conn),
+		beats:   newLiveness(cfg.LivenessWindow),
+		done:    make(chan struct{}),
 	}
 	go c.acceptLoop()
 	procs := make([]*workerProc, cfg.Workers)
@@ -469,10 +458,6 @@ func Start(cfg Config) (*Coordinator, error) {
 	defer c.mu.Unlock()
 	for w, p := range procs {
 		c.admitLocked(w, p)
-	}
-	c.nextWorker = cfg.Workers
-	for p := 0; p < cfg.Partitions; p++ {
-		c.owner[p] = p % cfg.Workers
 	}
 	c.keepStandbyLocked()
 	return c, nil
@@ -506,11 +491,10 @@ func (c *Coordinator) Close() error {
 // boundaries: replacing an adopted standby at once made the spawn
 // compete with the recovery for the same CPUs.
 func (c *Coordinator) keepStandbyLocked() {
-	if c.standby != nil || c.spares == 0 || c.closed {
+	if c.standby != nil || c.cl.Spares() == 0 || c.closed {
 		return
 	}
-	s := &standby{id: c.nextWorker, ready: make(chan struct{})}
-	c.nextWorker++
+	s := &standby{id: c.cl.Reserve(), ready: make(chan struct{})}
 	c.standby = s
 	c.bg.Add(1)
 	go func() {
@@ -617,7 +601,7 @@ func (c *Coordinator) handleConn(nc net.Conn) {
 	// No spawner: a reconnect from a live worker, or a zombie.
 	c.mu.Lock()
 	p := c.procs[hello.Worker]
-	admit := p != nil && c.alive[hello.Worker] && !p.condemned && !c.closed
+	admit := p != nil && c.cl.IsAlive(hello.Worker) && !p.condemned && !c.closed
 	if !admit {
 		c.statFenced++
 	}
@@ -641,7 +625,7 @@ func (c *Coordinator) handleConn(nc net.Conn) {
 // handleConn's admission check.
 func (c *Coordinator) attach(p *workerProc, role string, nc net.Conn) {
 	c.mu.Lock()
-	if p.condemned || !c.alive[p.id] || c.closed {
+	if p.condemned || !c.cl.IsAlive(p.id) || c.closed {
 		c.statFenced++
 		c.mu.Unlock()
 		nc.Close()
@@ -798,10 +782,10 @@ func reexecCommand(env []string) (*oexec.Cmd, error) {
 	return cmd, nil
 }
 
-// admitLocked installs a spawned worker into membership and starts its
-// liveness window. Callers hold c.mu.
+// admitLocked hands worker w's spawned process to the coordinator and
+// starts its liveness window; membership admits w separately. Callers
+// hold c.mu.
 func (c *Coordinator) admitLocked(w int, p *workerProc) {
-	c.alive[w] = true
 	c.procs[w] = p
 	c.beats.track(w, clock.Now())
 }
@@ -816,7 +800,7 @@ func (c *Coordinator) reap(p *workerProc) {
 	defer c.mu.Unlock()
 	p.reaped = true
 	p.markGoneLocked()
-	if c.alive[p.id] && !c.closed {
+	if c.cl.IsAlive(p.id) && !c.closed {
 		c.condemnLocked(p, "process exited")
 	}
 }
@@ -832,7 +816,7 @@ func (c *Coordinator) readBeats(p *workerProc, nc net.Conn) {
 			c.mu.Lock()
 			// Only suspect if this stream is still the worker's current
 			// one — a reconnect swap closes the old stream on purpose.
-			if p.beat == nc && !p.condemned && c.alive[p.id] && !c.closed {
+			if p.beat == nc && !p.condemned && c.cl.IsAlive(p.id) && !c.closed {
 				c.suspectLocked(p, clock.Now(), "beat stream broken")
 			} else if c.standby != nil && c.standby.p == p {
 				p.markGoneLocked()
@@ -862,7 +846,7 @@ func (c *Coordinator) suspectLocked(p *workerProc, since time.Time, why string) 
 	}
 	p.suspectAt = since
 	c.statSuspected++
-	c.record(cluster.Event{Kind: cluster.EventSuspect, Worker: p.id, Detail: why})
+	c.cl.NoteWorker(cluster.EventSuspect, p.id, why)
 }
 
 // condemnLocked is the ladder's final verdict: the worker is declared
@@ -880,7 +864,7 @@ func (c *Coordinator) condemnLocked(p *workerProc, why string) {
 	c.statCondemned++
 	p.markGoneLocked()
 	p.closeConns()
-	c.record(cluster.Event{Kind: cluster.EventCondemn, Worker: p.id, Detail: why})
+	c.cl.NoteWorker(cluster.EventCondemn, p.id, why)
 }
 
 // condemn is the unlocked form, used by the RPC layer (retry budget
@@ -888,7 +872,7 @@ func (c *Coordinator) condemnLocked(p *workerProc, why string) {
 func (c *Coordinator) condemn(w int, why string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed || !c.alive[w] {
+	if c.closed || !c.cl.IsAlive(w) {
 		return
 	}
 	if p := c.procs[w]; p != nil {
@@ -896,82 +880,49 @@ func (c *Coordinator) condemn(w int, why string) {
 	}
 }
 
-// record appends an event honouring the ring-buffer cap. Callers hold
-// c.mu.
-func (c *Coordinator) record(e cluster.Event) {
-	if c.cfg.EventCap > 0 && len(c.events) >= c.cfg.EventCap {
-		drop := len(c.events) - c.cfg.EventCap + 1
-		c.events = c.events[drop:]
-		c.eventsDropped += drop
-	}
-	c.events = append(c.events, e)
-}
-
-func (c *Coordinator) partitionsOfLocked(w int) []int {
-	var ps []int
-	for p, o := range c.owner {
-		if o == w {
-			ps = append(ps, p)
-		}
-	}
-	return ps
-}
-
 // NumPartitions implements cluster.Interface.
-func (c *Coordinator) NumPartitions() int { return len(c.owner) }
+func (c *Coordinator) NumPartitions() int { return c.cl.NumPartitions() }
 
 // Workers implements cluster.Interface.
 func (c *Coordinator) Workers() []int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ws := make([]int, 0, len(c.alive))
-	for w, ok := range c.alive {
-		if ok {
-			ws = append(ws, w)
-		}
-	}
-	sort.Ints(ws)
-	return ws
+	return c.cl.Workers()
 }
 
 // Owner implements cluster.Interface.
 func (c *Coordinator) Owner(p int) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.owner[p]
+	return c.cl.Owner(p)
 }
 
 // PartitionsOf implements cluster.Interface.
 func (c *Coordinator) PartitionsOf(w int) []int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.partitionsOfLocked(w)
+	return c.cl.PartitionsOf(w)
 }
 
 // IsAlive implements cluster.Interface.
 func (c *Coordinator) IsAlive(w int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.alive[w]
+	return c.cl.IsAlive(w)
 }
 
 // Spares implements cluster.Interface.
 func (c *Coordinator) Spares() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.spares
+	return c.cl.Spares()
 }
 
 // AddSpares implements cluster.Interface.
 func (c *Coordinator) AddSpares(n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.spares < 0 || n <= 0 {
-		return
-	}
-	c.spares += n
-	c.record(cluster.Event{Kind: cluster.EventReplenish, Worker: -1,
-		Detail: fmt.Sprintf("%d spare(s) added, pool now %d", n, c.spares)})
+	c.cl.AddSpares(n)
 }
 
 // NetStats implements cluster.NetReporter.
@@ -987,21 +938,19 @@ func (c *Coordinator) NetStats() cluster.NetStats {
 	}
 }
 
-// Fail implements cluster.Interface: it removes the worker from
-// membership and SIGKILLs its process, returning the partitions it
-// owned. Under LeaveZombies the SIGKILL is skipped — the process stays
-// alive but fenced, modelling a node the coordinator cannot reach.
+// Fail implements cluster.Interface: it fences the worker and
+// SIGKILLs its process, then fails it in membership, returning the
+// partitions it owned. Under LeaveZombies the SIGKILL is skipped — the
+// process stays alive but fenced, modelling a node the coordinator
+// cannot reach.
 func (c *Coordinator) Fail(w int) []int {
 	c.mu.Lock()
-	if !c.alive[w] {
-		c.mu.Unlock()
+	defer c.mu.Unlock()
+	if !c.cl.IsAlive(w) {
 		return nil
 	}
-	delete(c.alive, w)
-	lost := c.partitionsOfLocked(w)
 	c.beats.forget(w)
-	p := c.procs[w]
-	if p != nil {
+	if p := c.procs[w]; p != nil {
 		// Fence before any teardown: a redial from this worker must be
 		// rejected even if the process outlives us. Already condemned by
 		// the ladder or the reaper, it is not counted again.
@@ -1010,9 +959,7 @@ func (c *Coordinator) Fail(w int) []int {
 			p.kill()
 		}
 	}
-	c.record(cluster.Event{Kind: cluster.EventFail, Worker: w, Partitions: lost})
-	c.mu.Unlock()
-	return lost
+	return c.cl.Fail(w)
 }
 
 // Kill SIGKILLs worker w's process WITHOUT updating membership — the
@@ -1023,7 +970,7 @@ func (c *Coordinator) Kill(w int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	p := c.procs[w]
-	if p == nil || !c.alive[w] {
+	if p == nil || !c.cl.IsAlive(w) {
 		return false
 	}
 	p.kill()
@@ -1040,7 +987,7 @@ func (c *Coordinator) DetectedFailures(alive []int) []int {
 	now := clock.Now()
 	var out []int
 	for _, w := range alive {
-		if !c.alive[w] {
+		if !c.cl.IsAlive(w) {
 			continue
 		}
 		p := c.procs[w]
@@ -1072,92 +1019,52 @@ func (c *Coordinator) Acquire() (int, []int) {
 	return ws[0], ad[0]
 }
 
-// AcquireN implements cluster.Interface: it provisions up to n worker
-// processes (spare pool and acquire hook permitting) — the warm standby
-// first, then cold spawns — spreads the orphaned partitions across them
-// round-robin, and hands each new worker its partitions' data via the
-// job's assign hook.
+// AcquireN implements cluster.Interface on cluster.Cluster's steps: a
+// granted attempt adopts the warm standby or spawns a process cold
+// before membership admits it, the orphans are spread over the new
+// workers as the simulation spreads them, and the job's assign hook
+// hands each new worker its partitions' data.
 func (c *Coordinator) AcquireN(n int) (workers []int, adopted [][]int, err error) {
-	if n < 1 {
-		n = 1
-	}
 	c.mu.Lock()
-	grant := n
-	if c.spares >= 0 && c.spares < grant {
-		grant = c.spares
-		c.record(cluster.Event{Kind: cluster.EventAcquireDenied, Worker: -1,
-			Detail: fmt.Sprintf("%d of %d acquisitions denied: spare pool exhausted", n-grant, n)})
-	}
+	grant := c.cl.Grant(n)
 	c.mu.Unlock()
 
-	var latencies []time.Duration
-	var how []string
-	for i := 0; i < grant; i++ {
+	var got []cluster.Acquired
+	for range grant {
 		s := c.takeStandby()
-		c.mu.Lock()
-		c.acquireSeq++
-		seq, w := c.acquireSeq, c.nextWorker
+		reserved := -1
 		if s != nil {
-			w = s.id
+			reserved = s.id
 		}
+		c.mu.Lock()
+		w, provision := c.cl.Attempt(reserved)
 		c.mu.Unlock()
-		var lat time.Duration
-		if c.cfg.AcquireHook != nil {
-			var hookErr error
-			lat, hookErr = c.cfg.AcquireHook(seq, w)
-			if hookErr != nil {
-				c.mu.Lock()
-				if s != nil && c.standby == nil {
-					c.standby = s // still warm: the next attempt adopts it
-				}
-				c.record(cluster.Event{Kind: cluster.EventAcquireFailed, Worker: w, Detail: hookErr.Error()})
-				c.mu.Unlock()
-				err = fmt.Errorf("cluster: acquiring worker %d: %w", w, hookErr)
-				break
-			}
-		}
+		lat, perr := provision()
 		var p *workerProc
-		if s != nil {
+		how := "warm standby"
+		if perr == nil && s != nil {
 			p = s.p
-			how = append(how, "warm standby")
-		} else {
-			var spawnErr error
-			if p, spawnErr = c.spawnWorker(w); spawnErr != nil {
-				c.mu.Lock()
-				c.record(cluster.Event{Kind: cluster.EventAcquireFailed, Worker: w, Detail: spawnErr.Error()})
-				c.mu.Unlock()
-				err = fmt.Errorf("cluster: acquiring worker %d: %w", w, spawnErr)
-				break
-			}
-			how = append(how, "cold spawn")
+		} else if perr == nil {
+			p, perr = c.spawnWorker(w)
+			how = "cold spawn"
 		}
 		c.mu.Lock()
-		c.nextWorker = max(c.nextWorker, w+1)
-		c.admitLocked(w, p)
-		if c.spares > 0 {
-			c.spares--
+		if perr != nil {
+			if s != nil && c.standby == nil {
+				c.standby = s // still warm: the next attempt adopts it
+			}
+			err = c.cl.AcquireFailed(w, perr)
+			c.mu.Unlock()
+			break
 		}
+		c.cl.Admit(w)
+		c.admitLocked(w, p)
 		c.mu.Unlock()
-		workers = append(workers, w)
-		latencies = append(latencies, lat)
+		got = append(got, cluster.Acquired{Worker: w, Latency: lat, Detail: how})
 	}
 
 	c.mu.Lock()
-	adopted = make([][]int, len(workers))
-	if len(workers) > 0 {
-		next := 0
-		for p, o := range c.owner {
-			if !c.alive[o] {
-				i := next % len(workers)
-				c.owner[p] = workers[i]
-				adopted[i] = append(adopted[i], p)
-				next++
-			}
-		}
-	}
-	for i, w := range workers {
-		c.record(cluster.Event{Kind: cluster.EventAcquire, Worker: w, Partitions: adopted[i], Latency: latencies[i], Detail: how[i]})
-	}
+	workers, adopted = c.cl.AdoptOrphans(got)
 	hook := c.assign
 	c.mu.Unlock()
 
@@ -1174,39 +1081,19 @@ func (c *Coordinator) AcquireN(n int) (workers []int, adopted [][]int, err error
 	return workers, adopted, err
 }
 
-// Release implements cluster.Interface: cooperative decommissioning
-// with the same typed rejections as the simulation. With a job
-// attached, the leaving worker's partition state is fetched first and
-// restored onto the surviving owners — no state is lost, unlike Fail.
+// Release implements cluster.Interface on cluster.Cluster's steps, so
+// it rejects what the simulation rejects. With a job attached, the
+// leaving worker's partition state is fetched between the check and
+// the release, and restored onto the surviving owners after it — no
+// state is lost, unlike Fail.
 func (c *Coordinator) Release(w int) error {
 	c.mu.Lock()
-	if w < 0 || w >= c.nextWorker {
-		c.mu.Unlock()
-		return &cluster.ReleaseError{Worker: w, Reason: cluster.ErrUnknownWorker}
-	}
-	if c.released[w] {
-		c.mu.Unlock()
-		return &cluster.ReleaseError{Worker: w, Reason: cluster.ErrDoubleRelease}
-	}
-	if !c.alive[w] {
-		c.mu.Unlock()
-		return &cluster.ReleaseError{Worker: w, Reason: cluster.ErrDeadWorker}
-	}
-	survivors := make([]int, 0, len(c.alive))
-	for o, ok := range c.alive {
-		if ok && o != w {
-			survivors = append(survivors, o)
-		}
-	}
-	if len(survivors) == 0 {
-		c.mu.Unlock()
-		return &cluster.ReleaseError{Worker: w, Reason: cluster.ErrLastWorker}
-	}
-	sort.Ints(survivors)
-	moved := c.partitionsOfLocked(w)
-	hook := c.assign
-	p := c.procs[w]
+	moved, err := c.cl.CheckRelease(w)
+	hook, p := c.assign, c.procs[w]
 	c.mu.Unlock()
+	if err != nil {
+		return err
+	}
 
 	// Migrate state off the leaving worker before it goes away.
 	var fetched map[int]PartBlob
@@ -1222,20 +1109,9 @@ func (c *Coordinator) Release(w int) error {
 	}
 
 	c.mu.Lock()
-	perOwner := make(map[int][]int)
-	for i, part := range moved {
-		o := survivors[i%len(survivors)]
-		c.owner[part] = o
-		perOwner[o] = append(perOwner[o], part)
-	}
-	delete(c.alive, w)
-	c.released[w] = true
+	perOwner := c.cl.ApplyRelease(w)
 	delete(c.procs, w)
 	c.beats.forget(w)
-	if c.spares >= 0 {
-		c.spares++
-	}
-	c.record(cluster.Event{Kind: cluster.EventRelease, Worker: w, Partitions: moved})
 	c.mu.Unlock()
 
 	if hook != nil {
@@ -1270,13 +1146,7 @@ func (c *Coordinator) Release(w int) error {
 func (c *Coordinator) Orphaned() []int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var ps []int
-	for p, o := range c.owner {
-		if !c.alive[o] {
-			ps = append(ps, p)
-		}
-	}
-	return ps
+	return c.cl.Orphaned()
 }
 
 // AssignOrphans implements cluster.Interface: degraded-mode
@@ -1286,44 +1156,14 @@ func (c *Coordinator) Orphaned() []int {
 // compensates it afterwards).
 func (c *Coordinator) AssignOrphans() (map[int][]int, error) {
 	c.mu.Lock()
-	var orphans []int
-	for p, o := range c.owner {
-		if !c.alive[o] {
-			orphans = append(orphans, p)
-		}
-	}
-	if len(orphans) == 0 {
-		c.mu.Unlock()
-		return nil, nil
-	}
-	ws := make([]int, 0, len(c.alive))
-	for w, ok := range c.alive {
-		if ok {
-			ws = append(ws, w)
-		}
-	}
-	if len(ws) == 0 {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("cluster: %d orphaned partitions and no live worker to adopt them", len(orphans))
-	}
-	sort.Ints(ws)
-	moved := make(map[int][]int)
-	for i, p := range orphans {
-		w := ws[i%len(ws)]
-		c.owner[p] = w
-		moved[w] = append(moved[w], p)
-	}
-	c.record(cluster.Event{Kind: cluster.EventRepartition, Worker: -1, Partitions: orphans,
-		Detail: fmt.Sprintf("degraded: %d orphaned partition(s) repartitioned across %d survivor(s)", len(orphans), len(ws))})
-	hook := c.assign
+	moved, err := c.cl.AssignOrphans()
+	ws, hook := c.cl.Workers(), c.assign
 	c.mu.Unlock()
-
-	if hook != nil {
-		for _, w := range ws {
-			parts := moved[w]
-			if len(parts) == 0 {
-				continue
-			}
+	if err != nil || hook == nil {
+		return moved, err
+	}
+	for _, w := range ws {
+		if parts := moved[w]; len(parts) > 0 {
 			if err := hook(w, parts); err != nil {
 				return moved, fmt.Errorf("cluster: loading orphaned partitions onto worker %d: %v", w, err)
 			}
@@ -1336,21 +1176,21 @@ func (c *Coordinator) AssignOrphans() (map[int][]int, error) {
 func (c *Coordinator) Note(kind cluster.EventKind, detail string, partitions []int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.record(cluster.Event{Kind: kind, Worker: -1, Partitions: partitions, Detail: detail})
+	c.cl.Note(kind, detail, partitions)
 }
 
 // Events implements cluster.Interface.
 func (c *Coordinator) Events() []cluster.Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]cluster.Event(nil), c.events...)
+	return slices.Clone(c.cl.Events())
 }
 
 // DroppedEvents implements cluster.Interface.
 func (c *Coordinator) DroppedEvents() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.eventsDropped
+	return c.cl.DroppedEvents()
 }
 
 // setAssignHook registers the job's partition-loading callback,

@@ -1,7 +1,7 @@
 package proc
 
 import (
-	"sort"
+	"slices"
 
 	"optiflow/internal/failure"
 )
@@ -59,18 +59,8 @@ func (d *Detector) FailuresDuringRecovery(superstep, tick, round int, alive []in
 	return dedupSorted(out)
 }
 
+// dedupSorted sorts ws in place and drops repeats.
 func dedupSorted(ws []int) []int {
-	if len(ws) == 0 {
-		return nil
-	}
-	set := make(map[int]bool, len(ws))
-	for _, w := range ws {
-		set[w] = true
-	}
-	out := make([]int, 0, len(set))
-	for w := range set {
-		out = append(out, w)
-	}
-	sort.Ints(out)
-	return out
+	slices.Sort(ws)
+	return slices.Compact(ws)
 }

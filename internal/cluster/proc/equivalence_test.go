@@ -519,7 +519,7 @@ func TestAdoptionFallbackCompensates(t *testing.T) {
 	for kind, at := range map[string]int{KindCC: 1, KindPageRank: 2} {
 		t.Run(kind, func(t *testing.T) {
 			want := runInProc(t, kind, g, nil)
-			co := startTestCluster(t, eqWorkers, eqParts, func(c *Config) { c.SparesBounded = true })
+			co := startTestCluster(t, eqWorkers, eqParts, func(c *Config) { c.Cluster = []cluster.Option{cluster.WithSpares(0)} })
 			compensated := false
 			got := runProcOn(t, co, kind, g, recovery.Optimistic{}, boundaryKill(t, at, false), func(r *procRig) {
 				r.loop.Supervisor = supervise.New(co, r.loop.Policy, r.loop.Injector, supervise.Config{})

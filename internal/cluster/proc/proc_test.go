@@ -44,11 +44,26 @@ func startTestCluster(t *testing.T, workers, partitions int, mutate func(*Config
 // demands identical observable state after every op — the "one
 // Interface, two deployments" contract.
 func TestCoordinatorMirrorsSimulation(t *testing.T) {
-	co := startTestCluster(t, 3, 6, func(c *Config) { c.Spares = 2; c.SparesBounded = true })
+	co := startTestCluster(t, 3, 6, func(c *Config) { c.Cluster = []cluster.Option{cluster.WithSpares(2)} })
 	sim := cluster.New(3, 6, cluster.WithSpares(2))
 
+	// The logs compare by kind, worker and partitions: detection events
+	// exist only with real processes, and Detail and Latency say how a
+	// backend provisioned, not what membership did.
+	membership := func(evs []cluster.Event) []cluster.Event {
+		var out []cluster.Event
+		for _, e := range evs {
+			if e.Kind != cluster.EventSuspect && e.Kind != cluster.EventCondemn {
+				out = append(out, cluster.Event{Kind: e.Kind, Worker: e.Worker, Partitions: e.Partitions})
+			}
+		}
+		return out
+	}
 	check := func(stage string) {
 		t.Helper()
+		if got, want := membership(co.Events()), membership(sim.Events()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Events proc=%+v sim=%+v", stage, got, want)
+		}
 		if got, want := co.Workers(), sim.Workers(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: Workers proc=%v sim=%v", stage, got, want)
 		}
@@ -71,16 +86,6 @@ func TestCoordinatorMirrorsSimulation(t *testing.T) {
 	}
 	check("after Fail(1)")
 
-	gotW, gotA, gotErr := co.AcquireN(1)
-	wantW, wantA, wantErr := sim.AcquireN(1)
-	if (gotErr == nil) != (wantErr == nil) {
-		t.Fatalf("AcquireN(1): err proc=%v sim=%v", gotErr, wantErr)
-	}
-	if !reflect.DeepEqual(gotW, wantW) || !reflect.DeepEqual(gotA, wantA) {
-		t.Fatalf("AcquireN(1): proc=(%v,%v) sim=(%v,%v)", gotW, gotA, wantW, wantA)
-	}
-	check("after AcquireN(1)")
-
 	// Typed Release rejections must match sentinel for sentinel.
 	for _, tc := range []struct {
 		name     string
@@ -89,6 +94,8 @@ func TestCoordinatorMirrorsSimulation(t *testing.T) {
 	}{
 		{"unknown", 99, cluster.ErrUnknownWorker},
 		{"dead", 1, cluster.ErrDeadWorker},
+		// The warm standby's ID 3 is reserved, not provisioned.
+		{"reserved standby", 3, cluster.ErrUnknownWorker},
 	} {
 		for impl, rel := range map[string]func(int) error{"proc": co.Release, "sim": sim.Release} {
 			err := rel(tc.worker)
@@ -101,6 +108,17 @@ func TestCoordinatorMirrorsSimulation(t *testing.T) {
 			}
 		}
 	}
+	check("after rejected releases")
+
+	gotW, gotA, gotErr := co.AcquireN(1)
+	wantW, wantA, wantErr := sim.AcquireN(1)
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("AcquireN(1): err proc=%v sim=%v", gotErr, wantErr)
+	}
+	if !reflect.DeepEqual(gotW, wantW) || !reflect.DeepEqual(gotA, wantA) {
+		t.Fatalf("AcquireN(1): proc=(%v,%v) sim=(%v,%v)", gotW, gotA, wantW, wantA)
+	}
+	check("after AcquireN(1)")
 
 	if err, serr := co.Release(0), sim.Release(0); (err == nil) != (serr == nil) {
 		t.Fatalf("Release(0): proc=%v sim=%v", err, serr)

@@ -7,10 +7,9 @@ import (
 
 // Provision implements supervise.ClusterFactory for the multi-process
 // deployment: it boots a Coordinator with real worker-daemon
-// processes, mapping the supervision config onto the proc Config the
-// same way supervise.ClusterOptions maps it onto the simulation
-// (bounded spare pool, acquire hook, event cap). The returned teardown
-// SIGKILLs any workers still running.
+// processes whose membership takes the same supervise.ClusterOptions
+// as the simulation (bounded spare pool, acquire hook, event cap). The
+// returned teardown SIGKILLs any workers still running.
 //
 // Drop it into a demoapp Config or experiments Config as NewCluster —
 // the binary hosting the run must call MaybeChildMode first thing in
@@ -19,11 +18,7 @@ import (
 func Provision(workers, partitions int, sup *supervise.Config) (cluster.Interface, func(), error) {
 	cfg := Config{Workers: workers, Partitions: partitions}
 	if sup != nil {
-		if sup.Spares >= 0 {
-			cfg.Spares, cfg.SparesBounded = sup.Spares, true
-		}
-		cfg.AcquireHook = sup.AcquireHook
-		cfg.EventCap = sup.EventCap
+		cfg.Cluster = sup.ClusterOptions()
 	}
 	co, err := Start(cfg)
 	if err != nil {

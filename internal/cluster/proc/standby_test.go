@@ -270,7 +270,8 @@ func TestStandbyDyingBeforeItsLoadIsFolded(t *testing.T) {
 					return 0, nil
 				}
 				co := startTestCluster(t, eqWorkers, eqParts, func(c *Config) {
-					c.NetFault, c.Spawn, c.AcquireHook = nw, log.spawn, hook
+					c.NetFault, c.Spawn = nw, log.spawn
+					c.Cluster = []cluster.Option{cluster.WithAcquireHook(hook)}
 				})
 				var verdicts []error
 				got := runProcOn(t, co, tc.kind, tc.g, recovery.Optimistic{}, boundaryKill(t, tc.at, false), func(r *procRig) {
@@ -307,8 +308,8 @@ func TestStandbyLeaksNoProcess(t *testing.T) {
 		mutate  func(*Config)
 		spawned []int
 	}{
-		"hook error":    {func(c *Config) { c.AcquireHook = refuse }, []int{0, 1, 2}},
-		"pool is empty": {func(c *Config) { c.SparesBounded = true }, []int{0, 1}},
+		"hook error":    {func(c *Config) { c.Cluster = []cluster.Option{cluster.WithAcquireHook(refuse)} }, []int{0, 1, 2}},
+		"pool is empty": {func(c *Config) { c.Cluster = []cluster.Option{cluster.WithSpares(0)} }, []int{0, 1}},
 	} {
 		for _, job := range standbyJobs {
 			t.Run(name+"/"+job.kind, func(t *testing.T) {

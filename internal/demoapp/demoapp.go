@@ -125,38 +125,36 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// policy maps the configured policy name to a recovery.Policy, also
-// returning the checkpoint store (nil unless the policy snapshots) so
-// the supervisor can escalate to the snapshots the policy wrote.
-func (c Config) policy() (recovery.Policy, checkpoint.Store) {
+// policy maps the configured policy name to a recovery.Policy. A
+// checkpointing policy gets a store of its own; the supervisor gets
+// none, since its checkpoint rung never runs for a policy that writes
+// snapshots (see supervise.Config.Store).
+func (c Config) policy() recovery.Policy {
 	switch c.Policy {
 	case "checkpoint":
-		store := checkpoint.NewMemoryStore()
-		return recovery.NewCheckpoint(1, store), store
+		return recovery.NewCheckpoint(1, checkpoint.NewMemoryStore())
 	case "async-checkpoint":
 		// The pipelined baseline: capture at the barrier, per-partition
 		// encode + persist in the background, atomic epoch commit.
-		store := checkpoint.NewMemoryStore()
-		return recovery.NewAsyncCheckpoint(1, store, c.Parallelism), store
+		return recovery.NewAsyncCheckpoint(1, checkpoint.NewMemoryStore(), c.Parallelism)
 	case "restart":
-		return recovery.Restart{}, nil
+		return recovery.Restart{}
 	case "none":
-		return recovery.None{}, nil
+		return recovery.None{}
 	default:
-		return recovery.Optimistic{}, nil
+		return recovery.Optimistic{}
 	}
 }
 
 // supervision builds the supervisor config for the run (nil when not
 // Supervised).
-func (c Config) supervision(store checkpoint.Store) *supervise.Config {
+func (c Config) supervision() *supervise.Config {
 	if !c.Supervised {
 		return nil
 	}
 	return &supervise.Config{
 		Spares:        c.Spares,
 		FailureBudget: c.FailureBudget,
-		Store:         store,
 	}
 }
 
@@ -324,8 +322,8 @@ func runCC(cfg Config) (*RunOutcome, error) {
 		})
 	}
 
-	pol, store := cfg.policy()
-	sup := cfg.supervision(store)
+	pol := cfg.policy()
+	sup := cfg.supervision()
 	cl, stop, err := cfg.provisionCluster(sup)
 	if err != nil {
 		return nil, err
@@ -441,8 +439,8 @@ func runPR(cfg Config) (*RunOutcome, error) {
 		})
 	}
 
-	pol, store := cfg.policy()
-	sup := cfg.supervision(store)
+	pol := cfg.policy()
+	sup := cfg.supervision()
 	cl, stop, err := cfg.provisionCluster(sup)
 	if err != nil {
 		return nil, err

@@ -61,13 +61,12 @@ func (r *Runner) ChaosSoak() (*Report, error) {
 					WithProbabilities(0.35, 0.25, 0.50).
 					WithMaxFailures(4).
 					Until(5)
-				store := checkpoint.NewMemoryStore()
 				var pol recovery.Policy
 				switch policyName {
 				case "optimistic":
 					pol = recovery.Optimistic{}
 				case "checkpoint":
-					pol = recovery.NewCheckpoint(2, store)
+					pol = recovery.NewCheckpoint(2, checkpoint.NewMemoryStore())
 				case "restart":
 					pol = recovery.Restart{}
 				case "none":
@@ -86,7 +85,6 @@ func (r *Runner) ChaosSoak() (*Report, error) {
 				sup := &supervise.Config{
 					Spares:        1,
 					FailureBudget: 2,
-					Store:         store,
 					AcquireHook:   hook,
 				}
 

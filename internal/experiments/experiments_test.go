@@ -55,6 +55,18 @@ func TestBulkDeltaShapeChecksPass(t *testing.T) {
 	}
 }
 
+// TestConfinedShapeChecksPass runs E11: optimistic against confined
+// recovery on SSSP, every row on the same vertex-centric engine.
+func TestConfinedShapeChecksPass(t *testing.T) {
+	rep, err := quickRunner().Confined()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Passed() {
+		t.Fatalf("confined checks failed:\n%s", rep.Render())
+	}
+}
+
 func TestFig4ShapeChecksPass(t *testing.T) {
 	rep, err := quickRunner().Fig4()
 	if err != nil {

@@ -76,8 +76,10 @@ type Config struct {
 	// the chaos is outrunning recovery.
 	MaxRecoveryRounds int
 	// Store, when set, enables the checkpoint rung of the escalation
-	// ladder. Share it with the job's Checkpoint policy to escalate to
-	// the snapshots that policy wrote.
+	// ladder. The rung runs only for the none, optimistic and confined
+	// policies, which write no snapshots (a checkpointing policy
+	// escalates straight to restart), so it restores only what was put
+	// into Store by other means.
 	Store checkpoint.Store
 	// AcquireHook is installed on the cluster (via ClusterOptions) to
 	// model slow or flaky provisioning.
