@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"optiflow/internal/exec"
+	"optiflow/internal/graph"
 	"optiflow/internal/graph/gen"
 	"optiflow/internal/state"
 )
@@ -51,6 +52,19 @@ func storeViews[V exec.ColValue](s *state.DenseStore[V]) [][]byte {
 	return out
 }
 
+// storeTwin returns a clean copy of s, restored from its partition
+// views.
+func storeTwin[V exec.ColValue](t *testing.T, s *state.DenseStore[V], g *graph.Graph, pt *graph.Partitioning) *state.DenseStore[V] {
+	twin := state.NewDenseStore[V](s.Name(), g.Dense(), pt)
+	for p, view := range storeViews(s) {
+		if err := twin.RestorePartitionView(p, view, exec.ReadVals[V]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	twin.MarkClean()
+	return twin
+}
+
 func applyReference[V exec.ColValue](t *testing.T, recapture bool, pool []V) {
 	const nparts, rounds = 3, 300
 	rng := rand.New(rand.NewSource(int64(len(pool))))
@@ -77,7 +91,7 @@ func applyReference[V exec.ColValue](t *testing.T, recapture bool, pool []V) {
 				}
 			}
 			j.vals.MarkClean()
-			twin = j.vals.Snapshot()
+			twin = storeTwin(t, j.vals, g, pt)
 		}
 
 		// The columns Apply is handed: each destination once, ascending.

@@ -59,16 +59,12 @@ func FromCSR(ids []VertexID, offsets, targets []int32, weights []float64) (*Grap
 	}
 	g := &Graph{
 		directed: true,
-		ids:      ids,
-		index:    make(map[VertexID]int32, nv),
 		offsets:  offsets,
 		targets:  make([]VertexID, len(targets)),
 		weights:  weights,
 		numEdges: len(targets),
 	}
-	for i, v := range ids {
-		g.index[v] = int32(i)
-	}
+	g.setIDs(ids)
 	for j, t := range targets {
 		if t < 0 || int(t) >= nv {
 			return nil, fmt.Errorf("graph: target index %d outside [0,%d)", t, nv)

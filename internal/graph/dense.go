@@ -24,8 +24,8 @@ type Dense struct {
 
 // Dense returns the dense CSR view of the graph, building it on first
 // use. The translation of targets from VertexIDs to dense indices is
-// the only O(edges) map-lookup pass; afterwards edge iteration is pure
-// array arithmetic.
+// the only O(edges) lookup pass, one subtraction per edge when the IDs
+// are contiguous; afterwards edge iteration is pure array arithmetic.
 func (g *Graph) Dense() *Dense {
 	g.denseOnce.Do(func() {
 		d := &Dense{
@@ -36,7 +36,7 @@ func (g *Graph) Dense() *Dense {
 			parts:   make(map[int]*Partitioning),
 		}
 		for j, t := range g.targets {
-			d.Targets[j] = g.index[t]
+			d.Targets[j], _ = g.pos(t)
 		}
 		g.dense = d
 	})
@@ -55,8 +55,7 @@ func (d *Dense) IDs() []VertexID { return d.g.ids }
 
 // IndexOf returns the dense index of vertex v.
 func (d *Dense) IndexOf(v VertexID) (int32, bool) {
-	i, ok := d.g.index[v]
-	return i, ok
+	return d.g.pos(v)
 }
 
 // Degree returns the out-degree of dense vertex i.

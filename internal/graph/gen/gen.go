@@ -8,6 +8,7 @@ package gen
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"optiflow/internal/graph"
 )
@@ -85,7 +86,7 @@ func BarabasiAlbert(n, m int, seed int64, directed bool) *graph.Graph {
 	// m(m+1)/2 edges and every later vertex attaches exactly m more.
 	numEdges := m*(m+1)/2 + (n-m-1)*m
 	b := graph.NewBuilder(directed)
-	b.Reserve(n, numEdges)
+	b.Reserve(0, numEdges)
 	// repeated holds one entry per edge endpoint, which makes sampling
 	// proportional to degree a uniform pick.
 	repeated := make([]graph.VertexID, 0, 2*numEdges)
@@ -97,22 +98,16 @@ func BarabasiAlbert(n, m int, seed int64, directed bool) *graph.Graph {
 			repeated = append(repeated, u, v)
 		}
 	}
-	chosen := make(map[graph.VertexID]bool, m)
 	targets := make([]graph.VertexID, 0, m)
 	for i := m + 1; i < n; i++ {
 		v := graph.VertexID(i)
-		clear(chosen)
 		targets = targets[:0]
 		for len(targets) < m {
 			t := repeated[rng.Intn(len(repeated))]
-			if t != v && !chosen[t] {
-				chosen[t] = true
+			if t != v && !slices.Contains(targets, t) {
 				targets = append(targets, t)
 			}
 		}
-		// Iterate the slice, not the map: map order would leak
-		// scheduler nondeterminism back into the sampling stream and
-		// break seed reproducibility.
 		for _, t := range targets {
 			b.AddEdge(v, t)
 			repeated = append(repeated, v, t)
@@ -190,7 +185,7 @@ func ErdosRenyi(n int, p float64, seed int64, directed bool) *graph.Graph {
 // label diffusion, which makes failure effects easy to observe.
 func Grid(rows, cols int) *graph.Graph {
 	b := graph.NewBuilder(false)
-	b.Reserve(rows*cols, rows*(cols-1)+cols*(rows-1))
+	b.Reserve(0, rows*(cols-1)+cols*(rows-1))
 	id := func(r, c int) graph.VertexID { return graph.VertexID(r*cols + c) }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {

@@ -129,16 +129,6 @@ func (w *ColWorkset[V]) Swap(other *ColWorkset[V]) {
 	w.shared, other.shared = other.shared, w.shared
 }
 
-// Snapshot returns a deep copy of the workset.
-func (w *ColWorkset[V]) Snapshot() *ColWorkset[V] {
-	c := NewColWorkset[V](w.name, len(w.idx))
-	for p := range w.idx {
-		c.idx[p] = append([]int32(nil), w.idx[p]...)
-		c.val[p] = append([]V(nil), w.val[p]...)
-	}
-	return c
-}
-
 // SnapshotShared returns an O(parts) capture sharing the column backing
 // arrays, safe because partitions are append-only between clears: a
 // later Add writes beyond the captured length, which the capture's
@@ -158,17 +148,4 @@ func (w *ColWorkset[V]) SnapshotShared() *ColWorkset[V] {
 		w.shared[p], c.shared[p] = true, true
 	}
 	return c
-}
-
-// CopyFrom replaces the workset contents with those of other.
-func (w *ColWorkset[V]) CopyFrom(other *ColWorkset[V]) {
-	if len(w.idx) != len(other.idx) {
-		panic(fmt.Sprintf("state: CopyFrom: partition count mismatch %d != %d", len(w.idx), len(other.idx)))
-	}
-	for p := range w.idx {
-		w.idx[p] = append([]int32(nil), other.idx[p]...)
-		w.val[p] = append([]V(nil), other.val[p]...)
-		w.shared[p] = false
-		w.bump(p)
-	}
 }

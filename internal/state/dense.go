@@ -280,17 +280,6 @@ func (s *DenseStore[V]) Range(fn func(k uint64, v V) bool) {
 	}
 }
 
-// Snapshot returns a deep copy of the store's contents.
-func (s *DenseStore[V]) Snapshot() *DenseStore[V] {
-	c := NewDenseStore[V](s.name, s.d, s.pt)
-	for p := range s.vals {
-		copy(c.vals[p], s.vals[p])
-		copy(c.has[p], s.has[p])
-		c.count[p] = s.count[p]
-	}
-	return c
-}
-
 // SnapshotShared returns a copy-on-write capture: O(parts) at the
 // barrier, column arrays aliased until either side writes (see
 // unshare). Checkpoint encoders walk the captured columns directly.
