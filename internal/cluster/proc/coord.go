@@ -125,7 +125,12 @@ func (e *transportError) Error() string { return e.err.Error() }
 func (e *transportError) Unwrap() error { return e.err }
 
 // isTransportError reports whether err came from the transport layer.
+// A nil err returns before the target of errors.As, which escapes, is
+// allocated: every call asks.
 func isTransportError(err error) bool {
+	if err == nil {
+		return false
+	}
 	var te *transportError
 	return errors.As(err, &te)
 }
@@ -153,7 +158,10 @@ type rpcConn struct {
 	gone    <-chan struct{} // closed when the worker is condemned/reaped
 	onRetry func()          // observability hook, called per extra attempt
 
+	// Held with the semaphore: the next token, and the buffer every
+	// frame of a call is assembled and received in.
 	nextID uint64
+	buf    []byte
 }
 
 // conn snapshots the current connection and its swap signal.
@@ -190,13 +198,14 @@ func (r *rpcConn) close() {
 // attempt performs one request/response exchange for token id. Frames
 // with a different token are stale responses from earlier attempts (or
 // network duplicates) and are discarded.
-func (r *rpcConn) attempt(nc net.Conn, id uint64, req any, arena *[]byte) (any, error) {
+func (r *rpcConn) attempt(nc net.Conn, id uint64, req any, into *relay) (any, error) {
 	nc.SetDeadline(time.Now().Add(r.timeout))
-	if err := writeFrame(nc, id, req); err != nil {
+	if err := writeFrameFrom(nc, &r.buf, id, req); err != nil {
 		return nil, err
 	}
+	arena, resp := into.target()
 	for {
-		rid, m, err := readFrame(nc, arena)
+		rid, m, err := readFrameInto(nc, &r.buf, arena, resp)
 		if err != nil {
 			return nil, err
 		}
@@ -207,9 +216,9 @@ func (r *rpcConn) attempt(nc net.Conn, id uint64, req any, arena *[]byte) (any, 
 	}
 }
 
-// call performs one RPC; a StepResp's exchange columns decode into arena
-// (see recycle), nil allocating them.
-func (r *rpcConn) call(req any, arena *[]byte) (any, error) {
+// call performs one RPC; a StepResp decodes into into (see relay), nil
+// allocating it.
+func (r *rpcConn) call(req any, into *relay) (any, error) {
 	select {
 	case r.sem <- struct{}{}:
 	case <-r.gone:
@@ -225,7 +234,7 @@ func (r *rpcConn) call(req any, arena *[]byte) (any, error) {
 			r.onRetry()
 		}
 		nc, swapped := r.conn()
-		resp, err := r.attempt(nc, id, req, arena)
+		resp, err := r.attempt(nc, id, req, into)
 		if err == nil {
 			if e, ok := resp.(ErrResp); ok {
 				return nil, errors.New("proc: " + e.Msg)
@@ -273,11 +282,41 @@ func (r *rpcConn) wait(d time.Duration, swapped chan struct{}) bool {
 	}
 }
 
+// relay is the memory one worker process's StepResps decode into, owned
+// by its workerProc: it outlives any one job and dies with the process.
+// Two arena generations hold exchange column bytes (see recycle):
+// arenas[gen] the last committed attempt's, which the holding job's
+// inbox views, and the other the next attempt's. resp is the last
+// response decoded; the inbox copies its column headers, so their
+// memory is reused too. Only the process's serveSteps goroutine decodes
+// into it, and the holding job reads resp and flips gen
+// (Coordinator.owe) only after that goroutine answered.
+type relay struct {
+	arenas [2][]byte
+	gen    int
+	resp   StepResp
+}
+
+// target returns where the next StepResp decodes: the generation not
+// holding committed columns, and resp. A nil relay decodes into fresh
+// memory.
+func (rl *relay) target() (*[]byte, *StepResp) {
+	if rl == nil {
+		return nil, nil
+	}
+	return &rl.arenas[1-rl.gen], &rl.resp
+}
+
 // workerProc is the coordinator's handle on one worker process. All
-// fields below cmd are guarded by the coordinator's mutex.
+// fields below relay are guarded by the coordinator's mutex.
 type workerProc struct {
-	id   int
-	cmd  *oexec.Cmd
+	id  int
+	cmd *oexec.Cmd
+	// steps hands the worker's stepper goroutine (serveSteps) one
+	// superstep call at a time; relay is where its answers decode.
+	steps chan *stepCall
+	relay relay
+
 	ctrl *rpcConn
 	beat net.Conn
 
@@ -353,9 +392,9 @@ type connKey struct {
 // are processes: Fail fences and SIGKILLs, AcquireN adopts the warm
 // standby or spawns a process between an attempt and its admission,
 // Release migrates the leaving worker's state between its check and
-// its application, and the job's assign hook loads adopted partitions.
-// Spawns, hooks, state fetches and RPCs run between the Cluster's
-// steps, never under mu.
+// its application, and the job holding the relay loads adopted
+// partitions. Spawns, partition loads, state fetches and RPCs run
+// between the Cluster's steps, never under mu.
 //
 // Failure detection is a suspicion ladder, not a binary verdict: a
 // broken connection or missed liveness window makes a worker suspect,
@@ -388,15 +427,19 @@ type Coordinator struct {
 	procs    map[int]*workerProc
 	waiters  map[connKey]chan net.Conn // handshaken conns awaited by a spawn
 	beats    *liveness
-	assign   func(worker int, parts []int) error
+	holder   *Job // the last NewJob's: the one job that holds the relay
 	closed   bool
 	standby  *standby      // nil when none is kept
 	children []*workerProc // every process spawned, for Close to kill
 	done     chan struct{} // closed by Close: aborts spawns in flight
 
-	// bg counts spawns in flight and reapers; Close waits for them, so
-	// every process spawned has been reaped when it returns.
+	// bg counts spawns in flight, reapers and steppers; Close waits for
+	// them, so every process spawned has been reaped when it returns.
 	bg sync.WaitGroup
+
+	// scratch is the holder's superstep working memory, used by its Step
+	// alone and kept for the next job.
+	scratch stepScratch
 
 	statRetries    int
 	statReconnects int
@@ -482,6 +525,13 @@ func (c *Coordinator) Close() error {
 	c.mu.Unlock()
 	err := c.ln.Close()
 	c.bg.Wait()
+	// Every process is reaped and every stepper has returned: let go of
+	// their handles, and with them of their relays and frame buffers,
+	// which a caller keeping the closed Coordinator would keep too.
+	c.mu.Lock()
+	c.children, c.standby = nil, nil
+	clear(c.procs)
+	c.mu.Unlock()
 	return err
 }
 
@@ -736,10 +786,11 @@ func (c *Coordinator) spawnWorker(w int) (*workerProc, error) {
 	}
 
 	p := &workerProc{
-		id:   w,
-		cmd:  cmd,
-		beat: beat,
-		gone: make(chan struct{}),
+		id:    w,
+		cmd:   cmd,
+		steps: make(chan *stepCall),
+		beat:  beat,
+		gone:  make(chan struct{}),
 	}
 	p.ctrl = &rpcConn{
 		sem:     make(chan struct{}, 1),
@@ -762,9 +813,10 @@ func (c *Coordinator) spawnWorker(w int) (*workerProc, error) {
 	}
 	c.children = append(c.children, p)
 	c.beats.track(w, clock.Now())
-	c.bg.Add(1)
+	c.bg.Add(2)
 	c.mu.Unlock()
 	go c.reap(p)
+	go c.serveSteps(p)
 	go c.readBeats(p, p.beat)
 	return p, nil
 }
@@ -1022,7 +1074,7 @@ func (c *Coordinator) Acquire() (int, []int) {
 // AcquireN implements cluster.Interface on cluster.Cluster's steps: a
 // granted attempt adopts the warm standby or spawns a process cold
 // before membership admits it, the orphans are spread over the new
-// workers as the simulation spreads them, and the job's assign hook
+// workers as the simulation spreads them, and the job holding the relay
 // hands each new worker its partitions' data.
 func (c *Coordinator) AcquireN(n int) (workers []int, adopted [][]int, err error) {
 	c.mu.Lock()
@@ -1065,16 +1117,16 @@ func (c *Coordinator) AcquireN(n int) (workers []int, adopted [][]int, err error
 
 	c.mu.Lock()
 	workers, adopted = c.cl.AdoptOrphans(got)
-	hook := c.assign
+	job := c.holder
 	c.mu.Unlock()
 
-	if hook != nil {
+	if job != nil {
 		for i, w := range workers {
 			if len(adopted[i]) == 0 {
 				continue
 			}
-			if hookErr := hook(w, adopted[i]); hookErr != nil && err == nil {
-				err = fmt.Errorf("cluster: loading partitions onto worker %d: %w", w, hookErr)
+			if loadErr := job.loadPartitions(w, adopted[i]); loadErr != nil && err == nil {
+				err = fmt.Errorf("cluster: loading partitions onto worker %d: %w", w, loadErr)
 			}
 		}
 	}
@@ -1089,7 +1141,7 @@ func (c *Coordinator) AcquireN(n int) (workers []int, adopted [][]int, err error
 func (c *Coordinator) Release(w int) error {
 	c.mu.Lock()
 	moved, err := c.cl.CheckRelease(w)
-	hook, p := c.assign, c.procs[w]
+	job, p := c.holder, c.procs[w]
 	c.mu.Unlock()
 	if err != nil {
 		return err
@@ -1097,7 +1149,7 @@ func (c *Coordinator) Release(w int) error {
 
 	// Migrate state off the leaving worker before it goes away.
 	var fetched map[int]PartBlob
-	if hook != nil && len(moved) > 0 && p != nil {
+	if job != nil && len(moved) > 0 && p != nil {
 		parts, err := c.fetchState(w, moved)
 		if err != nil {
 			return &cluster.ReleaseError{Worker: w, Reason: fmt.Errorf("migrating state: %v", err)}
@@ -1114,11 +1166,11 @@ func (c *Coordinator) Release(w int) error {
 	c.beats.forget(w)
 	c.mu.Unlock()
 
-	if hook != nil {
+	if job != nil {
 		// Push the migrated state to each adopting survivor concurrently,
 		// each over its own ctrl conn.
 		err := onOwners(perOwner, func(o int, parts []int) error {
-			if err := hook(o, parts); err != nil {
+			if err := job.loadPartitions(o, parts); err != nil {
 				return fmt.Errorf("loading partitions: %v", err)
 			}
 			restore := make([]PartBlob, 0, len(parts))
@@ -1151,20 +1203,20 @@ func (c *Coordinator) Orphaned() []int {
 
 // AssignOrphans implements cluster.Interface: degraded-mode
 // repartitioning across survivors, loading the adopted partitions'
-// data onto their new owners via the job's assign hook (the state
+// data onto their new owners through the job holding the relay (the state
 // itself is lost with the dead owner — recovery restores or
 // compensates it afterwards).
 func (c *Coordinator) AssignOrphans() (map[int][]int, error) {
 	c.mu.Lock()
 	moved, err := c.cl.AssignOrphans()
-	ws, hook := c.cl.Workers(), c.assign
+	ws, job := c.cl.Workers(), c.holder
 	c.mu.Unlock()
-	if err != nil || hook == nil {
+	if err != nil || job == nil {
 		return moved, err
 	}
 	for _, w := range ws {
 		if parts := moved[w]; len(parts) > 0 {
-			if err := hook(w, parts); err != nil {
+			if err := job.loadPartitions(w, parts); err != nil {
 				return moved, fmt.Errorf("cluster: loading orphaned partitions onto worker %d: %v", w, err)
 			}
 		}
@@ -1193,27 +1245,40 @@ func (c *Coordinator) DroppedEvents() int {
 	return c.cl.DroppedEvents()
 }
 
-// setAssignHook registers the job's partition-loading callback,
-// invoked (outside the coordinator's lock) whenever partitions move to
-// a worker that may not host their data yet. A new job is a job
-// boundary: a standby adopted under the last one is replaced here.
-func (c *Coordinator) setAssignHook(fn func(worker int, parts []int) error) {
+// hold makes j the job that holds the relay — the workers' relay arenas
+// and the superstep scratch — from now on, and the one whose
+// loadPartitions runs (outside the coordinator's lock) whenever
+// partitions move to a worker that may not host their data yet. The
+// job it replaces may no longer step (see SupersededError). A new job
+// is a job boundary: a standby adopted under the last one is replaced
+// here.
+func (c *Coordinator) hold(j *Job) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.assign = fn
+	c.holder = j
 	c.keepStandbyLocked()
+}
+
+// holds reports whether j still holds the relay.
+func (c *Coordinator) holds(j *Job) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.holder == j
 }
 
 // owe records the driver's decision that the superstep committed —
 // every worker answered its StepReq — as a debt to each: none has been
 // told. The debt lives on the worker's handle, so it survives a reconnect
 // and dies with a condemned worker; whatever call sends next pays it.
+// The committed answer's columns now live in the generation it decoded
+// into, so each relay flips to it.
 func (c *Coordinator) owe(workers []int, superstep int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, w := range workers {
 		if p := c.procs[w]; p != nil {
 			p.owed = Owed{Superstep: superstep, Set: true}
+			p.relay.gen = 1 - p.relay.gen
 		}
 	}
 }
@@ -1238,22 +1303,24 @@ func (p *workerProc) settle(owed Owed) error {
 // error, and the worker is condemned. An application-level rejection
 // proves the worker alive and is passed through untouched.
 func (c *Coordinator) call(w int, req any) (resp any, err error) {
-	return c.callInto(w, req, nil)
-}
-
-// callInto is call decoding a StepResp's exchange columns into arena.
-func (c *Coordinator) callInto(w int, req any, arena *[]byte) (resp any, err error) {
 	c.mu.Lock()
 	p := c.procs[w]
-	var owed Owed
-	if p != nil {
-		owed, p.owed = p.owed, Owed{}
-	}
 	c.mu.Unlock()
 	if p == nil {
 		return nil, fmt.Errorf("proc: no process for worker %d", w)
 	}
+	return c.callOn(p, req, nil)
+}
+
+// callOn is call against p, decoding a StepResp into into (see relay).
+func (c *Coordinator) callOn(p *workerProc, req any, into *relay) (resp any, err error) {
+	c.mu.Lock()
+	owed := p.owed
+	p.owed = Owed{}
+	c.mu.Unlock()
 	switch r := req.(type) {
+	case *StepReq:
+		r.Commit = owed
 	case StepReq:
 		r.Commit = owed
 		req = r
@@ -1267,12 +1334,78 @@ func (c *Coordinator) callInto(w int, req any, arena *[]byte) (resp any, err err
 		err = p.settle(owed)
 	}
 	if err == nil {
-		resp, err = p.ctrl.call(req, arena)
+		resp, err = p.ctrl.call(req, into)
 	}
 	if isTransportError(err) {
-		c.condemn(w, fmt.Sprintf("%T failed: %v", req, err))
+		c.condemn(p.id, fmt.Sprintf("%T failed: %v", req, err))
 	}
 	return resp, err
+}
+
+// placeInto writes every partition's owner into placement and the live
+// owners, ascending, into workers, reusing both slices' memory.
+func (c *Coordinator) placeInto(placement, workers []int) ([]int, []int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	placement, workers = placement[:0], workers[:0]
+	for p := range c.cl.NumPartitions() {
+		w := c.cl.Owner(p)
+		placement = append(placement, w)
+		if c.cl.IsAlive(w) && !slices.Contains(workers, w) {
+			workers = append(workers, w)
+		}
+	}
+	slices.Sort(workers)
+	return placement, workers
+}
+
+// stepOn hands sc to worker w's stepper, which runs it and answers on
+// done. A worker that has no process, or whose process is gone, is
+// answered at once.
+func (c *Coordinator) stepOn(w int, sc *stepCall, done chan<- *stepCall) {
+	c.mu.Lock()
+	p := c.procs[w]
+	c.mu.Unlock()
+	sc.done = done
+	if p == nil {
+		sc.err = fmt.Errorf("proc: no process for worker %d", w)
+		done <- sc
+		return
+	}
+	select {
+	case p.steps <- sc:
+	case <-p.gone:
+		sc.err = &transportError{err: errors.New("proc: worker gone")}
+		done <- sc
+	}
+}
+
+// serveSteps runs p's superstep calls, one at a time, until p is gone:
+// the request goes out from the job's scratch and the answer decodes
+// into p's relay, so a steady superstep starts no goroutine and boxes
+// nothing. A call it has taken always answers, gone or not, and never
+// waits to: done has a slot for every call of the attempt.
+func (c *Coordinator) serveSteps(p *workerProc) {
+	defer c.bg.Done()
+	for {
+		select {
+		case sc := <-p.steps:
+			resp, err := c.callOn(p, &sc.req, &p.relay)
+			if r, ok := resp.(*StepResp); ok {
+				sc.resp = *r
+			} else if err == nil {
+				err = fmt.Errorf("proc: worker %d answered a StepReq with a %T", p.id, resp)
+			}
+			sc.err = err
+			select {
+			case sc.done <- sc:
+			default:
+				panic("proc: a superstep answer found its channel full")
+			}
+		case <-p.gone:
+			return
+		}
+	}
 }
 
 // fetchState reads the committed state views of parts from worker w,

@@ -82,14 +82,14 @@ type Job struct {
 	// them again without the dead worker's; the messages it re-sends are
 	// reported, as resent, with the next step's.
 	//
-	// The relayed columns live in recycled arenas, two generations per
-	// worker: arenas[w][gen] holds what w's last committed StepResp
-	// decoded into, and the next attempt decodes into the other one. Its
-	// commit flips gen; a failed attempt leaves the inbox and its
-	// generation as they were, for the replay to send again.
+	// The relayed columns live in the coordinator's relay arenas, two
+	// generations per worker process (see relay): the inbox views the one
+	// w's last committed StepResp decoded into, and the next attempt
+	// decodes into the other. Its commit flips the generation; a failed
+	// attempt leaves the inbox and its generation as they were, for the
+	// replay to send again. The arenas outlive the job, so only the job
+	// holding the relay (Coordinator.hold) may read the inbox.
 	inbox     map[int][]exec.HostedCols
-	arenas    map[int]*[2][]byte
-	gen       int
 	placement []int
 	partials  map[int]partial
 	pending   int64
@@ -104,8 +104,9 @@ type Job struct {
 	replica hostedJob
 }
 
-// NewJob registers the partition-loading hook on the coordinator and
-// loads every worker's partitions, on all workers at once.
+// NewJob makes the job the one that holds the coordinator's relay —
+// the job built before it may no longer step — and loads every worker's
+// partitions, on all workers at once.
 func NewJob(co *Coordinator, spec Spec) (*Job, error) {
 	replica, err := newHosted(spec.Kind, spec.Graph, co.NumPartitions(), spec.Damping, nil)
 	if err != nil {
@@ -120,12 +121,11 @@ func NewJob(co *Coordinator, spec Spec) (*Job, error) {
 		pt:        d.Partitioning(co.NumPartitions()),
 		replica:   replica,
 		inbox:     make(map[int][]exec.HostedCols),
-		arenas:    make(map[int]*[2][]byte),
 		partials:  make(map[int]partial),
 		rescatter: true,
 		lastL1:    math.MaxFloat64,
 	}
-	co.setAssignHook(j.loadPartitions)
+	co.hold(j)
 	if err := onOwners(j.ownersSnapshot(), j.loadPartitions); err != nil {
 		return nil, err
 	}
@@ -180,19 +180,80 @@ func (j *Job) combine(workers []int) {
 	}
 }
 
-// currentPlacement lists every partition's owner.
-func (j *Job) currentPlacement() []int {
-	placement := make([]int, j.numParts)
-	for p := range placement {
-		placement[p] = j.co.Owner(p)
-	}
-	return placement
+// stepCall is one worker's share of a superstep attempt, kept in the
+// step scratch and reused: the partitions it steps, the request sent
+// from here, and the answer, whose columns view the worker's relay until
+// its next step call.
+type stepCall struct {
+	w        int
+	parts    []int
+	req      StepReq
+	resp     StepResp
+	err      error
+	answered bool
+	done     chan<- *stepCall
 }
 
-type stepResult struct {
-	worker int
-	resp   StepResp
-	err    error
+// stepScratch is Step's working memory. The coordinator owns it and
+// only the job holding the relay uses it, so every superstep of every
+// job on a coordinator reuses one: a steady superstep allocates nothing
+// in it.
+type stepScratch struct {
+	placement []int      // every partition's owner
+	workers   []int      // the live owners, ascending
+	calls     []stepCall // one per live owner, in workers' order
+	answers   chan *stepCall
+	watchdog  *time.Timer
+}
+
+// plan reads the placement and groups the partitions by live owner, in
+// ascending order, into the calls.
+func (s *stepScratch) plan(co *Coordinator) []stepCall {
+	s.placement, s.workers = co.placeInto(s.placement, s.workers)
+	for len(s.calls) < len(s.workers) {
+		s.calls = append(s.calls, stepCall{})
+	}
+	calls := s.calls[:len(s.workers)]
+	for i, w := range s.workers {
+		calls[i].w, calls[i].parts = w, calls[i].parts[:0]
+	}
+	for p, w := range s.placement {
+		if i, ok := slices.BinarySearch(s.workers, w); ok {
+			calls[i].parts = append(calls[i].parts, p)
+		}
+	}
+	if s.answers == nil {
+		// An owner owns a partition, so no attempt makes more calls.
+		s.answers = make(chan *stepCall, co.NumPartitions())
+	}
+	return calls
+}
+
+// arm starts the straggler watchdog for d and returns its channel.
+func (s *stepScratch) arm(d time.Duration) <-chan time.Time {
+	if s.watchdog == nil {
+		s.watchdog = time.NewTimer(d)
+	} else {
+		s.watchdog.Reset(d)
+	}
+	return s.watchdog.C
+}
+
+// SupersededError is the typed refusal of a Job whose coordinator has
+// since built a newer one: the workers host the newer job, and the relay
+// arenas the old job's inbox views hold the newer job's columns.
+type SupersededError struct{ Job string }
+
+func (e *SupersededError) Error() string {
+	return fmt.Sprintf("proc: job %q was superseded by a newer job on its coordinator", e.Job)
+}
+
+// holdsRelay refuses a job that no longer holds the relay.
+func (j *Job) holdsRelay() error {
+	if !j.co.holds(j) {
+		return &SupersededError{Job: j.spec.Name}
+	}
+	return nil
 }
 
 // Step executes one superstep attempt across the worker processes: one
@@ -201,33 +262,30 @@ type stepResult struct {
 // for real), then the decision — committed if all answered, aborted
 // everywhere if not. A failed attempt returns a typed
 // *exec.WorkerFailure naming the dead workers, exactly like the
-// in-process engine, so iterate.Loop's recovery path is unchanged.
+// in-process engine, so iterate.Loop's recovery path is unchanged. A job
+// that no longer holds the relay returns a *SupersededError and sends
+// nothing.
 func (j *Job) Step(ctx *iterate.Context) (iterate.StepStats, error) {
-	owners := j.ownersSnapshot()
-	placement := j.currentPlacement()
-	if !slices.Equal(placement, j.placement) {
+	if err := j.holdsRelay(); err != nil {
+		return iterate.StepStats{}, err
+	}
+	s := &j.co.scratch
+	calls := s.plan(j.co)
+	if !slices.Equal(s.placement, j.placement) {
 		// Partitions moved since the columns in flight were produced:
 		// those workers kept are gone or misplaced, so start over.
 		j.rescatter = true
 	}
-	results := make(chan stepResult, len(owners))
-	next := 1 - j.gen
-	for w, parts := range owners {
-		req := StepReq{Superstep: ctx.Superstep, Rescatter: j.rescatter, Dangling: j.dangling}
+	for i := range calls {
+		sc := &calls[i]
+		sc.req = StepReq{Superstep: ctx.Superstep, Rescatter: j.rescatter, Dangling: j.dangling, Inbox: sc.req.Inbox[:0]}
 		if !j.rescatter {
-			for _, p := range parts {
-				req.Inbox = append(req.Inbox, j.inbox[p]...)
+			for _, p := range sc.parts {
+				sc.req.Inbox = append(sc.req.Inbox, j.inbox[p]...)
 			}
 		}
-		if j.arenas[w] == nil {
-			j.arenas[w] = new([2][]byte)
-		}
-		arena := &j.arenas[w][next]
-		go func() {
-			resp, err := j.co.callInto(w, req, arena)
-			out, _ := resp.(StepResp)
-			results <- stepResult{worker: w, resp: out, err: err}
-		}()
+		sc.err, sc.answered = nil, false
+		j.co.stepOn(sc.w, sc, s.answers)
 	}
 
 	// The mid-superstep fault: SIGKILL the victims while their compute
@@ -250,52 +308,48 @@ func (j *Job) Step(ctx *iterate.Context) (iterate.StepStats, error) {
 	// attempt fails over to the normal recovery path instead of
 	// stalling the whole job at the barrier.
 	var failed []int
-	ok := make(map[int]StepResp, len(owners))
-	pending := len(owners)
+	pending := len(calls)
 	start := time.Now()
 	var straggle <-chan time.Time
-	var watchdog *time.Timer
+	armed := false
 	for pending > 0 {
 		select {
-		case r := <-results:
+		case sc := <-s.answers:
 			pending--
-			if r.err != nil || slices.Contains(killed, r.worker) {
-				failed = append(failed, r.worker)
-			} else {
-				ok[r.worker] = r.resp
+			sc.answered = true
+			if sc.err != nil || slices.Contains(killed, sc.w) {
+				failed = append(failed, sc.w)
 			}
 			if straggle == nil && j.co.cfg.StragglerFactor > 0 && pending > 0 &&
-				(len(ok)+len(failed))*2 >= len(owners) {
+				(len(calls)-pending)*2 >= len(calls) {
 				d := time.Duration(float64(time.Since(start)) * j.co.cfg.StragglerFactor)
 				if d < j.co.cfg.StragglerMin {
 					d = j.co.cfg.StragglerMin
 				}
-				watchdog = time.NewTimer(d)
-				straggle = watchdog.C
+				straggle, armed = s.arm(d), true
 			}
 		case <-straggle:
 			straggle = nil
-			for w := range owners {
-				if _, done := ok[w]; done {
-					continue
-				}
-				if !slices.Contains(failed, w) {
-					j.co.condemn(w, fmt.Sprintf("straggling superstep %d beyond the majority deadline", ctx.Superstep))
+			for i := range calls {
+				if !calls[i].answered {
+					j.co.condemn(calls[i].w, fmt.Sprintf("straggling superstep %d beyond the majority deadline", ctx.Superstep))
 				}
 			}
 		}
 	}
-	if watchdog != nil {
-		watchdog.Stop()
+	if armed {
+		s.watchdog.Stop()
 	}
 	if len(failed) > 0 {
 		// Abort survivors: their attempts are dropped, committed state
 		// and the exchange columns in flight stay as they were, so the
 		// attempt can be replayed after recovery.
-		for w := range ok {
-			j.co.call(w, AbortReq{})
+		for i := range calls {
+			if !slices.Contains(failed, calls[i].w) {
+				j.co.call(calls[i].w, AbortReq{})
+			}
 		}
-		return iterate.StepStats{}, j.workerFailure(failed, owners)
+		return iterate.StepStats{}, workerFailure(failed, calls)
 	}
 
 	// Everyone answered: the superstep is committed by decision, and each
@@ -303,18 +357,16 @@ func (j *Job) Step(ctx *iterate.Context) (iterate.StepStats, error) {
 	// loses state recovery replaces anyway). The attempt's outboxes become
 	// the next superstep's inbox; partial scalars are added in worker
 	// order so float sums repeat from run to run.
-	workers := slices.Sorted(maps.Keys(ok))
-	j.co.owe(workers, ctx.Superstep)
-	stats := iterate.StepStats{Extra: map[string]float64{}}
+	j.co.owe(s.workers, ctx.Superstep)
 	for dst, cols := range j.inbox {
 		j.inbox[dst] = cols[:0]
 	}
-	j.gen = next
-	j.placement, j.rescatter = placement, false
+	j.placement, j.rescatter = append(j.placement[:0], s.placement...), false
+	var stats iterate.StepStats
 	var l1 float64
 	folded := false
-	for _, w := range workers {
-		resp := ok[w]
+	for i := range calls {
+		w, resp := calls[i].w, &calls[i].resp
 		for _, cols := range resp.Remote {
 			j.inbox[cols.Dst] = append(j.inbox[cols.Dst], cols)
 		}
@@ -323,21 +375,27 @@ func (j *Job) Step(ctx *iterate.Context) (iterate.StepStats, error) {
 		folded = folded || resp.Folded
 		stats.Updates += resp.Updates
 	}
-	j.combine(workers)
+	j.combine(s.workers)
 	stats.Messages, j.resent = j.pending+j.resent, 0
 	if folded {
 		j.lastL1 = l1
 	}
-	stats.Extra["l1"] = j.lastL1
+	if j.spec.Kind == KindPageRank {
+		stats.Extra = map[string]float64{"l1": j.lastL1}
+	}
 	return stats, nil
 }
 
 // workerFailure builds the typed mid-superstep failure error.
-func (j *Job) workerFailure(workers []int, owners map[int][]int) error {
+func workerFailure(workers []int, calls []stepCall) error {
 	sort.Ints(workers)
 	var parts []int
 	for _, w := range workers {
-		parts = append(parts, owners[w]...)
+		for i := range calls {
+			if calls[i].w == w {
+				parts = append(parts, calls[i].parts...)
+			}
+		}
 	}
 	sort.Ints(parts)
 	return &exec.WorkerFailure{Workers: workers, Partitions: parts}
@@ -464,12 +522,12 @@ func (j *Job) RestoreFrom(data []byte) error {
 	return nil
 }
 
-// restartExchange drops the columns in flight, and the arenas they live
-// in, and schedules a priming step: the exchange starts over from
-// whatever state the workers hold.
+// restartExchange drops the columns in flight and schedules a priming
+// step: the exchange starts over from whatever state the workers hold.
+// The relay arenas the columns lived in stay, for the next attempt to
+// decode into.
 func (j *Job) restartExchange() {
 	clear(j.inbox)
-	clear(j.arenas)
 	j.pending, j.dangling = 0, 0
 	j.rescatter = true
 	j.lastL1 = math.MaxFloat64
@@ -506,9 +564,12 @@ func (j *Job) ClearPartitions(parts []int) {
 // being left, and load dropped its columns) or a worker died under the
 // compensation — returned as a typed failure for the recovery to fold in.
 func (j *Job) Compensate(lost []int) error {
+	if err := j.holdsRelay(); err != nil {
+		return err
+	}
 	// A surviving partition kept its columns if it stayed where they were
 	// produced and its worker adopted nothing.
-	placement := j.currentPlacement()
+	placement, _ := j.co.placeInto(nil, nil)
 	fill, survivors := make(map[int][]int), make(map[int][]int)
 	rebuilt := false
 	for p, w := range placement {

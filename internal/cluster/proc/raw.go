@@ -17,6 +17,7 @@ package proc
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"optiflow/internal/colbytes"
 	"optiflow/internal/exec"
@@ -58,12 +59,9 @@ func appendPayload(dst []byte, id uint64, m any) ([]byte, error) {
 	var kind byte
 	switch r := m.(type) {
 	case StepReq:
-		kind = kStepReq
-		dst = appendOwed(dst, r.Commit)
-		dst = colbytes.AppendU32(dst, uint32(r.Superstep))
-		dst = colbytes.AppendBool(dst, r.Rescatter)
-		dst = colbytes.AppendF64(dst, r.Dangling)
-		dst = colsSection.append(dst, r.Inbox)
+		kind, dst = kStepReq, appendStepReq(dst, &r)
+	case *StepReq:
+		kind, dst = kStepReq, appendStepReq(dst, r)
 	case StepResp:
 		kind = kStepResp
 		dst = colsSection.append(dst, r.Remote)
@@ -84,6 +82,10 @@ func appendPayload(dst []byte, id uint64, m any) ([]byte, error) {
 		dst = blobSection.append(dst, r.Parts)
 	case LoadReq:
 		kind = kLoadReq
+		// A load is a connection's largest frame, and often its first:
+		// reserve its columns once rather than regrow through them.
+		dst = slices.Grow(dst, 64+len(r.Job)+len(r.Kind)+8*(len(r.IDs)+len(r.Weights))+
+			4*(len(r.Hosted)+len(r.Fresh)+len(r.Offsets)+len(r.Targets)))
 		dst = colbytes.AppendString(dst, r.Job)
 		dst = colbytes.AppendString(dst, r.Kind)
 		dst = colbytes.AppendU32(dst, uint32(r.NumPartitions))
@@ -152,6 +154,16 @@ func appendPayload(dst []byte, id uint64, m any) ([]byte, error) {
 	return dst, nil
 }
 
+// appendStepReq appends a StepReq's body. A superstep sends one by
+// pointer, so the request is never boxed.
+func appendStepReq(dst []byte, r *StepReq) []byte {
+	dst = appendOwed(dst, r.Commit)
+	dst = colbytes.AppendU32(dst, uint32(r.Superstep))
+	dst = colbytes.AppendBool(dst, r.Rescatter)
+	dst = colbytes.AppendF64(dst, r.Dangling)
+	return colsSection.append(dst, r.Inbox)
+}
+
 // decodePayload decodes a frame payload: version, kind, idempotence
 // token, body. The version is checked before anything else is read, so
 // a foreign blob is a *VersionError. The exchange columns of a StepReq
@@ -159,6 +171,14 @@ func appendPayload(dst []byte, id uint64, m any) ([]byte, error) {
 // not decode, or leaves bytes over, is malformed; its error also wraps
 // the colbytes cause.
 func decodePayload(p []byte, arena *[]byte) (uint64, any, error) {
+	return decodeInto(p, arena, nil)
+}
+
+// decodeInto is decodePayload decoding a StepResp, when resp is set,
+// into *resp — its column headers into resp.Remote's memory — and
+// returning it as a *StepResp, so the coordinator's relay neither
+// boxes the response nor allocates its header slice.
+func decodeInto(p []byte, arena *[]byte, resp *StepResp) (uint64, any, error) {
 	r := colbytes.NewReader(p)
 	if ver := r.U8(); r.Err() == nil && ver != wireVersion {
 		return 0, nil, &VersionError{Got: ver, Want: wireVersion}
@@ -177,30 +197,31 @@ func decodePayload(p []byte, arena *[]byte) (uint64, any, error) {
 			Rescatter: r.Bool(),
 			Dangling:  r.F64(),
 		}
-		v.Inbox = colsSection.read(r, arena)
+		v.Inbox = colsSection.read(r, arena, nil)
 		m = v
 	case kStepResp:
-		v := StepResp{Remote: colsSection.read(r, arena)}
-		v.Dangling = r.F64()
-		v.L1 = r.F64()
-		v.Folded = r.Bool()
-		v.Messages = int64(r.U64())
-		v.Updates = int64(r.U64())
-		m = v
+		if resp != nil {
+			readStepResp(r, arena, resp)
+			m = resp
+		} else {
+			var v StepResp
+			readStepResp(r, arena, &v)
+			m = v
+		}
 	case kFetchReq:
 		m = FetchReq{Commit: readOwed(r), Parts: readInts(r)}
 	case kFetchResp:
-		m = FetchResp{Parts: blobSection.read(r, nil)}
+		m = FetchResp{Parts: blobSection.read(r, nil, nil)}
 	case kRestoreReq:
-		m = RestoreReq{Parts: blobSection.read(r, nil)}
+		m = RestoreReq{Parts: blobSection.read(r, nil, nil)}
 	case kLoadReq:
 		m = readLoadReq(r)
 	case kSnapshot:
-		m = JobSnapshot{Kind: r.String(), Parts: blobSection.read(r, nil)}
+		m = JobSnapshot{Kind: r.String(), Parts: blobSection.read(r, nil, nil)}
 	case kCompReq:
 		m = CompensateReq{Commit: readOwed(r), Lost: readInts(r), Fill: readInts(r), Surviving: r.F64()}
 	case kCompResp:
-		m = CompensateResp{Remote: colsSection.read(r, nil), Messages: int64(r.U64()), Dangling: r.F64(), Surviving: r.F64()}
+		m = CompensateResp{Remote: colsSection.read(r, nil, nil), Messages: int64(r.U64()), Dangling: r.F64(), Surviving: r.F64()}
 	case kHello:
 		m = Hello{Worker: int(r.U32()), Token: r.String(), Conn: r.String()}
 	case kHelloOK:
@@ -236,6 +257,17 @@ func decodePayload(p []byte, arena *[]byte) (uint64, any, error) {
 		return 0, nil, fmt.Errorf("proc: %d trailing bytes in a frame of kind %d: %w", r.Remaining(), kind, ErrMalformed)
 	}
 	return id, m, nil
+}
+
+// readStepResp decodes a StepResp's body into *v, its exchange columns
+// into arena and their headers into v.Remote's memory.
+func readStepResp(r *colbytes.Reader, arena *[]byte, v *StepResp) {
+	v.Remote = colsSection.read(r, arena, &v.Remote)
+	v.Dangling = r.F64()
+	v.L1 = r.F64()
+	v.Folded = r.Bool()
+	v.Messages = int64(r.U64())
+	v.Updates = int64(r.U64())
 }
 
 // A byte section is how opaque views travel: a u32 entry count, one
@@ -275,8 +307,9 @@ func (c sectionCodec[E]) append(dst []byte, es []E) []byte {
 
 // read validates the declared lengths against the bytes actually
 // remaining before copying them into one arena, sub-sliced per entry
-// and capped at its length (an empty entry decodes as nil).
-func (c sectionCodec[E]) read(r *colbytes.Reader, into *[]byte) []E {
+// and capped at its length (an empty entry decodes as nil). The entries
+// go into *reuse's memory when it has room for them.
+func (c sectionCodec[E]) read(r *colbytes.Reader, into *[]byte, reuse *[]E) []E {
 	n := int(r.U32())
 	if r.Err() != nil || n == 0 {
 		return nil
@@ -295,7 +328,12 @@ func (c sectionCodec[E]) read(r *colbytes.Reader, into *[]byte) []E {
 		}
 	}
 	arena := append(recycle(into, total), r.Raw(total, "byte section data")...)
-	out := make([]E, n)
+	var out []E
+	if reuse != nil && cap(*reuse) >= n {
+		out = (*reuse)[:n]
+	} else {
+		out = make([]E, n)
+	}
 	for i, off := 0, 0; i < n; i++ {
 		e := hdr[12*i:]
 		var data []byte

@@ -316,8 +316,10 @@ func appendFrame(dst []byte, id uint64, m any) ([]byte, error) {
 type frameBuf struct{ b []byte }
 
 // framePool recycles frame-assembly and frame-receive buffers across
-// the send and receive loops, so a frame costs no buffer allocation
-// once the pool is warm.
+// the handshakes, the heartbeat streams and the worker's ctrl loop, so a
+// frame costs no buffer allocation once the pool is warm. The
+// coordinator's ctrl connections keep their own (rpcConn.buf): a GC
+// empties the pool, and their frames are a superstep's largest.
 var framePool = sync.Pool{New: func() any { return &frameBuf{} }}
 
 // writeFrame writes one message as a single self-contained frame
@@ -328,8 +330,14 @@ var framePool = sync.Pool{New: func() any { return &frameBuf{} }}
 func writeFrame(w io.Writer, id uint64, m any) error {
 	buf := framePool.Get().(*frameBuf)
 	defer framePool.Put(buf)
-	b, err := appendFrame(buf.b[:0], id, m)
-	buf.b = b[:0]
+	return writeFrameFrom(w, &buf.b, id, m)
+}
+
+// writeFrameFrom is writeFrame assembling the frame in *buf, which it
+// regrows as the frame needs and leaves for the next one.
+func writeFrameFrom(w io.Writer, buf *[]byte, id uint64, m any) error {
+	b, err := appendFrame((*buf)[:0], id, m)
+	*buf = b[:0]
 	if err != nil {
 		return err
 	}
@@ -348,28 +356,38 @@ func writeFrame(w io.Writer, id uint64, m any) error {
 // errors from the connection are returned wrapped (%w) so deadline
 // expiry stays detectable via net.Error.
 func readFrame(r io.Reader, arena *[]byte) (uint64, any, error) {
-	var hdr [netfault.HeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	buf := framePool.Get().(*frameBuf)
+	defer framePool.Put(buf)
+	return readFrameInto(r, &buf.b, arena, nil)
+}
+
+// readFrameInto is readFrame receiving into *buf, which it regrows as
+// the payload needs and leaves for the next frame, and decoding a
+// StepResp into resp when that is set (see decodeInto).
+func readFrameInto(r io.Reader, buf *[]byte, arena *[]byte, resp *StepResp) (uint64, any, error) {
+	if cap(*buf) < netfault.HeaderLen {
+		*buf = make([]byte, 0, netfault.HeaderLen)
+	}
+	hdr := (*buf)[:netfault.HeaderLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, err
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
+	n := int(binary.BigEndian.Uint32(hdr))
 	if err := checkSize(n); err != nil {
 		return 0, nil, fmt.Errorf("proc: reading frame: %w", err)
 	}
 	if n == 0 {
 		return 0, nil, fmt.Errorf("proc: empty frame: %w", ErrMalformed)
 	}
-	buf := framePool.Get().(*frameBuf)
-	defer framePool.Put(buf)
-	payload, err := readPayload(r, buf.b[:0], n)
-	buf.b = payload[:0]
+	payload, err := readPayload(r, (*buf)[:0], n)
+	*buf = payload[:0]
 	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return 0, nil, fmt.Errorf("proc: reading frame body: %w", err)
 	}
-	return decodePayload(payload, arena)
+	return decodeInto(payload, arena, resp)
 }
 
 // readPayload reads an n-byte payload into b's memory. A b with room

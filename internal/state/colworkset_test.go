@@ -122,10 +122,10 @@ func TestColWorksetUnsharedClearReusesArrays(t *testing.T) {
 	}
 }
 
-// TestColWorksetReplacementUnshares checks CopyFrom and the byte-view
-// restore (of every partition, and of one) install fresh arrays and
-// leave no stale shared flag, so the next clear reuses them and the old
-// capture is untouched.
+// TestColWorksetReplacementUnshares checks the byte-view restore (of
+// every partition, and of one) installs fresh arrays and leaves no stale
+// shared flag, so the next clear reuses them and the old capture is
+// untouched.
 func TestColWorksetReplacementUnshares(t *testing.T) {
 	src := NewColWorkset[uint64]("workset", 2)
 	fillColWorkset(src, 9)
@@ -141,7 +141,6 @@ func TestColWorksetReplacementUnshares(t *testing.T) {
 	}
 
 	replace := map[string]func(w *ColWorkset[uint64]) error{
-		"CopyFrom":              func(w *ColWorkset[uint64]) error { w.CopyFrom(src); return nil },
 		"RestoreEveryPartition": func(w *ColWorkset[uint64]) error { return restore(w, 0, 1) },
 		"RestoreOnePartition":   func(w *ColWorkset[uint64]) error { return restore(w, 1) },
 	}

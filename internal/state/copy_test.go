@@ -1,7 +1,5 @@
 package state
 
-import "fmt"
-
 // Deep copies that only tests take: program code captures with
 // SnapshotShared or Recapture and moves state as partition byte views.
 
@@ -24,17 +22,4 @@ func (w *ColWorkset[V]) Snapshot() *ColWorkset[V] {
 		c.val[p] = append([]V(nil), w.val[p]...)
 	}
 	return c
-}
-
-// CopyFrom replaces the workset contents with those of other.
-func (w *ColWorkset[V]) CopyFrom(other *ColWorkset[V]) {
-	if len(w.idx) != len(other.idx) {
-		panic(fmt.Sprintf("state: CopyFrom: partition count mismatch %d != %d", len(w.idx), len(other.idx)))
-	}
-	for p := range w.idx {
-		w.idx[p] = append([]int32(nil), other.idx[p]...)
-		w.val[p] = append([]V(nil), other.val[p]...)
-		w.shared[p] = false
-		w.bump(p)
-	}
 }
