@@ -8,6 +8,7 @@ package proc
 import (
 	"bytes"
 	"errors"
+	"maps"
 	"math"
 	"reflect"
 	"runtime"
@@ -22,6 +23,7 @@ import (
 	"optiflow/internal/cluster"
 	"optiflow/internal/cluster/proc/netfault"
 	"optiflow/internal/colbytes"
+	"optiflow/internal/exec"
 	"optiflow/internal/graph"
 	"optiflow/internal/graph/gen"
 	"optiflow/internal/iterate"
@@ -267,6 +269,110 @@ func TestProcWorkerStepAllocationCeiling(t *testing.T) {
 	}
 }
 
+// TestProcSnapshotAllocationCeiling holds a steady checkpoint of the two
+// ledger proc workloads — CC on gen.Grid(48, 48) and PageRank on
+// gen.Twitter(4000), 4 partitions on 2 workers — to 1 kB allocated in
+// the driver and a ceiling in each worker. The driver is read around
+// SnapshotTo alone, with a superstep between snapshots so each carries a
+// commit, into a buffer reused as the checkpoint policy reuses its own;
+// the least of three windows counts. A worker is read as
+// TestProcWorkerStepAllocationCeiling reads it, a short and a long
+// window of snapshots apart. The driver reads 0 B — the caller
+// goroutine, the fan-out scratch and the fetch arena are reused, nothing
+// is boxed, and the blob is written into the buffer's free space — and a
+// worker ~80 B, the codec boxing the FetchReq and its partition list.
+// While every snapshot fanned out on fresh goroutines, maps and views,
+// the driver allocated ~86 kB (CC) and ~150 kB (PageRank) per snapshot,
+// a worker ~13 kB and ~21 kB.
+func TestProcSnapshotAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc ceilings are meaningless under the race detector")
+	}
+	for _, tc := range []struct {
+		name   string
+		spec   Spec
+		worker float64 // bytes per snapshot
+	}{
+		{"cc-grid", Spec{Name: "snapshot-ceiling", Kind: KindCC, Graph: gen.Grid(48, 48)}, 512},
+		{"pagerank-twitter", Spec{Name: "snapshot-ceiling", Kind: KindPageRank, Graph: gen.Twitter(4000, 20150531)}, 512},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			co := quietCluster(t)
+			defer co.Close()
+			job, err := NewJob(co, tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			snapshot := func() {
+				buf.Reset()
+				if err := job.SnapshotTo(&buf); err != nil {
+					t.Fatalf("snapshot: %v", err)
+				}
+			}
+			s := 0
+			step := func() {
+				if _, err := job.Step(&iterate.Context{Superstep: s}); err != nil {
+					t.Fatalf("superstep %d: %v", s, err)
+				}
+				s++
+			}
+			for range 3 {
+				step()
+				snapshot()
+			}
+			const n = 8
+			driver := math.Inf(1)
+			for range 3 {
+				grew := 0.0
+				for range n {
+					step()
+					before := driverAlloc()
+					snapshot()
+					grew += driverAlloc() - before
+				}
+				driver = min(driver, grew/n)
+			}
+
+			// window takes n snapshots and returns what each worker
+			// allocated meanwhile, the stats reads included.
+			window := func(n int) []float64 {
+				var before []uint64
+				for _, w := range co.Workers() {
+					before = append(before, workerStats(t, co, w).AllocBytes)
+				}
+				for range n {
+					snapshot()
+				}
+				grew := make([]float64, 0, 2)
+				for i, w := range co.Workers() {
+					grew = append(grew, float64(workerStats(t, co, w).AllocBytes-before[i]))
+				}
+				return grew
+			}
+			const short, long = 2, 12
+			var rounds []float64
+			for range 5 {
+				a, b := window(short), window(long)
+				worst := math.Inf(-1)
+				for i := range a {
+					worst = max(worst, (b[i]-a[i])/(long-short))
+				}
+				rounds = append(rounds, worst)
+			}
+			slices.Sort(rounds)
+			worker := rounds[len(rounds)/2]
+			t.Logf("a %d B snapshot allocates %.0f B in the driver, %.0f B in a worker", buf.Len(), driver, worker)
+			if driver > 1<<10 {
+				t.Errorf("the driver allocates %.0f B per steady snapshot, want <= 1024 (fetch arena, caller or blob write allocating again)", driver)
+			}
+			if worker > tc.worker {
+				t.Errorf("a worker allocates %.0f B per steady snapshot, want <= %.0f (fetch buffer no longer reused)", worker, tc.worker)
+			}
+		})
+	}
+}
+
 // TestRelayArenaLifetime runs a job through every recovery that touches
 // the relayed columns with every recycled arena poisoned: before an
 // arena is reused, the driver (here) and the workers (TestMain) fill it
@@ -434,6 +540,67 @@ func TestRelayArenaLifetime(t *testing.T) {
 		}
 		check(t, KindCC, got)
 	})
+
+	// A checkpoint or a result fetch between two supersteps decodes into
+	// the fetch arena, never into the relay arenas the inbox views: with
+	// every recycled arena poisoned, the fetch arena included, the inbox
+	// keeps its bytes and the job still reaches ground truth.
+	t.Run("fetch between steps", func(t *testing.T) {
+		co := startTestCluster(t, eqWorkers, eqParts, nil)
+		defer co.Close()
+		for _, kind := range []string{KindCC, KindPageRank} {
+			job, err := NewJob(co, Spec{Name: "fetch-" + kind, Kind: kind, Graph: g})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var run procRun
+			relayed := 0
+			for s := 0; s < 1000; s++ {
+				if kind == KindCC && s > 0 && job.WorksetLen() == 0 || kind == KindPageRank && job.LastL1() < eqEpsilon {
+					break
+				}
+				if _, err := job.Step(&iterate.Context{Superstep: s}); err != nil {
+					t.Fatalf("%s superstep %d: %v", kind, s, err)
+				}
+				before := inboxBytes(job)
+				relayed = max(relayed, len(before))
+				var buf bytes.Buffer
+				if err := job.SnapshotTo(&buf); err != nil {
+					t.Fatalf("%s snapshot after superstep %d: %v", kind, s, err)
+				}
+				if kind == KindCC {
+					run.labels, err = job.Components()
+				} else {
+					run.ranks, err = job.Ranks()
+				}
+				if err != nil {
+					t.Fatalf("%s results after superstep %d: %v", kind, s, err)
+				}
+				if !bytes.Equal(inboxBytes(job), before) {
+					t.Fatalf("%s: a snapshot and a result fetch after superstep %d changed the inbox", kind, s)
+				}
+			}
+			if relayed == 0 {
+				t.Fatalf("%s relayed no columns: no inbox was at stake", kind)
+			}
+			check(t, kind, run)
+		}
+	})
+}
+
+// inboxBytes lays out every column the driver relays, by destination
+// and source, in one byte string.
+func inboxBytes(j *Job) []byte {
+	var b []byte
+	for _, dst := range slices.Sorted(maps.Keys(j.inbox)) {
+		cols := slices.Clone(j.inbox[dst])
+		slices.SortFunc(cols, func(a, b exec.HostedCols) int { return a.Src - b.Src })
+		for _, c := range cols {
+			b = colbytes.AppendU32(colbytes.AppendU32(b, uint32(c.Src)), uint32(c.Dst))
+			b = append(colbytes.AppendU32(b, uint32(len(c.Cols))), c.Cols...)
+		}
+	}
+	return b
 }
 
 // runHeld runs a kind job over g to convergence on co, which stays open

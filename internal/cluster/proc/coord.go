@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"os"
 	oexec "os/exec"
@@ -135,19 +136,16 @@ func isTransportError(err error) bool {
 	return errors.As(err, &te)
 }
 
-// rpcConn is one serialized request/response connection. A one-slot
-// semaphore admits one in-flight RPC at a time (a semaphore rather
-// than a mutex, because a call legitimately blocks — waiting out a
-// retry backoff or a worker redial — while holding its turn). Every
-// call gets a fresh idempotence token; a timed-out attempt is retried
-// with the SAME token and capped backoff (safe: the worker answers
-// duplicates from its idempotence cache, and stale responses are
-// discarded by token), while a broken connection waits for the worker
-// to redial and resume — the swap installed by the coordinator's
-// accept path.
+// rpcConn is one serialized request/response connection. Only its
+// process's caller goroutine (serveCalls) makes RPCs on it, one at a
+// time, so a call may block — waiting out a retry backoff or a worker
+// redial — without a lock. Every call gets a fresh idempotence token; a
+// timed-out attempt is retried with the SAME token and capped backoff
+// (safe: the worker answers duplicates from its idempotence cache, and
+// stale responses are discarded by token), while a broken connection
+// waits for the worker to redial and resume — the swap installed by the
+// coordinator's accept path.
 type rpcConn struct {
-	sem chan struct{} // one-slot: serializes RPCs; holder owns nextID
-
 	cmu     sync.Mutex // guards nc and swapped
 	nc      net.Conn
 	swapped chan struct{} // closed when nc is replaced by a reconnect
@@ -158,8 +156,8 @@ type rpcConn struct {
 	gone    <-chan struct{} // closed when the worker is condemned/reaped
 	onRetry func()          // observability hook, called per extra attempt
 
-	// Held with the semaphore: the next token, and the buffer every
-	// frame of a call is assembled and received in.
+	// The caller's own: the next token, and the buffer every frame of a
+	// call is assembled and received in.
 	nextID uint64
 	buf    []byte
 }
@@ -203,9 +201,8 @@ func (r *rpcConn) attempt(nc net.Conn, id uint64, req any, into *relay) (any, er
 	if err := writeFrameFrom(nc, &r.buf, id, req); err != nil {
 		return nil, err
 	}
-	arena, resp := into.target()
 	for {
-		rid, m, err := readFrameInto(nc, &r.buf, arena, resp)
+		rid, m, err := readFrameInto(nc, &r.buf, nil, into)
 		if err != nil {
 			return nil, err
 		}
@@ -216,15 +213,9 @@ func (r *rpcConn) attempt(nc net.Conn, id uint64, req any, into *relay) (any, er
 	}
 }
 
-// call performs one RPC; a StepResp decodes into into (see relay), nil
-// allocating it.
+// call performs one RPC; a StepResp or FetchResp decodes into into (see
+// relay), nil allocating it.
 func (r *rpcConn) call(req any, into *relay) (any, error) {
-	select {
-	case r.sem <- struct{}{}:
-	case <-r.gone:
-		return nil, &transportError{err: errors.New("proc: worker gone")}
-	}
-	defer func() { <-r.sem }()
 	r.nextID++
 	id := r.nextID
 	deadline := time.Now().Add(r.grace)
@@ -282,29 +273,24 @@ func (r *rpcConn) wait(d time.Duration, swapped chan struct{}) bool {
 	}
 }
 
-// relay is the memory one worker process's StepResps decode into, owned
-// by its workerProc: it outlives any one job and dies with the process.
-// Two arena generations hold exchange column bytes (see recycle):
-// arenas[gen] the last committed attempt's, which the holding job's
-// inbox views, and the other the next attempt's. resp is the last
-// response decoded; the inbox copies its column headers, so their
-// memory is reused too. Only the process's serveSteps goroutine decodes
-// into it, and the holding job reads resp and flips gen
-// (Coordinator.owe) only after that goroutine answered.
+// relay is the memory one worker process's answers to the holding job
+// decode into, owned by its workerProc: it outlives any one job and dies
+// with the process. Two arena generations hold exchange column bytes
+// (see recycle): arenas[gen] the last committed attempt's, which the
+// holding job's inbox views, and the other the next attempt's. resp is
+// the last StepResp decoded; the inbox copies its column headers, so
+// their memory is reused too. fetch is the last FetchResp, its partition
+// views in fetched: they live until the process's next fetch, so a
+// checkpoint or a result fetch reads them before it makes another, and
+// they never touch the inbox. Only the process's caller goroutine
+// (serveCalls) decodes into it, and the holding job reads it and flips
+// gen (Coordinator.owe) only after that goroutine answered.
 type relay struct {
-	arenas [2][]byte
-	gen    int
-	resp   StepResp
-}
-
-// target returns where the next StepResp decodes: the generation not
-// holding committed columns, and resp. A nil relay decodes into fresh
-// memory.
-func (rl *relay) target() (*[]byte, *StepResp) {
-	if rl == nil {
-		return nil, nil
-	}
-	return &rl.arenas[1-rl.gen], &rl.resp
+	arenas  [2][]byte
+	gen     int
+	resp    StepResp
+	fetched []byte
+	fetch   FetchResp
 }
 
 // workerProc is the coordinator's handle on one worker process. All
@@ -312,9 +298,10 @@ func (rl *relay) target() (*[]byte, *StepResp) {
 type workerProc struct {
 	id  int
 	cmd *oexec.Cmd
-	// steps hands the worker's stepper goroutine (serveSteps) one
-	// superstep call at a time; relay is where its answers decode.
-	steps chan *stepCall
+	// calls hands the worker's caller goroutine (serveCalls) every RPC
+	// made to it, one at a time; relay is where the holding job's
+	// answers decode.
+	calls chan *ownerCall
 	relay relay
 
 	ctrl *rpcConn
@@ -433,13 +420,13 @@ type Coordinator struct {
 	children []*workerProc // every process spawned, for Close to kill
 	done     chan struct{} // closed by Close: aborts spawns in flight
 
-	// bg counts spawns in flight, reapers and steppers; Close waits for
+	// bg counts spawns in flight, reapers and callers; Close waits for
 	// them, so every process spawned has been reaped when it returns.
 	bg sync.WaitGroup
 
-	// scratch is the holder's superstep working memory, used by its Step
+	// scratch is the holder's fan-out working memory, used by its calls
 	// alone and kept for the next job.
-	scratch stepScratch
+	scratch fanout
 
 	statRetries    int
 	statReconnects int
@@ -486,16 +473,21 @@ func Start(cfg Config) (*Coordinator, error) {
 	}
 	go c.acceptLoop()
 	procs := make([]*workerProc, cfg.Workers)
-	initial := make(map[int][]int, cfg.Workers)
+	errs := make([]error, cfg.Workers)
+	var wg sync.WaitGroup
 	for w := range procs {
-		initial[w] = nil
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			procs[w], errs[w] = c.spawnWorker(w)
+		}()
 	}
-	if err := onOwners(initial, func(w int, _ []int) (err error) {
-		procs[w], err = c.spawnWorker(w)
-		return err
-	}); err != nil {
-		c.Close()
-		return nil, fmt.Errorf("proc: starting %v", err)
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			c.Close()
+			return nil, fmt.Errorf("proc: starting worker %d: %w", w, err)
+		}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -525,12 +517,14 @@ func (c *Coordinator) Close() error {
 	c.mu.Unlock()
 	err := c.ln.Close()
 	c.bg.Wait()
-	// Every process is reaped and every stepper has returned: let go of
-	// their handles, and with them of their relays and frame buffers,
+	// Every process is reaped and every caller has returned: let go of
+	// their handles, with them of their relays and frame buffers, and of
+	// the last job, its replica and the scratch its calls viewed, all of
 	// which a caller keeping the closed Coordinator would keep too.
 	c.mu.Lock()
-	c.children, c.standby = nil, nil
+	c.children, c.standby, c.holder = nil, nil, nil
 	clear(c.procs)
+	c.scratch = fanout{}
 	c.mu.Unlock()
 	return err
 }
@@ -788,12 +782,11 @@ func (c *Coordinator) spawnWorker(w int) (*workerProc, error) {
 	p := &workerProc{
 		id:    w,
 		cmd:   cmd,
-		steps: make(chan *stepCall),
+		calls: make(chan *ownerCall),
 		beat:  beat,
 		gone:  make(chan struct{}),
 	}
 	p.ctrl = &rpcConn{
-		sem:     make(chan struct{}, 1),
 		nc:      ctrl,
 		swapped: make(chan struct{}),
 		timeout: c.cfg.CallTimeout,
@@ -816,7 +809,7 @@ func (c *Coordinator) spawnWorker(w int) (*workerProc, error) {
 	c.bg.Add(2)
 	c.mu.Unlock()
 	go c.reap(p)
-	go c.serveSteps(p)
+	go c.serveCalls(p)
 	go c.readBeats(p, p.beat)
 	return p, nil
 }
@@ -1121,13 +1114,14 @@ func (c *Coordinator) AcquireN(n int) (workers []int, adopted [][]int, err error
 	c.mu.Unlock()
 
 	if job != nil {
+		var calls []ownerCall
 		for i, w := range workers {
-			if len(adopted[i]) == 0 {
-				continue
+			if len(adopted[i]) > 0 {
+				calls = append(calls, ownerCall{w: w, parts: adopted[i]})
 			}
-			if loadErr := job.loadPartitions(w, adopted[i]); loadErr != nil && err == nil {
-				err = fmt.Errorf("cluster: loading partitions onto worker %d: %w", w, loadErr)
-			}
+		}
+		if loadErr := job.load(calls); loadErr != nil && err == nil {
+			err = fmt.Errorf("cluster: %w", loadErr)
 		}
 	}
 	return workers, adopted, err
@@ -1147,15 +1141,19 @@ func (c *Coordinator) Release(w int) error {
 		return err
 	}
 
-	// Migrate state off the leaving worker before it goes away.
-	var fetched map[int]PartBlob
+	// Migrate state off the leaving worker before it goes away; the fetch
+	// carries w's debt.
+	fetched := make(map[int]PartBlob, len(moved))
 	if job != nil && len(moved) > 0 && p != nil {
-		parts, err := c.fetchState(w, moved)
+		resp, err := c.call(w, FetchReq{Parts: moved})
+		fr, ok := resp.(FetchResp)
+		if err == nil && !ok {
+			err = fmt.Errorf("worker %d answered a FetchReq with a %T", w, resp)
+		}
 		if err != nil {
 			return &cluster.ReleaseError{Worker: w, Reason: fmt.Errorf("migrating state: %v", err)}
 		}
-		fetched = make(map[int]PartBlob, len(parts))
-		for _, ps := range parts {
+		for _, ps := range fr.Parts {
 			fetched[ps.Part] = ps
 		}
 	}
@@ -1167,25 +1165,30 @@ func (c *Coordinator) Release(w int) error {
 	c.mu.Unlock()
 
 	if job != nil {
-		// Push the migrated state to each adopting survivor concurrently,
-		// each over its own ctrl conn.
-		err := onOwners(perOwner, func(o int, parts []int) error {
-			if err := job.loadPartitions(o, parts); err != nil {
-				return fmt.Errorf("loading partitions: %v", err)
+		// Push the migrated state to the adopting survivors: a load round,
+		// then a restore round, each on every survivor at once.
+		var calls []ownerCall
+		for _, o := range slices.Sorted(maps.Keys(perOwner)) {
+			calls = append(calls, ownerCall{w: o, parts: perOwner[o]})
+		}
+		err := job.load(calls)
+		if err == nil {
+			for i := range calls {
+				restore := make([]PartBlob, 0, len(calls[i].parts))
+				for _, part := range calls[i].parts {
+					restore = append(restore, fetched[part])
+				}
+				calls[i].req = RestoreReq{Parts: restore}
 			}
-			restore := make([]PartBlob, 0, len(parts))
-			for _, part := range parts {
-				restore = append(restore, fetched[part])
-			}
-			return c.restoreState(o, restore)
-		})
+			_, err = new(fanout).run(c, calls, nil, noWatch)
+		}
 		if err != nil {
 			return fmt.Errorf("proc: releasing worker %d: moving state to %v", w, err)
 		}
 	}
 	if p != nil {
 		// Nothing is owed here: the migration fetch carried w's debt.
-		p.ctrl.call(ShutdownReq{}, nil)
+		c.callProc(w, p, ShutdownReq{})
 		c.mu.Lock()
 		p.markGoneLocked()
 		p.kill()
@@ -1214,12 +1217,14 @@ func (c *Coordinator) AssignOrphans() (map[int][]int, error) {
 	if err != nil || job == nil {
 		return moved, err
 	}
+	var calls []ownerCall
 	for _, w := range ws {
 		if parts := moved[w]; len(parts) > 0 {
-			if err := job.loadPartitions(w, parts); err != nil {
-				return moved, fmt.Errorf("cluster: loading orphaned partitions onto worker %d: %v", w, err)
-			}
+			calls = append(calls, ownerCall{w: w, parts: parts})
 		}
+	}
+	if err := job.load(calls); err != nil {
+		return moved, fmt.Errorf("cluster: orphaned partitions: %w", err)
 	}
 	return moved, nil
 }
@@ -1246,8 +1251,8 @@ func (c *Coordinator) DroppedEvents() int {
 }
 
 // hold makes j the job that holds the relay — the workers' relay arenas
-// and the superstep scratch — from now on, and the one whose
-// loadPartitions runs (outside the coordinator's lock) whenever
+// and the fan-out scratch — from now on, and the one whose
+// load runs (outside the coordinator's lock) whenever
 // partitions move to a worker that may not host their data yet. The
 // job it replaces may no longer step (see SupersededError). A new job
 // is a job boundary: a standby adopted under the last one is replaced
@@ -1293,26 +1298,38 @@ func (p *workerProc) settle(owed Owed) error {
 	return err
 }
 
-// call performs one ctrl RPC against worker w. A StepReq,
-// CompensateReq or FetchReq carries w's debt (see owe), so a superstep —
-// or a survivor's share of a compensation, or a checkpoint fetch — is
-// one round trip; anything else settles it first. The rpcConn absorbs
-// transient faults (timeouts retry with the same idempotence token,
-// broken connections wait for the worker's redial); only when its whole
-// retry budget is exhausted does the failure reach here as a transport
-// error, and the worker is condemned. An application-level rejection
-// proves the worker alive and is passed through untouched.
-func (c *Coordinator) call(w int, req any) (resp any, err error) {
-	c.mu.Lock()
-	p := c.procs[w]
-	c.mu.Unlock()
-	if p == nil {
-		return nil, fmt.Errorf("proc: no process for worker %d", w)
-	}
-	return c.callOn(p, req, nil)
+// call performs one ctrl RPC against worker w on its caller goroutine,
+// decoding the answer into fresh memory.
+func (c *Coordinator) call(w int, req any) (any, error) {
+	return c.callProc(w, c.proc(w), req)
 }
 
-// callOn is call against p, decoding a StepResp into into (see relay).
+// callProc is call against p, worker w's process (nil: none).
+func (c *Coordinator) callProc(w int, p *workerProc, req any) (any, error) {
+	oc := ownerCall{w: w, req: req}
+	done := make(chan *ownerCall, 1)
+	c.handTo(p, &oc, done)
+	<-done
+	return oc.resp, oc.err
+}
+
+// proc returns worker w's process handle, nil if it has none.
+func (c *Coordinator) proc(w int) *workerProc {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.procs[w]
+}
+
+// callOn performs one ctrl RPC against p, decoding a StepResp or
+// FetchResp into into (see relay). A StepReq, CompensateReq or FetchReq
+// carries p's debt (see owe), so a superstep — or a survivor's share of a
+// compensation, or a checkpoint fetch — is one round trip; anything else
+// settles it first. The rpcConn absorbs transient faults (timeouts retry
+// with the same idempotence token, broken connections wait for the
+// worker's redial); only when its whole retry budget is exhausted does
+// the failure reach here as a transport error, and the worker is
+// condemned. An application-level rejection proves the worker alive and
+// is passed through untouched. Only p's caller goroutine calls it.
 func (c *Coordinator) callOn(p *workerProc, req any, into *relay) (resp any, err error) {
 	c.mu.Lock()
 	owed := p.owed
@@ -1320,6 +1337,8 @@ func (c *Coordinator) callOn(p *workerProc, req any, into *relay) (resp any, err
 	c.mu.Unlock()
 	switch r := req.(type) {
 	case *StepReq:
+		r.Commit = owed
+	case *FetchReq:
 		r.Commit = owed
 	case StepReq:
 		r.Commit = owed
@@ -1359,68 +1378,47 @@ func (c *Coordinator) placeInto(placement, workers []int) ([]int, []int) {
 	return placement, workers
 }
 
-// stepOn hands sc to worker w's stepper, which runs it and answers on
-// done. A worker that has no process, or whose process is gone, is
-// answered at once.
-func (c *Coordinator) stepOn(w int, sc *stepCall, done chan<- *stepCall) {
-	c.mu.Lock()
-	p := c.procs[w]
-	c.mu.Unlock()
-	sc.done = done
+// handTo hands oc to p's caller goroutine, which makes the call and
+// answers on done. Without a process, or with one that is gone, oc is
+// answered at once with a transport error: the worker cannot be reached.
+func (c *Coordinator) handTo(p *workerProc, oc *ownerCall, done chan<- *ownerCall) {
+	oc.done = done
 	if p == nil {
-		sc.err = fmt.Errorf("proc: no process for worker %d", w)
-		done <- sc
+		oc.err = &transportError{err: fmt.Errorf("proc: no process for worker %d", oc.w)}
+		done <- oc
 		return
 	}
 	select {
-	case p.steps <- sc:
+	case p.calls <- oc:
 	case <-p.gone:
-		sc.err = &transportError{err: errors.New("proc: worker gone")}
-		done <- sc
+		oc.err = &transportError{err: errors.New("proc: worker gone")}
+		done <- oc
 	}
 }
 
-// serveSteps runs p's superstep calls, one at a time, until p is gone:
-// the request goes out from the job's scratch and the answer decodes
-// into p's relay, so a steady superstep starts no goroutine and boxes
-// nothing. A call it has taken always answers, gone or not, and never
-// waits to: done has a slot for every call of the attempt.
-func (c *Coordinator) serveSteps(p *workerProc) {
+// serveCalls is p's one caller: it makes every RPC to p, one at a time,
+// until p is gone. A call the holding job relays decodes into p's relay
+// and goes out from the job's scratch, so a steady superstep or
+// checkpoint starts no goroutine and boxes nothing. A call it has taken
+// always answers, gone or not, and never waits to: done has a slot for
+// every call of a fan-out.
+func (c *Coordinator) serveCalls(p *workerProc) {
 	defer c.bg.Done()
 	for {
 		select {
-		case sc := <-p.steps:
-			resp, err := c.callOn(p, &sc.req, &p.relay)
-			if r, ok := resp.(*StepResp); ok {
-				sc.resp = *r
-			} else if err == nil {
-				err = fmt.Errorf("proc: worker %d answered a StepReq with a %T", p.id, resp)
+		case oc := <-p.calls:
+			var into *relay
+			if oc.relayed {
+				into = &p.relay
 			}
-			sc.err = err
+			oc.resp, oc.err = c.callOn(p, oc.req, into)
 			select {
-			case sc.done <- sc:
+			case oc.done <- oc:
 			default:
-				panic("proc: a superstep answer found its channel full")
+				panic("proc: an answer found its channel full")
 			}
 		case <-p.gone:
 			return
 		}
 	}
-}
-
-// fetchState reads the committed state views of parts from worker w,
-// carrying w's debt.
-func (c *Coordinator) fetchState(w int, parts []int) ([]PartBlob, error) {
-	resp, err := c.call(w, FetchReq{Parts: parts})
-	if err != nil {
-		return nil, err
-	}
-	return resp.(FetchResp).Parts, nil
-}
-
-// restoreState overwrites partition state on worker w once w's debt is
-// settled.
-func (c *Coordinator) restoreState(w int, parts []PartBlob) error {
-	_, err := c.call(w, RestoreReq{Parts: parts})
-	return err
 }

@@ -12,12 +12,11 @@ package proc
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"optiflow/internal/algo/cc"
@@ -126,42 +125,34 @@ func NewJob(co *Coordinator, spec Spec) (*Job, error) {
 		lastL1:    math.MaxFloat64,
 	}
 	co.hold(j)
-	if err := onOwners(j.ownersSnapshot(), j.loadPartitions); err != nil {
+	if err := j.load(co.scratch.plan(co)); err != nil {
 		return nil, err
 	}
 	return j, nil
 }
 
-// loadPartitions makes worker w host every partition it owns, the
-// listed ones — initial placement, and every adoption by a replacement
-// or survivor — starting in superstep-zero state. The adjacency of all
-// of them goes along.
-func (j *Job) loadPartitions(w int, parts []int) error {
-	req := LoadReq{
-		Job:           j.spec.Name,
-		Kind:          j.spec.Kind,
-		NumPartitions: j.numParts,
-		Damping:       j.spec.Damping,
-		IDs:           j.dense.IDs(),
-		Hosted:        j.co.PartitionsOf(w),
-		Fresh:         parts,
+// load makes each call's worker host every partition it owns, the
+// call's parts starting in superstep-zero state — the initial placement,
+// and every adoption by a replacement or survivor — on every worker at
+// once. The adjacency of all of them goes along.
+func (j *Job) load(calls []ownerCall) error {
+	for i := range calls {
+		req := LoadReq{
+			Job:           j.spec.Name,
+			Kind:          j.spec.Kind,
+			NumPartitions: j.numParts,
+			Damping:       j.spec.Damping,
+			IDs:           j.dense.IDs(),
+			Hosted:        j.co.PartitionsOf(calls[i].w),
+			Fresh:         calls[i].parts,
+		}
+		req.Offsets, req.Targets, req.Weights = j.dense.Restrict(j.pt, req.Hosted)
+		calls[i].req, calls[i].relayed = req, false
 	}
-	req.Offsets, req.Targets, req.Weights = j.dense.Restrict(j.pt, req.Hosted)
-	if _, err := j.co.call(w, req); err != nil {
-		return fmt.Errorf("proc: loading partitions %v onto worker %d: %v", parts, w, err)
+	if _, err := new(fanout).run(j.co, calls, nil, noWatch); err != nil {
+		return fmt.Errorf("proc: loading partitions onto %w", err)
 	}
 	return nil
-}
-
-// ownersSnapshot groups the current partition assignment by owner.
-func (j *Job) ownersSnapshot() map[int][]int {
-	owners := make(map[int][]int)
-	for _, w := range j.co.Workers() {
-		if parts := j.co.PartitionsOf(w); len(parts) > 0 {
-			owners[w] = parts
-		}
-	}
-	return owners
 }
 
 // partial is one worker's share of the scalars the driver combines.
@@ -180,63 +171,152 @@ func (j *Job) combine(workers []int) {
 	}
 }
 
-// stepCall is one worker's share of a superstep attempt, kept in the
-// step scratch and reused: the partitions it steps, the request sent
-// from here, and the answer, whose columns view the worker's relay until
-// its next step call.
-type stepCall struct {
+// ownerCall is one RPC to one worker, made by its process's caller
+// goroutine (serveCalls): the partitions the worker owns, the request,
+// and the answer. A fan-out keeps one per owner and reuses it; the
+// requests of a superstep and of a checkpoint fetch are kept here too,
+// and sent by pointer, so they are never boxed. A relayed call's answer
+// decodes into the process's relay and views it until the process's
+// next relayed call of its kind.
+type ownerCall struct {
 	w        int
 	parts    []int
-	req      StepReq
-	resp     StepResp
+	req      any // nil: no call to w in this round
+	relayed  bool
+	step     StepReq
+	fetch    FetchReq
+	resp     any
 	err      error
 	answered bool
-	done     chan<- *stepCall
+	done     chan<- *ownerCall
 }
 
-// stepScratch is Step's working memory. The coordinator owns it and
-// only the job holding the relay uses it, so every superstep of every
-// job on a coordinator reuses one: a steady superstep allocates nothing
-// in it.
-type stepScratch struct {
-	placement []int      // every partition's owner
-	workers   []int      // the live owners, ascending
-	calls     []stepCall // one per live owner, in workers' order
-	answers   chan *stepCall
+// fanout is the working memory of a round of calls to every owner at
+// once: the grouping of the partitions by live owner, the calls, the
+// channel their answers come back on, the straggler watchdog, and the
+// fetched views in partition order. The coordinator owns one for the job
+// holding the relay, so every superstep and checkpoint of every job on
+// a coordinator reuses it: a steady one allocates nothing in it.
+type fanout struct {
+	placement []int       // every partition's owner
+	workers   []int       // the live owners, ascending
+	calls     []ownerCall // one per live owner, in workers' order
+	answers   chan *ownerCall
 	watchdog  *time.Timer
+	blobs     []PartBlob
 }
+
+// noWatch is run's superstep for a round that is no superstep: it
+// condemns no straggler.
+const noWatch = -1
 
 // plan reads the placement and groups the partitions by live owner, in
-// ascending order, into the calls.
-func (s *stepScratch) plan(co *Coordinator) []stepCall {
-	s.placement, s.workers = co.placeInto(s.placement, s.workers)
-	for len(s.calls) < len(s.workers) {
-		s.calls = append(s.calls, stepCall{})
+// ascending order, into the calls, none of which has a request yet.
+func (f *fanout) plan(co *Coordinator) []ownerCall {
+	f.placement, f.workers = co.placeInto(f.placement, f.workers)
+	for len(f.calls) < len(f.workers) {
+		f.calls = append(f.calls, ownerCall{})
 	}
-	calls := s.calls[:len(s.workers)]
-	for i, w := range s.workers {
-		calls[i].w, calls[i].parts = w, calls[i].parts[:0]
+	calls := f.calls[:len(f.workers)]
+	for i, w := range f.workers {
+		calls[i].w, calls[i].parts, calls[i].req, calls[i].relayed, calls[i].resp = w, calls[i].parts[:0], nil, false, nil
 	}
-	for p, w := range s.placement {
-		if i, ok := slices.BinarySearch(s.workers, w); ok {
+	// Calls to owners no longer there would keep their answers, and the
+	// relays of gone processes with them.
+	clear(f.calls[len(calls):])
+	for p, w := range f.placement {
+		if i, ok := slices.BinarySearch(f.workers, w); ok {
 			calls[i].parts = append(calls[i].parts, p)
 		}
-	}
-	if s.answers == nil {
-		// An owner owns a partition, so no attempt makes more calls.
-		s.answers = make(chan *stepCall, co.NumPartitions())
 	}
 	return calls
 }
 
-// arm starts the straggler watchdog for d and returns its channel.
-func (s *stepScratch) arm(d time.Duration) <-chan time.Time {
-	if s.watchdog == nil {
-		s.watchdog = time.NewTimer(d)
-	} else {
-		s.watchdog.Reset(d)
+// run makes every call that has a request at once, each on its worker's
+// caller, SIGKILLs the victims while theirs are in flight, and waits for
+// every answer. In a superstep (not noWatch) it watches for stragglers:
+// once a majority of workers has answered, the rest get a deadline
+// relative to the majority's elapsed time. A worker that blows it —
+// partitioned inbound so it computes forever unaware, or just wedged —
+// is condemned, which closes its connections and aborts its call, so the
+// attempt fails over to the normal recovery path instead of stalling the
+// whole job at the barrier.
+//
+// Only a transport failure fails a worker, or being a victim — dead all
+// the same if its answer outran the kill: failed lists those, in calls'
+// order. A worker that answered an ErrResp is alive and refused the call.
+// err is the first error of any call, in calls' order.
+func (f *fanout) run(co *Coordinator, calls []ownerCall, victims []int, superstep int) (failed []int, err error) {
+	if f.answers == nil {
+		// An owner owns a partition, so no round makes more calls.
+		f.answers = make(chan *ownerCall, co.NumPartitions())
 	}
-	return s.watchdog.C
+	pending := 0
+	for i := range calls {
+		oc := &calls[i]
+		oc.resp, oc.err, oc.answered = nil, nil, false
+		if oc.req != nil {
+			pending++
+			co.handTo(co.proc(oc.w), oc, f.answers)
+		}
+	}
+	var killed []int
+	for _, w := range victims {
+		if co.Kill(w) {
+			killed = append(killed, w)
+		}
+	}
+	sent, start := pending, time.Now()
+	var straggle <-chan time.Time
+	armed := false
+	for pending > 0 {
+		select {
+		case oc := <-f.answers:
+			pending--
+			oc.answered = true
+			if straggle == nil && superstep != noWatch && co.cfg.StragglerFactor > 0 && pending > 0 &&
+				(sent-pending)*2 >= sent {
+				d := time.Duration(float64(time.Since(start)) * co.cfg.StragglerFactor)
+				if d < co.cfg.StragglerMin {
+					d = co.cfg.StragglerMin
+				}
+				straggle, armed = f.arm(d), true
+			}
+		case <-straggle:
+			straggle = nil
+			for i := range calls {
+				if calls[i].req != nil && !calls[i].answered {
+					co.condemn(calls[i].w, fmt.Sprintf("straggling superstep %d beyond the majority deadline", superstep))
+				}
+			}
+		}
+	}
+	if armed {
+		f.watchdog.Stop()
+	}
+	for i := range calls {
+		oc := &calls[i]
+		if oc.req == nil {
+			continue
+		}
+		if isTransportError(oc.err) || slices.Contains(killed, oc.w) {
+			failed = append(failed, oc.w)
+		}
+		if oc.err != nil && err == nil {
+			err = fmt.Errorf("worker %d: %w", oc.w, oc.err)
+		}
+	}
+	return failed, err
+}
+
+// arm starts the straggler watchdog for d and returns its channel.
+func (f *fanout) arm(d time.Duration) <-chan time.Time {
+	if f.watchdog == nil {
+		f.watchdog = time.NewTimer(d)
+	} else {
+		f.watchdog.Reset(d)
+	}
+	return f.watchdog.C
 }
 
 // SupersededError is the typed refusal of a Job whose coordinator has
@@ -260,96 +340,61 @@ func (j *Job) holdsRelay() error {
 // parallel round of StepReqs carrying the previous superstep's commit
 // (during which a scheduled mid-superstep fault SIGKILLs its victims
 // for real), then the decision — committed if all answered, aborted
-// everywhere if not. A failed attempt returns a typed
+// everywhere if not. An attempt that lost a worker returns a typed
 // *exec.WorkerFailure naming the dead workers, exactly like the
-// in-process engine, so iterate.Loop's recovery path is unchanged. A job
-// that no longer holds the relay returns a *SupersededError and sends
-// nothing.
+// in-process engine, so iterate.Loop's recovery path is unchanged; one
+// that a live worker refused returns its plain error, and no worker is
+// failed over for it. A job that no longer holds the relay returns a
+// *SupersededError and sends nothing.
 func (j *Job) Step(ctx *iterate.Context) (iterate.StepStats, error) {
 	if err := j.holdsRelay(); err != nil {
 		return iterate.StepStats{}, err
 	}
-	s := &j.co.scratch
-	calls := s.plan(j.co)
-	if !slices.Equal(s.placement, j.placement) {
+	f := &j.co.scratch
+	calls := f.plan(j.co)
+	if !slices.Equal(f.placement, j.placement) {
 		// Partitions moved since the columns in flight were produced:
 		// those workers kept are gone or misplaced, so start over.
 		j.rescatter = true
 	}
 	for i := range calls {
-		sc := &calls[i]
-		sc.req = StepReq{Superstep: ctx.Superstep, Rescatter: j.rescatter, Dangling: j.dangling, Inbox: sc.req.Inbox[:0]}
+		oc := &calls[i]
+		oc.step = StepReq{Superstep: ctx.Superstep, Rescatter: j.rescatter, Dangling: j.dangling, Inbox: oc.step.Inbox[:0]}
 		if !j.rescatter {
-			for _, p := range sc.parts {
-				sc.req.Inbox = append(sc.req.Inbox, j.inbox[p]...)
+			for _, p := range oc.parts {
+				oc.step.Inbox = append(oc.step.Inbox, j.inbox[p]...)
 			}
 		}
-		sc.err, sc.answered = nil, false
-		j.co.stepOn(sc.w, sc, s.answers)
+		oc.req, oc.relayed = &oc.step, true
 	}
-
 	// The mid-superstep fault: SIGKILL the victims while their compute
-	// RPCs are in flight. A victim whose answer outruns the kill is dead
-	// all the same, so it fails the attempt whether or not it answered.
-	var killed []int
+	// RPCs are in flight.
+	var victims []int
 	if ctx.Fault != nil {
-		for _, w := range ctx.Fault.Workers {
-			if j.co.Kill(w) {
-				killed = append(killed, w)
-			}
+		victims = ctx.Fault.Workers
+	}
+	failed, err := f.run(j.co, calls, victims, ctx.Superstep)
+	for i := 0; err == nil && i < len(calls); i++ {
+		if _, ok := calls[i].resp.(*StepResp); !ok {
+			err = fmt.Errorf("worker %d answered a StepReq with a %T", calls[i].w, calls[i].resp)
 		}
 	}
-
-	// Collect, with a straggler watchdog: once a majority of workers
-	// has answered, the rest get a deadline relative to the majority's
-	// elapsed time. A worker that blows it — partitioned inbound so it
-	// computes forever unaware, or just wedged — is condemned, which
-	// closes its connections and aborts its in-flight call, so the
-	// attempt fails over to the normal recovery path instead of
-	// stalling the whole job at the barrier.
-	var failed []int
-	pending := len(calls)
-	start := time.Now()
-	var straggle <-chan time.Time
-	armed := false
-	for pending > 0 {
-		select {
-		case sc := <-s.answers:
-			pending--
-			sc.answered = true
-			if sc.err != nil || slices.Contains(killed, sc.w) {
-				failed = append(failed, sc.w)
-			}
-			if straggle == nil && j.co.cfg.StragglerFactor > 0 && pending > 0 &&
-				(len(calls)-pending)*2 >= len(calls) {
-				d := time.Duration(float64(time.Since(start)) * j.co.cfg.StragglerFactor)
-				if d < j.co.cfg.StragglerMin {
-					d = j.co.cfg.StragglerMin
-				}
-				straggle, armed = s.arm(d), true
-			}
-		case <-straggle:
-			straggle = nil
-			for i := range calls {
-				if !calls[i].answered {
-					j.co.condemn(calls[i].w, fmt.Sprintf("straggling superstep %d beyond the majority deadline", ctx.Superstep))
-				}
-			}
-		}
-	}
-	if armed {
-		s.watchdog.Stop()
-	}
-	if len(failed) > 0 {
-		// Abort survivors: their attempts are dropped, committed state
-		// and the exchange columns in flight stay as they were, so the
-		// attempt can be replayed after recovery.
+	if err != nil || failed != nil {
+		// Abort the attempt wherever it is held: committed state and the
+		// exchange columns in flight stay as they were, so the attempt can
+		// be replayed after recovery.
 		for i := range calls {
-			if !slices.Contains(failed, calls[i].w) {
-				j.co.call(calls[i].w, AbortReq{})
+			oc := &calls[i]
+			oc.req, oc.relayed = nil, false
+			if oc.err == nil && !slices.Contains(failed, oc.w) {
+				oc.req = AbortReq{}
 			}
 		}
-		return iterate.StepStats{}, workerFailure(failed, calls)
+		f.run(j.co, calls, nil, noWatch)
+		if failed != nil {
+			return iterate.StepStats{}, workerFailure(failed, calls)
+		}
+		return iterate.StepStats{}, fmt.Errorf("proc: superstep %d: %w", ctx.Superstep, err)
 	}
 
 	// Everyone answered: the superstep is committed by decision, and each
@@ -357,16 +402,16 @@ func (j *Job) Step(ctx *iterate.Context) (iterate.StepStats, error) {
 	// loses state recovery replaces anyway). The attempt's outboxes become
 	// the next superstep's inbox; partial scalars are added in worker
 	// order so float sums repeat from run to run.
-	j.co.owe(s.workers, ctx.Superstep)
+	j.co.owe(f.workers, ctx.Superstep)
 	for dst, cols := range j.inbox {
 		j.inbox[dst] = cols[:0]
 	}
-	j.placement, j.rescatter = append(j.placement[:0], s.placement...), false
+	j.placement, j.rescatter = append(j.placement[:0], f.placement...), false
 	var stats iterate.StepStats
 	var l1 float64
 	folded := false
 	for i := range calls {
-		w, resp := calls[i].w, &calls[i].resp
+		w, resp := calls[i].w, calls[i].resp.(*StepResp)
 		for _, cols := range resp.Remote {
 			j.inbox[cols.Dst] = append(j.inbox[cols.Dst], cols)
 		}
@@ -375,7 +420,7 @@ func (j *Job) Step(ctx *iterate.Context) (iterate.StepStats, error) {
 		folded = folded || resp.Folded
 		stats.Updates += resp.Updates
 	}
-	j.combine(s.workers)
+	j.combine(f.workers)
 	stats.Messages, j.resent = j.pending+j.resent, 0
 	if folded {
 		j.lastL1 = l1
@@ -386,8 +431,9 @@ func (j *Job) Step(ctx *iterate.Context) (iterate.StepStats, error) {
 	return stats, nil
 }
 
-// workerFailure builds the typed mid-superstep failure error.
-func workerFailure(workers []int, calls []stepCall) error {
+// workerFailure builds the typed failure error of a round: the failed
+// workers and every partition they own.
+func workerFailure(workers []int, calls []ownerCall) error {
 	sort.Ints(workers)
 	var parts []int
 	for _, w := range workers {
@@ -427,59 +473,50 @@ type SnapshotError struct{ Reason string }
 
 func (e *SnapshotError) Error() string { return "proc: snapshot: " + e.Reason }
 
-// onOwners runs op against every owner at once — each has its own
-// connections, so state moves overlap — and returns the failure of the
-// lowest-numbered worker that had one, whatever the map or arrival order.
-func onOwners[T any](owners map[int][]T, op func(w int, items []T) error) error {
-	workers := slices.Sorted(maps.Keys(owners))
-	errs := make([]error, len(workers))
-	var wg sync.WaitGroup
-	for i, w := range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = op(w, owners[w])
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("worker %d: %w", workers[i], err)
-		}
-	}
-	return nil
-}
-
-// fetchAll fetches every partition's committed state view from its
-// owner, in partition order. An owner that died (or was condemned)
-// under the fetch surfaces as a typed worker failure, so the iteration
-// loop enters recovery instead of aborting the run.
+// fetchAll has every owner read its partitions' committed state views,
+// carrying its debt — one FetchReq each, all at once — and returns them
+// in partition order. The views live in the owners' relays until their
+// next fetch (see relay). An owner that died (or was condemned) under
+// the fetch surfaces as a typed worker failure, so the iteration loop
+// enters recovery instead of aborting the run.
 func (j *Job) fetchAll() ([]PartBlob, error) {
-	var mu sync.Mutex
-	var all []PartBlob
-	err := onOwners(j.ownersSnapshot(), func(w int, parts []int) error {
-		fetched, err := j.co.fetchState(w, parts)
-		if isTransportError(err) {
-			err = &exec.WorkerFailure{Workers: []int{w}, Partitions: parts}
+	f := &j.co.scratch
+	calls := f.plan(j.co)
+	for i := range calls {
+		oc := &calls[i]
+		oc.fetch = FetchReq{Parts: oc.parts}
+		oc.req, oc.relayed = &oc.fetch, true
+	}
+	failed, err := f.run(j.co, calls, nil, noWatch)
+	if failed != nil {
+		return nil, workerFailure(failed, calls)
+	}
+	f.blobs = f.blobs[:0]
+	for i := 0; err == nil && i < len(calls); i++ {
+		if r, ok := calls[i].resp.(*FetchResp); ok {
+			f.blobs = append(f.blobs, r.Parts...)
+		} else {
+			err = fmt.Errorf("worker %d answered a FetchReq with a %T", calls[i].w, calls[i].resp)
 		}
-		mu.Lock()
-		all = append(all, fetched...)
-		mu.Unlock()
-		return err
-	})
-	sort.Slice(all, func(a, b int) bool { return all[a].Part < all[b].Part })
-	return all, err
+	}
+	if err != nil {
+		return nil, err
+	}
+	slices.SortFunc(f.blobs, func(a, b PartBlob) int { return cmp.Compare(a.Part, b.Part) })
+	return f.blobs, nil
 }
 
 // SnapshotTo implements recovery.Job: every partition's state view in
 // one blob, sorted, so equal distributed states snapshot to equal
-// bytes.
+// bytes. The blob is written straight into w's free space.
 func (j *Job) SnapshotTo(w *bytes.Buffer) error {
 	parts, err := j.fetchAll()
 	if err != nil {
 		return fmt.Errorf("proc: snapshot: %w", err)
 	}
-	w.Write(appendSnapshot(nil, JobSnapshot{Kind: j.spec.Kind, Parts: parts}))
+	snap := JobSnapshot{Kind: j.spec.Kind, Parts: parts}
+	w.Grow(snapshotLen(snap))
+	w.Write(appendSnapshot(w.AvailableBuffer(), snap))
 	return nil
 }
 
@@ -501,10 +538,11 @@ func (j *Job) RestoreFrom(data []byte) error {
 	for _, pb := range snap.Parts {
 		byPart[pb.Part] = pb
 	}
-	owners := j.ownersSnapshot()
-	push := make(map[int][]PartBlob, len(owners))
-	for w, parts := range owners {
-		for _, p := range parts {
+	f := &j.co.scratch
+	calls := f.plan(j.co)
+	for i := range calls {
+		push := make([]PartBlob, 0, len(calls[i].parts))
+		for _, p := range calls[i].parts {
 			pb, ok := byPart[p]
 			if !ok {
 				return &SnapshotError{fmt.Sprintf("partition %d is owned by the job but missing from the blob", p)}
@@ -512,10 +550,11 @@ func (j *Job) RestoreFrom(data []byte) error {
 			if err := j.replica.RestorePartition(p, pb.Data); err != nil {
 				return &SnapshotError{err.Error()}
 			}
-			push[w] = append(push[w], pb)
+			push = append(push, pb)
 		}
+		calls[i].req = RestoreReq{Parts: push}
 	}
-	if err := onOwners(push, j.co.restoreState); err != nil {
+	if _, err := f.run(j.co, calls, nil, noWatch); err != nil {
 		return fmt.Errorf("proc: restore: pushing to %v", err)
 	}
 	j.restartExchange()
@@ -539,14 +578,20 @@ func (j *Job) restartExchange() {
 // dying during recovery is detected and folded into the recovery by
 // the supervisor, not here.
 func (j *Job) ClearPartitions(parts []int) {
-	byOwner := make(map[int][]int)
-	for _, p := range parts {
-		w := j.co.Owner(p)
-		byOwner[w] = append(byOwner[w], p)
+	f := &j.co.scratch
+	calls := f.plan(j.co)
+	for i := range calls {
+		var ps []int
+		for _, p := range parts {
+			if f.placement[p] == calls[i].w {
+				ps = append(ps, p)
+			}
+		}
+		if ps != nil {
+			calls[i].req = ClearReq{Parts: ps}
+		}
 	}
-	for w, ps := range byOwner {
-		j.co.call(w, ClearReq{Parts: ps})
-	}
+	f.run(j.co, calls, nil, noWatch)
 }
 
 // Compensate implements recovery.Job — the optimistic compensation
@@ -567,35 +612,47 @@ func (j *Job) Compensate(lost []int) error {
 	if err := j.holdsRelay(); err != nil {
 		return err
 	}
+	f := &j.co.scratch
+	calls := f.plan(j.co)
 	// A surviving partition kept its columns if it stayed where they were
 	// produced and its worker adopted nothing.
-	placement, _ := j.co.placeInto(nil, nil)
-	fill, survivors := make(map[int][]int), make(map[int][]int)
 	rebuilt := false
-	for p, w := range placement {
-		if slices.Contains(lost, p) {
-			fill[w] = append(fill[w], p)
-		} else {
-			survivors[w] = nil
-			rebuilt = rebuilt || j.placement != nil && j.placement[p] != w
-		}
+	for p, w := range f.placement {
+		rebuilt = rebuilt || !slices.Contains(lost, p) && j.placement != nil && j.placement[p] != w
 	}
-	for w := range fill {
-		_, adopted := survivors[w]
-		rebuilt = rebuilt || adopted
+	fill := make([][]int, len(calls))
+	for i := range calls {
+		survives := false
+		for _, p := range calls[i].parts {
+			if slices.Contains(lost, p) {
+				fill[i] = append(fill[i], p)
+			} else {
+				survives = true
+			}
+		}
+		rebuilt = rebuilt || survives && fill[i] != nil
+		if survives {
+			calls[i].req = CompensateReq{Lost: lost}
+		}
 	}
 	for dst, cols := range j.inbox {
 		j.inbox[dst] = slices.DeleteFunc(cols, func(c exec.HostedCols) bool { return slices.Contains(lost, c.Src) })
 	}
-	surviving, err := j.compensateOn(survivors, lost, 0)
+	surviving, err := j.compensateOn(calls)
 	if err == nil {
-		_, err = j.compensateOn(fill, lost, surviving)
+		for i := range calls {
+			calls[i].req = nil
+			if fill[i] != nil {
+				calls[i].req = CompensateReq{Lost: lost, Fill: fill[i], Surviving: surviving}
+			}
+		}
+		_, err = j.compensateOn(calls)
 	}
 	if err != nil || rebuilt {
 		j.restartExchange()
 	} else {
 		j.combine(j.co.Workers())
-		j.placement, j.lastL1 = placement, math.MaxFloat64
+		j.placement, j.lastL1 = append(j.placement[:0], f.placement...), math.MaxFloat64
 	}
 	if err != nil {
 		return fmt.Errorf("proc: compensation: %w", err)
@@ -603,28 +660,21 @@ func (j *Job) Compensate(lost []int) error {
 	return nil
 }
 
-// compensateOn asks each worker of fill to compensate, filling the lost
-// partitions listed for it, and takes in the responses in worker order:
-// new rows join the columns relayed for their pair in a fresh slice,
-// never in the relay arena; counts and dangling mass join the worker's
-// partial. It returns the survivors' combined mass.
-func (j *Job) compensateOn(fill map[int][]int, lost []int, surviving float64) (mass float64, err error) {
-	var mu sync.Mutex
-	resps := make(map[int]CompensateResp, len(fill))
-	err = onOwners(fill, func(w int, parts []int) error {
-		resp, err := j.co.call(w, CompensateReq{Lost: lost, Fill: parts, Surviving: surviving})
-		if isTransportError(err) {
-			err = &exec.WorkerFailure{Workers: []int{w}, Partitions: j.co.PartitionsOf(w)}
+// compensateOn makes the calls' compensation requests and takes in the
+// answers in worker order: new rows join the columns relayed for their
+// pair in a fresh slice, never in the relay arena; counts and dangling
+// mass join the worker's partial. It returns the survivors' combined
+// mass.
+func (j *Job) compensateOn(calls []ownerCall) (mass float64, err error) {
+	failed, err := j.co.scratch.run(j.co, calls, nil, noWatch)
+	if failed != nil {
+		err = workerFailure(failed, calls)
+	}
+	for i := range calls {
+		if calls[i].req == nil || calls[i].err != nil {
+			continue
 		}
-		if err == nil {
-			mu.Lock()
-			resps[w] = resp.(CompensateResp)
-			mu.Unlock()
-		}
-		return err
-	})
-	for _, w := range slices.Sorted(maps.Keys(resps)) {
-		r := resps[w]
+		w, r := calls[i].w, calls[i].resp.(CompensateResp)
 		mass += r.Surviving
 		j.resent += r.Messages
 		j.partials[w] = partial{dangling: r.Dangling, messages: j.partials[w].messages + r.Messages}
@@ -642,11 +692,12 @@ func (j *Job) compensateOn(fill map[int][]int, lost []int, surviving float64) (m
 
 // ResetToInitial implements recovery.Job (the restart baseline).
 func (j *Job) ResetToInitial() error {
-	err := onOwners(j.ownersSnapshot(), func(w int, parts []int) error {
-		_, err := j.co.call(w, ClearReq{Parts: parts})
-		return err
-	})
-	if err != nil {
+	f := &j.co.scratch
+	calls := f.plan(j.co)
+	for i := range calls {
+		calls[i].req = ClearReq{Parts: calls[i].parts}
+	}
+	if _, err := f.run(j.co, calls, nil, noWatch); err != nil {
 		return fmt.Errorf("proc: reset: %v", err)
 	}
 	j.restartExchange()

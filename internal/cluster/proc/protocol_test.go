@@ -8,6 +8,7 @@ package proc
 // and a SIGKILL that find a commit owed — are in equivalence_test.go.
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"optiflow/internal/algo/ref"
 	"optiflow/internal/checkpoint"
 	"optiflow/internal/cluster/proc/netfault"
+	"optiflow/internal/exec"
 	"optiflow/internal/graph/gen"
 	"optiflow/internal/iterate"
 	"optiflow/internal/recovery"
@@ -65,7 +67,9 @@ func runGridCC(t *testing.T, co *Coordinator, policy recovery.Policy, inj *netSc
 // workers themselves: a failure-free run of N supersteps is N requests
 // per worker plus the load and the result fetch (a ctrl RPC), every one
 // of the N commits rode on a request that had to be sent anyway, and no
-// CommitReq was sent at all.
+// CommitReq was sent at all. Under checkpoints every fifth superstep, a
+// checkpoint — Setup's included — adds one request per worker, its
+// fetch, which carries the commit it finds owed like a superstep.
 func TestOneRoundTripPerSuperstep(t *testing.T) {
 	t.Run("ctrl fetch", func(t *testing.T) {
 		co := startTestCluster(t, eqWorkers, eqParts, nil)
@@ -85,6 +89,67 @@ func TestOneRoundTripPerSuperstep(t *testing.T) {
 			}
 		}
 	})
+	t.Run("checkpoint every 5", func(t *testing.T) {
+		co := startTestCluster(t, eqWorkers, eqParts, nil)
+		store := checkpoint.NewMemoryStore()
+		res := runGridCC(t, co, recovery.NewCheckpoint(5, store), nil)
+		n, c := uint64(res.Supersteps), uint64(store.Saves())
+		if n < 10 || res.Ticks != res.Supersteps || c < 3 {
+			t.Fatalf("%d supersteps in %d ticks, %d checkpoints: not the failure-free checkpointed run this test needs", n, res.Ticks, c)
+		}
+		for _, w := range co.Workers() {
+			st := workerStats(t, co, w)
+			if st.Handled != n+2+c {
+				t.Errorf("worker %d handled %d requests for %d supersteps and %d checkpoints, want %d", w, st.Handled, n, c, n+2+c)
+			}
+			if st.CommitsCarried != n || st.CommitsExplicit != 0 || st.Replayed != 0 {
+				t.Errorf("worker %d: %d commits carried, %d explicit, %d replays; want %d, 0, 0",
+					w, st.CommitsCarried, st.CommitsExplicit, st.Replayed, n)
+			}
+		}
+	})
+}
+
+// TestStepErrRespFailsNoWorker has a live worker refuse a superstep: a
+// forged owed commit for worker 0 names a superstep it never ran, so it
+// answers the StepReq with an ErrResp. That is no worker failure — the
+// worker is alive and answered — so Step returns a plain error, nobody
+// is condemned, and both processes stay alive and answer.
+func TestStepErrRespFailsNoWorker(t *testing.T) {
+	co := startTestCluster(t, eqWorkers, eqParts, nil)
+	job, err := NewJob(co, Spec{Name: "errresp", Kind: KindCC, Graph: gen.Grid(8, 8)})
+	if err != nil {
+		t.Fatalf("NewJob: %v", err)
+	}
+	for s := range 2 {
+		if _, err := job.Step(&iterate.Context{Superstep: s}); err != nil {
+			t.Fatalf("superstep %d: %v", s, err)
+		}
+	}
+	condemned := co.NetStats().Condemned
+	co.mu.Lock()
+	co.procs[0].owed = Owed{Superstep: 99, Set: true}
+	co.mu.Unlock()
+	_, err = job.Step(&iterate.Context{Superstep: 2})
+	var wf *exec.WorkerFailure
+	if err == nil || errors.As(err, &wf) {
+		t.Fatalf("Step after a forged commit: err %v, want a plain error, not a *exec.WorkerFailure", err)
+	}
+	if got := co.NetStats().Condemned; got != condemned {
+		t.Errorf("NetStats.Condemned went from %d to %d: a worker that answered was condemned", condemned, got)
+	}
+	for _, w := range []int{0, 1} {
+		co.mu.Lock()
+		gone := co.procs[w] == nil || co.procs[w].goneLocked()
+		co.mu.Unlock()
+		if gone || !co.IsAlive(w) {
+			t.Errorf("worker %d: process gone %v, member alive %v; want its process kept", w, gone, co.IsAlive(w))
+			continue
+		}
+		if _, err := co.call(w, PingReq{}); err != nil {
+			t.Errorf("worker %d no longer answers: %v", w, err)
+		}
+	}
 }
 
 // TestCompensationCarriesOwedCommit fails worker 1 at a superstep

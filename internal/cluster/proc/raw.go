@@ -72,9 +72,14 @@ func appendPayload(dst []byte, id uint64, m any) ([]byte, error) {
 		dst = colbytes.AppendU64(dst, uint64(r.Updates))
 	case FetchReq:
 		kind = kFetchReq
-		dst = appendOwed(dst, r.Commit)
-		dst = appendInts(dst, r.Parts)
+		dst = appendInts(appendOwed(dst, r.Commit), r.Parts)
+	case *FetchReq:
+		kind = kFetchReq
+		dst = appendInts(appendOwed(dst, r.Commit), r.Parts)
 	case FetchResp:
+		kind = kFetchResp
+		dst = blobSection.append(dst, r.Parts)
+	case *FetchResp:
 		kind = kFetchResp
 		dst = blobSection.append(dst, r.Parts)
 	case RestoreReq:
@@ -155,7 +160,8 @@ func appendPayload(dst []byte, id uint64, m any) ([]byte, error) {
 }
 
 // appendStepReq appends a StepReq's body. A superstep sends one by
-// pointer, so the request is never boxed.
+// pointer, so the request is never boxed; a checkpoint's FetchReq and
+// the worker's FetchResp travel by pointer too.
 func appendStepReq(dst []byte, r *StepReq) []byte {
 	dst = appendOwed(dst, r.Commit)
 	dst = colbytes.AppendU32(dst, uint32(r.Superstep))
@@ -174,11 +180,13 @@ func decodePayload(p []byte, arena *[]byte) (uint64, any, error) {
 	return decodeInto(p, arena, nil)
 }
 
-// decodeInto is decodePayload decoding a StepResp, when resp is set,
-// into *resp — its column headers into resp.Remote's memory — and
-// returning it as a *StepResp, so the coordinator's relay neither
-// boxes the response nor allocates its header slice.
-func decodeInto(p []byte, arena *[]byte, resp *StepResp) (uint64, any, error) {
+// decodeInto is decodePayload decoding a StepResp or a FetchResp, when
+// rl is set, into the worker process's relay: a StepResp into rl.resp,
+// its columns into the arena generation not holding committed ones, a
+// FetchResp into rl.fetch, its views into rl.fetched. Either comes back
+// as a pointer into rl, so the coordinator neither boxes an answer nor
+// allocates its headers or bytes once the relay has grown.
+func decodeInto(p []byte, arena *[]byte, rl *relay) (uint64, any, error) {
 	r := colbytes.NewReader(p)
 	if ver := r.U8(); r.Err() == nil && ver != wireVersion {
 		return 0, nil, &VersionError{Got: ver, Want: wireVersion}
@@ -200,9 +208,9 @@ func decodeInto(p []byte, arena *[]byte, resp *StepResp) (uint64, any, error) {
 		v.Inbox = colsSection.read(r, arena, nil)
 		m = v
 	case kStepResp:
-		if resp != nil {
-			readStepResp(r, arena, resp)
-			m = resp
+		if rl != nil {
+			readStepResp(r, &rl.arenas[1-rl.gen], &rl.resp)
+			m = &rl.resp
 		} else {
 			var v StepResp
 			readStepResp(r, arena, &v)
@@ -211,7 +219,12 @@ func decodeInto(p []byte, arena *[]byte, resp *StepResp) (uint64, any, error) {
 	case kFetchReq:
 		m = FetchReq{Commit: readOwed(r), Parts: readInts(r)}
 	case kFetchResp:
-		m = FetchResp{Parts: blobSection.read(r, nil, nil)}
+		if rl != nil {
+			rl.fetch.Parts = blobSection.read(r, &rl.fetched, &rl.fetch.Parts)
+			m = &rl.fetch
+		} else {
+			m = FetchResp{Parts: blobSection.read(r, nil, nil)}
+		}
 	case kRestoreReq:
 		m = RestoreReq{Parts: blobSection.read(r, nil, nil)}
 	case kLoadReq:
@@ -422,10 +435,19 @@ func readInts(r *colbytes.Reader) (ps []int) {
 
 // appendSnapshot appends a JobSnapshot as a checkpoint blob: the
 // payload of a frame of the snapshot kind, with no length prefix and a
-// zero token.
+// zero token — appendPayload's bytes, written without boxing s.
 func appendSnapshot(dst []byte, s JobSnapshot) []byte {
-	dst, _ = appendPayload(dst, 0, s)
-	return dst
+	dst = colbytes.AppendU64(append(dst, wireVersion, kSnapshot), 0)
+	return blobSection.append(colbytes.AppendString(dst, s.Kind), s.Parts)
+}
+
+// snapshotLen is the length of the blob appendSnapshot appends.
+func snapshotLen(s JobSnapshot) int {
+	n := 2 + 8 + 4 + len(s.Kind) + 4 + 12*len(s.Parts)
+	for _, pb := range s.Parts {
+		n += len(pb.Data)
+	}
+	return n
 }
 
 // decodeSnapshot decodes a checkpoint blob. A blob of another format

@@ -9,14 +9,17 @@ package proc
 // converges to internal/algo/ref.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	oexec "os/exec"
 
@@ -27,6 +30,7 @@ import (
 	"optiflow/internal/failure"
 	"optiflow/internal/graph"
 	"optiflow/internal/graph/gen"
+	"optiflow/internal/iterate"
 	"optiflow/internal/recovery"
 	"optiflow/internal/supervise"
 )
@@ -363,5 +367,34 @@ func TestCloseDuringSpawnReapsChild(t *testing.T) {
 	log.assertReaped(t, 0, 1)
 	if ps := log.cmds[1].ProcessState; ps != nil && ps.Success() {
 		t.Errorf("the standby's child exited cleanly (%v), want it killed", ps)
+	}
+}
+
+// TestCloseReleasesLastJob keeps a closed Coordinator, as a harness
+// does between workloads, and demands that it no longer pins its last
+// job: once Close returns, the job — and with it its replica and the
+// inbox views into relay arenas — is garbage after a collection.
+func TestCloseReleasesLastJob(t *testing.T) {
+	co := startTestCluster(t, eqWorkers, eqParts, nil)
+	held := func() weak.Pointer[Job] {
+		job, err := NewJob(co, Spec{Name: "closed", Kind: KindPageRank, Graph: gen.Twitter(300, 7)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := range 3 {
+			if _, err := job.Step(&iterate.Context{Superstep: s}); err != nil {
+				t.Fatalf("superstep %d: %v", s, err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := job.SnapshotTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return weak.Make(job)
+	}()
+	co.Close()
+	runtime.GC()
+	if held.Value() != nil {
+		t.Fatal("the closed Coordinator still keeps its last job reachable")
 	}
 }

@@ -46,6 +46,23 @@ func faultyStateCluster(t *testing.T, nw *netfault.Network, callTimeout time.Dur
 	return co
 }
 
+// fetchParts reads worker w's committed state views of parts, carrying
+// its debt, into fresh memory.
+func fetchParts(co *Coordinator, w int, parts []int) ([]PartBlob, error) {
+	resp, err := co.call(w, FetchReq{Parts: parts})
+	if err != nil {
+		return nil, err
+	}
+	return resp.(FetchResp).Parts, nil
+}
+
+// restoreParts overwrites partition state on worker w once w's debt is
+// settled.
+func restoreParts(co *Coordinator, w int, parts []PartBlob) error {
+	_, err := co.call(w, RestoreReq{Parts: parts})
+	return err
+}
+
 // fetchUnder fetches worker w's partitions once undisturbed, then again
 // after fault() — the second must equal the first, with nobody
 // condemned.
@@ -53,12 +70,12 @@ func fetchUnder(t *testing.T, co *Coordinator, fault func(w int)) {
 	t.Helper()
 	w := co.Workers()[0]
 	parts := co.PartitionsOf(w)
-	want, err := co.fetchState(w, parts)
+	want, err := fetchParts(co, w, parts)
 	if err != nil {
 		t.Fatalf("undisturbed fetch from worker %d: %v", w, err)
 	}
 	fault(w)
-	got, err := co.fetchState(w, parts)
+	got, err := fetchParts(co, w, parts)
 	if err != nil {
 		t.Fatalf("fetch from worker %d: %v", w, err)
 	}
@@ -80,7 +97,7 @@ func TestStateMoveRoundTrip(t *testing.T) {
 	}
 	for _, w := range co.Workers() {
 		parts := co.PartitionsOf(w)
-		got, err := co.fetchState(w, parts)
+		got, err := fetchParts(co, w, parts)
 		if err != nil {
 			t.Fatalf("fetch from worker %d: %v", w, err)
 		}
@@ -94,10 +111,10 @@ func TestStateMoveRoundTrip(t *testing.T) {
 				view[at] += 100
 			}
 		}
-		if err := co.restoreState(w, got); err != nil {
+		if err := restoreParts(co, w, got); err != nil {
 			t.Fatalf("restore onto worker %d: %v", w, err)
 		}
-		back, err := co.fetchState(w, parts)
+		back, err := fetchParts(co, w, parts)
 		if err != nil {
 			t.Fatalf("fetch back from worker %d: %v", w, err)
 		}
@@ -121,11 +138,11 @@ func TestStateMoveDroppedFetchRespReplays(t *testing.T) {
 	co.owe([]int{w}, 0)
 	nw.DropNext(w, netfault.Inbound, 1)
 	parts := co.PartitionsOf(w)
-	got, err := co.fetchState(w, parts)
+	got, err := fetchParts(co, w, parts)
 	if err != nil {
 		t.Fatalf("fetch with a dropped FetchResp: %v", err)
 	}
-	want, err := co.fetchState(w, parts)
+	want, err := fetchParts(co, w, parts)
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("replayed fetch answered %v, the next one %v (err %v)", got, want, err)
 	}

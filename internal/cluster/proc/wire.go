@@ -363,8 +363,8 @@ func readFrame(r io.Reader, arena *[]byte) (uint64, any, error) {
 
 // readFrameInto is readFrame receiving into *buf, which it regrows as
 // the payload needs and leaves for the next frame, and decoding a
-// StepResp into resp when that is set (see decodeInto).
-func readFrameInto(r io.Reader, buf *[]byte, arena *[]byte, resp *StepResp) (uint64, any, error) {
+// StepResp or FetchResp into rl when that is set (see decodeInto).
+func readFrameInto(r io.Reader, buf *[]byte, arena *[]byte, rl *relay) (uint64, any, error) {
 	if cap(*buf) < netfault.HeaderLen {
 		*buf = make([]byte, 0, netfault.HeaderLen)
 	}
@@ -387,7 +387,7 @@ func readFrameInto(r io.Reader, buf *[]byte, arena *[]byte, resp *StepResp) (uin
 		}
 		return 0, nil, fmt.Errorf("proc: reading frame body: %w", err)
 	}
-	return decodeInto(payload, arena, resp)
+	return decodeInto(payload, arena, rl)
 }
 
 // readPayload reads an n-byte payload into b's memory. A b with room

@@ -275,6 +275,12 @@ type workerHost struct {
 	lastID   uint64
 	lastResp any
 	stats    WorkerStats
+
+	// fetchResp answers every FetchReq, its views appended into
+	// fetchBuf: both are reused, and the cached answer reads them until
+	// the next fetch is applied.
+	fetchResp FetchResp
+	fetchBuf  []byte
 }
 
 // dispatch resolves one ctrl request against the idempotence cache:
@@ -331,7 +337,7 @@ func (h *workerHost) handle(req any) any {
 	case FetchReq:
 		var resp *FetchResp
 		if resp, err = h.fetch(r); err == nil {
-			return *resp
+			return resp
 		}
 	case RestoreReq:
 		err = h.restore(r)
@@ -438,16 +444,25 @@ func (h *workerHost) compensate(r CompensateReq) (resp CompensateResp, err error
 	return CompensateResp{Remote: out.Remote, Messages: out.Messages, Dangling: out.Dangling, Surviving: mass}, err
 }
 
-// fetch applies r.Commit and reads the listed partitions' state views.
+// fetch applies r.Commit and reads the listed partitions' state views
+// into h.fetchResp.
 func (h *workerHost) fetch(r FetchReq) (*FetchResp, error) {
 	if err := h.commit("fetch", r.Parts, r.Commit, &h.stats.CommitsCarried); err != nil {
 		return nil, err
 	}
-	resp := &FetchResp{}
+	buf, parts := h.fetchBuf[:0], h.fetchResp.Parts[:0]
 	for _, p := range r.Parts {
-		resp.Parts = append(resp.Parts, PartBlob{Part: p, Data: h.job.AppendPartition(nil, p)})
+		start := len(buf)
+		buf = h.job.AppendPartition(buf, p)
+		parts = append(parts, PartBlob{Part: p, Data: buf[start:]})
 	}
-	return resp, nil
+	// Appending may have moved the buffer: view the views' final place.
+	for i, off := 0, 0; i < len(parts); i++ {
+		n := len(parts[i].Data)
+		parts[i].Data, off = buf[off:off+n:off+n], off+n
+	}
+	h.fetchBuf, h.fetchResp.Parts = buf, parts
+	return &h.fetchResp, nil
 }
 
 // restore overwrites partition state from a snapshot or migration,
