@@ -1397,18 +1397,19 @@ func (c *Coordinator) handTo(p *workerProc, oc *ownerCall, done chan<- *ownerCal
 }
 
 // serveCalls is p's one caller: it makes every RPC to p, one at a time,
-// until p is gone. A call the holding job relays decodes into p's relay
-// and goes out from the job's scratch, so a steady superstep or
-// checkpoint starts no goroutine and boxes nothing. A call it has taken
-// always answers, gone or not, and never waits to: done has a slot for
-// every call of a fan-out.
+// until p is gone. A *StepReq or *FetchReq — only the job holding the
+// relay sends one, from its scratch — decodes its answer into p's relay,
+// so a steady superstep or checkpoint starts no goroutine and boxes
+// nothing. A call it has taken always answers, gone or not, and never
+// waits to: done has a slot for every call of a fan-out.
 func (c *Coordinator) serveCalls(p *workerProc) {
 	defer c.bg.Done()
 	for {
 		select {
 		case oc := <-p.calls:
 			var into *relay
-			if oc.relayed {
+			switch oc.req.(type) {
+			case *StepReq, *FetchReq:
 				into = &p.relay
 			}
 			oc.resp, oc.err = c.callOn(p, oc.req, into)

@@ -147,7 +147,7 @@ func (j *Job) load(calls []ownerCall) error {
 			Fresh:         calls[i].parts,
 		}
 		req.Offsets, req.Targets, req.Weights = j.dense.Restrict(j.pt, req.Hosted)
-		calls[i].req, calls[i].relayed = req, false
+		calls[i].req = req
 	}
 	if _, err := new(fanout).run(j.co, calls, nil, noWatch); err != nil {
 		return fmt.Errorf("proc: loading partitions onto %w", err)
@@ -175,14 +175,13 @@ func (j *Job) combine(workers []int) {
 // goroutine (serveCalls): the partitions the worker owns, the request,
 // and the answer. A fan-out keeps one per owner and reuses it; the
 // requests of a superstep and of a checkpoint fetch are kept here too,
-// and sent by pointer, so they are never boxed. A relayed call's answer
-// decodes into the process's relay and views it until the process's
-// next relayed call of its kind.
+// and sent by pointer, so they are never boxed. The answer to one of
+// those two pointers decodes into the process's relay and views it until
+// the process's next call of its kind.
 type ownerCall struct {
 	w        int
 	parts    []int
 	req      any // nil: no call to w in this round
-	relayed  bool
 	step     StepReq
 	fetch    FetchReq
 	resp     any
@@ -219,7 +218,7 @@ func (f *fanout) plan(co *Coordinator) []ownerCall {
 	}
 	calls := f.calls[:len(f.workers)]
 	for i, w := range f.workers {
-		calls[i].w, calls[i].parts, calls[i].req, calls[i].relayed, calls[i].resp = w, calls[i].parts[:0], nil, false, nil
+		calls[i].w, calls[i].parts, calls[i].req, calls[i].resp = w, calls[i].parts[:0], nil, nil
 	}
 	// Calls to owners no longer there would keep their answers, and the
 	// relays of gone processes with them.
@@ -365,7 +364,7 @@ func (j *Job) Step(ctx *iterate.Context) (iterate.StepStats, error) {
 				oc.step.Inbox = append(oc.step.Inbox, j.inbox[p]...)
 			}
 		}
-		oc.req, oc.relayed = &oc.step, true
+		oc.req = &oc.step
 	}
 	// The mid-superstep fault: SIGKILL the victims while their compute
 	// RPCs are in flight.
@@ -380,14 +379,14 @@ func (j *Job) Step(ctx *iterate.Context) (iterate.StepStats, error) {
 		}
 	}
 	if err != nil || failed != nil {
-		// Abort the attempt wherever it is held: committed state and the
-		// exchange columns in flight stay as they were, so the attempt can
-		// be replayed after recovery.
+		// Abort the attempt wherever it may be held — on every worker not
+		// failed, whatever it answered (an abort with nothing held does
+		// nothing): committed state and the exchange columns in flight stay
+		// as they were, so the attempt can be replayed after recovery.
 		for i := range calls {
-			oc := &calls[i]
-			oc.req, oc.relayed = nil, false
-			if oc.err == nil && !slices.Contains(failed, oc.w) {
-				oc.req = AbortReq{}
+			calls[i].req = nil
+			if !slices.Contains(failed, calls[i].w) {
+				calls[i].req = AbortReq{}
 			}
 		}
 		f.run(j.co, calls, nil, noWatch)
@@ -485,7 +484,7 @@ func (j *Job) fetchAll() ([]PartBlob, error) {
 	for i := range calls {
 		oc := &calls[i]
 		oc.fetch = FetchReq{Parts: oc.parts}
-		oc.req, oc.relayed = &oc.fetch, true
+		oc.req = &oc.fetch
 	}
 	failed, err := f.run(j.co, calls, nil, noWatch)
 	if failed != nil {
@@ -514,9 +513,7 @@ func (j *Job) SnapshotTo(w *bytes.Buffer) error {
 	if err != nil {
 		return fmt.Errorf("proc: snapshot: %w", err)
 	}
-	snap := JobSnapshot{Kind: j.spec.Kind, Parts: parts}
-	w.Grow(snapshotLen(snap))
-	w.Write(appendSnapshot(w.AvailableBuffer(), snap))
+	w.Write(appendSnapshot(w.AvailableBuffer(), JobSnapshot{Kind: j.spec.Kind, Parts: parts}))
 	return nil
 }
 

@@ -114,7 +114,9 @@ func TestOneRoundTripPerSuperstep(t *testing.T) {
 // forged owed commit for worker 0 names a superstep it never ran, so it
 // answers the StepReq with an ErrResp. That is no worker failure — the
 // worker is alive and answered — so Step returns a plain error, nobody
-// is condemned, and both processes stay alive and answer.
+// is condemned, and both processes stay alive and answer. Both get an
+// AbortReq, the refusing worker included: each handled the load, three
+// StepReqs and the abort.
 func TestStepErrRespFailsNoWorker(t *testing.T) {
 	co := startTestCluster(t, eqWorkers, eqParts, nil)
 	job, err := NewJob(co, Spec{Name: "errresp", Kind: KindCC, Graph: gen.Grid(8, 8)})
@@ -139,6 +141,11 @@ func TestStepErrRespFailsNoWorker(t *testing.T) {
 		t.Errorf("NetStats.Condemned went from %d to %d: a worker that answered was condemned", condemned, got)
 	}
 	for _, w := range []int{0, 1} {
+		// Nothing is owed after the refused step, so the stats read
+		// settles nothing; it does not count itself.
+		if st := workerStats(t, co, w); st.Handled != 5 {
+			t.Errorf("worker %d handled %d requests, want 5: load, three steps, the abort", w, st.Handled)
+		}
 		co.mu.Lock()
 		gone := co.procs[w] == nil || co.procs[w].goneLocked()
 		co.mu.Unlock()

@@ -17,6 +17,7 @@ package proc
 import (
 	"encoding/binary"
 	"fmt"
+	"reflect"
 	"slices"
 
 	"optiflow/internal/colbytes"
@@ -71,17 +72,13 @@ func appendPayload(dst []byte, id uint64, m any) ([]byte, error) {
 		dst = colbytes.AppendU64(dst, uint64(r.Messages))
 		dst = colbytes.AppendU64(dst, uint64(r.Updates))
 	case FetchReq:
-		kind = kFetchReq
-		dst = appendInts(appendOwed(dst, r.Commit), r.Parts)
+		kind, dst = kFetchReq, appendFetchReq(dst, &r)
 	case *FetchReq:
-		kind = kFetchReq
-		dst = appendInts(appendOwed(dst, r.Commit), r.Parts)
+		kind, dst = kFetchReq, appendFetchReq(dst, r)
 	case FetchResp:
-		kind = kFetchResp
-		dst = blobSection.append(dst, r.Parts)
+		kind, dst = kFetchResp, blobSection.append(dst, r.Parts)
 	case *FetchResp:
-		kind = kFetchResp
-		dst = blobSection.append(dst, r.Parts)
+		kind, dst = kFetchResp, blobSection.append(dst, r.Parts)
 	case RestoreReq:
 		kind = kRestoreReq
 		dst = blobSection.append(dst, r.Parts)
@@ -104,10 +101,9 @@ func appendPayload(dst []byte, id uint64, m any) ([]byte, error) {
 		dst = colbytes.AppendI32s(dst, r.Offsets)
 		dst = colbytes.AppendI32s(dst, r.Targets)
 		dst = colbytes.AppendF64s(dst, r.Weights)
-	case JobSnapshot:
+	case *JobSnapshot:
 		kind = kSnapshot
-		dst = colbytes.AppendString(dst, r.Kind)
-		dst = blobSection.append(dst, r.Parts)
+		dst = blobSection.append(colbytes.AppendString(dst, r.Kind), r.Parts)
 	case CompensateReq:
 		kind = kCompReq
 		dst = appendOwed(dst, r.Commit)
@@ -153,21 +149,29 @@ func appendPayload(dst []byte, id uint64, m any) ([]byte, error) {
 			dst = colbytes.AppendU64(dst, v)
 		}
 	default:
-		return dst[:start], fmt.Errorf("proc: %T has no wire kind: %w", m, ErrMalformed)
+		// m's type alone goes into the error, so m does not escape: a
+		// request or snapshot sent by pointer stays where it is.
+		return dst[:start], fmt.Errorf("proc: %v has no wire kind: %w", reflect.TypeOf(m), ErrMalformed)
 	}
 	dst[start+1] = kind
 	return dst, nil
 }
 
 // appendStepReq appends a StepReq's body. A superstep sends one by
-// pointer, so the request is never boxed; a checkpoint's FetchReq and
-// the worker's FetchResp travel by pointer too.
+// pointer, so the request is never boxed; a checkpoint's FetchReq, the
+// worker's FetchResp and the checkpoint blob's JobSnapshot travel by
+// pointer too.
 func appendStepReq(dst []byte, r *StepReq) []byte {
 	dst = appendOwed(dst, r.Commit)
 	dst = colbytes.AppendU32(dst, uint32(r.Superstep))
 	dst = colbytes.AppendBool(dst, r.Rescatter)
 	dst = colbytes.AppendF64(dst, r.Dangling)
 	return colsSection.append(dst, r.Inbox)
+}
+
+// appendFetchReq appends a FetchReq's body.
+func appendFetchReq(dst []byte, r *FetchReq) []byte {
+	return appendInts(appendOwed(dst, r.Commit), r.Parts)
 }
 
 // decodePayload decodes a frame payload: version, kind, idempotence
@@ -305,8 +309,16 @@ var (
 	}
 )
 
+// append reserves the whole section before writing it, so a section
+// going into an empty buffer — a checkpoint's views, say — is one
+// allocation.
 func (c sectionCodec[E]) append(dst []byte, es []E) []byte {
-	dst = colbytes.AppendU32(dst, uint32(len(es)))
+	n := 4 + 12*len(es)
+	for _, e := range es {
+		_, _, data := c.split(e)
+		n += len(data)
+	}
+	dst = colbytes.AppendU32(slices.Grow(dst, n), uint32(len(es)))
 	for _, e := range es {
 		a, b, data := c.split(e)
 		dst = colbytes.AppendU32(colbytes.AppendU32(colbytes.AppendU32(dst, uint32(a)), uint32(b)), uint32(len(data)))
@@ -435,19 +447,10 @@ func readInts(r *colbytes.Reader) (ps []int) {
 
 // appendSnapshot appends a JobSnapshot as a checkpoint blob: the
 // payload of a frame of the snapshot kind, with no length prefix and a
-// zero token — appendPayload's bytes, written without boxing s.
+// zero token.
 func appendSnapshot(dst []byte, s JobSnapshot) []byte {
-	dst = colbytes.AppendU64(append(dst, wireVersion, kSnapshot), 0)
-	return blobSection.append(colbytes.AppendString(dst, s.Kind), s.Parts)
-}
-
-// snapshotLen is the length of the blob appendSnapshot appends.
-func snapshotLen(s JobSnapshot) int {
-	n := 2 + 8 + 4 + len(s.Kind) + 4 + 12*len(s.Parts)
-	for _, pb := range s.Parts {
-		n += len(pb.Data)
-	}
-	return n
+	dst, _ = appendPayload(dst, 0, &s)
+	return dst
 }
 
 // decodeSnapshot decodes a checkpoint blob. A blob of another format
