@@ -85,7 +85,7 @@ func TestRandomGraphsRandomFailures(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		g := gen.ErdosRenyi(60, 0.03, rng.Int63(), false)
 		truth := ref.ConnectedComponents(g)
-		inj := failure.NewRandom(0.3, rng.Int63(), 3)
+		inj := failure.NewChaos(rng.Int63()).WithProbabilities(0.3, 0, 0).WithMaxFailures(3)
 		res, err := Run(g, Options{Parallelism: 4, Injector: inj})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)

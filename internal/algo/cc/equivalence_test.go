@@ -61,7 +61,7 @@ func TestGroundTruthFaultMatrix(t *testing.T) {
 		func() failure.Injector { return failure.NewScripted(nil).At(1, 0).At(3, 2) },
 		func() failure.Injector { return failure.NewScripted(nil).AtMidStep(1, 16, 0).AtMidStep(2, 32, 1) },
 		func() failure.Injector { return failure.NewScripted(nil).At(1, 1).AtDuringRecovery(1, 2) },
-		func() failure.Injector { return failure.NewRandom(0.15, 99, 3) },
+		func() failure.Injector { return failure.NewChaos(99).WithProbabilities(0.15, 0, 0).WithMaxFailures(3) },
 	}
 	for pi, mkPolicy := range policies {
 		for ii, mkInj := range injectors {
@@ -125,7 +125,7 @@ func TestGroundTruthProperty(t *testing.T) {
 
 		res, err := Run(g, Options{
 			Parallelism: 4,
-			Injector:    failure.NewRandom(failProb, seed, 3),
+			Injector:    failure.NewChaos(seed).WithProbabilities(failProb, 0, 0).WithMaxFailures(3),
 			MaxTicks:    5000,
 		})
 		if err != nil {

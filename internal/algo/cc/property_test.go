@@ -35,7 +35,7 @@ func TestAllPoliciesAllSchedulesProperty(t *testing.T) {
 			res, err := Run(g, Options{
 				Parallelism: 4,
 				Policy:      mk(),
-				Injector:    failure.NewRandom(failProb, seed+int64(i), 3),
+				Injector:    failure.NewChaos(seed+int64(i)).WithProbabilities(failProb, 0, 0).WithMaxFailures(3),
 				MaxTicks:    5000,
 			})
 			if err != nil {

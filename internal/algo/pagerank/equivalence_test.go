@@ -77,7 +77,7 @@ func TestGroundTruthFaultMatrix(t *testing.T) {
 		func() failure.Injector { return failure.NewScripted(nil).At(2, 1) },
 		func() failure.Injector { return failure.NewScripted(nil).AtMidStep(1, 32, 0) },
 		func() failure.Injector { return failure.NewScripted(nil).At(1, 0).AtDuringRecovery(1, 2) },
-		func() failure.Injector { return failure.NewRandom(0.1, 77, 2) },
+		func() failure.Injector { return failure.NewChaos(77).WithProbabilities(0.1, 0, 0).WithMaxFailures(2) },
 	}
 	for pi, mkPolicy := range policies {
 		for ii, mkInj := range injectors {

@@ -144,7 +144,7 @@ func TestRandomFailuresStillCorrect(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		g := gen.Twitter(120, rng.Int63())
 		truth, _ := ref.PageRank(g, ref.PageRankOptions{})
-		inj := failure.NewRandom(0.25, rng.Int63(), 3)
+		inj := failure.NewChaos(rng.Int63()).WithProbabilities(0.25, 0, 0).WithMaxFailures(3)
 		res, err := Run(g, Options{Parallelism: 4, MaxIterations: 500, Epsilon: 1e-12, Injector: inj})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)

@@ -77,7 +77,7 @@ func TestGroundTruthFaultMatrix(t *testing.T) {
 		func() failure.Injector { return failure.NewScripted(nil).At(2, 1) },
 		func() failure.Injector { return failure.NewScripted(nil).At(1, 0).At(3, 2) },
 		func() failure.Injector { return failure.NewScripted(nil).AtMidStep(1, 16, 0) },
-		func() failure.Injector { return failure.NewRandom(0.2, 11, 2) },
+		func() failure.Injector { return failure.NewChaos(11).WithProbabilities(0.2, 0, 0).WithMaxFailures(2) },
 	}
 	for pi, mkPolicy := range policies {
 		for ii, mkInj := range injectors {

@@ -76,7 +76,7 @@ func TestRandomFailuresStillCorrect(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		g := gen.BarabasiAlbert(80, 2, rng.Int63(), false)
 		truth := ref.ShortestPaths(g, 0)
-		inj := failure.NewRandom(0.3, rng.Int63(), 2)
+		inj := failure.NewChaos(rng.Int63()).WithProbabilities(0.3, 0, 0).WithMaxFailures(2)
 		got, _, err := Run(g, 0, vertexcentric.Options{Parallelism: 4, Injector: inj})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)

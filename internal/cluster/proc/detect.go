@@ -1,9 +1,8 @@
 package proc
 
 import (
-	"slices"
-
 	"optiflow/internal/failure"
+	"optiflow/internal/supervise"
 )
 
 // Detector wraps a (possibly nil) user injector so the iteration loop
@@ -31,12 +30,11 @@ func DetectFailures(co *Coordinator, inner failure.Injector) *Detector {
 // FailuresAt implements failure.Injector: the union of the inner
 // schedule and the coordinator's detected deaths.
 func (d *Detector) FailuresAt(superstep, tick int, alive []int) []int {
-	var out []int
+	var scheduled []int
 	if d.inner != nil {
-		out = append(out, d.inner.FailuresAt(superstep, tick, alive)...)
+		scheduled = d.inner.FailuresAt(superstep, tick, alive)
 	}
-	out = append(out, d.co.DetectedFailures(alive)...)
-	return dedupSorted(out)
+	return supervise.Union(scheduled, d.co.DetectedFailures(alive))
 }
 
 // MidStepAt implements failure.MidStepInjector by delegation.
@@ -51,16 +49,9 @@ func (d *Detector) MidStepAt(superstep, tick int, alive []int) (failure.MidStep,
 // inner schedule's during-recovery deaths plus anything detected while
 // the recovery ran.
 func (d *Detector) FailuresDuringRecovery(superstep, tick, round int, alive []int) []int {
-	var out []int
+	var scheduled []int
 	if ri, ok := d.inner.(failure.RecoveryInjector); ok {
-		out = append(out, ri.FailuresDuringRecovery(superstep, tick, round, alive)...)
+		scheduled = ri.FailuresDuringRecovery(superstep, tick, round, alive)
 	}
-	out = append(out, d.co.DetectedFailures(alive)...)
-	return dedupSorted(out)
-}
-
-// dedupSorted sorts ws in place and drops repeats.
-func dedupSorted(ws []int) []int {
-	slices.Sort(ws)
-	return slices.Compact(ws)
+	return supervise.Union(scheduled, d.co.DetectedFailures(alive))
 }

@@ -126,9 +126,7 @@ func (c Config) withDefaults() Config {
 }
 
 // policy maps the configured policy name to a recovery.Policy. A
-// checkpointing policy gets a store of its own; the supervisor gets
-// none, since its checkpoint rung never runs for a policy that writes
-// snapshots (see supervise.Config.Store).
+// checkpointing policy gets a store of its own.
 func (c Config) policy() recovery.Policy {
 	switch c.Policy {
 	case "checkpoint":

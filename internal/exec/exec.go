@@ -37,10 +37,6 @@ type Engine struct {
 	// ChannelDepth is the exchange channel buffer in batches (16 when
 	// zero).
 	ChannelDepth int
-	// Fuse applies operator chaining (dataflow.Optimize) before
-	// execution: forward-connected Map/Filter/FlatMap chains run as one
-	// task instead of paying a channel hop per operator.
-	Fuse bool
 	// AllowLintErrors runs plans even when planlint reports
 	// Error-severity diagnostics (e.g. iteration state without a
 	// compensation operator). By default such plans are refused before
@@ -183,8 +179,8 @@ func (r *run) putBatch(bp *[]any) {
 // error, which wins the errOnce before done is closed.
 var errCancelled = fmt.Errorf("exec: cancelled by failure elsewhere in the plan")
 
-// Prepared is a plan that has been validated, linted and (when the
-// engine fuses) optimized once, bound to its engine. Iterative drivers
+// Prepared is a plan that has been validated and linted once, bound to
+// its engine. Iterative drivers
 // prepare the loop body a single time and run it every superstep,
 // skipping the per-iteration analysis cost that Engine.Run would pay
 // on each call.
@@ -193,12 +189,8 @@ type Prepared struct {
 	plan *dataflow.Plan
 }
 
-// Plan returns the plan as it will execute (post-fusion if the engine
-// fuses).
-func (pp *Prepared) Plan() *dataflow.Plan { return pp.plan }
-
-// Prepare validates and lints the plan, applies fusion if configured,
-// and returns a handle that can be run repeatedly.
+// Prepare validates and lints the plan and returns a handle that can
+// be run repeatedly.
 func (e *Engine) Prepare(p *dataflow.Plan) (*Prepared, error) {
 	if e.Parallelism < 1 {
 		return nil, fmt.Errorf("exec: parallelism must be >= 1, got %d", e.Parallelism)
@@ -213,9 +205,6 @@ func (e *Engine) Prepare(p *dataflow.Plan) (*Prepared, error) {
 			b.WriteString("\n  " + d.String())
 		}
 		return nil, fmt.Errorf("%s", b.String())
-	}
-	if e.Fuse {
-		p = dataflow.Optimize(p)
 	}
 	return &Prepared{e: e, plan: p}, nil
 }

@@ -547,53 +547,6 @@ func TestSourcePanicBecomesError(t *testing.T) {
 	}
 }
 
-func TestFusedExecutionMatchesUnfused(t *testing.T) {
-	build := func(plan *dataflow.Plan, col *collector) {
-		plan.Source("nums", rangeSource(500)).
-			Map("inc", func(r any) any { return r.(uint64) + 1 }).
-			Filter("odd", func(r any) bool { return r.(uint64)%2 == 1 }).
-			FlatMap("expand", func(r any, emit dataflow.Emit) {
-				emit(r)
-				emit(r.(uint64) * 1000)
-			}).
-			ReduceBy("group", func(r any) uint64 { return r.(uint64) % 7 },
-				func(_ uint64, vals []any, emit dataflow.Emit) {
-					var s uint64
-					for _, v := range vals {
-						s += v.(uint64)
-					}
-					emit(s)
-				}).
-			Sink("out", col.sink)
-	}
-	plain := &collector{}
-	p1 := dataflow.NewPlan("plain")
-	build(p1, plain)
-	if _, err := (&Engine{Parallelism: 4}).Run(p1); err != nil {
-		t.Fatal(err)
-	}
-	fused := &collector{}
-	p2 := dataflow.NewPlan("fused")
-	build(p2, fused)
-	stats, err := (&Engine{Parallelism: 4, Fuse: true}).Run(p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := plain.uints(), fused.uints()
-	if len(a) != len(b) {
-		t.Fatalf("fused produced %d groups, plain %d", len(b), len(a))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("group %d: fused %d != plain %d", i, b[i], a[i])
-		}
-	}
-	// The fused chain collapses to one operator: its edge name changes.
-	if stats.Outputs("inc+odd+expand") == 0 {
-		t.Fatalf("fused operator missing from stats: %v", stats.NodeOutputs)
-	}
-}
-
 func TestNodeElapsedAndProfile(t *testing.T) {
 	stats := runPlan(t, 2, func(plan *dataflow.Plan) {
 		plan.Source("src", rangeSource(2000)).

@@ -83,52 +83,3 @@ func TestJoinMatchesNestedLoopProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Property: fusing a random Map/Filter pipeline never changes the
-// multiset of outputs.
-func TestFusionEquivalenceProperty(t *testing.T) {
-	f := func(adds []uint8, keepMod uint8, pRaw uint8) bool {
-		p := int(pRaw%4) + 1
-		if len(adds) > 6 {
-			adds = adds[:6]
-		}
-		mod := uint64(keepMod%5) + 2
-
-		build := func(plan *dataflow.Plan, sink dataflow.SinkFunc) {
-			d := plan.Source("src", rangeSource(200))
-			for i, a := range adds {
-				add := uint64(a)
-				d = d.Map(name("add", i), func(r any) any { return r.(uint64) + add })
-			}
-			d = d.Filter("keep", func(r any) bool { return r.(uint64)%mod != 0 })
-			d.Sink("out", sink)
-		}
-		collect := func(fuse bool) ([]uint64, bool) {
-			col := &collector{}
-			plan := dataflow.NewPlan("prop")
-			build(plan, col.sink)
-			if _, err := (&Engine{Parallelism: p, Fuse: fuse}).Run(plan); err != nil {
-				return nil, false
-			}
-			return col.uints(), true
-		}
-		a, ok1 := collect(false)
-		b, ok2 := collect(true)
-		if !ok1 || !ok2 || len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func name(prefix string, i int) string {
-	return prefix + string(rune('a'+i))
-}

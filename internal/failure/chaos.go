@@ -9,6 +9,11 @@ import "math/rand"
 // deterministically from the seed), so enabling one surface never
 // perturbs the schedule of another and a seed pins the full chaos
 // schedule for reproducible soak runs.
+//
+// It is the only seeded random injector. A cluster with a plain failure
+// rate p is WithProbabilities(p, 0, 0): the mid-step and recovery
+// surfaces then never strike, and their draws never shift the boundary
+// schedule. proc.Chaos delivers this schedule as real SIGKILLs.
 type Chaos struct {
 	// BoundaryP, MidP and DuringP are the per-opportunity probabilities
 	// of a boundary failure, a mid-superstep abort, and a

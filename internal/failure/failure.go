@@ -3,10 +3,7 @@
 // partitions to fail and in which iterations" buttons (§3.1).
 package failure
 
-import (
-	"math/rand"
-	"sort"
-)
+import "sort"
 
 // Injector decides which live workers fail while a superstep executes.
 type Injector interface {
@@ -198,66 +195,4 @@ func (s *Scripted) MidStepAt(superstep, _ int, alive []int) (MidStep, bool) {
 	}
 	s.midFired[superstep] = true
 	return MidStep{Workers: out, AfterRecords: ms.AfterRecords}, true
-}
-
-// Random fails a uniformly chosen live worker with probability P at
-// every superstep attempt, modeling a cluster with a given failure
-// rate. It is deterministic given the seed.
-type Random struct {
-	P   float64
-	rng *rand.Rand
-	max int // maximum number of failures to inject; 0 = unlimited
-	n   int
-
-	midP          float64 // per-attempt mid-superstep probability
-	midMaxRecords int64   // upper bound for the random record threshold
-}
-
-// NewRandom returns a Random injector with per-attempt probability p.
-// maxFailures bounds the total number of injected failures (0 =
-// unlimited).
-func NewRandom(p float64, seed int64, maxFailures int) *Random {
-	return &Random{P: p, rng: rand.New(rand.NewSource(seed)), max: maxFailures}
-}
-
-// WithMidStep additionally arms mid-superstep failures: with
-// probability p per attempt, a uniformly chosen live worker dies after
-// a random record threshold in [0, maxAfterRecords]. Returns r for
-// chaining. Without this call MidStepAt never fires and never consumes
-// randomness, so seeded boundary-only schedules are unchanged.
-func (r *Random) WithMidStep(p float64, maxAfterRecords int64) *Random {
-	r.midP = p
-	r.midMaxRecords = maxAfterRecords
-	return r
-}
-
-// FailuresAt implements Injector.
-func (r *Random) FailuresAt(_, _ int, alive []int) []int {
-	if len(alive) == 0 || (r.max > 0 && r.n >= r.max) {
-		return nil
-	}
-	if r.rng.Float64() >= r.P {
-		return nil
-	}
-	r.n++
-	return []int{alive[r.rng.Intn(len(alive))]}
-}
-
-// MidStepAt implements MidStepInjector. It draws from the same rng and
-// failure budget as FailuresAt, and is a no-op (consuming no
-// randomness) unless WithMidStep enabled it.
-func (r *Random) MidStepAt(_, _ int, alive []int) (MidStep, bool) {
-	if r.midP <= 0 || len(alive) == 0 || (r.max > 0 && r.n >= r.max) {
-		return MidStep{}, false
-	}
-	if r.rng.Float64() >= r.midP {
-		return MidStep{}, false
-	}
-	r.n++
-	w := alive[r.rng.Intn(len(alive))]
-	var after int64
-	if r.midMaxRecords > 0 {
-		after = r.rng.Int63n(r.midMaxRecords + 1)
-	}
-	return MidStep{Workers: []int{w}, AfterRecords: after}, true
 }

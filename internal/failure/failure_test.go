@@ -51,7 +51,7 @@ func TestScriptedCopiesPlan(t *testing.T) {
 
 func TestRandomDeterministicPerSeed(t *testing.T) {
 	run := func(seed int64) []int {
-		inj := NewRandom(0.5, seed, 0)
+		inj := NewChaos(seed).WithProbabilities(0.5, 0, 0)
 		var fired []int
 		for i := 0; i < 50; i++ {
 			if ws := inj.FailuresAt(i, i, alive); len(ws) > 0 {
@@ -69,7 +69,7 @@ func TestRandomDeterministicPerSeed(t *testing.T) {
 }
 
 func TestRandomRespectsMaxFailures(t *testing.T) {
-	inj := NewRandom(1.0, 1, 3)
+	inj := NewChaos(1).WithProbabilities(1.0, 0, 0).WithMaxFailures(3)
 	n := 0
 	for i := 0; i < 100; i++ {
 		n += len(inj.FailuresAt(i, i, alive))
@@ -80,7 +80,7 @@ func TestRandomRespectsMaxFailures(t *testing.T) {
 }
 
 func TestRandomPicksOnlyLiveWorkers(t *testing.T) {
-	inj := NewRandom(1.0, 2, 0)
+	inj := NewChaos(2).WithProbabilities(1.0, 0, 0)
 	live := []int{5}
 	for i := 0; i < 10; i++ {
 		ws := inj.FailuresAt(i, i, live)
@@ -200,60 +200,6 @@ func TestScriptedDuringRecoveryStaysArmedWhenAllDead(t *testing.T) {
 	}
 	if got := inj.FailuresDuringRecovery(2, 5, 0, append(alive, 9)); !reflect.DeepEqual(got, []int{9}) {
 		t.Fatalf("stayed-armed entry = %v", got)
-	}
-}
-
-func TestRandomMidStepDisabledConsumesNoRandomness(t *testing.T) {
-	// Boundary-only schedules must not shift when MidStepAt is consulted
-	// but disabled — the iteration driver consults it on every attempt.
-	plain := NewRandom(0.5, 42, 0)
-	consulted := NewRandom(0.5, 42, 0)
-	for i := 0; i < 50; i++ {
-		if _, ok := consulted.MidStepAt(i, i, alive); ok {
-			t.Fatal("disabled mid-step fired")
-		}
-		a := plain.FailuresAt(i, i, alive)
-		b := consulted.FailuresAt(i, i, alive)
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("attempt %d: schedules diverged (%v vs %v)", i, a, b)
-		}
-	}
-}
-
-func TestRandomMidStepFiresDeterministically(t *testing.T) {
-	run := func() []int64 {
-		inj := NewRandom(0, 7, 0).WithMidStep(0.5, 100)
-		var thresholds []int64
-		for i := 0; i < 40; i++ {
-			if ms, ok := inj.MidStepAt(i, i, alive); ok {
-				if len(ms.Workers) != 1 || ms.AfterRecords < 0 || ms.AfterRecords > 100 {
-					t.Fatalf("ms = %+v", ms)
-				}
-				thresholds = append(thresholds, ms.AfterRecords)
-			}
-		}
-		return thresholds
-	}
-	a, b := run(), run()
-	if len(a) == 0 {
-		t.Fatal("mid-step never fired")
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("not deterministic: %v vs %v", a, b)
-	}
-}
-
-func TestRandomMidStepSharesFailureBudget(t *testing.T) {
-	inj := NewRandom(0.5, 11, 2).WithMidStep(0.9, 10)
-	n := 0
-	for i := 0; i < 200; i++ {
-		if ms, ok := inj.MidStepAt(i, i, alive); ok {
-			n += len(ms.Workers)
-		}
-		n += len(inj.FailuresAt(i, i, alive))
-	}
-	if n != 2 {
-		t.Fatalf("injected %d failures, budget was 2", n)
 	}
 }
 

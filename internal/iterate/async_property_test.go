@@ -122,7 +122,7 @@ func TestAsyncCheckpointFailuresReachGroundTruth_CC(t *testing.T) {
 			out, err := cc.Run(g, cc.Options{
 				Parallelism: 4,
 				Policy:      pol,
-				Injector:    failure.NewRandom(prob, seed+int64(i), 3),
+				Injector:    failure.NewChaos(seed+int64(i)).WithProbabilities(prob, 0, 0).WithMaxFailures(3),
 				MaxTicks:    2000,
 			})
 			if err != nil {
@@ -170,7 +170,7 @@ func TestAsyncCheckpointFailuresReachGroundTruth_PageRank(t *testing.T) {
 				MaxIterations: 200,
 				Epsilon:       1e-9,
 				Policy:        pol,
-				Injector:      failure.NewRandom(prob, seed+int64(i), 3),
+				Injector:      failure.NewChaos(seed+int64(i)).WithProbabilities(prob, 0, 0).WithMaxFailures(3),
 				MaxTicks:      2000,
 			})
 			if err != nil {

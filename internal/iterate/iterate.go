@@ -9,7 +9,6 @@ package iterate
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"optiflow/internal/clock"
@@ -282,7 +281,7 @@ func (l *Loop) Run() (*Result, error) {
 				// A scheduled mid-step failure the plan outran (or that
 				// the loop body ignored): the workers still die, at the
 				// superstep boundary.
-				failed = mergeWorkers(failed, midWorkers)
+				failed = supervise.Union(failed, midWorkers)
 			}
 		}
 
@@ -350,11 +349,11 @@ func (l *Loop) Run() (*Result, error) {
 				if rwf == nil || len(round.Workers) == 0 {
 					return nil, fmt.Errorf("iterate: loop %q superstep %d: %w", l.Name, superstep, err)
 				}
-				died, lost = mergeWorkers(died, round.Workers), mergeWorkers(lost, round.LostPartitions)
+				died, lost = supervise.Union(died, round.Workers), supervise.Union(lost, round.LostPartitions)
 			}
 			sample.FailedWorkers = died
 			sample.LostPartitions = lost
-			sample.Recovery = describeRecovery(policy.PolicyName(), superstep, resumeAt)
+			sample.Recovery = supervise.Describe(policy.PolicyName(), superstep, resumeAt)
 			superstep = resumeAt
 		case sample.Aborted || epilogueFailed:
 			// Aborted attempt whose scheduled victims were already dead,
@@ -402,34 +401,6 @@ func failWorkers(cl cluster.Interface, workers []int) (died, lost []int) {
 		}
 	}
 	return died, lost
-}
-
-// mergeWorkers unions two worker lists, deduplicated and sorted.
-func mergeWorkers(a, b []int) []int {
-	set := make(map[int]bool, len(a)+len(b))
-	for _, w := range a {
-		set[w] = true
-	}
-	for _, w := range b {
-		set[w] = true
-	}
-	out := make([]int, 0, len(set))
-	for w := range set {
-		out = append(out, w)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func describeRecovery(policy string, at, resumeAt int) string {
-	switch {
-	case resumeAt == at+1:
-		return fmt.Sprintf("%s: compensated, continuing with superstep %d", policy, resumeAt)
-	case resumeAt == 0:
-		return fmt.Sprintf("%s: rewound to superstep 0", policy)
-	default:
-		return fmt.Sprintf("%s: rolled back to superstep %d", policy, resumeAt)
-	}
 }
 
 // BulkDone returns a termination predicate for bulk iterations: stop

@@ -28,7 +28,7 @@ func TestPoliciesReachTargetUnderRandomFailures(t *testing.T) {
 			job := &counterJob{}
 			l := newLoop(job, target)
 			l.Policy = mk()
-			l.Injector = failure.NewRandom(prob, seed, 4)
+			l.Injector = failure.NewChaos(seed).WithProbabilities(prob, 0, 0).WithMaxFailures(4)
 			l.MaxTicks = 10000
 			res, err := l.Run()
 			if err != nil {
@@ -65,7 +65,7 @@ func TestSampleStreamWellFormed(t *testing.T) {
 		job := &counterJob{}
 		l := newLoop(job, 8)
 		l.Policy = recovery.NewCheckpoint(1, checkpoint.NewMemoryStore())
-		l.Injector = failure.NewRandom(prob, seed, 5)
+		l.Injector = failure.NewChaos(seed).WithProbabilities(prob, 0, 0).WithMaxFailures(5)
 		l.Cluster = cluster.New(3, 4)
 		res, err := l.Run()
 		if err != nil {

@@ -14,8 +14,8 @@
 //     superstep may be discarded before the configured policy is deemed
 //     not to be making progress;
 //   - instead of aborting when a policy errors or the budget runs out,
-//     the supervisor walks an escalation ladder — compensation → latest
-//     checkpoint restore (when a store is configured) → full restart —
+//     the supervisor walks an escalation ladder — compensation → full
+//     restart for the none policy, full restart for every other —
 //     recording each escalation as a typed cluster event;
 //   - injectors may strike during recovery ("Failure Transparency in
 //     Stateful Dataflow Systems" calls this the recovery-of-recovery
@@ -30,10 +30,9 @@ package supervise
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
-	"optiflow/internal/checkpoint"
 	"optiflow/internal/clock"
 	"optiflow/internal/cluster"
 	"optiflow/internal/exec"
@@ -44,14 +43,12 @@ import (
 // Escalation ladder rungs, in order of increasing desperation.
 const (
 	rungCompensation = "compensation"
-	rungCheckpoint   = "checkpoint"
 	rungRestart      = "restart"
 )
 
 // Config tunes a Supervisor. The zero value is usable: zero spares,
-// three acquire retries, a budget of three consecutive discarded
-// attempts per superstep, and no checkpoint store (the checkpoint rung
-// of the escalation ladder is skipped).
+// three acquire retries and a budget of three consecutive discarded
+// attempts per superstep.
 type Config struct {
 	// Spares bounds the cluster's spare pool (>= 0). Negative means
 	// unlimited — the paper demo's fiction.
@@ -75,12 +72,6 @@ type Config struct {
 	// single Recover call (default 8). Exceeding it is a fatal error —
 	// the chaos is outrunning recovery.
 	MaxRecoveryRounds int
-	// Store, when set, enables the checkpoint rung of the escalation
-	// ladder. The rung runs only for the none, optimistic and confined
-	// policies, which write no snapshots (a checkpointing policy
-	// escalates straight to restart), so it restores only what was put
-	// into Store by other means.
-	Store checkpoint.Store
 	// AcquireHook is installed on the cluster (via ClusterOptions) to
 	// model slow or flaky provisioning.
 	AcquireHook cluster.AcquireHook
@@ -286,8 +277,8 @@ func (s *Supervisor) Recover(job recovery.Job, f recovery.Failure) (*Outcome, er
 			break
 		}
 		out.FoldedFailures++
-		out.Workers = mergeInts(out.Workers, died)
-		out.LostPartitions = mergeInts(out.LostPartitions, lost)
+		out.Workers = Union(out.Workers, died)
+		out.LostPartitions = Union(out.LostPartitions, lost)
 		roundWorkers, roundLost = died, lost
 	}
 
@@ -371,67 +362,32 @@ func (s *Supervisor) decide(job recovery.Job, f recovery.Failure, out *Outcome) 
 	return s.escalate(job, f, out)
 }
 
-// ladder returns the escalation rungs above the configured policy.
-// Rungs at or below the policy's own strength are skipped: escalating a
-// checkpoint policy to compensation would be a demotion.
-func (s *Supervisor) ladder() []string {
-	switch name := s.policy.PolicyName(); {
-	case name == "none":
-		return []string{rungCompensation, rungCheckpoint, rungRestart}
-	case name == "optimistic" || name == "confined":
-		return []string{rungCheckpoint, rungRestart}
-	default: // checkpoint(k=...), restart, unknown policies
-		return []string{rungRestart}
-	}
-}
-
-// escalate climbs the ladder until a rung recovers. The restart rung
-// always applies, so exhaustion only happens if ResetToInitial fails.
+// escalate climbs the ladder above the configured policy until a rung
+// recovers. Only the none policy has compensation above it: the
+// optimistic and confined policies already compensate, and escalating
+// a checkpoint policy to compensation would be a demotion. No rung
+// restores a checkpoint: the policies below restart write none, and a
+// checkpointing policy restores its own. The full restart always
+// applies, so the ladder only fails if ResetToInitial does.
 func (s *Supervisor) escalate(job recovery.Job, f recovery.Failure, out *Outcome) (int, error) {
-	var lastErr error
-	for _, rung := range s.ladder() {
-		switch rung {
-		case rungCompensation:
-			s.noteEscalation(out, "escalating to compensation", f.LostPartitions)
-			if err := job.Compensate(f.LostPartitions); err != nil {
-				lastErr = err
-				s.cl.Note(cluster.EventEscalate, fmt.Sprintf("compensation failed: %v", err), nil)
-				continue
-			}
+	if s.policy.PolicyName() == "none" {
+		s.noteEscalation(out, "escalating to compensation", f.LostPartitions)
+		err := job.Compensate(f.LostPartitions)
+		if err == nil {
 			out.EscalatedTo = rungCompensation
 			return f.Superstep + 1, nil
-
-		case rungCheckpoint:
-			if s.cfg.Store == nil {
-				continue // rung unavailable, not an escalation
-			}
-			data, superstep, ok, err := s.cfg.Store.Load(job.Name())
-			if err != nil || !ok {
-				continue
-			}
-			s.noteEscalation(out,
-				fmt.Sprintf("escalating to checkpoint restore (superstep %d)", superstep), f.LostPartitions)
-			if err := job.RestoreFrom(data); err != nil {
-				lastErr = err
-				s.cl.Note(cluster.EventEscalate, fmt.Sprintf("checkpoint restore failed: %v", err), nil)
-				continue
-			}
-			out.EscalatedTo = rungCheckpoint
-			return superstep + 1, nil
-
-		case rungRestart:
-			s.noteEscalation(out, "escalating to full restart", f.LostPartitions)
-			if err := job.ResetToInitial(); err != nil {
-				return 0, fmt.Errorf("supervise: restart rung failed for %s: %v", job.Name(), err)
-			}
-			out.EscalatedTo = rungRestart
-			// A restart wipes the run's history; the budget counters
-			// start over with it.
-			s.consecutive = make(map[int]int)
-			return 0, nil
 		}
+		s.cl.Note(cluster.EventEscalate, fmt.Sprintf("compensation failed: %v", err), nil)
 	}
-	return 0, fmt.Errorf("supervise: escalation ladder exhausted for superstep %d (last error: %v)", f.Superstep, lastErr)
+	s.noteEscalation(out, "escalating to full restart", f.LostPartitions)
+	if err := job.ResetToInitial(); err != nil {
+		return 0, fmt.Errorf("supervise: restart rung failed for %s: %v", job.Name(), err)
+	}
+	out.EscalatedTo = rungRestart
+	// A restart wipes the run's history; the budget counters start over
+	// with it.
+	s.consecutive = make(map[int]int)
+	return 0, nil
 }
 
 func (s *Supervisor) noteEscalation(out *Outcome, detail string, partitions []int) {
@@ -449,7 +405,7 @@ func (s *Supervisor) duringRecoveryFailures(superstep, tick, round int, under *e
 		workers = ri.FailuresDuringRecovery(superstep, tick, round, s.cl.Workers())
 	}
 	if under != nil {
-		workers = mergeInts(workers, under.Workers)
+		workers = Union(workers, under.Workers)
 	}
 	for _, w := range workers {
 		if !s.cl.IsAlive(w) {
@@ -468,15 +424,7 @@ func (s *Supervisor) describe(at int, out *Outcome) string {
 	if out.EscalatedTo != "" {
 		name = fmt.Sprintf("%s→%s", name, out.EscalatedTo)
 	}
-	var base string
-	switch {
-	case out.ResumeAt == at+1:
-		base = fmt.Sprintf("%s: compensated, continuing with superstep %d", name, out.ResumeAt)
-	case out.ResumeAt == 0:
-		base = fmt.Sprintf("%s: rewound to superstep 0", name)
-	default:
-		base = fmt.Sprintf("%s: rolled back to superstep %d", name, out.ResumeAt)
-	}
+	base := Describe(name, at, out.ResumeAt)
 	if out.FoldedFailures > 0 {
 		base += fmt.Sprintf(" (+%d failure(s) during recovery)", out.FoldedFailures)
 	}
@@ -489,6 +437,20 @@ func (s *Supervisor) describe(at int, out *Outcome) string {
 	return base
 }
 
+// Describe renders where a recovery by the named policy of a failure
+// at superstep at resumes: compensated in place, rewound to the start,
+// or rolled back to a checkpoint.
+func Describe(policy string, at, resumeAt int) string {
+	switch {
+	case resumeAt == at+1:
+		return fmt.Sprintf("%s: compensated, continuing with superstep %d", policy, resumeAt)
+	case resumeAt == 0:
+		return fmt.Sprintf("%s: rewound to superstep 0", policy)
+	default:
+		return fmt.Sprintf("%s: rolled back to superstep %d", policy, resumeAt)
+	}
+}
+
 func plural(n int, one, many string) string {
 	if n == 1 {
 		return one
@@ -496,19 +458,10 @@ func plural(n int, one, many string) string {
 	return many
 }
 
-// mergeInts unions two sorted-or-not int lists, deduplicated and sorted.
-func mergeInts(a, b []int) []int {
-	set := make(map[int]bool, len(a)+len(b))
-	for _, v := range a {
-		set[v] = true
-	}
-	for _, v := range b {
-		set[v] = true
-	}
-	out := make([]int, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
+// Union returns the sorted, deduplicated union of two worker or
+// partition lists in a new slice; neither argument is written.
+func Union(a, b []int) []int {
+	u := slices.Concat(a, b)
+	slices.Sort(u)
+	return slices.Compact(u)
 }

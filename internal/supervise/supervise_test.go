@@ -230,46 +230,60 @@ func TestEscalationOnPolicyError(t *testing.T) {
 	}
 }
 
-func TestEscalationLadderToCheckpointThenRestart(t *testing.T) {
-	// Policy errors AND compensation fails: none → compensation
-	// (fails) → checkpoint (store configured) for the first run;
-	// without a store the ladder falls through to restart.
-	store := checkpoint.NewMemoryStore()
+func TestEscalationLadderFailedCompensationToRestart(t *testing.T) {
+	// Policy errors AND compensation fails: none → compensation (fails)
+	// → restart.
 	job := &fakeJob{counter: 7, compErr: errors.New("no compensation function")}
-	var buf bytes.Buffer
-	if err := job.SnapshotTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Save(job.Name(), 4, buf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-
 	cl := cluster.New(4, 8)
-	s := New(cl, recovery.None{}, nil, Config{Spares: -1, Store: store})
+	s := New(cl, recovery.None{}, nil, Config{Spares: -1})
 	out, err := s.Recover(job, kill(cl, 6, 6, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.EscalatedTo != "checkpoint" || out.Escalations != 2 || out.ResumeAt != 5 {
+	if out.EscalatedTo != "restart" || out.Escalations != 2 || out.ResumeAt != 0 {
 		t.Fatalf("out = %+v", out)
 	}
-	if job.restores != 1 {
-		t.Fatalf("restores = %d", job.restores)
+	if job.resets != 1 || job.counter != 0 {
+		t.Fatalf("job = %+v", job)
 	}
+}
 
-	// No store: the same schedule lands on the restart rung.
-	job2 := &fakeJob{counter: 7, compErr: errors.New("no compensation function")}
-	cl2 := cluster.New(4, 8)
-	s2 := New(cl2, recovery.None{}, nil, Config{Spares: -1})
-	out2, err := s2.Recover(job2, kill(cl2, 6, 6, 0))
-	if err != nil {
-		t.Fatal(err)
+// TestEscalationLadderPerPolicy pins the rungs above each policy: a
+// spent failure budget sends the failure straight up the ladder without
+// consulting the policy, and the ladder stops at the first rung that
+// recovers.
+func TestEscalationLadderPerPolicy(t *testing.T) {
+	store := checkpoint.NewMemoryStore()
+	cases := []struct {
+		policy      recovery.Policy
+		escalatedTo string
+		resumeAt    int
+	}{
+		{recovery.None{}, "compensation", 7},
+		{recovery.Optimistic{}, "restart", 0},
+		{recovery.Confined{}, "restart", 0},
+		{recovery.NewCheckpoint(2, store), "restart", 0},
+		{recovery.NewAsyncCheckpoint(2, store, 4), "restart", 0},
+		{recovery.NewDeltaCheckpoint(2, store), "restart", 0},
+		{recovery.Restart{}, "restart", 0},
 	}
-	if out2.EscalatedTo != "restart" || out2.ResumeAt != 0 {
-		t.Fatalf("out = %+v", out2)
-	}
-	if job2.resets != 1 || job2.counter != 0 {
-		t.Fatalf("job = %+v", job2)
+	for _, tc := range cases {
+		t.Run(tc.policy.PolicyName(), func(t *testing.T) {
+			job := &fakeJob{counter: 7}
+			cl := cluster.New(4, 8)
+			s := New(cl, tc.policy, nil, Config{Spares: -1, FailureBudget: 1})
+			s.consecutive[6] = 1
+			out, err := s.Recover(job, kill(cl, 6, 6, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.EscalatedTo != tc.escalatedTo || out.Escalations != 1 || out.ResumeAt != tc.resumeAt {
+				t.Fatalf("out = %+v, want one escalation to %s resuming at %d", out, tc.escalatedTo, tc.resumeAt)
+			}
+			if job.restores != 0 {
+				t.Fatalf("a rung restored a checkpoint (%d restores)", job.restores)
+			}
+		})
 	}
 }
 
@@ -288,8 +302,8 @@ func TestFailureBudgetExhaustionEscalates(t *testing.T) {
 			t.Fatalf("attempt %d escalated: %+v", i, out)
 		}
 	}
-	// The third blows the budget. Optimistic's ladder starts at the
-	// checkpoint rung; with no store it falls through to restart.
+	// The third blows the budget. Above optimistic the ladder has only
+	// the restart rung.
 	out, err := s.Recover(job, kill(cl, 5, 12, 2))
 	if err != nil {
 		t.Fatal(err)
@@ -412,7 +426,7 @@ func TestFailureDuringCheckpointRestore(t *testing.T) {
 	pol := recovery.NewCheckpoint(1, store)
 	inj := failure.NewScripted(nil).AtDuringRecovery(4, 3)
 	cl := cluster.New(4, 8)
-	s := New(cl, pol, inj, Config{Spares: -1, Store: store})
+	s := New(cl, pol, inj, Config{Spares: -1})
 	job.counter = 42 // diverged state the restore rewinds
 	out, err := s.Recover(job, kill(cl, 4, 7, 0))
 	if err != nil {

@@ -5,10 +5,9 @@
 // Schelter et al., CIKM 2013, on Apache Flink.
 //
 // The library contains a parallel dataflow engine (Map/Reduce/Join/
-// CoGroup operators over hash exchanges, with operator fusion), bulk
-// and delta iterations with partitioned state, a cluster model whose
-// worker failures destroy state partitions, and these fault-tolerance
-// policies:
+// CoGroup operators over hash exchanges), bulk and delta iterations
+// with partitioned state, a cluster model whose worker failures destroy
+// state partitions, and these fault-tolerance policies:
 //
 //   - Optimistic (the paper's contribution): no checkpoints; after a
 //     failure a compensation function restores a consistent state and
@@ -312,9 +311,10 @@ func FailWorkerMidStep(superstep int, afterRecords int64, worker int) *failure.S
 
 // RandomFailures fails a random live worker with probability p per
 // superstep, at most maxFailures times (0 = unlimited). Deterministic
-// given seed.
+// given seed: it is ChaosFailures(seed) with only the boundary surface
+// armed.
 func RandomFailures(p float64, seed int64, maxFailures int) Injector {
-	return failure.NewRandom(p, seed, maxFailures)
+	return failure.NewChaos(seed).WithProbabilities(p, 0, 0).WithMaxFailures(maxFailures)
 }
 
 // NoFailures returns an injector that never fails anything.
