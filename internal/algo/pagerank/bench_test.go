@@ -54,7 +54,10 @@ func BenchmarkRun(b *testing.B) {
 
 // BenchmarkHostedPairStep times one step of the same job split over two
 // hosts, partitions 0 and 2 on one and 1 and 3 on the other: both
-// hosts' fold and expand halves and the relay between them.
+// hosts' fold and expand halves and the relay between them. It reports
+// what crossed per step: remote-B/op, the column bytes relayed between
+// the hosts, and local-rows/op, the rows each host kept typed for its
+// own partitions.
 func BenchmarkHostedPairStep(b *testing.B) {
 	pair := hostedtest.NewPair(hostedHosts(b, gen.Twitter(4000, 20150531)))
 	for i := 0; i < 3; i++ {
@@ -62,13 +65,18 @@ func BenchmarkHostedPairStep(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	var remote, local int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := pair.Step(); err != nil {
 			b.Fatal(err)
 		}
+		sent, kept := pair.Traffic()
+		remote, local = remote+sent, local+kept
 	}
+	b.ReportMetric(float64(remote)/float64(b.N), "remote-B/op")
+	b.ReportMetric(float64(local)/float64(b.N), "local-rows/op")
 }
 
 // BenchmarkSnapshotTo times one full checkpoint blob of PageRank on

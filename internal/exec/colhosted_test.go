@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"optiflow/internal/colbytes"
@@ -125,9 +128,9 @@ func TestColHostedRejectsHostileColumns(t *testing.T) {
 
 // FuzzColHostedFold feeds the fixture's host one remote column set,
 // seeded from the hostile-column table and a well-formed set. The host
-// holds columns of its own, committed before. Fold must not panic; if
-// it fails, it fails with ErrBadColumns, before Apply saw anything; and
-// either way the committed columns are what they were, and a Fold of
+// holds typed rows of its own, committed before. Fold must not panic;
+// if it fails, it fails with ErrBadColumns, before Apply saw anything;
+// and either way the committed rows are what they were, and a Fold of
 // them alone afterwards applies what it does on a host that never saw
 // the input.
 func FuzzColHostedFold(f *testing.F) {
@@ -154,7 +157,8 @@ func FuzzColHostedFold(f *testing.F) {
 			return h, applied
 		}
 		h, applied := host()
-		held := bytes.Clone(h.held[0][0])
+		held := h.held[0][0].rows
+		held.Dst, held.Val = slices.Clone(held.Dst), slices.Clone(held.Val)
 		err := h.Fold([]HostedCols{{Src: src, Dst: dst, Cols: cols}})
 		if err != nil {
 			if !errors.Is(err, ErrBadColumns) {
@@ -171,8 +175,8 @@ func FuzzColHostedFold(f *testing.F) {
 				}
 			}
 		}
-		if !bytes.Equal(h.held[0][0], held) {
-			t.Fatal("Fold changed the committed columns")
+		if got := h.held[0][0].rows; !slices.Equal(got.Dst, held.Dst) || !slices.Equal(got.Val, held.Val) {
+			t.Fatalf("Fold changed the committed rows from %v to %v", held, got)
 		}
 		twin, want := host()
 		clear(applied)
@@ -186,6 +190,77 @@ func FuzzColHostedFold(f *testing.F) {
 			t.Fatalf("the committed columns then applied %v, on a twin %v", applied, want)
 		}
 	})
+}
+
+// TestColHostedSumRejectsMisroutedLastBatch holds the sum fold to the
+// hostile-column contract: partition 0's host, holding typed rows of
+// its own, gets a remote set whose first batch is well-formed and whose
+// last batch ends with a row for a vertex partition 0 does not own.
+// Fold must reject it with ErrBadColumns and apply nothing, although
+// the first batch was already added into the fold scratch; the next
+// valid Fold must apply the same bits as a fresh host's.
+func TestColHostedSumRejectsMisroutedLastBatch(t *testing.T) {
+	b := graph.NewBuilder(false)
+	for v := graph.VertexID(0); v < 7; v++ {
+		b.AddEdge(v, v+1)
+		b.AddEdge(v+1, v)
+	}
+	d := b.Build().Dense()
+	pt := d.Partitioning(2)
+	mine, theirs := pt.Owned[0][0], pt.Owned[1][0]
+	host := func() (*ColHosted[float64], map[int32]uint64) {
+		applied := map[int32]uint64{}
+		step := &ColStep[float64]{
+			Adj: d, Parts: pt, Expand: ExpandMulWeight, Fold: FoldSum,
+			Source: func(part int) (KeyCol, ValCol[float64]) {
+				if part != 0 {
+					return nil, nil
+				}
+				val := make(ValCol[float64], len(pt.Owned[0]))
+				for i := range val {
+					val[i] = 0.1 * float64(i+1)
+				}
+				return KeyCol(pt.Owned[0]), val
+			},
+			Apply: func(_ int, dst KeyCol, val ValCol[float64]) error {
+				for i, d := range dst {
+					applied[d] = math.Float64bits(val[i])
+				}
+				return nil
+			},
+		}
+		h := NewColHosted(&ColEngine[float64]{Parallelism: 2}, step, []int{0})
+		h.Begin(func() {})
+		if err := h.Expand(&HostedOut{}); err != nil {
+			t.Fatal(err)
+		}
+		h.Commit()
+		if h.HeldRows() == 0 {
+			t.Fatal("the host holds no rows of its own")
+		}
+		return h, applied
+	}
+	first := ColBatch[float64]{Dst: KeyCol{mine}, Val: ValCol[float64]{0.7}}
+	last := ColBatch[float64]{Dst: KeyCol{mine, theirs}, Val: ValCol[float64]{0.3, 0.5}}
+	h, applied := host()
+	err := h.Fold([]HostedCols{{Src: 1, Dst: 0, Cols: last.AppendColumns(first.AppendColumns(nil))}})
+	if !errors.Is(err, ErrBadColumns) {
+		t.Fatalf("err = %v, want ErrBadColumns", err)
+	}
+	if len(applied) != 0 {
+		t.Fatalf("a rejected Fold applied %v", applied)
+	}
+	good := []HostedCols{{Src: 1, Dst: 0, Cols: first.AppendColumns(nil)}}
+	if err := h.Fold(good); err != nil {
+		t.Fatal(err)
+	}
+	twin, want := host()
+	if err := twin.Fold(good); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 || !maps.Equal(applied, want) {
+		t.Fatalf("after the rejected set, Fold applied %v; a fresh host %v", applied, want)
+	}
 }
 
 // TestColHostedReexpandAppends drives the compensation path: Reexpand

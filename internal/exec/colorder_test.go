@@ -20,12 +20,14 @@ import (
 
 // hostedExpandBytes runs three LocalFold Expand/Commit/Fold rounds of a
 // ColHosted hosting all four partitions of g and returns every
-// committed (src, dst) column buffer, each prefixed by src, dst and its
-// length. Apply appends the folded rows to the next round's source in
-// the order it sees them — under FoldSum only the nonzero sums, the
-// rows a sparse fold would have applied — so the bytes depend on both
-// the local fold's emission order and the fold's Apply order (float
-// sums are order-sensitive). A row with value v sends send(src, v).
+// committed (src, dst) pair's rows, encoded as the column bytes they
+// would cross the exchange as (heldColumns), each prefixed by src, dst
+// and its length. Apply appends the folded rows to the next round's
+// source in the order it sees them — under FoldSum only the nonzero
+// sums, the rows a sparse fold would have applied — so the bytes depend
+// on both the local fold's emission order and the fold's Apply order
+// (float sums are order-sensitive). A row with value v sends
+// send(src, v).
 func hostedExpandBytes[V ColValue](t *testing.T, g *graph.Graph, expand ExpandKind, fold FoldKind, init func(idx int32) V, send func(src int32, v V) V) []byte {
 	t.Helper()
 	const nparts = 4
@@ -74,7 +76,8 @@ func hostedExpandBytes[V ColValue](t *testing.T, g *graph.Graph, expand ExpandKi
 		}
 		h.Commit()
 		for src := range h.held {
-			for dst, cols := range h.held[src] {
+			for dst := range h.held[src] {
+				cols := heldColumns(h, src, dst)
 				all = binary.LittleEndian.AppendUint32(all, uint32(src))
 				all = binary.LittleEndian.AppendUint32(all, uint32(dst))
 				all = binary.LittleEndian.AppendUint32(all, uint32(len(cols)))
@@ -90,6 +93,24 @@ func hostedExpandBytes[V ColValue](t *testing.T, g *graph.Graph, expand ExpandKi
 		cur, next = next, cur
 	}
 	return all
+}
+
+// heldColumns encodes the committed typed rows h holds from src for the
+// hosted partition dst as the bytes they would cross the exchange as:
+// the AppendColumns views of their batches, cut where the expansion
+// flushed them, every batch full but the last.
+func heldColumns[V ColValue](h *ColHosted[V], src, dst int) []byte {
+	rows := h.held[src][dst].rows
+	batch := h.engine.BatchSize
+	if batch <= 0 {
+		batch = DefaultColBatchSize
+	}
+	var cols []byte
+	for lo := 0; lo < rows.Len(); lo += batch {
+		hi := min(lo+batch, rows.Len())
+		cols = (&ColBatch[V]{Dst: rows.Dst[lo:hi], Val: rows.Val[lo:hi]}).AppendColumns(cols)
+	}
+	return cols
 }
 
 // checkColGolden compares got against testdata/<name>.hex, rewriting

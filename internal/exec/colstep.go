@@ -25,6 +25,7 @@ import (
 	"math/bits"
 	"time"
 
+	"optiflow/internal/colbytes"
 	"optiflow/internal/graph"
 )
 
@@ -168,6 +169,9 @@ type colRun[V ColValue] struct {
 	sink func(src, dst int, b *ColBatch[V])
 	// part is the partition being expanded.
 	part int
+	// cols reads the peer columns being folded (foldColumns); a field,
+	// so that the reader the decode is lent needs no allocation.
+	cols colbytes.Reader
 
 	err                error
 	messages, shuffled int64
@@ -310,12 +314,11 @@ func (e *ColEngine[V]) expandHalf(step *ColStep[V], parts []int, fi *FaultInject
 }
 
 // foldHalf runs only the consuming half, for the listed partitions, one
-// after another: the exchange is next, which fills the pooled batch it
-// is lent with partition part's next incoming batch, or reports that
-// there is none left. Each batch is folded as soon as next fills it, in
-// the order next yields them, so a deterministic next gives
+// after another: the exchange is into, which folds every row bound for
+// partition part through r (r.fold) and fails if one of them is bad,
+// before the partition is applied. A deterministic into gives
 // bit-identical float sums.
-func (e *ColEngine[V]) foldHalf(step *ColStep[V], parts []int, next func(part int, b *ColBatch[V]) (bool, error)) error {
+func (e *ColEngine[V]) foldHalf(step *ColStep[V], parts []int, into func(part int, r *colRun[V]) error) error {
 	r, err := e.newRun(step, nil, false)
 	if err != nil {
 		return err
@@ -324,16 +327,9 @@ func (e *ColEngine[V]) foldHalf(step *ColStep[V], parts []int, next func(part in
 		clear(e.acc)
 	}
 	for _, part := range parts {
-		for more := true; more && r.err == nil; {
-			bp := e.pool.get(r.batch)
-			if more, err = next(part, bp); err != nil {
-				r.fail(fmt.Errorf("col: exchange into partition %d: %w", part, err))
-			} else if more {
-				r.fold(bp.Dst, bp.Val)
-			}
-			e.pool.put(bp)
-		}
-		if r.err == nil {
+		if err := into(part, r); err != nil {
+			r.fail(fmt.Errorf("col: exchange into partition %d: %w", part, err))
+		} else {
 			r.applyFolded(part)
 		}
 		if r.err != nil {
@@ -372,34 +368,33 @@ func (r *colRun[V]) expand(part int, local bool) {
 
 // emitFolded sends a producing partition's locally folded rows on, one
 // destination partition d after another: it walks Parts.Owned[d], which
-// is ascending, pushes every vertex a message reached straight into d's
-// batch and resets the scratch to zeros as it goes — so the
-// exchange byte stream is a function of the input. A row is written
-// whether or not lseen marks it and kept only if it does, so the walk
-// does not branch on lseen. After a fault it only resets.
+// is ascending, and pushes every vertex a message reached straight into
+// d's batch — so the exchange byte stream is a function of the input. A
+// row is written whether or not lseen marks it and kept only if it
+// does, so the walk does not branch on lseen. The walk leaves the
+// scratch as it found it; both columns are cleared in bulk afterwards,
+// and after a fault without a walk.
 func (r *colRun[V]) emitFolded() {
 	e := r.e
 	lacc, lseen := e.lacc, e.lseen
-	if r.err != nil {
-		clear(lacc)
-		clear(lseen)
-		return
-	}
-	for d, owned := range r.step.Parts.Owned {
-		bp := e.pool.get(r.batch)
-		dst, val, n := bp.Dst[:r.batch], bp.Val[:r.batch], 0
-		for _, v := range owned {
-			dst[n], val[n] = v, lacc[v]
-			n += int(lseen[v])
-			lseen[v], lacc[v] = 0, 0
-			if n == r.batch {
-				r.flushFolded(d, bp, n)
-				bp = e.pool.get(r.batch)
-				dst, val, n = bp.Dst[:r.batch], bp.Val[:r.batch], 0
+	if r.err == nil {
+		for d, owned := range r.step.Parts.Owned {
+			bp := e.pool.get(r.batch)
+			dst, val, n := bp.Dst[:r.batch], bp.Val[:r.batch], 0
+			for _, v := range owned {
+				dst[n], val[n] = v, lacc[v]
+				n += int(lseen[v])
+				if n == r.batch {
+					r.flushFolded(d, bp, n)
+					bp = e.pool.get(r.batch)
+					dst, val, n = bp.Dst[:r.batch], bp.Val[:r.batch], 0
+				}
 			}
+			r.flushFolded(d, bp, n)
 		}
-		r.flushFolded(d, bp, n)
 	}
+	clear(lacc)
+	clear(lseen)
 }
 
 // flushFolded hands the first n rows emitFolded wrote into bp to

@@ -18,6 +18,8 @@ type Host interface {
 	Commit()
 	Abort()
 	AppendPartition(dst []byte, p int) []byte
+	// HeldRows counts the committed rows kept for its own partitions.
+	HeldRows() int
 }
 
 // Pair is a job split over two hosts, owner[p] hosting partition p,
@@ -77,6 +79,17 @@ func (r *Pair) Step() ([2]exec.HostedOut, error) {
 		}
 	}
 	return outs, nil
+}
+
+// Traffic reports what the last Step exchanged: the bytes of the
+// columns relayed between the hosts, and the rows each host kept, typed,
+// for its own partitions.
+func (r *Pair) Traffic() (remoteBytes, heldRows int) {
+	for w, h := range r.hosts {
+		remoteBytes += len(r.arena[w])
+		heldRows += h.HeldRows()
+	}
+	return remoteBytes, heldRows
 }
 
 // AbortTwin runs a job twice side by side on two hosts each, build

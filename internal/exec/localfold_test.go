@@ -260,7 +260,8 @@ func sumFoldNegativeZero(t *testing.T) {
 				crossed = negZero
 			}
 			for from, row := range h.held {
-				for to, cols := range row {
+				for to := range row {
+					cols := heldColumns(h, from, to)
 					var want []byte
 					if from == int(pt.PartOf[src]) && to == int(pt.PartOf[one]) {
 						want = (&ColBatch[float64]{Dst: KeyCol{one}, Val: ValCol[float64]{crossed}}).AppendColumns(nil)
